@@ -396,6 +396,19 @@ impl CptGpt {
         }
     }
 
+    /// Packs every weight the decode paths read, now, so that no later
+    /// decode step pays for it: `cpt-serve` calls this when it installs a
+    /// model version, off the request path. Everything else may skip it —
+    /// the first decode step packs whatever is still cold (see
+    /// `cpt_nn::Linear::apply_rows_into`). Done by running one throw-away
+    /// step, which reads exactly the weights a real one does; the packed
+    /// copies live in `self.store` until a weight is next written.
+    pub fn pack_decode_weights(&self) {
+        let mut state = self.begin_decode(1);
+        let token = Tensor::zeros(&[1, 1, self.tokenizer.token_dim()]);
+        self.decode_step(&mut state, &token);
+    }
+
     /// Processes one token per stream (`[B, 1, token_dim]`) through the
     /// KV-cached fast path and returns the heads' outputs for that
     /// position. Equivalent to [`CptGpt::forward`] on the full prefix

@@ -6,6 +6,7 @@ use crate::graph::{Graph, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Handle to one parameter tensor inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,6 +25,33 @@ pub(crate) struct Param {
     pub(crate) name: String,
     pub(crate) value: Tensor,
     pub(crate) grad: Tensor,
+    /// Derived from `value`, never stored: see [`PanelCache`].
+    #[serde(skip)]
+    panels: PanelCache,
+}
+
+/// The packed-panel form of one 2-D weight (the layout
+/// `crate::tensor::pack_b` produces), built by the first inference GEMM
+/// that reads the weight and dropped by [`ParamStore::value_mut`], the only
+/// `&mut` route to a value. It is a pure function of `value`, so it stays
+/// out of serde and checksums, and a clone starts cold: a cloned store is
+/// usually about to be trained, which would drop the copy anyway.
+#[derive(Default)]
+struct PanelCache(OnceLock<Box<[f32]>>);
+
+impl Clone for PanelCache {
+    fn clone(&self) -> Self {
+        PanelCache::default()
+    }
+}
+
+impl std::fmt::Debug for PanelCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.get() {
+            Some(p) => write!(f, "PanelCache({} floats)", p.len()),
+            None => f.write_str("PanelCache(cold)"),
+        }
+    }
 }
 
 /// Owns all trainable parameters of a model plus their gradient
@@ -48,7 +76,12 @@ impl ParamStore {
             "duplicate parameter name {name:?}"
         );
         let grad = Tensor::zeros(&value.shape);
-        self.params.push(Param { name, value, grad });
+        self.params.push(Param {
+            name,
+            value,
+            grad,
+            panels: PanelCache::default(),
+        });
         ParamId(self.params.len() - 1)
     }
 
@@ -68,9 +101,41 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
-    /// Mutable view of a parameter value (optimizer updates).
+    /// Mutable view of a parameter value (optimizer updates, checkpoint
+    /// loads). Drops the parameter's packed panels: the next inference GEMM
+    /// re-packs from whatever is written through the returned reference.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.params[id.0].value
+        let p = &mut self.params[id.0];
+        p.panels = PanelCache::default();
+        &mut p.value
+    }
+
+    /// The `[k, n]` weight `id` as NR-wide column panels for
+    /// `crate::tensor::matmul_rows`, packed on the first call and shared by
+    /// every later one (and every thread) until [`ParamStore::value_mut`].
+    pub(crate) fn packed_panels(&self, id: ParamId) -> &[f32] {
+        let p = &self.params[id.0];
+        p.panels.0.get_or_init(|| {
+            let v = &p.value;
+            assert_eq!(v.rank(), 2, "{:?} is not a 2-D weight: {:?}", p.name, v.shape);
+            let (k, n) = (v.shape[0], v.shape[1]);
+            assert_eq!(v.data.len(), k * n, "{:?} data does not match {:?}", p.name, v.shape);
+            let mut packed = Vec::new();
+            crate::tensor::pack_b(&v.data, k, n, &mut packed);
+            packed.into_boxed_slice()
+        })
+    }
+
+    /// Floats currently held in packed panels (0 for a store that has not
+    /// run inference since it was built, cloned or last written): the
+    /// memory the pack-once cache costs, and what tests observe to tell a
+    /// warm store from a cold one.
+    pub fn packed_floats(&self) -> usize {
+        self.params
+            .iter()
+            .filter_map(|p| p.panels.0.get())
+            .map(|panels| panels.len())
+            .sum()
     }
 
     /// Immutable view of a parameter's accumulated gradient.
@@ -284,11 +349,32 @@ impl Linear {
     /// caller-provided buffer (overwritten entirely). This is the
     /// allocation-free inner loop of incremental decoding: `x` is
     /// `rows × in_dim`, `out` is `rows × out_dim`.
+    ///
+    /// The weight is read as the panels the store packed once
+    /// ([`ParamStore::value_mut`] drops them), so a call moves `rows` rows
+    /// of activations and nothing else. The GEMM is serial at every size: a
+    /// decode step has too few rows for fork-join to pay, and one serve
+    /// shard must not borrow another's threads. Kernel, k-order and per-row
+    /// accumulation are those of [`crate::tensor::matmul_into`], so the
+    /// output is bit-identical to `matmul_into` + bias.
     pub fn apply_rows_into(&self, store: &ParamStore, x: &[f32], rows: usize, out: &mut [f32]) {
+        self.apply_rows_kernel(store, x, rows, out, crate::tensor::fma_available());
+    }
+
+    /// [`Linear::apply_rows_into`] with the microkernel named, so tests can
+    /// run the portable kernel on a machine that dispatches the FMA one.
+    fn apply_rows_kernel(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        rows: usize,
+        out: &mut [f32],
+        use_fma: bool,
+    ) {
         assert_eq!(x.len(), rows * self.in_dim, "Linear input size");
         assert_eq!(out.len(), rows * self.out_dim, "Linear output size");
-        let w = store.value(self.w);
-        crate::tensor::matmul_into(x, &w.data, out, rows, self.in_dim, self.out_dim);
+        let panels = store.packed_panels(self.w);
+        crate::tensor::matmul_rows(x, panels, out, 0, rows, self.in_dim, self.out_dim, use_fma);
         if let Some(b) = self.b {
             let bias = store.value(b);
             for row in out.chunks_mut(self.out_dim) {
@@ -606,8 +692,10 @@ impl MultiHeadSelfAttention {
     /// Cross-session decode step: one new position for each of `n`
     /// independent sessions, each with its *own* batch-1 cache (possibly at
     /// a different length). The Q/K/V/O projections run as single
-    /// `[n × d_model]` GEMMs — this is where batching pays, since B-packing
-    /// cost is amortized over all sessions — while the KV scatter and the
+    /// `[n × d_model]` GEMMs — this is where batching pays: each weight
+    /// panel is streamed from memory once per MR-row tile instead of once
+    /// per session (packing is not part of the step at all, see
+    /// [`Linear::apply_rows_into`]) — while the KV scatter and the
     /// softmax/context run per session against that session's cache.
     ///
     /// Per-row bit-identity with the sequential path: the packed kernel
@@ -1111,6 +1199,7 @@ impl Lstm {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1429,6 +1518,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The pack-once path against the pack-per-call path it replaced,
+        /// 0 ULP: `Linear::apply_rows_into` over cached panels equals
+        /// `matmul_into` + bias on the kernel this machine dispatches, and
+        /// equals the serial reference + bias on the portable kernel, for
+        /// ragged shapes (row remainders below MR, column remainders below
+        /// NR, n below one panel) and with the cache cold or warm.
+        #[test]
+        fn cached_panel_linear_zero_ulp_vs_matmul_into(
+            m in 1usize..=70, k in 1usize..=160, n in 1usize..=70,
+            with_bias in 0usize..2, seed in 0u64..1000,
+        ) {
+            let mut r = rng(seed);
+            let mut store = ParamStore::new();
+            let lin = Linear::new(&mut store, "l", k, n, with_bias == 1, &mut r);
+            if let Some(b) = lin.b {
+                *store.value_mut(b) = Tensor::randn(&[n], 1.0, &mut r);
+            }
+            let x = Tensor::randn(&[m, k], 1.0, &mut r);
+            let w = store.value(lin.w).data.clone();
+            let add_bias = |out: &mut [f32]| {
+                if let Some(b) = lin.b {
+                    for row in out.chunks_mut(n) {
+                        for (o, bv) in row.iter_mut().zip(&store.value(b).data) {
+                            *o += bv;
+                        }
+                    }
+                }
+            };
+            let mut per_call = vec![0.0f32; m * n];
+            crate::tensor::matmul_into(&x.data, &w, &mut per_call, m, k, n);
+            add_bias(&mut per_call);
+            let mut reference = vec![0.0f32; m * n];
+            crate::tensor::matmul_reference(&x.data, &w, &mut reference, m, k, n);
+            add_bias(&mut reference);
+
+            prop_assert_eq!(store.packed_floats(), 0);
+            for pass in ["cold", "warm"] {
+                let mut cached = vec![f32::NAN; m * n];
+                lin.apply_rows_into(&store, &x.data, m, &mut cached);
+                prop_assert_eq!(bits(&cached), bits(&per_call), "dispatched kernel, {} cache", pass);
+                let mut base = vec![f32::NAN; m * n];
+                lin.apply_rows_kernel(&store, &x.data, m, &mut base, false);
+                prop_assert_eq!(bits(&base), bits(&reference), "portable kernel, {} cache", pass);
+            }
+            prop_assert_eq!(store.packed_floats(), n.div_ceil(16) * k * 16);
+        }
+    }
+
+    #[test]
+    fn inference_paths_never_fork_or_repack() {
+        // Everything in this file above the test module is the inference
+        // and layer code. It must reach the GEMM kernel only through the
+        // serial cached-panel call: no rayon entry point, and no
+        // `matmul_into` (which packs per call and forks above a threshold).
+        let src = include_str!("layers.rs");
+        let code = src.split("#[cfg(test)]").next().expect("split yields a first piece");
+        for needle in ["rayon::", "par_chunks", "par_iter", "matmul_into(", "pack_b("] {
+            let allowed = usize::from(needle == "pack_b(");
+            assert_eq!(
+                code.matches(needle).count(),
+                allowed,
+                "layers.rs non-test code mentions {needle:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn value_mut_drops_panels_and_clone_starts_cold() {
+        let mut store = ParamStore::new();
+        let lin = Linear::new(&mut store, "l", 5, 3, true, &mut rng(60));
+        let x = Tensor::randn(&[2, 5], 1.0, &mut rng(61));
+        let before = lin.apply(&store, &x);
+        assert!(store.packed_floats() > 0, "first apply packs");
+
+        // A clone shares nothing: it starts cold, and writing to it leaves
+        // the original's panels (and output) alone.
+        let mut copy = store.clone();
+        assert_eq!(copy.packed_floats(), 0);
+        copy.value_mut(lin.w).data[0] += 1.0;
+        assert_eq!(bits(&lin.apply(&store, &x).data), bits(&before.data));
+        assert_ne!(bits(&lin.apply(&copy, &x).data), bits(&before.data));
+
+        // A raw write through value_mut is seen by the next apply.
+        store.value_mut(lin.w).data[0] += 1.0;
+        assert_eq!(store.packed_floats(), 0, "value_mut drops the panels");
+        assert_eq!(bits(&lin.apply(&store, &x).data), bits(&lin.apply(&copy, &x).data));
     }
 
     #[test]

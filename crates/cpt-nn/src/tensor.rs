@@ -291,7 +291,7 @@ const PAR_FLOPS_THRESHOLD: usize = 64 * 64 * 64;
 /// Whether the AVX2+FMA microkernel is usable on this machine (checked
 /// once). Non-x86_64 builds always use the portable kernel.
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     static FMA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FMA.get_or_init(|| {
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
@@ -299,7 +299,7 @@ fn fma_available() -> bool {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     false
 }
 
@@ -326,7 +326,7 @@ fn return_pack_buf(buf: Vec<f32>) {
 /// Packs `b` (`[k, n]` row-major) into column panels: panel `p` covers
 /// columns `p*NR..(p+1)*NR` and stores `k` consecutive rows of `NR` floats,
 /// zero-padded past `n`. Layout: `packed[p * k * NR + kk * NR + j]`.
-fn pack_b(b: &[f32], k: usize, n: usize, packed: &mut Vec<f32>) {
+pub(crate) fn pack_b(b: &[f32], k: usize, n: usize, packed: &mut Vec<f32>) {
     let panels = n.div_ceil(NR);
     packed.clear();
     packed.resize(panels * k * NR, 0.0);
@@ -419,7 +419,7 @@ unsafe fn micro1_fma(a: &[f32], panel: &[f32], k: usize, lda: usize, row: usize)
 /// accumulation is independent of how rows are grouped into MR-tiles, so
 /// any row partition yields bit-identical results.
 #[allow(clippy::too_many_arguments)]
-fn matmul_rows(
+pub(crate) fn matmul_rows(
     a: &[f32],
     packed: &[f32],
     out: &mut [f32],
@@ -465,7 +465,10 @@ fn matmul_rows(
 
 /// `out = a x b` for row-major 2-D data through the packed kernel,
 /// rayon-parallel over MR-aligned row blocks for large problems.
-/// Overwrites `out` entirely.
+/// Overwrites `out` entirely. Packs `b` on every call, which is right when
+/// `b` changes between calls (training, activations × activations);
+/// inference over fixed weights goes through `Linear::apply_rows_into`,
+/// which packs once per weight version.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let use_fma = fma_available();
     let mut packed = take_pack_buf();

@@ -536,6 +536,23 @@ impl ShardUplink for EngineCore {
     }
 }
 
+/// Builds what a model version's decode steps read, before any session can
+/// open on it: the int8 weights when the engine runs quantized, otherwise
+/// the packed f32 panels, which live in the model's own store and so are
+/// shared by every shard holding the `Arc`. Installing pays for this once;
+/// a hot-swap never packs on the request path.
+fn prepare_decode_weights(
+    cfg: &ServeConfig,
+    model: &CptGpt,
+) -> Option<Arc<cpt_gpt::QuantDecodeWeights>> {
+    if cfg.quantized {
+        Some(Arc::new(model.quantize_decode_weights()))
+    } else {
+        model.pack_decode_weights();
+        None
+    }
+}
+
 /// The serving engine: owns the per-shard worker pools and the token
 /// reaper. Obtain a [`ServeHandle`] via [`Engine::handle`] to open and
 /// drive sessions; drop (or [`Engine::shutdown`]) to stop the workers.
@@ -572,11 +589,7 @@ impl Engine {
         chaos: ChaosPlan,
     ) -> Result<Engine, ServeError> {
         cfg.validate()?;
-        let quant = if cfg.quantized {
-            Some(Arc::new(model.quantize_decode_weights()))
-        } else {
-            None
-        };
+        let quant = prepare_decode_weights(&cfg, &model);
         let steer = Steering::new(cfg.shards);
         let gauges = Arc::new(Gauges::new());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -1006,15 +1019,11 @@ impl ServeHandle {
 
     /// Installs `model` under version `id` without promoting it: sessions
     /// cannot open on it until [`ServeHandle::promote_version`]. Idempotent
-    /// when the id is already installed. Quantized decode weights are built
-    /// here (outside every engine lock) when the engine runs quantized,
-    /// then the same Arcs are replicated to every shard.
+    /// when the id is already installed. The version's decode weights are
+    /// prepared here (see `prepare_decode_weights`), outside every engine
+    /// lock, then the same Arcs are replicated to every shard.
     pub fn install_version(&self, id: u64, model: Arc<CptGpt>) {
-        let quant = if self.core.cfg.quantized {
-            Some(Arc::new(model.quantize_decode_weights()))
-        } else {
-            None
-        };
+        let quant = prepare_decode_weights(&self.core.cfg, &model);
         let mut lc = self.core.lock_lifecycle();
         let meta = Arc::clone(lc.versions.entry(id).or_insert_with(|| {
             Arc::new(VersionMeta {

@@ -252,8 +252,9 @@ impl Metrics {
         self.batch_rounds.fetch_add(1, Ordering::Relaxed);
         self.batched_tokens.fetch_add(events, Ordering::Relaxed);
         if rows > 0 {
-            self.batch_occupancy.record_value(rows);
+            // Peak first: a snapshot clamps the quantiles to it.
             self.batch_peak.fetch_max(rows, Ordering::Relaxed);
+            self.batch_occupancy.record_value(rows);
         }
     }
 
@@ -396,6 +397,7 @@ impl Metrics {
         } = gauges;
         let uptime = self.started.elapsed().as_secs_f64();
         let generated = self.events_generated.load(Ordering::Relaxed);
+        let batch_peak = self.batch_peak.load(Ordering::Relaxed);
         StatsSnapshot {
             uptime_secs: uptime,
             workers,
@@ -424,9 +426,11 @@ impl Metrics {
             batched_tokens: self.batched_tokens.load(Ordering::Relaxed),
             sequential_tokens: self.sequential_tokens.load(Ordering::Relaxed),
             batch_rounds: self.batch_rounds.load(Ordering::Relaxed),
-            batch_p50: self.batch_occupancy.quantile(0.50),
-            batch_p99: self.batch_occupancy.quantile(0.99),
-            batch_peak: self.batch_peak.load(Ordering::Relaxed),
+            // The histogram reports a log₂ bucket's upper edge, which can
+            // lie above every sample in the bucket; the exact peak bounds it.
+            batch_p50: self.batch_occupancy.quantile(0.50).min(batch_peak),
+            batch_p99: self.batch_occupancy.quantile(0.99).min(batch_peak),
+            batch_peak,
             live_version,
             sessions_per_version: sessions_per_version
                 .iter()
@@ -521,11 +525,12 @@ pub struct StatsSnapshot {
     /// Batched decode rounds (one packed forward pass each) since start.
     #[serde(default)]
     pub batch_rounds: u64,
-    /// Median GEMM rows per batched round (log₂-bucket upper bound).
+    /// Median GEMM rows per batched round (log₂-bucket upper bound, never
+    /// above `batch_peak`).
     #[serde(default)]
     pub batch_p50: u64,
     /// 99th-percentile GEMM rows per batched round (log₂-bucket upper
-    /// bound).
+    /// bound, never above `batch_peak`).
     #[serde(default)]
     pub batch_p99: u64,
     /// Largest GEMM row count observed in one batched round.
@@ -657,9 +662,10 @@ mod tests {
         assert_eq!(s.sequential_tokens, 3);
         assert_eq!(s.batch_rounds, 2);
         assert_eq!(s.batch_peak, 5);
-        // One occupancy sample of 5 → bucket 3, upper bound 7.
-        assert_eq!(s.batch_p50, 7);
-        assert_eq!(s.batch_p99, 7);
+        // One occupancy sample of 5 → bucket 3, upper bound 7, clamped to
+        // the observed peak.
+        assert_eq!(s.batch_p50, 5);
+        assert_eq!(s.batch_p99, 5);
         assert_eq!(s.live_version, 7);
         assert_eq!(
             s.sessions_per_version,
@@ -714,6 +720,35 @@ mod tests {
         assert_eq!(s.batched_tokens, 11);
         assert_eq!(s.batch_peak, 8, "peak is a max, not a sum");
         assert_eq!(s.shards, 0, "no occupancy supplied");
+    }
+
+    #[test]
+    fn batch_quantiles_never_exceed_peak() {
+        let snapshot_of = |rounds: &[u64]| {
+            let m = Metrics::new();
+            for &rows in rounds {
+                m.record_batch_round(rows, rows);
+            }
+            let gauges = SnapshotGauges {
+                sessions_open: 0,
+                queued_events: 0,
+                free_states: 0,
+                workers: 1,
+                live_version: 1,
+            };
+            (m.batch_occupancy.quantile(0.99), m.snapshot(gauges, &[], &[]))
+        };
+        // The shape of the committed serve_steady baseline: rounds of up
+        // to 29 rows land in the 16..=31 bucket, whose upper edge is 31.
+        let (raw_p99, s) = snapshot_of(&[3, 7, 7, 20, 29, 29, 29]);
+        assert_eq!(raw_p99, 31, "the histogram itself is unchanged");
+        assert_eq!(s.batch_peak, 29);
+        assert_eq!(s.batch_p99, 29);
+        assert_eq!(s.batch_p50, 29, "median sample 20 reports its bucket edge 31, clamped");
+        // A quantile below the peak stays what the histogram says.
+        let (_, s) = snapshot_of(&[2, 2, 2, 29]);
+        assert_eq!(s.batch_p50, 3);
+        assert_eq!(s.batch_p99, 29);
     }
 
     #[test]

@@ -730,8 +730,16 @@ struct BatchEntry {
 /// sequential worker's publish arms exactly: vanished and close-pending
 /// sessions recycle their buffers, force-failed sessions discard the
 /// slice, panicked entries deliver their decoded prefix then the terminal
-/// failure record, and live sessions re-enqueue / park / finish.
-fn publish_entry(shard: &ShardShared, st: &mut ShardState, version: u64, e: BatchEntry) {
+/// failure record, and live sessions re-enqueue / park / finish. Returns
+/// the entry's event buffer, emptied, so the worker can reuse its capacity
+/// for a later slice.
+fn publish_entry(
+    shard: &ShardShared,
+    st: &mut ShardState,
+    version: u64,
+    e: BatchEntry,
+) -> Vec<DecodedEvent> {
+    let mut buf = e.buf;
     match e.panic {
         Some(reason) => match st.sessions.get_mut(&e.id) {
             None => {}
@@ -739,8 +747,8 @@ fn publish_entry(shard: &ShardShared, st: &mut ShardState, version: u64, e: Batc
                 st.sessions.remove(&e.id);
             }
             Some(slot) => {
-                let produced = e.buf.len();
-                slot.queue.extend(e.buf.into_iter().map(SessionEvent::Data));
+                let produced = buf.len();
+                slot.queue.extend(buf.drain(..).map(SessionEvent::Data));
                 slot.decoder = None;
                 shard.gauges.queued.fetch_add(produced, Ordering::Relaxed);
                 shard.fail_locked(st, e.id, reason);
@@ -761,8 +769,8 @@ fn publish_entry(shard: &ShardShared, st: &mut ShardState, version: u64, e: Batc
                     ShardShared::recycle(st, shard.cfg.max_sessions, version, decoder.into_state());
                 }
                 Some(slot) => {
-                    let produced = e.buf.len();
-                    slot.queue.extend(e.buf.into_iter().map(SessionEvent::Data));
+                    let produced = buf.len();
+                    slot.queue.extend(buf.drain(..).map(SessionEvent::Data));
                     if e.done {
                         slot.run = RunState::Done;
                         slot.decoder = Some(decoder);
@@ -780,6 +788,8 @@ fn publish_entry(shard: &ShardShared, st: &mut ShardState, version: u64, e: Batc
             }
         }
     }
+    buf.clear();
+    buf
 }
 
 /// The batched decode worker for one shard: grab up to `batch_max` ready
@@ -803,6 +813,11 @@ fn worker_loop_batched(shard: &ShardShared) {
     let mut work: Vec<(u64, SessionDecoder, usize)> = Vec::with_capacity(shard.cfg.batch_max);
     let mut entries: Vec<BatchEntry> = Vec::with_capacity(shard.cfg.batch_max);
     let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(shard.cfg.batch_max);
+    // Per-round index vectors and per-entry event buffers, reused across
+    // rounds and slices: steady state allocates neither.
+    let mut live: Vec<usize> = Vec::with_capacity(shard.cfg.batch_max);
+    let mut live_ids: Vec<u64> = Vec::with_capacity(shard.cfg.batch_max);
+    let mut spare_bufs: Vec<Vec<DecodedEvent>> = Vec::with_capacity(shard.cfg.batch_max);
     let mut slice_idx: u64 = 0;
     while let Some((version, model, quant)) = next_work_batch(shard, &mut work) {
         let t0 = Instant::now();
@@ -817,22 +832,22 @@ fn worker_loop_batched(shard: &ShardShared) {
             id,
             decoder: Some(decoder),
             budget,
-            buf: Vec::new(),
+            buf: spare_bufs.pop().unwrap_or_default(),
             done: false,
             panic: None,
             tripped: false,
         }));
         loop {
-            let live: Vec<usize> = (0..entries.len())
-                .filter(|&k| {
-                    let e = &entries[k];
-                    e.panic.is_none() && !e.done && e.buf.len() < e.budget
-                })
-                .collect();
+            live.clear();
+            live.extend((0..entries.len()).filter(|&k| {
+                let e = &entries[k];
+                e.panic.is_none() && !e.done && e.buf.len() < e.budget
+            }));
             if live.is_empty() {
                 break;
             }
-            let live_ids: Vec<u64> = live.iter().map(|&k| entries[k].id).collect();
+            live_ids.clear();
+            live_ids.extend(live.iter().map(|&k| entries[k].id));
             let mut refs: Vec<&mut SessionDecoder> = {
                 let mut want = live.iter().copied().peekable();
                 let mut refs = Vec::with_capacity(live.len());
@@ -923,7 +938,7 @@ fn worker_loop_batched(shard: &ShardShared) {
         let mut tripped = false;
         for e in entries.drain(..) {
             tripped |= e.tripped;
-            publish_entry(shard, &mut st, version, e);
+            spare_bufs.push(publish_entry(shard, &mut st, version, e));
         }
         drop(st);
         shard.delivery.notify_all();
