@@ -111,21 +111,6 @@ pub struct ThroughputReport {
     /// Sessions driven to completion per second through the batched path.
     #[serde(default)]
     pub serve_sessions_per_sec: f64,
-    /// Same measurement through the `--no-batch-decode` sequential
-    /// fallback — the bit-identity oracle the batched path is asserted
-    /// against on every bench run.
-    #[serde(default)]
-    pub serve_tokens_per_sec_sequential: f64,
-    /// `serve_tokens_per_sec / serve_tokens_per_sec_sequential`; records
-    /// the packing-amortization win on the machine that produced the
-    /// report. Gated by `cptgen bench --min-serve-speedup`, not by the
-    /// baseline diff (it is machine-shape-dependent).
-    #[serde(default)]
-    pub serve_speedup: f64,
-    /// Batched serving through the int8 per-channel-quantized weight path
-    /// (`--quantized`; approximate, gated separately).
-    #[serde(default)]
-    pub serve_tokens_per_sec_quantized: f64,
     /// Sessions driven to completion per second through the
     /// shared-nothing sharded front end: 8 shards, a micro model, and a
     /// multi-threaded driver, so verb/lock traffic (what sharding
@@ -478,12 +463,12 @@ pub fn measure(quick: bool) -> Result<ThroughputReport, MeasureError> {
     let generate_tokens_per_sec = total_events as f64 / secs;
 
     // Serve throughput: 64 concurrent sessions through the cpt-serve
-    // engine, batched cross-session decode vs the sequential fallback.
-    // The model is sized so the per-layer GEMMs dominate per-token cost
-    // (that is what batching amortizes); both paths are asserted
-    // byte-identical on every run — the bit-identity contract DESIGN.md
-    // §15 documents, checked here the same way the train step checks
-    // thread-count invariance above.
+    // engine. The model is sized so the per-layer GEMMs dominate per-token
+    // cost (that is what batching amortizes); the engine's output is
+    // asserted byte-identical to decoding each session directly on every
+    // run — the bit-identity contract DESIGN.md §15 documents, checked
+    // here the same way the train step checks thread-count invariance
+    // above.
     let serve_data = bench_dataset(48, 14);
     let serve_model_cfg = CptGptConfig {
         d_model: 64,
@@ -510,43 +495,29 @@ pub fn measure(quick: bool) -> Result<ThroughputReport, MeasureError> {
         .unwrap_or(1)
         .clamp(1, 8);
     let base = ServeConfig::new(workers);
-    let (seq_out, seq_secs) = run_serve(
-        &serve_model,
-        ServeConfig { batch_decode: false, ..base },
-        &serve_params,
-    )?;
-    let (bat_out, bat_secs) = run_serve(
-        &serve_model,
-        ServeConfig { batch_decode: true, batch_max: 64, ..base },
-        &serve_params,
-    )?;
-    assert_eq!(
-        seq_out, bat_out,
-        "batched serve decode must be byte-identical to the sequential path"
-    );
-    let (quant_out, quant_secs) = run_serve(
-        &serve_model,
-        ServeConfig { quantized: true, batch_decode: true, batch_max: 64, ..base },
-        &serve_params,
-    )?;
+    let (bat_out, bat_secs) = run_serve(&serve_model, base, &serve_params)?;
+    for (params, served) in serve_params.iter().zip(&bat_out) {
+        let mut direct = serve_model.open_session(*params)?;
+        let direct: Vec<SessionEvent> = std::iter::from_fn(|| direct.next_event(&serve_model))
+            .map(SessionEvent::Data)
+            .collect();
+        assert_eq!(
+            &direct, served,
+            "served decode must be byte-identical to decoding the session directly"
+        );
+    }
     let serve_tokens: usize = bat_out.iter().map(|s| s.len()).sum();
-    let quant_tokens: usize = quant_out.iter().map(|s| s.len()).sum();
     let serve_tokens_per_sec = serve_tokens as f64 / bat_secs;
-    let serve_tokens_per_sec_sequential = serve_tokens as f64 / seq_secs;
 
     // Hot swap under load: promote a differently-trained v2 mid-drain.
     // The original sessions are pinned to v1, so their outputs must match
-    // the un-swapped batched run byte for byte — the version-pinning
+    // the un-swapped run byte for byte — the version-pinning
     // contract DESIGN.md §16 documents, checked on every bench run.
     let mut v2 = (*serve_model).clone();
     cpt_gpt::train(&mut v2, &serve_data, &TrainConfig::quick().with_epochs(1))?;
     let v2 = Arc::new(v2);
-    let (swap_out, swap_tokens, swap_secs) = run_swap_serve(
-        &serve_model,
-        &v2,
-        ServeConfig { batch_decode: true, batch_max: 64, ..base },
-        &serve_params,
-    )?;
+    let (swap_out, swap_tokens, swap_secs) =
+        run_swap_serve(&serve_model, &v2, base, &serve_params)?;
     assert_eq!(
         swap_out, bat_out,
         "sessions pinned across a hot swap must complete byte-identically"
@@ -651,9 +622,6 @@ pub fn measure(quick: bool) -> Result<ThroughputReport, MeasureError> {
         generate_tokens_per_sec,
         serve_tokens_per_sec,
         serve_sessions_per_sec: n_sessions as f64 / bat_secs,
-        serve_tokens_per_sec_sequential,
-        serve_speedup: serve_tokens_per_sec / serve_tokens_per_sec_sequential,
-        serve_tokens_per_sec_quantized: quant_tokens as f64 / quant_secs,
         serve_sessions_per_sec_sharded,
         shard_speedup,
         serve_tokens_per_sec_swap: swap_tokens as f64 / swap_secs,
@@ -705,10 +673,8 @@ pub fn check_regression(
         current.generate_tokens_per_sec,
         baseline.generate_tokens_per_sec,
     );
-    // Baselines written before batched serving carry 0 in all four serve
-    // metrics, which the closure's `base > 0` test skips. `serve_speedup`
-    // is deliberately not gated here — it depends on the runner's core
-    // count, so it gets its own explicit `--min-serve-speedup` gate.
+    // Baselines written before batched serving carry 0 in both serve
+    // metrics, which the closure's `base > 0` test skips.
     gate(
         "serve_tokens_per_sec",
         current.serve_tokens_per_sec,
@@ -719,19 +685,9 @@ pub fn check_regression(
         current.serve_sessions_per_sec,
         baseline.serve_sessions_per_sec,
     );
-    gate(
-        "serve_tokens_per_sec_sequential",
-        current.serve_tokens_per_sec_sequential,
-        baseline.serve_tokens_per_sec_sequential,
-    );
-    gate(
-        "serve_tokens_per_sec_quantized",
-        current.serve_tokens_per_sec_quantized,
-        baseline.serve_tokens_per_sec_quantized,
-    );
     // Pre-sharding baselines carry 0 here, skipped by `base > 0`.
-    // `shard_speedup` is deliberately not gated — like `serve_speedup`,
-    // it depends on the runner's core count, so it gets its own explicit
+    // `shard_speedup` is deliberately not gated — it depends on the
+    // runner's core count, so it gets its own explicit
     // `--min-shard-speedup` gate.
     gate(
         "serve_sessions_per_sec_sharded",
@@ -767,14 +723,11 @@ mod tests {
             generate_tokens_per_sec: 5.0 * x,
             serve_tokens_per_sec: 6.0 * x,
             serve_sessions_per_sec: x / 4.0,
-            serve_tokens_per_sec_sequential: 3.0 * x,
-            serve_speedup: 2.0,
-            serve_tokens_per_sec_quantized: 7.0 * x,
             serve_sessions_per_sec_sharded: x / 5.0,
             // Speedup ratio: machine-dependent, never baseline-gated.
             shard_speedup: 4.0,
             // Informational only — never baseline-gated, so the
-            // exactly-12-failures count below stays stable.
+            // exactly-10-failures count below stays stable.
             serve_tokens_per_sec_swap: 5.5 * x,
             trace_write_gbps: x / 8.0,
             trace_read_gbps: x / 4.0,
@@ -797,22 +750,18 @@ mod tests {
         let base = report(10.0);
         let bad = report(4.0); // below 10/2
         let failures = check_regression(&bad, &base, 2.0);
-        assert_eq!(failures.len(), 12, "{failures:?}");
+        assert_eq!(failures.len(), 10, "{failures:?}");
         assert!(failures[0].contains("matmul_gflops"));
         assert!(failures
             .iter()
             .any(|f| f.contains("train_tokens_per_sec_1thread")));
         assert!(failures.iter().any(|f| f.contains("serve_tokens_per_sec:")));
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("serve_tokens_per_sec_quantized")));
         assert!(failures.iter().any(|f| f.contains("trace_write_gbps")));
         assert!(failures.iter().any(|f| f.contains("trace_read_gbps")));
         assert!(failures
             .iter()
             .any(|f| f.contains("serve_sessions_per_sec_sharded")));
         // Speedup ratios are machine-dependent and never baseline-gated.
-        assert!(!failures.iter().any(|f| f.contains("serve_speedup")));
         assert!(!failures.iter().any(|f| f.contains("shard_speedup")));
     }
 
@@ -820,10 +769,15 @@ mod tests {
     fn pre_data_parallel_baselines_still_parse_and_skip_new_gates() {
         // A baseline written before the 1-thread train metric existed has
         // neither new field; serde must default them to 0 and the gate
-        // must then skip them.
+        // must then skip them. It may still carry the three figures of the
+        // deleted sequential and int8 serving paths, which parse and gate
+        // nothing.
         let json = r#"{"matmul_gflops": 4.0, "train_tokens_per_sec": 2000.0,
                        "generate_streams_per_sec": 5.0,
                        "generate_tokens_per_sec": 100.0,
+                       "serve_tokens_per_sec_sequential": 1e12,
+                       "serve_speedup": 1e12,
+                       "serve_tokens_per_sec_quantized": 1e12,
                        "peak_rss_bytes": 0, "threads": 1}"#;
         let base: ThroughputReport = serde_json::from_str(json).unwrap();
         assert_eq!(base.train_tokens_per_sec_1thread, 0.0);
@@ -832,7 +786,6 @@ mod tests {
         // metrics to 0, skipping those gates — and pre-columnar-format
         // baselines the trace metrics.
         assert_eq!(base.serve_tokens_per_sec, 0.0);
-        assert_eq!(base.serve_tokens_per_sec_quantized, 0.0);
         assert_eq!(base.serve_sessions_per_sec_sharded, 0.0);
         assert_eq!(base.shard_speedup, 0.0);
         assert_eq!(base.trace_write_gbps, 0.0);

@@ -8,11 +8,12 @@
 //! K — until it emits a stop flag or hits the configured maximum length.
 //!
 //! Categorical fields are sampled from the predicted softmax; the
-//! interarrival is sampled from the predicted Gaussian (Design 2). Streams
-//! are generated in chunks of `batch_size` — one KV-cached decode step per
-//! position per chunk — and the chunks run in parallel under rayon. Each
-//! chunk's RNG is derived from `(seed, chunk_index)` alone, so output is
-//! bit-identical at any thread count (see [`chunk_rng`]).
+//! interarrival is sampled from the predicted Gaussian (Design 2). That
+//! procedure lives in [`crate::stream`]; [`CptGpt::generate`] drives it:
+//! UE `i` is stream `i` of the session `(model, seed)`, drawing from an RNG
+//! derived from `(seed, i)` alone (see [`chunk_rng`]), so the output is
+//! bit-identical at any thread count and any `batch_size`, and equal to
+//! what a served session with the same seed emits.
 //!
 //! Guardrails: a poisoned or half-trained model can emit NaN logits or a
 //! non-finite interarrival. Inference never panics on these — non-finite
@@ -23,9 +24,9 @@
 //! callers can tell a clean run from a degraded one.
 
 use crate::error::GenerateError;
-use crate::model::CptGpt;
-use cpt_nn::Tensor;
-use cpt_trace::{Dataset, DeviceType, EventType, Stream, UeId};
+use crate::model::{CptGpt, DecodeState};
+use crate::stream::{BatchDecoder, RoundOutcome, SessionDecoder, StreamParams};
+use cpt_trace::{Dataset, DeviceType, Event, Stream, UeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -44,7 +45,8 @@ pub struct GenerateConfig {
     /// Softmax temperature for the categorical heads (1.0 = the paper's
     /// plain sampling).
     pub temperature: f32,
-    /// Streams decoded per batched forward pass.
+    /// Streams advanced together through one packed forward pass (a speed
+    /// and memory knob only: the output does not depend on it).
     pub batch_size: usize,
     /// Truncated sampling for the event-type head. The paper samples the
     /// full softmax; truncation is a standard inference-time knob that
@@ -113,32 +115,57 @@ impl GenerateConfig {
     /// Checks every field against its domain, returning the first
     /// violation as [`GenerateError::InvalidConfig`].
     pub fn validate(&self) -> Result<(), GenerateError> {
-        fn bad(field: &'static str, message: impl Into<String>) -> GenerateError {
-            GenerateError::InvalidConfig {
-                field,
-                message: message.into(),
-            }
-        }
         if self.batch_size == 0 {
-            return Err(bad("batch_size", "must be at least 1"));
+            return Err(GenerateError::InvalidConfig {
+                field: "batch_size",
+                message: "must be at least 1".into(),
+            });
         }
-        if !self.temperature.is_finite() || self.temperature <= 0.0 {
-            return Err(bad(
-                "temperature",
-                format!("must be finite and positive, got {}", self.temperature),
-            ));
+        validate_sampling(self.temperature, self.sampling, self.max_stream_len)
+    }
+
+    /// The session whose streams `0..num_streams` are this run's UEs.
+    fn stream_params(&self) -> StreamParams {
+        StreamParams {
+            seed: self.seed,
+            device_type: self.device_type,
+            num_streams: self.num_streams,
+            temperature: self.temperature,
+            sampling: self.sampling,
+            max_resample: self.max_resample,
+            max_stream_len: self.max_stream_len,
         }
-        if self.max_stream_len == Some(0) {
-            return Err(bad("max_stream_len", "must be at least 1 when set"));
+    }
+}
+
+/// Domain checks on the sampling knobs [`GenerateConfig`] and
+/// [`StreamParams`] share.
+pub(crate) fn validate_sampling(
+    temperature: f32,
+    sampling: Sampling,
+    max_stream_len: Option<usize>,
+) -> Result<(), GenerateError> {
+    fn bad(field: &'static str, message: impl Into<String>) -> GenerateError {
+        GenerateError::InvalidConfig {
+            field,
+            message: message.into(),
         }
-        match self.sampling {
-            Sampling::TopK(0) => return Err(bad("sampling", "top-k needs k >= 1")),
-            Sampling::Nucleus(p) if !(p.is_finite() && p > 0.0 && p <= 1.0) => {
-                return Err(bad("sampling", format!("nucleus p must be in (0, 1], got {p}")))
-            }
-            _ => {}
+    }
+    if !temperature.is_finite() || temperature <= 0.0 {
+        return Err(bad(
+            "temperature",
+            format!("must be finite and positive, got {temperature}"),
+        ));
+    }
+    if max_stream_len == Some(0) {
+        return Err(bad("max_stream_len", "must be at least 1 when set"));
+    }
+    match sampling {
+        Sampling::TopK(0) => Err(bad("sampling", "top-k needs k >= 1")),
+        Sampling::Nucleus(p) if !(p.is_finite() && p > 0.0 && p <= 1.0) => {
+            Err(bad("sampling", format!("nucleus p must be in (0, 1], got {p}")))
         }
-        Ok(())
+        _ => Ok(()),
     }
 }
 
@@ -200,11 +227,12 @@ impl CptGpt {
     /// Like [`CptGpt::generate`], additionally returning the guardrail
     /// counters so callers can detect degraded output.
     ///
-    /// Streams are generated in chunks of `cfg.batch_size`, in parallel
-    /// across however many rayon threads are available. Each chunk owns an
-    /// RNG derived from `(cfg.seed, chunk_index)` alone and a UE-id range
-    /// `chunk_index · batch_size ..`, so the output is a pure function of
-    /// the config: bit-identical at any thread count, including 1.
+    /// UE `i` is stream `i` of `open_session(StreamParams { seed: cfg.seed,
+    /// num_streams: cfg.num_streams, .. })`: one single-stream
+    /// [`SessionDecoder`] each, advanced `cfg.batch_size` at a time by a
+    /// [`BatchDecoder`], the chunks in parallel across however many rayon
+    /// threads are available. No RNG state flows between streams, so the
+    /// output is a pure function of the config minus `batch_size`.
     pub fn generate_with_report(
         &self,
         cfg: &GenerateConfig,
@@ -213,26 +241,21 @@ impl CptGpt {
         if self.initial_event_dist.is_empty() {
             return Err(GenerateError::UntrainedModel);
         }
-        let max_len = cfg
-            .max_stream_len
-            .map_or(self.config.max_len, |m| m.min(self.config.max_len))
-            .max(1);
-        // Hoisted once per run: the initial-event probabilities never
-        // change, so the per-stream bootstrap must not re-collect them.
-        let init_probs: Vec<f64> = self.initial_event_dist.iter().map(|(_, p)| *p).collect();
         let n_chunks = cfg.num_streams.div_ceil(cfg.batch_size);
+        // Each rayon worker keeps one decoder and the decode states of the
+        // chunk it last finished, so a run allocates KV memory for
+        // `threads × batch_size` streams, not `num_streams`.
         let per_chunk: Vec<(Vec<Stream>, GenCounters)> = (0..n_chunks)
             .into_par_iter()
-            .map(|c| {
-                let b = cfg.batch_size.min(cfg.num_streams - c * cfg.batch_size);
-                let mut rng = chunk_rng(cfg.seed, c as u64);
-                let mut counters = GenCounters::default();
-                let id_base = (c * cfg.batch_size) as u64;
-                let streams =
-                    self.generate_batch(b, cfg, max_len, id_base, &init_probs, &mut rng, &mut counters);
-                (streams, counters)
-            })
-            .collect();
+            .map_init(
+                || (BatchDecoder::new(self, cfg.batch_size), Vec::new()),
+                |(decoder, spare), c| {
+                    let first = c * cfg.batch_size;
+                    let end = cfg.num_streams.min(first + cfg.batch_size);
+                    self.generate_chunk(cfg, first..end, decoder, spare)
+                },
+            )
+            .collect::<Result<_, _>>()?;
         let mut counters = GenCounters::default();
         let mut streams = Vec::with_capacity(cfg.num_streams);
         for (chunk, tally) in per_chunk {
@@ -245,98 +268,67 @@ impl CptGpt {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn generate_batch(
+    /// Decodes UEs `ues` to completion, one event per live stream per
+    /// round; a stream that has ended leaves the packed step. `spare`
+    /// supplies recycled decode states and receives this chunk's.
+    fn generate_chunk(
         &self,
-        b: usize,
         cfg: &GenerateConfig,
-        max_len: usize,
-        id_base: u64,
-        init_probs: &[f64],
-        rng: &mut StdRng,
-        counters: &mut GenCounters,
-    ) -> Vec<Stream> {
-        let d = self.tokenizer.token_dim();
-        let e = self.tokenizer.num_events();
-
-        // Per-stream decoded fields; `step` holds the newest token per
-        // stream and is re-encoded in place each iteration.
-        let mut events: Vec<Vec<EventType>> = vec![Vec::new(); b];
-        let mut iats: Vec<Vec<f64>> = vec![Vec::new(); b];
-        let mut alive: Vec<bool> = vec![true; b];
-        let mut step = Tensor::zeros(&[b, 1, d]);
-
-        for s in 0..b {
-            let ev = sample_categorical(init_probs, rng);
-            let ev = self.initial_event_dist[ev].0;
-            events[s].push(ev);
-            iats[s].push(0.0);
-            self.tokenizer
-                .encode_sample_into(ev, 0.0, false, &mut step.data[s * d..(s + 1) * d]);
-        }
-
-        // Incremental KV-cached decoding: each step feeds only the newest
-        // token per stream (O(T) per step instead of O(T²)), and all
-        // buffers live in `state` (zero allocation per token).
-        let mut state = self.begin_decode(b);
-        for _t in 1..max_len {
-            if alive.iter().all(|a| !a) {
+        ues: std::ops::Range<usize>,
+        decoder: &mut BatchDecoder,
+        spare: &mut Vec<DecodeState>,
+    ) -> Result<(Vec<Stream>, GenCounters), GenerateError> {
+        let params = cfg.stream_params();
+        let mut sessions = ues
+            .clone()
+            .map(|ue| {
+                let state = spare.pop().unwrap_or_else(|| self.begin_decode(1));
+                self.open_streams(StreamParams { num_streams: ue + 1, ..params }, ue, state)
+            })
+            .collect::<Result<Vec<SessionDecoder>, _>>()?;
+        let mut events: Vec<Vec<Event>> = vec![Vec::new(); sessions.len()];
+        let mut round = Vec::with_capacity(sessions.len());
+        loop {
+            let mut live: Vec<&mut SessionDecoder> =
+                sessions.iter_mut().filter(|s| !s.is_finished()).collect();
+            if live.is_empty() {
                 break;
             }
-            let out = self.decode_step(&mut state, &step);
-
-            for s in 0..b {
-                if !alive[s] {
-                    continue;
-                }
-                let ev_logits = &out.event_logits.data[s * e..(s + 1) * e];
-                if ev_logits.iter().any(|l| !l.is_finite()) {
-                    counters.non_finite_logits += 1;
-                }
-                let ev_idx =
-                    sample_logits_truncated(ev_logits, cfg.temperature, cfg.sampling, rng);
-                let event = EventType::from_index(ev_idx).expect("valid event index");
-                let scaled_iat = self.sample_scaled_iat(out, s, cfg, rng, counters);
-                let iat = self.tokenizer.unscale_iat(scaled_iat);
-                let stop_logits = &out.stop_logits.data[s * 2..(s + 1) * 2];
-                if stop_logits.iter().any(|l| !l.is_finite()) {
-                    counters.non_finite_logits += 1;
-                }
-                let stop_idx = sample_logits(stop_logits, cfg.temperature, rng);
-                let stop = stop_idx == 1;
-
-                events[s].push(event);
-                iats[s].push(iat);
-                self.tokenizer
-                    .encode_sample_into(event, iat, stop, &mut step.data[s * d..(s + 1) * d]);
-                if stop {
-                    alive[s] = false;
+            decoder.next_events(self, &mut live, &mut |_, _| {}, &mut round);
+            for outcome in round.drain(..) {
+                match outcome {
+                    // `ev.stream` is the UE: each session starts at its own.
+                    RoundOutcome::Event(ev) => {
+                        events[ev.stream - ues.start].push(Event::new(ev.event_type, ev.timestamp))
+                    }
+                    RoundOutcome::Finished => {}
+                    // Nothing here injects panics; one caught while
+                    // sampling is a bug, reported as the panic it was.
+                    RoundOutcome::Panicked(reason) => panic!("{reason}"),
                 }
             }
         }
-        counters.truncated_streams += alive.iter().filter(|a| **a).count() as u64;
-
-        (0..b)
-            .map(|s| {
-                Stream::from_interarrivals(
-                    UeId(id_base + s as u64),
-                    cfg.device_type,
-                    &events[s],
-                    &iats[s],
-                )
+        let mut counters = GenCounters::default();
+        let streams = ues
+            .zip(sessions.into_iter().zip(events))
+            .map(|(ue, (session, events))| {
+                counters.merge(session.counters());
+                spare.push(session.into_state());
+                Stream::new(UeId(ue as u64), cfg.device_type, events)
             })
-            .collect()
+            .collect();
+        Ok((streams, counters))
     }
 
-    /// Draws the scaled interarrival for stream `s`, guarding against
-    /// non-finite head outputs: retry up to `cfg.max_resample` times, then
-    /// degrade to a clamped mean (or 0 if the mean itself is poisoned).
-    /// The returned value is always in `[0, 1]`.
+    /// Draws the scaled interarrival for row `s` of a step, guarding
+    /// against non-finite head outputs: retry up to `max_resample` times,
+    /// then degrade to a clamped mean (or 0 if the mean itself is
+    /// poisoned). The returned value is always in `[0, 1]`.
     pub(crate) fn sample_scaled_iat(
         &self,
         out: &crate::model::InferStep,
         s: usize,
-        cfg: &GenerateConfig,
+        max_resample: u32,
         rng: &mut StdRng,
         counters: &mut GenCounters,
     ) -> f32 {
@@ -352,7 +344,7 @@ impl CptGpt {
         let sigma = out.iat_log_std[s].clamp(-7.0, 3.0).exp();
         let mut draw = mu + sigma * sample_normal(rng);
         let mut attempts = 0u32;
-        while !draw.is_finite() && attempts < cfg.max_resample {
+        while !draw.is_finite() && attempts < max_resample {
             attempts += 1;
             counters.resampled_iat += 1;
             draw = mu + sigma * sample_normal(rng);
@@ -370,13 +362,13 @@ impl CptGpt {
     }
 }
 
-/// Derives the RNG for one generation chunk from `(seed, chunk)` alone
-/// (splitmix64 finalizer, same scheme as the per-epoch shuffle RNG in
-/// training). Because no RNG state flows between chunks, the chunks are
-/// order- and schedule-independent: a rayon pool of any size produces the
-/// same streams as a serial loop, bit for bit.
-pub(crate) fn chunk_rng(seed: u64, chunk: u64) -> StdRng {
-    let mut z = seed ^ chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// Derives the RNG of stream `stream` of the session seeded `seed` from
+/// that pair alone (splitmix64 finalizer, same scheme as the per-epoch
+/// shuffle RNG in training). Because no RNG state flows between streams,
+/// they are order- and schedule-independent: a rayon pool of any size, a
+/// serve shard and a serial loop produce the same streams, bit for bit.
+pub(crate) fn chunk_rng(seed: u64, stream: u64) -> StdRng {
+    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     StdRng::seed_from_u64(z ^ (z >> 31))
@@ -483,7 +475,7 @@ mod tests {
     use crate::config::{CptGptConfig, TrainConfig};
     use crate::token::Tokenizer;
     use crate::train::train;
-    use cpt_trace::Event;
+    use cpt_trace::EventType;
 
     fn tiny_config() -> CptGptConfig {
         CptGptConfig {

@@ -18,7 +18,10 @@
 use crate::config::CptGptConfig;
 use crate::error::CheckpointError;
 use crate::token::Tokenizer;
-use cpt_nn::{Linear, LayerNorm, ParamId, ParamStore, Session, Tensor, TransformerBlock, Var};
+use cpt_nn::{
+    AttnKvCache, DecodeScratch, LayerNorm, Linear, ParamId, ParamStore, QuantBlock, QuantLinear,
+    Session, Tensor, TransformerBlock, Var, WeightFormat,
+};
 use cpt_trace::EventType;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,24 +54,24 @@ impl MlpHead {
         let h = sess.graph.gelu(h);
         self.fc2.forward(sess, h)
     }
+}
 
-    /// Allocation-free application on raw rows: `hbuf` is the hidden
-    /// scratch (`rows × d_hidden`), `out` the head output (both
-    /// overwritten).
-    fn apply_rows_into(
-        &self,
-        store: &ParamStore,
-        x: &[f32],
-        rows: usize,
-        hbuf: &mut [f32],
-        out: &mut [f32],
-    ) {
-        self.fc1.apply_rows_into(store, x, rows, hbuf);
-        for v in hbuf.iter_mut() {
-            *v = cpt_nn::gelu_scalar(*v);
-        }
-        self.fc2.apply_rows_into(store, hbuf, rows, out);
+/// Applies one two-layer head `(fc1, fc2)` to raw rows in any weight
+/// format, allocation-free: `hbuf` is the hidden scratch
+/// (`rows × d_hidden`), `out` the head output (both overwritten).
+fn head_rows_into<W: WeightFormat>(
+    (fc1, fc2): (&W, &W),
+    store: &ParamStore,
+    x: &[f32],
+    rows: usize,
+    hbuf: &mut [f32],
+    out: &mut [f32],
+) {
+    fc1.apply_rows_into(store, x, rows, hbuf);
+    for v in hbuf.iter_mut() {
+        *v = cpt_nn::gelu_scalar(*v);
     }
+    fc2.apply_rows_into(store, hbuf, rows, out);
 }
 
 /// Per-position outputs of one forward pass, flattened to `[B·T, …]`.
@@ -298,44 +301,52 @@ impl CptGpt {
     }
 }
 
-/// Incremental decoding state: one KV cache per transformer block, the
-/// current position, and every buffer a decode step needs. All buffers are
-/// sized once in [`CptGpt::begin_decode`] and overwritten in place each
-/// step, so steady-state decoding performs zero heap allocation per token.
-pub struct DecodeState {
-    caches: Vec<cpt_nn::AttnKvCache>,
-    scratch: cpt_nn::DecodeScratch,
-    /// Residual stream for the current position, `[B·D]`.
-    h: Vec<f32>,
-    /// Post-`ln_f` features, `[B·D]`.
-    feat: Vec<f32>,
-    /// Shared MLP-head hidden scratch, `[B·d_head]`.
-    head_h: Vec<f32>,
-    /// Raw interarrival-head output (`[B]` or `[B·2]`).
-    iat_raw: Vec<f32>,
-    /// Persistent output buffers, returned by reference from each step.
-    out: InferStep,
-    pos: usize,
-    batch: usize,
-    /// Position capacity the caches were sized for (the model's `max_len`
-    /// at [`CptGpt::begin_decode`] time).
+/// Every size a decode buffer depends on. A [`DecodeState`] records the
+/// geometry it was allocated for, so a recycled one is reused only by a
+/// model that would have allocated the same thing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DecodeGeometry {
+    rows: usize,
+    d_model: usize,
+    n_heads: usize,
+    n_blocks: usize,
+    d_mlp: usize,
+    d_head: usize,
+    n_events: usize,
+    /// Width of the raw interarrival-head output (1 for the point head).
+    iat_out: usize,
     max_len: usize,
+}
+
+/// One stream's incremental decoding state: a KV cache per transformer
+/// block and the current position.
+struct RowState {
+    caches: Vec<AttnKvCache>,
+    pos: usize,
+}
+
+/// Incremental decoding state for `batch` streams advanced together: each
+/// stream's [`RowState`] plus one set of step buffers. Everything is sized
+/// once in [`CptGpt::begin_decode`] and overwritten in place each step.
+pub struct DecodeState {
+    rows: Vec<RowState>,
+    bufs: BatchDecodeState,
 }
 
 impl DecodeState {
     /// Number of tokens decoded so far.
     pub fn pos(&self) -> usize {
-        self.pos
+        self.rows[0].pos
     }
 
     /// Batch size this state was sized for.
     pub fn batch(&self) -> usize {
-        self.batch
+        self.rows.len()
     }
 
     /// Position capacity this state was sized for.
     pub fn max_len(&self) -> usize {
-        self.max_len
+        self.bufs.geometry.max_len
     }
 
     /// Rewinds the state to position 0 so its buffers can be reused for a
@@ -345,10 +356,10 @@ impl DecodeState {
     /// freshly allocated one (the serving free-list and
     /// [`crate::stream::SessionDecoder`] reuse depend on this).
     pub fn reset(&mut self) {
-        for cache in &mut self.caches {
-            cache.reset();
+        for row in &mut self.rows {
+            row.caches.iter_mut().for_each(AttnKvCache::reset);
+            row.pos = 0;
         }
-        self.pos = 0;
     }
 }
 
@@ -365,147 +376,41 @@ pub struct InferStep {
     pub stop_logits: Tensor,
 }
 
-impl CptGpt {
-    /// Starts incremental decoding for a batch of `batch` streams,
-    /// preallocating every per-step buffer.
-    pub fn begin_decode(&self, batch: usize) -> DecodeState {
-        let d = self.config.d_model;
-        let hd = d / self.config.n_heads;
-        let e = self.tokenizer.num_events();
-        let iat_out = if self.config.point_iat_head { 1 } else { 2 };
-        DecodeState {
-            caches: (0..self.config.n_blocks)
-                .map(|_| {
-                    cpt_nn::AttnKvCache::new(batch, self.config.n_heads, self.config.max_len, hd)
-                })
-                .collect(),
-            scratch: cpt_nn::DecodeScratch::new(batch, d, self.config.d_mlp, self.config.max_len),
-            h: vec![0.0; batch * d],
-            feat: vec![0.0; batch * d],
-            head_h: vec![0.0; batch * self.config.d_head],
-            iat_raw: vec![0.0; batch * iat_out],
-            out: InferStep {
-                event_logits: Tensor::zeros(&[batch, e]),
-                iat_mean: vec![0.0; batch],
-                iat_log_std: vec![0.0; batch],
-                stop_logits: Tensor::zeros(&[batch, 2]),
-            },
-            pos: 0,
-            batch,
-            max_len: self.config.max_len,
-        }
-    }
-
-    /// Packs every weight the decode paths read, now, so that no later
-    /// decode step pays for it: `cpt-serve` calls this when it installs a
-    /// model version, off the request path. Everything else may skip it —
-    /// the first decode step packs whatever is still cold (see
-    /// `cpt_nn::Linear::apply_rows_into`). Done by running one throw-away
-    /// step, which reads exactly the weights a real one does; the packed
-    /// copies live in `self.store` until a weight is next written.
-    pub fn pack_decode_weights(&self) {
-        let mut state = self.begin_decode(1);
-        let token = Tensor::zeros(&[1, 1, self.tokenizer.token_dim()]);
-        self.decode_step(&mut state, &token);
-    }
-
-    /// Processes one token per stream (`[B, 1, token_dim]`) through the
-    /// KV-cached fast path and returns the heads' outputs for that
-    /// position. Equivalent to [`CptGpt::forward`] on the full prefix
-    /// (verified by tests) but O(T) instead of O(T²) per step. The
-    /// returned reference points into `state`'s persistent buffers — no
-    /// allocation happens per token.
-    pub fn decode_step<'s>(&self, state: &'s mut DecodeState, tokens: &Tensor) -> &'s InferStep {
-        assert_eq!(
-            tokens.shape,
-            vec![state.batch, 1, self.tokenizer.token_dim()],
-            "decode_step expects [B,1,token_dim]"
-        );
-        assert!(state.pos < self.config.max_len, "decode past max_len");
-        let b = state.batch;
-        let d = self.config.d_model;
-
-        self.input_proj
-            .apply_rows_into(&self.store, &tokens.data, b, &mut state.h);
-        let pe = self.store.value(self.pos_emb);
-        for bi in 0..b {
-            let row = &mut state.h[bi * d..(bi + 1) * d];
-            for (hv, pv) in row.iter_mut().zip(&pe.data[state.pos * d..(state.pos + 1) * d]) {
-                *hv += pv;
-            }
-        }
-        for (block, cache) in self.blocks.iter().zip(&mut state.caches) {
-            block.decode_step_into(&self.store, &mut state.h, cache, &mut state.scratch);
-        }
-        state.pos += 1;
-        self.ln_f
-            .apply_rows_into(&self.store, &state.h, b, &mut state.feat);
-
-        self.head_event.apply_rows_into(
-            &self.store,
-            &state.feat,
-            b,
-            &mut state.head_h,
-            &mut state.out.event_logits.data,
-        );
-        self.head_stop.apply_rows_into(
-            &self.store,
-            &state.feat,
-            b,
-            &mut state.head_h,
-            &mut state.out.stop_logits.data,
-        );
-        self.head_iat.apply_rows_into(
-            &self.store,
-            &state.feat,
-            b,
-            &mut state.head_h,
-            &mut state.iat_raw,
-        );
-        if self.config.point_iat_head {
-            state.out.iat_mean.copy_from_slice(&state.iat_raw);
-            state.out.iat_log_std.fill(0.0);
-        } else {
-            for i in 0..b {
-                state.out.iat_mean[i] = state.iat_raw[i * 2];
-                state.out.iat_log_std[i] = state.iat_raw[i * 2 + 1];
-            }
-        }
-        &state.out
-    }
-}
-
-/// Shared buffers for cross-session batched decoding: the same per-step
-/// buffers as [`DecodeState`] but *without* KV caches — those stay with
-/// each session. Sized once for `max_batch` rows by
-/// [`CptGpt::begin_batch_decode`]; a round of `n ≤ max_batch` sessions
-/// uses the first `n` rows of every buffer, so rounds of any composition
-/// allocate nothing.
+/// The buffers one decode step works in — everything except the KV caches,
+/// which stay with each stream. Sized once for `max_batch` rows by
+/// [`CptGpt::begin_batch_decode`]; a step over `n ≤ max_batch` streams uses
+/// the first `n` rows of every buffer, so steps of any composition allocate
+/// nothing here.
 pub struct BatchDecodeState {
-    scratch: cpt_nn::DecodeScratch,
+    geometry: DecodeGeometry,
+    scratch: DecodeScratch,
+    /// Residual stream for the current position, `[B·D]`.
     h: Vec<f32>,
+    /// Post-`ln_f` features, `[B·D]`.
     feat: Vec<f32>,
+    /// Shared MLP-head hidden scratch, `[B·d_head]`.
     head_h: Vec<f32>,
+    /// Raw interarrival-head output (`[B]` or `[B·2]`).
     iat_raw: Vec<f32>,
+    /// Persistent output buffers, returned by reference from each step.
     out: InferStep,
-    max_batch: usize,
 }
 
 impl BatchDecodeState {
-    /// Largest round this state was sized for.
+    /// Largest step this state was sized for.
     pub fn max_batch(&self) -> usize {
-        self.max_batch
+        self.geometry.rows
     }
 }
 
 /// int8 per-channel quantized snapshot of every weight matrix the decode
-/// path touches (LayerNorms and biases stay f32). Built once per model
-/// with [`CptGpt::quantize_decode_weights`] and shared read-only across
-/// workers; ~4× smaller weight traffic per GEMM, no bit-identity claim
-/// (accuracy contract: per-weight rounding ≤ scale/2, see DESIGN.md §15).
+/// step touches (LayerNorms and biases stay f32). Built once per model
+/// with [`CptGpt::quantize_decode_weights`]; ~4× smaller weight traffic per
+/// GEMM, no bit-identity claim (accuracy contract: per-weight rounding ≤
+/// scale/2, see DESIGN.md §15).
 pub struct QuantDecodeWeights {
-    input_proj: cpt_nn::QuantLinear,
-    blocks: Vec<cpt_nn::QuantBlock>,
+    input_proj: QuantLinear,
+    blocks: Vec<QuantBlock>,
     head_event: QuantMlpHead,
     head_iat: QuantMlpHead,
     head_stop: QuantMlpHead,
@@ -513,8 +418,8 @@ pub struct QuantDecodeWeights {
 
 /// Quantized [`MlpHead`].
 struct QuantMlpHead {
-    fc1: cpt_nn::QuantLinear,
-    fc2: cpt_nn::QuantLinear,
+    fc1: QuantLinear,
+    fc2: QuantLinear,
 }
 
 impl MlpHead {
@@ -526,47 +431,111 @@ impl MlpHead {
     }
 }
 
-impl QuantMlpHead {
-    fn apply_rows_into(&self, x: &[f32], rows: usize, hbuf: &mut [f32], out: &mut [f32]) {
-        self.fc1.apply_rows_into(x, rows, hbuf);
-        for v in hbuf.iter_mut() {
-            *v = cpt_nn::gelu_scalar(*v);
+/// The GEMM weights one decode step reads, in weight format `W`: borrowed
+/// from the model's own f32 layers or from a [`QuantDecodeWeights`].
+struct StepWeights<'a, W: WeightFormat> {
+    input_proj: &'a W,
+    blocks: &'a [W::Block],
+    head_event: (&'a W, &'a W),
+    head_stop: (&'a W, &'a W),
+    head_iat: (&'a W, &'a W),
+}
+
+impl QuantDecodeWeights {
+    fn step_weights(&self) -> StepWeights<'_, QuantLinear> {
+        StepWeights {
+            input_proj: &self.input_proj,
+            blocks: &self.blocks,
+            head_event: (&self.head_event.fc1, &self.head_event.fc2),
+            head_stop: (&self.head_stop.fc1, &self.head_stop.fc2),
+            head_iat: (&self.head_iat.fc1, &self.head_iat.fc2),
         }
-        self.fc2.apply_rows_into(hbuf, rows, out);
     }
 }
 
 impl CptGpt {
-    /// Preallocates the shared buffers for cross-session batched decode
-    /// rounds of up to `max_batch` sessions.
+    fn step_weights(&self) -> StepWeights<'_, Linear> {
+        StepWeights {
+            input_proj: &self.input_proj,
+            blocks: &self.blocks,
+            head_event: (&self.head_event.fc1, &self.head_event.fc2),
+            head_stop: (&self.head_stop.fc1, &self.head_stop.fc2),
+            head_iat: (&self.head_iat.fc1, &self.head_iat.fc2),
+        }
+    }
+
+    fn decode_geometry(&self, rows: usize) -> DecodeGeometry {
+        DecodeGeometry {
+            rows,
+            d_model: self.config.d_model,
+            n_heads: self.config.n_heads,
+            n_blocks: self.config.n_blocks,
+            d_mlp: self.config.d_mlp,
+            d_head: self.config.d_head,
+            n_events: self.tokenizer.num_events(),
+            iat_out: if self.config.point_iat_head { 1 } else { 2 },
+            max_len: self.config.max_len,
+        }
+    }
+
+    /// Starts incremental decoding for `batch` streams advanced together,
+    /// preallocating every per-step buffer.
+    pub fn begin_decode(&self, batch: usize) -> DecodeState {
+        let g = self.decode_geometry(batch);
+        let row = || RowState {
+            caches: (0..g.n_blocks)
+                .map(|_| AttnKvCache::new(1, g.n_heads, g.max_len, g.d_model / g.n_heads))
+                .collect(),
+            pos: 0,
+        };
+        DecodeState {
+            rows: (0..batch).map(|_| row()).collect(),
+            bufs: self.begin_batch_decode(batch),
+        }
+    }
+
+    /// Whether `state` is what [`CptGpt::begin_decode`]`(1)` would allocate
+    /// for this model: one stream, every buffer the same size.
+    pub(crate) fn decode_state_fits(&self, state: &DecodeState) -> bool {
+        state.bufs.geometry == self.decode_geometry(1)
+    }
+
+    /// Preallocates the step buffers for decode steps over up to
+    /// `max_batch` streams.
     pub fn begin_batch_decode(&self, max_batch: usize) -> BatchDecodeState {
         assert!(max_batch >= 1, "batch decode needs max_batch >= 1");
-        let d = self.config.d_model;
-        let e = self.tokenizer.num_events();
-        let iat_out = if self.config.point_iat_head { 1 } else { 2 };
+        let g = self.decode_geometry(max_batch);
         BatchDecodeState {
-            scratch: cpt_nn::DecodeScratch::new(
-                max_batch,
-                d,
-                self.config.d_mlp,
-                self.config.max_len,
-            ),
-            h: vec![0.0; max_batch * d],
-            feat: vec![0.0; max_batch * d],
-            head_h: vec![0.0; max_batch * self.config.d_head],
-            iat_raw: vec![0.0; max_batch * iat_out],
+            geometry: g,
+            scratch: DecodeScratch::new(max_batch, g.d_model, g.d_mlp, g.max_len),
+            h: vec![0.0; max_batch * g.d_model],
+            feat: vec![0.0; max_batch * g.d_model],
+            head_h: vec![0.0; max_batch * g.d_head],
+            iat_raw: vec![0.0; max_batch * g.iat_out],
             out: InferStep {
-                event_logits: Tensor::zeros(&[max_batch, e]),
+                event_logits: Tensor::zeros(&[max_batch, g.n_events]),
                 iat_mean: vec![0.0; max_batch],
                 iat_log_std: vec![0.0; max_batch],
                 stop_logits: Tensor::zeros(&[max_batch, 2]),
             },
-            max_batch,
         }
     }
 
+    /// Packs every weight the decode step reads, now, so that no later
+    /// step pays for it: `cpt-serve` calls this when it installs a model
+    /// version, off the request path. Everything else may skip it — the
+    /// first decode step packs whatever is still cold (see
+    /// `cpt_nn::Linear::apply_rows_into`). Done by running one throw-away
+    /// step, which reads exactly the weights a real one does; the packed
+    /// copies live in `self.store` until a weight is next written.
+    pub fn pack_decode_weights(&self) {
+        let mut state = self.begin_decode(1);
+        let token = Tensor::zeros(&[1, 1, self.tokenizer.token_dim()]);
+        self.decode_step(&mut state, &token);
+    }
+
     /// Snapshots the decode weights as int8 per-channel quantized copies
-    /// for the flagged `--quantized` serving path.
+    /// for [`CptGpt::decode_step_batch_quant`].
     pub fn quantize_decode_weights(&self) -> QuantDecodeWeights {
         QuantDecodeWeights {
             input_proj: self.input_proj.quantize(&self.store),
@@ -577,15 +546,30 @@ impl CptGpt {
         }
     }
 
-    /// One decode step for `n` independent batch-1 sessions at once: their
-    /// pending tokens (`n × token_dim`, session-major) run through each
-    /// layer as a single packed `[n × d]` GEMM, while positional-embedding
-    /// adds and KV scatter/attention stay per session (each at its own
-    /// position and cache). Row `i` of the returned [`InferStep`] is
-    /// bit-identical to what `decode_step` would produce for session `i`
-    /// alone — the GEMM kernel accumulates each output row independently
-    /// of row grouping, and every non-GEMM op here is row-wise with the
-    /// exact sequential scalar order (see
+    /// Processes one token for each of `state`'s streams
+    /// (`[B, 1, token_dim]`) through the KV-cached step and returns the
+    /// heads' outputs for that position. Equivalent to [`CptGpt::forward`]
+    /// on the full prefix (verified by tests) but O(T) instead of O(T²) per
+    /// step. The returned reference points into `state`'s persistent
+    /// buffers.
+    pub fn decode_step<'s>(&self, state: &'s mut DecodeState, tokens: &Tensor) -> &'s InferStep {
+        assert_eq!(
+            tokens.shape,
+            vec![state.batch(), 1, self.tokenizer.token_dim()],
+            "decode_step expects [B,1,token_dim]"
+        );
+        let DecodeState { rows, bufs } = state;
+        self.decode_rows(self.step_weights(), bufs, rows, |r| r, &tokens.data)
+    }
+
+    /// One decode step for `n` independent single-stream states at once:
+    /// their pending tokens (`n × token_dim`, session-major) run through
+    /// each layer as a single packed `[n × d]` GEMM, while positional-
+    /// embedding adds and KV scatter/attention stay per session (each at
+    /// its own position and cache). Row `i` of the returned [`InferStep`]
+    /// is bit-identical to what [`CptGpt::decode_step`] would produce for
+    /// session `i` alone — it is the same code, and no row of a step
+    /// depends on another (see
     /// `cpt_nn::MultiHeadSelfAttention::decode_step_multi`).
     pub fn decode_step_batch<'s>(
         &self,
@@ -593,7 +577,7 @@ impl CptGpt {
         states: &mut [&mut DecodeState],
         tokens: &[f32],
     ) -> &'s InferStep {
-        self.decode_step_batch_impl(None, bstate, states, tokens)
+        self.decode_rows(self.step_weights(), bstate, states, single_row, tokens)
     }
 
     /// [`CptGpt::decode_step_batch`] through the int8 quantized weights
@@ -605,130 +589,79 @@ impl CptGpt {
         states: &mut [&mut DecodeState],
         tokens: &[f32],
     ) -> &'s InferStep {
-        self.decode_step_batch_impl(Some(quant), bstate, states, tokens)
+        self.decode_rows(quant.step_weights(), bstate, states, single_row, tokens)
     }
 
-    fn decode_step_batch_impl<'s>(
+    /// The gradient-free transformer step, once: one new token for each of
+    /// `streams` (`row` maps an entry to its [`RowState`]), through weights
+    /// in any format, using the first `streams.len()` rows of `bufs`.
+    fn decode_rows<'s, W: WeightFormat, S>(
         &self,
-        quant: Option<&QuantDecodeWeights>,
-        bstate: &'s mut BatchDecodeState,
-        states: &mut [&mut DecodeState],
+        w: StepWeights<'_, W>,
+        bufs: &'s mut BatchDecodeState,
+        streams: &mut [S],
+        row: impl Fn(&mut S) -> &mut RowState,
         tokens: &[f32],
     ) -> &'s InferStep {
-        let n = states.len();
-        assert!(n >= 1, "batch decode needs at least one session");
+        let n = streams.len();
+        assert!(n >= 1, "decode step needs at least one stream");
         assert!(
-            n <= bstate.max_batch,
-            "round of {n} exceeds max_batch {}",
-            bstate.max_batch
+            n <= bufs.max_batch(),
+            "step of {n} exceeds max_batch {}",
+            bufs.max_batch()
         );
         let d = self.config.d_model;
-        let dtok = self.tokenizer.token_dim();
-        assert_eq!(tokens.len(), n * dtok, "batch decode token size");
-        for st in states.iter() {
-            assert_eq!(st.batch, 1, "batch decode composes batch-1 sessions");
-            assert!(st.pos < self.config.max_len, "decode past max_len");
-        }
+        assert_eq!(tokens.len(), n * self.tokenizer.token_dim(), "decode step token size");
 
         let nd = n * d;
-        match quant {
-            Some(q) => q.input_proj.apply_rows_into(tokens, n, &mut bstate.h[..nd]),
-            None => self
-                .input_proj
-                .apply_rows_into(&self.store, tokens, n, &mut bstate.h[..nd]),
-        }
+        w.input_proj
+            .apply_rows_into(&self.store, tokens, n, &mut bufs.h[..nd]);
         let pe = self.store.value(self.pos_emb);
-        for (i, st) in states.iter().enumerate() {
-            let row = &mut bstate.h[i * d..(i + 1) * d];
-            for (hv, pv) in row.iter_mut().zip(&pe.data[st.pos * d..(st.pos + 1) * d]) {
+        for (s, h_row) in streams.iter_mut().zip(bufs.h.chunks_mut(d)) {
+            let pos = row(s).pos;
+            assert!(pos < self.config.max_len, "decode past max_len");
+            for (hv, pv) in h_row.iter_mut().zip(&pe.data[pos * d..(pos + 1) * d]) {
                 *hv += pv;
             }
         }
-        for j in 0..self.blocks.len() {
-            // Per-round gather of each session's cache for this layer. The
-            // Vec is tiny (n pointers) and the only per-round allocation.
-            let mut caches: Vec<&mut cpt_nn::AttnKvCache> =
-                states.iter_mut().map(|s| &mut s.caches[j]).collect();
-            match quant {
-                Some(q) => q.blocks[j].decode_step_multi(
-                    &self.store,
-                    &mut bstate.h[..nd],
-                    &mut caches,
-                    &mut bstate.scratch,
-                ),
-                None => self.blocks[j].decode_step_multi(
-                    &self.store,
-                    &mut bstate.h[..nd],
-                    &mut caches,
-                    &mut bstate.scratch,
-                ),
-            }
+        for (j, block) in w.blocks.iter().enumerate() {
+            // Per-step gather of each stream's cache for this layer. The
+            // Vec is tiny (n pointers) and the only per-step allocation.
+            let mut caches: Vec<&mut AttnKvCache> =
+                streams.iter_mut().map(|s| &mut row(s).caches[j]).collect();
+            W::block_decode_step(block, &self.store, &mut bufs.h[..nd], &mut caches, &mut bufs.scratch);
         }
-        for st in states.iter_mut() {
-            st.pos += 1;
+        for s in streams.iter_mut() {
+            row(s).pos += 1;
         }
 
         self.ln_f
-            .apply_rows_into(&self.store, &bstate.h[..nd], n, &mut bstate.feat[..nd]);
-        let e = self.tokenizer.num_events();
-        let dh = n * self.config.d_head;
-        let iat_out = if self.config.point_iat_head { 1 } else { 2 };
-        match quant {
-            Some(q) => {
-                q.head_event.apply_rows_into(
-                    &bstate.feat[..nd],
-                    n,
-                    &mut bstate.head_h[..dh],
-                    &mut bstate.out.event_logits.data[..n * e],
-                );
-                q.head_stop.apply_rows_into(
-                    &bstate.feat[..nd],
-                    n,
-                    &mut bstate.head_h[..dh],
-                    &mut bstate.out.stop_logits.data[..n * 2],
-                );
-                q.head_iat.apply_rows_into(
-                    &bstate.feat[..nd],
-                    n,
-                    &mut bstate.head_h[..dh],
-                    &mut bstate.iat_raw[..n * iat_out],
-                );
-            }
-            None => {
-                self.head_event.apply_rows_into(
-                    &self.store,
-                    &bstate.feat[..nd],
-                    n,
-                    &mut bstate.head_h[..dh],
-                    &mut bstate.out.event_logits.data[..n * e],
-                );
-                self.head_stop.apply_rows_into(
-                    &self.store,
-                    &bstate.feat[..nd],
-                    n,
-                    &mut bstate.head_h[..dh],
-                    &mut bstate.out.stop_logits.data[..n * 2],
-                );
-                self.head_iat.apply_rows_into(
-                    &self.store,
-                    &bstate.feat[..nd],
-                    n,
-                    &mut bstate.head_h[..dh],
-                    &mut bstate.iat_raw[..n * iat_out],
-                );
-            }
-        }
+            .apply_rows_into(&self.store, &bufs.h[..nd], n, &mut bufs.feat[..nd]);
+        let g = bufs.geometry;
+        let feat = &bufs.feat[..nd];
+        let head_h = &mut bufs.head_h[..n * g.d_head];
+        let out = &mut bufs.out;
+        head_rows_into(w.head_event, &self.store, feat, n, head_h, &mut out.event_logits.data[..n * g.n_events]);
+        head_rows_into(w.head_stop, &self.store, feat, n, head_h, &mut out.stop_logits.data[..n * 2]);
+        head_rows_into(w.head_iat, &self.store, feat, n, head_h, &mut bufs.iat_raw[..n * g.iat_out]);
         if self.config.point_iat_head {
-            bstate.out.iat_mean[..n].copy_from_slice(&bstate.iat_raw[..n]);
-            bstate.out.iat_log_std[..n].fill(0.0);
+            out.iat_mean[..n].copy_from_slice(&bufs.iat_raw[..n]);
+            out.iat_log_std[..n].fill(0.0);
         } else {
-            for i in 0..n {
-                bstate.out.iat_mean[i] = bstate.iat_raw[i * 2];
-                bstate.out.iat_log_std[i] = bstate.iat_raw[i * 2 + 1];
+            for (i, raw) in bufs.iat_raw[..n * 2].chunks(2).enumerate() {
+                out.iat_mean[i] = raw[0];
+                out.iat_log_std[i] = raw[1];
             }
         }
-        &bstate.out
+        out
     }
+}
+
+/// The one stream of a single-stream [`DecodeState`] (what
+/// [`CptGpt::decode_step_batch`] composes).
+fn single_row<'a>(state: &'a mut &mut DecodeState) -> &'a mut RowState {
+    assert_eq!(state.batch(), 1, "batch decode composes single-stream states");
+    &mut state.rows[0]
 }
 
 /// Verifies a parsed artifact's checksum header against the weights it
@@ -908,53 +841,79 @@ mod tests {
 
     #[test]
     fn decode_step_matches_full_forward() {
-        let d = toy_dataset();
+        // The KV-cached step against the tape `forward` (the independent
+        // reference), one stream per state and five streams per state.
+        let d = Dataset::new(
+            (0..5)
+                .map(|i| {
+                    let gap = f64::from(i);
+                    let at = |k: usize, t: f64| {
+                        let types = [EventType::ServiceRequest, EventType::ConnectionRelease];
+                        Event::new(types[k % 2], t)
+                    };
+                    let events = vec![
+                        at(0, 0.0),
+                        at(1, 8.0 + gap),
+                        at(2, 100.0 + 3.0 * gap),
+                        at(3, 111.0 + 7.0 * gap),
+                    ];
+                    Stream::new(UeId(i as u64), DeviceType::Phone, events)
+                })
+                .collect(),
+        );
         let tok = Tokenizer::fit(&d);
         let model = CptGpt::new(tiny_config(), tok.clone());
         let streams: Vec<&Stream> = d.streams.iter().collect();
         let batch = build_batch(&tok, &streams, 16);
         let (b, t, dtok) = (batch.batch, batch.seq, tok.token_dim());
+        assert_eq!(b, 5);
 
-        // Full graph forward.
         let mut sess = Session::new(&model.store);
         let out = model.forward(&mut sess, batch.inputs.clone());
         let full_events = sess.graph.value(out.event_logits).clone(); // [B*T, E]
         let full_mean = sess.graph.value(out.iat_mean).clone();
         let full_stop = sess.graph.value(out.stop_logits).clone();
 
-        // Incremental decode, one position at a time.
-        let mut state = model.begin_decode(b);
-        for ti in 0..t {
-            let mut step = cpt_nn::Tensor::zeros(&[b, 1, dtok]);
-            for bi in 0..b {
-                let src = (bi * t + ti) * dtok;
-                step.data[bi * dtok..(bi + 1) * dtok]
-                    .copy_from_slice(&batch.inputs.data[src..src + dtok]);
-            }
-            let inc = model.decode_step(&mut state, &step);
-            for bi in 0..b {
-                let flat = bi * t + ti;
-                for c in 0..6 {
-                    let a = full_events.data[flat * 6 + c];
-                    let x = inc.event_logits.data[bi * 6 + c];
-                    assert!((a - x).abs() < 1e-3, "event logit t={ti} b={bi} c={c}: {a} vs {x}");
+        for rows in [1, 5] {
+            for first in (0..b).step_by(rows) {
+                let mut state = model.begin_decode(rows);
+                for ti in 0..t {
+                    let mut step = cpt_nn::Tensor::zeros(&[rows, 1, dtok]);
+                    for r in 0..rows {
+                        let src = ((first + r) * t + ti) * dtok;
+                        step.data[r * dtok..(r + 1) * dtok]
+                            .copy_from_slice(&batch.inputs.data[src..src + dtok]);
+                    }
+                    let inc = model.decode_step(&mut state, &step);
+                    for r in 0..rows {
+                        let flat = (first + r) * t + ti;
+                        for c in 0..6 {
+                            let a = full_events.data[flat * 6 + c];
+                            let x = inc.event_logits.data[r * 6 + c];
+                            assert!(
+                                (a - x).abs() < 1e-3,
+                                "event logit rows={rows} t={ti} b={} c={c}: {a} vs {x}",
+                                first + r
+                            );
+                        }
+                        assert!((full_mean.data[flat] - inc.iat_mean[r]).abs() < 1e-3);
+                        for c in 0..2 {
+                            let a = full_stop.data[flat * 2 + c];
+                            let x = inc.stop_logits.data[r * 2 + c];
+                            assert!((a - x).abs() < 1e-3, "stop logit mismatch");
+                        }
+                    }
                 }
-                assert!((full_mean.data[flat] - inc.iat_mean[bi]).abs() < 1e-3);
-                for c in 0..2 {
-                    let a = full_stop.data[flat * 2 + c];
-                    let x = inc.stop_logits.data[bi * 2 + c];
-                    assert!((a - x).abs() < 1e-3, "stop logit mismatch");
-                }
+                assert_eq!(state.pos(), t);
             }
         }
-        assert_eq!(state.pos(), t);
     }
 
     #[test]
     fn batched_decode_matches_sequential_decode_bitwise() {
-        // n batch-1 sessions at different positions, decoded in one
-        // batched step, must produce per-row bits identical to the
-        // per-session `decode_step` path.
+        // n single-stream states at different positions, decoded in one
+        // step of n rows, must produce per-row bits identical to n steps
+        // of one row.
         let d = toy_dataset();
         let tok = Tokenizer::fit(&d);
         let model = CptGpt::new(tiny_config(), tok);
@@ -965,8 +924,8 @@ mod tests {
         let mut bat_states: Vec<DecodeState> = (0..n).map(|_| model.begin_decode(1)).collect();
         let mut bstate = model.begin_batch_decode(n);
         let mut r = StdRng::seed_from_u64(9);
-        // Advance session i by i tokens on both sides via the sequential
-        // path, so positions and caches differ across the batch.
+        // Advance session i by i tokens on both sides, one row at a time,
+        // so positions and caches differ across the batch.
         for i in 0..n {
             for _ in 0..i {
                 let tokv = Tensor::randn(&[1, 1, dtok], 0.3, &mut r);
@@ -1007,7 +966,7 @@ mod tests {
             }
         }
         for (a, b) in seq_states.iter().zip(&bat_states) {
-            assert_eq!(a.pos, b.pos, "positions advance identically");
+            assert_eq!(a.pos(), b.pos(), "positions advance identically");
         }
     }
 

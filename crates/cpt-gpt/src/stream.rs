@@ -10,12 +10,13 @@
 //!
 //! A session decodes [`StreamParams::num_streams`] consecutive UE streams.
 //! Stream `i` of a session draws from an RNG derived from
-//! `(session seed, i)` with the same splitmix64 finalizer as the parallel
-//! batch generator's per-chunk RNGs, so a session's entire event sequence
-//! is a pure function of `(model, params)` — independent of how many
-//! scheduler workers interleave it with other sessions, and independent of
-//! whether its [`DecodeState`] was freshly allocated or recycled from a
-//! free-list ([`DecodeState::reset`] makes reuse byte-equivalent).
+//! `(session seed, i)` alone (see `chunk_rng`), so a session's entire event
+//! sequence is a pure function of `(model, params)` — independent of how
+//! many scheduler workers interleave it with other sessions, and
+//! independent of whether its [`DecodeState`] was freshly allocated or
+//! recycled from a free-list ([`DecodeState::reset`] makes reuse
+//! byte-equivalent). [`CptGpt::generate`] is a driver over the same
+//! sessions: its UE `i` is stream `i` of the session with the run's seed.
 //!
 //! Steady-state decoding is allocation-free per event: every buffer lives
 //! in the `DecodeState` (or the small fixed-size step token), and
@@ -26,17 +27,16 @@
 
 use crate::error::GenerateError;
 use crate::generate::{
-    chunk_rng, sample_categorical, sample_logits, sample_logits_truncated, GenCounters,
-    GenerateConfig, Sampling,
+    chunk_rng, sample_categorical, sample_logits, sample_logits_truncated, validate_sampling,
+    GenCounters, GenerateConfig, Sampling,
 };
-use crate::model::{BatchDecodeState, CptGpt, DecodeState, InferStep, QuantDecodeWeights};
+use crate::model::{BatchDecodeState, CptGpt, DecodeState, InferStep};
 use cpt_nn::Tensor;
 use cpt_trace::{DeviceType, EventType};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// Configuration for one decode session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,7 +93,8 @@ impl StreamParams {
         self
     }
 
-    /// Validates every field, reusing the batch generator's domain checks.
+    /// Validates every field (the sampling knobs share
+    /// [`GenerateConfig`]'s domain checks).
     pub fn validate(&self) -> Result<(), GenerateError> {
         if self.num_streams == 0 {
             return Err(GenerateError::InvalidConfig {
@@ -101,22 +102,7 @@ impl StreamParams {
                 message: "must be at least 1".into(),
             });
         }
-        self.as_generate_config().validate()
-    }
-
-    /// The equivalent single-stream [`GenerateConfig`] (shared validation
-    /// and interarrival-sampling plumbing).
-    fn as_generate_config(&self) -> GenerateConfig {
-        GenerateConfig {
-            num_streams: self.num_streams,
-            device_type: self.device_type,
-            seed: self.seed,
-            temperature: self.temperature,
-            batch_size: 1,
-            sampling: self.sampling,
-            max_resample: self.max_resample,
-            max_stream_len: self.max_stream_len,
-        }
+        validate_sampling(self.temperature, self.sampling, self.max_stream_len)
     }
 }
 
@@ -182,6 +168,18 @@ impl CptGpt {
     pub fn open_session_reusing(
         &self,
         params: StreamParams,
+        state: DecodeState,
+    ) -> Result<SessionDecoder, GenerateError> {
+        self.open_streams(params, 0, state)
+    }
+
+    /// [`CptGpt::open_session_reusing`] starting at stream `first` of the
+    /// session: the decoder emits streams `first..params.num_streams`,
+    /// each exactly as the whole session would have.
+    pub(crate) fn open_streams(
+        &self,
+        params: StreamParams,
+        first: usize,
         mut state: DecodeState,
     ) -> Result<SessionDecoder, GenerateError> {
         params.validate()?;
@@ -191,7 +189,6 @@ impl CptGpt {
         if !self.decode_state_fits(&state) {
             state = self.begin_decode(1);
         }
-        state.reset();
         let max_len = params
             .max_stream_len
             .map_or(self.config.max_len, |m| m.min(self.config.max_len))
@@ -202,21 +199,15 @@ impl CptGpt {
             state,
             step: Tensor::zeros(&[1, 1, self.tokenizer.token_dim()]),
             init_probs: self.initial_event_dist.iter().map(|(_, p)| *p).collect(),
-            rng: chunk_rng(params.seed, 0),
+            rng: chunk_rng(params.seed, first as u64),
             counters: GenCounters::default(),
-            stream_idx: 0,
+            stream_idx: first,
             pos_in_stream: 0,
             timestamp: 0.0,
             need_bootstrap: true,
             events_emitted: 0,
-            finished: false,
+            finished: first >= params.num_streams,
         })
-    }
-
-    /// Whether a recycled [`DecodeState`] matches this model's single-
-    /// stream decode geometry (batch 1 with room for `max_len` positions).
-    fn decode_state_fits(&self, state: &DecodeState) -> bool {
-        state.batch() == 1 && state.max_len() >= self.config.max_len
     }
 }
 
@@ -228,12 +219,11 @@ impl SessionDecoder {
         if self.finished {
             return None;
         }
-        let cfg = self.params.as_generate_config();
         let (event, iat, stop) = if self.need_bootstrap {
             self.bootstrap_event(model)
         } else {
             let out = model.decode_step(&mut self.state, &self.step);
-            sample_row(model, &cfg, out, 0, &mut self.rng, &mut self.counters)
+            sample_row(model, &self.params, out, 0, &mut self.rng, &mut self.counters)
         };
         Some(self.commit_event(model, event, iat, stop))
     }
@@ -241,9 +231,8 @@ impl SessionDecoder {
     /// First event of a stream: resets the decode state, re-derives the
     /// per-stream RNG from `(seed, stream_idx)` and samples from the
     /// released initial-event distribution (interarrival 0, as in
-    /// training). Shared verbatim by the sequential and batched paths —
-    /// bootstrap involves no forward pass, so a batched round handles it
-    /// per session without touching the GEMM.
+    /// training). Bootstrap involves no forward pass, so a batched round
+    /// handles it per session without touching the GEMM.
     fn bootstrap_event(&mut self, model: &CptGpt) -> (EventType, f64, bool) {
         self.state.reset();
         self.rng = chunk_rng(self.params.seed, self.stream_idx as u64);
@@ -256,9 +245,8 @@ impl SessionDecoder {
 
     /// Applies one sampled `(event, iat, stop)` to the session: advances
     /// the clock and counters, re-encodes the step token, and rolls over
-    /// to the next stream (or finishes) on `last_in_stream`. The common
-    /// tail of the sequential and batched paths; all RNG draws happened
-    /// before this, so batching composition cannot affect it.
+    /// to the next stream (or finishes) on `last_in_stream`. All RNG draws
+    /// happened before this, so batch composition cannot affect it.
     fn commit_event(
         &mut self,
         model: &CptGpt,
@@ -325,15 +313,15 @@ impl SessionDecoder {
 /// Samples one `(event, iat, stop)` triple from row `row` of a decoded
 /// [`InferStep`], drawing from the session's own RNG.
 ///
-/// This is the *only* sampling code in the session path: the sequential
-/// path calls it with `row == 0` on a batch-1 step, the batched path with
+/// This is the *only* sampling code in the crate: [`SessionDecoder::next_event`]
+/// calls it with `row == 0` on its own one-row step, [`BatchDecoder`] with
 /// each session's row of the packed step. Because every draw comes from
 /// the per-session RNG in the same order, and the packed GEMM produces
-/// bit-identical rows (see `matmul_rows`), batched output is bit-identical
-/// to sequential for any batch composition.
+/// bit-identical rows (see `matmul_rows`), a session's output is the same
+/// for any batch composition.
 fn sample_row(
     model: &CptGpt,
-    cfg: &GenerateConfig,
+    params: &StreamParams,
     out: &InferStep,
     row: usize,
     rng: &mut StdRng,
@@ -344,17 +332,17 @@ fn sample_row(
     if ev_logits.iter().any(|l| !l.is_finite()) {
         counters.non_finite_logits += 1;
     }
-    let ev_idx = sample_logits_truncated(ev_logits, cfg.temperature, cfg.sampling, rng);
+    let ev_idx = sample_logits_truncated(ev_logits, params.temperature, params.sampling, rng);
     // The sampler always returns an index below `num_events`, so this
-    // lookup cannot fail (same invariant as the batch path).
+    // lookup cannot fail.
     let event = EventType::from_index(ev_idx).expect("sampler returns in-range index");
-    let scaled = model.sample_scaled_iat(out, row, cfg, rng, counters);
+    let scaled = model.sample_scaled_iat(out, row, params.max_resample, rng, counters);
     let iat = model.tokenizer.unscale_iat(scaled);
     let stop_logits = &out.stop_logits.data[row * 2..row * 2 + 2];
     if stop_logits.iter().any(|l| !l.is_finite()) {
         counters.non_finite_logits += 1;
     }
-    let stop = sample_logits(stop_logits, cfg.temperature, rng) == 1;
+    let stop = sample_logits(stop_logits, params.temperature, rng) == 1;
     (event, iat, stop)
 }
 
@@ -380,10 +368,9 @@ pub enum RoundOutcome {
 /// A round has three phases:
 ///
 /// 1. **Stage** (per session, panic-contained): run the caller's
-///    `pre_step` hook (the serving engine injects chaos panics here, in
-///    the same advance-order slot as the sequential path), emit bootstrap
-///    events directly (no forward pass), and gather each remaining
-///    session's step token into the packed token matrix.
+///    `pre_step` hook (the serving engine injects chaos panics here),
+///    emit bootstrap events directly (no forward pass), and gather each
+///    remaining session's step token into the packed token matrix.
 /// 2. **Decode** (one call): a single [`CptGpt::decode_step_batch`] over
 ///    the staged rows — per-session KV-cache rows are gathered/scattered
 ///    inside, each session attending over its own cache at its own
@@ -393,8 +380,8 @@ pub enum RoundOutcome {
 ///
 /// Per-row GEMM accumulation is independent of batch composition and all
 /// per-session state (RNG, KV cache, clock) is touched in the same order
-/// as the sequential path, so output is bit-identical to
-/// [`SessionDecoder::next_event`] for any interleaving of batch sizes.
+/// as [`SessionDecoder::next_event`] touches it, so output is bit-identical
+/// to draining each session alone, for any interleaving of batch sizes.
 pub struct BatchDecoder {
     bstate: BatchDecodeState,
     /// Packed step tokens, `[max_batch × token_dim]`.
@@ -402,32 +389,16 @@ pub struct BatchDecoder {
     /// Indices into the caller's `sessions` slice staged for the GEMM this
     /// round (ascending).
     staged: Vec<usize>,
-    /// Optional int8 per-channel weights; `None` decodes in f32 and is
-    /// bit-identical to the sequential path.
-    quant: Option<Arc<QuantDecodeWeights>>,
     max_batch: usize,
 }
 
 impl BatchDecoder {
-    /// A batched decoder for up to `max_batch` concurrent sessions,
-    /// decoding with the model's f32 weights (bit-identical to the
-    /// sequential path).
+    /// A batched decoder for up to `max_batch` concurrent sessions.
     pub fn new(model: &CptGpt, max_batch: usize) -> Self {
-        Self::with_quant(model, max_batch, None)
-    }
-
-    /// Like [`BatchDecoder::new`], but decoding through pre-quantized int8
-    /// weights when `quant` is `Some` (approximate; see DESIGN.md §15).
-    pub fn with_quant(
-        model: &CptGpt,
-        max_batch: usize,
-        quant: Option<Arc<QuantDecodeWeights>>,
-    ) -> Self {
         BatchDecoder {
             bstate: model.begin_batch_decode(max_batch),
             tokens: vec![0.0; max_batch * model.tokenizer.token_dim()],
             staged: Vec::with_capacity(max_batch),
-            quant,
             max_batch,
         }
     }
@@ -503,7 +474,7 @@ impl BatchDecoder {
         // is ascending, so a single sweep collects the disjoint `&mut`
         // decode states. A panic here is not per-entry containable (the
         // GEMM is shared); the serving engine's outer catch_unwind turns
-        // it into whole-slice failure, exactly like a sequential panic.
+        // it into whole-slice failure.
         let step_out = {
             let mut states: Vec<&mut DecodeState> = Vec::with_capacity(rows);
             let mut want = self.staged.iter().copied().peekable();
@@ -513,22 +484,16 @@ impl BatchDecoder {
                     states.push(&mut s.state);
                 }
             }
-            let tokens = &self.tokens[..rows * dtok];
-            match &self.quant {
-                Some(q) => model.decode_step_batch_quant(q, &mut self.bstate, &mut states, tokens),
-                None => model.decode_step_batch(&mut self.bstate, &mut states, tokens),
-            }
+            model.decode_step_batch(&mut self.bstate, &mut states, &self.tokens[..rows * dtok])
         };
 
         // Phase 3: per-session sampling from each staged session's own
-        // RNG, in batch order (== the order a sequential worker would
-        // advance them).
+        // RNG, in batch order.
         for (row, &i) in self.staged.iter().enumerate() {
             let s = &mut *sessions[i];
             let res = catch_unwind(AssertUnwindSafe(|| {
-                let cfg = s.params.as_generate_config();
                 let (event, iat, stop) =
-                    sample_row(model, &cfg, step_out, row, &mut s.rng, &mut s.counters);
+                    sample_row(model, &s.params, step_out, row, &mut s.rng, &mut s.counters);
                 s.commit_event(model, event, iat, stop)
             }));
             out[i] = match res {
@@ -540,8 +505,8 @@ impl BatchDecoder {
     }
 }
 
-/// Human-readable reason from a caught panic payload (mirrors the serving
-/// engine's formatting so batched and sequential failures read the same).
+/// Human-readable reason from a caught panic payload (same wording as the
+/// serving engine's own containment).
 fn panic_reason(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("worker panic: {s}")
@@ -679,6 +644,24 @@ mod tests {
     }
 
     #[test]
+    fn state_from_another_geometry_falls_back_to_fresh_allocation() {
+        // Same batch and max_len, different widths or depth: reusing the
+        // buffers would trip a slice-length assert inside the first step.
+        let model = trained_model();
+        let via_fresh = drain(&model, model.open_session(StreamParams::new(3)).expect("open"));
+        let narrower = CptGptConfig { d_model: 8, d_mlp: 16, d_head: 8, ..model.config };
+        let deeper = CptGptConfig { n_blocks: 2, ..model.config };
+        for other in [narrower, deeper] {
+            let foreign = CptGpt::new(other, model.tokenizer.clone()).begin_decode(1);
+            assert_eq!(foreign.max_len(), model.config.max_len);
+            let dec = model
+                .open_session_reusing(StreamParams::new(3), foreign)
+                .expect("open with a foreign state");
+            assert_eq!(via_fresh, drain(&model, dec));
+        }
+    }
+
+    #[test]
     fn invalid_params_are_typed_errors() {
         let model = trained_model();
         let Err(err) = model.open_session(StreamParams::new(0).streams(0)) else {
@@ -797,8 +780,8 @@ mod tests {
             .iter()
             .map(|p| drain(&model, model.open_session(*p).expect("open")))
             .collect();
-        // Any batch width — including degenerate width 1 and wider than
-        // the session count — reproduces the sequential bits, even as
+        // Any batch width — including width 1 and wider than the session
+        // count — reproduces the one-session-at-a-time bits, even as
         // sessions finish at different times and the batch shrinks.
         for max_batch in [1usize, 2, 4, 8] {
             let mut decs: Vec<SessionDecoder> = params
@@ -908,42 +891,5 @@ mod tests {
         assert_eq!(logs[0], sequential[0]);
         assert_eq!(logs[2], sequential[2]);
         assert_eq!(logs[1], sequential[1][..2]);
-    }
-
-    #[test]
-    fn quantized_batch_decoder_completes_sessions() {
-        let model = trained_model();
-        let quant = Arc::new(model.quantize_decode_weights());
-        let params: Vec<StreamParams> =
-            (0..3).map(|i| StreamParams::new(7 + i as u64).streams(2)).collect();
-        let mut decs: Vec<SessionDecoder> = params
-            .iter()
-            .map(|p| model.open_session(*p).expect("open"))
-            .collect();
-        let mut bd = BatchDecoder::with_quant(&model, 3, Some(quant));
-        let mut outcomes = Vec::new();
-        let mut logs: Vec<Vec<SessionEvent>> = vec![Vec::new(); 3];
-        loop {
-            let live: Vec<usize> = (0..3).filter(|&i| !decs[i].is_finished()).collect();
-            if live.is_empty() {
-                break;
-            }
-            let mut refs = select_mut(&mut decs, &live);
-            bd.next_events(&model, &mut refs, &mut |_, _| {}, &mut outcomes);
-            for (&slot, oc) in live.iter().zip(&outcomes) {
-                match oc {
-                    RoundOutcome::Event(ev) => logs[slot].push(*ev),
-                    RoundOutcome::Finished => {}
-                    RoundOutcome::Panicked(r) => panic!("unexpected panic: {r}"),
-                }
-            }
-        }
-        // Quantized decode makes no bit-identity claim, but streams must
-        // still be well formed: 2 completed streams per session, finite
-        // non-negative clocks.
-        for log in &logs {
-            assert_eq!(log.iter().filter(|e| e.last_in_stream).count(), 2);
-            assert!(log.iter().all(|e| e.timestamp.is_finite() && e.iat >= 0.0));
-        }
     }
 }

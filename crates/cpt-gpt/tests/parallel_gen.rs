@@ -1,10 +1,14 @@
-//! Property tests for parallel generation: the synthesized [`Dataset`] must
-//! be bit-identical regardless of how many rayon threads execute the
-//! per-chunk fan-out. Each chunk derives its RNG from `(seed, chunk_index)`
-//! alone (splitmix64), so the schedule — 1 thread, 2, 8, or work-stealing
-//! in any order — cannot leak into the output.
+//! Property tests for offline generation: "one seed, one trace". UE `i` of
+//! `generate(cfg)` is stream `i` of the session `open_session(seed, n)`,
+//! drawing from an RNG derived from `(seed, i)` alone (splitmix64), so
+//! neither the schedule — 1 thread, 2, 8, or work-stealing in any order —
+//! nor `batch_size` can leak into the output, and draining the session one
+//! event at a time yields the same dataset and guardrail counters.
 
-use cpt_gpt::{CptGpt, CptGptConfig, GenerateConfig, Tokenizer, TrainConfig};
+use cpt_gpt::{
+    CptGpt, CptGptConfig, GenCounters, GenerateConfig, Sampling, StreamParams, Tokenizer,
+    TrainConfig,
+};
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -53,39 +57,85 @@ fn trained_model() -> &'static CptGpt {
 }
 
 /// Generates on a freshly built pool pinned to `threads` workers.
-fn generate_on(threads: usize, cfg: &GenerateConfig) -> Dataset {
+fn generate_on(threads: usize, cfg: &GenerateConfig) -> (Dataset, GenCounters) {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("cannot build rayon pool")
-        .install(|| trained_model().generate(cfg).expect("generation failed"))
+        .install(|| {
+            trained_model()
+                .generate_with_report(cfg)
+                .expect("generation failed")
+        })
+}
+
+/// The same run as one session drained event by event: the oracle.
+fn drain_session(cfg: &GenerateConfig) -> (Dataset, GenCounters) {
+    let model = trained_model();
+    let params = StreamParams {
+        seed: cfg.seed,
+        device_type: cfg.device_type,
+        num_streams: cfg.num_streams,
+        temperature: cfg.temperature,
+        sampling: cfg.sampling,
+        max_resample: cfg.max_resample,
+        max_stream_len: cfg.max_stream_len,
+    };
+    let mut session = model.open_session(params).expect("open_session");
+    let mut streams: Vec<Stream> = (0..cfg.num_streams)
+        .map(|i| Stream::new(UeId(i as u64), cfg.device_type, Vec::new()))
+        .collect();
+    while let Some(ev) = session.next_event(model) {
+        streams[ev.stream].events.push(Event::new(ev.event_type, ev.timestamp));
+    }
+    (Dataset::new(streams), *session.counters())
+}
+
+/// Event types and exact timestamp bits, UE by UE.
+fn bits(d: &Dataset) -> Vec<(u64, Vec<(EventType, u64)>)> {
+    d.streams
+        .iter()
+        .map(|s| {
+            let events = s.events.iter().map(|e| (e.event_type, e.timestamp.to_bits()));
+            (s.ue_id.0, events.collect())
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The acceptance property for parallel generate(): any thread count,
-    /// any stream count (including partial final chunks and stream counts
-    /// below/above the batch size), same bits out.
+    /// The acceptance property for generate(): any thread count, any
+    /// batch size, any stream count (including partial final chunks), same
+    /// bits out — the bits of the session with the same seed.
     #[test]
-    fn generation_is_bit_identical_across_thread_counts(
+    fn generation_is_the_session_at_any_batch_size_and_thread_count(
         seed in 0u64..10_000,
         num_streams in 1usize..64,
+        knobs in 0usize..4,
     ) {
-        let cfg = GenerateConfig {
-            batch_size: 8,
-            ..GenerateConfig::new(num_streams, seed)
+        let base = GenerateConfig::new(num_streams, seed);
+        let cfg = match knobs {
+            0 => base,
+            1 => base.sampling(Sampling::TopK(2)).with_max_stream_len(5),
+            2 => GenerateConfig { temperature: 0.7, ..base.sampling(Sampling::Nucleus(0.9)) },
+            _ => base.device(DeviceType::Tablet).with_max_stream_len(9),
         };
-        let serial = generate_on(1, &cfg);
-        prop_assert_eq!(serial.num_streams(), num_streams);
-        for threads in [2usize, 8] {
-            let parallel = generate_on(threads, &cfg);
-            prop_assert_eq!(
-                &serial,
-                &parallel,
-                "output differs between 1 and {} threads",
-                threads
-            );
+        let (oracle, oracle_counters) = drain_session(&cfg);
+        prop_assert_eq!(oracle.num_streams(), num_streams);
+        for batch_size in [1usize, 7, 64] {
+            for threads in [1usize, 2, 8] {
+                let (out, counters) = generate_on(threads, &GenerateConfig { batch_size, ..cfg });
+                prop_assert_eq!(
+                    bits(&out),
+                    bits(&oracle),
+                    "batch_size {} on {} threads differs from the session",
+                    batch_size,
+                    threads
+                );
+                prop_assert!(out.streams.iter().all(|s| s.device_type == cfg.device_type));
+                prop_assert_eq!(counters, oracle_counters);
+            }
         }
     }
 }
@@ -98,7 +148,7 @@ fn ue_ids_are_dense_and_ordered() {
         batch_size: 4,
         ..GenerateConfig::new(19, 42)
     };
-    let out = generate_on(8, &cfg);
+    let (out, _) = generate_on(8, &cfg);
     let ids: Vec<u64> = out.streams.iter().map(|s| s.ue_id.0).collect();
     assert_eq!(ids, (0..19).collect::<Vec<u64>>());
 }

@@ -497,7 +497,8 @@ impl MultiHeadSelfAttention {
     }
 }
 
-/// Per-layer key/value cache for incremental (token-at-a-time) decoding.
+/// Per-layer key/value cache of one stream for incremental
+/// (token-at-a-time) decoding.
 ///
 /// Autoregressive sampling re-processes the whole prefix on every step if
 /// done naively — O(T²) attention per *step*, O(T³) per stream. Caching
@@ -505,25 +506,28 @@ impl MultiHeadSelfAttention {
 /// production transformer inference works.
 #[derive(Debug, Clone)]
 pub struct AttnKvCache {
-    /// Keys, `[B·H, max_len, hd]`; rows `0..len` are valid.
+    /// Keys, `[H, max_len, hd]`; rows `0..len` are valid.
     k: Tensor,
     /// Values, same layout.
     v: Tensor,
     /// Number of cached positions.
     len: usize,
-    bh: usize,
+    h: usize,
     max_len: usize,
     hd: usize,
 }
 
 impl AttnKvCache {
-    /// Preallocates a cache for `b` streams, `h` heads, head width `hd`.
+    /// Preallocates one stream's cache for `h` heads of width `hd`. Every
+    /// stream owns its cache (see
+    /// [`MultiHeadSelfAttention::decode_step_multi`]), so `b` must be 1.
     pub fn new(b: usize, h: usize, max_len: usize, hd: usize) -> Self {
+        assert_eq!(b, 1, "a KV cache holds one stream; allocate one per stream");
         AttnKvCache {
-            k: Tensor::zeros(&[b * h, max_len, hd]),
-            v: Tensor::zeros(&[b * h, max_len, hd]),
+            k: Tensor::zeros(&[h, max_len, hd]),
+            v: Tensor::zeros(&[h, max_len, hd]),
             len: 0,
-            bh: b * h,
+            h,
             max_len,
             hd,
         }
@@ -596,116 +600,110 @@ impl DecodeScratch {
     }
 }
 
-impl MultiHeadSelfAttention {
-    /// One gradient-free decode step: processes the single new position
-    /// `x` (`[B, 1, D]`), appends its K/V to `cache`, and returns the
-    /// attention output `[B, 1, D]`. Equivalent to running
-    /// [`MultiHeadSelfAttention::forward`] on the full prefix and taking
-    /// the last position (verified by tests). Allocates its scratch; hot
-    /// loops should hold a [`AttnScratch`] and call
-    /// [`MultiHeadSelfAttention::decode_step_into`] instead.
-    pub fn apply_decode_step(
-        &self,
+/// A weight format the decode step can run its GEMMs in: [`Linear`] reads
+/// the f32 panels its store packed once, [`QuantLinear`] its own int8
+/// per-channel snapshot. Everything else in a step (LayerNorm, KV scatter,
+/// softmax, GELU, residuals) is f32 code written once, generic over this.
+pub trait WeightFormat: Sized {
+    /// The transformer block holding its GEMM weights in this format.
+    type Block;
+
+    /// Output width.
+    fn out_dim(&self) -> usize;
+
+    /// `out = x·W + b` on raw row-major slices: `x` is `rows × in_dim`,
+    /// `out` is `rows × out_dim` (overwritten entirely).
+    fn apply_rows_into(&self, store: &ParamStore, x: &[f32], rows: usize, out: &mut [f32]);
+
+    /// `block`'s [`TransformerBlock::decode_step_multi`].
+    fn block_decode_step(
+        block: &Self::Block,
         store: &ParamStore,
-        x: &Tensor,
-        cache: &mut AttnKvCache,
-    ) -> Tensor {
-        assert_eq!(x.rank(), 3, "decode step input must be [B,1,D]");
-        assert_eq!(x.shape[1], 1, "decode step processes one position");
-        let b = x.shape[0];
-        let mut scratch = AttnScratch::new(b, self.d_model, cache.max_len);
-        let mut out = Tensor::zeros(&[b, 1, self.d_model]);
-        self.decode_step_into(store, &x.data, cache, &mut scratch, &mut out.data);
-        out
+        h: &mut [f32],
+        caches: &mut [&mut AttnKvCache],
+        scratch: &mut DecodeScratch,
+    );
+}
+
+impl WeightFormat for Linear {
+    type Block = TransformerBlock;
+
+    fn out_dim(&self) -> usize {
+        self.out_dim
     }
 
-    /// Allocation-free decode step on raw slices: `x` and `out` are
-    /// `b × d_model` (the single new position per stream, batch-major).
-    /// All temporaries live in `scratch`, which is overwritten.
-    pub fn decode_step_into(
-        &self,
+    fn apply_rows_into(&self, store: &ParamStore, x: &[f32], rows: usize, out: &mut [f32]) {
+        Linear::apply_rows_into(self, store, x, rows, out);
+    }
+
+    fn block_decode_step(
+        block: &TransformerBlock,
         store: &ParamStore,
-        x: &[f32],
-        cache: &mut AttnKvCache,
-        scratch: &mut AttnScratch,
-        out: &mut [f32],
+        h: &mut [f32],
+        caches: &mut [&mut AttnKvCache],
+        scratch: &mut DecodeScratch,
     ) {
-        let h = self.n_heads;
-        let hd = self.d_model / h;
-        let b = x.len() / self.d_model;
-        assert_eq!(x.len(), b * self.d_model, "decode step input size");
-        assert_eq!(out.len(), b * self.d_model, "decode step output size");
-        assert_eq!(cache.bh, b * h, "cache batch mismatch");
-        assert_eq!(cache.hd, hd, "cache head width mismatch");
-        assert!(cache.len < cache.max_len, "KV cache full");
-
-        self.wq.apply_rows_into(store, x, b, &mut scratch.q);
-        self.wk.apply_rows_into(store, x, b, &mut scratch.k);
-        self.wv.apply_rows_into(store, x, b, &mut scratch.v);
-        let t = cache.len;
-
-        // Scatter the new K/V rows into the cache ([B,D] → per-head).
-        for bi in 0..b {
-            for hi in 0..h {
-                let src = bi * self.d_model + hi * hd;
-                let dst = ((bi * h + hi) * cache.max_len + t) * hd;
-                cache.k.data[dst..dst + hd].copy_from_slice(&scratch.k[src..src + hd]);
-                cache.v.data[dst..dst + hd].copy_from_slice(&scratch.v[src..src + hd]);
-            }
-        }
-        cache.len += 1;
-
-        // Attention of the new query over positions 0..=t.
-        let scale = 1.0 / (hd as f32).sqrt();
-        scratch.ctx.fill(0.0);
-        let scores = &mut scratch.scores[..t + 1];
-        for bi in 0..b {
-            for hi in 0..h {
-                let qoff = bi * self.d_model + hi * hd;
-                let qrow = &scratch.q[qoff..qoff + hd];
-                let base = (bi * h + hi) * cache.max_len * hd;
-                let mut max = f32::NEG_INFINITY;
-                for (j, s) in scores.iter_mut().enumerate() {
-                    let krow = &cache.k.data[base + j * hd..base + (j + 1) * hd];
-                    *s = qrow.iter().zip(krow).map(|(a, c)| a * c).sum::<f32>() * scale;
-                    max = max.max(*s);
-                }
-                let mut denom = 0.0f32;
-                for s in scores.iter_mut() {
-                    *s = (*s - max).exp();
-                    denom += *s;
-                }
-                let inv = 1.0 / denom;
-                let ctx = &mut scratch.ctx[bi * self.d_model + hi * hd..][..hd];
-                for (j, s) in scores.iter().enumerate() {
-                    let a = s * inv;
-                    let vrow = &cache.v.data[base + j * hd..base + (j + 1) * hd];
-                    for (o, vv) in ctx.iter_mut().zip(vrow) {
-                        *o += a * vv;
-                    }
-                }
-            }
-        }
-        self.wo.apply_rows_into(store, &scratch.ctx, b, out);
+        block.decode_step_multi(store, h, caches, scratch);
     }
+}
 
-    /// Cross-session decode step: one new position for each of `n`
-    /// independent sessions, each with its *own* batch-1 cache (possibly at
-    /// a different length). The Q/K/V/O projections run as single
-    /// `[n × d_model]` GEMMs — this is where batching pays: each weight
-    /// panel is streamed from memory once per MR-row tile instead of once
-    /// per session (packing is not part of the step at all, see
-    /// [`Linear::apply_rows_into`]) — while the KV scatter and the
-    /// softmax/context run per session against that session's cache.
+/// The attention decode step, once, for any weight format: one new position
+/// for each of `caches.len()` independent streams. `x`/`out` are
+/// `n × d_model` (stream-major); `scratch` may be sized for a larger batch.
+fn attn_decode_step<W: WeightFormat>(
+    store: &ParamStore,
+    [wq, wk, wv, wo]: [&W; 4],
+    n_heads: usize,
+    x: &[f32],
+    caches: &mut [&mut AttnKvCache],
+    scratch: &mut AttnScratch,
+    out: &mut [f32],
+) {
+    let d = wq.out_dim();
+    let hd = d / n_heads;
+    let n = caches.len();
+    let nd = n * d;
+    assert_eq!(x.len(), nd, "multi decode input size");
+    assert_eq!(out.len(), nd, "multi decode output size");
+
+    wq.apply_rows_into(store, x, n, &mut scratch.q[..nd]);
+    wk.apply_rows_into(store, x, n, &mut scratch.k[..nd]);
+    wv.apply_rows_into(store, x, n, &mut scratch.v[..nd]);
+
+    scratch.ctx[..nd].fill(0.0);
+    for (i, cache) in caches.iter_mut().enumerate() {
+        let row = i * d..(i + 1) * d;
+        scatter_kv_one_session(cache, &scratch.k[row.clone()], &scratch.v[row.clone()], n_heads, hd);
+        attend_one_session(
+            &scratch.q[row.clone()],
+            cache,
+            &mut scratch.scores,
+            &mut scratch.ctx[row],
+            n_heads,
+            hd,
+        );
+    }
+    wo.apply_rows_into(store, &scratch.ctx[..nd], n, out);
+}
+
+impl MultiHeadSelfAttention {
+    /// One gradient-free decode step: one new position for each of `n`
+    /// independent streams, each with its *own* cache (possibly at a
+    /// different length). Equivalent to running
+    /// [`MultiHeadSelfAttention::forward`] on each stream's full prefix and
+    /// taking the last position (verified by tests). The Q/K/V/O
+    /// projections run as single `[n × d_model]` GEMMs — this is where
+    /// batching pays: each weight panel is streamed from memory once per
+    /// MR-row tile instead of once per stream (packing is not part of the
+    /// step at all, see [`Linear::apply_rows_into`]) — while the KV scatter
+    /// and the softmax/context run per stream against that stream's cache.
     ///
-    /// Per-row bit-identity with the sequential path: the packed kernel
-    /// accumulates each output row independently of row grouping (see
-    /// `matmul_rows`), and every per-session op below executes the exact
-    /// scalar order of [`MultiHeadSelfAttention::decode_step_into`] at
-    /// `b = 1`, so row `i` of `out` equals the sequential result for
-    /// session `i`, bit for bit.
+    /// Row `i` of `out` does not depend on `n` or on the other rows, bit
+    /// for bit: the packed kernel accumulates each output row independently
+    /// of row grouping (see `matmul_rows`) and every other op is per
+    /// stream. `n = 1` is the sequential case.
     ///
-    /// `x`/`out` are `n × d_model` (session-major); `scratch` may be sized
+    /// `x`/`out` are `n × d_model` (stream-major); `scratch` may be sized
     /// for a larger batch (only the first `n` rows are used).
     pub fn decode_step_multi(
         &self,
@@ -715,39 +713,15 @@ impl MultiHeadSelfAttention {
         scratch: &mut AttnScratch,
         out: &mut [f32],
     ) {
-        let h = self.n_heads;
-        let hd = self.d_model / h;
-        let n = caches.len();
-        assert_eq!(x.len(), n * self.d_model, "multi decode input size");
-        assert_eq!(out.len(), n * self.d_model, "multi decode output size");
-
-        let nd = n * self.d_model;
-        self.wq.apply_rows_into(store, x, n, &mut scratch.q[..nd]);
-        self.wk.apply_rows_into(store, x, n, &mut scratch.k[..nd]);
-        self.wv.apply_rows_into(store, x, n, &mut scratch.v[..nd]);
-
-        scratch.ctx[..nd].fill(0.0);
-        for (i, cache) in caches.iter_mut().enumerate() {
-            let row = i * self.d_model;
-            scatter_kv_one_session(cache, &scratch.k[row..row + self.d_model], &scratch.v[row..row + self.d_model], h, hd);
-            attend_one_session(
-                &scratch.q[row..row + self.d_model],
-                cache,
-                &mut scratch.scores,
-                &mut scratch.ctx[row..row + self.d_model],
-                h,
-                hd,
-            );
-        }
-        self.wo.apply_rows_into(store, &scratch.ctx[..nd], n, out);
+        let proj = [&self.wq, &self.wk, &self.wv, &self.wo];
+        attn_decode_step(store, proj, self.n_heads, x, caches, scratch, out);
     }
 }
 
-/// Appends one session's new K/V rows (`d_model` each, head-major) to its
-/// batch-1 cache. Identical index math to the `b = 1` scatter in
-/// [`MultiHeadSelfAttention::decode_step_into`].
+/// Appends one stream's new K/V rows (`d_model` each, head-major) to its
+/// cache.
 fn scatter_kv_one_session(cache: &mut AttnKvCache, k_row: &[f32], v_row: &[f32], h: usize, hd: usize) {
-    assert_eq!(cache.bh, h, "multi decode caches must be batch-1");
+    assert_eq!(cache.h, h, "cache head count mismatch");
     assert_eq!(cache.hd, hd, "cache head width mismatch");
     assert!(cache.len < cache.max_len, "KV cache full");
     let t = cache.len;
@@ -760,9 +734,8 @@ fn scatter_kv_one_session(cache: &mut AttnKvCache, k_row: &[f32], v_row: &[f32],
     cache.len += 1;
 }
 
-/// Softmax attention of one session's new query row over its own cached
-/// prefix, accumulating into `ctx` (caller zeroes it). Scalar-for-scalar
-/// the `b = 1` inner loop of [`MultiHeadSelfAttention::decode_step_into`].
+/// Softmax attention of one stream's new query row over its own cached
+/// prefix, accumulating into `ctx` (caller zeroes it).
 fn attend_one_session(
     q_row: &[f32],
     cache: &AttnKvCache,
@@ -797,6 +770,47 @@ fn attend_one_session(
                 *o += a * vv;
             }
         }
+    }
+}
+
+/// The block decode step, once, for any weight format: `h += Attn(LN1(h))`
+/// then `h += MLP(LN2(h))` on `caches.len()` residual rows, in place. The
+/// LayerNorms are f32 in every format (their parameters are tiny and
+/// normalization is precision-sensitive).
+fn block_decode_step<W: WeightFormat>(
+    store: &ParamStore,
+    [ln1, ln2]: [&LayerNorm; 2],
+    [wq, wk, wv, wo, fc1, fc2]: [&W; 6],
+    n_heads: usize,
+    h: &mut [f32],
+    caches: &mut [&mut AttnKvCache],
+    scratch: &mut DecodeScratch,
+) {
+    let n = caches.len();
+    let nd = n * wq.out_dim();
+    let nm = n * fc1.out_dim();
+    assert_eq!(h.len(), nd, "multi decode residual size");
+    ln1.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
+    attn_decode_step(
+        store,
+        [wq, wk, wv, wo],
+        n_heads,
+        &scratch.norm[..nd],
+        caches,
+        &mut scratch.attn,
+        &mut scratch.resid[..nd],
+    );
+    for (hv, av) in h.iter_mut().zip(&scratch.resid[..nd]) {
+        *hv += av;
+    }
+    ln2.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
+    fc1.apply_rows_into(store, &scratch.norm[..nd], n, &mut scratch.mlp[..nm]);
+    for v in &mut scratch.mlp[..nm] {
+        *v = gelu_scalar(*v);
+    }
+    fc2.apply_rows_into(store, &scratch.mlp[..nm], n, &mut scratch.resid[..nd]);
+    for (hv, mv) in h.iter_mut().zip(&scratch.resid[..nd]) {
+        *hv += mv;
     }
 }
 
@@ -850,60 +864,12 @@ impl TransformerBlock {
         sess.graph.add(x, h)
     }
 
-    /// One gradient-free decode step through the block (see
-    /// [`MultiHeadSelfAttention::apply_decode_step`]). Allocates its
-    /// scratch; hot loops should hold a [`DecodeScratch`] and call
-    /// [`TransformerBlock::decode_step_into`] instead.
-    pub fn apply_decode_step(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        cache: &mut AttnKvCache,
-    ) -> Tensor {
-        let b = x.shape[0];
-        let mut scratch = DecodeScratch::new(b, self.attn.d_model, self.fc1.out_dim, cache.max_len);
-        let mut h = x.clone();
-        self.decode_step_into(store, &mut h.data, cache, &mut scratch);
-        h
-    }
-
-    /// Allocation-free decode step: updates the residual stream `h`
-    /// (`b × d_model`, the single new position per stream) in place. All
-    /// temporaries live in `scratch`, which is overwritten.
-    pub fn decode_step_into(
-        &self,
-        store: &ParamStore,
-        h: &mut [f32],
-        cache: &mut AttnKvCache,
-        scratch: &mut DecodeScratch,
-    ) {
-        let d = self.attn.d_model;
-        let b = h.len() / d;
-        assert_eq!(h.len(), b * d, "decode step residual size");
-        self.ln1.apply_rows_into(store, h, b, &mut scratch.norm);
-        self.attn
-            .decode_step_into(store, &scratch.norm, cache, &mut scratch.attn, &mut scratch.resid);
-        for (hv, av) in h.iter_mut().zip(&scratch.resid) {
-            *hv += av;
-        }
-        self.ln2.apply_rows_into(store, h, b, &mut scratch.norm);
-        self.fc1.apply_rows_into(store, &scratch.norm, b, &mut scratch.mlp);
-        for v in &mut scratch.mlp {
-            *v = gelu_scalar(*v);
-        }
-        self.fc2.apply_rows_into(store, &scratch.mlp, b, &mut scratch.resid);
-        for (hv, mv) in h.iter_mut().zip(&scratch.resid) {
-            *hv += mv;
-        }
-    }
-
-    /// Cross-session decode step through the block: updates the residual
-    /// rows `h` (`n × d_model`, one new position per session) in place,
-    /// with per-session batch-1 caches. LayerNorm/GELU/residual are
-    /// row-wise and the GEMMs are row-partition-invariant, so each row is
-    /// bit-identical to [`TransformerBlock::decode_step_into`] at `b = 1`
-    /// (see [`MultiHeadSelfAttention::decode_step_multi`]). `scratch` may
-    /// be sized for a larger batch.
+    /// One gradient-free decode step through the block: updates the
+    /// residual rows `h` (`n × d_model`, one new position per stream) in
+    /// place, each stream against its own cache. Row `i` does not depend on
+    /// `n` or on the other rows, bit for bit (LayerNorm/GELU/residual are
+    /// row-wise; see [`MultiHeadSelfAttention::decode_step_multi`] for the
+    /// rest). `scratch` may be sized for a larger batch.
     pub fn decode_step_multi(
         &self,
         store: &ParamStore,
@@ -911,37 +877,13 @@ impl TransformerBlock {
         caches: &mut [&mut AttnKvCache],
         scratch: &mut DecodeScratch,
     ) {
-        let d = self.attn.d_model;
-        let n = caches.len();
-        assert_eq!(h.len(), n * d, "multi decode residual size");
-        let nd = n * d;
-        let nm = n * self.fc1.out_dim;
-        self.ln1.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
-        self.attn.decode_step_multi(
-            store,
-            &scratch.norm[..nd],
-            caches,
-            &mut scratch.attn,
-            &mut scratch.resid[..nd],
-        );
-        for (hv, av) in h.iter_mut().zip(&scratch.resid[..nd]) {
-            *hv += av;
-        }
-        self.ln2.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
-        self.fc1.apply_rows_into(store, &scratch.norm[..nd], n, &mut scratch.mlp[..nm]);
-        for v in &mut scratch.mlp[..nm] {
-            *v = gelu_scalar(*v);
-        }
-        self.fc2.apply_rows_into(store, &scratch.mlp[..nm], n, &mut scratch.resid[..nd]);
-        for (hv, mv) in h.iter_mut().zip(&scratch.resid[..nd]) {
-            *hv += mv;
-        }
+        let a = &self.attn;
+        let linears = [&a.wq, &a.wk, &a.wv, &a.wo, &self.fc1, &self.fc2];
+        block_decode_step(store, [&self.ln1, &self.ln2], linears, a.n_heads, h, caches, scratch);
     }
 
     /// Snapshots the block's weights as int8 per-channel quantized copies
-    /// for the flagged serve-time batched decode path (LayerNorms stay in
-    /// f32 — their parameters are tiny and normalization is
-    /// precision-sensitive).
+    /// (LayerNorms stay in f32).
     pub fn quantize(&self, store: &ParamStore) -> QuantBlock {
         QuantBlock {
             ln1: self.ln1.clone(),
@@ -954,15 +896,14 @@ impl TransformerBlock {
 }
 
 // ---------------------------------------------------------------------------
-// int8 per-channel quantized decode layers (serve-time `--quantized` path).
+// int8 per-channel quantized decode layers: the second `WeightFormat`.
 //
 // Each Quant* type is an immutable snapshot of its f32 layer: weights are
 // quantized once into the same NR-panel layout the f32 kernel packs
-// (`QuantizedMatrix`), biases and LayerNorm parameters stay f32. The decode
-// step structure — scatter, softmax, residuals — is byte-for-byte the same
-// code path as the f32 multi decode; only the GEMM kernel differs. No
-// bit-identity claim is made for this path (accuracy contract: per-weight
-// rounding error ≤ scale/2, tested in cpt-gpt against the f32 oracle).
+// (`QuantizedMatrix`), biases and LayerNorm parameters stay f32. Only the
+// GEMM kernel differs from the f32 step. No bit-identity claim is made for
+// this format (accuracy contract: per-weight rounding error ≤ scale/2,
+// tested in cpt-gpt against the f32 oracle).
 // ---------------------------------------------------------------------------
 
 /// [`Linear`] with int8 per-output-channel weights and an f32 bias, applied
@@ -989,15 +930,15 @@ impl Linear {
     }
 }
 
-impl QuantLinear {
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
+impl WeightFormat for QuantLinear {
+    type Block = QuantBlock;
+
+    fn out_dim(&self) -> usize {
         self.out_dim
     }
 
-    /// [`Linear::apply_rows_into`] through the quantized kernel (no store
-    /// needed — weights and bias live in the snapshot).
-    pub fn apply_rows_into(&self, x: &[f32], rows: usize, out: &mut [f32]) {
+    /// Weights and bias live in the snapshot; `_store` is not read.
+    fn apply_rows_into(&self, _store: &ParamStore, x: &[f32], rows: usize, out: &mut [f32]) {
         assert_eq!(x.len(), rows * self.in_dim, "QuantLinear input size");
         assert_eq!(out.len(), rows * self.out_dim, "QuantLinear output size");
         crate::tensor::matmul_quant_into(x, &self.w, out, rows);
@@ -1009,10 +950,21 @@ impl QuantLinear {
             }
         }
     }
+
+    fn block_decode_step(
+        block: &QuantBlock,
+        store: &ParamStore,
+        h: &mut [f32],
+        caches: &mut [&mut AttnKvCache],
+        scratch: &mut DecodeScratch,
+    ) {
+        let a = &block.attn;
+        let linears = [&a.wq, &a.wk, &a.wv, &a.wo, &block.fc1, &block.fc2];
+        block_decode_step(store, [&block.ln1, &block.ln2], linears, a.n_heads, h, caches, scratch);
+    }
 }
 
-/// Quantized snapshot of [`MultiHeadSelfAttention`] for cross-session
-/// decode.
+/// Quantized snapshot of [`MultiHeadSelfAttention`]'s four projections.
 #[derive(Debug, Clone)]
 pub struct QuantAttention {
     wq: QuantLinear,
@@ -1020,7 +972,6 @@ pub struct QuantAttention {
     wv: QuantLinear,
     wo: QuantLinear,
     n_heads: usize,
-    d_model: usize,
 }
 
 impl MultiHeadSelfAttention {
@@ -1032,48 +983,13 @@ impl MultiHeadSelfAttention {
             wv: self.wv.quantize(store),
             wo: self.wo.quantize(store),
             n_heads: self.n_heads,
-            d_model: self.d_model,
         }
     }
 }
 
-impl QuantAttention {
-    /// [`MultiHeadSelfAttention::decode_step_multi`] with quantized
-    /// projections; scatter and softmax are the shared f32 helpers.
-    pub fn decode_step_multi(
-        &self,
-        x: &[f32],
-        caches: &mut [&mut AttnKvCache],
-        scratch: &mut AttnScratch,
-        out: &mut [f32],
-    ) {
-        let h = self.n_heads;
-        let hd = self.d_model / h;
-        let n = caches.len();
-        assert_eq!(x.len(), n * self.d_model, "multi decode input size");
-        assert_eq!(out.len(), n * self.d_model, "multi decode output size");
-        let nd = n * self.d_model;
-        self.wq.apply_rows_into(x, n, &mut scratch.q[..nd]);
-        self.wk.apply_rows_into(x, n, &mut scratch.k[..nd]);
-        self.wv.apply_rows_into(x, n, &mut scratch.v[..nd]);
-        scratch.ctx[..nd].fill(0.0);
-        for (i, cache) in caches.iter_mut().enumerate() {
-            let row = i * self.d_model;
-            scatter_kv_one_session(cache, &scratch.k[row..row + self.d_model], &scratch.v[row..row + self.d_model], h, hd);
-            attend_one_session(
-                &scratch.q[row..row + self.d_model],
-                cache,
-                &mut scratch.scores,
-                &mut scratch.ctx[row..row + self.d_model],
-                h,
-                hd,
-            );
-        }
-        self.wo.apply_rows_into(&scratch.ctx[..nd], n, out);
-    }
-}
-
-/// Quantized snapshot of [`TransformerBlock`] for cross-session decode.
+/// Quantized snapshot of [`TransformerBlock`]; stepped through
+/// [`WeightFormat::block_decode_step`]. LayerNorm parameters are read from
+/// the store (they are not quantized).
 #[derive(Debug, Clone)]
 pub struct QuantBlock {
     ln1: LayerNorm,
@@ -1081,40 +997,6 @@ pub struct QuantBlock {
     attn: QuantAttention,
     fc1: QuantLinear,
     fc2: QuantLinear,
-}
-
-impl QuantBlock {
-    /// [`TransformerBlock::decode_step_multi`] with quantized GEMMs.
-    /// LayerNorm parameters are read from `store` (they are not
-    /// quantized).
-    pub fn decode_step_multi(
-        &self,
-        store: &ParamStore,
-        h: &mut [f32],
-        caches: &mut [&mut AttnKvCache],
-        scratch: &mut DecodeScratch,
-    ) {
-        let d = self.attn.d_model;
-        let n = caches.len();
-        assert_eq!(h.len(), n * d, "multi decode residual size");
-        let nd = n * d;
-        let nm = n * self.fc1.out_dim;
-        self.ln1.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
-        self.attn
-            .decode_step_multi(&scratch.norm[..nd], caches, &mut scratch.attn, &mut scratch.resid[..nd]);
-        for (hv, av) in h.iter_mut().zip(&scratch.resid[..nd]) {
-            *hv += av;
-        }
-        self.ln2.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
-        self.fc1.apply_rows_into(&scratch.norm[..nd], n, &mut scratch.mlp[..nm]);
-        for v in &mut scratch.mlp[..nm] {
-            *v = gelu_scalar(*v);
-        }
-        self.fc2.apply_rows_into(&scratch.mlp[..nm], n, &mut scratch.resid[..nd]);
-        for (hv, mv) in h.iter_mut().zip(&scratch.resid[..nd]) {
-            *hv += mv;
-        }
-    }
 }
 
 /// GELU (tanh approximation) as a scalar function, shared by the graph op
@@ -1410,21 +1292,22 @@ mod tests {
             sess.graph.value(y).clone()
         };
 
-        let mut cache = AttnKvCache::new(2, 2, t_max, 4);
-        assert!(cache.is_empty());
+        let mut caches: Vec<AttnKvCache> = (0..2).map(|_| AttnKvCache::new(1, 2, t_max, 4)).collect();
+        let mut scratch = DecodeScratch::new(2, 8, 16, t_max);
+        assert!(caches[0].is_empty());
         for t in 0..t_max {
-            // Slice position t: [2,1,8].
-            let mut step = Tensor::zeros(&[2, 1, 8]);
+            // Position t of both streams: [2, 8].
+            let mut out = Vec::with_capacity(2 * 8);
             for bi in 0..2 {
-                step.data[bi * 8..(bi + 1) * 8]
-                    .copy_from_slice(&x.data[(bi * t_max + t) * 8..(bi * t_max + t + 1) * 8]);
+                out.extend_from_slice(&x.data[(bi * t_max + t) * 8..(bi * t_max + t + 1) * 8]);
             }
-            let out = block.apply_decode_step(&store, &step, &mut cache);
-            assert_eq!(cache.len(), t + 1);
+            let mut refs: Vec<&mut AttnKvCache> = caches.iter_mut().collect();
+            block.decode_step_multi(&store, &mut out, &mut refs, &mut scratch);
+            assert_eq!(caches[1].len(), t + 1);
             for bi in 0..2 {
                 for d in 0..8 {
                     let full_v = full.data[(bi * t_max + t) * 8 + d];
-                    let step_v = out.data[bi * 8 + d];
+                    let step_v = out[bi * 8 + d];
                     assert!(
                         (full_v - step_v).abs() < 1e-4,
                         "mismatch at t={t} b={bi} d={d}: {full_v} vs {step_v}"
@@ -1435,10 +1318,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one stream")]
+    fn shared_kv_cache_layout_is_rejected() {
+        AttnKvCache::new(2, 2, 6, 4);
+    }
+
+    #[test]
     fn multi_session_decode_bit_identical_to_sequential() {
-        // Sessions at different prefix lengths decoded in one batch must
-        // produce, per row, the exact bits of the b=1 sequential step —
-        // both in the residual outputs and in the KV rows they scatter.
+        // Sessions at different prefix lengths decoded in one step of n
+        // rows must produce, per row, the exact bits of n steps of one row
+        // — both in the residual outputs and in the KV rows they scatter.
         let (d, heads, d_mlp, hd, max_len, n) = (8usize, 2usize, 16usize, 4usize, 10usize, 5usize);
         let mut store = ParamStore::new();
         let block = TransformerBlock::new(&mut store, "b", d, heads, d_mlp, &mut rng(40));
@@ -1449,25 +1338,24 @@ mod tests {
         let mut seq_scratch = DecodeScratch::new(1, d, d_mlp, max_len);
         let mut multi_scratch = DecodeScratch::new(n, d, d_mlp, max_len);
         let mut r = rng(41);
-        // Advance session i by i tokens through the b=1 path on both cache
+        // Advance session i by i tokens, one row at a time, on both cache
         // sets so the prefixes are bit-equal and lengths differ per session.
         for (i, (sc, mc)) in seq_caches.iter_mut().zip(&mut multi_caches).enumerate() {
             for _ in 0..i {
                 let x = Tensor::randn(&[d], 0.5, &mut r);
-                let mut h1 = x.data.clone();
-                let mut h2 = x.data.clone();
-                block.decode_step_into(&store, &mut h1, sc, &mut seq_scratch);
-                block.decode_step_into(&store, &mut h2, mc, &mut seq_scratch);
+                for cache in [&mut *sc, &mut *mc] {
+                    block.decode_step_multi(&store, &mut x.data.clone(), &mut [cache], &mut seq_scratch);
+                }
             }
         }
-        // One more token per session: sequential b=1 vs one multi batch.
+        // One more token per session: n steps of one row vs one step of n.
         let step = Tensor::randn(&[n, d], 0.5, &mut r);
         let mut seq_out = step.data.clone();
         for (i, cache) in seq_caches.iter_mut().enumerate() {
-            block.decode_step_into(
+            block.decode_step_multi(
                 &store,
                 &mut seq_out[i * d..(i + 1) * d],
-                cache,
+                &mut [cache],
                 &mut seq_scratch,
             );
         }
@@ -1510,7 +1398,7 @@ mod tests {
             block.decode_step_multi(&store, &mut hf, &mut refs, &mut scratch);
             let mut hq = step.data.clone();
             let mut qrefs: Vec<&mut AttnKvCache> = q_caches.iter_mut().collect();
-            qblock.decode_step_multi(&store, &mut hq, &mut qrefs, &mut scratch);
+            QuantLinear::block_decode_step(&qblock, &store, &mut hq, &mut qrefs, &mut scratch);
             for (a, b) in hf.iter().zip(&hq) {
                 assert!(
                     (a - b).abs() < 0.15 * a.abs().max(1.0),

@@ -44,7 +44,7 @@ pub use scratch::ScratchArena;
 pub use layers::{
     gelu_scalar, AttnKvCache, AttnScratch, DecodeScratch, Linear, LayerNorm, Lstm,
     MultiHeadSelfAttention, ParamId, ParamStore, QuantAttention, QuantBlock, QuantLinear,
-    Session, TransformerBlock,
+    Session, TransformerBlock, WeightFormat,
 };
 pub use optim::{clip_grad_norm, Adam, LrSchedule, RmsProp, Sgd};
 pub use tensor::{matmul_quant_into, QuantizedMatrix, Tensor};

@@ -19,6 +19,7 @@
 
 #![deny(clippy::unwrap_used)]
 
+use crate::steer::splitmix64;
 use std::time::Duration;
 
 /// A scheduled, deterministic set of serving-layer faults.
@@ -191,15 +192,6 @@ impl ChaosPlan {
         *line = String::from_utf8_lossy(&bytes).into_owned();
         true
     }
-}
-
-/// One splitmix64 scramble (the same finalizer used across the workspace
-/// for seed derivation).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn splitmix_next(state: &mut u64) -> u64 {

@@ -155,17 +155,11 @@ pub struct ServeConfig {
     /// Concurrent connection cap for the TCP front end; excess connections
     /// get one error line and are dropped.
     pub max_connections: usize,
-    /// Decode runnable sessions in cross-session batches (one packed
-    /// per-layer GEMM over all sessions a worker holds) instead of one
-    /// session at a time. Output is bit-identical either way; batching is
-    /// purely a throughput optimization.
-    pub batch_decode: bool,
-    /// Maximum sessions one worker stacks into a single batched forward
-    /// pass (ignored when `batch_decode` is off).
+    /// Maximum sessions one worker stacks into a single forward pass (one
+    /// packed per-layer GEMM over all of them). Purely a throughput knob:
+    /// a session's output is bit-identical at any value, and 1 decodes one
+    /// session at a time.
     pub batch_max: usize,
-    /// Decode through int8 per-channel-quantized weights (approximate —
-    /// no bit-identity claim; see DESIGN.md §15). Requires `batch_decode`.
-    pub quantized: bool,
 }
 
 impl ServeConfig {
@@ -183,9 +177,7 @@ impl ServeConfig {
             detach_ttl_secs: 60,
             read_timeout_ms: 200,
             max_connections: 256,
-            batch_decode: true,
             batch_max: 64,
-            quantized: false,
         }
     }
 
@@ -240,14 +232,8 @@ impl ServeConfig {
         if self.max_connections == 0 {
             return Err(bad("max_connections", "must be at least 1"));
         }
-        if self.batch_decode && self.batch_max == 0 {
+        if self.batch_max == 0 {
             return Err(bad("batch_max", "must be at least 1"));
-        }
-        if self.quantized && !self.batch_decode {
-            return Err(bad(
-                "quantized",
-                "requires batch_decode (the sequential path has no quantized kernels)",
-            ));
         }
         Ok(())
     }
@@ -536,23 +522,6 @@ impl ShardUplink for EngineCore {
     }
 }
 
-/// Builds what a model version's decode steps read, before any session can
-/// open on it: the int8 weights when the engine runs quantized, otherwise
-/// the packed f32 panels, which live in the model's own store and so are
-/// shared by every shard holding the `Arc`. Installing pays for this once;
-/// a hot-swap never packs on the request path.
-fn prepare_decode_weights(
-    cfg: &ServeConfig,
-    model: &CptGpt,
-) -> Option<Arc<cpt_gpt::QuantDecodeWeights>> {
-    if cfg.quantized {
-        Some(Arc::new(model.quantize_decode_weights()))
-    } else {
-        model.pack_decode_weights();
-        None
-    }
-}
-
 /// The serving engine: owns the per-shard worker pools and the token
 /// reaper. Obtain a [`ServeHandle`] via [`Engine::handle`] to open and
 /// drive sessions; drop (or [`Engine::shutdown`]) to stop the workers.
@@ -589,7 +558,10 @@ impl Engine {
         chaos: ChaosPlan,
     ) -> Result<Engine, ServeError> {
         cfg.validate()?;
-        let quant = prepare_decode_weights(&cfg, &model);
+        // Pack the decode weights before any session can open: the panels
+        // live in the model's own store, shared by every shard holding the
+        // `Arc`, so neither the first request nor a hot-swap packs.
+        model.pack_decode_weights();
         let steer = Steering::new(cfg.shards);
         let gauges = Arc::new(Gauges::new());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -644,7 +616,7 @@ impl Engine {
         });
         // Workers are not running yet, so this install cannot race.
         for s in &core.shards {
-            s.install_entry(version, Arc::clone(&model), quant.clone(), Arc::clone(&meta));
+            s.install_entry(version, Arc::clone(&model), Arc::clone(&meta));
         }
         let spawn_err = |e: std::io::Error| ServeError::InvalidConfig {
             field: "workers".to_string(),
@@ -1020,10 +992,10 @@ impl ServeHandle {
     /// Installs `model` under version `id` without promoting it: sessions
     /// cannot open on it until [`ServeHandle::promote_version`]. Idempotent
     /// when the id is already installed. The version's decode weights are
-    /// prepared here (see `prepare_decode_weights`), outside every engine
-    /// lock, then the same Arcs are replicated to every shard.
+    /// packed here, outside every engine lock, then the same Arc is
+    /// replicated to every shard.
     pub fn install_version(&self, id: u64, model: Arc<CptGpt>) {
-        let quant = prepare_decode_weights(&self.core.cfg, &model);
+        model.pack_decode_weights();
         let mut lc = self.core.lock_lifecycle();
         let meta = Arc::clone(lc.versions.entry(id).or_insert_with(|| {
             Arc::new(VersionMeta {
@@ -1034,7 +1006,7 @@ impl ServeHandle {
         // observe the version installed engine-side but missing on a
         // shard.
         for s in &self.core.shards {
-            s.install_entry(id, Arc::clone(&model), quant.clone(), Arc::clone(&meta));
+            s.install_entry(id, Arc::clone(&model), Arc::clone(&meta));
         }
     }
 
@@ -1247,14 +1219,6 @@ mod tests {
             ("read_timeout_ms", ServeConfig { read_timeout_ms: 0, ..ok }),
             ("max_connections", ServeConfig { max_connections: 0, ..ok }),
             ("batch_max", ServeConfig { batch_max: 0, ..ok }),
-            (
-                "quantized",
-                ServeConfig {
-                    quantized: true,
-                    batch_decode: false,
-                    ..ok
-                },
-            ),
         ] {
             let got = cfg.validate();
             assert!(

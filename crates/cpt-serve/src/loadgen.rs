@@ -23,6 +23,8 @@ use crate::error::ServeError;
 use crate::metrics::{LatencyHistogram, StatsSnapshot};
 use crate::protocol::wire;
 use crate::protocol::{ErrorKind, Request, Response};
+use crate::steer::splitmix64;
+use cpt_trace::columnar::{fnv1a, fnv1a_continue};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -335,17 +337,6 @@ struct Tally {
     per_session: Mutex<Vec<u64>>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
 /// What one client thread tracks per open session: the running event
 /// count and digest state. The digest is seeded from the session *seed*,
 /// not the session id — ids embed shard bits, seeds are stable across
@@ -359,17 +350,9 @@ impl SessionTally {
     fn new(seed: u64) -> SessionTally {
         SessionTally {
             events: 0,
-            fnv: fnv1a(FNV_OFFSET, &seed.to_le_bytes()),
+            fnv: fnv1a(&seed.to_le_bytes()),
         }
     }
-}
-
-/// One splitmix64 scramble, for deterministic backoff jitter.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Capped exponential backoff with deterministic jitter in
@@ -759,7 +742,7 @@ fn client_thread(
                         for e in events.iter().filter(|e| e.data().is_some()) {
                             scratch.clear();
                             wire::encode_event(e, &mut scratch);
-                            t.fnv = fnv1a(t.fnv, &scratch);
+                            t.fnv = fnv1a_continue(t.fnv, &scratch);
                         }
                         t.events += data;
                     }

@@ -119,8 +119,6 @@ pub struct Metrics {
     slice_latency: LatencyHistogram,
     /// Events decoded through the batched (packed-GEMM) path.
     batched_tokens: AtomicU64,
-    /// Events decoded through the sequential (`--no-batch-decode`) path.
-    sequential_tokens: AtomicU64,
     /// Batched decode rounds executed (one packed forward pass each).
     batch_rounds: AtomicU64,
     /// Largest GEMM row count observed in one batched round.
@@ -188,7 +186,6 @@ impl Metrics {
             slices: AtomicU64::new(0),
             slice_latency: LatencyHistogram::new(),
             batched_tokens: AtomicU64::new(0),
-            sequential_tokens: AtomicU64::new(0),
             batch_rounds: AtomicU64::new(0),
             batch_peak: AtomicU64::new(0),
             batch_occupancy: LatencyHistogram::new(),
@@ -256,11 +253,6 @@ impl Metrics {
             self.batch_peak.fetch_max(rows, Ordering::Relaxed);
             self.batch_occupancy.record_value(rows);
         }
-    }
-
-    /// Counts events decoded by the sequential (`--no-batch-decode`) path.
-    pub fn add_sequential_tokens(&self, n: u64) {
-        self.sequential_tokens.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one scheduling slice: its wall-clock latency and the number
@@ -346,7 +338,6 @@ impl Metrics {
         add(&self.slices, &other.slices);
         self.slice_latency.absorb(&other.slice_latency);
         add(&self.batched_tokens, &other.batched_tokens);
-        add(&self.sequential_tokens, &other.sequential_tokens);
         add(&self.batch_rounds, &other.batch_rounds);
         self.batch_peak
             .fetch_max(other.batch_peak.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -424,7 +415,7 @@ impl Metrics {
             slice_p50_us: self.slice_latency.quantile_us(0.50),
             slice_p99_us: self.slice_latency.quantile_us(0.99),
             batched_tokens: self.batched_tokens.load(Ordering::Relaxed),
-            sequential_tokens: self.sequential_tokens.load(Ordering::Relaxed),
+            sequential_tokens: 0,
             batch_rounds: self.batch_rounds.load(Ordering::Relaxed),
             // The histogram reports a log₂ bucket's upper edge, which can
             // lie above every sample in the bucket; the exact peak bounds it.
@@ -519,7 +510,10 @@ pub struct StatsSnapshot {
     /// Events decoded through the batched (packed-GEMM) path since start.
     #[serde(default)]
     pub batched_tokens: u64,
-    /// Events decoded through the sequential path since start.
+    /// Always 0: the one-session-at-a-time worker loop that counted here
+    /// is gone (every event is a batched token; `batch_max = 1` is the
+    /// sequential case). The field stays for `crates/cpt-ledger`, its last
+    /// reader, and for `/stats` consumers that assert it is zero.
     #[serde(default)]
     pub sequential_tokens: u64,
     /// Batched decode rounds (one packed forward pass each) since start.
@@ -620,7 +614,6 @@ mod tests {
         m.inc_force_failed();
         m.record_batch_round(5, 6);
         m.record_batch_round(0, 1); // all-bootstrap round: no GEMM rows
-        m.add_sequential_tokens(3);
         m.inc_version_published();
         m.inc_version_rolled_back();
         m.inc_version_quarantined();
@@ -659,7 +652,7 @@ mod tests {
         assert_eq!(s.slices, 1);
         assert!(s.slice_p50_us >= 100);
         assert_eq!(s.batched_tokens, 7);
-        assert_eq!(s.sequential_tokens, 3);
+        assert_eq!(s.sequential_tokens, 0);
         assert_eq!(s.batch_rounds, 2);
         assert_eq!(s.batch_peak, 5);
         // One occupancy sample of 5 → bucket 3, upper bound 7, clamped to

@@ -45,7 +45,9 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::chaos::ChaosPlan;
+use crate::steer::splitmix64;
 use cpt_gpt::{CheckpointError, CptGpt, StreamParams};
+use cpt_trace::columnar::fnv1a;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -291,18 +293,6 @@ impl RecoveryReport {
             && self.live_fell_back_to.is_none()
             && self.torn_commits_cleaned == 0
     }
-}
-
-/// FNV-1a/64 over raw bytes — the artifact-file checksum recorded in the
-/// manifest (distinct from the weight-level checksum *inside* the
-/// artifact, which `cpt_gpt` verifies on load).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn io_err(path: &Path, source: std::io::Error) -> RegistryError {
@@ -752,14 +742,6 @@ impl Registry {
             },
         })
     }
-}
-
-/// One splitmix64 scramble (workspace-standard seed mixer).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Removes `manifest.json.tmp.*` leftovers from a crash between

@@ -111,9 +111,6 @@ struct SessionSlot {
 /// the per-shard counts (under its lifecycle lock) to decide retirement.
 struct ModelEntry {
     model: Arc<CptGpt>,
-    /// Int8 per-channel decode weights, quantized once at install and
-    /// shared read-only by every shard's workers.
-    quant: Option<Arc<cpt_gpt::QuantDecodeWeights>>,
     /// Sessions on *this shard* pinned to this version.
     refs: u64,
     /// Engine-wide lifecycle flags (see [`VersionMeta`]).
@@ -516,17 +513,10 @@ impl ShardShared {
 
     /// Installs (or refreshes) a version replica on this shard.
     /// Idempotent: an existing entry (and its refcount) is kept.
-    pub(crate) fn install_entry(
-        &self,
-        id: u64,
-        model: Arc<CptGpt>,
-        quant: Option<Arc<cpt_gpt::QuantDecodeWeights>>,
-        meta: Arc<VersionMeta>,
-    ) {
+    pub(crate) fn install_entry(&self, id: u64, model: Arc<CptGpt>, meta: Arc<VersionMeta>) {
         let mut st = self.lock_state();
         st.models.entry(id).or_insert(ModelEntry {
             model,
-            quant,
             refs: 0,
             meta,
         });
@@ -591,58 +581,16 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Blocks until a ready session is available on this shard (returning
-/// its decoder, this slice's event budget, and the model version it is
-/// pinned to) or shutdown is requested (`None`).
-fn next_work(shard: &ShardShared) -> Option<(u64, SessionDecoder, usize, u64, Arc<CptGpt>)> {
-    let mut st = shard.lock_state();
-    loop {
-        if shard.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        while let Some(id) = st.run_queue.pop_front() {
-            let Some(slot) = st.sessions.get_mut(&id) else {
-                continue;
-            };
-            // Stale queue entries (closed, failed, or re-scheduled
-            // sessions) are skipped; only a Queued slot with its
-            // decoder in place is runnable.
-            if !(slot.run == RunState::Queued && !slot.closed && !slot.failed) {
-                continue;
-            }
-            let Some(decoder) = slot.decoder.take() else {
-                continue;
-            };
-            slot.run = RunState::Running;
-            let room = shard.cfg.queue_capacity.saturating_sub(slot.queue.len());
-            let budget = room.min(shard.cfg.slice_budget);
-            let version = slot.version;
-            if let Some(entry) = st.models.get(&version) {
-                let model = Arc::clone(&entry.model);
-                return Some((id, decoder, budget, version, model));
-            }
-            // Defensive: the pinned version vanished (the refcount should
-            // make this impossible). Fail the session rather than decode
-            // with the wrong weights.
-            drop(decoder);
-            shard.fail_locked(&mut st, id, format!("model version {version} vanished"));
-        }
-        st = match shard.work.wait(st) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-    }
-}
-
-/// Batched analogue of [`next_work`]: fills `out` with `(id, decoder,
-/// budget)` triples of a single model version in run-queue order, capped
-/// at `batch_max` and a fair share of this shard's queue across this
-/// shard's workers. See the unsharded engine history for the full
-/// contract — the logic is identical, scoped to one shard.
+/// Blocks until ready sessions are available on this shard or shutdown is
+/// requested (`None`): fills `out` with `(id, decoder, budget)` triples of
+/// a single model version in run-queue order — stale entries (closed,
+/// failed or re-scheduled sessions) are skipped — capped at `batch_max`
+/// and a fair share of this shard's queue across this shard's workers, and
+/// returns that version with its model.
 fn next_work_batch(
     shard: &ShardShared,
     out: &mut Vec<(u64, SessionDecoder, usize)>,
-) -> Option<(u64, Arc<CptGpt>, Option<Arc<cpt_gpt::QuantDecodeWeights>>)> {
+) -> Option<(u64, Arc<CptGpt>)> {
     out.clear();
     let mut st = shard.lock_state();
     loop {
@@ -684,13 +632,12 @@ fn next_work_batch(
         if let Some(v) = version {
             if let Some(entry) = st.models.get(&v) {
                 let model = Arc::clone(&entry.model);
-                let quant = entry.quant.clone();
                 let more = !st.run_queue.is_empty();
                 drop(st);
                 if more {
                     shard.work.notify_one();
                 }
-                return Some((v, model, quant));
+                return Some((v, model));
             }
             // Defensive: the pinned version vanished. Fail the grabbed
             // sessions rather than decode with the wrong weights.
@@ -711,8 +658,8 @@ fn next_work_batch(
 /// One session's in-flight state during a batched slice.
 struct BatchEntry {
     id: u64,
-    /// `None` once the entry panicked (the decoder is poisoned and is
-    /// dropped, never recycled — same rule as the sequential unwind path).
+    /// `None` once the entry panicked or tripped (the decoder's state may
+    /// be corrupt, so it is dropped, never recycled).
     decoder: Option<SessionDecoder>,
     /// Event budget for this slice (slice budget capped by queue room).
     budget: usize,
@@ -726,11 +673,13 @@ struct BatchEntry {
     tripped: bool,
 }
 
-/// Publishes one batch entry's slice under the shard lock, mirroring the
-/// sequential worker's publish arms exactly: vanished and close-pending
-/// sessions recycle their buffers, force-failed sessions discard the
-/// slice, panicked entries deliver their decoded prefix then the terminal
-/// failure record, and live sessions re-enqueue / park / finish. Returns
+/// Publishes one batch entry's slice under the shard lock: vanished
+/// (defensive; close defers removal) and close-pending sessions recycle
+/// their buffers, force-failed sessions (drain deadline) discard the slice
+/// — the terminal record is already queued, and data after it would
+/// corrupt the stream — panicked entries deliver their decoded prefix then
+/// the terminal failure record, and live sessions re-enqueue / park /
+/// finish. Returns
 /// the entry's event buffer, emptied, so the worker can reuse its capacity
 /// for a later slice.
 fn publish_entry(
@@ -792,19 +741,18 @@ fn publish_entry(
     buf
 }
 
-/// The batched decode worker for one shard: grab up to `batch_max` ready
+/// One decode worker, pinned to one shard: grab up to `batch_max` ready
 /// sessions, advance them together one event per round through a
 /// [`BatchDecoder`] (one packed per-layer GEMM over all live entries per
-/// round), publish each session at slice end, repeat.
+/// round), publish each session at slice end, repeat. `batch_max = 1` is
+/// one session at a time; a session's bytes are the same at any setting.
 ///
-/// Containment is two-level, preserving the sequential loop's semantics:
-/// the `BatchDecoder` contains per-entry panics (the chaos hook fires in
-/// the same advance-order slot as the sequential check, and sampling runs
-/// per entry), failing only the targeted session while the rest of the
-/// batch proceeds; a panic inside the shared forward pass itself is
-/// caught here and fails every live entry — the decode states may be
-/// mid-scatter, so none of them can be trusted.
-fn worker_loop_batched(shard: &ShardShared) {
+/// Containment is two-level: the `BatchDecoder` contains per-entry panics
+/// (the chaos hook and sampling run per entry), failing only the targeted
+/// session while the rest of the batch proceeds; a panic inside the shared
+/// forward pass itself is caught here and fails every live entry — the
+/// decode states may be mid-scatter, so none of them can be trusted.
+pub(crate) fn worker_loop(shard: &ShardShared) {
     let chaos = shard.chaos;
     // One BatchDecoder per model version this worker has recently served:
     // during a hot-swap drain old and new versions decode side by side.
@@ -819,14 +767,14 @@ fn worker_loop_batched(shard: &ShardShared) {
     let mut live_ids: Vec<u64> = Vec::with_capacity(shard.cfg.batch_max);
     let mut spare_bufs: Vec<Vec<DecodedEvent>> = Vec::with_capacity(shard.cfg.batch_max);
     let mut slice_idx: u64 = 0;
-    while let Some((version, model, quant)) = next_work_batch(shard, &mut work) {
+    while let Some((version, model)) = next_work_batch(shard, &mut work) {
         let t0 = Instant::now();
         if decoders.len() > 4 {
             decoders.retain(|v, _| *v == version);
         }
-        let bd = decoders.entry(version).or_insert_with(|| {
-            BatchDecoder::with_quant(&model, shard.cfg.batch_max, quant.clone())
-        });
+        let bd = decoders
+            .entry(version)
+            .or_insert_with(|| BatchDecoder::new(&model, shard.cfg.batch_max));
         entries.clear();
         entries.extend(work.drain(..).map(|(id, decoder, budget)| BatchEntry {
             id,
@@ -946,157 +894,6 @@ fn worker_loop_batched(shard: &ShardShared) {
             // Strictly after dropping the shard lock: the uplink takes
             // the engine lifecycle lock, which nests *outside* shard
             // locks.
-            if let Some(up) = shard.uplink.upgrade() {
-                up.trip_divergence(version);
-            }
-        }
-    }
-}
-
-/// One decode worker, pinned to one shard. Dispatches on
-/// [`ServeConfig::batch_decode`]: both loops produce bit-identical
-/// per-session output; the batched loop packs the forward passes of every
-/// session the worker holds into one GEMM per layer.
-pub(crate) fn worker_loop(shard: &ShardShared) {
-    if shard.cfg.batch_decode {
-        worker_loop_batched(shard)
-    } else {
-        worker_loop_sequential(shard)
-    }
-}
-
-/// The sequential decode worker: pull a ready session, advance it by at
-/// most its slice budget **under `catch_unwind`**, publish the events,
-/// re-enqueue (or park/finish/fail), repeat. A panic while decoding fails
-/// only the session being advanced; the worker survives and re-enters its
-/// loop.
-fn worker_loop_sequential(shard: &ShardShared) {
-    let chaos = shard.chaos;
-    // Reused across slices: allocation-free steady state. On a panic the
-    // buffer holds the slice's already-decoded prefix.
-    let mut buf: Vec<DecodedEvent> = Vec::new();
-    let mut slice_idx: u64 = 0;
-    while let Some((id, decoder, budget, version, model)) = next_work(shard) {
-        let t0 = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut decoder = decoder;
-            let mut done = decoder.is_finished();
-            let mut trip: Option<String> = None;
-            while buf.len() < budget {
-                if chaos.should_panic(id, decoder.events_emitted()) {
-                    panic!("chaos: injected panic advancing session {id}");
-                }
-                match decoder.next_event(&model) {
-                    Some(mut ev) => {
-                        if chaos.should_poison(id, decoder.events_emitted()) {
-                            ev.iat = f64::NAN;
-                        }
-                        if !ev.iat.is_finite() || !ev.timestamp.is_finite() {
-                            trip = Some(format!(
-                                "divergence trip-wire: non-finite event \
-                                 (iat={}, timestamp={})",
-                                ev.iat, ev.timestamp
-                            ));
-                            break;
-                        }
-                        buf.push(ev);
-                    }
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
-            }
-            (decoder, done, trip)
-        }));
-        shard.metrics.record_slice(t0.elapsed(), buf.len() as u64);
-        shard.metrics.add_sequential_tokens(buf.len() as u64);
-        if let Some(delay) = chaos.slice_delay(slice_idx) {
-            std::thread::sleep(delay);
-        }
-        slice_idx += 1;
-
-        let mut st = shard.lock_state();
-        let mut tripped = false;
-        match outcome {
-            Ok((decoder, done, trip)) => match st.sessions.get_mut(&id) {
-                None => {
-                    // Session vanished while running (defensive; close
-                    // defers removal, so this should not happen). Recycle
-                    // the buffers.
-                    ShardShared::recycle(&mut st, shard.cfg.max_sessions, version, decoder.into_state());
-                }
-                Some(slot) if slot.closed => {
-                    st.sessions.remove(&id);
-                    ShardShared::recycle(&mut st, shard.cfg.max_sessions, version, decoder.into_state());
-                }
-                Some(slot) if slot.failed => {
-                    // Force-failed (drain deadline) while this worker held
-                    // the decoder: the terminal Failed record is already
-                    // queued, so the slice is discarded — delivering data
-                    // after the terminal record would corrupt the stream.
-                    slot.decoder = None;
-                    ShardShared::recycle(&mut st, shard.cfg.max_sessions, version, decoder.into_state());
-                }
-                Some(slot) if trip.is_some() => {
-                    // Divergence trip-wire: deliver the clean prefix, fail
-                    // the session, drop the decoder (its state produced
-                    // garbage — never recycled), demote after unlock.
-                    let produced = buf.len();
-                    slot.queue.extend(buf.drain(..).map(SessionEvent::Data));
-                    slot.decoder = None;
-                    shard.gauges.queued.fetch_add(produced, Ordering::Relaxed);
-                    shard.metrics.inc_divergence_trip();
-                    shard.fail_locked(
-                        &mut st,
-                        id,
-                        trip.unwrap_or_else(|| "divergence trip-wire".to_string()),
-                    );
-                    drop(decoder);
-                    tripped = true;
-                }
-                Some(slot) => {
-                    let produced = buf.len();
-                    slot.queue.extend(buf.drain(..).map(SessionEvent::Data));
-                    if done {
-                        slot.run = RunState::Done;
-                        slot.decoder = Some(decoder);
-                    } else if slot.queue.len() >= shard.cfg.queue_capacity {
-                        slot.run = RunState::Parked;
-                        slot.decoder = Some(decoder);
-                    } else {
-                        slot.run = RunState::Queued;
-                        slot.decoder = Some(decoder);
-                        st.run_queue.push_back(id);
-                        shard.work.notify_one();
-                    }
-                    shard.gauges.queued.fetch_add(produced, Ordering::Relaxed);
-                }
-            },
-            Err(payload) => {
-                // Contained: the decoder died with the unwind (its state
-                // may be corrupt, so it is never recycled). Publish the
-                // clean prefix, then the terminal failure record.
-                shard.metrics.inc_worker_panic();
-                match st.sessions.get_mut(&id) {
-                    None => {}
-                    Some(slot) if slot.closed => {
-                        st.sessions.remove(&id);
-                    }
-                    Some(slot) => {
-                        let produced = buf.len();
-                        slot.queue.extend(buf.drain(..).map(SessionEvent::Data));
-                        slot.decoder = None;
-                        shard.gauges.queued.fetch_add(produced, Ordering::Relaxed);
-                        shard.fail_locked(&mut st, id, panic_reason(payload.as_ref()));
-                    }
-                }
-            }
-        }
-        drop(st);
-        buf.clear();
-        shard.delivery.notify_all();
-        if tripped {
             if let Some(up) = shard.uplink.upgrade() {
                 up.trip_divergence(version);
             }

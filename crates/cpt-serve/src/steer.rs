@@ -24,8 +24,9 @@
 /// bits, which at a billion opens/sec would take nine years to exhaust.
 pub const MAX_SHARDS: usize = 64;
 
-/// One splitmix64 scramble — the workspace-wide stateless mixer (same
-/// constants as the generator's and chaos module's).
+/// One splitmix64 scramble — the crate's stateless mixer: shard steering,
+/// chaos plans, registry fault positions, detach tokens and loadgen backoff
+/// jitter all derive from it.
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -88,6 +89,18 @@ impl Steering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpt_trace::columnar::{fnv1a, fnv1a_continue};
+
+    #[test]
+    fn shared_hashes_are_pinned() {
+        // Chaos plans, registry ids, detach tokens and steering hang off
+        // splitmix64; registry checksums and the loadgen events digest off
+        // FNV-1a/64. Neither may move.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x5EED), 0x09F1_FD9D_03F0_A9B4);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+        assert_eq!(fnv1a_continue(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
 
     #[test]
     fn single_shard_codec_is_identity() {

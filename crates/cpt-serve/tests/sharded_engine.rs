@@ -133,6 +133,37 @@ fn bit_identical_at_any_shard_and_worker_count() {
     }
 }
 
+/// One seed, one trace: a served session with seed S and n streams emits
+/// the UEs of the offline `generate(GenerateConfig::new(n, S))`, in order,
+/// at any shard × worker shape and any offline batch size.
+#[test]
+fn served_session_is_the_offline_trace_of_the_same_seed() {
+    let (seed, n) = (4242u64, 9usize);
+    let model = trained_model();
+    let offline = model
+        .generate(&cpt_gpt::GenerateConfig { batch_size: 4, ..cpt_gpt::GenerateConfig::new(n, seed) })
+        .expect("offline generate");
+    let offline: Vec<Vec<(EventType, u64)>> = offline
+        .streams
+        .iter()
+        .map(|s| s.events.iter().map(|e| (e.event_type, e.timestamp.to_bits())).collect())
+        .collect();
+    for (shards, workers) in [(1usize, 1usize), (4, 4), (8, 1)] {
+        let engine = Engine::start(Arc::clone(&model), ServeConfig { shards, ..ServeConfig::new(workers) })
+            .expect("engine starts");
+        let handle = engine.handle();
+        let id = handle
+            .open_session(StreamParams::new(seed).streams(n))
+            .expect("session admitted");
+        let mut served: Vec<Vec<(EventType, u64)>> = vec![Vec::new(); n];
+        for ev in drain_session(&handle, id) {
+            served[ev.stream].push((ev.event_type, ev.timestamp.to_bits()));
+        }
+        engine.shutdown();
+        assert_eq!(offline, served, "served trace differs at {shards} shards / {workers} workers");
+    }
+}
+
 /// Occupancy and imbalance stats: every shard is reported, the max/min
 /// bracket the mean, and the totals agree with the global gauges.
 #[test]

@@ -438,8 +438,10 @@ impl Drop for ColumnarWriter {
     }
 }
 
-/// Continues an FNV-1a/64 hash over more bytes.
-fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Continues an FNV-1a/64 hash (a [`fnv1a`] result, or an earlier
+/// continuation) over more bytes: `fnv1a_continue(fnv1a(a), b)` is
+/// `fnv1a(a ++ b)`.
+pub fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

@@ -76,6 +76,22 @@ pub mod iter {
         }
     }
 
+    /// The `ParallelIterator` adapters that std's `Iterator` lacks.
+    pub trait ParallelIterator: Iterator + Sized {
+        /// One `init()` value serves the whole (sequential) iteration.
+        fn map_init<F, INIT, T, R>(self, init: INIT, map_op: F) -> impl Iterator<Item = R>
+        where
+            F: Fn(&mut T, Self::Item) -> R + Sync + Send,
+            INIT: Fn() -> T + Sync + Send,
+            R: Send,
+        {
+            let mut state = init();
+            self.map(move |item| map_op(&mut state, item))
+        }
+    }
+
+    impl<I: Iterator> ParallelIterator for I {}
+
     pub trait IntoParallelRefIterator<'data> {
         type Iter: Iterator<Item = Self::Item>;
         type Item: 'data;
@@ -152,6 +168,7 @@ pub mod slice {
 pub mod prelude {
     pub use crate::iter::{
         IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
+        ParallelIterator,
     };
     pub use crate::slice::{ParallelSlice, ParallelSliceMut};
 }

@@ -1,0 +1,49 @@
+//! Source guard: the redundant decode paths stay deleted. There is one
+//! gradient-free transformer step (`decode_step_multi`), one stream
+//! generator (`SessionDecoder` under `BatchDecoder`) and one serve worker
+//! loop; `batch_max = 1` is the sequential case and int8 is a weight
+//! format, not a serving switch. A name from the list below reappearing in
+//! production source means a second path came back.
+
+use std::path::{Path, PathBuf};
+
+const BANNED: [&str; 7] = [
+    "decode_step_into",
+    "apply_decode_step",
+    "generate_batch",
+    "worker_loop_sequential",
+    "with_quant",
+    "batch_decode:",
+    "no-batch-decode",
+];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn deleted_decode_paths_do_not_reappear() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates/cpt-nn/src", "crates/cpt-gpt/src", "crates/cpt-serve/src", "src/bin"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 20, "walked only {} files", files.len());
+    for file in files {
+        let src = std::fs::read_to_string(&file).expect("source file is readable");
+        for needle in BANNED {
+            assert!(
+                !src.contains(needle),
+                "{} mentions {needle:?}",
+                file.strip_prefix(root).unwrap_or(&file).display()
+            );
+        }
+    }
+}
