@@ -26,7 +26,7 @@
 use crate::error::GenerateError;
 use crate::model::{CptGpt, DecodeState};
 use crate::stream::{BatchDecoder, RoundOutcome, SessionDecoder, StreamParams};
-use cpt_trace::{Dataset, DeviceType, Event, Stream, UeId};
+use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -409,9 +409,15 @@ pub(crate) fn sample_logits(logits: &[f32], temperature: f32, rng: &mut impl Rng
     sample_logits_truncated(logits, temperature, Sampling::Full, rng)
 }
 
-/// Temperature + truncation sampling over raw logits. Panic-free by
-/// construction: ordering uses `total_cmp` and non-finite logits map to
-/// zero probability (degenerating to a uniform draw if nothing survives).
+/// Widest logit row the samplers see: the event head has at most one logit
+/// per [`EventType`], the stop head two.
+const MAX_CLASSES: usize = EventType::ALL.len();
+
+/// Temperature + truncation sampling over raw logits (at most
+/// [`MAX_CLASSES`] of them), on the stack: decoding an event allocates
+/// nothing. Panic-free for any logit values: ordering uses `total_cmp` and
+/// non-finite logits map to zero probability (degenerating to a uniform
+/// draw if nothing survives).
 pub(crate) fn sample_logits_truncated(
     logits: &[f32],
     temperature: f32,
@@ -424,24 +430,27 @@ pub(crate) fn sample_logits_truncated(
         .cloned()
         .filter(|l| l.is_finite())
         .fold(f32::NEG_INFINITY, f32::max);
-    let mut probs: Vec<f64> = logits
-        .iter()
-        .map(|l| {
-            let x = ((l - max) / t) as f64;
-            if x.is_finite() {
-                x.exp()
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let n = logits.len();
+    let mut probs = [0.0f64; MAX_CLASSES];
+    let probs = &mut probs[..n];
+    for (p, l) in probs.iter_mut().zip(logits) {
+        let x = ((l - max) / t) as f64;
+        if x.is_finite() {
+            *p = x.exp();
+        }
+    }
+    // Class indices by descending probability (stable, so ties keep index
+    // order).
+    let descending = |probs: &[f64]| {
+        let mut order: [usize; MAX_CLASSES] = std::array::from_fn(|i| i);
+        order[..n].sort_by(|a, b| probs[*b].total_cmp(&probs[*a]));
+        order
+    };
     match sampling {
         Sampling::Full => {}
         Sampling::TopK(k) => {
-            let k = k.clamp(1, probs.len());
-            let mut order: Vec<usize> = (0..probs.len()).collect();
-            order.sort_by(|a, b| probs[*b].total_cmp(&probs[*a]));
-            for i in &order[k..] {
+            let k = k.clamp(1, n);
+            for i in &descending(probs)[k..n] {
                 probs[*i] = 0.0;
             }
         }
@@ -449,24 +458,23 @@ pub(crate) fn sample_logits_truncated(
             let p = p.clamp(1e-6, 1.0) as f64;
             let total: f64 = probs.iter().sum();
             if total.is_finite() && total > 0.0 {
-                let mut order: Vec<usize> = (0..probs.len()).collect();
-                order.sort_by(|a, b| probs[*b].total_cmp(&probs[*a]));
+                let order = descending(probs);
                 let mut cum = 0.0;
                 let mut keep = 0;
-                for i in &order {
+                for i in &order[..n] {
                     cum += probs[*i] / total;
                     keep += 1;
                     if cum >= p {
                         break;
                     }
                 }
-                for i in &order[keep..] {
+                for i in &order[keep..n] {
                     probs[*i] = 0.0;
                 }
             }
         }
     }
-    sample_categorical(&probs, rng)
+    sample_categorical(probs, rng)
 }
 
 #[cfg(test)]
@@ -475,7 +483,6 @@ mod tests {
     use crate::config::{CptGptConfig, TrainConfig};
     use crate::token::Tokenizer;
     use crate::train::train;
-    use cpt_trace::EventType;
 
     fn tiny_config() -> CptGptConfig {
         CptGptConfig {
@@ -729,6 +736,100 @@ mod tests {
         // Trained on 8-event streams, a 3-token cap must truncate at least
         // one of 12 streams.
         assert!(counters.truncated_streams > 0);
+    }
+
+    /// The sampler as it was when it collected `probs` and `order` into
+    /// fresh `Vec`s on every call: the reference for the stack form.
+    fn sample_logits_allocating(
+        logits: &[f32],
+        temperature: f32,
+        sampling: Sampling,
+        rng: &mut impl Rng,
+    ) -> usize {
+        let t = temperature.max(1e-3);
+        let max = logits
+            .iter()
+            .cloned()
+            .filter(|l| l.is_finite())
+            .fold(f32::NEG_INFINITY, f32::max);
+        let mut probs: Vec<f64> = logits
+            .iter()
+            .map(|l| {
+                let x = ((l - max) / t) as f64;
+                if x.is_finite() {
+                    x.exp()
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..probs.len()).collect();
+        order.sort_by(|a, b| probs[*b].total_cmp(&probs[*a]));
+        match sampling {
+            Sampling::Full => {}
+            Sampling::TopK(k) => {
+                for i in &order[k.clamp(1, probs.len())..] {
+                    probs[*i] = 0.0;
+                }
+            }
+            Sampling::Nucleus(p) => {
+                let p = p.clamp(1e-6, 1.0) as f64;
+                let total: f64 = probs.iter().sum();
+                if total.is_finite() && total > 0.0 {
+                    let mut cum = 0.0;
+                    let mut keep = 0;
+                    for i in &order {
+                        cum += probs[*i] / total;
+                        keep += 1;
+                        if cum >= p {
+                            break;
+                        }
+                    }
+                    for i in &order[keep..] {
+                        probs[*i] = 0.0;
+                    }
+                }
+            }
+        }
+        sample_categorical(&probs, rng)
+    }
+
+    #[test]
+    fn stack_sampler_draws_what_the_allocating_one_drew() {
+        let rows: [&[f32]; 6] = [
+            &[3.0, 1.0, 0.5, -1.0, -2.0, -3.0],
+            &[0.25, 0.25, 0.25, 0.25, 0.25],
+            &[-0.7, 0.7],
+            &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0, 1.0, -40.0],
+            &[f32::NAN; 6],
+            &[f32::NEG_INFINITY, f32::NAN],
+        ];
+        let samplings = [
+            Sampling::Full,
+            Sampling::TopK(1),
+            Sampling::TopK(3),
+            Sampling::TopK(99),
+            Sampling::Nucleus(0.05),
+            Sampling::Nucleus(0.9),
+            Sampling::Nucleus(1.0),
+        ];
+        for logits in rows {
+            for sampling in samplings {
+                for temperature in [1.0, 0.3, 4.0] {
+                    let mut a = StdRng::seed_from_u64(17);
+                    let mut b = StdRng::seed_from_u64(17);
+                    for _ in 0..64 {
+                        assert_eq!(
+                            sample_logits_truncated(logits, temperature, sampling, &mut a),
+                            sample_logits_allocating(logits, temperature, sampling, &mut b),
+                            "{logits:?} {sampling:?} t={temperature}"
+                        );
+                    }
+                    // Same number of draws taken from the generator.
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+                }
+            }
+        }
     }
 
     #[test]

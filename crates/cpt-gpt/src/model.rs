@@ -68,9 +68,7 @@ fn head_rows_into<W: WeightFormat>(
     out: &mut [f32],
 ) {
     fc1.apply_rows_into(store, x, rows, hbuf);
-    for v in hbuf.iter_mut() {
-        *v = cpt_nn::gelu_scalar(*v);
-    }
+    cpt_nn::gelu_rows(hbuf);
     fc2.apply_rows_into(store, hbuf, rows, out);
 }
 

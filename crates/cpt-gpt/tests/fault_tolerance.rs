@@ -249,3 +249,35 @@ fn nan_poisoned_weights_cannot_crash_generation() {
         "poisoned head must be visible in the counters: {counters}"
     );
 }
+
+/// A non-finite value entering a GELU — the block MLP's or an output
+/// head's — must come out non-finite, so the logits it reaches are counted
+/// (`GenCounters::non_finite_logits`, which the serve-time divergence
+/// trip-wire reads) instead of being clamped back into range unseen.
+#[test]
+fn non_finite_activations_reach_the_logit_counter() {
+    let data = alternating_dataset(12);
+    let mut trained = fresh_model(&data);
+    train(&mut trained, &data, &TrainConfig::quick().with_epochs(2)).expect("train");
+
+    for bias in ["block0.fc1.b", "head_event.fc1.b"] {
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut model = trained.clone();
+            let id = model
+                .store
+                .ids()
+                .into_iter()
+                .find(|id| model.store.name(*id) == bias)
+                .expect("parameter exists");
+            model.store.value_mut(id).data[0] = poison;
+            let (synth, counters) = model
+                .generate_with_report(&GenerateConfig::new(8, 3))
+                .expect("guardrails degrade, not panic");
+            assert_eq!(synth.num_streams(), 8);
+            assert!(
+                counters.non_finite_logits > 0,
+                "{bias} = {poison}: the GELU hid a non-finite activation: {counters}"
+            );
+        }
+    }
+}

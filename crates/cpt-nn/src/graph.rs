@@ -1089,6 +1089,13 @@ fn sigmoid_f(x: f32) -> f32 {
     }
 }
 
+/// The tape's GELU (tanh approximation) and, below, its derivative: libm
+/// `tanh`, private to this file. The training trajectory is pinned to this
+/// pair bit for bit: a sub-ULP change to either moves every trained
+/// artifact, and the benchmark's violation gate on a seconds-trained model
+/// has been measured to flip on such changes (DESIGN.md §10, "Row
+/// kernels"). The gradient-free decode path uses `tensor::gelu_rows`
+/// instead; `tape_gelu_is_pinned_to_libm` fails if the two are merged.
 fn gelu_f(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/π)
     0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
@@ -1205,6 +1212,30 @@ mod tests {
         let l = g.bce_with_logits(z, &[1.0, 0.0], &[1.0, 1.0]);
         let expect = ((2.0f64).ln() + (1.0 + (2.0f64).exp()).ln()) / 2.0;
         assert!((g.value(l).item() as f64 - expect).abs() < 1e-5);
+    }
+
+    #[test]
+    fn tape_gelu_is_pinned_to_libm() {
+        // Forward and backward spelled out against libm `tanh`, with the
+        // association each of them uses; the upstream gradient is exactly 1.
+        const C: f32 = 0.797_884_6;
+        let n = 4096;
+        let xs: Vec<f32> = (0..n).map(|i| -8.0 + 16.0 * i as f32 / n as f32).collect();
+        let mut g = Graph::new();
+        let x = g.input(Tensor::new(xs.clone(), vec![n]));
+        let y = g.gelu(x);
+        let mean = g.mean_all(y);
+        let loss = g.scale(mean, n as f32);
+        g.backward(loss);
+        let dx = &g.grad(x).expect("input gradient").data;
+        for (i, &v) in xs.iter().enumerate() {
+            let f = 0.5 * v * (1.0 + f32::tanh(C * (v + 0.044715 * v * v * v)));
+            let th = f32::tanh(C * (v + 0.044715 * (v * v * v)));
+            let df = 0.5 * (1.0 + th)
+                + 0.5 * v * (1.0 - th * th) * C * (1.0 + 3.0 * 0.044715 * v * v);
+            assert_eq!(g.value(y).data[i].to_bits(), f.to_bits(), "forward at {v}");
+            assert_eq!(dx[i].to_bits(), df.to_bits(), "backward at {v}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! collects their gradients after backward.
 
 use crate::graph::{Graph, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{gelu_rows, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -805,9 +805,7 @@ fn block_decode_step<W: WeightFormat>(
     }
     ln2.apply_rows_into(store, h, n, &mut scratch.norm[..nd]);
     fc1.apply_rows_into(store, &scratch.norm[..nd], n, &mut scratch.mlp[..nm]);
-    for v in &mut scratch.mlp[..nm] {
-        *v = gelu_scalar(*v);
-    }
+    gelu_rows(&mut scratch.mlp[..nm]);
     fc2.apply_rows_into(store, &scratch.mlp[..nm], n, &mut scratch.resid[..nd]);
     for (hv, mv) in h.iter_mut().zip(&scratch.resid[..nd]) {
         *hv += mv;
@@ -997,13 +995,6 @@ pub struct QuantBlock {
     attn: QuantAttention,
     fc1: QuantLinear,
     fc2: QuantLinear,
-}
-
-/// GELU (tanh approximation) as a scalar function, shared by the graph op
-/// and the inference fast path.
-pub fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
 }
 
 /// Single-layer LSTM, the sequence model inside the NetShare baseline.

@@ -42,9 +42,9 @@ pub use graph::{Graph, Var};
 pub use reduce::{scale_grads, tree_reduce_grads, GradSet};
 pub use scratch::ScratchArena;
 pub use layers::{
-    gelu_scalar, AttnKvCache, AttnScratch, DecodeScratch, Linear, LayerNorm, Lstm,
+    AttnKvCache, AttnScratch, DecodeScratch, Linear, LayerNorm, Lstm,
     MultiHeadSelfAttention, ParamId, ParamStore, QuantAttention, QuantBlock, QuantLinear,
     Session, TransformerBlock, WeightFormat,
 };
 pub use optim::{clip_grad_norm, Adam, LrSchedule, RmsProp, Sgd};
-pub use tensor::{matmul_quant_into, QuantizedMatrix, Tensor};
+pub use tensor::{gelu_rows, matmul_quant_into, QuantizedMatrix, Tensor};

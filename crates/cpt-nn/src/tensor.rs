@@ -617,6 +617,101 @@ pub fn matmul_quant_into(a: &[f32], qb: &QuantizedMatrix, out: &mut [f32], m: us
     }
 }
 
+// ---------------------------------------------------------------------------
+// Row kernels: elementwise functions of the gradient-free decode path.
+//
+// A lane function is a fixed sequence of correctly-rounded IEEE operations
+// (+ − × ÷, a clamp and a select; no libm call, no `mul_add`), so its result
+// is a function of the input bits alone: independent of the vector width it
+// is compiled at, of the element's position in the slice, and of which libm
+// is linked. The row loop is written once and compiled twice, like the
+// microkernels above.
+// ---------------------------------------------------------------------------
+
+/// `tanh` as an odd 13th-degree over even 6th-degree rational minimax (the
+/// coefficients Eigen and XLA ship for `f32`), within 4e-7 of the f64 `tanh`
+/// everywhere. The clamp is the smallest argument at which the rational
+/// evaluates to exactly ±1 without fused multiply-adds, which is why every
+/// step below is a separate multiply and add; NaN passes through the clamp.
+#[inline(always)]
+fn tanh_lane(x: f32) -> f32 {
+    const CLAMP: f32 = 7.905_311;
+    const TINY: f32 = 0.0004;
+    const A1: f32 = 4.893_524_6e-3;
+    const A3: f32 = 6.372_619_5e-4;
+    const A5: f32 = 1.485_722_35e-5;
+    const A7: f32 = 5.122_297_3e-8;
+    const A9: f32 = -8.604_672e-11;
+    const A11: f32 = 2.000_188e-13;
+    const A13: f32 = -2.760_768_4e-16;
+    const B0: f32 = 4.893_525e-3;
+    const B2: f32 = 2.268_434_7e-3;
+    const B4: f32 = 1.185_347_1e-4;
+    const B6: f32 = 1.198_258_4e-6;
+    let x = x.clamp(-CLAMP, CLAMP);
+    let x2 = x * x;
+    let mut p = x2 * A13 + A11;
+    p = x2 * p + A9;
+    p = x2 * p + A7;
+    p = x2 * p + A5;
+    p = x2 * p + A3;
+    p = x2 * p + A1;
+    let mut q = x2 * B6 + B4;
+    q = x2 * q + B2;
+    q = x2 * q + B0;
+    // Both sides are computed so the choice is a lane select, not a branch.
+    // Below TINY tanh(x) = x to f32 precision, and x keeps the sign of zero.
+    let r = x * p / q;
+    if x.abs() < TINY {
+        x
+    } else {
+        r
+    }
+}
+
+/// GELU (tanh approximation) of one element: the lane function of
+/// [`gelu_rows`] and the scalar definition of the decode path's activation.
+/// Within 2e-6·max(1, |x|) of the f64 formula; `±0 → ±0`; a non-finite
+/// input gives a non-finite output (the serve-time divergence trip-wire
+/// reads it).
+#[inline(always)]
+fn gelu_scalar(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/π)
+    0.5 * x * (1.0 + tanh_lane(C * (x + 0.044715 * x * x * x)))
+}
+
+/// The row loop, written once; [`gelu_rows_avx2`] is the same source
+/// compiled 8-wide.
+#[inline(always)]
+fn gelu_rows_portable(xs: &mut [f32]) {
+    for v in xs {
+        *v = gelu_scalar(*v);
+    }
+}
+
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_rows_avx2(xs: &mut [f32]) {
+    gelu_rows_portable(xs)
+}
+
+/// In-place GELU over a slice: the activation of the gradient-free decode
+/// path (block MLP and output heads). Elementwise, and bit-identical
+/// between the portable and the AVX2 compilation for every non-NaN input,
+/// so a row's result does not depend on the batch around it or on the
+/// machine. Training uses the tape's own libm GELU (`graph.rs`).
+pub fn gelu_rows(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: `fma_available` checked at run time that this CPU has
+        // AVX2, the only feature `gelu_rows_avx2` enables.
+        return unsafe { gelu_rows_avx2(xs) };
+    }
+    gelu_rows_portable(xs)
+}
+
 /// Cache-blocked 2-D transpose: `dst[j, i] = src[i, j]` for `[m, n]` src.
 fn transpose_block(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
     const TB: usize = 32;
@@ -736,6 +831,80 @@ mod tests {
                 assert!(rel < 1e-5, "{m}x{k}x{n}: {x} vs {y}");
             }
         }
+    }
+
+    /// The tanh-GELU formula in f64.
+    fn gelu_reference(x: f64) -> f64 {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        0.5 * x * (1.0 + f64::tanh(c * (x + 0.044715 * x * x * x)))
+    }
+
+    /// A dense sweep of [−30, 30], then both signs of every 4099th `f32`
+    /// from zero through the subnormals up to 30 (bit patterns are
+    /// log-spaced).
+    fn gelu_sweep() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=600_000).map(|i| -30.0 + i as f32 * 1e-4).collect();
+        for bits in (0..=30.0f32.to_bits()).step_by(4099) {
+            xs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+        }
+        xs
+    }
+
+    #[test]
+    fn gelu_rows_tracks_the_f64_formula() {
+        let xs = gelu_sweep();
+        let mut ys = xs.clone();
+        gelu_rows(&mut ys);
+        for (&x, &y) in xs.iter().zip(&ys) {
+            let err = (y as f64 - gelu_reference(x as f64)).abs();
+            assert!(err <= 2e-6 * (x.abs() as f64).max(1.0), "gelu({x:e}) = {y:e}, off by {err:e}");
+            assert_eq!(tanh_lane(-x).to_bits(), (-tanh_lane(x)).to_bits(), "tanh odd at {x:e}");
+            assert!((tanh_lane(x) as f64 - f64::tanh(x as f64)).abs() <= 4e-7, "tanh({x:e})");
+        }
+        assert_eq!(gelu_scalar(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(gelu_scalar(-0.0).to_bits(), (-0.0f32).to_bits());
+        // The clamp sits where the rational reaches exactly ±1, so the
+        // saturated tails are exact: x on the right, −0 on the left.
+        assert_eq!(tanh_lane(7.905_311), 1.0);
+        assert_eq!(gelu_scalar(30.0), 30.0);
+        assert_eq!(gelu_scalar(-30.0).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gelu_rows_avx2_bit_identical_to_portable() {
+        if !fma_available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut pool = gelu_sweep();
+        pool.extend(Tensor::randn(&[4096], 3.0, &mut rng).data);
+        pool.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, 1e-45, f32::INFINITY, f32::NEG_INFINITY]);
+        for len in [0, 1, 7, 8, 9, 1023, pool.len()] {
+            // Ragged lengths taken from the end, where the edge values are.
+            let src = &pool[pool.len() - len..];
+            let mut portable = src.to_vec();
+            gelu_rows_portable(&mut portable);
+            let mut wide = src.to_vec();
+            // SAFETY: `fma_available` returned true above, so AVX2 is present.
+            unsafe { gelu_rows_avx2(&mut wide) };
+            for ((x, a), b) in src.iter().zip(&portable).zip(&wide) {
+                assert_eq!(a.to_bits(), b.to_bits(), "len {len}: gelu({x:e}) = {a:e} vs {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn gelu_rows_keeps_non_finite_inputs_non_finite() {
+        let mut xs = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0];
+        gelu_rows(&mut xs);
+        assert!(xs[0].is_nan());
+        assert_eq!(xs[1], f32::INFINITY);
+        assert!(!xs[2].is_finite());
+        assert!(xs[3].is_finite());
+        let mut portable = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        gelu_rows_portable(&mut portable);
+        assert!(portable.iter().all(|v| !v.is_finite()));
     }
 
     #[test]

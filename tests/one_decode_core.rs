@@ -4,6 +4,10 @@
 //! loop; `batch_max = 1` is the sequential case and int8 is a weight
 //! format, not a serving switch. A name from the list below reappearing in
 //! production source means a second path came back.
+//!
+//! The same walk keeps libm out of the gradient-free path: the decode core
+//! applies GELU through `cpt_nn::gelu_rows`, and only the autodiff tape
+//! (`graph.rs`, whose training bits are pinned to libm) may call `tanh`.
 
 use std::path::{Path, PathBuf};
 
@@ -28,6 +32,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Names only the autodiff tape may mention.
+const TAPE_ONLY: [&str; 2] = [".tanh()", "gelu_f"];
+const TAPE: &str = "crates/cpt-nn/src/graph.rs";
+
 #[test]
 fn deleted_decode_paths_do_not_reappear() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -36,8 +44,19 @@ fn deleted_decode_paths_do_not_reappear() {
         rust_files(&root.join(dir), &mut files);
     }
     assert!(files.len() > 20, "walked only {} files", files.len());
+    let tape = root.join(TAPE);
+    assert!(files.contains(&tape), "the tape moved; update TAPE");
     for file in files {
         let src = std::fs::read_to_string(&file).expect("source file is readable");
+        if file != tape {
+            for needle in TAPE_ONLY {
+                assert!(
+                    !src.contains(needle),
+                    "{} calls {needle:?}: scalar libm in the gradient-free path",
+                    file.strip_prefix(root).unwrap_or(&file).display()
+                );
+            }
+        }
         for needle in BANNED {
             assert!(
                 !src.contains(needle),
