@@ -148,6 +148,12 @@ pub struct ThroughputReport {
     pub peak_rss_bytes: u64,
     /// Rayon threads available during the run.
     pub threads: usize,
+    /// SIMD level the GEMM and row kernels ran at
+    /// ([`cpt_nn::kernel_level`]): the machine-fingerprint field that says
+    /// which roofline `matmul_gflops` is to be read against. Empty in
+    /// reports written before the level was recorded (serde default).
+    #[serde(default)]
+    pub kernel_level: String,
 }
 
 /// Peak resident set size of this process in bytes, from `VmHWM` in
@@ -629,6 +635,7 @@ pub fn measure(quick: bool) -> Result<ThroughputReport, MeasureError> {
         trace_read_gbps,
         peak_rss_bytes: peak_rss_bytes(),
         threads: rayon::current_num_threads(),
+        kernel_level: cpt_nn::kernel_level().to_string(),
     })
 }
 
@@ -733,6 +740,7 @@ mod tests {
             trace_read_gbps: x / 4.0,
             peak_rss_bytes: 1 << 20,
             threads: 1,
+            kernel_level: "portable".to_string(),
         }
     }
 
@@ -790,6 +798,8 @@ mod tests {
         assert_eq!(base.shard_speedup, 0.0);
         assert_eq!(base.trace_write_gbps, 0.0);
         assert_eq!(base.trace_read_gbps, 0.0);
+        // ... and pre-kernel-level baselines name no SIMD level.
+        assert_eq!(base.kernel_level, "");
         let current = report(1000.0);
         assert!(check_regression(&current, &base, 2.0).is_empty());
     }

@@ -3,7 +3,7 @@
 //! collects their gradients after backward.
 
 use crate::graph::{Graph, Var};
-use crate::tensor::{gelu_rows, Tensor};
+use crate::tensor::{gelu_rows, KernelLevel, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -358,23 +358,23 @@ impl Linear {
     /// accumulation are those of [`crate::tensor::matmul_into`], so the
     /// output is bit-identical to `matmul_into` + bias.
     pub fn apply_rows_into(&self, store: &ParamStore, x: &[f32], rows: usize, out: &mut [f32]) {
-        self.apply_rows_kernel(store, x, rows, out, crate::tensor::fma_available());
+        self.apply_rows_kernel(store, x, rows, out, KernelLevel::active());
     }
 
-    /// [`Linear::apply_rows_into`] with the microkernel named, so tests can
-    /// run the portable kernel on a machine that dispatches the FMA one.
+    /// [`Linear::apply_rows_into`] with the kernel level named, so tests can
+    /// run a lower level than the one this machine dispatches.
     fn apply_rows_kernel(
         &self,
         store: &ParamStore,
         x: &[f32],
         rows: usize,
         out: &mut [f32],
-        use_fma: bool,
+        level: KernelLevel,
     ) {
         assert_eq!(x.len(), rows * self.in_dim, "Linear input size");
         assert_eq!(out.len(), rows * self.out_dim, "Linear output size");
         let panels = store.packed_panels(self.w);
-        crate::tensor::matmul_rows(x, panels, out, 0, rows, self.in_dim, self.out_dim, use_fma);
+        crate::tensor::matmul_rows(x, panels, out, 0, rows, self.in_dim, self.out_dim, level);
         if let Some(b) = self.b {
             let bias = store.value(b);
             for row in out.chunks_mut(self.out_dim) {
@@ -694,7 +694,7 @@ impl MultiHeadSelfAttention {
     /// taking the last position (verified by tests). The Q/K/V/O
     /// projections run as single `[n × d_model]` GEMMs — this is where
     /// batching pays: each weight panel is streamed from memory once per
-    /// MR-row tile instead of once per stream (packing is not part of the
+    /// row tile instead of once per stream (packing is not part of the
     /// step at all, see [`Linear::apply_rows_into`]) — while the KV scatter
     /// and the softmax/context run per stream against that stream's cache.
     ///
@@ -1408,8 +1408,9 @@ mod tests {
         /// 0 ULP: `Linear::apply_rows_into` over cached panels equals
         /// `matmul_into` + bias on the kernel this machine dispatches, and
         /// equals the serial reference + bias on the portable kernel, for
-        /// ragged shapes (row remainders below MR, column remainders below
-        /// NR, n below one panel) and with the cache cold or warm.
+        /// ragged shapes (row remainders below the tile height, column
+        /// remainders below NR, n below one panel) and with the cache cold
+        /// or warm.
         #[test]
         fn cached_panel_linear_zero_ulp_vs_matmul_into(
             m in 1usize..=70, k in 1usize..=160, n in 1usize..=70,
@@ -1445,10 +1446,38 @@ mod tests {
                 lin.apply_rows_into(&store, &x.data, m, &mut cached);
                 prop_assert_eq!(bits(&cached), bits(&per_call), "dispatched kernel, {} cache", pass);
                 let mut base = vec![f32::NAN; m * n];
-                lin.apply_rows_kernel(&store, &x.data, m, &mut base, false);
+                lin.apply_rows_kernel(&store, &x.data, m, &mut base, KernelLevel::Portable);
                 prop_assert_eq!(bits(&base), bits(&reference), "portable kernel, {} cache", pass);
             }
             prop_assert_eq!(store.packed_floats(), n.div_ceil(16) * k * 16);
+        }
+    }
+
+    /// The row-partition argument of DESIGN.md §10 restated for tile
+    /// *shape*: at the four GEMM shapes of the paper-width decode step, a
+    /// row's output bits depend neither on how many rows ride with it (1 to
+    /// 64, so every tile of every level's table is reached) nor on which
+    /// FMA level runs. Skipped on machines without an FMA level.
+    #[test]
+    fn linear_rows_bit_identical_across_fma_levels_and_row_counts_at_paper_widths() {
+        const N_EVENTS: usize = 6;
+        let levels = KernelLevel::available();
+        let fma_levels = &levels[1..];
+        let Some(&lowest) = fma_levels.first() else { return };
+        let mut r = rng(41);
+        for (k, n) in [(128, 128), (128, 1024), (1024, 128), (128, N_EVENTS)] {
+            let mut store = ParamStore::new();
+            let lin = Linear::new(&mut store, "l", k, n, true, &mut r);
+            let x = Tensor::randn(&[64, k], 1.0, &mut r);
+            let mut all = vec![f32::NAN; 64 * n];
+            lin.apply_rows_kernel(&store, &x.data, 64, &mut all, lowest);
+            for rows in 1..=64 {
+                for &level in fma_levels {
+                    let mut out = vec![f32::NAN; rows * n];
+                    lin.apply_rows_kernel(&store, &x.data[..rows * k], rows, &mut out, level);
+                    assert_eq!(bits(&out), bits(&all[..rows * n]), "{level:?} {rows}x{k}x{n}");
+                }
+            }
         }
     }
 

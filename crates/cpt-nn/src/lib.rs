@@ -29,6 +29,11 @@
 //! plenty for the model sizes used in the experiments (the paper's full
 //! model is only 725 k parameters).
 
+// The only `unsafe` in this crate is the GEMM tile and the per-ISA-level
+// compilations of the row kernels in `tensor.rs`; each block states the
+// CPU-feature and bounds precondition it relies on.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod gradcheck;
 pub mod graph;
 pub mod layers;
@@ -47,4 +52,4 @@ pub use layers::{
     Session, TransformerBlock, WeightFormat,
 };
 pub use optim::{clip_grad_norm, Adam, LrSchedule, RmsProp, Sgd};
-pub use tensor::{gelu_rows, matmul_quant_into, QuantizedMatrix, Tensor};
+pub use tensor::{gelu_rows, kernel_level, matmul_quant_into, QuantizedMatrix, Tensor};

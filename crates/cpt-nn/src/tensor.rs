@@ -212,13 +212,13 @@ impl Tensor {
         let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
         let n = other.shape[2];
         assert_eq!(out.len(), b * m * n, "bmm_into output size");
-        let use_fma = fma_available();
+        let level = KernelLevel::active();
         out.par_chunks_mut(m * n)
             .zip(self.data.par_chunks(m * k).zip(other.data.par_chunks(k * n)))
             .for_each(|(o, (a, bm))| {
                 let mut packed = take_pack_buf();
                 pack_b(bm, k, n, &mut packed);
-                matmul_rows(a, &packed, o, 0, m, k, n, use_fma);
+                matmul_rows(a, &packed, o, 0, m, k, n, level);
                 return_pack_buf(packed);
             });
     }
@@ -267,40 +267,108 @@ impl Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// Matmul kernels: cache-blocked, B-packed, register-tiled.
+// Matmul kernels: B-packed, register-tiled, one tile at three ISA levels.
 //
 // B is packed into column panels of NR floats (zero-padded past n) so the
-// microkernel streams contiguous, aligned-enough memory regardless of n.
-// The MR x NR microkernel keeps its accumulator tile in registers and
-// accumulates over k in ascending order starting from 0.0 for every output
-// element — exactly the order of the serial `matmul_reference` — so the
-// base (non-FMA) path is bit-identical to the reference for any blocking
-// or row partition. The FMA path keeps the same order but fuses each
-// multiply-add into one rounding; it is still deterministic (same machine,
-// same inputs, any thread count ⇒ same bits) and agrees with the reference
-// to ~2 ULP (asserted at 1e-5 relative in tests).
+// kernel streams contiguous memory regardless of n. One function,
+// `tile::<V, M, P>`, holds an M-row × P-panel block of accumulators in
+// registers; `V` is what one NR-float panel row is at a level: sixteen
+// scalars (portable), two ymm (AVX2+FMA) or one zmm (AVX-512F).
+//
+// Every output element is the ascending-k chain from 0.0 of the serial
+// `matmul_reference`, at every level, tile shape and row partition. The
+// levels differ only in the step: the portable one rounds the product and
+// the sum separately and is 0 ULP equal to the reference; the two FMA levels
+// fuse them into one rounding, so they are 0 ULP equal to each other and
+// within ~2 ULP of the reference (asserted at 1e-5 relative in tests).
+//
+// An FMA has a 4-cycle latency and two issue ports, so a tile needs ≥ 8
+// independent accumulator chains to keep the ports busy, and every band of
+// rows streams all of B's panels once — below a main tile's height that
+// stream, not FMA issue, is what a call costs. Remainder rows therefore
+// never take a thinner tile and never a second pass: one or two rows take a
+// *wider* tile (fewer rows × more panels), any other remainder rides the
+// next taller tile with its dead rows recomputing the last live one and
+// storing nothing. The tile is written with `std::arch` intrinsics, not
+// plain `mul_add` loops, because what LLVM makes of a plain register tile
+// depends on its shape: the same tile over `[f32; 16]` compiled for AVX-512
+// ran within 4 % of the intrinsics at 8×2 and 6.5× slower at 1×8
+// (DESIGN.md §10).
 // ---------------------------------------------------------------------------
 
-/// Rows of A per microkernel call.
-const MR: usize = 4;
 /// Columns of B per packed panel.
 const NR: usize = 16;
 /// Minimum m*k*n before matmul forks to rayon.
 const PAR_FLOPS_THRESHOLD: usize = 64 * 64 * 64;
 
-/// Whether the AVX2+FMA microkernel is usable on this machine (checked
-/// once). Non-x86_64 builds always use the portable kernel.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn fma_available() -> bool {
-    static FMA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FMA.get_or_init(|| {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    })
+/// The instruction-set level the kernels run at. Ordered: a CPU that has a
+/// level has every lower one, so `level <= KernelLevel::active()` is the
+/// run-time proof that `level`'s instructions exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum KernelLevel {
+    /// Plain Rust, separate multiply and add; any target.
+    Portable,
+    /// 256-bit vectors, fused multiply-add.
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+    /// 512-bit vectors, fused multiply-add.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn fma_available() -> bool {
-    false
+impl KernelLevel {
+    /// The highest level this CPU and OS support, detected once.
+    pub(crate) fn active() -> Self {
+        static LEVEL: std::sync::OnceLock<KernelLevel> = std::sync::OnceLock::new();
+        *LEVEL.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                if is_x86_feature_detected!("avx512f") {
+                    return KernelLevel::Avx512;
+                }
+                return KernelLevel::Avx2Fma;
+            }
+            KernelLevel::Portable
+        })
+    }
+
+    /// Every level this machine can run, lowest first.
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<KernelLevel> {
+        let all = [
+            KernelLevel::Portable,
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx2Fma,
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx512,
+        ];
+        all.into_iter().filter(|l| *l <= Self::active()).collect()
+    }
+
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            KernelLevel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx2Fma => "avx2+fma",
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx512 => "avx512f",
+        }
+    }
+
+    /// Rows of the level's main tile (see [`matmul_rows`]' tile table).
+    fn tile_rows(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx512 => 8,
+            _ => 4,
+        }
+    }
+}
+
+/// The level the GEMM and row kernels of this process run at: `"portable"`,
+/// `"avx2+fma"` or `"avx512f"`. The two FMA levels produce the same bits.
+pub fn kernel_level() -> &'static str {
+    KernelLevel::active().name()
 }
 
 std::thread_local! {
@@ -340,84 +408,256 @@ pub(crate) fn pack_b(b: &[f32], k: usize, n: usize, packed: &mut Vec<f32>) {
     }
 }
 
-/// Portable MR-row microkernel: per-element ascending-k accumulation from
-/// zero, bit-identical to `matmul_reference`.
-#[inline(always)]
-fn micro4_base(a: &[f32], panel: &[f32], k: usize, lda: usize, i: usize) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let bp = &panel[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let arv = a[(i + r) * lda + kk];
-            let accr = &mut acc[r];
-            for j in 0..NR {
-                accr[j] += arv * bp[j];
-            }
-        }
-    }
-    acc
+/// One `NR`-float panel row held in registers at some level; the lanes are
+/// independent, and lane `j` of an accumulator is output column `j` of its
+/// panel.
+///
+/// # Safety
+/// Every method requires that the CPU supports the level the implementing
+/// type belongs to (none for `[f32; NR]`). `load` reads `NR` floats at `p`
+/// and `store` writes the first `w` (`1..=NR`) lanes to `p..p + w` and
+/// nothing else; neither assumes any alignment beyond `f32`'s.
+trait PanelRow: Copy {
+    unsafe fn zero() -> Self;
+    unsafe fn splat(x: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    /// `a * b + acc` per lane: one rounding at the FMA levels, two at the
+    /// portable one.
+    unsafe fn mul_acc(a: Self, b: Self, acc: Self) -> Self;
+    unsafe fn store(self, p: *mut f32, w: usize);
 }
 
-#[inline(always)]
-fn micro1_base(a: &[f32], panel: &[f32], k: usize, lda: usize, row: usize) -> [f32; NR] {
-    let mut acc = [0.0f32; NR];
-    for kk in 0..k {
-        let bp = &panel[kk * NR..kk * NR + NR];
-        let arv = a[row * lda + kk];
-        for j in 0..NR {
-            acc[j] += arv * bp[j];
-        }
+impl PanelRow for [f32; NR] {
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; NR]
     }
-    acc
-}
-
-/// AVX2+FMA microkernel: same ascending-k order, but `mul_add` fuses each
-/// step into one rounding (vfmadd231ps), roughly doubling throughput.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro4_fma(a: &[f32], panel: &[f32], k: usize, lda: usize, i: usize) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let bp = &panel[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let arv = a[(i + r) * lda + kk];
-            let accr = &mut acc[r];
-            for j in 0..NR {
-                accr[j] = arv.mul_add(bp[j], accr[j]);
-            }
-        }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        [x; NR]
     }
-    acc
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        p.cast::<[f32; NR]>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn mul_acc(a: Self, b: Self, acc: Self) -> Self {
+        std::array::from_fn(|j| acc[j] + a[j] * b[j])
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32, w: usize) {
+        std::ptr::copy_nonoverlapping(self.as_ptr(), p, w);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro1_fma(a: &[f32], panel: &[f32], k: usize, lda: usize, row: usize) -> [f32; NR] {
-    let mut acc = [0.0f32; NR];
-    for kk in 0..k {
-        let bp = &panel[kk * NR..kk * NR + NR];
-        let arv = a[row * lda + kk];
-        for j in 0..NR {
-            acc[j] = arv.mul_add(bp[j], acc[j]);
+mod x86 {
+    use super::{PanelRow, NR};
+    use std::arch::x86_64::*;
+
+    /// A panel row as two 256-bit registers (AVX2+FMA level).
+    #[derive(Clone, Copy)]
+    pub(super) struct Ymm2(__m256, __m256);
+
+    impl PanelRow for Ymm2 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            Ymm2(_mm256_setzero_ps(), _mm256_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            Ymm2(_mm256_set1_ps(x), _mm256_set1_ps(x))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            Ymm2(_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)))
+        }
+        #[inline(always)]
+        unsafe fn mul_acc(a: Self, b: Self, acc: Self) -> Self {
+            Ymm2(_mm256_fmadd_ps(a.0, b.0, acc.0), _mm256_fmadd_ps(a.1, b.1, acc.1))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32, w: usize) {
+            if w == NR {
+                _mm256_storeu_ps(p, self.0);
+                _mm256_storeu_ps(p.add(8), self.1);
+            } else {
+                let mut lanes = [0.0f32; NR];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), self.0);
+                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), self.1);
+                std::ptr::copy_nonoverlapping(lanes.as_ptr(), p, w);
+            }
         }
     }
-    acc
+
+    /// A panel row as one 512-bit register (AVX-512F level).
+    impl PanelRow for __m512 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn mul_acc(a: Self, b: Self, acc: Self) -> Self {
+            _mm512_fmadd_ps(a, b, acc)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32, w: usize) {
+            // A masked store touches (and can fault on) only the lanes
+            // whose mask bit is set: the low `w`.
+            _mm512_mask_storeu_ps(p, 0xFFFF >> (NR - w), self);
+        }
+    }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn micro4_fma(a: &[f32], panel: &[f32], k: usize, lda: usize, i: usize) -> [[f32; NR]; MR] {
-    micro4_base(a, panel, k, lda, i)
+/// One [`matmul_rows`] call as the tiles see it. Only `matmul_rows` builds
+/// one, after asserting what the tiles rely on: `a` is valid for `rows * k`
+/// reads, `packed` for `⌈n / NR⌉ * k * NR` reads and `out` for `rows * n`
+/// writes.
+struct Gemm {
+    a: *const f32,
+    packed: *const f32,
+    out: *mut f32,
+    rows: usize,
+    k: usize,
+    n: usize,
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn micro1_fma(a: &[f32], panel: &[f32], k: usize, lda: usize, row: usize) -> [f32; NR] {
-    micro1_base(a, panel, k, lda, row)
+/// Output rows `r..r + live` × panels `p..p + P` from an `M`-row tile:
+/// `M * P` accumulators, each lane the ascending-k chain
+/// `Σ_k a[i, k] · b[k, j]` from 0.0, stored to the first
+/// `min(NR, n - column)` columns of each panel. Tile rows past `live`
+/// recompute row `live - 1` and are not stored.
+///
+/// # Safety
+/// The CPU must support `V`'s level, `g` must hold what [`Gemm`] documents,
+/// `1 <= live <= M`, `r + live <= g.rows` and `p + P <= ⌈g.n / NR⌉`.
+#[inline(always)]
+unsafe fn tile<V: PanelRow, const M: usize, const P: usize>(g: &Gemm, r: usize, p: usize, live: usize) {
+    let k = g.k;
+    let b = g.packed.add(p * k * NR);
+    let mut arow = [g.a; M];
+    for (i, ar) in arow.iter_mut().enumerate() {
+        *ar = g.a.add((r + i.min(live - 1)) * k);
+    }
+    let mut acc = [[V::zero(); P]; M];
+    for kk in 0..k {
+        let mut brow = [V::zero(); P];
+        for (j, bv) in brow.iter_mut().enumerate() {
+            *bv = V::load(b.add((j * k + kk) * NR));
+        }
+        for (acc_row, ar) in acc.iter_mut().zip(arow) {
+            let av = V::splat(*ar.add(kk));
+            for (c, bv) in acc_row.iter_mut().zip(brow) {
+                *c = V::mul_acc(av, bv, *c);
+            }
+        }
+    }
+    for (i, acc_row) in acc.iter().enumerate().take(live) {
+        for (j, c) in acc_row.iter().enumerate() {
+            let col = (p + j) * NR;
+            c.store(g.out.add((r + i) * g.n + col), NR.min(g.n - col));
+        }
+    }
 }
 
-/// Computes output rows `i0..i0 + rows` (as the `out` slice, stride `n`)
-/// from the full `a` matrix and pre-packed `b` panels. Each output row's
-/// accumulation is independent of how rows are grouped into MR-tiles, so
-/// any row partition yields bit-identical results.
+/// Rows `r..r + live` across every panel: `M`-row tiles of `PMAX` panels,
+/// then the leftover panels in tiles of each smaller power of two (`PMAX`
+/// is one of 1, 2, 4, 8; the branches above it fold away).
+///
+/// # Safety
+/// As [`tile`], with `1 <= live <= M` and `r + live <= g.rows`.
+#[inline(always)]
+unsafe fn band<V: PanelRow, const M: usize, const PMAX: usize>(g: &Gemm, r: usize, live: usize) {
+    let panels = g.n.div_ceil(NR);
+    let mut p = 0;
+    if PMAX >= 8 {
+        while p + 8 <= panels {
+            tile::<V, M, 8>(g, r, p, live);
+            p += 8;
+        }
+    }
+    if PMAX >= 4 {
+        while p + 4 <= panels {
+            tile::<V, M, 4>(g, r, p, live);
+            p += 4;
+        }
+    }
+    if PMAX >= 2 {
+        while p + 2 <= panels {
+            tile::<V, M, 2>(g, r, p, live);
+            p += 2;
+        }
+    }
+    while p < panels {
+        tile::<V, M, 1>(g, r, p, live);
+        p += 1;
+    }
+}
+
+/// The tile table of the two 16-float-register-file levels: 4×1 main tile
+/// (at AVX2, eight ymm accumulators), which also takes a 3-row remainder;
+/// 2×2 and 1×4 for two rows and one.
+///
+/// # Safety
+/// The CPU must support `V`'s level; `g` must hold what [`Gemm`] documents.
+#[inline(always)]
+unsafe fn gemm_narrow<V: PanelRow>(g: &Gemm) {
+    let mut r = 0;
+    while r < g.rows {
+        let live = (g.rows - r).min(4);
+        match live {
+            1 => band::<V, 1, 4>(g, r, live),
+            2 => band::<V, 2, 2>(g, r, live),
+            _ => band::<V, 4, 1>(g, r, live),
+        }
+        r += live;
+    }
+}
+
+/// # Safety
+/// The CPU must support AVX2 and FMA; `g` must hold what [`Gemm`] documents.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gemm_avx2(g: &Gemm) {
+    gemm_narrow::<x86::Ymm2>(g)
+}
+
+/// The 512-bit tile table: 8×2 main tile (16 zmm accumulators, two B loads
+/// and eight broadcasts per k-step), which also takes a remainder of 5 to 7
+/// rows; 4×2 for 3 or 4 rows, 2×4 for two and 1×8 for one.
+///
+/// # Safety
+/// The CPU must support AVX-512F; `g` must hold what [`Gemm`] documents.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(g: &Gemm) {
+    use std::arch::x86_64::__m512;
+    let mut r = 0;
+    while r < g.rows {
+        let live = (g.rows - r).min(8);
+        match live {
+            1 => band::<__m512, 1, 8>(g, r, live),
+            2 => band::<__m512, 2, 4>(g, r, live),
+            3 | 4 => band::<__m512, 4, 2>(g, r, live),
+            _ => band::<__m512, 8, 2>(g, r, live),
+        }
+        r += live;
+    }
+}
+
+/// Computes output rows `i0..i0 + rows` (into the first `rows * n` floats
+/// of `out`, stride `n`; nothing past them is written) from the full `a`
+/// matrix (`[_, k]`) and pre-packed `b` panels, at `level`. Each output
+/// row's accumulation is independent of the tile it lands in, so any row
+/// partition — and either FMA level — yields bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_rows(
     a: &[f32],
@@ -427,73 +667,82 @@ pub(crate) fn matmul_rows(
     rows: usize,
     k: usize,
     n: usize,
-    use_fma: bool,
+    level: KernelLevel,
 ) {
-    let panels = n.div_ceil(NR);
-    let mut r = 0;
-    while r + MR <= rows {
-        for p in 0..panels {
-            let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            let acc = if use_fma {
-                unsafe { micro4_fma(a, panel, k, k, i0 + r) }
-            } else {
-                micro4_base(a, panel, k, k, i0 + r)
-            };
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            for (rr, acc_row) in acc.iter().enumerate() {
-                out[(r + rr) * n + j0..(r + rr) * n + j0 + w].copy_from_slice(&acc_row[..w]);
-            }
+    let size = |x: usize, y: usize| x.checked_mul(y).expect("matmul_rows: size overflows usize");
+    let a_rows = i0.checked_add(rows).expect("matmul_rows: size overflows usize");
+    assert!(a.len() >= size(a_rows, k), "matmul_rows: lhs shorter than (i0 + rows) * k");
+    assert!(out.len() >= size(rows, n), "matmul_rows: out shorter than rows * n");
+    assert!(
+        packed.len() >= size(n.div_ceil(NR), size(k, NR)),
+        "matmul_rows: fewer panels than ceil(n / NR) * k * NR"
+    );
+    assert!(level <= KernelLevel::active(), "matmul_rows: {level:?} is not available on this CPU");
+    // `i0 * k` is in bounds of `a` (asserted above), so the offset pointer
+    // is too; the three asserts are exactly what `Gemm` documents.
+    let g = Gemm {
+        a: a[i0 * k..].as_ptr(),
+        packed: packed.as_ptr(),
+        out: out.as_mut_ptr(),
+        rows,
+        k,
+        n,
+    };
+    match level {
+        KernelLevel::Portable => {
+            // SAFETY: the portable level needs no CPU feature; `g` was built
+            // from slices whose lengths were asserted just above.
+            unsafe { gemm_narrow::<[f32; NR]>(&g) }
         }
-        r += MR;
-    }
-    while r < rows {
-        for p in 0..panels {
-            let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            let acc = if use_fma {
-                unsafe { micro1_fma(a, panel, k, k, i0 + r) }
-            } else {
-                micro1_base(a, panel, k, k, i0 + r)
-            };
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            out[r * n + j0..r * n + j0 + w].copy_from_slice(&acc[..w]);
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx2Fma => {
+            // SAFETY: `level <= active()` was asserted, and `active()` is
+            // `Avx2Fma` or higher only after detecting AVX2 and FMA; `g` as
+            // above.
+            unsafe { gemm_avx2(&g) }
         }
-        r += 1;
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx512 => {
+            // SAFETY: `level <= active()` was asserted, and `active()` is
+            // `Avx512` only after detecting AVX-512F; `g` as above.
+            unsafe { gemm_avx512(&g) }
+        }
     }
 }
 
 /// `out = a x b` for row-major 2-D data through the packed kernel,
-/// rayon-parallel over MR-aligned row blocks for large problems.
+/// rayon-parallel over tile-aligned row blocks for large problems.
 /// Overwrites `out` entirely. Packs `b` on every call, which is right when
 /// `b` changes between calls (training, activations × activations);
 /// inference over fixed weights goes through `Linear::apply_rows_into`,
 /// which packs once per weight version.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let use_fma = fma_available();
+    let level = KernelLevel::active();
     let mut packed = take_pack_buf();
     pack_b(b, k, n, &mut packed);
     if m * k * n >= PAR_FLOPS_THRESHOLD {
-        // MR-aligned row blocks sized so each rayon thread gets a few
-        // tasks; the partition never changes the per-row bit pattern.
+        // Row blocks sized so each rayon thread gets a few tasks, cut on
+        // multiples of the level's main tile height so a block edge never
+        // turns a full tile into remainder tiles; the partition never
+        // changes the per-row bit pattern.
         let threads = rayon::current_num_threads().max(1);
         let target_blocks = threads * 4;
-        let block_rows = (m.div_ceil(target_blocks)).next_multiple_of(MR);
+        let block_rows = (m.div_ceil(target_blocks)).next_multiple_of(level.tile_rows());
         out.par_chunks_mut(block_rows * n)
             .enumerate()
             .for_each(|(blk, chunk)| {
                 let i0 = blk * block_rows;
-                matmul_rows(a, &packed, chunk, i0, chunk.len() / n, k, n, use_fma);
+                matmul_rows(a, &packed, chunk, i0, chunk.len() / n, k, n, level);
             });
     } else {
-        matmul_rows(a, &packed, out, 0, m, k, n, use_fma);
+        matmul_rows(a, &packed, out, 0, m, k, n, level);
     }
     return_pack_buf(packed);
 }
 
 /// Serial reference matmul (branchless ikj): `out = a x b`. This is the
-/// ground truth for the kernel tests — the packed base path must match it
-/// to 0 ULP; the FMA path to 1e-5 relative.
+/// ground truth for the kernel tests — the portable level must match it to
+/// 0 ULP; the FMA levels to 1e-5 relative.
 pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -624,8 +873,8 @@ pub fn matmul_quant_into(a: &[f32], qb: &QuantizedMatrix, out: &mut [f32], m: us
 // (+ − × ÷, a clamp and a select; no libm call, no `mul_add`), so its result
 // is a function of the input bits alone: independent of the vector width it
 // is compiled at, of the element's position in the slice, and of which libm
-// is linked. The row loop is written once and compiled twice, like the
-// microkernels above.
+// is linked. The row loop is written once and compiled once per
+// `KernelLevel`.
 // ---------------------------------------------------------------------------
 
 /// `tanh` as an odd 13th-degree over even 6th-degree rational minimax (the
@@ -680,8 +929,8 @@ fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + tanh_lane(C * (x + 0.044715 * x * x * x)))
 }
 
-/// The row loop, written once; [`gelu_rows_avx2`] is the same source
-/// compiled 8-wide.
+/// The row loop, written once; [`gelu_rows_avx2`] and [`gelu_rows_avx512`]
+/// are the same source compiled 8 and 16 lanes wide.
 #[inline(always)]
 fn gelu_rows_portable(xs: &mut [f32]) {
     for v in xs {
@@ -697,19 +946,41 @@ unsafe fn gelu_rows_avx2(xs: &mut [f32]) {
     gelu_rows_portable(xs)
 }
 
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gelu_rows_avx512(xs: &mut [f32]) {
+    gelu_rows_portable(xs)
+}
+
+/// [`gelu_rows`] at a named level, so tests can compare the compilations.
+fn gelu_rows_at(xs: &mut [f32], level: KernelLevel) {
+    assert!(level <= KernelLevel::active(), "gelu_rows: {level:?} is not available on this CPU");
+    match level {
+        KernelLevel::Portable => gelu_rows_portable(xs),
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx2Fma => {
+            // SAFETY: `level <= active()` was asserted, and `active()` is
+            // `Avx2Fma` or higher only after detecting AVX2.
+            unsafe { gelu_rows_avx2(xs) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx512 => {
+            // SAFETY: `level <= active()` was asserted, and `active()` is
+            // `Avx512` only after detecting AVX-512F.
+            unsafe { gelu_rows_avx512(xs) }
+        }
+    }
+}
+
 /// In-place GELU over a slice: the activation of the gradient-free decode
 /// path (block MLP and output heads). Elementwise, and bit-identical
-/// between the portable and the AVX2 compilation for every non-NaN input,
-/// so a row's result does not depend on the batch around it or on the
-/// machine. Training uses the tape's own libm GELU (`graph.rs`).
+/// between the portable, the AVX2 and the AVX-512 compilation for every
+/// non-NaN input, so a row's result does not depend on the batch around it
+/// or on the machine. Training uses the tape's own libm GELU (`graph.rs`).
 pub fn gelu_rows(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `fma_available` checked at run time that this CPU has
-        // AVX2, the only feature `gelu_rows_avx2` enables.
-        return unsafe { gelu_rows_avx2(xs) };
-    }
-    gelu_rows_portable(xs)
+    gelu_rows_at(xs, KernelLevel::active())
 }
 
 /// Cache-blocked 2-D transpose: `dst[j, i] = src[i, j]` for `[m, n]` src.
@@ -783,34 +1054,216 @@ mod tests {
     #[test]
     fn matmul_parallel_bit_identical_to_serial_kernel() {
         let mut rng = StdRng::seed_from_u64(2);
-        // Above the parallel threshold, so matmul() takes the rayon path.
-        let (m, k, n) = (80, 70, 90);
+        // Above the parallel threshold, so matmul() takes the rayon path;
+        // 83 rows so the last block is a ragged one at either tile height.
+        let (m, k, n) = (83, 70, 90);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let big = a.matmul(&b);
         let mut packed = Vec::new();
         pack_b(&b.data, k, n, &mut packed);
         let mut serial = vec![0.0; m * n];
-        matmul_rows(&a.data, &packed, &mut serial, 0, m, k, n, fma_available());
-        for (x, y) in big.data.iter().zip(&serial) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        matmul_rows(&a.data, &packed, &mut serial, 0, m, k, n, KernelLevel::active());
+        for threads in [1usize, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let big = pool.install(|| a.matmul(&b));
+            assert_eq!(bits(&big.data), bits(&serial), "{threads} threads");
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const CANARY: u32 = 0xDEAD_BEEF;
+
+    /// `matmul_rows` at `level` into an `out` that starts an odd number of
+    /// floats past an allocation's start and has canary floats on both
+    /// sides of the `rows * n` it may write; panics if a canary moved.
+    fn run_rows(level: KernelLevel, a: &[f32], packed: &[f32], i0: usize, rows: usize, k: usize, n: usize) -> Vec<f32> {
+        const PAD: usize = 2 * NR + 1;
+        let mut out = vec![f32::from_bits(CANARY); PAD + rows * n + PAD];
+        matmul_rows(a, packed, &mut out[PAD..], i0, rows, k, n, level);
+        let written = PAD..PAD + rows * n;
+        for (i, v) in out.iter().enumerate() {
+            assert!(written.contains(&i) || v.to_bits() == CANARY, "{level:?} {rows}x{k}x{n}: wrote out[{i}]");
+        }
+        out[written].to_vec()
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: which payload an
+    /// x86 FMA propagates depends on the operand form the compiler picked.
+    fn same_value(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// `rows_max × k` operand A, `k × n` operand B and B's panels; A and the
+    /// panels start one float past an allocation's start (index them from
+    /// 1), so the kernels see no alignment beyond `f32`'s. `edge` adds
+    /// subnormal entries (finite), then one NaN, +∞ and −∞ to A rows 1..=3
+    /// and an ∞ and a NaN to B's first and last column.
+    fn operands(rows_max: usize, k: usize, n: usize, edge: bool, rng: &mut StdRng) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let mut a = Tensor::randn(&[1 + rows_max * k], 1.0, rng).data;
+        let mut b = Tensor::randn(&[k, n], 1.0, rng).data;
+        if edge {
+            for v in a.iter_mut().chain(b.iter_mut()).step_by(97) {
+                *v *= 1e-42;
+            }
+            for (row, v) in [(1, f32::NAN), (2, f32::INFINITY), (3, f32::NEG_INFINITY)] {
+                if row < rows_max {
+                    a[1 + row * k + k / 2] = v;
+                }
+            }
+            b[0] = f32::INFINITY;
+            b[k * n - 1] = f32::NAN;
+        }
+        let mut packed = Vec::new();
+        pack_b(&b, k, n, &mut packed);
+        packed.insert(0, 0.0);
+        (a, b, packed)
+    }
+
+    /// For every shape of the grid, every row count `1..=rows_max` and the
+    /// row windows `i0 = 0` and `i0 = rows_max - rows` (as `matmul_into`'s
+    /// rayon blocks pass them), `level` must reproduce the matching rows of
+    /// `truth(a, b, packed, k, n)` (all `rows_max` rows) — so the result
+    /// cannot depend on which tile shape a row lands in.
+    fn assert_level_reproduces(
+        level: KernelLevel,
+        truth: impl Fn(&[f32], &[f32], &[f32], usize, usize) -> Vec<f32>,
+        rows_max: usize,
+        ks: &[usize],
+        ns: &[usize],
+    ) {
+        let mut rng = StdRng::seed_from_u64(31);
+        for &k in ks {
+            for &n in ns {
+                for edge in [false, true] {
+                    let (a, b, packed) = operands(rows_max, k, n, edge, &mut rng);
+                    let (a, packed) = (&a[1..], &packed[1..]);
+                    let want = truth(a, &b, packed, k, n);
+                    for rows in 1..=rows_max {
+                        for i0 in [0, rows_max - rows] {
+                            let got = run_rows(level, a, packed, i0, rows, k, n);
+                            for (j, (x, y)) in got.iter().zip(&want[i0 * n..]).enumerate() {
+                                assert!(
+                                    same_value(*x, *y),
+                                    "{level:?} {rows}x{k}x{n} i0={i0} edge={edge}: out[{j}] = {x:e}, want {y:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    const GRID_ROWS: usize = 33;
+    const GRID_KS: [usize; 5] = [1, 12, 48, 128, 1024];
+    const GRID_NS: [usize; 9] = [1, 15, 16, 17, 31, 33, 100, 128, 1024];
+
+    fn reference_rows(rows: usize) -> impl Fn(&[f32], &[f32], &[f32], usize, usize) -> Vec<f32> {
+        move |a, b, _, k, n| {
+            let mut want = vec![0.0; rows * n];
+            matmul_reference(a, b, &mut want, rows, k, n);
+            want
+        }
+    }
+
+    /// The portable level is 0 ULP equal to `matmul_reference` at every
+    /// tile shape (rows 1..=9 reach 4×1 full and with three live rows, 2×2
+    /// and 1×4; 130 columns leave a 1-panel and a ragged tile), through the
+    /// same pointer arithmetic the SIMD levels run. Small enough for Miri
+    /// (`cargo miri test -p cpt-nn tensor::tests::kernel_`).
+    #[test]
+    fn kernel_portable_zero_ulp_vs_reference_and_in_bounds() {
+        assert_level_reproduces(KernelLevel::Portable, reference_rows(9), 9, &[1, 5], &[1, 15, 16, 17, 33, 130]);
+    }
+
+    /// Degenerate shapes form no tile (or a tile with no k-step) and still
+    /// stay inside `out`.
+    #[test]
+    fn kernel_empty_shapes_write_zeros_or_nothing() {
+        for level in KernelLevel::available() {
+            assert_eq!(run_rows(level, &[], &[], 0, 3, 0, 5), vec![0.0; 15]);
+            assert!(run_rows(level, &[1.0; 6], &[], 0, 3, 2, 0).is_empty());
+            assert!(run_rows(level, &[1.0; 6], &[0.0; 2 * NR], 1, 0, 2, 3).is_empty());
         }
     }
 
     #[test]
-    fn matmul_base_kernel_bit_identical_to_reference() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (m, k, n) in [(1, 1, 1), (3, 5, 7), (17, 33, 31), (64, 64, 64), (5, 128, 130)] {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-            let mut reference = vec![0.0; m * n];
-            matmul_reference(&a.data, &b.data, &mut reference, m, k, n);
-            let mut packed = Vec::new();
-            pack_b(&b.data, k, n, &mut packed);
-            let mut blocked = vec![0.0; m * n];
-            matmul_rows(&a.data, &packed, &mut blocked, 0, m, k, n, false);
-            for (x, y) in reference.iter().zip(&blocked) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
+    #[should_panic(expected = "out shorter than rows * n")]
+    fn kernel_rejects_a_short_out_before_touching_it() {
+        let mut out = [0.0; 5];
+        matmul_rows(&[1.0; 4], &[1.0; 2 * NR], &mut out, 0, 2, 2, 3, KernelLevel::Portable);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer panels")]
+    fn kernel_rejects_short_panels_before_touching_them() {
+        let mut out = [0.0; 34];
+        matmul_rows(&[1.0; 4], &[1.0; 3 * NR], &mut out, 0, 2, 2, 17, KernelLevel::Portable);
+    }
+
+    /// Cross-level bit equality over the full ragged grid. The portable
+    /// level must equal the serial reference; each FMA level must equal the
+    /// lowest FMA level's full-height result, so AVX-512 == AVX2+FMA to
+    /// 0 ULP, unaligned, for every row window, with non-finite entries
+    /// giving the same non-finite output. Levels the machine lacks are
+    /// skipped.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn every_level_zero_ulp_vs_its_reference_over_ragged_shapes() {
+        let levels = KernelLevel::available();
+        for &level in &levels {
+            if level == KernelLevel::Portable {
+                assert_level_reproduces(level, reference_rows(GRID_ROWS), GRID_ROWS, &GRID_KS, &GRID_NS);
+            } else {
+                let lowest_fma = levels[1];
+                assert_level_reproduces(
+                    level,
+                    |a, _, packed, k, n| run_rows(lowest_fma, a, packed, 0, GRID_ROWS, k, n),
+                    GRID_ROWS,
+                    &GRID_KS,
+                    &GRID_NS,
+                );
+            }
+        }
+    }
+
+    /// Differential test against a naive f64 GEMM: every level, every
+    /// ragged shape, error ≤ 1e-5 of the element's `Σ_k |a·b|`.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn every_level_tracks_an_f64_gemm_over_ragged_shapes() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for k in GRID_KS {
+            for n in GRID_NS {
+                let (a, b, packed) = operands(GRID_ROWS, k, n, false, &mut rng);
+                let (a, packed) = (&a[1..], &packed[1..]);
+                let mut exact = vec![0.0f64; GRID_ROWS * n];
+                let mut mass = vec![0.0f64; GRID_ROWS * n];
+                for i in 0..GRID_ROWS {
+                    for kk in 0..k {
+                        for j in 0..n {
+                            let prod = a[i * k + kk] as f64 * b[kk * n + j] as f64;
+                            exact[i * n + j] += prod;
+                            mass[i * n + j] += prod.abs();
+                        }
+                    }
+                }
+                for level in KernelLevel::available() {
+                    for rows in 1..=GRID_ROWS {
+                        let got = run_rows(level, a, packed, 0, rows, k, n);
+                        for (j, x) in got.iter().enumerate() {
+                            let err = (*x as f64 - exact[j]).abs();
+                            assert!(
+                                err <= 1e-5 * mass[j],
+                                "{level:?} {rows}x{k}x{n}: out[{j}] = {x:e}, f64 says {:e}",
+                                exact[j]
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -870,26 +1323,26 @@ mod tests {
         assert_eq!(gelu_scalar(-30.0).to_bits(), (-0.0f32).to_bits());
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// The 8- and 16-lane compilations of the row loop against the portable
+    /// one, 0 ULP; levels the machine lacks are skipped.
     #[test]
-    fn gelu_rows_avx2_bit_identical_to_portable() {
-        if !fma_available() {
-            return;
-        }
+    #[cfg_attr(miri, ignore)]
+    fn gelu_rows_every_level_bit_identical_to_portable() {
         let mut rng = StdRng::seed_from_u64(21);
         let mut pool = gelu_sweep();
         pool.extend(Tensor::randn(&[4096], 3.0, &mut rng).data);
         pool.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, 1e-45, f32::INFINITY, f32::NEG_INFINITY]);
-        for len in [0, 1, 7, 8, 9, 1023, pool.len()] {
-            // Ragged lengths taken from the end, where the edge values are.
-            let src = &pool[pool.len() - len..];
-            let mut portable = src.to_vec();
-            gelu_rows_portable(&mut portable);
-            let mut wide = src.to_vec();
-            // SAFETY: `fma_available` returned true above, so AVX2 is present.
-            unsafe { gelu_rows_avx2(&mut wide) };
-            for ((x, a), b) in src.iter().zip(&portable).zip(&wide) {
-                assert_eq!(a.to_bits(), b.to_bits(), "len {len}: gelu({x:e}) = {a:e} vs {b:e}");
+        for level in KernelLevel::available() {
+            for len in [0, 1, 7, 8, 9, 15, 16, 17, 1023, pool.len()] {
+                // Ragged lengths taken from the end, where the edge values are.
+                let src = &pool[pool.len() - len..];
+                let mut portable = src.to_vec();
+                gelu_rows_portable(&mut portable);
+                let mut wide = src.to_vec();
+                gelu_rows_at(&mut wide, level);
+                for ((x, a), b) in src.iter().zip(&portable).zip(&wide) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{level:?} len {len}: gelu({x:e}) = {a:e} vs {b:e}");
+                }
             }
         }
     }
@@ -1058,7 +1511,7 @@ mod tests {
             let mut packed = Vec::new();
             pack_b(&b.data, k, n, &mut packed);
             let mut blocked = vec![0.0; m * n];
-            matmul_rows(&a.data, &packed, &mut blocked, 0, m, k, n, false);
+            matmul_rows(&a.data, &packed, &mut blocked, 0, m, k, n, KernelLevel::Portable);
             for (x, y) in reference.iter().zip(&blocked) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
@@ -1066,8 +1519,8 @@ mod tests {
             let split = seed as usize % m;
             let mut parts = vec![0.0; m * n];
             let (top, bottom) = parts.split_at_mut(split * n);
-            matmul_rows(&a.data, &packed, top, 0, split, k, n, false);
-            matmul_rows(&a.data, &packed, bottom, split, m - split, k, n, false);
+            matmul_rows(&a.data, &packed, top, 0, split, k, n, KernelLevel::Portable);
+            matmul_rows(&a.data, &packed, bottom, split, m - split, k, n, KernelLevel::Portable);
             for (x, y) in reference.iter().zip(&parts) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }

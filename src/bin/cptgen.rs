@@ -611,6 +611,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
         cfg.serve.max_sessions,
         cfg.serve.batch_max
     );
+    println!("kernel_level: {}", cpt::nn::kernel_level());
     let has_registry = cfg.registry.is_some();
     if let Some(root) = &cfg.registry {
         println!("model registry at {}", root.display());
@@ -1200,6 +1201,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
         }
     })?;
     println!("  threads:  {}", report.threads);
+    println!("  kernel_level: {}", report.kernel_level);
     println!("  matmul:   {:.2} GFLOP/s", report.matmul_gflops);
     println!(
         "  train:    {:.0} tokens/s ({} threads), {:.0} tokens/s (1 thread), {:.2}x speedup",

@@ -8,10 +8,16 @@
 //! The same walk keeps libm out of the gradient-free path: the decode core
 //! applies GELU through `cpt_nn::gelu_rows`, and only the autodiff tape
 //! (`graph.rs`, whose training bits are pinned to libm) may call `tanh`.
+//!
+//! And it keeps ISA dispatch in one place: CPU-feature detection, feature-
+//! gated functions and intrinsics live in `cpt-nn`'s `tensor.rs`, behind its
+//! one `KernelLevel`, and the single-accumulator-chain tail kernel
+//! (`micro1_*`) stays deleted.
 
 use std::path::{Path, PathBuf};
 
-const BANNED: [&str; 7] = [
+const BANNED: [&str; 8] = [
+    "micro1_",
     "decode_step_into",
     "apply_decode_step",
     "generate_batch",
@@ -36,6 +42,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 const TAPE_ONLY: [&str; 2] = [".tanh()", "gelu_f"];
 const TAPE: &str = "crates/cpt-nn/src/graph.rs";
 
+/// Names only the kernel file may mention.
+const KERNEL_ONLY: [&str; 3] = ["std::arch", "target_feature", "is_x86_feature_detected"];
+const KERNELS: &str = "crates/cpt-nn/src/tensor.rs";
+
 #[test]
 fn deleted_decode_paths_do_not_reappear() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -46,8 +56,19 @@ fn deleted_decode_paths_do_not_reappear() {
     assert!(files.len() > 20, "walked only {} files", files.len());
     let tape = root.join(TAPE);
     assert!(files.contains(&tape), "the tape moved; update TAPE");
+    let kernels = root.join(KERNELS);
+    assert!(files.contains(&kernels), "the kernels moved; update KERNELS");
     for file in files {
         let src = std::fs::read_to_string(&file).expect("source file is readable");
+        if file != kernels {
+            for needle in KERNEL_ONLY {
+                assert!(
+                    !src.contains(needle),
+                    "{} mentions {needle:?}: ISA dispatch outside the one kernel level",
+                    file.strip_prefix(root).unwrap_or(&file).display()
+                );
+            }
+        }
         if file != tape {
             for needle in TAPE_ONLY {
                 assert!(
