@@ -11,12 +11,15 @@
 //! the *shape* of every comparison — who wins, by roughly what factor —
 //! is what these experiments reproduce. See EXPERIMENTS.md for the
 //! paper-vs-measured record.
+//!
+//! This crate measures *fidelity*. Throughput (train / generate / serve /
+//! trace rates, layer by layer) is `cpt-ledger`'s job; the Criterion
+//! benches under `benches/` only track per-kernel latency trends.
 
 pub mod experiments;
 pub mod output;
 pub mod pipeline;
 pub mod suite;
-pub mod throughput;
 
 use cpt_gpt::{CptGptConfig, TrainConfig};
 use cpt_netshare::NetShareConfig;

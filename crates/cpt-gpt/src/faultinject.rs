@@ -11,6 +11,7 @@
 
 #![deny(clippy::unwrap_used)]
 
+use crate::mix::{mix64, GOLDEN_GAMMA};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -177,14 +178,10 @@ impl StageFaultPlan {
     }
 }
 
-/// splitmix64: tiny, high-quality mixer used to derive corruption offsets
-/// from a seed without depending on an RNG crate here.
+/// One splitmix64 step: derives corruption offsets from a seed without
+/// depending on an RNG crate here.
 fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    *state = z ^ (z >> 31);
+    *state = mix64(state.wrapping_add(GOLDEN_GAMMA));
 }
 
 /// Flip one bit in each of `n_flips` seed-chosen bytes of the file at

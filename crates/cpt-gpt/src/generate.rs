@@ -11,7 +11,7 @@
 //! interarrival is sampled from the predicted Gaussian (Design 2). That
 //! procedure lives in [`crate::stream`]; [`CptGpt::generate`] drives it:
 //! UE `i` is stream `i` of the session `(model, seed)`, drawing from an RNG
-//! derived from `(seed, i)` alone (see [`chunk_rng`]), so the output is
+//! derived from `(seed, i)` alone (see [`crate::mix`]), so the output is
 //! bit-identical at any thread count and any `batch_size`, and equal to
 //! what a served session with the same seed emits.
 //!
@@ -28,7 +28,7 @@ use crate::model::{CptGpt, DecodeState};
 use crate::stream::{BatchDecoder, RoundOutcome, SessionDecoder, StreamParams};
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -362,18 +362,6 @@ impl CptGpt {
     }
 }
 
-/// Derives the RNG of stream `stream` of the session seeded `seed` from
-/// that pair alone (splitmix64 finalizer, same scheme as the per-epoch
-/// shuffle RNG in training). Because no RNG state flows between streams,
-/// they are order- and schedule-independent: a rayon pool of any size, a
-/// serve shard and a serial loop produce the same streams, bit for bit.
-pub(crate) fn chunk_rng(seed: u64, stream: u64) -> StdRng {
-    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
-}
-
 fn sample_normal(rng: &mut impl Rng) -> f32 {
     let u1: f32 = 1.0 - rng.gen::<f32>();
     let u2: f32 = rng.gen();
@@ -483,6 +471,7 @@ mod tests {
     use crate::config::{CptGptConfig, TrainConfig};
     use crate::token::Tokenizer;
     use crate::train::train;
+    use rand::SeedableRng;
 
     fn tiny_config() -> CptGptConfig {
         CptGptConfig {

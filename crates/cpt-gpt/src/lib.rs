@@ -29,6 +29,7 @@ pub mod config;
 pub mod error;
 pub mod faultinject;
 pub mod generate;
+pub mod mix;
 pub mod model;
 pub mod source;
 pub mod stream;
@@ -43,6 +44,7 @@ pub use config::{CptGptConfig, TrainConfig, WatchdogConfig};
 pub use error::{CheckpointError, FaultKind, GenerateError, TrainError};
 pub use faultinject::{FaultPlan, StageFaultPlan};
 pub use generate::{GenCounters, GenerateConfig, Sampling};
+pub use mix::{mix64, GOLDEN_GAMMA};
 pub use model::{
     load_model_file, save_model_file, BatchDecodeState, CptGpt, DecodeState, QuantDecodeWeights,
     StepOutput,

@@ -10,7 +10,7 @@
 //!
 //! A session decodes [`StreamParams::num_streams`] consecutive UE streams.
 //! Stream `i` of a session draws from an RNG derived from
-//! `(session seed, i)` alone (see `chunk_rng`), so a session's entire event
+//! `(session seed, i)` alone (see [`crate::mix`]), so a session's entire event
 //! sequence is a pure function of `(model, params)` — independent of how
 //! many scheduler workers interleave it with other sessions, and
 //! independent of whether its [`DecodeState`] was freshly allocated or
@@ -27,9 +27,10 @@
 
 use crate::error::GenerateError;
 use crate::generate::{
-    chunk_rng, sample_categorical, sample_logits, sample_logits_truncated, validate_sampling,
+    sample_categorical, sample_logits, sample_logits_truncated, validate_sampling,
     GenCounters, GenerateConfig, Sampling,
 };
+use crate::mix::indexed_rng;
 use crate::model::{BatchDecodeState, CptGpt, DecodeState, InferStep};
 use cpt_nn::Tensor;
 use cpt_trace::{DeviceType, EventType};
@@ -199,7 +200,7 @@ impl CptGpt {
             state,
             step: Tensor::zeros(&[1, 1, self.tokenizer.token_dim()]),
             init_probs: self.initial_event_dist.iter().map(|(_, p)| *p).collect(),
-            rng: chunk_rng(params.seed, first as u64),
+            rng: indexed_rng(params.seed, first as u64),
             counters: GenCounters::default(),
             stream_idx: first,
             pos_in_stream: 0,
@@ -235,7 +236,7 @@ impl SessionDecoder {
     /// handles it per session without touching the GEMM.
     fn bootstrap_event(&mut self, model: &CptGpt) -> (EventType, f64, bool) {
         self.state.reset();
-        self.rng = chunk_rng(self.params.seed, self.stream_idx as u64);
+        self.rng = indexed_rng(self.params.seed, self.stream_idx as u64);
         self.timestamp = 0.0;
         self.pos_in_stream = 0;
         self.need_bootstrap = false;

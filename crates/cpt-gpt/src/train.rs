@@ -31,6 +31,7 @@ use crate::checkpoint::{
 };
 use crate::config::TrainConfig;
 use crate::error::{FaultKind, TrainError};
+use crate::mix::indexed_rng;
 use crate::model::CptGpt;
 use crate::source::{DatasetSource, ShardSource};
 use cpt_nn::{
@@ -38,8 +39,6 @@ use cpt_nn::{
     ScratchArena, Session,
 };
 use cpt_trace::Dataset;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -82,17 +81,6 @@ impl TrainReport {
     pub fn final_loss(&self) -> f64 {
         self.epochs.last().map(|e| e.mean_loss).unwrap_or(f64::NAN)
     }
-}
-
-/// Derives the shuffle RNG for one epoch from `(seed, epoch)` alone
-/// (splitmix64 finalizer), so epoch `e`'s batches are identical whether the
-/// process trained straight through, rolled back and replayed, or resumed
-/// from a checkpoint.
-fn epoch_rng(seed: u64, epoch: usize) -> StdRng {
-    let mut z = seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
 /// Result of one data-parallel forward/backward over a step's shards.
@@ -332,7 +320,7 @@ fn run_epochs(
         let mut retries = 0u32;
         loop {
             let epoch_start = Instant::now();
-            let rng = epoch_rng(cfg.seed, epoch);
+            let rng = indexed_rng(cfg.seed, epoch as u64);
             let max_len = model.config.max_len;
             let steps = source.epoch_steps(
                 &model.tokenizer,
@@ -655,7 +643,7 @@ mod tests {
         let data = alternating_dataset(8);
         let tok = Tokenizer::fit(&data);
         let model = CptGpt::new(tiny_config(), tok);
-        let mut rng = epoch_rng(0, 0);
+        let mut rng = indexed_rng(0, 0);
         let steps = make_epoch_shards(&model.tokenizer, &data, 8, 2, 16, &mut rng);
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].len(), 4);

@@ -59,9 +59,10 @@ pub fn save_store(store: &ParamStore, w: &mut impl Write) -> Result<(), Checkpoi
 
 /// Serializes `value` as JSON to `path` atomically: the bytes land in a
 /// temp file in the same directory, are synced, and only then renamed over
-/// `path`. A crash mid-write leaves either the old file or nothing at the
-/// destination — never a half-written checkpoint. The temp file is cleaned
-/// up on failure.
+/// `path`, after which the directory is synced so the new name survives
+/// power loss. A crash mid-write leaves either the old file or nothing at
+/// the destination — never a half-written checkpoint. The temp file is
+/// cleaned up on failure.
 pub fn atomic_write_json<T: serde::Serialize>(
     value: &T,
     path: impl AsRef<Path>,
@@ -83,15 +84,23 @@ pub fn atomic_write_json<T: serde::Serialize>(
         serde_json::to_writer(&mut w, value)?;
         w.flush()?;
         w.get_ref().sync_all()?;
+        drop(w);
+        std::fs::rename(&tmp, path)?;
         Ok(())
     })();
     if let Err(e) = write_result {
         std::fs::remove_file(&tmp).ok();
         return Err(e);
     }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(CheckpointError::Io(e));
+    // The rename is durable only once the directory entry is. Directories
+    // cannot be opened as files on non-unix targets.
+    #[cfg(unix)]
+    {
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        File::open(parent)?.sync_all()?;
     }
     Ok(())
 }
@@ -284,6 +293,29 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_atomic_write_keeps_the_old_file_and_removes_its_temp() {
+        let s = store();
+        let dir = std::env::temp_dir().join(format!("cpt-nn-atomic-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        atomic_write_json(&s, &path).unwrap();
+        let committed = std::fs::read(&path).unwrap();
+        // Wedge the temp path with a directory so the next write fails
+        // before it can touch the destination.
+        let wedge = dir.join(format!("model.json.tmp.{}", std::process::id()));
+        std::fs::create_dir(&wedge).unwrap();
+        assert!(matches!(atomic_write_json(&s, &path), Err(CheckpointError::Io(_))));
+        std::fs::remove_dir(&wedge).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["model.json"], "only the committed file remains");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -51,7 +51,7 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use lifecycle::{Director, FineTuneSpec, PublishOutcome};
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, WireMode};
+pub use loadgen::{request_once, run_loadgen, LoadgenConfig, LoadgenReport, WireMode};
 pub use metrics::{LatencyHistogram, Metrics, SnapshotGauges, StatsSnapshot};
 pub use registry::{Manifest, RecoveryReport, Registry, RegistryError, VersionRecord, VersionState};
 pub use server::{serve, Server, ServerConfig};

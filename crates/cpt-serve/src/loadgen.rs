@@ -308,6 +308,13 @@ impl Client {
     }
 }
 
+/// One request/response round-trip over a fresh JSON-lines connection:
+/// how `cptgen ctl` sends a lifecycle verb (rare enough that connection
+/// reuse buys nothing).
+pub fn request_once(addr: &str, req: &Request) -> Result<Response, ServeError> {
+    Client::connect(addr, WireMode::Json)?.request(req)
+}
+
 fn frame_to_io(e: wire::FrameError) -> std::io::Error {
     match e {
         wire::FrameError::Io(io) => io,

@@ -26,12 +26,10 @@ pub const MAX_SHARDS: usize = 64;
 
 /// One splitmix64 scramble — the crate's stateless mixer: shard steering,
 /// chaos plans, registry fault positions, detach tokens and loadgen backoff
-/// jitter all derive from it.
+/// jitter all derive from it. The finalizer is `cpt_gpt::mix64`; the
+/// `+ γ` pre-mix is this crate's convention.
 pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    cpt_gpt::mix64(x.wrapping_add(cpt_gpt::GOLDEN_GAMMA))
 }
 
 /// The shard-id codec: how many shards exist and how many low id bits
@@ -95,7 +93,8 @@ mod tests {
     fn shared_hashes_are_pinned() {
         // Chaos plans, registry ids, detach tokens and steering hang off
         // splitmix64; registry checksums and the loadgen events digest off
-        // FNV-1a/64. Neither may move.
+        // FNV-1a/64. Neither may move. (The index-derived RNG seeds that
+        // share the finalizer are pinned beside it, in `cpt_gpt::mix`.)
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(0x5EED), 0x09F1_FD9D_03F0_A9B4);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);

@@ -38,19 +38,20 @@
 //! [`StreamView`] is two contiguous sub-slices of one block.
 //!
 //! Durability follows the registry's torn-write discipline: the writer
-//! builds `<name>.tmp`, back-patches the header, fsyncs, then renames into
-//! place — a crash can never publish a `.ctb` whose header promises more
-//! than the file holds. Every region is covered by an FNV-1a/64 checksum
+//! builds `<name>.tmp`, back-patches the header, then commits it through
+//! the crate's one fsync-rename-fsync guard ([`crate::atomic`]) — a crash
+//! can never publish a `.ctb` whose header promises more than the file
+//! holds. Every region is covered by an FNV-1a/64 checksum
 //! (header, index, each block), and [`ColumnarReader::open`] cross-checks
 //! the whole index structurally before handing out a single view, so a
 //! truncated or bit-flipped file is rejected with a typed [`CtbError`] and
 //! reads can never run past the mapping.
 
+use crate::atomic::AtomicFile;
 use crate::mmap::Mmap;
 use crate::{Dataset, DeviceType, Event, EventType, Generation, Stream, UeId};
 use rayon::prelude::*;
-use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes at offset 0 of every `.ctb` file.
@@ -70,12 +71,7 @@ pub const BLOCK_TARGET_EVENTS: usize = 64 * 1024;
 
 /// FNV-1a/64 (same constants as the model registry's artifact checksums).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
 }
 
 #[inline]
@@ -262,9 +258,7 @@ impl BlockEntry {
 ///
 /// [`finish`]: ColumnarWriter::finish
 pub struct ColumnarWriter {
-    file: BufWriter<File>,
-    tmp: PathBuf,
-    dst: PathBuf,
+    file: AtomicFile,
     generation: Generation,
     /// Bytes of block payload written so far (excludes the header).
     payload_pos: u64,
@@ -274,29 +268,20 @@ pub struct ColumnarWriter {
     blocks: Vec<BlockEntry>,
     index: Vec<StreamEntry>,
     events_total: u64,
-    committed: bool,
 }
 
 impl ColumnarWriter {
     /// Creates a writer targeting `path`. The file is written to a sibling
     /// `.tmp` path and only renamed into place by [`ColumnarWriter::finish`].
     pub fn create(path: impl AsRef<Path>, generation: Generation) -> Result<Self, CtbError> {
-        let dst = path.as_ref().to_owned();
-        let mut name = dst
-            .file_name()
-            .ok_or_else(|| CtbError::InvalidStream(format!("{} has no file name", dst.display())))?
-            .to_owned();
-        name.push(".tmp");
-        let tmp = dst.with_file_name(name);
-        let file = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        let mut w = BufWriter::new(file);
+        let dst = path.as_ref();
+        let mut file = AtomicFile::create(dst).map_err(|e| io_err(dst, e))?;
         // Placeholder header; back-patched by finish().
-        w.write_all(&[0u8; HEADER_LEN])
-            .map_err(|e| io_err(&tmp, e))?;
+        file.writer()
+            .write_all(&[0u8; HEADER_LEN])
+            .map_err(|e| io_err(file.tmp_path(), e))?;
         Ok(ColumnarWriter {
-            file: w,
-            tmp,
-            dst,
+            file,
             generation,
             payload_pos: 0,
             types: Vec::with_capacity(BLOCK_TARGET_EVENTS),
@@ -305,7 +290,6 @@ impl ColumnarWriter {
             blocks: Vec::new(),
             index: Vec::new(),
             events_total: 0,
-            committed: false,
         })
     }
 
@@ -356,11 +340,11 @@ impl ColumnarWriter {
         let mut checksum = fnv1a(&self.types);
         checksum = fnv1a_continue(checksum, &[0u8; 8][..pad]);
         checksum = fnv1a_continue(checksum, &self.deltas);
-        self.file
-            .write_all(&self.types)
-            .and_then(|_| self.file.write_all(&[0u8; 8][..pad]))
-            .and_then(|_| self.file.write_all(&self.deltas))
-            .map_err(|e| io_err(&self.tmp, e))?;
+        let w = self.file.writer();
+        w.write_all(&self.types)
+            .and_then(|_| w.write_all(&[0u8; 8][..pad]))
+            .and_then(|_| w.write_all(&self.deltas))
+            .map_err(|e| io_err(self.file.tmp_path(), e))?;
         let first_event = self.events_total - n_events;
         self.blocks.push(BlockEntry {
             byte_offset: HEADER_LEN as u64 + self.payload_pos,
@@ -377,7 +361,7 @@ impl ColumnarWriter {
     }
 
     /// Flushes the final block, writes the indexes, back-patches the header,
-    /// fsyncs, and atomically renames the file into place.
+    /// and commits the file into place (fsync, rename, directory fsync).
     pub fn finish(mut self) -> Result<CtbSummary, CtbError> {
         if !self.types.is_empty() || self.block_streams > 0 {
             self.flush_block()?;
@@ -394,9 +378,9 @@ impl ColumnarWriter {
         for b in &self.blocks {
             b.encode(&mut index_bytes);
         }
-        self.file
-            .write_all(&index_bytes)
-            .map_err(|e| io_err(&self.tmp, e))?;
+        let w = self.file.writer();
+        w.write_all(&index_bytes)
+            .map_err(|e| io_err(self.file.tmp_path(), e))?;
 
         let mut header = [0u8; HEADER_LEN];
         header[0..8].copy_from_slice(&MAGIC);
@@ -410,31 +394,19 @@ impl ColumnarWriter {
         let hc = fnv1a(&header[0..56]);
         header[56..64].copy_from_slice(&hc.to_le_bytes());
 
+        let w = self.file.writer();
+        w.seek(SeekFrom::Start(0))
+            .and_then(|_| w.write_all(&header))
+            .map_err(|e| io_err(self.file.tmp_path(), e))?;
         self.file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.write_all(&header))
-            .and_then(|_| self.file.flush())
-            .map_err(|e| io_err(&self.tmp, e))?;
-        self.file
-            .get_ref()
-            .sync_all()
-            .map_err(|e| io_err(&self.tmp, e))?;
-        std::fs::rename(&self.tmp, &self.dst).map_err(|e| io_err(&self.dst, e))?;
-        self.committed = true;
+            .commit()
+            .map_err(|e| io_err(self.file.dst_path(), e))?;
         Ok(CtbSummary {
             streams: num_streams,
             events: self.events_total,
             blocks: num_blocks,
             bytes: index_offset + index_bytes.len() as u64,
         })
-    }
-}
-
-impl Drop for ColumnarWriter {
-    fn drop(&mut self) {
-        if !self.committed {
-            std::fs::remove_file(&self.tmp).ok();
-        }
     }
 }
 

@@ -5,10 +5,12 @@
 //! multi-gigabyte traces can be streamed without building the whole dataset
 //! in memory, and diff-able so that fixture files stay reviewable.
 
+use crate::atomic::AtomicFile;
+use crate::columnar::CtbError;
 use crate::{Dataset, Generation, Stream};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Header record (first line of a dataset file).
@@ -45,6 +47,9 @@ pub enum IoError {
     },
     /// The file is not a cpt-trace file or has an unsupported version.
     BadHeader(String),
+    /// The `.ctb` side of [`crate::any`]'s format-agnostic reader and
+    /// writer failed.
+    Ctb(CtbError),
 }
 
 impl std::fmt::Display for IoError {
@@ -58,6 +63,7 @@ impl std::fmt::Display for IoError {
                 source,
             } => write!(f, "parse error at line {line}: {source}; offending line starts: {snippet:?}"),
             IoError::BadHeader(msg) => write!(f, "bad dataset header: {msg}"),
+            IoError::Ctb(e) => e.fmt(f),
         }
     }
 }
@@ -69,6 +75,7 @@ impl std::error::Error for IoError {
             IoError::Json(e) => Some(e),
             IoError::Parse { source, .. } => Some(source),
             IoError::BadHeader(_) => None,
+            IoError::Ctb(e) => e.source(),
         }
     }
 }
@@ -104,53 +111,49 @@ impl From<io::Error> for IoError {
     }
 }
 
+impl From<CtbError> for IoError {
+    fn from(e: CtbError) -> Self {
+        IoError::Ctb(e)
+    }
+}
+
 impl From<serde_json::Error> for IoError {
     fn from(e: serde_json::Error) -> Self {
         IoError::Json(e)
     }
 }
 
-/// Writes a dataset to `path` in JSON-lines format.
-///
-/// The write is crash-safe (same idiom as the model registry's manifest
-/// commit): the data goes to a sibling `.tmp` file which is flushed,
-/// fsynced, and renamed over `path`, so a writer dying mid-trace can never
-/// leave a header promising more streams than the file holds — readers see
-/// either the old file or the complete new one.
+/// Writes a dataset to `path` in JSON-lines format: a [`StreamWriter`] fed
+/// every stream, so the write is crash-safe (see [`crate::atomic`]) — a
+/// writer dying mid-trace can never leave a header promising more streams
+/// than the file holds.
 pub fn write_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), IoError> {
-    let path = path.as_ref();
-    let mut tmp_name = path
-        .file_name()
-        .ok_or_else(|| {
-            IoError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{} has no file name", path.display()),
-            ))
-        })?
-        .to_owned();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    let file = File::create(&tmp)?;
-    let mut w = BufWriter::new(file);
-    let result = write_dataset_to(dataset, &mut w)
-        .and_then(|_| w.get_ref().sync_all().map_err(IoError::Io))
-        .and_then(|_| std::fs::rename(&tmp, path).map_err(IoError::Io));
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
+    let mut w = StreamWriter::create(path, dataset.generation, dataset.streams.len())?;
+    for stream in &dataset.streams {
+        w.push(stream)?;
     }
-    result
+    w.finish()
+}
+
+/// Writes the header line every dataset file starts with.
+fn write_header(
+    w: &mut impl Write,
+    generation: Generation,
+    num_streams: usize,
+) -> Result<(), IoError> {
+    let header = Header {
+        format: FORMAT.to_owned(),
+        version: VERSION,
+        generation,
+        num_streams,
+    };
+    serde_json::to_writer(&mut *w, &header)?;
+    Ok(w.write_all(b"\n")?)
 }
 
 /// Writes a dataset to any writer (header line + one line per stream).
 pub fn write_dataset_to(dataset: &Dataset, w: &mut impl Write) -> Result<(), IoError> {
-    let header = Header {
-        format: FORMAT.to_owned(),
-        version: VERSION,
-        generation: dataset.generation,
-        num_streams: dataset.streams.len(),
-    };
-    serde_json::to_writer(&mut *w, &header)?;
-    w.write_all(b"\n")?;
+    write_header(w, dataset.generation, dataset.streams.len())?;
     for stream in &dataset.streams {
         serde_json::to_writer(&mut *w, stream)?;
         w.write_all(b"\n")?;
@@ -188,82 +191,14 @@ fn snippet_of(line: &str) -> String {
     format!("{}...", &line[..end])
 }
 
-/// Reads a dataset from any buffered reader with explicit [`ReadOptions`].
+/// Reads a dataset from any buffered reader with explicit [`ReadOptions`]:
+/// a [`StreamReader`] drained into memory.
 pub fn read_dataset_with(r: impl BufRead, opts: ReadOptions) -> Result<Dataset, IoError> {
-    let mut lines = r.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| IoError::BadHeader("empty file".into()))??;
-    let header: Header = serde_json::from_str(&header_line).map_err(|source| IoError::Parse {
-        line: 1,
-        snippet: snippet_of(&header_line),
-        source,
-    })?;
-    if header.format != FORMAT {
-        return Err(IoError::BadHeader(format!(
-            "expected format {FORMAT:?}, found {:?}",
-            header.format
-        )));
-    }
-    if header.version != VERSION {
-        return Err(IoError::BadHeader(format!(
-            "unsupported version {} (this build reads {VERSION})",
-            header.version
-        )));
-    }
-    let mut streams = Vec::with_capacity(header.num_streams);
-    let mut lines = lines.enumerate();
-    while let Some((i, line)) = lines.next() {
-        let line_no = i + 2; // header consumed line 1
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<Stream>(&line) {
-            Ok(stream) => streams.push(stream),
-            Err(source) => {
-                // Only a damaged *final* line is tolerable: scan ahead for
-                // any remaining content to distinguish a cut-short tail
-                // from mid-file corruption. An I/O error while scanning is
-                // surfaced as such — it must not masquerade as "more
-                // content follows" and turn a tail-truncation read error
-                // into a misleading mid-file parse error.
-                let mut has_more_content = false;
-                for (_, rest) in lines.by_ref() {
-                    match rest {
-                        Ok(l) if l.trim().is_empty() => continue,
-                        Ok(_) => {
-                            has_more_content = true;
-                            break;
-                        }
-                        Err(e) => return Err(IoError::Io(e)),
-                    }
-                }
-                if opts.allow_partial && !has_more_content {
-                    break;
-                }
-                return Err(IoError::Parse {
-                    line: line_no,
-                    snippet: snippet_of(&line),
-                    source,
-                });
-            }
-        }
-    }
-    let count_ok = streams.len() == header.num_streams
-        || (opts.allow_partial && streams.len() < header.num_streams);
-    if !count_ok {
-        return Err(IoError::BadHeader(format!(
-            "header promised {} streams, file contains {}",
-            header.num_streams,
-            streams.len()
-        )));
-    }
-    Ok(Dataset::with_generation(header.generation, streams))
+    StreamReader::with_options(r, opts)?.into_dataset()
 }
 
-/// Incremental strict-mode reader: parses the header eagerly, then yields
-/// one [`Stream`] at a time, so a multi-gigabyte JSONL trace can be
+/// The one JSONL reader: parses and validates the header eagerly, then
+/// yields one [`Stream`] at a time, so a multi-gigabyte trace can be
 /// converted or folded without ever materializing a [`Dataset`]. The
 /// stream-count promise in the header is enforced when the file ends.
 pub struct StreamReader<R: BufRead> {
@@ -271,11 +206,17 @@ pub struct StreamReader<R: BufRead> {
     generation: Generation,
     promised: usize,
     delivered: usize,
+    opts: ReadOptions,
 }
 
 impl<R: BufRead> StreamReader<R> {
-    /// Opens a reader over JSONL content, validating the header line.
+    /// Opens a strict reader over JSONL content, validating the header line.
     pub fn new(r: R) -> Result<Self, IoError> {
+        Self::with_options(r, ReadOptions::strict())
+    }
+
+    /// Opens a reader with explicit [`ReadOptions`].
+    pub fn with_options(r: R, opts: ReadOptions) -> Result<Self, IoError> {
         let mut lines = r.lines();
         let header_line = lines
             .next()
@@ -303,6 +244,7 @@ impl<R: BufRead> StreamReader<R> {
             generation: header.generation,
             promised: header.num_streams,
             delivered: 0,
+            opts,
         })
     }
 
@@ -316,25 +258,62 @@ impl<R: BufRead> StreamReader<R> {
         self.promised
     }
 
-    /// The next stream, `Ok(None)` at a clean end of file. At EOF the
-    /// delivered count must equal the header's promise (strict mode).
+    /// Reads every remaining stream: the in-RAM load of the file.
+    pub fn into_dataset(mut self) -> Result<Dataset, IoError> {
+        let mut streams = Vec::with_capacity(self.promised);
+        while let Some(stream) = self.next_stream()? {
+            streams.push(stream);
+        }
+        Ok(Dataset::with_generation(self.generation, streams))
+    }
+
+    /// The next stream, `Ok(None)` at the end of the file, where the
+    /// delivered count must equal the header's promise (partial mode also
+    /// accepts fewer).
     pub fn next_stream(&mut self) -> Result<Option<Stream>, IoError> {
-        for (i, line) in self.lines.by_ref() {
+        while let Some((i, line)) = self.lines.next() {
             let line_no = i + 2; // header consumed line 1
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let stream =
-                serde_json::from_str::<Stream>(&line).map_err(|source| IoError::Parse {
-                    line: line_no,
-                    snippet: snippet_of(&line),
-                    source,
-                })?;
-            self.delivered += 1;
-            return Ok(Some(stream));
+            match serde_json::from_str::<Stream>(&line) {
+                Ok(stream) => {
+                    self.delivered += 1;
+                    return Ok(Some(stream));
+                }
+                Err(source) => {
+                    // Only a damaged *final* line is tolerable: scan ahead for
+                    // any remaining content to distinguish a cut-short tail
+                    // from mid-file corruption. An I/O error while scanning is
+                    // surfaced as such — it must not masquerade as "more
+                    // content follows" and turn a tail-truncation read error
+                    // into a misleading mid-file parse error.
+                    let mut has_more_content = false;
+                    for (_, rest) in self.lines.by_ref() {
+                        match rest {
+                            Ok(l) if l.trim().is_empty() => continue,
+                            Ok(_) => {
+                                has_more_content = true;
+                                break;
+                            }
+                            Err(e) => return Err(IoError::Io(e)),
+                        }
+                    }
+                    if self.opts.allow_partial && !has_more_content {
+                        break;
+                    }
+                    return Err(IoError::Parse {
+                        line: line_no,
+                        snippet: snippet_of(&line),
+                        source,
+                    });
+                }
+            }
         }
-        if self.delivered != self.promised {
+        let count_ok = self.delivered == self.promised
+            || (self.opts.allow_partial && self.delivered < self.promised);
+        if !count_ok {
             return Err(IoError::BadHeader(format!(
                 "header promised {} streams, file contains {}",
                 self.promised, self.delivered
@@ -346,13 +325,11 @@ impl<R: BufRead> StreamReader<R> {
 
 /// Incremental crash-safe writer: the mirror of [`StreamReader`]. Streams
 /// go to a sibling `.tmp` file one at a time; [`StreamWriter::finish`]
-/// enforces the promised count, fsyncs, and atomically renames into
-/// place. Dropping an unfinished writer removes the temp file, so a
-/// crashed conversion can never publish a torn trace.
+/// enforces the promised count and commits atomically (see
+/// [`crate::atomic`]). Dropping an unfinished writer removes the temp file,
+/// so a crashed conversion can never publish a torn trace.
 pub struct StreamWriter {
-    w: Option<BufWriter<File>>,
-    tmp: std::path::PathBuf,
-    dst: std::path::PathBuf,
+    file: AtomicFile,
     promised: usize,
     written: usize,
 }
@@ -364,37 +341,10 @@ impl StreamWriter {
         generation: Generation,
         num_streams: usize,
     ) -> Result<Self, IoError> {
-        let path = path.as_ref();
-        let mut tmp_name = path
-            .file_name()
-            .ok_or_else(|| {
-                IoError::Io(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{} has no file name", path.display()),
-                ))
-            })?
-            .to_owned();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        let header = Header {
-            format: FORMAT.to_owned(),
-            version: VERSION,
-            generation,
-            num_streams,
-        };
-        let result = serde_json::to_writer(&mut w, &header)
-            .map_err(IoError::Json)
-            .and_then(|()| w.write_all(b"\n").map_err(IoError::Io));
-        if let Err(e) = result {
-            drop(w);
-            std::fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
+        let mut file = AtomicFile::create(path.as_ref())?;
+        write_header(file.writer(), generation, num_streams)?;
         Ok(StreamWriter {
-            w: Some(w),
-            tmp,
-            dst: path.to_path_buf(),
+            file,
             promised: num_streams,
             written: 0,
         })
@@ -402,9 +352,8 @@ impl StreamWriter {
 
     /// Appends one stream record.
     pub fn push(&mut self, stream: &Stream) -> Result<(), IoError> {
-        let w = self.w.as_mut().expect("writer live until finish");
-        serde_json::to_writer(&mut *w, stream)?;
-        w.write_all(b"\n")?;
+        serde_json::to_writer(self.file.writer(), stream)?;
+        self.file.writer().write_all(b"\n")?;
         self.written += 1;
         Ok(())
     }
@@ -417,20 +366,7 @@ impl StreamWriter {
                 self.promised, self.written
             )));
         }
-        let mut w = self.w.take().expect("writer live until finish");
-        w.flush()?;
-        w.get_ref().sync_all()?;
-        drop(w);
-        std::fs::rename(&self.tmp, &self.dst)?;
-        Ok(())
-    }
-}
-
-impl Drop for StreamWriter {
-    fn drop(&mut self) {
-        if self.w.take().is_some() {
-            std::fs::remove_file(&self.tmp).ok();
-        }
+        Ok(self.file.commit()?)
     }
 }
 

@@ -11,12 +11,16 @@
 //!   splitting and windowing operations;
 //! - [`stats`] — empirical CDFs, histograms and summary statistics used by
 //!   the fidelity metrics;
-//! - [`io`] — JSON-lines (de)serialization of datasets.
+//! - [`io`] — JSON-lines (de)serialization of datasets;
+//! - [`columnar`] — the binary out-of-core `.ctb` format;
+//! - [`any`] — one reader and one writer over both, chosen by extension.
 //!
 //! All timestamps are `f64` seconds from an arbitrary trace epoch;
 //! interarrival times are therefore also in seconds, matching the units used
 //! throughout the paper's evaluation (e.g. sojourn times of 5–50 s).
 
+pub mod any;
+mod atomic;
 pub mod columnar;
 pub mod dataset;
 pub mod device;
@@ -26,6 +30,7 @@ pub mod mmap;
 pub mod stats;
 pub mod stream;
 
+pub use any::{is_ctb, write_trace, AnyTrace, TraceWriter};
 pub use columnar::{ColumnarReader, ColumnarWriter, CtbError, CtbSummary, StreamView};
 pub use dataset::{Dataset, DatasetSummary};
 pub use device::DeviceType;

@@ -10,9 +10,13 @@
 //! - [`smm`] — Semi-Markov-model baselines
 //! - [`metrics`] — fidelity metrics
 //! - [`mcn`] — downstream MCN load simulator (the §2.2 use case)
-//! - [`bench`] — experiment + throughput-measurement harness
+//! - [`bench`] — experiment harness (the paper's tables and figures)
 //! - [`serve`] — streaming multi-UE generation service (continuous
 //!   batching, backpressure, load generator)
+//!
+//! The `cptgen` binary (`src/bin/cptgen/`, one module per subcommand) is
+//! the pipeline's CLI. Throughput is measured by the separate `cpt-ledger`
+//! crate, which this umbrella does not re-export.
 
 pub use cpt_bench as bench;
 pub use cpt_gpt as gpt;

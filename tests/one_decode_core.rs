@@ -54,6 +54,11 @@ fn deleted_decode_paths_do_not_reappear() {
         rust_files(&root.join(dir), &mut files);
     }
     assert!(files.len() > 20, "walked only {} files", files.len());
+    let cli = root.join("src/bin/cptgen");
+    assert!(
+        files.iter().any(|f| f.starts_with(&cli)),
+        "the walk no longer reaches the CLI's subcommand modules"
+    );
     let tape = root.join(TAPE);
     assert!(files.contains(&tape), "the tape moved; update TAPE");
     let kernels = root.join(KERNELS);
