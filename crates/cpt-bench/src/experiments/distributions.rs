@@ -7,7 +7,7 @@ use crate::suite::SuiteError;
 use crate::Scale;
 use cpt_metrics::report::{pct, pct_signed};
 use cpt_metrics::sojourn::sojourn_ecdf;
-use cpt_metrics::{flowlen, Table};
+use cpt_metrics::{FlowLenKind, StreamAccumulator, Table};
 use cpt_statemachine::{StateMachine, TopState};
 use cpt_trace::{DeviceType, EventType};
 
@@ -103,41 +103,24 @@ pub fn run_fig5(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
             )
             .collect();
         for (name, ds) in datasets {
-            emit(
-                "sojourn_connected",
-                name,
-                sojourn_ecdf(&machine, ds, TopState::Connected).series(150),
-                &mut rows,
-            );
-            emit(
-                "sojourn_idle",
-                name,
-                sojourn_ecdf(&machine, ds, TopState::Idle).series(150),
-                &mut rows,
-            );
-            emit(
-                "flow_length_all",
-                name,
-                flowlen::flow_length_ecdf(ds, flowlen::FlowLenKind::All).series(150),
-                &mut rows,
-            );
-            emit(
-                "flow_length_srv_req",
-                name,
-                flowlen::flow_length_ecdf(ds, flowlen::FlowLenKind::OfType(EventType::ServiceRequest))
-                    .series(150),
-                &mut rows,
-            );
-            emit(
-                "flow_length_s1_conn_rel",
-                name,
-                flowlen::flow_length_ecdf(
-                    ds,
-                    flowlen::FlowLenKind::OfType(EventType::ConnectionRelease),
-                )
-                .series(150),
-                &mut rows,
-            );
+            // Five views of one fold of the trace.
+            let acc = StreamAccumulator::of(&machine, ds);
+            let panels = [
+                ("sojourn_connected", acc.sojourn_ecdf(TopState::Connected)),
+                ("sojourn_idle", acc.sojourn_ecdf(TopState::Idle)),
+                ("flow_length_all", acc.flow_ecdf(FlowLenKind::All)),
+                (
+                    "flow_length_srv_req",
+                    acc.flow_ecdf(FlowLenKind::OfType(EventType::ServiceRequest)),
+                ),
+                (
+                    "flow_length_s1_conn_rel",
+                    acc.flow_ecdf(FlowLenKind::OfType(EventType::ConnectionRelease)),
+                ),
+            ];
+            for (panel, ecdf) in panels {
+                emit(panel, name, ecdf.series(150), &mut rows);
+            }
         }
         out.csv(
             &format!("fig5_{device}"),

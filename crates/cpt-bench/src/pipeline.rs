@@ -6,7 +6,10 @@ use crate::suite::{bumped, SuiteError};
 use crate::Scale;
 use cpt_gpt::{fine_tune, train, CptGpt, GenerateConfig, Tokenizer, TrainReport};
 use cpt_gpt::transfer::FineTuneConfig;
-use cpt_metrics::{select_checkpoint, FidelityReport, ViolationStats};
+use cpt_metrics::{
+    fidelity_from_accumulators, select_checkpoint, FidelityReport, StreamAccumulator,
+    ViolationStats,
+};
 use cpt_netshare::{NetShare, NetShareTrainReport};
 use cpt_smm::{SemiMarkovModel, SmmEnsemble};
 use cpt_statemachine::StateMachine;
@@ -398,11 +401,15 @@ pub fn run_suite(
         gpt.generate(&GenerateConfig::new(n, dev_seed + 13).device(device))?,
     );
 
+    // One fold per trace: a generator's report and violation statistics
+    // are two views of the same accumulator.
+    let real = StreamAccumulator::of(&machine, &real_test);
     let mut reports = BTreeMap::new();
     let mut violations = BTreeMap::new();
     for (kind, ds) in &synth {
-        reports.insert(*kind, FidelityReport::compute(&machine, &real_test, ds));
-        violations.insert(*kind, cpt_metrics::violation_stats(&machine, ds));
+        let acc = StreamAccumulator::of(&machine, ds);
+        reports.insert(*kind, fidelity_from_accumulators(&real, &acc));
+        violations.insert(*kind, acc.violations());
     }
     Ok(SuiteResult {
         device,
@@ -425,6 +432,12 @@ pub struct ConvergedTime {
     pub seconds: f64,
     /// Selected (0-based) epoch.
     pub epoch: usize,
+}
+
+/// One snapshot's output scored against the validation trace, which the
+/// caller folded once, outside its snapshot loop.
+fn snapshot_metrics(machine: &StateMachine, real: &StreamAccumulator, synth: &Dataset) -> Vec<f64> {
+    fidelity_from_accumulators(real, &StreamAccumulator::of(machine, synth)).metric_vector()
 }
 
 /// CPT-GPT variant of the checkpoint-time measurement.
@@ -456,13 +469,14 @@ pub fn cptgpt_time_to_converge(
         .first()
         .map(|s| s.device_type)
         .unwrap_or(DeviceType::Phone);
+    let real = StreamAccumulator::of(&machine, validation);
     let mut metrics = Vec::new();
     for (_, params) in &report.snapshots {
         let mut snap = model.clone();
         snap.store = params.clone();
         let synth = snap
             .generate(&GenerateConfig::new(scale.snapshot_eval_streams, seed + 99).device(device))?;
-        metrics.push(FidelityReport::compute(&machine, validation, &synth).metric_vector());
+        metrics.push(snapshot_metrics(&machine, &real, &synth));
     }
     let (seconds, epoch) = if metrics.is_empty() {
         (report.total_seconds, report.epochs.len().saturating_sub(1))
@@ -507,12 +521,13 @@ pub fn netshare_time_to_converge(
         .first()
         .map(|s| s.device_type)
         .unwrap_or(DeviceType::Phone);
+    let real = StreamAccumulator::of(&machine, validation);
     let mut metrics = Vec::new();
     for (_, params) in &report.snapshots {
         let mut snap = model.clone();
         snap.store = params.clone();
         let synth = snap.generate(scale.snapshot_eval_streams, device, seed + 99)?;
-        metrics.push(FidelityReport::compute(&machine, validation, &synth).metric_vector());
+        metrics.push(snapshot_metrics(&machine, &real, &synth));
     }
     let (seconds, epoch) = if metrics.is_empty() {
         (

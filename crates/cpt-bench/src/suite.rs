@@ -455,16 +455,6 @@ fn backoff_ms(cfg: &SuiteConfig, retry_index: u32) -> u64 {
         .min(cfg.backoff_cap_ms)
 }
 
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs one attempt of `stage`, converting panics into
 /// [`SuiteError::Panic`]. `AssertUnwindSafe` is sound here because the
 /// mutable state crossing the boundary (the model cache and transfer slot)
@@ -483,7 +473,7 @@ fn run_guarded(
     })) {
         Ok(r) => r,
         Err(payload) => Err(SuiteError::Panic {
-            detail: panic_detail(payload),
+            detail: cpt_gpt::panic_message(&*payload).to_string(),
         }),
     }
 }

@@ -3,16 +3,14 @@
 
 use crate::token::Tokenizer;
 use cpt_nn::Tensor;
-use cpt_trace::{Dataset, Stream};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use cpt_trace::Stream;
 
 /// One training batch for next-token prediction.
 ///
 /// For a stream of `L` tokens the model input is tokens `0..L-1` and the
 /// targets at position `t` are the three fields of token `t+1`. Rows are
 /// padded to the longest sequence in the batch; `mask` is 0 on padding.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     /// Model input, shape `[batch, seq, token_dim]`.
     pub inputs: Tensor,
@@ -38,15 +36,18 @@ impl Batch {
     }
 }
 
-/// Builds one batch from a slice of streams (each with `len >= 2`).
+/// Builds one batch from a slice of streams (each with `len >= 2`), of
+/// which only the first `max_len + 1` events count: the model sees
+/// `max_len` transitions, as in the paper.
 pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -> Batch {
     assert!(!streams.is_empty(), "empty batch");
     let d = tokenizer.token_dim();
-    let lens: Vec<usize> = streams
+    let truncated: Vec<Stream> = streams.iter().map(|s| s.truncated(max_len + 1)).collect();
+    let seq = truncated
         .iter()
-        .map(|s| s.len().min(max_len + 1).saturating_sub(1))
-        .collect();
-    let seq = *lens.iter().max().expect("nonempty");
+        .map(|s| s.len().saturating_sub(1))
+        .max()
+        .expect("nonempty");
     assert!(seq > 0, "all streams too short to form targets");
     let b = streams.len();
 
@@ -56,12 +57,9 @@ pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -
     let mut stop_targets = vec![0usize; b * seq];
     let mut mask = vec![0f32; b * seq];
 
-    for (bi, stream) in streams.iter().enumerate() {
-        // Truncate like the paper: keep the first max_len+1 tokens so the
-        // model sees max_len transitions.
-        let truncated = stream.truncated(max_len + 1);
-        let toks = tokenizer.encode_stream(&truncated);
-        let l = truncated.len();
+    for (bi, stream) in truncated.iter().enumerate() {
+        let toks = tokenizer.encode_stream(stream);
+        let l = stream.len();
         debug_assert!(l >= 2, "stream of length {l} cannot form targets");
         for t in 0..(l - 1) {
             let src = &toks[t * d..(t + 1) * d];
@@ -90,63 +88,10 @@ pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -
     }
 }
 
-/// Shuffles the trainable streams (length ≥ 2, as the paper excludes
-/// length-1 streams) and cuts them into batches.
-pub fn make_epoch_batches<'d>(
-    tokenizer: &Tokenizer,
-    dataset: &'d Dataset,
-    batch_size: usize,
-    max_len: usize,
-    rng: &mut impl Rng,
-) -> Vec<Batch> {
-    let mut streams: Vec<&'d Stream> =
-        dataset.streams.iter().filter(|s| s.len() >= 2).collect();
-    streams.shuffle(rng);
-    streams
-        .chunks(batch_size)
-        .map(|chunk| build_batch(tokenizer, chunk, max_len))
-        .collect()
-}
-
-/// Shuffles the trainable streams and cuts them into optimizer steps of
-/// `batch_size` streams, each further cut into micro-batch shards of at
-/// most `microbatch` streams.
-///
-/// The outer vector is one entry per optimizer step; the inner vector is
-/// that step's shards, in stream order. The shard layout is a pure
-/// function of `(batch_size, microbatch)` and the shuffle — it never
-/// depends on how many threads later execute the shards — which is what
-/// makes data-parallel training bit-identical across thread counts.
-/// Consumes the RNG exactly like [`make_epoch_batches`] (one shuffle), so
-/// serial and sharded epochs see the same stream order for a given seed.
-pub fn make_epoch_shards<'d>(
-    tokenizer: &Tokenizer,
-    dataset: &'d Dataset,
-    batch_size: usize,
-    microbatch: usize,
-    max_len: usize,
-    rng: &mut impl Rng,
-) -> Vec<Vec<Batch>> {
-    assert!(batch_size > 0 && microbatch > 0, "zero batch/microbatch");
-    let mut streams: Vec<&'d Stream> =
-        dataset.streams.iter().filter(|s| s.len() >= 2).collect();
-    streams.shuffle(rng);
-    streams
-        .chunks(batch_size)
-        .map(|step| {
-            step.chunks(microbatch)
-                .map(|shard| build_batch(tokenizer, shard, max_len))
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpt_trace::{DeviceType, Event, EventType, UeId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use cpt_trace::{Dataset, DeviceType, Event, EventType, UeId};
 
     fn stream(id: u64, times: &[f64]) -> Stream {
         Stream::new(
@@ -212,64 +157,5 @@ mod tests {
         let b = build_batch(&tok, &streams, 2);
         assert_eq!(b.seq, 2);
         assert_eq!(b.real_positions(), 2);
-    }
-
-    #[test]
-    fn epoch_batches_cover_all_trainable_streams() {
-        let d = dataset();
-        let tok = Tokenizer::fit(&d);
-        let mut rng = StdRng::seed_from_u64(0);
-        let batches = make_epoch_batches(&tok, &d, 2, 100, &mut rng);
-        // 3 trainable streams → 2 batches (2 + 1).
-        assert_eq!(batches.len(), 2);
-        let total: usize = batches.iter().map(|b| b.batch).sum();
-        assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn epoch_shards_partition_each_step() {
-        let d = dataset();
-        let tok = Tokenizer::fit(&d);
-        let mut rng = StdRng::seed_from_u64(0);
-        // 3 trainable streams, batch 2, microbatch 1 → steps [ [1,1], [1] ].
-        let steps = make_epoch_shards(&tok, &d, 2, 1, 100, &mut rng);
-        assert_eq!(steps.len(), 2);
-        assert_eq!(steps[0].len(), 2);
-        assert_eq!(steps[1].len(), 1);
-        let total: usize = steps.iter().flatten().map(|b| b.batch).sum();
-        assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn epoch_shards_match_batches_stream_order() {
-        // Same RNG consumption: shards concatenated per step must contain
-        // exactly the streams of the corresponding serial batch, in order.
-        let d = dataset();
-        let tok = Tokenizer::fit(&d);
-        let batches = make_epoch_batches(&tok, &d, 2, 100, &mut StdRng::seed_from_u64(42));
-        let steps = make_epoch_shards(&tok, &d, 2, 1, 100, &mut StdRng::seed_from_u64(42));
-        assert_eq!(batches.len(), steps.len());
-        for (batch, shards) in batches.iter().zip(&steps) {
-            let sharded_rows: usize = shards.iter().map(|s| s.batch).sum();
-            assert_eq!(batch.batch, sharded_rows);
-            // First row of the first shard equals the batch's first row
-            // (up to that row's unpadded length).
-            let d_tok = tok.token_dim();
-            let row = &shards[0].inputs.data[..shards[0].seq * d_tok];
-            let full = &batch.inputs.data[..batch.seq * d_tok];
-            assert_eq!(&full[..row.len().min(full.len())], &row[..row.len().min(full.len())]);
-        }
-    }
-
-    #[test]
-    fn epoch_batches_shuffle_deterministically() {
-        let d = dataset();
-        let tok = Tokenizer::fit(&d);
-        let a = make_epoch_batches(&tok, &d, 2, 100, &mut StdRng::seed_from_u64(7));
-        let b = make_epoch_batches(&tok, &d, 2, 100, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.inputs.data, y.inputs.data);
-        }
     }
 }

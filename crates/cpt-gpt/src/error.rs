@@ -202,3 +202,38 @@ impl std::fmt::Display for GenerateError {
 }
 
 impl std::error::Error for GenerateError {}
+
+/// The message a caught panic carried. `panic!` payloads are a `&str` or a
+/// `String`; anything else (`std::panic::panic_any`) has no text to show.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string payload"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::panic_message;
+    use std::panic::{catch_unwind, panic_any};
+
+    #[test]
+    fn panic_message_reads_both_string_payloads_and_names_the_rest() {
+        let caught = |f: fn()| catch_unwind(f).expect_err("the closure panics");
+        assert_eq!(
+            panic_message(&*caught(|| panic!("static text"))),
+            "static text"
+        );
+        assert_eq!(
+            panic_message(&*caught(|| panic!("formatted {}", 7))),
+            "formatted 7"
+        );
+        assert_eq!(
+            panic_message(&*caught(|| panic_any(7u32))),
+            "non-string payload"
+        );
+    }
+}

@@ -9,19 +9,19 @@
 //!
 //! Categorical fields are sampled from the predicted softmax; the
 //! interarrival is sampled from the predicted Gaussian (Design 2). That
-//! procedure lives in [`crate::stream`]; [`CptGpt::generate`] drives it:
-//! UE `i` is stream `i` of the session `(model, seed)`, drawing from an RNG
-//! derived from `(seed, i)` alone (see [`crate::mix`]), so the output is
-//! bit-identical at any thread count and any `batch_size`, and equal to
-//! what a served session with the same seed emits.
+//! procedure lives in [`crate::stream`]; [`CptGpt::generate_into`] drives
+//! it ([`CptGpt::generate`] collects what it hands over): UE `i` is stream
+//! `i` of the session `(model, seed)`, drawing from an RNG derived from
+//! `(seed, i)` alone (see [`crate::mix`]), so the output is bit-identical
+//! at any thread count and any `batch_size`, and equal to what a served
+//! session with the same seed emits.
 //!
 //! Guardrails: a poisoned or half-trained model can emit NaN logits or a
 //! non-finite interarrival. Inference never panics on these — non-finite
-//! interarrival draws are resampled up to
-//! [`GenerateConfig::max_resample`] times and then clamped; non-finite
-//! logits fall back to sanitized (ultimately uniform) sampling; stream
-//! length is capped. Every intervention is tallied in [`GenCounters`] so
-//! callers can tell a clean run from a degraded one.
+//! interarrival draws are resampled up to `MAX_RESAMPLE` (8) times and then
+//! clamped; non-finite logits fall back to sanitized (ultimately uniform)
+//! sampling; stream length is capped. Every intervention is tallied in
+//! [`GenCounters`] so callers can tell a clean run from a degraded one.
 
 use crate::error::GenerateError;
 use crate::model::{CptGpt, DecodeState};
@@ -32,7 +32,8 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Inference configuration.
+/// Inference configuration. The categorical heads are sampled from the
+/// full softmax at temperature 1, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GenerateConfig {
     /// Number of UE streams to synthesize.
@@ -42,54 +43,32 @@ pub struct GenerateConfig {
     pub device_type: DeviceType,
     /// RNG seed.
     pub seed: u64,
-    /// Softmax temperature for the categorical heads (1.0 = the paper's
-    /// plain sampling).
-    pub temperature: f32,
     /// Streams advanced together through one packed forward pass (a speed
     /// and memory knob only: the output does not depend on it).
     pub batch_size: usize,
-    /// Truncated sampling for the event-type head. The paper samples the
-    /// full softmax; truncation is a standard inference-time knob that
-    /// trades diversity for semantic precision.
-    pub sampling: Sampling,
-    /// Retry budget for non-finite interarrival draws before degrading to
-    /// a clamped value.
-    #[serde(default = "default_max_resample")]
-    pub max_resample: u32,
     /// Optional stream-length cap below the model's `max_len` (runaway
     /// guard); `None` uses the model's limit.
     #[serde(default)]
     pub max_stream_len: Option<usize>,
 }
 
-fn default_max_resample() -> u32 {
-    8
-}
+/// Retry budget for a non-finite interarrival draw before it degrades to a
+/// clamped value.
+pub(crate) const MAX_RESAMPLE: u32 = 8;
 
-/// Categorical sampling strategies for the event-type head.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum Sampling {
-    /// Sample the full softmax (the paper's default).
-    #[default]
-    Full,
-    /// Sample only among the `k` most probable events.
-    TopK(usize),
-    /// Sample the smallest probability mass that reaches `p` (nucleus /
-    /// top-p sampling).
-    Nucleus(f32),
-}
+/// Chunks of `batch_size` streams decoded per rayon thread between two
+/// hand-overs to [`CptGpt::generate_into`]'s sink: what bounds the streams
+/// resident at once (a few MB of events at the default `batch_size`).
+const WINDOW_CHUNKS_PER_THREAD: usize = 16;
 
 impl GenerateConfig {
-    /// Generates `n` phone streams with default sampling settings.
+    /// Generates `n` phone streams.
     pub fn new(n: usize, seed: u64) -> Self {
         GenerateConfig {
             num_streams: n,
             device_type: DeviceType::Phone,
             seed,
-            temperature: 1.0,
             batch_size: 64,
-            sampling: Sampling::Full,
-            max_resample: default_max_resample(),
             max_stream_len: None,
         }
     }
@@ -97,12 +76,6 @@ impl GenerateConfig {
     /// Builder: sets the device type.
     pub fn device(mut self, device_type: DeviceType) -> Self {
         self.device_type = device_type;
-        self
-    }
-
-    /// Builder: sets the event-head sampling strategy.
-    pub fn sampling(mut self, sampling: Sampling) -> Self {
-        self.sampling = sampling;
         self
     }
 
@@ -121,7 +94,7 @@ impl GenerateConfig {
                 message: "must be at least 1".into(),
             });
         }
-        validate_sampling(self.temperature, self.sampling, self.max_stream_len)
+        validate_max_stream_len(self.max_stream_len)
     }
 
     /// The session whose streams `0..num_streams` are this run's UEs.
@@ -130,43 +103,20 @@ impl GenerateConfig {
             seed: self.seed,
             device_type: self.device_type,
             num_streams: self.num_streams,
-            temperature: self.temperature,
-            sampling: self.sampling,
-            max_resample: self.max_resample,
             max_stream_len: self.max_stream_len,
         }
     }
 }
 
-/// Domain checks on the sampling knobs [`GenerateConfig`] and
-/// [`StreamParams`] share.
-pub(crate) fn validate_sampling(
-    temperature: f32,
-    sampling: Sampling,
-    max_stream_len: Option<usize>,
-) -> Result<(), GenerateError> {
-    fn bad(field: &'static str, message: impl Into<String>) -> GenerateError {
-        GenerateError::InvalidConfig {
-            field,
-            message: message.into(),
-        }
-    }
-    if !temperature.is_finite() || temperature <= 0.0 {
-        return Err(bad(
-            "temperature",
-            format!("must be finite and positive, got {temperature}"),
-        ));
-    }
+/// The domain check [`GenerateConfig`] and [`StreamParams`] share.
+pub(crate) fn validate_max_stream_len(max_stream_len: Option<usize>) -> Result<(), GenerateError> {
     if max_stream_len == Some(0) {
-        return Err(bad("max_stream_len", "must be at least 1 when set"));
+        return Err(GenerateError::InvalidConfig {
+            field: "max_stream_len",
+            message: "must be at least 1 when set".into(),
+        });
     }
-    match sampling {
-        Sampling::TopK(0) => Err(bad("sampling", "top-k needs k >= 1")),
-        Sampling::Nucleus(p) if !(p.is_finite() && p > 0.0 && p <= 1.0) => {
-            Err(bad("sampling", format!("nucleus p must be in (0, 1], got {p}")))
-        }
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 /// Per-run tally of inference guardrail interventions.
@@ -225,47 +175,71 @@ impl CptGpt {
     }
 
     /// Like [`CptGpt::generate`], additionally returning the guardrail
-    /// counters so callers can detect degraded output.
+    /// counters so callers can detect degraded output:
+    /// [`CptGpt::generate_into`] collected into a [`Dataset`].
+    pub fn generate_with_report(
+        &self,
+        cfg: &GenerateConfig,
+    ) -> Result<(Dataset, GenCounters), GenerateError> {
+        let mut streams = Vec::new();
+        let counters = self.generate_into(cfg, |stream| {
+            streams.push(stream);
+            Ok::<(), GenerateError>(())
+        })?;
+        Ok((
+            Dataset::with_generation(self.config.generation, streams),
+            counters,
+        ))
+    }
+
+    /// Synthesizes `cfg.num_streams` streams and hands them to `sink` in UE
+    /// order, stopping at the sink's first error; returns the guardrail
+    /// counters.
     ///
     /// UE `i` is stream `i` of `open_session(StreamParams { seed: cfg.seed,
     /// num_streams: cfg.num_streams, .. })`: one single-stream
     /// [`SessionDecoder`] each, advanced `cfg.batch_size` at a time by a
     /// [`BatchDecoder`], the chunks in parallel across however many rayon
     /// threads are available. No RNG state flows between streams, so the
-    /// output is a pure function of the config minus `batch_size`.
-    pub fn generate_with_report(
+    /// output is a pure function of the config minus `batch_size`. Chunks
+    /// are decoded a bounded window at a time, so no more than
+    /// `WINDOW_CHUNKS_PER_THREAD × threads × batch_size` streams are ever
+    /// resident, whatever `num_streams` is.
+    pub fn generate_into<E: From<GenerateError>>(
         &self,
         cfg: &GenerateConfig,
-    ) -> Result<(Dataset, GenCounters), GenerateError> {
+        mut sink: impl FnMut(Stream) -> Result<(), E>,
+    ) -> Result<GenCounters, E> {
         cfg.validate()?;
         if self.initial_event_dist.is_empty() {
-            return Err(GenerateError::UntrainedModel);
+            return Err(GenerateError::UntrainedModel.into());
         }
         let n_chunks = cfg.num_streams.div_ceil(cfg.batch_size);
-        // Each rayon worker keeps one decoder and the decode states of the
-        // chunk it last finished, so a run allocates KV memory for
-        // `threads × batch_size` streams, not `num_streams`.
-        let per_chunk: Vec<(Vec<Stream>, GenCounters)> = (0..n_chunks)
-            .into_par_iter()
-            .map_init(
-                || (BatchDecoder::new(self, cfg.batch_size), Vec::new()),
-                |(decoder, spare), c| {
-                    let first = c * cfg.batch_size;
-                    let end = cfg.num_streams.min(first + cfg.batch_size);
-                    self.generate_chunk(cfg, first..end, decoder, spare)
-                },
-            )
-            .collect::<Result<_, _>>()?;
+        let window = WINDOW_CHUNKS_PER_THREAD * rayon::current_num_threads();
         let mut counters = GenCounters::default();
-        let mut streams = Vec::with_capacity(cfg.num_streams);
-        for (chunk, tally) in per_chunk {
-            counters.merge(&tally);
-            streams.extend(chunk);
+        for start in (0..n_chunks).step_by(window) {
+            // Each rayon worker keeps one decoder and the decode states of
+            // the chunk it last finished, so a window allocates KV memory
+            // for `threads × batch_size` streams.
+            let per_chunk: Vec<(Vec<Stream>, GenCounters)> = (start..n_chunks.min(start + window))
+                .into_par_iter()
+                .map_init(
+                    || (BatchDecoder::new(self, cfg.batch_size), Vec::new()),
+                    |(decoder, spare), c| {
+                        let first = c * cfg.batch_size;
+                        let end = cfg.num_streams.min(first + cfg.batch_size);
+                        self.generate_chunk(cfg, first..end, decoder, spare)
+                    },
+                )
+                .collect::<Result<_, GenerateError>>()?;
+            for (chunk, tally) in per_chunk {
+                counters.merge(&tally);
+                for stream in chunk {
+                    sink(stream)?;
+                }
+            }
         }
-        Ok((
-            Dataset::with_generation(self.config.generation, streams),
-            counters,
-        ))
+        Ok(counters)
     }
 
     /// Decodes UEs `ues` to completion, one event per live stream per
@@ -321,14 +295,13 @@ impl CptGpt {
     }
 
     /// Draws the scaled interarrival for row `s` of a step, guarding
-    /// against non-finite head outputs: retry up to `max_resample` times,
+    /// against non-finite head outputs: retry up to [`MAX_RESAMPLE`] times,
     /// then degrade to a clamped mean (or 0 if the mean itself is
     /// poisoned). The returned value is always in `[0, 1]`.
     pub(crate) fn sample_scaled_iat(
         &self,
         out: &crate::model::InferStep,
         s: usize,
-        max_resample: u32,
         rng: &mut StdRng,
         counters: &mut GenCounters,
     ) -> f32 {
@@ -344,7 +317,7 @@ impl CptGpt {
         let sigma = out.iat_log_std[s].clamp(-7.0, 3.0).exp();
         let mut draw = mu + sigma * sample_normal(rng);
         let mut attempts = 0u32;
-        while !draw.is_finite() && attempts < max_resample {
+        while !draw.is_finite() && attempts < MAX_RESAMPLE {
             attempts += 1;
             counters.resampled_iat += 1;
             draw = mu + sigma * sample_normal(rng);
@@ -393,73 +366,26 @@ pub(crate) fn sample_categorical(probs: &[f64], rng: &mut impl Rng) -> usize {
     probs.len() - 1
 }
 
-pub(crate) fn sample_logits(logits: &[f32], temperature: f32, rng: &mut impl Rng) -> usize {
-    sample_logits_truncated(logits, temperature, Sampling::Full, rng)
-}
-
-/// Widest logit row the samplers see: the event head has at most one logit
+/// Widest logit row the sampler sees: the event head has at most one logit
 /// per [`EventType`], the stop head two.
 const MAX_CLASSES: usize = EventType::ALL.len();
 
-/// Temperature + truncation sampling over raw logits (at most
-/// [`MAX_CLASSES`] of them), on the stack: decoding an event allocates
-/// nothing. Panic-free for any logit values: ordering uses `total_cmp` and
-/// non-finite logits map to zero probability (degenerating to a uniform
-/// draw if nothing survives).
-pub(crate) fn sample_logits_truncated(
-    logits: &[f32],
-    temperature: f32,
-    sampling: Sampling,
-    rng: &mut impl Rng,
-) -> usize {
-    let t = temperature.max(1e-3);
+/// Samples the softmax of raw logits (at most [`MAX_CLASSES`] of them), on
+/// the stack: decoding an event allocates nothing. Panic-free for any
+/// logit values: non-finite logits map to zero probability (degenerating
+/// to a uniform draw if nothing survives).
+pub(crate) fn sample_logits(logits: &[f32], rng: &mut impl Rng) -> usize {
     let max = logits
         .iter()
         .cloned()
         .filter(|l| l.is_finite())
         .fold(f32::NEG_INFINITY, f32::max);
-    let n = logits.len();
     let mut probs = [0.0f64; MAX_CLASSES];
-    let probs = &mut probs[..n];
+    let probs = &mut probs[..logits.len()];
     for (p, l) in probs.iter_mut().zip(logits) {
-        let x = ((l - max) / t) as f64;
+        let x = (l - max) as f64;
         if x.is_finite() {
             *p = x.exp();
-        }
-    }
-    // Class indices by descending probability (stable, so ties keep index
-    // order).
-    let descending = |probs: &[f64]| {
-        let mut order: [usize; MAX_CLASSES] = std::array::from_fn(|i| i);
-        order[..n].sort_by(|a, b| probs[*b].total_cmp(&probs[*a]));
-        order
-    };
-    match sampling {
-        Sampling::Full => {}
-        Sampling::TopK(k) => {
-            let k = k.clamp(1, n);
-            for i in &descending(probs)[k..n] {
-                probs[*i] = 0.0;
-            }
-        }
-        Sampling::Nucleus(p) => {
-            let p = p.clamp(1e-6, 1.0) as f64;
-            let total: f64 = probs.iter().sum();
-            if total.is_finite() && total > 0.0 {
-                let order = descending(probs);
-                let mut cum = 0.0;
-                let mut keep = 0;
-                for i in &order[..n] {
-                    cum += probs[*i] / total;
-                    keep += 1;
-                    if cum >= p {
-                        break;
-                    }
-                }
-                for i in &order[keep..n] {
-                    probs[*i] = 0.0;
-                }
-            }
         }
     }
     sample_categorical(probs, rng)
@@ -583,81 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn near_zero_temperature_is_argmax_like() {
-        // At a tiny temperature the categorical sampling collapses to the
-        // argmax, so two different seeds produce identical event
-        // sequences whenever interarrival sampling does not diverge the
-        // context (point-head ablation removes that source too).
-        let data = alternating_dataset(24);
-        let tok = Tokenizer::fit(&data);
-        let mut model = CptGpt::new(tiny_config().with_point_iat_head(), tok);
-        train(
-            &mut model,
-            &data,
-            &TrainConfig::quick().with_epochs(30).with_lr(5e-3),
-        )
-        .expect("training succeeds");
-        let mk = |seed| {
-            let mut cfg = GenerateConfig::new(4, seed);
-            cfg.temperature = 1e-4;
-            model
-                .generate(&cfg)
-                .expect("generate")
-                .streams
-                .iter()
-                .map(|s| s.event_types())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(mk(1), mk(2));
-    }
-
-    #[test]
-    fn truncated_sampling_restricts_support() {
-        // With top-1 sampling the event head becomes deterministic argmax.
-        let model = trained_model();
-        let mk = |sampling| {
-            let cfg = GenerateConfig::new(6, 11).sampling(sampling);
-            model
-                .generate(&cfg)
-                .expect("generate")
-                .streams
-                .iter()
-                .map(|s| s.event_types())
-                .collect::<Vec<_>>()
-        };
-        // Top-1 twice with different seeds in the iat path can still agree
-        // on events only if iat noise doesn't shift context; instead test
-        // the sampler directly on fixed logits.
-        let logits = [3.0f32, 1.0, 0.5, -1.0, -2.0, -3.0];
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..200 {
-            let i = sample_logits_truncated(&logits, 1.0, Sampling::TopK(1), &mut rng);
-            assert_eq!(i, 0, "top-1 must always pick the argmax");
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..500 {
-            seen.insert(sample_logits_truncated(&logits, 1.0, Sampling::TopK(2), &mut rng));
-        }
-        assert_eq!(seen.into_iter().collect::<Vec<_>>(), vec![0, 1]);
-        // Nucleus with tiny p behaves like top-1.
-        for _ in 0..200 {
-            let i = sample_logits_truncated(&logits, 1.0, Sampling::Nucleus(0.05), &mut rng);
-            assert_eq!(i, 0);
-        }
-        // Nucleus with p = 1 covers the full support eventually.
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..5000 {
-            seen.insert(sample_logits_truncated(&logits, 1.0, Sampling::Nucleus(1.0), &mut rng));
-        }
-        assert!(seen.len() >= 4, "full nucleus too narrow: {seen:?}");
-        // And generation with a truncated sampler still runs end to end.
-        let full = mk(Sampling::Full);
-        let topk = mk(Sampling::TopK(2));
-        assert_eq!(full.len(), 6);
-        assert_eq!(topk.len(), 6);
-    }
-
-    #[test]
     fn device_type_is_stamped() {
         let model = trained_model();
         let d = model
@@ -686,26 +537,11 @@ mod tests {
                 c.batch_size = 0;
                 c
             }),
-            ("temperature", {
-                let mut c = GenerateConfig::new(1, 0);
-                c.temperature = 0.0;
-                c
-            }),
-            ("temperature", {
-                let mut c = GenerateConfig::new(1, 0);
-                c.temperature = f32::NAN;
-                c
-            }),
             ("max_stream_len", {
                 let mut c = GenerateConfig::new(1, 0);
                 c.max_stream_len = Some(0);
                 c
             }),
-            ("sampling", GenerateConfig::new(1, 0).sampling(Sampling::TopK(0))),
-            (
-                "sampling",
-                GenerateConfig::new(1, 0).sampling(Sampling::Nucleus(0.0)),
-            ),
         ];
         for (field, cfg) in cases {
             match model.generate(&cfg) {
@@ -727,24 +563,18 @@ mod tests {
         assert!(counters.truncated_streams > 0);
     }
 
-    /// The sampler as it was when it collected `probs` and `order` into
-    /// fresh `Vec`s on every call: the reference for the stack form.
-    fn sample_logits_allocating(
-        logits: &[f32],
-        temperature: f32,
-        sampling: Sampling,
-        rng: &mut impl Rng,
-    ) -> usize {
-        let t = temperature.max(1e-3);
+    /// The sampler as it was when it collected `probs` into a fresh `Vec`
+    /// on every call: the reference for the stack form.
+    fn sample_logits_allocating(logits: &[f32], rng: &mut impl Rng) -> usize {
         let max = logits
             .iter()
             .cloned()
             .filter(|l| l.is_finite())
             .fold(f32::NEG_INFINITY, f32::max);
-        let mut probs: Vec<f64> = logits
+        let probs: Vec<f64> = logits
             .iter()
             .map(|l| {
-                let x = ((l - max) / t) as f64;
+                let x = (l - max) as f64;
                 if x.is_finite() {
                     x.exp()
                 } else {
@@ -752,34 +582,6 @@ mod tests {
                 }
             })
             .collect();
-        let mut order: Vec<usize> = (0..probs.len()).collect();
-        order.sort_by(|a, b| probs[*b].total_cmp(&probs[*a]));
-        match sampling {
-            Sampling::Full => {}
-            Sampling::TopK(k) => {
-                for i in &order[k.clamp(1, probs.len())..] {
-                    probs[*i] = 0.0;
-                }
-            }
-            Sampling::Nucleus(p) => {
-                let p = p.clamp(1e-6, 1.0) as f64;
-                let total: f64 = probs.iter().sum();
-                if total.is_finite() && total > 0.0 {
-                    let mut cum = 0.0;
-                    let mut keep = 0;
-                    for i in &order {
-                        cum += probs[*i] / total;
-                        keep += 1;
-                        if cum >= p {
-                            break;
-                        }
-                    }
-                    for i in &order[keep..] {
-                        probs[*i] = 0.0;
-                    }
-                }
-            }
-        }
         sample_categorical(&probs, rng)
     }
 
@@ -793,31 +595,18 @@ mod tests {
             &[f32::NAN; 6],
             &[f32::NEG_INFINITY, f32::NAN],
         ];
-        let samplings = [
-            Sampling::Full,
-            Sampling::TopK(1),
-            Sampling::TopK(3),
-            Sampling::TopK(99),
-            Sampling::Nucleus(0.05),
-            Sampling::Nucleus(0.9),
-            Sampling::Nucleus(1.0),
-        ];
         for logits in rows {
-            for sampling in samplings {
-                for temperature in [1.0, 0.3, 4.0] {
-                    let mut a = StdRng::seed_from_u64(17);
-                    let mut b = StdRng::seed_from_u64(17);
-                    for _ in 0..64 {
-                        assert_eq!(
-                            sample_logits_truncated(logits, temperature, sampling, &mut a),
-                            sample_logits_allocating(logits, temperature, sampling, &mut b),
-                            "{logits:?} {sampling:?} t={temperature}"
-                        );
-                    }
-                    // Same number of draws taken from the generator.
-                    assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-                }
+            let mut a = StdRng::seed_from_u64(17);
+            let mut b = StdRng::seed_from_u64(17);
+            for _ in 0..64 {
+                assert_eq!(
+                    sample_logits(logits, &mut a),
+                    sample_logits_allocating(logits, &mut b),
+                    "{logits:?}"
+                );
             }
+            // Same number of draws taken from the generator.
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
     }
 
@@ -825,15 +614,10 @@ mod tests {
     fn samplers_survive_non_finite_logits() {
         let mut rng = StdRng::seed_from_u64(9);
         let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0];
-        for sampling in [Sampling::Full, Sampling::TopK(2), Sampling::Nucleus(0.9)] {
-            for _ in 0..200 {
-                let i = sample_logits_truncated(&bad, 1.0, sampling, &mut rng);
-                assert!(i < bad.len());
-            }
-        }
         let all_nan = [f32::NAN; 4];
         for _ in 0..200 {
-            assert!(sample_logits_truncated(&all_nan, 1.0, Sampling::Full, &mut rng) < 4);
+            assert!(sample_logits(&bad, &mut rng) < bad.len());
+            assert!(sample_logits(&all_nan, &mut rng) < 4);
         }
         // Degenerate categorical vectors never panic or go out of range.
         for probs in [

@@ -21,7 +21,16 @@
 //!
 //! Inference ([`generate`]) bootstraps each stream by sampling the
 //! released initial-event-type distribution, then decodes autoregressively
-//! until a stop flag fires or the configured maximum length is reached.
+//! until a stop flag fires or the configured maximum length is reached;
+//! [`CptGpt::generate_into`] is its one offline body, handing finished
+//! streams to a sink a bounded window at a time.
+//!
+//! Training reads a [`ShardSource`] ([`source`]): an in-RAM
+//! [`cpt_trace::Dataset`] or an out-of-core [`ColumnarSource`] over a
+//! `.ctb` file, through one epoch plan and one set of entry points
+//! ([`train`], [`train_with_checkpoints`], [`resume_training`],
+//! [`fine_tune`]), with bit-identical weights; [`with_training_set`]
+//! decides which of the two a trace file becomes.
 
 pub mod batch;
 pub mod checkpoint;
@@ -41,20 +50,24 @@ pub use checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointSpec, RecoveryEvent, TrainCheckpoint,
 };
 pub use config::{CptGptConfig, TrainConfig, WatchdogConfig};
-pub use error::{CheckpointError, FaultKind, GenerateError, TrainError};
+pub use error::{panic_message, CheckpointError, FaultKind, GenerateError, TrainError};
 pub use faultinject::{FaultPlan, StageFaultPlan};
-pub use generate::{GenCounters, GenerateConfig, Sampling};
+pub use generate::{GenCounters, GenerateConfig};
 pub use mix::{mix64, GOLDEN_GAMMA};
 pub use model::{
     load_model_file, save_model_file, BatchDecodeState, CptGpt, DecodeState, QuantDecodeWeights,
     StepOutput,
 };
-pub use source::{fit_tokenizer_streaming, ColumnarSource, DatasetSource, ShardSource};
+pub use source::{
+    fit_tokenizer_streaming, with_training_set, ColumnarSource, ShardSource, TrainingSet,
+};
 pub use stream::{BatchDecoder, RoundOutcome, SessionDecoder, SessionEvent, StreamParams};
 pub use token::{ScaleKind, Tokenizer, TokenizerFit};
-pub use batch::{build_batch, make_epoch_batches, make_epoch_shards, Batch};
+pub use batch::{build_batch, Batch};
+// `cpt-ledger` imports the trainer under this name.
+pub use train::train as train_source;
 pub use train::{
-    parallel_grad_step, resume_training, resume_training_source, train, train_source,
-    train_source_with_checkpoints, train_with_checkpoints, EpochStats, StepOutcome, TrainReport,
+    parallel_grad_step, resume_training, train, train_with_checkpoints, EpochStats, StepOutcome,
+    TrainReport,
 };
 pub use transfer::fine_tune;

@@ -25,11 +25,8 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::error::GenerateError;
-use crate::generate::{
-    sample_categorical, sample_logits, sample_logits_truncated, validate_sampling,
-    GenCounters, GenerateConfig, Sampling,
-};
+use crate::error::{panic_message, GenerateError};
+use crate::generate::{sample_categorical, sample_logits, validate_max_stream_len, GenCounters};
 use crate::mix::indexed_rng;
 use crate::model::{BatchDecodeState, CptGpt, DecodeState, InferStep};
 use cpt_nn::Tensor;
@@ -51,27 +48,17 @@ pub struct StreamParams {
     /// Number of consecutive UE streams this session decodes before
     /// finishing.
     pub num_streams: usize,
-    /// Softmax temperature for the categorical heads.
-    pub temperature: f32,
-    /// Event-head sampling strategy.
-    pub sampling: Sampling,
-    /// Retry budget for non-finite interarrival draws.
-    pub max_resample: u32,
     /// Optional per-stream length cap below the model's `max_len`.
     pub max_stream_len: Option<usize>,
 }
 
 impl StreamParams {
-    /// One phone stream with the paper's default sampling settings.
+    /// One phone stream.
     pub fn new(seed: u64) -> Self {
-        let d = GenerateConfig::new(1, seed);
         StreamParams {
             seed,
-            device_type: d.device_type,
+            device_type: DeviceType::Phone,
             num_streams: 1,
-            temperature: d.temperature,
-            sampling: d.sampling,
-            max_resample: d.max_resample,
             max_stream_len: None,
         }
     }
@@ -94,8 +81,7 @@ impl StreamParams {
         self
     }
 
-    /// Validates every field (the sampling knobs share
-    /// [`GenerateConfig`]'s domain checks).
+    /// Validates every field.
     pub fn validate(&self) -> Result<(), GenerateError> {
         if self.num_streams == 0 {
             return Err(GenerateError::InvalidConfig {
@@ -103,7 +89,7 @@ impl StreamParams {
                 message: "must be at least 1".into(),
             });
         }
-        validate_sampling(self.temperature, self.sampling, self.max_stream_len)
+        validate_max_stream_len(self.max_stream_len)
     }
 }
 
@@ -224,7 +210,7 @@ impl SessionDecoder {
             self.bootstrap_event(model)
         } else {
             let out = model.decode_step(&mut self.state, &self.step);
-            sample_row(model, &self.params, out, 0, &mut self.rng, &mut self.counters)
+            sample_row(model, out, 0, &mut self.rng, &mut self.counters)
         };
         Some(self.commit_event(model, event, iat, stop))
     }
@@ -322,7 +308,6 @@ impl SessionDecoder {
 /// for any batch composition.
 fn sample_row(
     model: &CptGpt,
-    params: &StreamParams,
     out: &InferStep,
     row: usize,
     rng: &mut StdRng,
@@ -333,17 +318,17 @@ fn sample_row(
     if ev_logits.iter().any(|l| !l.is_finite()) {
         counters.non_finite_logits += 1;
     }
-    let ev_idx = sample_logits_truncated(ev_logits, params.temperature, params.sampling, rng);
+    let ev_idx = sample_logits(ev_logits, rng);
     // The sampler always returns an index below `num_events`, so this
     // lookup cannot fail.
     let event = EventType::from_index(ev_idx).expect("sampler returns in-range index");
-    let scaled = model.sample_scaled_iat(out, row, params.max_resample, rng, counters);
+    let scaled = model.sample_scaled_iat(out, row, rng, counters);
     let iat = model.tokenizer.unscale_iat(scaled);
     let stop_logits = &out.stop_logits.data[row * 2..row * 2 + 2];
     if stop_logits.iter().any(|l| !l.is_finite()) {
         counters.non_finite_logits += 1;
     }
-    let stop = sample_logits(stop_logits, params.temperature, rng) == 1;
+    let stop = sample_logits(stop_logits, rng) == 1;
     (event, iat, stop)
 }
 
@@ -463,7 +448,7 @@ impl BatchDecoder {
                     // Placeholder; overwritten by phase 3.
                     RoundOutcome::Finished
                 }
-                Err(payload) => RoundOutcome::Panicked(panic_reason(payload.as_ref())),
+                Err(payload) => RoundOutcome::Panicked(worker_panic(payload.as_ref())),
             });
         }
         if self.staged.is_empty() {
@@ -494,28 +479,22 @@ impl BatchDecoder {
             let s = &mut *sessions[i];
             let res = catch_unwind(AssertUnwindSafe(|| {
                 let (event, iat, stop) =
-                    sample_row(model, &s.params, step_out, row, &mut s.rng, &mut s.counters);
+                    sample_row(model, step_out, row, &mut s.rng, &mut s.counters);
                 s.commit_event(model, event, iat, stop)
             }));
             out[i] = match res {
                 Ok(ev) => RoundOutcome::Event(ev),
-                Err(payload) => RoundOutcome::Panicked(panic_reason(payload.as_ref())),
+                Err(payload) => RoundOutcome::Panicked(worker_panic(payload.as_ref())),
             };
         }
         rows
     }
 }
 
-/// Human-readable reason from a caught panic payload (same wording as the
+/// The reason a contained panic is reported with (same wording as the
 /// serving engine's own containment).
-fn panic_reason(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("worker panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("worker panic: {s}")
-    } else {
-        "worker panic: unknown payload".into()
-    }
+fn worker_panic(payload: &(dyn Any + Send)) -> String {
+    format!("worker panic: {}", panic_message(payload))
 }
 
 #[cfg(test)]
@@ -672,11 +651,12 @@ mod tests {
             err,
             GenerateError::InvalidConfig { field: "num_streams", .. }
         ));
-        let mut p = StreamParams::new(0);
-        p.temperature = f32::NAN;
         assert!(matches!(
-            model.open_session(p),
-            Err(GenerateError::InvalidConfig { field: "temperature", .. })
+            model.open_session(StreamParams::new(0).with_max_stream_len(0)),
+            Err(GenerateError::InvalidConfig {
+                field: "max_stream_len",
+                ..
+            })
         ));
     }
 

@@ -33,12 +33,11 @@ use crate::config::TrainConfig;
 use crate::error::{FaultKind, TrainError};
 use crate::mix::indexed_rng;
 use crate::model::CptGpt;
-use crate::source::{DatasetSource, ShardSource};
+use crate::source::ShardSource;
 use cpt_nn::{
     clip_grad_norm, scale_grads, tree_reduce_grads, Adam, GradSet, LrSchedule, ParamStore,
     ScratchArena, Session,
 };
-use cpt_trace::Dataset;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -167,47 +166,27 @@ fn parallel_grad_step_inner(
     }
 }
 
-/// Trains `model` in place on `dataset` and records the initial-event
-/// distribution used to bootstrap generation.
+/// Trains `model` in place on `source` — an in-RAM
+/// [`Dataset`](cpt_trace::Dataset) or an out-of-core
+/// [`ColumnarSource`](crate::source::ColumnarSource), bit-identical on
+/// equivalent data — and records the initial-event distribution used to
+/// bootstrap generation.
 ///
-/// The dataset is expected to be single-device-type and (for hourly
+/// The data is expected to be single-device-type and (for hourly
 /// experiments) single-hour, mirroring §5.1; nothing enforces that, the
 /// model simply learns whatever mixture it is given.
 pub fn train(
     model: &mut CptGpt,
-    dataset: &Dataset,
+    source: &dyn ShardSource,
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
-    train_with_checkpoints(model, dataset, cfg, None)
+    train_with_checkpoints(model, source, cfg, None)
 }
 
 /// Like [`train`], additionally writing an atomic [`TrainCheckpoint`] on
 /// the cadence given by `checkpoint` (and at a simulated interrupt). Pass
 /// `None` to skip checkpointing entirely.
 pub fn train_with_checkpoints(
-    model: &mut CptGpt,
-    dataset: &Dataset,
-    cfg: &TrainConfig,
-    checkpoint: Option<&CheckpointSpec>,
-) -> Result<TrainReport, TrainError> {
-    train_source_with_checkpoints(model, &DatasetSource::new(dataset), cfg, checkpoint)
-}
-
-/// Trains `model` in place from any [`ShardSource`] — the in-RAM
-/// [`DatasetSource`] or the out-of-core
-/// [`ColumnarSource`](crate::source::ColumnarSource). Both produce
-/// bit-identical weights on equivalent data (DESIGN.md §17).
-pub fn train_source(
-    model: &mut CptGpt,
-    source: &dyn ShardSource,
-    cfg: &TrainConfig,
-) -> Result<TrainReport, TrainError> {
-    train_source_with_checkpoints(model, source, cfg, None)
-}
-
-/// [`train_source`] with optional atomic checkpointing, mirroring
-/// [`train_with_checkpoints`].
-pub fn train_source_with_checkpoints(
     model: &mut CptGpt,
     source: &dyn ShardSource,
     cfg: &TrainConfig,
@@ -233,21 +212,11 @@ pub fn train_source_with_checkpoints(
 }
 
 /// Resumes an interrupted run from `checkpoint.path` and trains the
-/// remaining epochs of `cfg`. `dataset` and `cfg` must match the original
+/// remaining epochs of `cfg`. `source` and `cfg` must match the original
 /// run for the result to be equivalent to never having been interrupted.
 /// Returns the restored-and-finished model plus the merged report (epoch
 /// stats and recoveries from before the interruption included).
 pub fn resume_training(
-    dataset: &Dataset,
-    cfg: &TrainConfig,
-    checkpoint: &CheckpointSpec,
-) -> Result<(CptGpt, TrainReport), TrainError> {
-    resume_training_source(&DatasetSource::new(dataset), cfg, checkpoint)
-}
-
-/// [`resume_training`] generalized to any [`ShardSource`]; the source must
-/// present the same data as the original run for bit-identical resumption.
-pub fn resume_training_source(
     source: &dyn ShardSource,
     cfg: &TrainConfig,
     checkpoint: &CheckpointSpec,
@@ -439,11 +408,10 @@ fn run_epochs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::make_epoch_shards;
     use crate::config::CptGptConfig;
     use crate::faultinject::FaultPlan;
     use crate::token::Tokenizer;
-    use cpt_trace::{DeviceType, Event, EventType, Stream, UeId};
+    use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 
     fn alternating_dataset(n: usize) -> Dataset {
         // Strict SRV_REQ / S1_CONN_REL alternation with bimodal gaps: an
@@ -643,8 +611,9 @@ mod tests {
         let data = alternating_dataset(8);
         let tok = Tokenizer::fit(&data);
         let model = CptGpt::new(tiny_config(), tok);
-        let mut rng = indexed_rng(0, 0);
-        let steps = make_epoch_shards(&model.tokenizer, &data, 8, 2, 16, &mut rng);
+        let steps: Vec<Vec<Batch>> = data
+            .epoch_steps(&model.tokenizer, 8, 2, 16, indexed_rng(0, 0))
+            .collect();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].len(), 4);
         let out = parallel_grad_step(&model, &steps[0]);

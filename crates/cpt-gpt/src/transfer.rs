@@ -10,8 +10,8 @@
 use crate::config::TrainConfig;
 use crate::error::TrainError;
 use crate::model::CptGpt;
+use crate::source::ShardSource;
 use crate::train::{train, TrainReport};
-use cpt_trace::Dataset;
 
 /// Fine-tuning defaults relative to the base run: the paper's Table 9
 /// shows ~2.4× fewer wall-clock minutes per adapted hour than the initial
@@ -37,7 +37,7 @@ impl Default for FineTuneConfig {
 /// and its training report. The pretrained model is not modified.
 pub fn fine_tune(
     pretrained: &CptGpt,
-    new_data: &Dataset,
+    new_data: &dyn ShardSource,
     base_cfg: &TrainConfig,
     ft: &FineTuneConfig,
 ) -> Result<(CptGpt, TrainReport), TrainError> {
@@ -59,7 +59,7 @@ mod tests {
     use super::*;
     use crate::config::CptGptConfig;
     use crate::token::Tokenizer;
-    use cpt_trace::{DeviceType, Event, EventType, Stream, UeId};
+    use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 
     fn dataset_with_gap(gap: f64, n: usize) -> Dataset {
         let streams = (0..n)

@@ -1,9 +1,9 @@
 //! Property tests for the generation guardrails: whatever the seed,
-//! sampler, temperature, or length cap, synthesized traffic is always
+//! stream count or length cap, synthesized traffic is always
 //! numerically sane — finite non-negative interarrivals and bounded
 //! stream lengths.
 
-use cpt_gpt::{CptGpt, CptGptConfig, GenerateConfig, Sampling, Tokenizer, TrainConfig};
+use cpt_gpt::{CptGpt, CptGptConfig, GenerateConfig, Tokenizer, TrainConfig};
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -51,14 +51,6 @@ fn trained_model() -> &'static CptGpt {
     })
 }
 
-fn arb_sampling() -> impl Strategy<Value = Sampling> {
-    prop_oneof![
-        Just(Sampling::Full),
-        (1usize..6).prop_map(Sampling::TopK),
-        (0.05f32..=1.0).prop_map(Sampling::Nucleus),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -66,9 +58,8 @@ proptest! {
     fn interarrivals_are_finite_and_non_negative(
         seed in 0u64..10_000,
         n in 1usize..6,
-        sampling in arb_sampling(),
     ) {
-        let config = GenerateConfig::new(n, seed).sampling(sampling);
+        let config = GenerateConfig::new(n, seed);
         let (synth, counters) = trained_model()
             .generate_with_report(&config)
             .expect("generation must not fail on a valid config");
@@ -86,11 +77,8 @@ proptest! {
     fn stream_lengths_respect_the_configured_cap(
         seed in 0u64..10_000,
         cap in 1usize..12,
-        sampling in arb_sampling(),
     ) {
-        let config = GenerateConfig::new(4, seed)
-            .sampling(sampling)
-            .with_max_stream_len(cap);
+        let config = GenerateConfig::new(4, seed).with_max_stream_len(cap);
         let (synth, _) = trained_model()
             .generate_with_report(&config)
             .expect("generation must not fail on a valid config");
@@ -104,11 +92,8 @@ proptest! {
     }
 
     #[test]
-    fn timestamps_are_monotone_within_each_stream(
-        seed in 0u64..10_000,
-        sampling in arb_sampling(),
-    ) {
-        let config = GenerateConfig::new(3, seed).sampling(sampling);
+    fn timestamps_are_monotone_within_each_stream(seed in 0u64..10_000) {
+        let config = GenerateConfig::new(3, seed);
         let (synth, _) = trained_model()
             .generate_with_report(&config)
             .expect("generation must not fail on a valid config");

@@ -6,7 +6,7 @@
 //! event at a time yields the same dataset and guardrail counters.
 
 use cpt_gpt::{
-    CptGpt, CptGptConfig, GenCounters, GenerateConfig, Sampling, StreamParams, Tokenizer,
+    CptGpt, CptGptConfig, GenCounters, GenerateConfig, GenerateError, StreamParams, Tokenizer,
     TrainConfig,
 };
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
@@ -76,9 +76,6 @@ fn drain_session(cfg: &GenerateConfig) -> (Dataset, GenCounters) {
         seed: cfg.seed,
         device_type: cfg.device_type,
         num_streams: cfg.num_streams,
-        temperature: cfg.temperature,
-        sampling: cfg.sampling,
-        max_resample: cfg.max_resample,
         max_stream_len: cfg.max_stream_len,
     };
     let mut session = model.open_session(params).expect("open_session");
@@ -112,13 +109,12 @@ proptest! {
     fn generation_is_the_session_at_any_batch_size_and_thread_count(
         seed in 0u64..10_000,
         num_streams in 1usize..64,
-        knobs in 0usize..4,
+        knobs in 0usize..3,
     ) {
         let base = GenerateConfig::new(num_streams, seed);
         let cfg = match knobs {
             0 => base,
-            1 => base.sampling(Sampling::TopK(2)).with_max_stream_len(5),
-            2 => GenerateConfig { temperature: 0.7, ..base.sampling(Sampling::Nucleus(0.9)) },
+            1 => base.with_max_stream_len(5),
             _ => base.device(DeviceType::Tablet).with_max_stream_len(9),
         };
         let (oracle, oracle_counters) = drain_session(&cfg);
@@ -151,4 +147,72 @@ fn ue_ids_are_dense_and_ordered() {
     let (out, _) = generate_on(8, &cfg);
     let ids: Vec<u64> = out.streams.iter().map(|s| s.ue_id.0).collect();
     assert_eq!(ids, (0..19).collect::<Vec<u64>>());
+}
+
+/// `generate_into` hands over UEs `0..n` in order — the streams of the
+/// session with the same seed — whether the run fits one window of chunks
+/// (16 per rayon thread) or takes several.
+#[test]
+fn generate_into_delivers_the_session_in_ue_order_across_windows() {
+    for num_streams in [7usize, 150] {
+        let base = GenerateConfig::new(num_streams, 11);
+        let (oracle, oracle_counters) = drain_session(&base);
+        for batch_size in [1usize, 3, 64] {
+            for threads in [1usize, 8] {
+                let cfg = GenerateConfig { batch_size, ..base };
+                let mut delivered = Vec::new();
+                let counters = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("cannot build rayon pool")
+                    .install(|| {
+                        trained_model().generate_into(&cfg, |stream| {
+                            delivered.push(stream);
+                            Ok::<(), GenerateError>(())
+                        })
+                    })
+                    .expect("generation failed");
+                let ids: Vec<u64> = delivered.iter().map(|s| s.ue_id.0).collect();
+                assert_eq!(ids, (0..num_streams as u64).collect::<Vec<_>>());
+                assert_eq!(
+                    bits(&Dataset::new(delivered)),
+                    bits(&oracle),
+                    "{num_streams} streams, batch_size {batch_size}, {threads} threads"
+                );
+                assert_eq!(counters, oracle_counters);
+            }
+        }
+    }
+}
+
+/// The run stops at the sink's first error and returns it.
+#[test]
+fn generate_into_stops_at_the_first_sink_error() {
+    #[derive(Debug, PartialEq)]
+    enum SinkError {
+        Full(u64),
+        Generate,
+    }
+    impl From<GenerateError> for SinkError {
+        fn from(_: GenerateError) -> Self {
+            SinkError::Generate
+        }
+    }
+    // Stream 20 is in the second window at batch_size 1 on one thread.
+    for (batch_size, k) in [(1usize, 20u64), (3, 4), (64, 0)] {
+        let cfg = GenerateConfig {
+            batch_size,
+            ..GenerateConfig::new(40, 5)
+        };
+        let mut calls = 0u64;
+        let result = trained_model().generate_into(&cfg, |stream| {
+            calls += 1;
+            if stream.ue_id.0 == k {
+                return Err(SinkError::Full(k));
+            }
+            Ok(())
+        });
+        assert_eq!(result, Err(SinkError::Full(k)));
+        assert_eq!(calls, k + 1, "batch_size {batch_size}");
+    }
 }

@@ -3,16 +3,16 @@
 //! from the same data loaded in RAM — same tokenizer, same initial-event
 //! distribution, same per-epoch losses, same final weights.
 //!
-//! The in-RAM reference is the exact pipeline `cptgen train` uses:
-//! `dataset.clamp_lengths(2, max_len + 1)` then fit + train. The streaming
-//! side writes the *unclamped* dataset to a `.ctb` file and relies on
-//! [`ColumnarSource`]/[`fit_tokenizer_streaming`] to perform the
+//! The in-RAM reference is the exact pipeline `cptgen train` uses on a
+//! JSONL trace: `dataset.clamp_lengths(2, max_len + 1)` then fit + train.
+//! The streaming side writes the *unclamped* dataset to a `.ctb` file and
+//! relies on [`ColumnarSource`]/[`fit_tokenizer_streaming`] to perform the
 //! equivalent filtering and truncation on the fly.
 
 use cpt_gpt::config::CptGptConfig;
 use cpt_gpt::{
-    fit_tokenizer_streaming, train, train_source, ColumnarSource, CptGpt, DatasetSource,
-    ScaleKind, ShardSource, Tokenizer, TrainConfig,
+    fit_tokenizer_streaming, train, Batch, ColumnarSource, CptGpt, ScaleKind, ShardSource,
+    Tokenizer, TrainConfig,
 };
 use cpt_synth::SynthConfig;
 use cpt_trace::columnar::{write_ctb, ColumnarReader};
@@ -127,7 +127,7 @@ fn columnar_source_matches_dataset_source_metadata() {
     write_ctb(&data, &path).expect("write ctb");
     let reader = ColumnarReader::open(&path).expect("open ctb");
     let columnar = ColumnarSource::new(&reader).expect("source over verified ctb");
-    let in_ram = DatasetSource::new(&clamped);
+    let in_ram: &dyn ShardSource = &clamped;
 
     assert_eq!(columnar.num_trainable(), in_ram.num_trainable());
     assert!(columnar.num_trainable() > 0);
@@ -136,6 +136,16 @@ fn columnar_source_matches_dataset_source_metadata() {
         columnar.initial_event_distribution(),
         in_ram.initial_event_distribution()
     );
+    // The one epoch plan over either source: equal batches for equal RNGs,
+    // from the clamped dataset and from the unclamped one alike.
+    let tok = Tokenizer::fit(&clamped);
+    let plan = |source: &dyn ShardSource| -> Vec<Vec<Batch>> {
+        let rng = rand::SeedableRng::seed_from_u64(3);
+        source.epoch_steps(&tok, 5, 2, max_len, rng).collect()
+    };
+    assert_eq!(plan(&columnar).len(), columnar.num_trainable().div_ceil(5));
+    assert_eq!(plan(&columnar), plan(in_ram));
+    assert_eq!(plan(&columnar), plan(&data));
     std::fs::remove_file(&path).ok();
 }
 
@@ -165,7 +175,7 @@ fn streaming_train_weights_are_bit_identical() {
 
     let source = ColumnarSource::new(&reader).expect("columnar source");
     let mut streamed = CptGpt::new(tiny_config(), tok);
-    let report_st = train_source(&mut streamed, &source, &cfg).expect("streaming train");
+    let report_st = train(&mut streamed, &source, &cfg).expect("streaming train");
 
     assert_eq!(report_ram.epochs.len(), report_st.epochs.len());
     for (a, b) in report_ram.epochs.iter().zip(report_st.epochs.iter()) {
@@ -199,7 +209,7 @@ fn streaming_train_matches_on_synthesized_trace() {
 
     let source = ColumnarSource::new(&reader).expect("columnar source");
     let mut streamed = CptGpt::new(tiny_config(), tok);
-    train_source(&mut streamed, &source, &cfg).expect("streaming train");
+    train(&mut streamed, &source, &cfg).expect("streaming train");
 
     assert_models_bit_identical(&in_ram, &streamed);
     std::fs::remove_file(&path).ok();

@@ -9,6 +9,12 @@
 //! | Flow length distribution | [`flowlen`] | C4 (variable flow length) |
 //! | Adaptability to drift | measured by the experiment harness (wall-clock) | C5 |
 //!
+//! Every replay-based number comes from one fold, [`StreamAccumulator`]
+//! ([`streaming`]): one state-machine replay per stream feeds violations,
+//! sojourns, flow lengths and the breakdown at once, for a resident
+//! [`Dataset`] and for a trace read stream by stream alike; the functions
+//! above are views of it.
+//!
 //! Additionally [`memorization`] implements the §5.6 n-gram memorization
 //! analysis, [`selection`] the §5.5 checkpoint-selection heuristic used to
 //! compare training times fairly, and [`report`] the plain-text table
@@ -28,11 +34,11 @@ pub use flowlen::{flow_length_distance, FlowLenKind};
 pub use memorization::ngram_repeat_fraction;
 pub use report::Table;
 pub use selection::select_checkpoint;
-pub use sojourn::{per_ue_mean_sojourns, sojourn_distance};
+pub use sojourn::sojourn_distance;
 pub use streaming::{accumulate_reader, fidelity_from_accumulators, StreamAccumulator};
 pub use violations::{violation_stats, ViolationStats};
 
-use cpt_statemachine::{StateMachine, TopState};
+use cpt_statemachine::StateMachine;
 use cpt_trace::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -60,27 +66,13 @@ pub struct FidelityReport {
 }
 
 impl FidelityReport {
-    /// Computes the full report for `synth` against `real`.
+    /// Computes the full report for `synth` against `real`, folding each
+    /// dataset once.
     pub fn compute(machine: &StateMachine, real: &Dataset, synth: &Dataset) -> Self {
-        let v = violation_stats(machine, synth);
-        FidelityReport {
-            event_violation_rate: v.event_rate(),
-            stream_violation_rate: v.stream_rate(),
-            sojourn_connected: sojourn_distance(machine, real, synth, TopState::Connected),
-            sojourn_idle: sojourn_distance(machine, real, synth, TopState::Idle),
-            flow_length_all: flow_length_distance(real, synth, FlowLenKind::All),
-            flow_length_srv_req: flow_length_distance(
-                real,
-                synth,
-                FlowLenKind::OfType(cpt_trace::EventType::ServiceRequest),
-            ),
-            flow_length_conn_rel: flow_length_distance(
-                real,
-                synth,
-                FlowLenKind::OfType(cpt_trace::EventType::ConnectionRelease),
-            ),
-            max_breakdown_diff: max_abs_breakdown_diff(real, synth),
-        }
+        fidelity_from_accumulators(
+            &StreamAccumulator::of(machine, real),
+            &StreamAccumulator::of(machine, synth),
+        )
     }
 
     /// The metric vector used by the §5.5 checkpoint-ranking heuristic

@@ -4,27 +4,15 @@
 //! (CONNECTED or IDLE), and reports the max y-distance between the CDFs of
 //! these per-UE averages for real vs synthesized traces.
 
-use cpt_statemachine::{replay, StateMachine, TopState};
+use crate::streaming::StreamAccumulator;
+use cpt_statemachine::{StateMachine, TopState};
 use cpt_trace::stats::Ecdf;
 use cpt_trace::Dataset;
 
-/// Per-UE mean sojourn times in `state` (UEs with no completed visit to
-/// `state` are skipped).
-pub fn per_ue_mean_sojourns(
-    machine: &StateMachine,
-    dataset: &Dataset,
-    state: TopState,
-) -> Vec<f64> {
-    dataset
-        .streams
-        .iter()
-        .filter_map(|s| replay(machine, s).mean_sojourn_in(state))
-        .collect()
-}
-
-/// ECDF of per-UE mean sojourns — the curves of Fig. 2 / Fig. 5.
+/// ECDF of per-UE mean sojourns in `state` (UEs with no completed visit to
+/// it are skipped) — the curves of Fig. 2 / Fig. 5.
 pub fn sojourn_ecdf(machine: &StateMachine, dataset: &Dataset, state: TopState) -> Ecdf {
-    Ecdf::new(per_ue_mean_sojourns(machine, dataset, state))
+    StreamAccumulator::of(machine, dataset).sojourn_ecdf(state)
 }
 
 /// Max y-distance between the real and synthesized per-UE mean sojourn
@@ -65,13 +53,14 @@ mod tests {
             cycle_stream(1, 30.0, 50.0, 2),
         ]);
         let m = StateMachine::lte();
-        let conn = per_ue_mean_sojourns(&m, &d, TopState::Connected);
+        // An ECDF holds its samples sorted.
+        let conn = sojourn_ecdf(&m, &d, TopState::Connected);
         assert_eq!(conn.len(), 2);
-        assert!((conn[0] - 10.0).abs() < 1e-9);
-        assert!((conn[1] - 30.0).abs() < 1e-9);
-        let idle = per_ue_mean_sojourns(&m, &d, TopState::Idle);
-        assert!((idle[0] - 100.0).abs() < 1e-9);
-        assert!((idle[1] - 50.0).abs() < 1e-9);
+        assert!((conn.values()[0] - 10.0).abs() < 1e-9);
+        assert!((conn.values()[1] - 30.0).abs() < 1e-9);
+        let idle = sojourn_ecdf(&m, &d, TopState::Idle);
+        assert!((idle.values()[0] - 50.0).abs() < 1e-9);
+        assert!((idle.values()[1] - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -99,6 +88,6 @@ mod tests {
             vec![Event::new(EventType::ServiceRequest, 0.0)],
         )]);
         let m = StateMachine::lte();
-        assert!(per_ue_mean_sojourns(&m, &d, TopState::Connected).is_empty());
+        assert!(sojourn_ecdf(&m, &d, TopState::Connected).is_empty());
     }
 }

@@ -1,28 +1,25 @@
-//! Single-pass streaming fidelity accumulation for out-of-core traces.
+//! The one fidelity fold.
 //!
-//! [`FidelityReport::compute`](crate::FidelityReport::compute) walks its
-//! datasets several times (once per metric) and therefore needs both
-//! traces fully resident. [`StreamAccumulator`] folds every per-stream
-//! quantity the report needs in **one replay per stream**, so a `.ctb`
-//! columnar trace can be measured stream by stream without ever
-//! materializing the dataset. Peak memory is O(streams) — the per-UE
-//! flow lengths and mean sojourns that the ECDF distances are defined
-//! over — never O(events).
-//!
-//! Equality guarantee (tested below): feeding every stream of a dataset,
-//! in dataset order, produces bit-identical metric values to the batch
-//! functions ([`violation_stats`], [`sojourn_ecdf`](crate::sojourn),
-//! [`flow_length_ecdf`](crate::flowlen), `Dataset::event_breakdown`) —
-//! the accumulators perform the same folds in the same order. The pooled
-//! interarrival ECDF is deliberately *not* accumulated: it is O(events)
-//! by definition and not part of [`FidelityReport`].
+//! [`StreamAccumulator::observe`] folds every per-stream quantity the
+//! fidelity metrics need in **one replay per stream** — it is the crate's
+//! only caller of [`cpt_statemachine::replay`]. Everything else is a view
+//! of an accumulator: [`violation_stats`](crate::violation_stats),
+//! [`sojourn_ecdf`](crate::sojourn::sojourn_ecdf) and
+//! [`FidelityReport::compute`] fold a resident
+//! [`Dataset`] with [`StreamAccumulator::of`]; `cptgen evaluate` / `stats`
+//! and [`accumulate_reader`] fold a trace stream by stream without ever
+//! materializing it. Peak memory is O(streams) — the per-UE flow lengths
+//! and mean sojourns that the ECDF distances are defined over — never
+//! O(events). The pooled interarrival ECDF is deliberately *not*
+//! accumulated: it is O(events) by definition and not part of
+//! [`FidelityReport`].
 
 use crate::violations::ViolationStats;
 use crate::FidelityReport;
 use cpt_statemachine::{replay, StateMachine, TopState, Violation};
 use cpt_trace::columnar::{ColumnarReader, CtbError};
 use cpt_trace::stats::Ecdf;
-use cpt_trace::{EventType, Stream};
+use cpt_trace::{Dataset, EventType, Stream};
 use std::collections::{BTreeMap, HashMap};
 
 /// Everything [`FidelityReport`] needs about one dataset, accumulated one
@@ -32,15 +29,14 @@ pub struct StreamAccumulator {
     // Event-type breakdown.
     type_counts: [usize; EventType::ALL.len()],
     total_events: usize,
-    // Flow lengths, in observation order (matches dataset stream order).
-    flow_all: Vec<f64>,
-    flow_srv_req: Vec<f64>,
-    flow_conn_rel: Vec<f64>,
+    // Per-stream event counts by type, in observation order (matches
+    // dataset stream order); a `.ctb` stream length is a `u32` too.
+    flows: Vec<[u32; EventType::ALL.len()]>,
     // Per-UE mean sojourns, skipping UEs with no completed visit.
     sojourn_connected: Vec<f64>,
     sojourn_idle: Vec<f64>,
     sojourn_deregistered: Vec<f64>,
-    // Violation accumulation (identical folds to `violation_stats`).
+    // Violation accumulation.
     events_checked: usize,
     violating_events: usize,
     streams_checked: usize,
@@ -54,9 +50,18 @@ impl StreamAccumulator {
         StreamAccumulator::default()
     }
 
+    /// Every stream of a resident dataset, folded in dataset order.
+    pub fn of(machine: &StateMachine, dataset: &Dataset) -> Self {
+        let mut acc = StreamAccumulator::new();
+        for stream in &dataset.streams {
+            acc.observe(machine, stream);
+        }
+        acc
+    }
+
     /// Number of streams observed so far.
     pub fn streams_observed(&self) -> usize {
-        self.flow_all.len()
+        self.flows.len()
     }
 
     /// Total events observed so far.
@@ -67,15 +72,15 @@ impl StreamAccumulator {
     /// Folds one stream into every accumulated metric, replaying it
     /// through `machine` exactly once.
     pub fn observe(&mut self, machine: &StateMachine, stream: &Stream) {
+        let mut counts = [0u32; EventType::ALL.len()];
         for e in &stream.events {
-            self.type_counts[e.event_type.index()] += 1;
+            counts[e.event_type.index()] += 1;
+        }
+        for (total, n) in self.type_counts.iter_mut().zip(counts) {
+            *total += n as usize;
         }
         self.total_events += stream.len();
-        self.flow_all.push(stream.len() as f64);
-        self.flow_srv_req
-            .push(stream.count_of(EventType::ServiceRequest) as f64);
-        self.flow_conn_rel
-            .push(stream.count_of(EventType::ConnectionRelease) as f64);
+        self.flows.push(counts);
 
         let outcome = replay(machine, stream);
         if let Some(m) = outcome.mean_sojourn_in(TopState::Connected) {
@@ -120,20 +125,15 @@ impl StreamAccumulator {
     /// [`flow_length_ecdf`](crate::flowlen::flow_length_ecdf).
     pub fn flow_ecdf(&self, kind: crate::FlowLenKind) -> Ecdf {
         use crate::FlowLenKind;
-        let v = match kind {
-            FlowLenKind::All => self.flow_all.clone(),
-            FlowLenKind::OfType(EventType::ServiceRequest) => self.flow_srv_req.clone(),
-            FlowLenKind::OfType(EventType::ConnectionRelease) => self.flow_conn_rel.clone(),
-            FlowLenKind::OfType(_) => panic!(
-                "streaming flow-length accumulation covers All / SRV_REQ / S1_CONN_REL \
-                 (the kinds FidelityReport uses)"
-            ),
+        let length = |counts: &[u32; EventType::ALL.len()]| match kind {
+            FlowLenKind::All => counts.iter().map(|n| *n as usize).sum::<usize>() as f64,
+            FlowLenKind::OfType(et) => counts[et.index()] as f64,
         };
-        Ecdf::new(v)
+        Ecdf::new(self.flows.iter().map(length).collect())
     }
 
-    /// ECDF of per-UE mean sojourns in `state`, equal to
-    /// [`sojourn_ecdf`](crate::sojourn::sojourn_ecdf).
+    /// ECDF of per-UE mean sojourns in `state` (UEs with no completed
+    /// visit to `state` are skipped).
     pub fn sojourn_ecdf(&self, state: TopState) -> Ecdf {
         Ecdf::new(match state {
             TopState::Connected => self.sojourn_connected.clone(),
@@ -142,7 +142,7 @@ impl StreamAccumulator {
         })
     }
 
-    /// Violation statistics, equal to [`violation_stats`](crate::violation_stats).
+    /// Violation statistics over the observed streams.
     pub fn violations(&self) -> ViolationStats {
         let mut by_kind: Vec<(Violation, usize)> =
             self.kinds.iter().map(|(v, c)| (*v, *c)).collect();
@@ -185,9 +185,7 @@ pub fn accumulate_reader(
     Ok(acc)
 }
 
-/// Assembles the full [`FidelityReport`] from two accumulators — the
-/// streaming counterpart of [`FidelityReport::compute`], bit-identical on
-/// the same data.
+/// Assembles the full [`FidelityReport`] of `synth` against `real`.
 pub fn fidelity_from_accumulators(
     real: &StreamAccumulator,
     synth: &StreamAccumulator,
@@ -219,59 +217,28 @@ pub fn fidelity_from_accumulators(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flowlen::flow_length_ecdf, sojourn::sojourn_ecdf, violation_stats, FlowLenKind};
+    use crate::{flowlen::flow_length_ecdf, FlowLenKind};
     use cpt_synth::SynthConfig;
     use cpt_trace::columnar::write_ctb;
-    use cpt_trace::Dataset;
-
-    fn accumulate_dataset(machine: &StateMachine, d: &Dataset) -> StreamAccumulator {
-        let mut acc = StreamAccumulator::new();
-        for s in &d.streams {
-            acc.observe(machine, s);
-        }
-        acc
-    }
 
     #[test]
     fn accumulator_matches_batch_metrics() {
         let d = cpt_synth::generate(&SynthConfig::new(50, 3).hours(0.3));
-        let m = StateMachine::lte();
-        let acc = accumulate_dataset(&m, &d);
+        let acc = StreamAccumulator::of(&StateMachine::lte(), &d);
 
         assert_eq!(acc.streams_observed(), d.num_streams());
         assert_eq!(acc.events_observed(), d.num_events());
         assert_eq!(acc.breakdown(), d.event_breakdown());
-        assert_eq!(acc.violations(), violation_stats(&m, &d));
-        for kind in [
-            FlowLenKind::All,
-            FlowLenKind::OfType(EventType::ServiceRequest),
-            FlowLenKind::OfType(EventType::ConnectionRelease),
-        ] {
+        // Total over the kinds: every event type, not only the two
+        // FidelityReport reads.
+        let kinds = EventType::ALL.iter().map(|et| FlowLenKind::OfType(*et));
+        for kind in kinds.chain([FlowLenKind::All]) {
             assert_eq!(
-                acc.flow_ecdf(kind).max_y_distance(&flow_length_ecdf(&d, kind)),
-                0.0
+                acc.flow_ecdf(kind).values(),
+                flow_length_ecdf(&d, kind).values(),
+                "{kind:?}"
             );
         }
-        for state in [TopState::Connected, TopState::Idle] {
-            assert_eq!(
-                acc.sojourn_ecdf(state)
-                    .max_y_distance(&sojourn_ecdf(&m, &d, state)),
-                0.0
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_fidelity_report_is_bit_identical_to_batch() {
-        let real = cpt_synth::generate(&SynthConfig::new(40, 5).hours(0.25));
-        let synth = cpt_synth::generate(&SynthConfig::new(40, 6).hours(0.25).starting_at(19.0));
-        let m = StateMachine::lte();
-        let batch = FidelityReport::compute(&m, &real, &synth);
-        let streamed = fidelity_from_accumulators(
-            &accumulate_dataset(&m, &real),
-            &accumulate_dataset(&m, &synth),
-        );
-        assert_eq!(batch, streamed);
     }
 
     #[test]
@@ -283,7 +250,7 @@ mod tests {
         write_ctb(&d, &path).expect("write ctb");
         let reader = ColumnarReader::open(&path).expect("open ctb");
         let from_ctb = accumulate_reader(&m, &reader).expect("accumulate ctb");
-        let in_ram = accumulate_dataset(&m, &d);
+        let in_ram = StreamAccumulator::of(&m, &d);
         assert_eq!(from_ctb.violations(), in_ram.violations());
         assert_eq!(from_ctb.breakdown(), in_ram.breakdown());
         assert_eq!(from_ctb.streams_observed(), in_ram.streams_observed());

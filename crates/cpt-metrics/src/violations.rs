@@ -1,9 +1,9 @@
 //! Semantic-violation statistics (§5.2.1, Tables 3 and 5).
 
-use cpt_statemachine::{replay, StateMachine, Violation};
+use crate::streaming::StreamAccumulator;
+use cpt_statemachine::{StateMachine, Violation};
 use cpt_trace::Dataset;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Aggregated violation counts over a dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -53,27 +53,7 @@ impl ViolationStats {
 
 /// Replays every stream of `dataset` and aggregates violation statistics.
 pub fn violation_stats(machine: &StateMachine, dataset: &Dataset) -> ViolationStats {
-    let mut stats = ViolationStats::default();
-    let mut kinds: HashMap<Violation, usize> = HashMap::new();
-    for stream in &dataset.streams {
-        let outcome = replay(machine, stream);
-        if !outcome.bootstrapped {
-            continue;
-        }
-        stats.streams_checked += 1;
-        stats.events_checked += outcome.events_checked;
-        if outcome.has_violation() {
-            stats.violating_streams += 1;
-        }
-        stats.violating_events += outcome.violations.len();
-        for v in outcome.violations {
-            *kinds.entry(v).or_insert(0) += 1;
-        }
-    }
-    let mut by_kind: Vec<(Violation, usize)> = kinds.into_iter().collect();
-    by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| format!("{}", a.0).cmp(&format!("{}", b.0))));
-    stats.by_kind = by_kind;
-    stats
+    StreamAccumulator::of(machine, dataset).violations()
 }
 
 #[cfg(test)]

@@ -36,7 +36,8 @@ use crate::engine::{LifecycleEvent, ServeHandle};
 use crate::error::ServeError;
 use crate::registry::{Registry, RegistryError, VersionRecord};
 use cpt_gpt::transfer::{fine_tune, FineTuneConfig};
-use cpt_gpt::{TrainConfig, TrainError};
+use cpt_gpt::{panic_message, with_training_set, TrainConfig, TrainError};
+use cpt_trace::AnyTrace;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -377,76 +378,70 @@ fn event_loop(inner: &Inner, rx: &mpsc::Receiver<DirectorMsg>) {
 /// reason (already typed at the wire as `finetunes_failed` + the
 /// `versions` verb's `last_finetune_error`).
 fn run_finetune(inner: &Inner, spec: &FineTuneSpec) -> Result<PublishOutcome, String> {
-    let data = cpt_trace::io::read_dataset(&spec.trace)
-        .map_err(|e| format!("cannot read fine-tune trace {}: {e}", spec.trace))?;
+    let unreadable = |e| format!("cannot read fine-tune trace {}: {e}", spec.trace);
+    let trace = AnyTrace::open(&spec.trace).map_err(unreadable)?;
     // Fine-tune from exactly what is serving: the live artifact, loaded
     // fresh through its checksum gate.
     let (base_version, base) = inner
         .lock_registry()
         .load_live()
         .map_err(|e| format!("cannot load live version: {e}"))?;
-    let max_len = base.config.max_len;
-    let data = data.clamp_lengths(2, max_len + 1);
-    let base_cfg = TrainConfig {
-        epochs: spec.epochs.unwrap_or(4).max(1),
-        seed: spec.seed.unwrap_or(0),
-        ..TrainConfig::quick()
-    };
-    let ft = FineTuneConfig::default();
-    let mut last_err = String::new();
-    for attempt in 0..FINETUNE_ATTEMPTS {
-        let attempt_idx = inner.finetune_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-        // Deterministic seed bump: a diverged attempt re-runs with a
-        // different but reproducible data order.
-        let cfg = TrainConfig {
-            seed: base_cfg.seed.wrapping_add(attempt),
-            ..base_cfg
+    with_training_set(trace, &spec.trace, base.config.max_len, |set| {
+        let base_cfg = TrainConfig {
+            epochs: spec.epochs.unwrap_or(4).max(1),
+            seed: spec.seed.unwrap_or(0),
+            ..TrainConfig::quick()
         };
-        let chaos = inner.chaos;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if chaos.panics_finetune(attempt_idx) {
-                panic!("chaos: scheduled fine-tune panic (attempt {attempt_idx})");
-            }
-            fine_tune(&base, &data, &cfg, &ft)
-        }));
-        match outcome {
-            Ok(Ok((model, _report))) => {
-                let mut reg = inner.lock_registry();
-                let note = format!(
-                    "finetune of v{base_version} on {} (seed {})",
-                    spec.trace, cfg.seed
-                );
-                let id = reg
-                    .stage(&model, &note)
-                    .map_err(|e| format!("cannot stage fine-tuned model: {e}"))?;
-                return inner
-                    .publish_locked(&mut reg, id)
-                    .map_err(|e| format!("fine-tuned candidate rejected: {e}"));
-            }
-            Ok(Err(TrainError::Diverged { cause, retries, .. })) => {
-                last_err = format!(
-                    "attempt {}: diverged ({cause:?}) after {retries} watchdog retries",
-                    attempt + 1
-                );
-            }
-            Ok(Err(e)) => return Err(format!("fine-tune failed: {e}")),
-            Err(payload) => {
-                last_err = format!("attempt {}: {}", attempt + 1, panic_text(&*payload));
+        let ft = FineTuneConfig::default();
+        let mut last_err = String::new();
+        for attempt in 0..FINETUNE_ATTEMPTS {
+            let attempt_idx = inner.finetune_attempts.fetch_add(1, Ordering::SeqCst) + 1;
+            // Deterministic seed bump: a diverged attempt re-runs with a
+            // different but reproducible data order.
+            let cfg = TrainConfig {
+                seed: base_cfg.seed.wrapping_add(attempt),
+                ..base_cfg
+            };
+            let chaos = inner.chaos;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if chaos.panics_finetune(attempt_idx) {
+                    panic!("chaos: scheduled fine-tune panic (attempt {attempt_idx})");
+                }
+                fine_tune(&base, set.source, &cfg, &ft)
+            }));
+            match outcome {
+                Ok(Ok((model, _report))) => {
+                    let mut reg = inner.lock_registry();
+                    let note = format!(
+                        "finetune of v{base_version} on {} (seed {})",
+                        spec.trace, cfg.seed
+                    );
+                    let id = reg
+                        .stage(&model, &note)
+                        .map_err(|e| format!("cannot stage fine-tuned model: {e}"))?;
+                    return inner
+                        .publish_locked(&mut reg, id)
+                        .map_err(|e| format!("fine-tuned candidate rejected: {e}"));
+                }
+                Ok(Err(TrainError::Diverged { cause, retries, .. })) => {
+                    last_err = format!(
+                        "attempt {}: diverged ({cause:?}) after {retries} watchdog retries",
+                        attempt + 1
+                    );
+                }
+                Ok(Err(e)) => return Err(format!("fine-tune failed: {e}")),
+                Err(payload) => {
+                    last_err = format!(
+                        "attempt {}: panicked: {}",
+                        attempt + 1,
+                        panic_message(&*payload)
+                    );
+                }
             }
         }
-    }
-    Err(format!(
-        "fine-tune gave up after {FINETUNE_ATTEMPTS} attempts; last failure: {last_err}"
-    ))
-}
-
-/// Extracts a readable message from a panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked (non-string payload)".to_string()
-    }
+        Err(format!(
+            "fine-tune gave up after {FINETUNE_ATTEMPTS} attempts; last failure: {last_err}"
+        ))
+    })
+    .map_err(unreadable)?
 }

@@ -154,7 +154,7 @@ pub enum Request {
     /// arrives immediately; watch `stats` (`finetunes_running`) or
     /// `versions` for completion.
     Finetune {
-        /// Trace file (JSONL events) to fine-tune on.
+        /// Trace file (JSONL or `.ctb`) to fine-tune on.
         trace: String,
         /// Fine-tune epochs (defaults to a fraction of the base schedule).
         #[serde(default)]

@@ -359,14 +359,10 @@ pub fn canary_fingerprint(model: &CptGpt) -> Result<u64, String> {
     }));
     match run {
         Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string payload".to_string());
-            Err(format!("canary decode panicked: {msg}"))
-        }
+        Err(payload) => Err(format!(
+            "canary decode panicked: {}",
+            cpt_gpt::panic_message(&*payload)
+        )),
     }
 }
 

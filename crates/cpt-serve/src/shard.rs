@@ -26,7 +26,9 @@ use crate::engine::{DecodedEvent, EventBatch, ServeConfig, SessionEvent};
 use crate::error::ServeError;
 use crate::metrics::Metrics;
 use crate::steer::Steering;
-use cpt_gpt::{BatchDecoder, CptGpt, DecodeState, RoundOutcome, SessionDecoder, StreamParams};
+use cpt_gpt::{
+    panic_message, BatchDecoder, CptGpt, DecodeState, RoundOutcome, SessionDecoder, StreamParams,
+};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -570,17 +572,6 @@ impl ShardShared {
     }
 }
 
-/// Extracts a human-readable reason from a panic payload.
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("worker panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("worker panic: {s}")
-    } else {
-        "worker panic (non-string payload)".to_string()
-    }
-}
-
 /// Blocks until ready sessions are available on this shard or shutdown is
 /// requested (`None`): fills `out` with `(id, decoder, budget)` triples of
 /// a single model version in run-queue order — stale entries (closed,
@@ -865,7 +856,7 @@ pub(crate) fn worker_loop(shard: &ShardShared) {
                     shard.metrics.record_batch_round(rows as u64, produced);
                 }
                 Err(payload) => {
-                    let reason = panic_reason(payload.as_ref());
+                    let reason = format!("worker panic: {}", panic_message(payload.as_ref()));
                     shard.metrics.inc_worker_panic();
                     for &k in &live {
                         entries[k].decoder = None;

@@ -46,31 +46,27 @@ fn simulate_indexed_ue(config: &SynthConfig, profile: &DeviceProfile, i: usize) 
 }
 
 /// Generates a mixed-device trace with the paper's population shares
-/// (§4.1: ~65 % phones, ~26 % connected cars, ~9 % tablets).
+/// (§4.1: ~65 % phones, ~26 % connected cars, ~9 % tablets):
+/// [`generate_streaming`] collected into a [`Dataset`].
 pub fn generate(config: &SynthConfig) -> Dataset {
-    let counts = device_counts(config);
     let mut streams = Vec::with_capacity(config.num_ues);
-    let mut next_id = 0u64;
-    for dt in DeviceType::ALL {
-        let ds = generate_device(config, dt, counts[dt.index()]);
-        for mut s in ds.streams {
-            s.ue_id = UeId(next_id);
-            next_id += 1;
-            streams.push(s);
-        }
-    }
+    generate_streaming(config, |s| {
+        streams.push(s);
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {});
     Dataset::with_generation(config.generation, streams)
 }
 
-/// Generates the same trace as [`generate`] — stream for stream, bit for
-/// bit — but hands each stream to `sink` in order instead of materializing
-/// a [`Dataset`]. Peak memory is one [`STREAM_CHUNK_UES`]-sized chunk of
-/// simulated streams, so paper-scale traces can be written straight to disk.
+/// Simulates the mixed-device population UE by UE and hands each stream to
+/// `sink` in order, stopping at its first error. Peak memory is one
+/// [`STREAM_CHUNK_UES`]-sized chunk of simulated streams, so paper-scale
+/// traces can be written straight to disk.
 ///
 /// Returns `(streams, events)` emitted.
 pub fn generate_streaming<E>(
     config: &SynthConfig,
-    mut sink: impl FnMut(&Stream) -> Result<(), E>,
+    mut sink: impl FnMut(Stream) -> Result<(), E>,
 ) -> Result<(u64, u64), E> {
     let counts = device_counts(config);
     let mut next_id = 0u64;
@@ -90,7 +86,7 @@ pub fn generate_streaming<E>(
                 s.ue_id = UeId(next_id);
                 next_id += 1;
                 events += s.len() as u64;
-                sink(&s)?;
+                sink(s)?;
             }
             start = end;
         }
@@ -102,7 +98,7 @@ pub fn generate_streaming<E>(
 /// holding more than one generation chunk in memory.
 pub fn generate_ctb(config: &SynthConfig, path: impl AsRef<Path>) -> Result<CtbSummary, CtbError> {
     let mut writer = ColumnarWriter::create(path, config.generation)?;
-    generate_streaming(config, |s| writer.push_stream(s))?;
+    generate_streaming(config, |s| writer.push_stream(&s))?;
     writer.finish()
 }
 
@@ -398,17 +394,32 @@ mod tests {
 
     #[test]
     fn streaming_generation_matches_batch_exactly() {
+        // The reference: each device type simulated whole, then renumbered.
         let c = SynthConfig::new(300, 11);
-        let batch = generate(&c);
+        let counts = device_counts(&c);
+        let per_device = DeviceType::ALL
+            .into_iter()
+            .flat_map(|dt| generate_device(&c, dt, counts[dt.index()]).streams);
+        let batch: Vec<Stream> = (0u64..)
+            .zip(per_device)
+            .map(|(id, s)| Stream {
+                ue_id: UeId(id),
+                ..s
+            })
+            .collect();
         let mut streamed: Vec<Stream> = Vec::new();
         let (n_streams, n_events) = generate_streaming(&c, |s| {
-            streamed.push(s.clone());
+            streamed.push(s);
             Ok::<(), std::convert::Infallible>(())
         })
         .unwrap();
-        assert_eq!(streamed, batch.streams);
-        assert_eq!(n_streams as usize, batch.num_streams());
-        assert_eq!(n_events as usize, batch.num_events());
+        assert_eq!(streamed, batch);
+        assert_eq!(n_streams as usize, batch.len());
+        assert_eq!(
+            n_events as usize,
+            batch.iter().map(Stream::len).sum::<usize>()
+        );
+        assert_eq!(generate(&c).streams, batch);
     }
 
     #[test]

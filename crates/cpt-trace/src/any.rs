@@ -62,6 +62,15 @@ impl AnyTrace {
         }
     }
 
+    /// Reads the whole trace into memory (a `.ctb` file checksum-verified
+    /// block by block as it is decoded).
+    pub fn into_dataset(self) -> Result<Dataset, IoError> {
+        match self {
+            AnyTrace::Jsonl(r) => r.into_dataset(),
+            AnyTrace::Ctb(r) => Ok(r.to_dataset()?),
+        }
+    }
+
     /// Hands every stream to `f` in file order, one resident at a time. A
     /// `.ctb` file has every block checksum verified before the first
     /// stream is decoded; a JSONL file is parsed strictly, line by line.
@@ -209,6 +218,7 @@ mod tests {
         assert_eq!(crate::columnar::read_ctb(&ctb).unwrap(), d);
         for path in [&jsonl, &ctb] {
             assert_eq!(collect(path), (d.generation, 3, d.streams.clone()));
+            assert_eq!(AnyTrace::open(path).unwrap().into_dataset().unwrap(), d);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -700,6 +700,15 @@ impl ColumnarReader {
         self.map.is_mapped()
     }
 
+    /// How the file is held, as the CLI's header lines word it.
+    pub fn mapping(&self) -> &'static str {
+        if self.is_mapped() {
+            "mmap'd"
+        } else {
+            "buffered"
+        }
+    }
+
     /// Index-only metadata for stream `i` (no column data touched).
     pub fn stream_meta(&self, i: usize) -> Option<StreamMeta> {
         if i >= self.num_streams {

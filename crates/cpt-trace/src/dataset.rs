@@ -204,22 +204,16 @@ impl Dataset {
 
     /// Summary counts for logging.
     pub fn summary(&self) -> DatasetSummary {
-        let mut per_device = [0usize; 3];
+        let mut summary = DatasetSummary::default();
         for s in &self.streams {
-            per_device[s.device_type.index()] += 1;
+            summary.observe(s);
         }
-        DatasetSummary {
-            streams: self.num_streams(),
-            events: self.num_events(),
-            phones: per_device[0],
-            connected_cars: per_device[1],
-            tablets: per_device[2],
-        }
+        summary
     }
 }
 
 /// Headline counts for a dataset, mirroring the §4.1 dataset overview.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DatasetSummary {
     /// Number of streams (UEs).
     pub streams: usize,
@@ -231,6 +225,20 @@ pub struct DatasetSummary {
     pub connected_cars: usize,
     /// Streams with device type tablet.
     pub tablets: usize,
+}
+
+impl DatasetSummary {
+    /// Counts one more stream: how a trace that is never resident (read
+    /// or generated stream by stream) is summarized.
+    pub fn observe(&mut self, stream: &Stream) {
+        self.streams += 1;
+        self.events += stream.len();
+        match stream.device_type {
+            DeviceType::Phone => self.phones += 1,
+            DeviceType::ConnectedCar => self.connected_cars += 1,
+            DeviceType::Tablet => self.tablets += 1,
+        }
+    }
 }
 
 impl std::fmt::Display for DatasetSummary {

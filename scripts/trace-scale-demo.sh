@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Out-of-core trace data plane at scale (DESIGN.md §17): synthesizes a
-# >=1M-event trace straight to the `.ctb` columnar format, round-trips it
-# through JSONL byte-identically, trains a smoke model and computes
-# streaming metrics from it — all without ever materializing the dataset,
-# with the peak RSS of every step measured and capped.
+# The paper's loop on the trace data plane at scale (DESIGN.md §17):
+# synthesizes a >=1M-event trace straight to the `.ctb` columnar format,
+# round-trips it through JSONL byte-identically, trains a smoke model out
+# of core, generates 20 000 streams from it straight to `.ctb`, evaluates
+# them against the real trace and computes streaming metrics — all
+# without ever materializing a dataset, with the peak RSS of every step
+# measured and capped.
 #
 #   scripts/trace-scale-demo.sh [outdir] [cptgen-binary]
 #
@@ -80,10 +82,20 @@ run_bounded "train (out-of-core)" \
   "$CPTGEN" train --input "$OUT/big.ctb" --epochs 1 --d-model 16 \
   --max-len 16 --microbatch 8 -o "$OUT/model-scale.json"
 
+# Generation streams into the columnar writer a bounded window at a time;
+# evaluation folds both mapped traces one stream at a time.
+run_bounded "generate->ctb" \
+  "$CPTGEN" generate --model "$OUT/model-scale.json" --streams 20000 \
+  --seed 11 -o "$OUT/synth.ctb"
+run_bounded "evaluate (streaming)" \
+  "$CPTGEN" evaluate --real "$OUT/big.ctb" --synth "$OUT/synth.ctb" \
+  > "$OUT/evaluate.txt"
+grep -v "peak RSS" "$OUT/evaluate.txt" >> "$REPORT"
+
 # Single-pass streaming metrics over the mapped trace.
 run_bounded "stats (streaming)" \
   "$CPTGEN" stats --input "$OUT/big.ctb" > "$OUT/stats.txt"
 tail -n +1 "$OUT/stats.txt" | head -n 20 >> "$REPORT"
 
-rm -f "$OUT/big.jsonl" "$OUT/big2.ctb"
+rm -f "$OUT/big.jsonl" "$OUT/big2.ctb" "$OUT/synth.ctb"
 echo "scale demo ok: $EVENTS events, every step under ${RSS_CAP_MB} MiB" | tee -a "$REPORT"

@@ -3,7 +3,7 @@
 use crate::args::{Args, Spec};
 use crate::{in_pool, load_model, thread_pool, CliError};
 use cpt::gpt::GenerateConfig;
-use cpt::trace::{write_trace, DeviceType};
+use cpt::trace::{DatasetSummary, DeviceType, TraceWriter};
 
 pub const FLAGS: Spec =
     "--model MODEL.json [--streams N] [--device D] [--seed S] [--threads N] -o OUT";
@@ -22,10 +22,19 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     };
     let model = load_model(model_path)?;
     let cfg = GenerateConfig::new(streams, seed).device(device);
-    // Generation is deterministic per (model, seed) at any thread count.
-    let (synth, counters) = in_pool(&pool, || model.generate_with_report(&cfg))?;
-    write_trace(&synth, out)?;
-    println!("wrote {} ({})", out, synth.summary());
+    // Streams go to the writer as each window of chunks finishes, so the
+    // trace is never resident. Generation is deterministic per (model,
+    // seed) at any thread count.
+    let mut writer = TraceWriter::create(out, model.config.generation, streams)?;
+    let mut summary = DatasetSummary::default();
+    let counters = in_pool(&pool, || {
+        model.generate_into(&cfg, |stream| -> Result<(), CliError> {
+            summary.observe(&stream);
+            Ok(writer.push(&stream)?)
+        })
+    })?;
+    writer.finish()?;
+    println!("wrote {out} ({summary})");
     if !counters.is_clean() {
         println!("generation guardrails intervened: {counters}");
     }

@@ -184,15 +184,6 @@ fn print_ctb_written(out: &str, s: &CtbSummary) {
     );
 }
 
-/// How a `.ctb` reader holds its file, for the header lines.
-fn mapping(reader: &cpt::trace::ColumnarReader) -> &'static str {
-    if reader.is_mapped() {
-        "mmap'd"
-    } else {
-        "buffered"
-    }
-}
-
 /// Writes a pretty-printed JSON report (`-o` of `loadgen` and `ctl`).
 fn write_json_report(out: &str, json: serde_json::Result<String>) -> Result<(), CliError> {
     let json = json.map_err(|e| CliError::data(format!("cannot serialize report: {e}")))?;

@@ -3,11 +3,12 @@
 use crate::args::{Args, Spec};
 use crate::CliError;
 use cpt::mcn::{simulate, McnConfig};
+use cpt::trace::AnyTrace;
 
-pub const FLAGS: Spec = "--input TRACE.jsonl [--workers N] [--autoscale]";
+pub const FLAGS: Spec = "--input TRACE [--workers N] [--autoscale]";
 
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let trace = cpt::trace::io::read_dataset(args.require("input")?)?;
+    let trace = AnyTrace::open(args.require("input")?)?.into_dataset()?;
     let workers: usize = args.or("workers", 4)?;
     let cfg = if args.has("autoscale") {
         McnConfig::autoscaling(workers, 0.6)

@@ -1,7 +1,7 @@
 //! `cptgen stats` — summary statistics of one trace, in a single pass.
 
 use crate::args::{Args, Spec};
-use crate::{mapping, CliError};
+use crate::CliError;
 use cpt::metrics::{FlowLenKind, StreamAccumulator};
 use cpt::statemachine::StateMachine;
 use cpt::trace::stats::Ecdf;
@@ -29,31 +29,24 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 tablets,
                 reader.num_blocks(),
                 reader.file_len(),
-                mapping(reader)
+                reader.mapping()
             );
             true
         }
         AnyTrace::Jsonl(_) => false,
     };
     let mut acc = StreamAccumulator::new();
-    let mut per_device = [0usize; 3];
+    let mut summary = DatasetSummary::default();
     let mut interarrivals = Vec::new();
     trace.for_each_stream(|stream| {
         acc.observe(&machine, stream);
         if !out_of_core {
-            per_device[stream.device_type.index()] += 1;
+            summary.observe(stream);
             interarrivals.extend(stream.interarrivals().into_iter().skip(1));
         }
         Ok(())
     })?;
     if !out_of_core {
-        let summary = DatasetSummary {
-            streams: acc.streams_observed(),
-            events: acc.events_observed(),
-            phones: per_device[0],
-            connected_cars: per_device[1],
-            tablets: per_device[2],
-        };
         println!("{summary}");
     }
     let v = acc.violations();

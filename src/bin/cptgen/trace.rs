@@ -3,7 +3,7 @@
 //! the full trace), header inspection, and full checksum verification.
 
 use crate::args::{Args, Spec};
-use crate::{mapping, print_ctb_written, CliError};
+use crate::{print_ctb_written, CliError};
 use cpt::trace::{is_ctb, AnyTrace, ColumnarReader, TraceWriter};
 
 pub const CONVERT_FLAGS: Spec = "--input IN -o OUT";
@@ -57,7 +57,7 @@ pub fn info(args: &Args) -> Result<(), CliError> {
         reader.num_events(),
         reader.num_blocks(),
         reader.file_len(),
-        mapping(&reader)
+        reader.mapping()
     );
     Ok(())
 }

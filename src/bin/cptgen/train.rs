@@ -2,11 +2,10 @@
 //! checkpoint, in RAM (JSONL) or out of core (`.ctb`).
 
 use crate::args::{Args, Spec};
-use crate::{in_pool, mapping, thread_pool, CliError};
+use crate::{in_pool, thread_pool, CliError};
 use cpt::gpt::{
-    fit_tokenizer_streaming, resume_training_source, train_source_with_checkpoints, CheckpointSpec,
-    ColumnarSource, CptGpt, CptGptConfig, DatasetSource, ScaleKind, ShardSource, Tokenizer,
-    TrainConfig, TrainReport,
+    resume_training, train_with_checkpoints, with_training_set, CheckpointSpec, CptGpt,
+    CptGptConfig, TrainConfig, TrainReport,
 };
 use cpt::trace::AnyTrace;
 
@@ -59,47 +58,21 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     // reduction), so --threads only affects speed.
     let pool = thread_pool(args)?;
 
-    // The one place the two formats differ: JSONL is loaded and clamped, a
-    // .ctb stays on disk (mmap'd) — its tokenizer fit streams over it and
-    // training materializes one optimizer step's streams at a time. Weights
-    // are bit-identical on the same data (DESIGN.md §17).
+    // In RAM or out of core is `with_training_set`'s decision; weights are
+    // bit-identical on the same data either way.
     let trace = AnyTrace::open(input)?;
     let generation = trace.generation();
-    let (data, reader, in_ram, out_of_core);
-    let (source, fresh_banner, resumed_on): (&(dyn ShardSource + Sync), String, String);
-    let fit_tokenizer: Box<dyn FnOnce() -> Tokenizer + '_>;
-    match trace {
-        AnyTrace::Jsonl(r) => {
-            data = r.into_dataset()?.clamp_lengths(2, max_len + 1);
-            in_ram = DatasetSource::new(&data);
-            source = &in_ram;
-            fresh_banner = format!("training on {}", data.summary());
-            resumed_on = data.summary().to_string();
-            fit_tokenizer = Box::new(|| Tokenizer::fit(&data));
-        }
-        AnyTrace::Ctb(r) => {
-            reader = r;
-            out_of_core = ColumnarSource::new(&reader)?;
-            source = &out_of_core;
-            let size = format!(
-                "{input} ({} streams, {} events",
-                reader.num_streams(),
-                reader.num_events()
-            );
-            fresh_banner = format!("training out-of-core on {size}, {})", mapping(&reader));
-            resumed_on = format!("{size}, out-of-core)");
-            fit_tokenizer =
-                Box::new(|| fit_tokenizer_streaming(&reader, max_len, ScaleKind::default()));
-        }
-    }
-
-    let (model, report) = match resume_from {
+    let (model, report) = with_training_set(trace, input, max_len, |set| match resume_from {
         Some(spec) => {
-            println!("resuming from {} on {resumed_on}", spec.path.display());
-            in_pool(&pool, || resume_training_source(source, &cfg, spec))?
+            println!(
+                "resuming from {} on {}",
+                spec.path.display(),
+                set.resumed_on
+            );
+            in_pool(&pool, || resume_training(set.source, &cfg, spec))
         }
         None => {
-            println!("{fresh_banner}");
+            println!("{}", set.banner);
             let config = CptGptConfig {
                 generation,
                 d_model,
@@ -109,14 +82,14 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 seed,
                 ..CptGptConfig::small()
             };
-            let mut model = CptGpt::new(config, fit_tokenizer());
+            let mut model = CptGpt::new(config, set.fit_tokenizer());
             println!("model: {} parameters", model.num_params());
             let report = in_pool(&pool, || {
-                train_source_with_checkpoints(&mut model, source, &cfg, ckpt_spec.as_ref())
+                train_with_checkpoints(&mut model, set.source, &cfg, ckpt_spec.as_ref())
             })?;
-            (model, report)
+            Ok((model, report))
         }
-    };
+    })??;
     report_outcome(&report);
     // Atomic and checksum-stamped, so `load_model_file` and the serve-side
     // registry can verify the weights byte-for-byte.

@@ -333,6 +333,15 @@ fn jsonl_and_ctb_give_the_same_results() {
     assert_eq!(common_stats_lines(&sj), common_stats_lines(&sc));
     assert!(sj.contains("interarrival seconds:") && !sc.contains("interarrival seconds:"));
 
+    // mcn: the same load report.
+    let (lj, lc) = (
+        run(&["mcn", "--input", &jsonl]),
+        run(&["mcn", "--input", &ctb]),
+    );
+    assert_eq!(exit_code(&lj), 0, "stderr: {}", stderr_of(&lj));
+    assert!(stdout_of(&lj).starts_with("MCN load report:"));
+    assert_eq!(stdout_of(&lj), stdout_of(&lc));
+
     // train: byte-identical model files from either format.
     let (mj, mc) = (scratch.path("model-jsonl.json"), scratch.path("model-ctb.json"));
     for (trace, model) in [(&jsonl, &mj), (&ctb, &mc)] {
@@ -353,6 +362,14 @@ fn jsonl_and_ctb_give_the_same_results() {
         let out = run(&["generate", "--model", &mj, "--streams", "12", "--seed", "3", "-o", synth]);
         assert_eq!(exit_code(&out), 0, "generate failed: {}", stderr_of(&out));
     }
+    // Streamed into either writer, `generate` wrote the same trace.
+    let converted = scratch.path("synth-converted.ctb");
+    let out = run(&["trace", "convert", "--input", &gj, "-o", &converted]);
+    assert_eq!(exit_code(&out), 0, "convert failed: {}", stderr_of(&out));
+    assert_eq!(
+        std::fs::read(&converted).expect("read converted"),
+        std::fs::read(&gc).expect("read generated ctb")
+    );
     let reference = run(&["evaluate", "--real", &jsonl, "--synth", &gj]);
     assert_eq!(exit_code(&reference), 0, "stderr: {}", stderr_of(&reference));
     assert!(stdout_of(&reference).contains("max breakdown diff"));
@@ -361,4 +378,21 @@ fn jsonl_and_ctb_give_the_same_results() {
         assert_eq!(exit_code(&out), 0, "stderr: {}", stderr_of(&out));
         assert_eq!(stdout_of(&out), stdout_of(&reference), "{real} vs {synth}");
     }
+}
+
+/// `.ctb` alone, wherever a trace is read: nothing here touches JSON, so it
+/// also runs against the typecheck-only `serde_json` of the offline build.
+#[test]
+fn mcn_reads_a_ctb_trace() {
+    let scratch = Scratch::new("mcn-ctb");
+    let ctb = scratch.path("t.ctb");
+    let out = run(&["simulate", "--ues", "40", "--hours", "0.5", "-o", &ctb]);
+    assert_eq!(exit_code(&out), 0, "simulate failed: {}", stderr_of(&out));
+    let out = run(&["mcn", "--input", &ctb]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr_of(&out));
+    assert!(
+        stdout_of(&out).starts_with("MCN load report:"),
+        "{}",
+        stdout_of(&out)
+    );
 }

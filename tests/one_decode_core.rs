@@ -13,10 +13,20 @@
 //! gated functions and intrinsics live in `cpt-nn`'s `tensor.rs`, behind its
 //! one `KernelLevel`, and the single-accumulator-chain tail kernel
 //! (`micro1_*`) stays deleted.
+//!
+//! And the trace data plane stays single: one epoch plan
+//! (`ShardSource::epoch_steps`), one train entry per behaviour, and no
+//! caller of the JSONL-only `read_dataset` outside `cpt-trace` — a trace is
+//! opened through `AnyTrace`, so `.ctb` works wherever JSONL does.
 
 use std::path::{Path, PathBuf};
 
-const BANNED: [&str; 8] = [
+const BANNED: [&str; 13] = [
+    "read_dataset(",
+    "DatasetSource",
+    "make_epoch_",
+    "train_source_with_checkpoints",
+    "resume_training_source",
     "micro1_",
     "decode_step_into",
     "apply_decode_step",
@@ -50,7 +60,14 @@ const KERNELS: &str = "crates/cpt-nn/src/tensor.rs";
 fn deleted_decode_paths_do_not_reappear() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for dir in ["crates/cpt-nn/src", "crates/cpt-gpt/src", "crates/cpt-serve/src", "src/bin"] {
+    for dir in [
+        "crates/cpt-nn/src",
+        "crates/cpt-gpt/src",
+        "crates/cpt-serve/src",
+        "crates/cpt-metrics/src",
+        "crates/cpt-bench/src",
+        "src/bin",
+    ] {
         rust_files(&root.join(dir), &mut files);
     }
     assert!(files.len() > 20, "walked only {} files", files.len());
