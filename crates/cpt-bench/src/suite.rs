@@ -590,12 +590,7 @@ pub fn run_stages(cfg: &SuiteConfig, commands: &[String]) -> Result<RunReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cpt-suite-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
+    use cpt_testkit::{truncate_file, Scratch};
 
     #[test]
     fn expand_rejects_unknown_and_dedups() {
@@ -612,8 +607,8 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_and_recovers_from_corruption() {
-        let dir = tmp_dir("manifest");
-        let path = RunManifest::path(&dir);
+        let dir = Scratch::new("suite-manifest");
+        let path = RunManifest::path(dir.dir());
         let mut m = RunManifest::fresh("quick");
         m.stages.insert(
             "table3".to_string(),
@@ -629,7 +624,7 @@ mod tests {
         assert_eq!(back, m);
 
         // Truncated file: recovered flag set, backup written, fresh state.
-        cpt_gpt::faultinject::truncate_file(&path, 0.5).expect("truncate");
+        truncate_file(&path, 0.5).expect("truncate");
         let (fresh, recovered) = RunManifest::load_or_recover(&path, "quick");
         assert!(recovered);
         assert!(fresh.stages.is_empty());
@@ -651,16 +646,14 @@ mod tests {
         let (fresh, recovered) = RunManifest::load_or_recover(&path, "quick");
         assert!(recovered);
         assert!(fresh.stages.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_manifest_is_a_fresh_start_not_a_recovery() {
-        let dir = tmp_dir("manifest-missing");
-        let (m, recovered) = RunManifest::load_or_recover(&RunManifest::path(&dir), "quick");
+        let dir = Scratch::new("suite-manifest-missing");
+        let (m, recovered) = RunManifest::load_or_recover(&RunManifest::path(dir.dir()), "quick");
         assert!(!recovered);
         assert!(m.stages.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -693,20 +686,19 @@ mod tests {
 
     #[test]
     fn config_errors_are_rejected_before_any_stage_runs() {
-        let dir = tmp_dir("reject");
-        let cfg = SuiteConfig::new(Scale::tiny(), dir.join("results"));
+        let dir = Scratch::new("suite-reject");
+        let cfg = SuiteConfig::new(Scale::tiny(), dir.path("results"));
         let err = run_stages(&cfg, &["definitely-not-a-stage".to_string()])
             .expect_err("unknown command");
         assert!(matches!(err, SuiteError::Config { .. }));
         assert!(
-            !dir.join("results").join("manifest.json").exists(),
+            !dir.path("results").join("manifest.json").exists(),
             "validation failures must not touch the results dir"
         );
 
-        let mut bad = SuiteConfig::new(Scale::tiny(), dir.join("results"));
+        let mut bad = SuiteConfig::new(Scale::tiny(), dir.path("results"));
         bad.inject_fail = Some("not-a-stage".to_string());
         let err = run_stages(&bad, &["table3".to_string()]).expect_err("bad fault spec");
         assert!(matches!(err, SuiteError::Config { .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

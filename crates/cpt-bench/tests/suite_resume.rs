@@ -9,45 +9,15 @@
 
 use cpt_bench::suite::{run_stages, RunManifest, StageStatus, SuiteConfig};
 use cpt_bench::Scale;
+use cpt_testkit::{exit_code, stderr_of, Scratch};
 use cpt_trace::json::FromJson;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::Output;
 
 const BIN: &str = env!("CARGO_BIN_EXE_experiments");
 
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cpt-suite-{}-{tag}", std::process::id()));
-        // A stale dir from a crashed earlier run would make `--resume`
-        // tests see someone else's manifest.
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn out_dir(&self) -> PathBuf {
-        self.0.join("results")
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn run(args: &[&str]) -> Output {
-    Command::new(BIN).args(args).output().expect("spawn experiments")
-}
-
-fn exit_code(out: &Output) -> i32 {
-    out.status.code().expect("experiments must exit, not be killed")
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
+    cpt_testkit::run(BIN, args)
 }
 
 fn read_manifest(out_dir: &Path) -> RunManifest {
@@ -59,7 +29,7 @@ fn read_manifest(out_dir: &Path) -> RunManifest {
 #[test]
 fn injected_failure_exits_8_and_resume_skips_completed_stages() {
     let scratch = Scratch::new("resume");
-    let out_dir = scratch.out_dir();
+    let out_dir = scratch.path("results");
     let dir = out_dir.to_string_lossy().into_owned();
 
     // Run 1: table3 completes, table11 is failed by the injected fault.
@@ -106,12 +76,12 @@ fn injected_failure_exits_8_and_resume_skips_completed_stages() {
     // What the cache served is what training serves: a fresh run's
     // table11 is byte-identical.
     let fresh = Scratch::new("resume-fresh");
-    let report = run_stages(&SuiteConfig::new(Scale::tiny(), fresh.out_dir()), &["table11".into()])
-        .expect("fresh run");
+    let fresh_cfg = SuiteConfig::new(Scale::tiny(), fresh.path("results"));
+    let report = run_stages(&fresh_cfg, &["table11".into()]).expect("fresh run");
     assert_eq!(report.exit_code(), 0);
     assert_eq!(
         std::fs::read(out_dir.join("table11.txt")).expect("resumed table11"),
-        std::fs::read(fresh.out_dir().join("table11.txt")).expect("fresh table11"),
+        std::fs::read(fresh.path("results").join("table11.txt")).expect("fresh table11"),
         "a table computed from cached models must equal the freshly trained one"
     );
 
@@ -140,13 +110,13 @@ fn injected_failure_exits_8_and_resume_skips_completed_stages() {
 #[test]
 fn a_failed_stage_is_recorded_once_and_never_retried() {
     let clean = Scratch::new("clean");
-    let cfg = SuiteConfig::new(Scale::tiny(), clean.out_dir());
+    let cfg = SuiteConfig::new(Scale::tiny(), clean.path("results"));
     let report = run_stages(&cfg, &["table11".to_string()]).expect("supervisor runs");
     assert_eq!(report.exit_code(), 0);
-    let clean_table11 = std::fs::read(clean.out_dir().join("table11.txt")).expect("table11");
+    let clean_table11 = std::fs::read(clean.path("results").join("table11.txt")).expect("table11");
 
     let scratch = Scratch::new("noretry");
-    let mut cfg = SuiteConfig::new(Scale::tiny(), scratch.out_dir());
+    let mut cfg = SuiteConfig::new(Scale::tiny(), scratch.path("results"));
     cfg.keep_going = true;
     cfg.inject_fail = Some("table3".to_string());
     let report = run_stages(&cfg, &["table3".to_string(), "table11".to_string()])
@@ -155,14 +125,14 @@ fn a_failed_stage_is_recorded_once_and_never_retried() {
     assert_eq!(report.failed, vec!["table3".to_string()]);
     assert_eq!(report.completed, vec!["table11".to_string()]);
 
-    let m = read_manifest(&scratch.out_dir());
+    let m = read_manifest(&scratch.path("results"));
     assert_eq!(m.stages["table3"].status, StageStatus::Failed);
     assert!(
-        !scratch.out_dir().join("table3.txt").exists(),
+        !scratch.path("results").join("table3.txt").exists(),
         "a failed stage writes no table"
     );
     assert_eq!(
-        std::fs::read(scratch.out_dir().join("table11.txt")).expect("table11"),
+        std::fs::read(scratch.path("results").join("table11.txt")).expect("table11"),
         clean_table11,
         "a failure earlier in the plan must not move a later stage's seeds"
     );
@@ -171,7 +141,7 @@ fn a_failed_stage_is_recorded_once_and_never_retried() {
 #[test]
 fn corrupt_manifest_is_moved_aside_and_the_run_recovers() {
     let scratch = Scratch::new("corrupt");
-    let out_dir = scratch.out_dir();
+    let out_dir = scratch.path("results");
     std::fs::create_dir_all(&out_dir).expect("create results dir");
     std::fs::write(out_dir.join("manifest.json"), b"{not json").expect("plant corrupt manifest");
 
@@ -190,7 +160,7 @@ fn corrupt_manifest_is_moved_aside_and_the_run_recovers() {
 #[test]
 fn unknown_command_is_rejected_before_any_stage_runs() {
     let scratch = Scratch::new("badcmd");
-    let out_dir = scratch.out_dir();
+    let out_dir = scratch.path("results");
     let dir = out_dir.to_string_lossy().into_owned();
 
     let out = run(&["--scale", "tiny", "--out", &dir, "table3", "frobnicate"]);

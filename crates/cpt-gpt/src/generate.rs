@@ -392,56 +392,9 @@ pub(crate) fn sample_logits(logits: &[f32], rng: &mut impl Rng) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CptGptConfig, TrainConfig};
+    use crate::fixtures::{eight_event_dataset, tiny_config, trained_model};
     use crate::token::Tokenizer;
-    use crate::train::train;
     use rand::SeedableRng;
-
-    fn tiny_config() -> CptGptConfig {
-        CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 12,
-            ..CptGptConfig::small()
-        }
-    }
-
-    fn alternating_dataset(n: usize) -> Dataset {
-        let streams = (0..n)
-            .map(|i| {
-                let mut t = 0.0;
-                let events = (0..8)
-                    .map(|k| {
-                        let (et, gap) = if k % 2 == 0 {
-                            (EventType::ServiceRequest, 100.0)
-                        } else {
-                            (EventType::ConnectionRelease, 10.0)
-                        };
-                        t += gap;
-                        Event::new(et, t)
-                    })
-                    .collect();
-                Stream::new(UeId(i as u64), DeviceType::Phone, events)
-            })
-            .collect();
-        Dataset::new(streams)
-    }
-
-    fn trained_model() -> CptGpt {
-        let data = alternating_dataset(24);
-        let tok = Tokenizer::fit(&data);
-        let mut model = CptGpt::new(tiny_config(), tok);
-        train(
-            &mut model,
-            &data,
-            &TrainConfig::quick().with_epochs(200).with_lr(1e-2),
-        )
-        .expect("training succeeds");
-        model
-    }
 
     #[test]
     fn generates_requested_count_within_max_len() {
@@ -517,9 +470,9 @@ mod tests {
 
     #[test]
     fn untrained_model_is_typed_error() {
-        let data = alternating_dataset(2);
+        let data = eight_event_dataset(2);
         let tok = Tokenizer::fit(&data);
-        let model = CptGpt::new(tiny_config(), tok);
+        let model = CptGpt::new(tiny_config().with_max_len(12), tok);
         let err = model
             .generate(&GenerateConfig::new(1, 0))
             .expect_err("untrained model must be rejected");

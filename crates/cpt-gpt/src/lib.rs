@@ -37,6 +37,8 @@ pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod faultinject;
+#[cfg(test)]
+mod fixtures;
 pub mod generate;
 mod mix;
 pub mod model;

@@ -775,6 +775,7 @@ fn model_from_cmb(
 mod tests {
     use super::*;
     use crate::batch::build_batch;
+    use crate::fixtures::{tiny_config, Scratch};
     use cpt_trace::{Dataset, DeviceType, Event, Stream, UeId};
 
     fn toy_dataset() -> Dataset {
@@ -791,18 +792,6 @@ mod tests {
             )
         };
         Dataset::new(vec![mk(0), mk(1), mk(2)])
-    }
-
-    fn tiny_config() -> CptGptConfig {
-        CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        }
     }
 
     #[test]
@@ -1081,9 +1070,8 @@ mod tests {
         let d = toy_dataset();
         let tok = Tokenizer::fit(&d);
         let model = CptGpt::new(tiny_config(), tok);
-        let dir = std::env::temp_dir().join(format!("cpt-gpt-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("model.cmb");
+        let dir = Scratch::new("gpt-model-file");
+        let path = dir.path("model.cmb");
 
         save_model_file(&model, &path).expect("save");
         let back = load_model_file(&path).expect("load verifies checksums");
@@ -1147,7 +1135,6 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

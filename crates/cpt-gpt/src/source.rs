@@ -258,6 +258,7 @@ pub fn with_training_set<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::Scratch;
     use cpt_trace::{write_trace, DeviceType, Event, UeId};
     use rand::SeedableRng;
 
@@ -367,8 +368,8 @@ mod tests {
     #[test]
     fn ctb_training_set_is_the_clamped_dataset() {
         let data = edge_trace();
-        let path =
-            std::env::temp_dir().join(format!("cpt-training-set-{}.ctb", std::process::id()));
+        let dir = Scratch::new("gpt-training-set");
+        let path = dir.path("edge.ctb");
         write_trace(&data, &path).expect("write ctb");
         let clamped = data.clamp_lengths(2, 8 + 1);
         let trace = AnyTrace::open(&path).expect("open");
@@ -386,6 +387,5 @@ mod tests {
             assert_eq!(set.resumed_on, "edge (5 streams, 52 events, out-of-core)");
         });
         checked.expect("training set");
-        std::fs::remove_file(&path).ok();
     }
 }

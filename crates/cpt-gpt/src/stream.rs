@@ -504,49 +504,10 @@ fn worker_panic(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CptGptConfig, TrainConfig};
+    use crate::config::CptGptConfig;
+    use crate::fixtures::{tiny_config, trained_model};
     use crate::token::Tokenizer;
-    use crate::train::train;
     use cpt_trace::{Dataset, Event, Stream, UeId};
-
-    fn trained_model() -> CptGpt {
-        let streams = (0..24)
-            .map(|i| {
-                let mut t = 0.0;
-                let events = (0..8)
-                    .map(|k| {
-                        let (et, gap) = if k % 2 == 0 {
-                            (EventType::ServiceRequest, 100.0)
-                        } else {
-                            (EventType::ConnectionRelease, 10.0)
-                        };
-                        t += gap;
-                        Event::new(et, t)
-                    })
-                    .collect();
-                Stream::new(UeId(i as u64), DeviceType::Phone, events)
-            })
-            .collect();
-        let data = Dataset::new(streams);
-        let tok = Tokenizer::fit(&data);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 12,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, tok);
-        train(
-            &mut model,
-            &data,
-            &TrainConfig::quick().with_epochs(200).with_lr(1e-2),
-        )
-        .expect("training succeeds");
-        model
-    }
 
     fn drain(model: &CptGpt, mut dec: SessionDecoder) -> Vec<SessionEvent> {
         let mut out = Vec::new();
@@ -675,16 +636,7 @@ mod tests {
             ],
         )]);
         let tok = Tokenizer::fit(&data);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 12,
-            ..CptGptConfig::small()
-        };
-        let model = CptGpt::new(cfg, tok);
+        let model = CptGpt::new(tiny_config().with_max_len(12), tok);
         assert!(matches!(
             model.open_session(StreamParams::new(0)),
             Err(GenerateError::UntrainedModel)

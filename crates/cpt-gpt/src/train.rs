@@ -404,46 +404,10 @@ fn run_epochs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CptGptConfig;
     use crate::faultinject::FaultPlan;
+    use crate::fixtures::{alternating_dataset, tiny_config};
     use crate::token::Tokenizer;
     use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-
-    fn alternating_dataset(n: usize) -> Dataset {
-        // Strict SRV_REQ / S1_CONN_REL alternation with bimodal gaps: an
-        // easy pattern a working trainer must learn quickly.
-        let streams = (0..n)
-            .map(|i| {
-                let mut t = 0.0;
-                let len = 6 + (i % 3) * 2;
-                let events = (0..len)
-                    .map(|k| {
-                        let (et, gap) = if k % 2 == 0 {
-                            (EventType::ServiceRequest, 100.0)
-                        } else {
-                            (EventType::ConnectionRelease, 10.0)
-                        };
-                        t += gap;
-                        Event::new(et, t)
-                    })
-                    .collect();
-                Stream::new(UeId(i as u64), DeviceType::Phone, events)
-            })
-            .collect();
-        Dataset::new(streams)
-    }
-
-    fn tiny_config() -> CptGptConfig {
-        CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        }
-    }
 
     #[test]
     fn training_reduces_loss() {

@@ -57,50 +57,17 @@ pub fn fine_tune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CptGptConfig;
+    use crate::fixtures::{alternation, tiny_config};
     use crate::token::Tokenizer;
-    use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-
-    fn dataset_with_gap(gap: f64, n: usize) -> Dataset {
-        let streams = (0..n)
-            .map(|i| {
-                let mut t = 0.0;
-                let events = (0..8)
-                    .map(|k| {
-                        let (et, g) = if k % 2 == 0 {
-                            (EventType::ServiceRequest, gap)
-                        } else {
-                            (EventType::ConnectionRelease, 10.0)
-                        };
-                        t += g;
-                        Event::new(et, t)
-                    })
-                    .collect();
-                Stream::new(UeId(i as u64), DeviceType::Phone, events)
-            })
-            .collect();
-        Dataset::new(streams)
-    }
-
-    fn tiny_config() -> CptGptConfig {
-        CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 12,
-            ..CptGptConfig::small()
-        }
-    }
+    use cpt_trace::Stream;
 
     #[test]
     fn fine_tune_is_cheaper_and_adapts() {
-        let hour0 = dataset_with_gap(100.0, 24);
-        let hour1 = dataset_with_gap(400.0, 24); // drifted interarrivals
+        let hour0 = alternation(24, 100.0, |_| 8);
+        let hour1 = alternation(24, 400.0, |_| 8); // drifted interarrivals
         let tok = Tokenizer::fit(&hour0);
         let base_cfg = TrainConfig::quick().with_epochs(8).with_lr(5e-3);
-        let mut base = CptGpt::new(tiny_config(), tok);
+        let mut base = CptGpt::new(tiny_config().with_max_len(12), tok);
         let base_report = train(&mut base, &hour0, &base_cfg).expect("base training succeeds");
 
         let (adapted, ft_report) = fine_tune(&base, &hour1, &base_cfg, &FineTuneConfig::default())

@@ -3,75 +3,18 @@
 //! harness. Every scenario here must end in either a clean recovery or a
 //! typed error — never a panic.
 
-use cpt_gpt::faultinject::{corrupt_file_bytes, truncate_file};
 use cpt_gpt::{
     load_checkpoint, resume_training, train, train_with_checkpoints, CheckpointError,
-    CheckpointSpec, CptGpt, CptGptConfig, FaultKind, FaultPlan, GenerateConfig, Tokenizer,
-    TrainConfig, TrainError,
+    CheckpointSpec, CptGpt, FaultKind, FaultPlan, GenerateConfig, Tokenizer, TrainConfig,
+    TrainError,
 };
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-use std::path::PathBuf;
-
-/// Strict SRV_REQ / S1_CONN_REL alternation — the same easy pattern the
-/// unit tests train on, so a few epochs converge.
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let len = 6 + (i % 3) * 2;
-            let events = (0..len)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn tiny_config() -> CptGptConfig {
-    CptGptConfig {
-        d_model: 16,
-        n_blocks: 1,
-        n_heads: 2,
-        d_mlp: 32,
-        d_head: 16,
-        max_len: 16,
-        ..CptGptConfig::small()
-    }
-}
+use cpt_testkit::{
+    alternating_dataset, corrupt_file_bytes, fixture_model, tiny_config, truncate_file, Scratch,
+};
+use cpt_trace::Dataset;
 
 fn fresh_model(data: &Dataset) -> CptGpt {
     CptGpt::new(tiny_config(), Tokenizer::fit(data))
-}
-
-/// Per-test scratch directory, removed on drop so parallel tests never
-/// collide.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cpt-ft-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
 }
 
 fn params_equal(a: &CptGpt, b: &CptGpt) -> bool {
@@ -219,10 +162,7 @@ fn missing_checkpoint_is_an_io_error() {
 
 #[test]
 fn nan_poisoned_weights_cannot_crash_generation() {
-    let data = alternating_dataset(12);
-    let mut model = fresh_model(&data);
-    let cfg = TrainConfig::quick().with_epochs(2);
-    train(&mut model, &data, &cfg).expect("train");
+    let mut model = CptGpt::clone(&fixture_model());
 
     // Poison the interarrival head outright: every generated gap would be
     // NaN without the guardrails.
@@ -256,13 +196,11 @@ fn nan_poisoned_weights_cannot_crash_generation() {
 /// trip-wire reads) instead of being clamped back into range unseen.
 #[test]
 fn non_finite_activations_reach_the_logit_counter() {
-    let data = alternating_dataset(12);
-    let mut trained = fresh_model(&data);
-    train(&mut trained, &data, &TrainConfig::quick().with_epochs(2)).expect("train");
+    let trained = fixture_model();
 
     for bias in ["block0.fc1.b", "head_event.fc1.b"] {
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut model = trained.clone();
+            let mut model = CptGpt::clone(&trained);
             let id = model
                 .store
                 .ids()

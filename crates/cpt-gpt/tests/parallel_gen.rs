@@ -5,56 +5,10 @@
 //! nor `batch_size` can leak into the output, and draining the session one
 //! event at a time yields the same dataset and guardrail counters.
 
-use cpt_gpt::{
-    CptGpt, CptGptConfig, GenCounters, GenerateConfig, GenerateError, StreamParams, Tokenizer,
-    TrainConfig,
-};
+use cpt_gpt::{GenCounters, GenerateConfig, GenerateError, StreamParams};
+use cpt_testkit::fixture_model;
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-/// One tiny trained model shared by every case — training per case would
-/// dominate the runtime.
-fn trained_model() -> &'static CptGpt {
-    static MODEL: OnceLock<CptGpt> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        model
-    })
-}
 
 /// Generates on a freshly built pool pinned to `threads` workers.
 fn generate_on(threads: usize, cfg: &GenerateConfig) -> (Dataset, GenCounters) {
@@ -63,15 +17,15 @@ fn generate_on(threads: usize, cfg: &GenerateConfig) -> (Dataset, GenCounters) {
         .build()
         .expect("cannot build rayon pool")
         .install(|| {
-            trained_model()
+            fixture_model()
                 .generate_with_report(cfg)
                 .expect("generation failed")
         })
 }
 
 /// The same run as one session drained event by event: the oracle.
-fn drain_session(cfg: &GenerateConfig) -> (Dataset, GenCounters) {
-    let model = trained_model();
+fn session_oracle(cfg: &GenerateConfig) -> (Dataset, GenCounters) {
+    let model = fixture_model();
     let params = StreamParams {
         seed: cfg.seed,
         device_type: cfg.device_type,
@@ -82,7 +36,7 @@ fn drain_session(cfg: &GenerateConfig) -> (Dataset, GenCounters) {
     let mut streams: Vec<Stream> = (0..cfg.num_streams)
         .map(|i| Stream::new(UeId(i as u64), cfg.device_type, Vec::new()))
         .collect();
-    while let Some(ev) = session.next_event(model) {
+    while let Some(ev) = session.next_event(&model) {
         streams[ev.stream].events.push(Event::new(ev.event_type, ev.timestamp));
     }
     (Dataset::new(streams), *session.counters())
@@ -117,7 +71,7 @@ proptest! {
             1 => base.with_max_stream_len(5),
             _ => base.device(DeviceType::Tablet).with_max_stream_len(9),
         };
-        let (oracle, oracle_counters) = drain_session(&cfg);
+        let (oracle, oracle_counters) = session_oracle(&cfg);
         prop_assert_eq!(oracle.num_streams(), num_streams);
         for batch_size in [1usize, 7, 64] {
             for threads in [1usize, 2, 8] {
@@ -156,7 +110,7 @@ fn ue_ids_are_dense_and_ordered() {
 fn generate_into_delivers_the_session_in_ue_order_across_windows() {
     for num_streams in [7usize, 150] {
         let base = GenerateConfig::new(num_streams, 11);
-        let (oracle, oracle_counters) = drain_session(&base);
+        let (oracle, oracle_counters) = session_oracle(&base);
         for batch_size in [1usize, 3, 64] {
             for threads in [1usize, 8] {
                 let cfg = GenerateConfig { batch_size, ..base };
@@ -166,7 +120,7 @@ fn generate_into_delivers_the_session_in_ue_order_across_windows() {
                     .build()
                     .expect("cannot build rayon pool")
                     .install(|| {
-                        trained_model().generate_into(&cfg, |stream| {
+                        fixture_model().generate_into(&cfg, |stream| {
                             delivered.push(stream);
                             Ok::<(), GenerateError>(())
                         })
@@ -205,7 +159,7 @@ fn generate_into_stops_at_the_first_sink_error() {
             ..GenerateConfig::new(40, 5)
         };
         let mut calls = 0u64;
-        let result = trained_model().generate_into(&cfg, |stream| {
+        let result = fixture_model().generate_into(&cfg, |stream| {
             calls += 1;
             if stream.ue_id.0 == k {
                 return Err(SinkError::Full(k));

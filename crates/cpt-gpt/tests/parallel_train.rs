@@ -7,45 +7,10 @@
 //! checkpoint written under one thread count must resume bit-identically
 //! under another.
 
-use cpt_gpt::{
-    CheckpointSpec, CptGpt, CptGptConfig, FaultPlan, TrainConfig, TrainReport, Tokenizer,
-};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_gpt::{CheckpointSpec, CptGpt, FaultPlan, TrainConfig, TrainReport, Tokenizer};
+use cpt_testkit::{alternating_dataset, tiny_config, Scratch};
+use cpt_trace::Dataset;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn tiny_config() -> CptGptConfig {
-    CptGptConfig {
-        d_model: 16,
-        n_blocks: 1,
-        n_heads: 2,
-        d_mlp: 32,
-        d_head: 16,
-        max_len: 16,
-        ..CptGptConfig::small()
-    }
-}
 
 /// Trains a fresh model on a pool pinned to `threads` workers. Pinning a
 /// pool wider than the machine is fine — rayon builds the requested
@@ -122,23 +87,6 @@ proptest! {
     }
 }
 
-/// Per-test scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cpt-pt-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 /// A checkpoint written by a 1-thread run must resume bit-identically
 /// under an 8-thread pool: the watchdog/checkpoint state machine carries
 /// no thread-count-dependent state.
@@ -156,7 +104,7 @@ fn one_thread_checkpoint_resumes_bit_identically_on_eight_threads() {
     let (reference, ref_report) = train_on(2, &data, &cfg);
 
     // Interrupted run: 1 thread up to the simulated crash after epoch 1...
-    let ckpt = CheckpointSpec::every_epoch(scratch.0.join("train.ckpt.cmb"));
+    let ckpt = CheckpointSpec::every_epoch(scratch.path("train.ckpt.cmb"));
     let interrupted_cfg = cfg.with_fault(FaultPlan::interrupt_after(1));
     let first_half = rayon::ThreadPoolBuilder::new()
         .num_threads(1)

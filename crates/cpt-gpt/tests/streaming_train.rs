@@ -15,30 +15,13 @@ use cpt_gpt::{
     Tokenizer, TrainConfig,
 };
 use cpt_synth::SynthConfig;
+use cpt_testkit::Scratch;
 use cpt_trace::columnar::{write_ctb, ColumnarReader};
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-use std::path::PathBuf;
 
-fn tmp_ctb(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "cpt-streaming-train-{}-{}.ctb",
-        std::process::id(),
-        name
-    ));
-    p
-}
-
+/// The model shape under test: the kit's, at `max_len` 12.
 fn tiny_config() -> CptGptConfig {
-    CptGptConfig {
-        d_model: 16,
-        n_blocks: 1,
-        n_heads: 2,
-        d_mlp: 32,
-        d_head: 16,
-        max_len: 12,
-        ..CptGptConfig::small()
-    }
+    cpt_testkit::tiny_config().with_max_len(12)
 }
 
 /// A dataset engineered to hit every filtering/truncation edge:
@@ -105,7 +88,8 @@ fn streaming_tokenizer_fit_matches_in_ram() {
     let max_len = tiny_config().max_len;
     let clamped = data.clamp_lengths(2, max_len + 1);
 
-    let path = tmp_ctb("tok");
+    let dir = Scratch::new("streaming-train-tok");
+    let path = dir.path("trace.ctb");
     write_ctb(&data, &path).expect("write ctb");
     let reader = ColumnarReader::open(&path).expect("open ctb");
 
@@ -114,7 +98,6 @@ fn streaming_tokenizer_fit_matches_in_ram() {
         let streamed = fit_tokenizer_streaming(&reader, max_len, scale);
         assert_eq!(in_ram, streamed, "tokenizer fit diverged for {scale:?}");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -123,7 +106,8 @@ fn columnar_source_matches_dataset_source_metadata() {
     let max_len = tiny_config().max_len;
     let clamped = data.clamp_lengths(2, max_len + 1);
 
-    let path = tmp_ctb("meta");
+    let dir = Scratch::new("streaming-train-meta");
+    let path = dir.path("trace.ctb");
     write_ctb(&data, &path).expect("write ctb");
     let reader = ColumnarReader::open(&path).expect("open ctb");
     let columnar = ColumnarSource::new(&reader).expect("source over verified ctb");
@@ -146,7 +130,6 @@ fn columnar_source_matches_dataset_source_metadata() {
     assert_eq!(plan(&columnar).len(), columnar.num_trainable().div_ceil(5));
     assert_eq!(plan(&columnar), plan(in_ram));
     assert_eq!(plan(&columnar), plan(&data));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -155,7 +138,8 @@ fn streaming_train_weights_are_bit_identical() {
     let max_len = tiny_config().max_len;
     let clamped = data.clamp_lengths(2, max_len + 1);
 
-    let path = tmp_ctb("train");
+    let dir = Scratch::new("streaming-train-train");
+    let path = dir.path("trace.ctb");
     write_ctb(&data, &path).expect("write ctb");
     let reader = ColumnarReader::open(&path).expect("open ctb");
 
@@ -185,7 +169,6 @@ fn streaming_train_weights_are_bit_identical() {
         );
     }
     assert_models_bit_identical(&in_ram, &streamed);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -196,7 +179,8 @@ fn streaming_train_matches_on_synthesized_trace() {
     let max_len = tiny_config().max_len;
     let clamped = data.clamp_lengths(2, max_len + 1);
 
-    let path = tmp_ctb("synth");
+    let dir = Scratch::new("streaming-train-synth");
+    let path = dir.path("trace.ctb");
     write_ctb(&data, &path).expect("write ctb");
     let reader = ColumnarReader::open(&path).expect("open ctb");
 
@@ -212,5 +196,4 @@ fn streaming_train_matches_on_synthesized_trace() {
     train(&mut streamed, &source, &cfg).expect("streaming train");
 
     assert_models_bit_identical(&in_ram, &streamed);
-    std::fs::remove_file(&path).ok();
 }

@@ -47,7 +47,8 @@ pub struct LoadgenConfig {
     /// UE streams each session decodes.
     pub streams: usize,
     /// Client threads (each one connection, multiplexing its share of
-    /// `concurrent`).
+    /// `concurrent`). At most `concurrent` of them run: a thread with no
+    /// share would have nothing to hold open.
     pub threads: usize,
     /// Stop opening new sessions after this long.
     pub duration: Option<Duration>,
@@ -380,6 +381,16 @@ fn recover(
     }
 }
 
+/// Splits `concurrent` open sessions over at most `threads` client threads:
+/// thread `i` holds `concurrent / threads`, plus one if `i` is below the
+/// remainder. The shares sum to `concurrent` and none is 0.
+fn session_shares(concurrent: usize, threads: usize) -> Vec<usize> {
+    let threads = threads.min(concurrent);
+    (0..threads)
+        .map(|i| concurrent / threads + usize::from(i < concurrent % threads))
+        .collect()
+}
+
 /// Runs the load generator to completion and reports what it observed.
 pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     cfg.validate()?;
@@ -393,9 +404,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     // Retries absorb a server that is still binding its socket.
     drop(connect_with_retry(cfg, &tally)?);
 
-    let per_thread = cfg.concurrent.div_ceil(cfg.threads);
-    let threads: Vec<_> = (0..cfg.threads)
-        .map(|i| {
+    let threads: Vec<_> = session_shares(cfg.concurrent, cfg.threads)
+        .into_iter()
+        .enumerate()
+        .map(|(i, per_thread)| {
             let cfg = cfg.clone();
             let tally = Arc::clone(&tally);
             let open_hist = Arc::clone(&open_hist);
@@ -731,6 +743,26 @@ fn client_thread(
                         None => return,
                     }
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn session_shares_sum_to_concurrent_and_none_is_empty() {
+        for concurrent in 1..=9 {
+            for threads in 1..=9 {
+                let shares = session_shares(concurrent, threads);
+                assert_eq!(shares.len(), concurrent.min(threads));
+                assert_eq!(shares.iter().sum::<usize>(), concurrent, "{shares:?}");
+                assert!(shares.iter().all(|&n| n > 0), "{shares:?}");
+                let spread =
+                    shares.iter().max().expect("a share") - shares.iter().min().expect("a share");
+                assert!(spread <= 1, "{shares:?}");
             }
         }
     }

@@ -997,75 +997,14 @@ fn verify_and_quarantine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpt_gpt::{CptGptConfig, Tokenizer, TrainConfig};
-    use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-    use std::sync::{Arc, OnceLock};
-
-    fn alternating_dataset(n: usize) -> Dataset {
-        let streams = (0..n)
-            .map(|i| {
-                let mut t = 0.0;
-                let events = (0..6 + (i % 3) * 2)
-                    .map(|k| {
-                        let (et, gap) = if k % 2 == 0 {
-                            (EventType::ServiceRequest, 100.0)
-                        } else {
-                            (EventType::ConnectionRelease, 10.0)
-                        };
-                        t += gap;
-                        Event::new(et, t)
-                    })
-                    .collect();
-                Stream::new(UeId(i as u64), DeviceType::Phone, events)
-            })
-            .collect();
-        Dataset::new(streams)
-    }
-
-    fn trained_model() -> Arc<CptGpt> {
-        static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-        Arc::clone(MODEL.get_or_init(|| {
-            let data = alternating_dataset(12);
-            let cfg = CptGptConfig {
-                d_model: 16,
-                n_blocks: 1,
-                n_heads: 2,
-                d_mlp: 32,
-                d_head: 16,
-                max_len: 16,
-                ..CptGptConfig::small()
-            };
-            let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-            cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-                .expect("fixture training failed");
-            Arc::new(model)
-        }))
-    }
-
-    /// A scratch registry root, removed on drop.
-    struct ScratchRoot(PathBuf);
-
-    impl ScratchRoot {
-        fn new(tag: &str) -> ScratchRoot {
-            let dir = std::env::temp_dir()
-                .join(format!("cpt-registry-{}-{tag}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            ScratchRoot(dir)
-        }
-    }
-
-    impl Drop for ScratchRoot {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    use cpt_testkit::{fixture_model, Scratch};
 
     #[test]
     fn full_lifecycle_is_durable_across_reopen() {
-        let root = ScratchRoot::new("lifecycle");
-        let model = trained_model();
+        let root = Scratch::new("registry-lifecycle");
+        let model = fixture_model();
         {
-            let (mut reg, report) = Registry::open(&root.0).expect("fresh open");
+            let (mut reg, report) = Registry::open(root.dir()).expect("fresh open");
             assert!(report.is_clean());
             assert!(reg.is_empty());
 
@@ -1109,7 +1048,7 @@ mod tests {
         }
         // Every transition above was a durable manifest commit: a fresh
         // process recovers the exact same state.
-        let (mut reg, report) = Registry::open(&root.0).expect("reopen");
+        let (mut reg, report) = Registry::open(root.dir()).expect("reopen");
         assert!(report.is_clean(), "clean shutdown recovers clean: {report:?}");
         assert_eq!(reg.live(), Some(1));
         let (live, _) = reg.load_live().expect("live artifact loads");
@@ -1118,9 +1057,9 @@ mod tests {
 
     #[test]
     fn promote_before_validate_is_a_typed_invalid_transition() {
-        let root = ScratchRoot::new("unvalidated");
-        let (mut reg, _) = Registry::open(&root.0).expect("open");
-        let v1 = reg.stage(&trained_model(), "raw candidate").expect("stage");
+        let root = Scratch::new("registry-unvalidated");
+        let (mut reg, _) = Registry::open(root.dir()).expect("open");
+        let v1 = reg.stage(&fixture_model(), "raw candidate").expect("stage");
         let err = reg.promote(v1).expect_err("unvalidated promote must fail");
         assert!(
             matches!(
@@ -1138,13 +1077,13 @@ mod tests {
 
     #[test]
     fn corrupt_candidate_is_quarantined_with_typed_error() {
-        let root = ScratchRoot::new("corrupt");
+        let root = Scratch::new("registry-corrupt");
         let chaos = ChaosPlan {
             corrupt_candidate: Some(1),
             ..ChaosPlan::default()
         };
-        let (mut reg, _) = Registry::open_with_chaos(&root.0, chaos).expect("open");
-        let v1 = reg.stage(&trained_model(), "sabotaged").expect("stage");
+        let (mut reg, _) = Registry::open_with_chaos(root.dir(), chaos).expect("open");
+        let v1 = reg.stage(&fixture_model(), "sabotaged").expect("stage");
         let err = reg.validate(v1).expect_err("damaged artifact must fail the gate");
         assert!(
             matches!(&err, RegistryError::CorruptArtifact { version, detail, .. }
@@ -1154,16 +1093,16 @@ mod tests {
         let rec = reg.manifest().record(v1).expect("record kept for post-mortem");
         assert_eq!(rec.state, VersionState::Quarantined);
         assert!(rec.file.starts_with("quarantine/"), "artifact moved aside: {}", rec.file);
-        assert!(root.0.join(&rec.file).exists(), "quarantined artifact preserved");
+        assert!(root.path(&rec.file).exists(), "quarantined artifact preserved");
         assert!(reg.is_empty(), "a quarantined-only registry counts as empty");
     }
 
     #[test]
     fn crash_between_temp_write_and_rename_keeps_old_manifest() {
-        let root = ScratchRoot::new("crashcommit");
-        let model = trained_model();
+        let root = Scratch::new("registry-crashcommit");
+        let model = fixture_model();
         {
-            let (mut reg, _) = Registry::open(&root.0).expect("open");
+            let (mut reg, _) = Registry::open(root.dir()).expect("open");
             let v1 = reg.stage(&model, "survivor").expect("stage v1");
             reg.validate(v1).expect("validate v1");
             reg.promote(v1).expect("promote v1");
@@ -1175,7 +1114,7 @@ mod tests {
                 ..ChaosPlan::default()
             };
             let (mut reg, report) =
-                Registry::open_with_chaos(&root.0, chaos).expect("reopen with chaos");
+                Registry::open_with_chaos(root.dir(), chaos).expect("reopen with chaos");
             assert!(report.is_clean());
             let err = reg.stage(&model, "doomed").expect_err("commit must crash");
             assert!(
@@ -1189,7 +1128,7 @@ mod tests {
         // The crash left a torn temp file and an unreferenced version
         // directory; recovery cleans both and lands on the last durable
         // version.
-        let (mut reg, report) = Registry::open(&root.0).expect("recover");
+        let (mut reg, report) = Registry::open(root.dir()).expect("recover");
         assert_eq!(report.torn_commits_cleaned, 1, "torn temp file cleaned");
         assert!(
             report
@@ -1206,38 +1145,38 @@ mod tests {
 
     #[test]
     fn corrupt_manifest_falls_back_to_previous_commit() {
-        let root = ScratchRoot::new("manifestfallback");
-        let model = trained_model();
+        let root = Scratch::new("registry-manifestfallback");
+        let model = fixture_model();
         {
-            let (mut reg, _) = Registry::open(&root.0).expect("open");
+            let (mut reg, _) = Registry::open(root.dir()).expect("open");
             let v1 = reg.stage(&model, "base").expect("stage");
             reg.validate(v1).expect("validate");
             reg.promote(v1).expect("promote");
         }
         // Damage the current manifest in a way no parser accepts.
-        let path = root.0.join(MANIFEST);
+        let path = root.path(MANIFEST);
         let mut bytes = std::fs::read(&path).expect("read manifest");
         bytes.truncate(bytes.len() / 2);
         std::fs::write(&path, &bytes).expect("truncate manifest");
 
-        let (reg, report) = Registry::open(&root.0).expect("recover from backup");
+        let (reg, report) = Registry::open(root.dir()).expect("recover from backup");
         assert!(report.manifest_from_backup, "fell back to manifest.prev.json");
         // The backup predates the promote commit, so v1 may be validated
         // rather than live — but the registry must be consistent and the
         // damaged manifest preserved for post-mortem.
         assert!(reg.manifest().record(1).is_some());
         assert!(
-            root.0.join("quarantine").join("manifest.corrupt.json").exists(),
+            root.path("quarantine").join("manifest.corrupt.json").exists(),
             "damaged manifest kept for post-mortem"
         );
     }
 
     #[test]
     fn live_artifact_damage_falls_back_to_previous_version() {
-        let root = ScratchRoot::new("livefallback");
-        let model = trained_model();
+        let root = Scratch::new("registry-livefallback");
+        let model = fixture_model();
         {
-            let (mut reg, _) = Registry::open(&root.0).expect("open");
+            let (mut reg, _) = Registry::open(root.dir()).expect("open");
             for note in ["v1", "v2"] {
                 let id = reg.stage(&model, note).expect("stage");
                 reg.validate(id).expect("validate");
@@ -1246,13 +1185,13 @@ mod tests {
             assert_eq!(reg.live(), Some(2));
         }
         // Flip one byte in the live artifact on disk.
-        let artifact = root.0.join("versions/v0002").join(ARTIFACT);
+        let artifact = root.path("versions/v0002").join(ARTIFACT);
         let mut bytes = std::fs::read(&artifact).expect("read artifact");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
         std::fs::write(&artifact, &bytes).expect("damage artifact");
 
-        let (mut reg, report) = Registry::open(&root.0).expect("recover");
+        let (mut reg, report) = Registry::open(root.dir()).expect("recover");
         assert!(
             report.quarantined.iter().any(|(id, _)| *id == 2),
             "damaged live version quarantined: {:?}",

@@ -10,65 +10,11 @@
 //! the batched path lives in `chaos_crashonly.rs` and
 //! `engine_determinism.rs`, which run it via the default config.)
 
-use cpt_gpt::{CptGpt, CptGptConfig, StreamParams, Tokenizer, TrainConfig};
+use cpt_gpt::StreamParams;
 use cpt_serve::{ChaosPlan, Engine, ServeConfig, SessionEvent, SessionId, StatsSnapshot};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_testkit::{fixture_model, served_reference};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn trained_model() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        Arc::new(model)
-    }))
-}
-
-/// Ground truth: a fresh single-session decoder drained to completion,
-/// wrapped as delivered data events.
-fn reference(params: StreamParams) -> Vec<SessionEvent> {
-    let model = trained_model();
-    let mut dec = model.open_session(params).expect("open reference session");
-    let mut out = Vec::new();
-    while let Some(ev) = dec.next_event(&model) {
-        out.push(SessionEvent::Data(ev));
-    }
-    out
-}
 
 /// Runs every session to completion on one engine, returning each
 /// session's full delivered stream plus the final stats snapshot.
@@ -83,7 +29,7 @@ fn run_engine(
     all_params: &[StreamParams],
     stagger: bool,
 ) -> (Vec<Vec<SessionEvent>>, StatsSnapshot) {
-    let engine = Engine::start_with_chaos(trained_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let n = all_params.len();
     let mut ids: Vec<Option<SessionId>> = vec![None; n];
@@ -148,7 +94,7 @@ proptest! {
             .map(|i| StreamParams::new(seed.wrapping_add(i * 7919)).streams(streams))
             .collect();
         let expected: Vec<Vec<SessionEvent>> =
-            all_params.iter().map(|p| reference(*p)).collect();
+            all_params.iter().map(|p| served_reference(&fixture_model(), *p)).collect();
         for workers in [1usize, 2, 8] {
             for batch_max in [1, batch_max] {
                 let cfg = ServeConfig {
@@ -186,7 +132,7 @@ proptest! {
             .map(|i| StreamParams::new(seed.wrapping_add(i * 131)).streams(2))
             .collect();
         let expected: Vec<Vec<SessionEvent>> =
-            all_params.iter().map(|p| reference(*p)).collect();
+            all_params.iter().map(|p| served_reference(&fixture_model(), *p)).collect();
         // Sessions open in order from one thread, so engine ids are 1..=N.
         let chaos = ChaosPlan::panic_session_at(target_idx as u64 + 1, panic_at);
         // One wide-open worker batch: the target is advanced in the same

@@ -10,83 +10,11 @@
 //! an uninjected run at 1, 2, and 8 workers, and a reattached consumer
 //! must resume parked sessions byte-identically.
 
-use cpt_gpt::{
-    CptGpt, CptGptConfig, StreamParams, Tokenizer, TrainConfig,
-};
-use cpt_serve::{
-    ChaosPlan, Engine, ServeConfig, ServeError, ServeHandle, SessionEvent, SessionId,
-};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-use std::sync::{Arc, OnceLock};
+use cpt_gpt::StreamParams;
+use cpt_serve::{ChaosPlan, Engine, ServeConfig, ServeError, SessionEvent, SessionId};
+use cpt_testkit::{drain_session, fixture_model, served_reference};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn trained_model() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        Arc::new(model)
-    }))
-}
-
-/// Ground truth for a session: a fresh decoder drained to completion,
-/// wrapped as delivered data events.
-fn reference(params: StreamParams) -> Vec<SessionEvent> {
-    let model = trained_model();
-    let mut dec = model.open_session(params).expect("open reference session");
-    let mut out = Vec::new();
-    while let Some(ev) = dec.next_event(&model) {
-        out.push(SessionEvent::Data(ev));
-    }
-    out
-}
-
-/// Drains one session to `finished`, returning its full delivered stream.
-fn drain_session(handle: &ServeHandle, id: SessionId, batch: usize) -> Vec<SessionEvent> {
-    let mut out = Vec::new();
-    loop {
-        let b = handle
-            .next_events(id, batch, Duration::from_secs(10))
-            .expect("next_events on open session");
-        out.extend(b.events);
-        if b.finished {
-            handle.close_session(id).expect("close drained session");
-            return out;
-        }
-    }
-}
 
 /// Opens `params` in order on an engine with `chaos` and drains every
 /// session round-robin; returns each session's full stream.
@@ -101,7 +29,7 @@ fn run_engine(
         ..ServeConfig::new(workers)
     };
     let engine =
-        Engine::start_with_chaos(trained_model(), cfg, chaos).expect("engine starts");
+        Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = all_params
         .iter()
@@ -138,7 +66,7 @@ fn injected_panic_fails_only_the_targeted_session_at_any_worker_count() {
         .map(|i| StreamParams::new(1000 + i * 7919).streams(2))
         .collect();
     let expected: Vec<Vec<SessionEvent>> =
-        all_params.iter().map(|p| reference(*p)).collect();
+        all_params.iter().map(|p| served_reference(&fixture_model(), *p)).collect();
     // Sessions are opened in order from one thread, so engine ids are
     // 1..=N deterministically; target the third session after it has
     // emitted 2 events.
@@ -193,7 +121,7 @@ fn single_worker_survives_a_contained_panic() {
         ..ServeConfig::new(1)
     };
     let engine =
-        Engine::start_with_chaos(trained_model(), cfg, chaos).expect("engine starts");
+        Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let doomed = handle
         .open_session(StreamParams::new(7))
@@ -209,14 +137,17 @@ fn single_worker_survives_a_contained_panic() {
     let healthy_stream = drain_session(&handle, healthy, 64);
     assert_eq!(
         healthy_stream,
-        reference(StreamParams::new(8).streams(2)),
+        served_reference(&fixture_model(), StreamParams::new(8).streams(2)),
         "the surviving worker must decode untouched sessions byte-identically"
     );
     // And the engine still admits + completes brand-new work.
     let after = handle
         .open_session(StreamParams::new(9))
         .expect("engine admits after a contained panic");
-    assert_eq!(drain_session(&handle, after, 64), reference(StreamParams::new(9)));
+    assert_eq!(
+        drain_session(&handle, after, 64),
+        served_reference(&fixture_model(), StreamParams::new(9))
+    );
     engine.shutdown();
 }
 
@@ -224,7 +155,7 @@ fn single_worker_survives_a_contained_panic() {
 /// is force-failed, admission is suspended until `resume_admission`.
 #[test]
 fn drain_completes_live_sessions_and_suspends_admission() {
-    let engine = Engine::start(trained_model(), ServeConfig::new(2)).expect("starts");
+    let engine = Engine::start(fixture_model(), ServeConfig::new(2)).expect("starts");
     let handle = engine.handle();
     let a = handle.open_session(StreamParams::new(1)).expect("admitted");
     let b = handle.open_session(StreamParams::new(2)).expect("admitted");
@@ -243,8 +174,14 @@ fn drain_completes_live_sessions_and_suspends_admission() {
 
     // Delivery continues after the drain: both sessions produce their full
     // reference streams.
-    assert_eq!(drain_session(&handle, a, 64), reference(StreamParams::new(1)));
-    assert_eq!(drain_session(&handle, b, 64), reference(StreamParams::new(2)));
+    assert_eq!(
+        drain_session(&handle, a, 64),
+        served_reference(&fixture_model(), StreamParams::new(1))
+    );
+    assert_eq!(
+        drain_session(&handle, b, 64),
+        served_reference(&fixture_model(), StreamParams::new(2))
+    );
 
     handle.resume_admission();
     assert!(!handle.is_draining());
@@ -263,7 +200,7 @@ fn drain_force_fails_parked_stragglers_at_the_deadline() {
         slice_budget: 4,
         ..ServeConfig::new(2)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let id = handle
         .open_session(StreamParams::new(5).streams(8))
@@ -303,7 +240,7 @@ fn drain_returns_when_its_last_straggler_closes() {
         slice_budget: 4,
         ..ServeConfig::new(2)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let id = handle
         .open_session(StreamParams::new(5).streams(8))
@@ -341,7 +278,7 @@ fn drain_returns_when_its_last_straggler_closes() {
 /// long before it ends.
 #[test]
 fn engine_drop_never_misses_the_stop() {
-    let model = trained_model();
+    let model = fixture_model();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let cfg = ServeConfig {
@@ -369,10 +306,10 @@ fn reattached_sessions_resume_byte_identically() {
         slice_budget: 3,
         ..ServeConfig::new(2)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let params = StreamParams::new(77).streams(4);
-    let expected = reference(params);
+    let expected = served_reference(&fixture_model(), params);
     let id = handle.open_session(params).expect("admitted");
 
     // Deliver a few events, then detach mid-stream.
@@ -420,7 +357,7 @@ fn expired_detach_tokens_are_reaped() {
         detach_ttl_secs: 1,
         ..ServeConfig::new(1)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let id = handle
         .open_session(StreamParams::new(3))
@@ -443,7 +380,10 @@ fn expired_detach_tokens_are_reaped() {
     // The reclaimed slot is genuinely free: a new session is admitted and
     // decodes to the reference.
     let fresh = handle.open_session(StreamParams::new(4)).expect("admitted");
-    assert_eq!(drain_session(&handle, fresh, 64), reference(StreamParams::new(4)));
+    assert_eq!(
+        drain_session(&handle, fresh, 64),
+        served_reference(&fixture_model(), StreamParams::new(4))
+    );
     engine.shutdown();
 }
 
@@ -456,7 +396,7 @@ fn reaper_with_huge_ttl_does_not_delay_shutdown() {
         detach_ttl_secs: 1_000_000,
         ..ServeConfig::new(1)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let id = handle
         .open_session(StreamParams::new(3))
@@ -475,7 +415,7 @@ fn reaper_with_huge_ttl_does_not_delay_shutdown() {
 /// Garbage and never-minted tokens are typed errors.
 #[test]
 fn bogus_tokens_are_typed_errors() {
-    let engine = Engine::start(trained_model(), ServeConfig::new(1)).expect("starts");
+    let engine = Engine::start(fixture_model(), ServeConfig::new(1)).expect("starts");
     let handle = engine.handle();
     assert!(matches!(
         handle.reattach(cpt_serve::DetachToken(0xDEAD_BEEF)),

@@ -5,80 +5,11 @@
 //! recycled decode states, under tiny slice budgets and queue capacities
 //! that force parking and re-queueing.
 
-use cpt_gpt::{
-    CptGpt, CptGptConfig, SessionEvent, StreamParams, Tokenizer, TrainConfig,
-};
+use cpt_gpt::{SessionEvent, StreamParams};
 use cpt_serve::{Engine, ServeConfig, ServeError, SessionId};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_testkit::{data_events, fixture_model, reference};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-/// One tiny trained model shared by every case — training per case would
-/// dominate the runtime.
-fn trained_model() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        Arc::new(model)
-    }))
-}
-
-/// The ground truth: a fresh single-session decoder drained to completion.
-fn reference(params: StreamParams) -> Vec<SessionEvent> {
-    let model = trained_model();
-    let mut dec = model.open_session(params).expect("open reference session");
-    let mut out = Vec::new();
-    while let Some(ev) = dec.next_event(&model) {
-        out.push(ev);
-    }
-    out
-}
-
-/// Unwraps delivered events to the decoded data, asserting none is a
-/// contained-failure record (no chaos is injected in these tests).
-fn data_events(events: &[cpt_serve::SessionEvent]) -> Vec<SessionEvent> {
-    events
-        .iter()
-        .map(|e| {
-            assert!(!e.is_failure(), "unexpected failure record: {e:?}");
-            *e.data().expect("data event")
-        })
-        .collect()
-}
 
 /// Opens every session on one engine and drains them round-robin with the
 /// given per-call batch size, returning each session's full event stream.
@@ -94,7 +25,7 @@ fn drain_on_engine(
         queue_capacity: 8,
         ..ServeConfig::new(workers)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = all_params
         .iter()
@@ -139,7 +70,7 @@ proptest! {
             .map(|i| StreamParams::new(seed.wrapping_add(i * 7919)).streams(streams))
             .collect();
         let expected: Vec<Vec<SessionEvent>> =
-            all_params.iter().map(|p| reference(*p)).collect();
+            all_params.iter().map(|p| reference(&fixture_model(), *p)).collect();
         for workers in [1usize, 2, 8] {
             let got = drain_on_engine(workers, &all_params, batch);
             prop_assert_eq!(
@@ -159,11 +90,11 @@ proptest! {
         seed in 0u64..10_000,
         rounds in 2usize..5,
     ) {
-        let engine = Engine::start(trained_model(), ServeConfig::new(2))
+        let engine = Engine::start(fixture_model(), ServeConfig::new(2))
             .expect("engine starts");
         let handle = engine.handle();
         let params = StreamParams::new(seed).streams(2);
-        let expected = reference(params);
+        let expected = reference(&fixture_model(), params);
         for round in 0..rounds {
             let id = handle.open_session(params).expect("session admitted");
             let mut got = Vec::new();
@@ -199,7 +130,7 @@ proptest! {
             slice_budget: 2,
             ..ServeConfig::new(4)
         };
-        let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+        let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
         let handle = engine.handle();
         let ids: Vec<SessionId> = (0..sessions as u64)
             .map(|i| {
@@ -250,7 +181,7 @@ fn session_cap_sheds_with_typed_error() {
         max_sessions: 3,
         ..ServeConfig::new(1)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = (0..3)
         .map(|i| {
@@ -281,7 +212,7 @@ fn slow_consumer_is_parked_not_buffered() {
         slice_budget: 4,
         ..ServeConfig::new(2)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let id = handle
         .open_session(StreamParams::new(1).streams(8))
@@ -314,7 +245,7 @@ fn slow_consumer_is_parked_not_buffered() {
 #[test]
 fn unknown_sessions_are_typed_errors() {
     let engine =
-        Engine::start(trained_model(), ServeConfig::new(1)).expect("engine starts");
+        Engine::start(fixture_model(), ServeConfig::new(1)).expect("engine starts");
     let handle = engine.handle();
     assert!(matches!(
         handle.next_events(SessionId(42), 1, Duration::ZERO),

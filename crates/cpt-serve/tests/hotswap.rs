@@ -10,115 +10,26 @@
 //! it; and a worker panic mid-publish must fail only the targeted
 //! session.
 
-use cpt_gpt::{CptGpt, CptGptConfig, StreamParams, Tokenizer, TrainConfig};
+use cpt_gpt::{CptGpt, StreamParams};
 use cpt_serve::registry::{Registry, RegistryError, VersionState};
 use cpt_serve::{
     ChaosPlan, Director, Engine, FineTuneSpec, ServeConfig, ServeError, ServeHandle,
     SessionEvent, SessionId,
 };
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_testkit::{
+    alternating_dataset, drain_session, fixture_model, fixture_model_v2, served_reference,
+    Scratch,
+};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-/// v1: the bootstrap model every registry in this file starts from.
-fn model_v1() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        Arc::new(model)
-    }))
-}
-
-/// v2: v1 trained one more epoch — genuinely different weights, so a
-/// swapped session's output provably comes from the version it pinned.
-fn model_v2() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let mut model = (*model_v1()).clone();
-        cpt_gpt::train(
-            &mut model,
-            &alternating_dataset(12),
-            &TrainConfig::quick().with_epochs(1),
-        )
-        .expect("fixture v2 training failed");
-        Arc::new(model)
-    }))
-}
-
-/// Ground truth for one session on one model: a fresh decoder drained to
-/// completion (identical to what an un-swapped engine run delivers).
-fn reference(model: &CptGpt, params: StreamParams) -> Vec<SessionEvent> {
-    let mut dec = model.open_session(params).expect("open reference session");
-    let mut out = Vec::new();
-    while let Some(ev) = dec.next_event(model) {
-        out.push(SessionEvent::Data(ev));
-    }
-    out
-}
-
-/// A scratch directory holding `registry/` plus candidate files, removed
-/// on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir()
-            .join(format!("cpt-hotswap-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn registry_root(&self) -> PathBuf {
-        self.0.join("registry")
-    }
-
-    /// Writes `model` as a publishable candidate file and returns its path.
-    fn candidate(&self, name: &str, model: &CptGpt) -> PathBuf {
-        let path = self.0.join(name);
-        cpt_gpt::save_model_file(model, &path).expect("write candidate file");
-        path
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// Writes `model` into `scratch` as a publishable candidate file and
+/// returns its path.
+fn write_candidate(scratch: &Scratch, name: &str, model: &CptGpt) -> PathBuf {
+    let path = scratch.path(name);
+    cpt_gpt::save_model_file(model, &path).expect("write candidate file");
+    path
 }
 
 /// Bootstraps the registry with v1 promoted live (chaos-free), then
@@ -130,12 +41,12 @@ fn start_stack(
     workers: usize,
     chaos: ChaosPlan,
 ) -> (Engine, ServeHandle, Arc<Director>) {
-    let root = scratch.registry_root();
+    let root = scratch.path("registry");
     {
         let (mut reg, report) = Registry::open(&root).expect("bootstrap registry");
         if reg.is_empty() {
             assert!(report.is_clean());
-            let id = reg.stage(&model_v1(), "bootstrap import").expect("stage v1");
+            let id = reg.stage(&fixture_model(), "bootstrap import").expect("stage v1");
             reg.validate(id).expect("validate v1");
             reg.promote(id).expect("promote v1");
         }
@@ -148,21 +59,6 @@ fn start_stack(
     let director =
         Arc::new(Director::new(reg, engine.handle(), chaos).expect("director starts"));
     (engine, handle, director)
-}
-
-/// Drains one session to `finished`, returning everything it delivered.
-fn drain_session(handle: &ServeHandle, id: SessionId, batch: usize) -> Vec<SessionEvent> {
-    let mut out = Vec::new();
-    loop {
-        let b = handle
-            .next_events(id, batch, Duration::from_secs(10))
-            .expect("next_events on open session");
-        out.extend(b.events);
-        if b.finished {
-            handle.close_session(id).expect("close drained session");
-            return out;
-        }
-    }
 }
 
 /// The swap-under-load acceptance: 64 sessions pinned to v1 keep decoding
@@ -194,7 +90,7 @@ fn publish_under_load_pins_old_sessions_and_switches_new_ones() {
             outputs.push(b.events);
         }
 
-        let candidate = scratch.candidate("v2-candidate.cmb", &model_v2());
+        let candidate = write_candidate(&scratch, "v2-candidate.cmb", &fixture_model_v2());
         let outcome = director.publish_path(&candidate).expect("publish succeeds");
         assert_eq!(outcome.version, 2);
         assert_eq!(outcome.previous, Some(1));
@@ -208,7 +104,7 @@ fn publish_under_load_pins_old_sessions_and_switches_new_ones() {
             let id = handle.open_session(*p).expect("fresh session admitted");
             assert_eq!(
                 drain_session(&handle, id, 16),
-                reference(&model_v2(), *p),
+                served_reference(&fixture_model_v2(), *p),
                 "post-swap session diverged from the v2 reference at {workers} workers"
             );
         }
@@ -224,7 +120,7 @@ fn publish_under_load_pins_old_sessions_and_switches_new_ones() {
             got.extend(drain_session(&handle, *id, 16));
             assert_eq!(
                 got,
-                reference(&model_v1(), *p),
+                served_reference(&fixture_model(), *p),
                 "pinned session diverged from the v1 reference at {workers} workers"
             );
         }
@@ -279,7 +175,7 @@ fn corrupt_candidate_is_rejected_typed_while_v1_keeps_serving() {
         .map(|p| handle.open_session(*p).expect("admitted"))
         .collect();
 
-    let candidate = scratch.candidate("v2-candidate.cmb", &model_v2());
+    let candidate = write_candidate(&scratch, "v2-candidate.cmb", &fixture_model_v2());
     let err = director
         .publish_path(&candidate)
         .expect_err("a corrupt candidate must not publish");
@@ -302,11 +198,11 @@ fn corrupt_candidate_is_rejected_typed_while_v1_keeps_serving() {
 
     // In-flight and brand-new sessions still decode v1 exactly.
     for (id, p) in ids.iter().zip(&params) {
-        assert_eq!(drain_session(&handle, *id, 16), reference(&model_v1(), *p));
+        assert_eq!(drain_session(&handle, *id, 16), served_reference(&fixture_model(), *p));
     }
     let p = StreamParams::new(777).streams(2);
     let fresh = handle.open_session(p).expect("still admitting");
-    assert_eq!(drain_session(&handle, fresh, 16), reference(&model_v1(), p));
+    assert_eq!(drain_session(&handle, fresh, 16), served_reference(&fixture_model(), p));
     director.shutdown();
     engine.shutdown();
 }
@@ -328,7 +224,7 @@ fn crash_in_promote_commit_window_recovers_to_last_durable_version() {
     let p = StreamParams::new(42).streams(2);
     let id = handle.open_session(p).expect("admitted");
 
-    let candidate = scratch.candidate("v2-candidate.cmb", &model_v2());
+    let candidate = write_candidate(&scratch, "v2-candidate.cmb", &fixture_model_v2());
     let err = director
         .publish_path(&candidate)
         .expect_err("the crashed commit must surface");
@@ -337,13 +233,13 @@ fn crash_in_promote_commit_window_recovers_to_last_durable_version() {
         "expected the simulated crash, got {err:?}"
     );
     assert_eq!(handle.live_version(), 1, "the engine must not half-promote");
-    assert_eq!(drain_session(&handle, id, 16), reference(&model_v1(), p));
+    assert_eq!(drain_session(&handle, id, 16), served_reference(&fixture_model(), p));
     director.shutdown();
     engine.shutdown();
 
     // Restart: recovery cleans the torn temp file, lands on v1, and keeps
     // the durably staged candidate (it never got damaged).
-    let (mut reg, report) = Registry::open(scratch.registry_root()).expect("recovery");
+    let (mut reg, report) = Registry::open(scratch.path("registry")).expect("recovery");
     assert_eq!(report.torn_commits_cleaned, 1);
     let (live, model) = reg.load_live().expect("durable version loads");
     assert_eq!(live, 1);
@@ -363,7 +259,7 @@ fn crash_in_promote_commit_window_recovers_to_last_durable_version() {
     assert_eq!(outcome.version, 2);
     assert_eq!(handle.live_version(), 2);
     let fresh = handle.open_session(p).expect("admitted");
-    assert_eq!(drain_session(&handle, fresh, 16), reference(&model_v2(), p));
+    assert_eq!(drain_session(&handle, fresh, 16), served_reference(&fixture_model_v2(), p));
     director.shutdown();
     engine.shutdown();
 }
@@ -390,7 +286,7 @@ fn worker_panic_mid_publish_fails_only_the_targeted_session() {
         .map(|p| handle.open_session(*p).expect("admitted"))
         .collect();
 
-    let candidate = scratch.candidate("v2-candidate.cmb", &model_v2());
+    let candidate = write_candidate(&scratch, "v2-candidate.cmb", &fixture_model_v2());
     let publisher = {
         let director = Arc::clone(&director);
         std::thread::spawn(move || director.publish_path(&candidate))
@@ -409,7 +305,7 @@ fn worker_panic_mid_publish_fails_only_the_targeted_session() {
     assert_eq!(handle.live_version(), 2);
 
     for (i, (stream, p)) in streams.iter().zip(&params).enumerate() {
-        let expected = reference(&model_v1(), *p);
+        let expected = served_reference(&fixture_model(), *p);
         if i == 2 {
             // The targeted session: its decoded prefix, then exactly one
             // terminal failure record.
@@ -443,7 +339,7 @@ fn panicking_finetune_is_a_failed_job_and_the_retry_is_the_next_job() {
         ..ChaosPlan::default()
     };
     let (engine, handle, director) = start_stack(&scratch, 2, chaos);
-    let trace = scratch.0.join("adapt.ctb");
+    let trace = scratch.path("adapt.ctb");
     cpt_trace::columnar::write_ctb(&alternating_dataset(12), &trace)
         .expect("write the fine-tune trace");
     let spec = || FineTuneSpec {
@@ -465,7 +361,7 @@ fn panicking_finetune_is_a_failed_job_and_the_retry_is_the_next_job() {
     assert_eq!(stats.finetunes_running, 0);
     let p = StreamParams::new(55).streams(2);
     let id = handle.open_session(p).expect("admitted");
-    assert_eq!(drain_session(&handle, id, 16), reference(&model_v1(), p));
+    assert_eq!(drain_session(&handle, id, 16), served_reference(&fixture_model(), p));
 
     assert_eq!(director.finetune(spec()).expect("job 2 admitted"), 2);
     director.join_finetune();

@@ -5,12 +5,11 @@
 //! bits, and the first `next` on the new one finds nothing left to pack.
 
 use cpt_gpt::{CptGpt, CptGptConfig, StreamParams, Tokenizer, TrainConfig};
-use cpt_serve::{Engine, ServeConfig, ServeHandle, SessionId};
+use cpt_serve::{Engine, ServeConfig, SessionId};
+use cpt_testkit::{data_events, drain_session, reference, DecodedEvent};
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use std::sync::Arc;
 use std::time::Duration;
-
-type DecodedEvent = cpt_gpt::SessionEvent;
 
 fn dataset() -> Dataset {
     let streams = (0..8u64)
@@ -64,28 +63,8 @@ fn model(always_stop: bool) -> CptGpt {
 
 /// Ground truth on a private copy of `model`, so the engine's instance is
 /// not warmed by the reference decode.
-fn reference(model: &CptGpt, params: StreamParams) -> Vec<DecodedEvent> {
-    let model = model.clone();
-    let mut dec = model.open_session(params).expect("open reference session");
-    let mut out = Vec::new();
-    while let Some(ev) = dec.next_event(&model) {
-        out.push(ev);
-    }
-    out
-}
-
-fn drain_session(handle: &ServeHandle, id: SessionId, batch: usize) -> Vec<DecodedEvent> {
-    let mut out = Vec::new();
-    loop {
-        let b = handle
-            .next_events(id, batch, Duration::from_secs(10))
-            .expect("next_events");
-        out.extend(b.events.iter().map(|e| *e.data().expect("data event")));
-        if b.finished {
-            handle.close_session(id).expect("close finished session");
-            return out;
-        }
-    }
+fn cold_reference(model: &CptGpt, params: StreamParams) -> Vec<DecodedEvent> {
+    reference(&model.clone(), params)
 }
 
 #[test]
@@ -132,8 +111,8 @@ fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
 
     let new_params = StreamParams::new(777).streams(2);
     assert_ne!(
-        reference(&v1, new_params),
-        reference(&v2, new_params),
+        cold_reference(&v1, new_params),
+        cold_reference(&v2, new_params),
         "the two versions must decode differently for the test to mean anything"
     );
     let new_id = handle.open_session(new_params).expect("open on v2");
@@ -148,13 +127,13 @@ fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
     let mut new_got: Vec<DecodedEvent> =
         first.events.iter().map(|e| *e.data().expect("data event")).collect();
     if !first.finished {
-        new_got.extend(drain_session(&handle, new_id, 8));
+        new_got.extend(data_events(&drain_session(&handle, new_id, 8)));
     }
-    assert_eq!(new_got, reference(&v2, new_params));
+    assert_eq!(new_got, cold_reference(&v2, new_params));
 
     for ((id, params), got) in old_ids.iter().zip(&old_params).zip(&mut old_got) {
-        got.extend(drain_session(&handle, *id, 8));
-        assert_eq!(*got, reference(&v1, *params), "v1-pinned session diverged after promote");
+        got.extend(data_events(&drain_session(&handle, *id, 8)));
+        assert_eq!(*got, cold_reference(&v1, *params), "v1-pinned session diverged after promote");
     }
     assert_eq!(v1.store.packed_floats(), packed);
     engine.shutdown();

@@ -9,54 +9,11 @@
 //! built once; each case copies it, applies one deterministic injury, and
 //! runs full recovery.
 
-use cpt_gpt::{CptGpt, CptGptConfig, Tokenizer, TrainConfig};
 use cpt_serve::registry::{canary_fingerprint, Registry, VersionState, MANIFEST};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_testkit::{fixture_model, Scratch};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn trained_model() -> &'static CptGpt {
-    static MODEL: OnceLock<CptGpt> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        model
-    })
-}
 
 /// The pristine two-version registry every case starts from: v1 staged,
 /// validated, promoted; then v2 staged, validated, promoted over it. The
@@ -70,9 +27,9 @@ fn template_root() -> &'static Path {
         let _ = std::fs::remove_dir_all(&dir);
         let (mut reg, report) = Registry::open(&dir).expect("template registry opens");
         assert!(report.is_clean());
-        let model = trained_model();
+        let model = fixture_model();
         for note in ["template v1", "template v2"] {
-            let id = reg.stage(model, note).expect("stage");
+            let id = reg.stage(&model, note).expect("stage");
             reg.validate(id).expect("validate");
             reg.promote(id).expect("promote");
         }
@@ -91,27 +48,6 @@ fn copy_dir(src: &Path, dst: &Path) {
         } else {
             std::fs::copy(entry.path(), &to).expect("copy template file");
         }
-    }
-}
-
-/// A per-case scratch copy of the template registry, removed on drop.
-struct CaseRoot(PathBuf);
-
-impl CaseRoot {
-    fn new() -> CaseRoot {
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let n = CASE.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("cpt-tornwrite-case-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        copy_dir(template_root(), &dir);
-        CaseRoot(dir)
-    }
-}
-
-impl Drop for CaseRoot {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -167,11 +103,12 @@ proptest! {
         truncate in prop_oneof![Just(true), Just(false)],
         offset_frac in 0.0f64..1.0,
     ) {
-        let case = CaseRoot::new();
-        injure(&target.path(&case.0), truncate, offset_frac);
+        let case = Scratch::new("tornwrite-case");
+        copy_dir(template_root(), case.dir());
+        injure(&target.path(case.dir()), truncate, offset_frac);
 
         let (mut reg, report) =
-            Registry::open(&case.0).expect("recovery must succeed after any single injury");
+            Registry::open(case.dir()).expect("recovery must succeed after any single injury");
 
         let live = reg.live().expect("a durable version must survive");
         prop_assert!(live == 1 || live == 2, "live fell outside the known versions: {live}");

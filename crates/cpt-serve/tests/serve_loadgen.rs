@@ -5,60 +5,16 @@
 //! the engine sustains 1000 concurrent sessions with bit-identical output
 //! at 1 and 8 workers (the acceptance criteria, at test scale).
 
-use cpt_gpt::{
-    CptGpt, CptGptConfig, SessionEvent, StreamParams, Tokenizer, TrainConfig,
-};
+use cpt_gpt::{SessionEvent, StreamParams};
 use cpt_serve::protocol::{wire, ErrorKind, Request, Response};
 use cpt_serve::{
     run_loadgen, ChaosPlan, Engine, LoadgenConfig, ServeConfig, Server, ServerConfig,
     SessionId,
 };
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_testkit::fixture_model;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn trained_model() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        Arc::new(model)
-    }))
-}
 
 /// A running in-process server plus the means to stop it.
 struct TestServer {
@@ -75,7 +31,7 @@ fn start_server(serve_cfg: ServeConfig) -> TestServer {
         chaos: ChaosPlan::default(),
         registry: None,
     };
-    let server = Server::bind(trained_model(), cfg).expect("server binds");
+    let server = Server::bind(fixture_model(), cfg).expect("server binds");
     let addr = server.local_addr().expect("bound address");
     let stop = Box::new(server.stopper());
     let handle = server.handle();
@@ -442,7 +398,7 @@ fn stop_ends_connections_blocked_on_a_silent_client() {
 #[test]
 fn thousand_concurrent_sessions_bit_identical_across_workers() {
     let run = |workers: usize| -> Vec<Vec<SessionEvent>> {
-        let engine = Engine::start(trained_model(), ServeConfig::new(workers))
+        let engine = Engine::start(fixture_model(), ServeConfig::new(workers))
             .expect("engine starts");
         let handle = engine.handle();
         let ids: Vec<SessionId> = (0..1000u64)

@@ -5,97 +5,14 @@
 //! parked group spans shards, and version promote/rollback retire a
 //! version once no shard pins it.
 
-use cpt_gpt::{CptGpt, CptGptConfig, StreamParams, Tokenizer, TrainConfig};
+use cpt_gpt::StreamParams;
 use cpt_serve::{ChaosPlan, Engine, LifecycleEvent, ServeConfig, ServeError, SessionId};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
-use std::sync::{Arc, Mutex, OnceLock};
+use cpt_testkit::{
+    data_events, drain_session, fixture_model, fixture_model_v2, reference, DecodedEvent,
+};
+use cpt_trace::EventType;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-type DecodedEvent = cpt_gpt::SessionEvent;
-
-fn alternating_dataset(n: usize) -> Dataset {
-    let streams = (0..n)
-        .map(|i| {
-            let mut t = 0.0;
-            let events = (0..6 + (i % 3) * 2)
-                .map(|k| {
-                    let (et, gap) = if k % 2 == 0 {
-                        (EventType::ServiceRequest, 100.0)
-                    } else {
-                        (EventType::ConnectionRelease, 10.0)
-                    };
-                    t += gap;
-                    Event::new(et, t)
-                })
-                .collect();
-            Stream::new(UeId(i as u64), DeviceType::Phone, events)
-        })
-        .collect();
-    Dataset::new(streams)
-}
-
-fn trained_model() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let data = alternating_dataset(12);
-        let cfg = CptGptConfig {
-            d_model: 16,
-            n_blocks: 1,
-            n_heads: 2,
-            d_mlp: 32,
-            d_head: 16,
-            max_len: 16,
-            ..CptGptConfig::small()
-        };
-        let mut model = CptGpt::new(cfg, Tokenizer::fit(&data));
-        cpt_gpt::train(&mut model, &data, &TrainConfig::quick().with_epochs(2))
-            .expect("fixture training failed");
-        Arc::new(model)
-    }))
-}
-
-/// A second, differently-trained version for promote/rollback tests.
-fn trained_v2() -> Arc<CptGpt> {
-    static MODEL: OnceLock<Arc<CptGpt>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let mut model = (*trained_model()).clone();
-        cpt_gpt::train(
-            &mut model,
-            &alternating_dataset(12),
-            &TrainConfig::quick().with_epochs(1),
-        )
-        .expect("fixture v2 training failed");
-        Arc::new(model)
-    }))
-}
-
-/// Ground truth: a fresh single-session decoder on `model`, drained fully.
-fn reference(model: &Arc<CptGpt>, params: StreamParams) -> Vec<DecodedEvent> {
-    let mut dec = model.open_session(params).expect("open reference session");
-    let mut out = Vec::new();
-    while let Some(ev) = dec.next_event(model) {
-        out.push(ev);
-    }
-    out
-}
-
-/// Drains one session to completion on a running engine.
-fn drain_session(handle: &cpt_serve::ServeHandle, id: SessionId) -> Vec<DecodedEvent> {
-    let mut out = Vec::new();
-    loop {
-        let b = handle
-            .next_events(id, 64, Duration::from_secs(10))
-            .expect("next_events");
-        out.extend(b.events.iter().map(|e| {
-            assert!(!e.is_failure(), "unexpected failure record: {e:?}");
-            *e.data().expect("data event")
-        }));
-        if b.finished {
-            handle.close_session(id).expect("close finished session");
-            return out;
-        }
-    }
-}
 
 /// The tentpole determinism contract: the same 24 seeds produce
 /// bit-identical per-session streams at every shard × worker shape,
@@ -108,7 +25,7 @@ fn bit_identical_at_any_shard_and_worker_count() {
         .collect();
     let expected: Vec<Vec<DecodedEvent>> = all_params
         .iter()
-        .map(|p| reference(&trained_model(), *p))
+        .map(|p| reference(&fixture_model(), *p))
         .collect();
     for (shards, workers) in [(1usize, 1usize), (1, 8), (4, 4), (8, 8), (8, 1)] {
         let cfg = ServeConfig {
@@ -117,14 +34,14 @@ fn bit_identical_at_any_shard_and_worker_count() {
             queue_capacity: 8,
             ..ServeConfig::new(workers)
         };
-        let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+        let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
         let handle = engine.handle();
         let ids: Vec<SessionId> = all_params
             .iter()
             .map(|p| handle.open_session(*p).expect("session admitted"))
             .collect();
         let got: Vec<Vec<DecodedEvent>> =
-            ids.iter().map(|id| drain_session(&handle, *id)).collect();
+            ids.iter().map(|id| data_events(&drain_session(&handle, *id, 64))).collect();
         engine.shutdown();
         assert_eq!(
             expected, got,
@@ -139,7 +56,7 @@ fn bit_identical_at_any_shard_and_worker_count() {
 #[test]
 fn served_session_is_the_offline_trace_of_the_same_seed() {
     let (seed, n) = (4242u64, 9usize);
-    let model = trained_model();
+    let model = fixture_model();
     let offline = model
         .generate(&cpt_gpt::GenerateConfig { batch_size: 4, ..cpt_gpt::GenerateConfig::new(n, seed) })
         .expect("offline generate");
@@ -156,7 +73,7 @@ fn served_session_is_the_offline_trace_of_the_same_seed() {
             .open_session(StreamParams::new(seed).streams(n))
             .expect("session admitted");
         let mut served: Vec<Vec<(EventType, u64)>> = vec![Vec::new(); n];
-        for ev in drain_session(&handle, id) {
+        for ev in data_events(&drain_session(&handle, id, 64)) {
             served[ev.stream].push((ev.event_type, ev.timestamp.to_bits()));
         }
         engine.shutdown();
@@ -172,7 +89,7 @@ fn occupancy_and_imbalance_stats_are_coherent() {
         shards: 4,
         ..ServeConfig::new(4)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = (0..24u64)
         .map(|i| {
@@ -218,7 +135,7 @@ fn admission_cap_is_strict_under_concurrent_opens() {
         max_sessions: 16,
         ..ServeConfig::new(4)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let opened: Vec<SessionId> = std::thread::scope(|s| {
         let joins: Vec<_> = (0..4u64)
@@ -262,7 +179,7 @@ fn detach_reattach_spans_shards() {
         queue_capacity: 8,
         ..ServeConfig::new(4)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let all_params: Vec<StreamParams> = (0..8u64)
         .map(|i| StreamParams::new(4000 + i * 97).streams(2))
@@ -293,9 +210,9 @@ fn detach_reattach_spans_shards() {
     ));
     for ((id, prefix), params) in ids.iter().zip(prefixes).zip(&all_params) {
         let mut got = prefix;
-        got.extend(drain_session(&handle, *id));
+        got.extend(data_events(&drain_session(&handle, *id, 64)));
         assert_eq!(
-            reference(&trained_model(), *params),
+            reference(&fixture_model(), *params),
             got,
             "stream diverged across detach/reattach"
         );
@@ -312,7 +229,7 @@ fn drain_suspends_admission_across_shards() {
         shards: 4,
         ..ServeConfig::new(4)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = (0..8u64)
         .map(|i| {
@@ -355,7 +272,7 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
         queue_capacity: 8,
         ..ServeConfig::new(4)
     };
-    let engine = Engine::start(trained_model(), cfg).expect("engine starts");
+    let engine = Engine::start(fixture_model(), cfg).expect("engine starts");
     let handle = engine.handle();
     let v1_params: Vec<StreamParams> = (0..8u64)
         .map(|i| StreamParams::new(9000 + i * 61).streams(2))
@@ -371,7 +288,7 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
             .expect("partial drain");
     }
 
-    handle.install_version(2, trained_v2());
+    handle.install_version(2, fixture_model_v2());
     assert_eq!(handle.promote_version(2).expect("promote"), Some(1));
     assert_eq!(handle.live_version(), 2);
     let per: Vec<(u64, u64)> = handle.sessions_per_version();
@@ -385,8 +302,8 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
     let new_params = StreamParams::new(12345).streams(1);
     let new_id = handle.open_session(new_params).expect("open on v2");
     assert_eq!(
-        reference(&trained_v2(), new_params),
-        drain_session(&handle, new_id),
+        reference(&fixture_model_v2(), new_params),
+        data_events(&drain_session(&handle, new_id, 64)),
         "post-promote session must decode on the new version"
     );
 
@@ -395,9 +312,9 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
         let mut got: Vec<DecodedEvent> = Vec::new();
         // Their first event was already consumed above; re-derive it from
         // the reference instead of tracking it.
-        let want = reference(&trained_model(), *params);
+        let want = reference(&fixture_model(), *params);
         got.push(want[0]);
-        got.extend(drain_session(&handle, *id));
+        got.extend(data_events(&drain_session(&handle, *id, 64)));
         assert_eq!(want, got, "v1-pinned session diverged after promote");
     }
     // Every v1 session is closed, but v1 is the rollback target: it stays
@@ -428,9 +345,9 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
 
     // Promoting twice displaces the older rollback target, which retires
     // once unpinned: after promote(3) then promote(4), v1 is gone.
-    handle.install_version(3, trained_v2());
+    handle.install_version(3, fixture_model_v2());
     assert_eq!(handle.promote_version(3).expect("promote v3"), Some(1));
-    handle.install_version(4, trained_model());
+    handle.install_version(4, fixture_model());
     assert_eq!(handle.promote_version(4).expect("promote v4"), Some(3));
     let per = handle.sessions_per_version();
     assert!(
@@ -490,7 +407,7 @@ fn retire_on(shards: usize, ending: Ending) {
         detach_ttl_secs: 1,
         ..ServeConfig::new(shards)
     };
-    let engine = Engine::start_with_chaos(trained_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let events: Arc<Mutex<Vec<LifecycleEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
@@ -500,7 +417,7 @@ fn retire_on(shards: usize, ending: Ending) {
 
     let params = StreamParams::new(4242).streams(4);
     assert!(
-        reference(&trained_model(), params).len() >= 8,
+        reference(&fixture_model(), params).len() >= 8,
         "fixture session too short to stay mid-decode"
     );
     let pinned = handle.open_session(params).expect("open on v1");
@@ -512,10 +429,10 @@ fn retire_on(shards: usize, ending: Ending) {
             .expect("first event");
     }
 
-    handle.install_version(2, trained_v2());
-    handle.install_version(9, trained_v2());
+    handle.install_version(2, fixture_model_v2());
+    handle.install_version(9, fixture_model_v2());
     assert_eq!(handle.promote_version(2).expect("promote v2"), Some(1));
-    handle.install_version(3, trained_model());
+    handle.install_version(3, fixture_model());
     assert_eq!(handle.promote_version(3).expect("promote v3"), Some(2));
     assert!(handle.uninstall_version(9), "staged v9 uninstalls");
     assert!(
@@ -527,7 +444,7 @@ fn retire_on(shards: usize, ending: Ending) {
     match ending {
         Ending::Close => {
             // Decode to the end first, so no worker holds the session.
-            drain_session(&handle, pinned);
+            data_events(&drain_session(&handle, pinned, 64));
         }
         Ending::CloseWhileDecoding => {
             std::thread::sleep(Duration::from_millis(100));
@@ -553,9 +470,9 @@ fn retire_on(shards: usize, ending: Ending) {
     // A session on v3, then two promotes: v2 (the rollback target,
     // unpinned) is released and retires at once; v3 is released pinned.
     handle.open_session(StreamParams::new(77)).expect("open on v3");
-    handle.install_version(4, trained_v2());
+    handle.install_version(4, fixture_model_v2());
     handle.promote_version(4).expect("promote v4");
-    handle.install_version(5, trained_model());
+    handle.install_version(5, fixture_model());
     handle.promote_version(5).expect("promote v5");
     let want = [LifecycleEvent::Retired(1), LifecycleEvent::Retired(2)];
     assert_eq!(await_events(&events, 2), want, "unpinned v2 retires ({ctx})");
@@ -594,12 +511,12 @@ fn trip_wire_releases_the_demoted_version() {
         ..ChaosPlan::default()
     };
     let engine =
-        Engine::start_with_chaos(trained_model(), ServeConfig::new(1), chaos).expect("starts");
+        Engine::start_with_chaos(fixture_model(), ServeConfig::new(1), chaos).expect("starts");
     let handle = engine.handle();
     let events: Arc<Mutex<Vec<LifecycleEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
     handle.set_lifecycle_hook(move |ev| sink.lock().expect("events lock").push(ev));
-    handle.install_version(2, trained_v2());
+    handle.install_version(2, fixture_model_v2());
     handle.promote_version(2).expect("promote v2");
 
     let id = handle.open_session(StreamParams::new(5)).expect("open on v2");

@@ -10,54 +10,19 @@
 //! flag, and nothing is written. And the format contract: a trace gives the
 //! same results as JSONL and as `.ctb`.
 
-use cpt::gpt::faultinject::{corrupt_file_bytes, malform_jsonl_line};
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use cpt_testkit::{corrupt_file_bytes, exit_code, malform_jsonl_line, stderr_of, stdout_of, Scratch};
+use std::path::Path;
+use std::process::Output;
 
 const BIN: &str = env!("CARGO_BIN_EXE_cptgen");
 
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cpt-cli-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, name: &str) -> String {
-        self.0.join(name).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn run(args: &[&str]) -> Output {
-    Command::new(BIN)
-        .args(args)
-        .output()
-        .expect("spawn cptgen")
-}
-
-fn exit_code(out: &Output) -> i32 {
-    out.status.code().expect("cptgen must exit, not be killed")
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
+    cpt_testkit::run(BIN, args)
 }
 
 /// Writes a tiny simulated trace for the data-path tests.
 fn write_trace(scratch: &Scratch, name: &str) -> String {
-    let path = scratch.path(name);
+    let path = scratch.arg(name);
     let out = run(&[
         "simulate", "--ues", "20", "--hours", "1", "--seed", "5", "-o", &path,
     ]);
@@ -81,7 +46,7 @@ fn unknown_command_is_usage_error() {
 #[test]
 fn unreadable_trace_is_a_data_error() {
     let scratch = Scratch::new("noinput");
-    let out = run(&["stats", "--input", &scratch.path("does-not-exist.jsonl")]);
+    let out = run(&["stats", "--input", &scratch.arg("does-not-exist.jsonl")]);
     assert_eq!(exit_code(&out), 3);
 }
 
@@ -105,7 +70,7 @@ fn invalid_train_config_is_a_config_error() {
     let scratch = Scratch::new("badcfg");
     let trace = write_trace(&scratch, "trace.jsonl");
     let out = run(&[
-        "train", "--input", &trace, "--epochs", "0", "-o", &scratch.path("model.cmb"),
+        "train", "--input", &trace, "--epochs", "0", "-o", &scratch.arg("model.cmb"),
     ]);
     assert_eq!(exit_code(&out), 4, "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("epochs"));
@@ -115,7 +80,7 @@ fn invalid_train_config_is_a_config_error() {
 fn corrupt_model_file_is_a_typed_failure() {
     let scratch = Scratch::new("badmodel");
     let trace = write_trace(&scratch, "trace.jsonl");
-    let model = scratch.path("model.cmb");
+    let model = scratch.arg("model.cmb");
     let out = run(&[
         "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len", "16",
         "-o", &model,
@@ -126,7 +91,7 @@ fn corrupt_model_file_is_a_typed_failure() {
     corrupt_file_bytes(Path::new(&model), 7, (len / 50).max(32)).expect("corrupt model");
 
     let out = run(&[
-        "generate", "--model", &model, "--streams", "5", "-o", &scratch.path("synth.jsonl"),
+        "generate", "--model", &model, "--streams", "5", "-o", &scratch.arg("synth.jsonl"),
     ]);
     assert_eq!(exit_code(&out), 6, "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("model.cmb"));
@@ -137,7 +102,7 @@ fn resume_without_checkpoint_flag_is_usage_error() {
     let scratch = Scratch::new("resumeusage");
     let trace = write_trace(&scratch, "trace.jsonl");
     let out = run(&[
-        "train", "--input", &trace, "--resume", "-o", &scratch.path("model.cmb"),
+        "train", "--input", &trace, "--resume", "-o", &scratch.arg("model.cmb"),
     ]);
     assert_eq!(exit_code(&out), 2);
     assert!(stderr_of(&out).contains("--checkpoint"));
@@ -147,8 +112,8 @@ fn resume_without_checkpoint_flag_is_usage_error() {
 fn train_checkpoint_resume_roundtrip_succeeds() {
     let scratch = Scratch::new("resume");
     let trace = write_trace(&scratch, "trace.jsonl");
-    let model = scratch.path("model.cmb");
-    let ckpt = scratch.path("train.ckpt.cmb");
+    let model = scratch.arg("model.cmb");
+    let ckpt = scratch.arg("train.ckpt.cmb");
     let common = [
         "train", "--input", &trace, "--epochs", "2", "--d-model", "16", "--max-len", "16",
         "--checkpoint", &ckpt, "-o", &model,
@@ -165,7 +130,7 @@ fn train_checkpoint_resume_roundtrip_succeeds() {
     // The resumed model must be generation-ready.
     let out = run(&[
         "generate", "--model", &model, "--streams", "5", "--seed", "3",
-        "-o", &scratch.path("synth.jsonl"),
+        "-o", &scratch.arg("synth.jsonl"),
     ]);
     assert_eq!(exit_code(&out), 0, "generate failed: {}", stderr_of(&out));
 }
@@ -174,8 +139,8 @@ fn train_checkpoint_resume_roundtrip_succeeds() {
 fn resume_from_corrupt_checkpoint_is_a_checkpoint_error() {
     let scratch = Scratch::new("badckpt");
     let trace = write_trace(&scratch, "trace.jsonl");
-    let model = scratch.path("model.cmb");
-    let ckpt = scratch.path("train.ckpt.cmb");
+    let model = scratch.arg("model.cmb");
+    let ckpt = scratch.arg("train.ckpt.cmb");
     let out = run(&[
         "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len", "16",
         "--checkpoint", &ckpt, "-o", &model,
@@ -209,7 +174,7 @@ fn assert_rejected(args: &[&str], needle: &str, must_not_exist: &str) {
 #[test]
 fn unknown_and_misspelled_flags_are_usage_errors_and_write_nothing() {
     let scratch = Scratch::new("unknownflag");
-    let out = scratch.path("t.ctb");
+    let out = scratch.arg("t.ctb");
     // The README's own example of a silent accept: two typos and a stray.
     assert_rejected(
         &["simulate", "--ues", "20", "--hour", "5", "--seeed", "3", "--bogus", "-o", &out],
@@ -218,7 +183,7 @@ fn unknown_and_misspelled_flags_are_usage_errors_and_write_nothing() {
     );
     assert_rejected(&["simulate", "--ues", "20", "--seeed", "3", "-o", &out], "--seeed", &out);
     // Flags are checked before any file is opened, so the input need not exist.
-    let model = scratch.path("model.cmb");
+    let model = scratch.arg("model.cmb");
     assert_rejected(
         &["train", "--input", "trace.jsonl", "--epoch", "1", "-o", &model],
         "--epoch",
@@ -232,7 +197,7 @@ fn unknown_and_misspelled_flags_are_usage_errors_and_write_nothing() {
 fn a_flag_of_another_subcommand_is_a_usage_error() {
     let scratch = Scratch::new("foreignflag");
     let trace = write_trace(&scratch, "trace.ctb");
-    let none = scratch.path("never-written");
+    let none = scratch.arg("never-written");
     assert_rejected(&["stats", "--input", &trace, "--shutdown"], "--shutdown", &none);
     assert_rejected(&["stats", "--input", &trace, "--epochs", "3"], "--epochs", &none);
     assert_rejected(&["trace", "info", "--input", &trace, "-o", &none], "-o", &none);
@@ -243,7 +208,7 @@ fn a_flag_of_another_subcommand_is_a_usage_error() {
 #[test]
 fn a_repeated_flag_is_a_usage_error() {
     let scratch = Scratch::new("repeatflag");
-    let out = scratch.path("t.jsonl");
+    let out = scratch.arg("t.jsonl");
     assert_rejected(
         &["simulate", "--ues", "20", "--seed", "9", "--seed", "10", "-o", &out],
         "--seed",
@@ -254,33 +219,33 @@ fn a_repeated_flag_is_a_usage_error() {
 #[test]
 fn a_valued_flag_at_the_end_of_the_line_is_a_usage_error() {
     let scratch = Scratch::new("novalue");
-    let model = scratch.path("model.cmb");
+    let model = scratch.arg("model.cmb");
     assert_rejected(
         &["train", "--input", "trace.jsonl", "-o", &model, "--checkpoint"],
         "--checkpoint",
         &model,
     );
-    let out = scratch.path("t.jsonl");
+    let out = scratch.arg("t.jsonl");
     assert_rejected(&["simulate", "-o", &out, "--ues"], "--ues", &out);
 }
 
 #[test]
 fn a_value_that_starts_with_a_dash_reaches_the_value_parser() {
     let scratch = Scratch::new("negvalue");
-    let out = scratch.path("t.ctb");
+    let out = scratch.arg("t.ctb");
     // Parsed as the number -2, not as a flag: the run goes ahead.
     let ok = run(&["simulate", "--ues", "5", "--start-hour", "-2", "-o", &out]);
     assert_eq!(exit_code(&ok), 0, "stderr: {}", stderr_of(&ok));
     assert!(Path::new(&out).exists());
     // A value its own parser rejects is reported as that value.
-    let bad = run(&["simulate", "--ues", "-5", "-o", &scratch.path("u.ctb")]);
+    let bad = run(&["simulate", "--ues", "-5", "-o", &scratch.arg("u.ctb")]);
     assert_eq!(exit_code(&bad), 2);
     assert!(stderr_of(&bad).contains("\"-5\""), "stderr: {}", stderr_of(&bad));
     // A switch never swallows the token after it.
     assert_rejected(
         &["mcn", "--input", &out, "--autoscale", "extra"],
         "extra",
-        &scratch.path("never-written"),
+        &scratch.arg("never-written"),
     );
 }
 
@@ -345,7 +310,7 @@ fn jsonl_and_ctb_give_the_same_results() {
     assert_eq!(stdout_of(&lj), stdout_of(&lc));
 
     // train: byte-identical model files from either format.
-    let (mj, mc) = (scratch.path("model-jsonl.cmb"), scratch.path("model-ctb.cmb"));
+    let (mj, mc) = (scratch.arg("model-jsonl.cmb"), scratch.arg("model-ctb.cmb"));
     for (trace, model) in [(&jsonl, &mj), (&ctb, &mc)] {
         let out = run(&[
             "train", "--input", trace, "--epochs", "2", "--d-model", "16", "--max-len", "16",
@@ -359,13 +324,13 @@ fn jsonl_and_ctb_give_the_same_results() {
 
     // generate: the same streams whichever format they are written in, and
     // evaluate: identical output for every pairing of formats.
-    let (gj, gc) = (scratch.path("synth.jsonl"), scratch.path("synth.ctb"));
+    let (gj, gc) = (scratch.arg("synth.jsonl"), scratch.arg("synth.ctb"));
     for synth in [&gj, &gc] {
         let out = run(&["generate", "--model", &mj, "--streams", "12", "--seed", "3", "-o", synth]);
         assert_eq!(exit_code(&out), 0, "generate failed: {}", stderr_of(&out));
     }
     // Streamed into either writer, `generate` wrote the same trace.
-    let converted = scratch.path("synth-converted.ctb");
+    let converted = scratch.arg("synth-converted.ctb");
     let out = run(&["trace", "convert", "--input", &gj, "-o", &converted]);
     assert_eq!(exit_code(&out), 0, "convert failed: {}", stderr_of(&out));
     assert_eq!(
@@ -386,7 +351,7 @@ fn jsonl_and_ctb_give_the_same_results() {
 #[test]
 fn mcn_reads_a_ctb_trace() {
     let scratch = Scratch::new("mcn-ctb");
-    let ctb = scratch.path("t.ctb");
+    let ctb = scratch.arg("t.ctb");
     let out = run(&["simulate", "--ues", "40", "--hours", "0.5", "-o", &ctb]);
     assert_eq!(exit_code(&out), 0, "simulate failed: {}", stderr_of(&out));
     let out = run(&["mcn", "--input", &ctb]);

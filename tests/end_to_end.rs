@@ -9,6 +9,7 @@ use cpt::smm::{SemiMarkovModel, SmmEnsemble};
 use cpt::statemachine::StateMachine;
 use cpt::synth::{generate_device, SynthConfig};
 use cpt::trace::{Dataset, DeviceType};
+use cpt_testkit::Scratch;
 
 const MAX_LEN: usize = 32;
 
@@ -156,15 +157,14 @@ fn generated_streams_roundtrip_through_io() {
         .expect("generation failed");
 
     // Dataset IO roundtrip across crates.
-    let dir = std::env::temp_dir().join(format!("cpt-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("synth.jsonl");
+    let dir = Scratch::new("e2e");
+    let path = dir.path("synth.jsonl");
     cpt::trace::io::write_dataset(&synth, &path).unwrap();
     let back = cpt::trace::io::read_dataset(&path).unwrap();
     assert_eq!(synth, back);
 
     // Model file roundtrip: same weights → same generation.
-    let ckpt = dir.join("model.cmb");
+    let ckpt = dir.path("model.cmb");
     cpt::gpt::save_model_file(&model, &ckpt).unwrap();
     let model2 = cpt::gpt::load_model_file(&ckpt).unwrap();
     assert_eq!(
@@ -175,7 +175,6 @@ fn generated_streams_roundtrip_through_io() {
             .generate(&GenerateConfig::new(5, 9))
             .expect("generation failed")
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

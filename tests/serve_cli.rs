@@ -3,34 +3,14 @@
 //! `--shutdown` handshake, and the documented exit codes for flag
 //! validation (2) and network failure (8).
 
+use cpt_testkit::{exit_code, stderr_of, Scratch};
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_cptgen");
 
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cpt-serve-cli-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, name: &str) -> String {
-        self.0.join(name).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn run(args: &[&str]) -> Output {
-    Command::new(BIN).args(args).output().expect("spawn cptgen")
+    cpt_testkit::run(BIN, args)
 }
 
 /// The integer field `key` of a JSON report object.
@@ -41,22 +21,14 @@ fn field(report: &cpt::trace::json::Value, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("report lacks integer field {key:?}"))
 }
 
-fn exit_code(out: &Output) -> i32 {
-    out.status.code().expect("cptgen must exit, not be killed")
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
 /// Simulates a tiny trace and trains a tiny model for the serve tests.
 fn train_tiny_model(scratch: &Scratch) -> String {
-    let trace = scratch.path("trace.jsonl");
+    let trace = scratch.arg("trace.jsonl");
     let out = run(&[
         "simulate", "--ues", "20", "--hours", "1", "--seed", "5", "-o", &trace,
     ]);
     assert_eq!(exit_code(&out), 0, "simulate failed: {}", stderr_of(&out));
-    let model = scratch.path("model.cmb");
+    let model = scratch.arg("model.cmb");
     let out = run(&[
         "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len",
         "16", "-o", &model,
@@ -115,7 +87,7 @@ fn serve_loadgen_shutdown_round_trip() {
     let model = train_tiny_model(&scratch);
     let (server, addr, _stdout) = spawn_server(&model);
 
-    let report_path = scratch.path("report.json");
+    let report_path = scratch.arg("report.json");
     let out = run(&[
         "loadgen", "--addr", &addr, "--sessions", "20", "--concurrent", "8",
         "--threads", "2", "--shutdown", "-o", &report_path,
@@ -184,7 +156,7 @@ fn chaos_smoke_contains_panic_and_dropped_connection() {
     };
     let server = KillOnDrop(Some(child));
 
-    let report_path = scratch.path("chaos-report.json");
+    let report_path = scratch.arg("chaos-report.json");
     let out = run(&[
         "loadgen", "--addr", &addr, "--sessions", "20", "--concurrent", "8",
         "--threads", "2", "--shutdown", "-o", &report_path,
