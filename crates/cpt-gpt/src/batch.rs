@@ -1,38 +1,36 @@
-//! Mini-batch construction: next-token prediction targets with padding
-//! masks.
+//! Mini-batch construction: next-token prediction targets, each stream's
+//! positions packed one after another.
 
 use crate::token::Tokenizer;
 use cpt_nn::Tensor;
 use cpt_trace::Stream;
 
-/// One training batch for next-token prediction.
+/// One training batch for next-token prediction, packed: no padding.
 ///
-/// For a stream of `L` tokens the model input is tokens `0..L-1` and the
-/// targets at position `t` are the three fields of token `t+1`. Rows are
-/// padded to the longest sequence in the batch; `mask` is 0 on padding.
+/// For a stream of `L + 1` tokens (after truncation to `max_len + 1`) the
+/// model input is tokens `0..L` and the targets at position `t` are the
+/// three fields of token `t + 1`. The batch's `R = Σ L` rows are the
+/// streams' positions one stream after another, in stream order; `lens`
+/// holds each stream's `L`, so the model attends within a stream and reads
+/// position `t`'s embedding for its row. Every row is a real position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
-    /// Model input, shape `[batch, seq, token_dim]`.
+    /// Model input, shape `[R, token_dim]`.
     pub inputs: Tensor,
-    /// Event-type class targets, length `batch·seq`.
+    /// Event-type class targets, length `R`.
     pub event_targets: Vec<usize>,
-    /// Scaled interarrival targets, length `batch·seq`.
+    /// Scaled interarrival targets, length `R`.
     pub iat_targets: Vec<f32>,
-    /// Stop-flag class targets (0 = continue, 1 = stop), length
-    /// `batch·seq`.
+    /// Stop-flag class targets (0 = continue, 1 = stop), length `R`.
     pub stop_targets: Vec<usize>,
-    /// 1.0 on real positions, 0.0 on padding, length `batch·seq`.
-    pub mask: Vec<f32>,
-    /// Batch size.
-    pub batch: usize,
-    /// Padded sequence length.
-    pub seq: usize,
+    /// Positions of each stream, in stream order; they sum to `R`.
+    pub lens: Vec<usize>,
 }
 
 impl Batch {
-    /// Number of unpadded target positions.
+    /// Number of target positions, `R`: every row is one.
     pub fn real_positions(&self) -> usize {
-        self.mask.iter().filter(|m| **m != 0.0).count()
+        self.event_targets.len()
     }
 }
 
@@ -43,38 +41,30 @@ pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -
     assert!(!streams.is_empty(), "empty batch");
     let d = tokenizer.token_dim();
     let truncated: Vec<Stream> = streams.iter().map(|s| s.truncated(max_len + 1)).collect();
-    let seq = truncated
-        .iter()
-        .map(|s| s.len().saturating_sub(1))
-        .max()
-        .expect("nonempty");
-    assert!(seq > 0, "all streams too short to form targets");
-    let b = streams.len();
+    let lens: Vec<usize> = truncated.iter().map(|s| s.len().saturating_sub(1)).collect();
+    let rows: usize = lens.iter().sum();
+    assert!(rows > 0, "all streams too short to form targets");
 
-    let mut inputs = Tensor::zeros(&[b, seq, d]);
-    let mut event_targets = vec![0usize; b * seq];
-    let mut iat_targets = vec![0f32; b * seq];
-    let mut stop_targets = vec![0usize; b * seq];
-    let mut mask = vec![0f32; b * seq];
+    let mut inputs = Tensor::zeros(&[rows, d]);
+    let mut event_targets = Vec::with_capacity(rows);
+    let mut iat_targets = Vec::with_capacity(rows);
+    let mut stop_targets = Vec::with_capacity(rows);
 
-    for (bi, stream) in truncated.iter().enumerate() {
+    for (stream, &l) in truncated.iter().zip(&lens) {
         let toks = tokenizer.encode_stream(stream);
-        let l = stream.len();
-        debug_assert!(l >= 2, "stream of length {l} cannot form targets");
-        for t in 0..(l - 1) {
-            let src = &toks[t * d..(t + 1) * d];
-            let dst = (bi * seq + t) * d;
-            inputs.data[dst..dst + d].copy_from_slice(src);
-            let next = &toks[(t + 1) * d..(t + 2) * d];
-            let flat = bi * seq + t;
+        debug_assert!(l >= 1, "stream of length {} cannot form targets", stream.len());
+        let row = event_targets.len();
+        inputs.data[row * d..(row + l) * d].copy_from_slice(&toks[..l * d]);
+        for next in toks.chunks_exact(d).skip(1) {
             // Event target: index of the one-hot.
-            event_targets[flat] = next[..tokenizer.num_events()]
-                .iter()
-                .position(|x| *x == 1.0)
-                .expect("one-hot event");
-            iat_targets[flat] = next[tokenizer.iat_slot()];
-            stop_targets[flat] = usize::from(next[tokenizer.stop_slot() + 1] == 1.0);
-            mask[flat] = 1.0;
+            event_targets.push(
+                next[..tokenizer.num_events()]
+                    .iter()
+                    .position(|x| *x == 1.0)
+                    .expect("one-hot event"),
+            );
+            iat_targets.push(next[tokenizer.iat_slot()]);
+            stop_targets.push(usize::from(next[tokenizer.stop_slot() + 1] == 1.0));
         }
     }
     Batch {
@@ -82,9 +72,7 @@ pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -
         event_targets,
         iat_targets,
         stop_targets,
-        mask,
-        batch: b,
-        seq,
+        lens,
     }
 }
 
@@ -122,16 +110,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_shapes_and_mask() {
+    fn batch_packs_real_positions_only() {
         let d = dataset();
         let tok = Tokenizer::fit(&d);
-        let streams: Vec<&Stream> = vec![&d.streams[0], &d.streams[1]];
+        let streams: Vec<&Stream> = vec![&d.streams[0], &d.streams[1], &d.streams[3]];
         let b = build_batch(&tok, &streams, 100);
-        assert_eq!(b.batch, 2);
-        assert_eq!(b.seq, 2); // stream 0 yields 2 targets, stream 1 yields 1
-        assert_eq!(b.inputs.shape, vec![2, 2, 9]);
-        assert_eq!(b.mask, vec![1.0, 1.0, 1.0, 0.0]);
-        assert_eq!(b.real_positions(), 3);
+        // Stream 0 yields 2 targets, stream 1 one, stream 3 four: R = 7
+        // rows, no row for the padding a rectangle of 3 × 4 would hold.
+        assert_eq!(b.lens, vec![2, 1, 4]);
+        assert_eq!(b.real_positions(), 7);
+        assert_eq!(b.inputs.shape, vec![7, 9]);
+        assert_eq!(b.event_targets.len(), 7);
+        assert_eq!(b.iat_targets.len(), 7);
+        assert_eq!(b.stop_targets.len(), 7);
+        // Each stream's rows are its tokens 0..L, one stream after another,
+        // and each ends on its stop target.
+        let mut row = 0;
+        for (s, &l) in streams.iter().zip(&b.lens) {
+            let toks = tok.encode_stream(s);
+            assert_eq!(b.inputs.data[row * 9..(row + l) * 9], toks[..l * 9]);
+            assert_eq!(b.stop_targets[row + l - 1], 1);
+            assert!(b.stop_targets[row..row + l - 1].iter().all(|&x| x == 0));
+            row += l;
+        }
+        // No row is padding: every input row is a token (one event one-hot).
+        for r in b.inputs.data.chunks_exact(9) {
+            assert_eq!(r[..tok.num_events()].iter().filter(|x| **x == 1.0).count(), 1);
+        }
     }
 
     #[test]
@@ -155,7 +160,8 @@ mod tests {
         let tok = Tokenizer::fit(&d);
         let streams: Vec<&Stream> = vec![&d.streams[3]]; // 5 events
         let b = build_batch(&tok, &streams, 2);
-        assert_eq!(b.seq, 2);
+        assert_eq!(b.lens, vec![2]);
         assert_eq!(b.real_positions(), 2);
+        assert_eq!(b.inputs.shape, vec![2, 9]);
     }
 }

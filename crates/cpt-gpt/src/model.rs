@@ -1,12 +1,15 @@
 //! The CPT-GPT network (Figure 3 of the paper).
 //!
 //! ```text
-//! tokens [B,T,9] ──linear──► [B,T,d_model] ──(+ positional emb.)──►
-//!   TransformerBlock × n ──LayerNorm──► features [B,T,d_model]
-//!     ├── MLP head: event-type logits   [B·T, |E|]
-//!     ├── MLP head: interarrival (μ, log σ)  [B·T] each
-//!     └── MLP head: stop-flag logits    [B·T, 2]
+//! tokens [R,9] ──linear──► [R,d_model] ──(+ positional emb.)──►
+//!   TransformerBlock × n ──LayerNorm──► features [R,d_model]
+//!     ├── MLP head: event-type logits   [R, |E|]
+//!     ├── MLP head: interarrival (μ, log σ)  [R] each
+//!     └── MLP head: stop-flag logits    [R, 2]
 //! ```
+//!
+//! `R` is every position of a batch's streams, packed one stream after
+//! another; each stream attends only within itself.
 //!
 //! The "embedding" layer of NLP transformers is replaced by a linear
 //! projection from the 9-dimensional multimodal token space (Design 1);
@@ -72,17 +75,18 @@ fn head_rows_into<W: WeightFormat>(
     fc2.apply_rows_into(store, hbuf, rows, out);
 }
 
-/// Per-position outputs of one forward pass, flattened to `[B·T, …]`.
+/// Per-position outputs of one forward pass, one row per position of
+/// the `R` a batch packs.
 #[derive(Debug, Clone, Copy)]
 pub struct StepOutput {
-    /// Event-type logits, `[B·T, |E|]`.
+    /// Event-type logits, `[R, |E|]`.
     pub event_logits: Var,
-    /// Interarrival μ (scaled space), `[B·T]`.
+    /// Interarrival μ (scaled space), `[R]`.
     pub iat_mean: Var,
-    /// Interarrival log σ, `[B·T]`. For the point-head ablation this is
+    /// Interarrival log σ, `[R]`. For the point-head ablation this is
     /// unused (zeros).
     pub iat_log_std: Var,
-    /// Stop-flag logits, `[B·T, 2]`.
+    /// Stop-flag logits, `[R, 2]`.
     pub stop_logits: Var,
 }
 
@@ -231,47 +235,46 @@ impl CptGpt {
         model_from_cmb(Cmb::from_bytes(bytes), path)
     }
 
-    /// Runs the network on `tokens` of shape `[B, T, token_dim]`, returning
-    /// per-position head outputs. `sess` must be a session over
-    /// `self.store`.
-    pub fn forward(&self, sess: &mut Session<'_>, tokens: Tensor) -> StepOutput {
-        let shape = tokens.shape.clone();
-        assert_eq!(shape.len(), 3, "expected [B,T,token_dim]");
-        let (b, t, dtok) = (shape[0], shape[1], shape[2]);
+    /// Runs the network on `tokens` of shape `[R, token_dim]` — the
+    /// positions of streams of `lens` tokens, one stream after another
+    /// (a [`crate::Batch`]'s layout) — returning per-position head
+    /// outputs. Each stream attends only within itself, and its position
+    /// `t` reads positional-embedding row `t`. `sess` must be a session
+    /// over `self.store`.
+    pub fn forward(&self, sess: &mut Session<'_>, tokens: Tensor, lens: &[usize]) -> StepOutput {
+        assert_eq!(tokens.rank(), 2, "expected [rows, token_dim]");
+        let (n, dtok) = (tokens.shape[0], tokens.shape[1]);
         assert_eq!(dtok, self.tokenizer.token_dim(), "token dim");
-        assert!(
-            t <= self.config.max_len,
-            "sequence length {t} exceeds max_len {}",
-            self.config.max_len
-        );
+        assert_eq!(lens.iter().sum::<usize>(), n, "stream lengths vs token rows");
+        if let Some(&t) = lens.iter().max() {
+            assert!(
+                t <= self.config.max_len,
+                "sequence length {t} exceeds max_len {}",
+                self.config.max_len
+            );
+        }
 
         let x = sess.input(tokens);
-        let mut h = self.input_proj.forward(sess, x); // [B,T,D]
+        let mut h = self.input_proj.forward(sess, x); // [R,D]
+        let positions: Vec<usize> = lens.iter().flat_map(|&l| 0..l).collect();
         let pe_full = sess.param(self.pos_emb);
-        let pe = sess.graph.slice_rows(pe_full, 0, t); // [T,D]
-        h = sess.graph.add(h, pe); // suffix broadcast over batch
+        let pe = sess.graph.gather_rows(pe_full, &positions); // [R,D]
+        h = sess.graph.add(h, pe);
         for block in &self.blocks {
-            h = block.forward(sess, h);
+            h = block.forward(sess, h, lens);
         }
         let h = self.ln_f.forward(sess, h);
 
-        let n = b * t;
-        let event_logits_3d = self.head_event.forward(sess, h);
-        let event_logits =
-            sess.graph
-                .reshape(event_logits_3d, &[n, self.tokenizer.num_events()]);
-        let stop_logits_3d = self.head_stop.forward(sess, h);
-        let stop_logits = sess.graph.reshape(stop_logits_3d, &[n, 2]);
-
-        let iat_3d = self.head_iat.forward(sess, h);
+        let event_logits = self.head_event.forward(sess, h); // [R,|E|]
+        let stop_logits = self.head_stop.forward(sess, h); // [R,2]
+        let iat = self.head_iat.forward(sess, h);
         let (iat_mean, iat_log_std) = if self.config.point_iat_head {
-            let flat = sess.graph.reshape(iat_3d, &[n]);
+            let flat = sess.graph.reshape(iat, &[n]);
             let zeros = sess.input(Tensor::zeros(&[n]));
             (flat, zeros)
         } else {
-            let flat = sess.graph.reshape(iat_3d, &[n, 2]);
-            let mean = sess.graph.slice_cols(flat, 0, 1);
-            let log_std = sess.graph.slice_cols(flat, 1, 1);
+            let mean = sess.graph.slice_cols(iat, 0, 1);
+            let log_std = sess.graph.slice_cols(iat, 1, 1);
             let mean = sess.graph.reshape(mean, &[n]);
             let log_std = sess.graph.reshape(log_std, &[n]);
             (mean, log_std)
@@ -289,25 +292,20 @@ impl CptGpt {
     /// (cross-entropy for event type and stop flag, Gaussian NLL — or MSE
     /// under the ablation — for the interarrival).
     pub fn loss(&self, sess: &mut Session<'_>, batch: &crate::batch::Batch) -> Var {
-        let out = self.forward(sess, batch.inputs.clone());
+        let out = self.forward(sess, batch.inputs.clone(), &batch.lens);
         let (we, wi, ws) = self.config.loss_weights;
-        let l_event =
-            sess.graph
-                .cross_entropy_logits(out.event_logits, &batch.event_targets, &batch.mask);
+        let l_event = sess
+            .graph
+            .cross_entropy_logits(out.event_logits, &batch.event_targets);
         let l_iat = if self.config.point_iat_head {
-            sess.graph
-                .mse_masked(out.iat_mean, &batch.iat_targets, &batch.mask)
+            sess.graph.mse(out.iat_mean, &batch.iat_targets)
         } else {
-            sess.graph.gaussian_nll(
-                out.iat_mean,
-                out.iat_log_std,
-                &batch.iat_targets,
-                &batch.mask,
-            )
-        };
-        let l_stop =
             sess.graph
-                .cross_entropy_logits(out.stop_logits, &batch.stop_targets, &batch.mask);
+                .gaussian_nll(out.iat_mean, out.iat_log_std, &batch.iat_targets)
+        };
+        let l_stop = sess
+            .graph
+            .cross_entropy_logits(out.stop_logits, &batch.stop_targets);
         sess.graph
             .weighted_sum(&[(l_event, we), (l_iat, wi), (l_stop, ws)])
     }
@@ -802,8 +800,9 @@ mod tests {
         let streams: Vec<&Stream> = d.streams.iter().collect();
         let batch = build_batch(&tok, &streams, 16);
         let mut sess = Session::new(&model.store);
-        let out = model.forward(&mut sess, batch.inputs.clone());
-        let n = batch.batch * batch.seq;
+        let out = model.forward(&mut sess, batch.inputs.clone(), &batch.lens);
+        let n = batch.real_positions();
+        assert_eq!(n, 9);
         assert_eq!(sess.graph.value(out.event_logits).shape, vec![n, 6]);
         assert_eq!(sess.graph.value(out.iat_mean).shape, vec![n]);
         assert_eq!(sess.graph.value(out.iat_log_std).shape, vec![n]);
@@ -896,11 +895,12 @@ mod tests {
         let model = CptGpt::new(tiny_config(), tok.clone());
         let streams: Vec<&Stream> = d.streams.iter().collect();
         let batch = build_batch(&tok, &streams, 16);
-        let (b, t, dtok) = (batch.batch, batch.seq, tok.token_dim());
+        let (b, t, dtok) = (batch.lens.len(), batch.lens[0], tok.token_dim());
         assert_eq!(b, 5);
+        assert_eq!(batch.lens, vec![t; b]);
 
         let mut sess = Session::new(&model.store);
-        let out = model.forward(&mut sess, batch.inputs.clone());
+        let out = model.forward(&mut sess, batch.inputs.clone(), &batch.lens);
         let full_events = sess.graph.value(out.event_logits).clone(); // [B*T, E]
         let full_mean = sess.graph.value(out.iat_mean).clone();
         let full_stop = sess.graph.value(out.stop_logits).clone();
@@ -1161,8 +1161,54 @@ mod tests {
         let tok = Tokenizer::fit(&d);
         let model = CptGpt::new(tiny_config().with_max_len(2), tok.clone());
         let streams: Vec<&Stream> = d.streams.iter().collect();
-        let batch = build_batch(&tok, &streams, 16); // seq = 3 > max_len = 2
+        let batch = build_batch(&tok, &streams, 16); // 3 positions > max_len = 2
         let mut sess = Session::new(&model.store);
-        model.forward(&mut sess, batch.inputs.clone());
+        model.forward(&mut sess, batch.inputs.clone(), &batch.lens);
+    }
+
+    /// A packed shard is its streams run alone, bit for bit: causality
+    /// keeps a stream from reading another's rows, and every op but
+    /// attention is row-wise.
+    #[test]
+    fn packed_shard_is_each_stream_alone_bit_for_bit() {
+        let types = [EventType::ServiceRequest, EventType::ConnectionRelease];
+        let d = Dataset::new(
+            [3usize, 8, 14]
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let events = (0..len)
+                        .map(|k| Event::new(types[k % 2], (k * (3 + i)) as f64 + 0.5 * i as f64))
+                        .collect();
+                    Stream::new(UeId(i as u64), DeviceType::Phone, events)
+                })
+                .collect(),
+        );
+        let tok = Tokenizer::fit(&d);
+        let model = CptGpt::new(tiny_config(), tok.clone());
+        let heads = |streams: &[&Stream]| {
+            let batch = build_batch(&tok, streams, 16);
+            let mut sess = Session::new(&model.store);
+            let out = model.forward(&mut sess, batch.inputs.clone(), &batch.lens);
+            let bits = |v: Var| -> Vec<u32> {
+                sess.graph.value(v).data.iter().map(|x| x.to_bits()).collect()
+            };
+            (
+                batch.lens.clone(),
+                [out.event_logits, out.iat_mean, out.iat_log_std, out.stop_logits].map(bits),
+            )
+        };
+        let all: Vec<&Stream> = d.streams.iter().collect();
+        let (lens, packed) = heads(&all);
+        assert_eq!(lens, vec![2, 7, 13]);
+        let widths = [6, 1, 1, 2];
+        let mut row = 0;
+        for (stream, &l) in all.iter().zip(&lens) {
+            let (_, alone) = heads(&[stream]);
+            for ((p, a), w) in packed.iter().zip(&alone).zip(widths) {
+                assert_eq!(&p[row * w..(row + l) * w], &a[..], "stream of {l} positions");
+            }
+            row += l;
+        }
     }
 }

@@ -301,7 +301,7 @@ mod tests {
             .iter()
             .flatten()
             .map(|shard| {
-                assert_eq!(shard.batch, 1);
+                assert_eq!(shard.lens.len(), 1);
                 shard.real_positions() + 1
             })
             .collect();
@@ -319,7 +319,7 @@ mod tests {
         let shape = |batch_size, microbatch| -> Vec<Vec<usize>> {
             steps(&d, batch_size, microbatch, 0)
                 .iter()
-                .map(|step| step.iter().map(|shard| shard.batch).collect())
+                .map(|step| step.iter().map(|shard| shard.lens.len()).collect())
                 .collect()
         };
         assert_eq!(shape(2, 1), vec![vec![1, 1], vec![1]]);
@@ -336,12 +336,7 @@ mod tests {
         let lens = |microbatch| -> Vec<usize> {
             steps(&d, 3, microbatch, 42)[0]
                 .iter()
-                .flat_map(|shard| {
-                    (0..shard.batch).map(|row| {
-                        let mask = &shard.mask[row * shard.seq..(row + 1) * shard.seq];
-                        mask.iter().filter(|m| **m != 0.0).count()
-                    })
-                })
+                .flat_map(|shard| shard.lens.clone())
                 .collect()
         };
         assert_eq!(lens(1), lens(3));

@@ -81,10 +81,9 @@ impl TrainReport {
 /// Result of one data-parallel forward/backward over a step's shards.
 #[derive(Debug, Clone)]
 pub struct StepOutcome {
-    /// Combined loss: per-shard masked means weighted by each shard's
-    /// share of the step's real (unpadded) positions, summed in shard
-    /// order. In exact arithmetic this equals the masked mean over the
-    /// whole step.
+    /// Combined loss: per-shard means weighted by each shard's share of
+    /// the step's positions, summed in shard order. In exact arithmetic
+    /// this equals the mean over the whole step.
     pub loss: f64,
     /// Reduced gradient set of the combined loss, ready for
     /// [`ParamStore::accumulate_grads`].
@@ -98,8 +97,9 @@ pub struct StepOutcome {
 /// node storage from its executing thread's private
 /// [`ScratchArena`]; arena contents cannot affect results (a buffer is
 /// zeroed where an op accumulates into it and fully overwritten
-/// elsewhere), so thread assignment is irrelevant to the bits produced. Shard losses and gradients are combined with weights
-/// `mask_s / mask_total` in shard-index order, then reduced pairwise
+/// elsewhere), so thread assignment is irrelevant to the bits produced.
+/// Shard losses and gradients are combined with weights
+/// `positions_s / positions_total` in shard-index order, then reduced pairwise
 /// ([`tree_reduce_grads`]) — both orders are pure functions of the shard
 /// list, making the outcome bit-identical at any thread count.
 ///
@@ -121,7 +121,7 @@ fn parallel_grad_step_inner(
 ) -> StepOutcome {
     struct ShardOut {
         loss: f64,
-        mask: f64,
+        positions: f64,
         grads: GradSet,
     }
     // `collect` keeps shard order regardless of completion order.
@@ -141,16 +141,16 @@ fn parallel_grad_step_inner(
             }
             ShardOut {
                 loss: loss_val,
-                mask: batch.real_positions() as f64,
+                positions: batch.real_positions() as f64,
                 grads,
             }
         })
         .collect();
-    let mask_total: f64 = outs.iter().map(|o| o.mask).sum();
+    let positions_total: f64 = outs.iter().map(|o| o.positions).sum();
     let mut loss = 0.0f64;
     let mut sets = Vec::with_capacity(outs.len());
     for o in outs {
-        let w = o.mask / mask_total.max(1.0);
+        let w = o.positions / positions_total.max(1.0);
         loss += o.loss * w;
         let mut g = o.grads;
         scale_grads(&mut g, w as f32);
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn parallel_grad_step_matches_training_loop_semantics() {
         // The public step API must produce finite, non-empty gradients and
-        // a loss equal (in exact weighting) to the masked mean across its
+        // a loss equal (in exact weighting) to the mean across its
         // shards.
         let data = alternating_dataset(8);
         let tok = Tokenizer::fit(&data);

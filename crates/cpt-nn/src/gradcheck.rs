@@ -229,7 +229,7 @@ mod tests {
         check_gradients(
             &|g, ins| {
                 let a = g.input(ins[0].clone());
-                let loss = g.cross_entropy_logits(a, &[0, 2, 1, 0], &[1.0, 1.0, 0.0, 1.0]);
+                let loss = g.cross_entropy_logits(a, &[0, 2, 1, 0]);
                 (vec![a], loss)
             },
             &inputs,
@@ -250,8 +250,7 @@ mod tests {
             &|g, ins| {
                 let m = g.input(ins[0].clone());
                 let s = g.input(ins[1].clone());
-                let loss =
-                    g.gaussian_nll(m, s, &[0.3, -1.0, 2.0, 0.0, 0.7], &[1.0, 1.0, 1.0, 0.0, 1.0]);
+                let loss = g.gaussian_nll(m, s, &[0.3, -1.0, 2.0, 0.0, 0.7]);
                 (vec![m, s], loss)
             },
             &inputs,
@@ -269,7 +268,7 @@ mod tests {
             &|g, ins| {
                 let z = g.input(ins[0].clone());
                 let l1 = g.bce_with_logits(z, &[1.0, 0.0, 1.0, 0.0, 1.0, 0.0], &[1.0; 6]);
-                let l2 = g.mse_masked(z, &[0.5; 6], &[1.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
+                let l2 = g.mse(z, &[0.5; 6]);
                 let loss = g.weighted_sum(&[(l1, 1.0), (l2, 0.5)]);
                 (vec![z], loss)
             },
@@ -306,15 +305,14 @@ mod tests {
     #[test]
     fn gradcheck_slice_ops_and_heads() {
         let mut r = rng(9);
-        let inputs = vec![Tensor::randn(&[2, 4, 6], 0.7, &mut r)];
+        let inputs = vec![Tensor::randn(&[8, 6], 0.7, &mut r)];
         check_gradients(
             &|g, ins| {
                 let x = g.input(ins[0].clone());
-                let h = g.split_heads(x, 2); // [4, 4, 3]
-                let m = g.merge_heads(h, 2); // [2, 4, 6]
-                let flat = g.reshape(m, &[8, 6]);
-                let cols = g.slice_cols(flat, 1, 3);
-                let rows = g.slice_rows(cols, 2, 4);
+                let h = g.split_heads(x, 2, &[3, 5]); // [16, 3]
+                let m = g.merge_heads(h, 2, &[3, 5]); // [8, 6]
+                let cols = g.slice_cols(m, 1, 3);
+                let rows = g.gather_rows(cols, &[2, 3, 4, 2, 7]);
                 let sq = g.mul(rows, rows);
                 let loss = g.mean_all(sq);
                 (vec![x], loss)
@@ -324,5 +322,32 @@ mod tests {
             TOL,
         )
         .unwrap();
+    }
+
+    /// Attention over packed sequences of unequal length, causal and not:
+    /// each sequence's `len × len` block, forward and backward.
+    #[test]
+    fn gradcheck_segmented_attention() {
+        let mut r = rng(13);
+        let lens = [1usize, 4, 2];
+        let inputs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[7, 3], 0.8, &mut r)).collect();
+        let w = Tensor::randn(&[7, 3], 1.0, &mut r);
+        for causal in [true, false] {
+            check_gradients(
+                &|g, ins| {
+                    let [q, k, v] = [0, 1, 2].map(|i| g.input(ins[i].clone()));
+                    let o = g.attention(q, k, v, 0.6, causal, &lens);
+                    let wv = g.input(w.clone());
+                    let y = g.mul(o, wv);
+                    let sq = g.mul(y, y);
+                    let loss = g.mean_all(sq);
+                    (vec![q, k, v], loss)
+                },
+                &inputs,
+                EPS,
+                TOL,
+            )
+            .unwrap_or_else(|e| panic!("causal {causal}: {e}"));
+        }
     }
 }

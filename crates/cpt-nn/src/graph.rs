@@ -14,6 +14,7 @@ use crate::scratch::{ScratchArena, UNWRITTEN};
 use crate::tensor::{
     exp_rows, expf_glibc, gelu_tape_grad_rows, gelu_tape_rows, gemm_into, tanh_rows, Op, Tensor,
 };
+use rayon::prelude::*;
 use std::rc::Rc;
 
 /// Handle to a node in a [`Graph`].
@@ -184,7 +185,7 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    /// Adds a leaf node. Leaves receive gradients like any node; callers
+    /// Adds a leaf node. Leaves keep the gradients they receive; callers
     /// read back the ones they care about (parameters) via [`Graph::grad`].
     /// The graph owns `value` and frees it on drop; it does not pool a
     /// buffer it did not take.
@@ -206,7 +207,8 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of a node (after [`Graph::backward`]).
+    /// The accumulated gradient of a leaf node (after [`Graph::backward`];
+    /// `None` for an inner node, whose gradient is not kept).
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -425,23 +427,32 @@ impl Graph {
         )
     }
 
-    /// Rows `start..start+len` of a 2-D tensor (used to take the first `T`
-    /// positional-embedding rows). Backward scatters into a zero tensor.
-    pub fn slice_rows(&mut self, a: Var, start: usize, len: usize) -> Var {
+    /// Rows `idx[0]`, `idx[1]`, … of a 2-D tensor, in that order (the
+    /// positional-embedding row of every position of every stream). The
+    /// backward adds output row `i`'s gradient into row `idx[i]` of a zero
+    /// tensor in ascending `i`, so a row gathered by several streams sums
+    /// their gradients in stream order.
+    pub fn gather_rows(&mut self, a: Var, idx: &[usize]) -> Var {
         let av = self.rc_value(a);
-        assert_eq!(av.rank(), 2, "slice_rows needs rank 2");
+        assert_eq!(av.rank(), 2, "gather_rows needs rank 2");
         let (rows, cols) = (av.shape[0], av.shape[1]);
-        assert!(start + len <= rows, "slice_rows out of range");
+        assert!(idx.iter().all(|&r| r < rows), "gather_rows out of range");
         let ctx = self.ctx();
-        let mut out = Tensor::new(self.alloc(len * cols), vec![len, cols]);
-        out.data
-            .copy_from_slice(&av.data[start * cols..(start + len) * cols]);
+        let mut out = Tensor::new(self.alloc(idx.len() * cols), vec![idx.len(), cols]);
+        for (dst, &r) in out.data.chunks_exact_mut(cols.max(1)).zip(idx) {
+            dst.copy_from_slice(&av.data[r * cols..(r + 1) * cols]);
+        }
+        let idx = idx.to_vec();
         self.push(
             out,
             vec![a.0],
             Some(Box::new(move |g: &Tensor| {
                 let mut da = ctx.zeros(&[rows, cols]);
-                da.data[start * cols..(start + len) * cols].copy_from_slice(&g.data);
+                for (src, &r) in g.data.chunks_exact(cols.max(1)).zip(&idx) {
+                    for (d, x) in da.data[r * cols..(r + 1) * cols].iter_mut().zip(src) {
+                        *d += x;
+                    }
+                }
                 vec![da]
             })),
         )
@@ -519,40 +530,52 @@ impl Graph {
         )
     }
 
-    /// Splits a `[B,T,D]` activation into `[B*H, T, D/H]` head-major
-    /// layout for attention. Pure permutation; exact inverse of
+    /// Splits rows `[R, H·hd]` — the positions of streams of `lens` rows,
+    /// one stream after another — into head-major blocks `[H·R, hd]`: for
+    /// each stream in turn, its `H` heads, each the stream's `len × hd`
+    /// slice of that head's features. Pure permutation; exact inverse of
     /// [`Graph::merge_heads`].
-    pub fn split_heads(&mut self, a: Var, n_heads: usize) -> Var {
+    pub fn split_heads(&mut self, a: Var, n_heads: usize, lens: &[usize]) -> Var {
         let av = self.rc_value(a);
-        assert_eq!(av.rank(), 3, "split_heads needs [B,T,D]");
-        let (b, t, d) = (av.shape[0], av.shape[1], av.shape[2]);
+        let (r, d) = av.rows_cols();
+        assert_eq!(lens.iter().sum::<usize>(), r, "split_heads: stream lengths vs rows");
         assert_eq!(d % n_heads, 0, "d_model not divisible by heads");
         let hd = d / n_heads;
+        let in_shape = av.shape.clone();
+        let lens = lens.to_vec();
         let ctx = self.ctx();
-        let out = split_heads_data(&av, b, t, n_heads, hd, &ctx);
+        let mut out = ctx.dirty(&[n_heads * r, hd]);
+        permute_heads(&av.data, &mut out.data, &lens, n_heads, hd, true);
         self.push(
             out,
             vec![a.0],
             Some(Box::new(move |g: &Tensor| {
-                vec![merge_heads_data(g, b, t, n_heads, hd, &ctx)]
+                let mut dx = ctx.dirty(&in_shape);
+                permute_heads(&g.data, &mut dx.data, &lens, n_heads, hd, false);
+                vec![dx]
             })),
         )
     }
 
-    /// Merges `[B*H, T, hd]` back to `[B,T,H*hd]`.
-    pub fn merge_heads(&mut self, a: Var, n_heads: usize) -> Var {
+    /// Merges [`Graph::split_heads`]' `[H·R, hd]` blocks back to rows
+    /// `[R, H·hd]`.
+    pub fn merge_heads(&mut self, a: Var, n_heads: usize, lens: &[usize]) -> Var {
         let av = self.rc_value(a);
-        assert_eq!(av.rank(), 3, "merge_heads needs [B*H,T,hd]");
-        let bh = av.shape[0];
-        assert_eq!(bh % n_heads, 0, "batch not divisible by heads");
-        let (b, t, hd) = (bh / n_heads, av.shape[1], av.shape[2]);
+        let (hr, hd) = av.rows_cols();
+        let r: usize = lens.iter().sum();
+        assert_eq!(hr, n_heads * r, "merge_heads: stream lengths vs rows");
+        let lens = lens.to_vec();
         let ctx = self.ctx();
-        let out = merge_heads_data(&av, b, t, n_heads, hd, &ctx);
+        let mut out = ctx.dirty(&[r, n_heads * hd]);
+        permute_heads(&av.data, &mut out.data, &lens, n_heads, hd, false);
+        let in_shape = av.shape.clone();
         self.push(
             out,
             vec![a.0],
             Some(Box::new(move |g: &Tensor| {
-                vec![split_heads_data(g, b, t, n_heads, hd, &ctx)]
+                let mut dx = ctx.dirty(&in_shape);
+                permute_heads(&g.data, &mut dx.data, &lens, n_heads, hd, true);
+                vec![dx]
             })),
         )
     }
@@ -662,90 +685,120 @@ impl Graph {
         )
     }
 
-    /// Fused scaled-dot-product attention over head-major tensors:
-    /// `softmax(scale · Q·Kᵀ + causal mask) · V` for `Q`, `K`, `V` of shape
-    /// `[B·H, T, hd]`, as one tape node with a single backward closure.
+    /// Fused scaled-dot-product attention over head-major rows:
+    /// `softmax(scale · Q·Kᵀ + causal mask) · V` for `Q`, `K`, `V` of
+    /// `N = Σ lens` rows of `hd` features, cut into independent sequences
+    /// of `lens` rows, one after another (for self-attention, every head of
+    /// every stream: [`Graph::split_heads`]' layout). Each sequence attends
+    /// only within itself, through its own `len × len` score block, so
+    /// streams of unequal length cost no padded row or column. One tape
+    /// node with a single backward closure; the sequences run on the
+    /// installed pool.
     ///
     /// Replaces the five-node chain transpose→bmm→scale→mask-add→softmax
     /// (plus a context bmm): the mask tensor is never materialized (causal
     /// masking skips `j > i`, numerically identical to the `-1e9` additive
     /// mask since those entries underflow to exactly 0 after softmax), and
     /// only the attention probabilities are cached for backward.
-    pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32, causal: bool) -> Var {
+    pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32, causal: bool, lens: &[usize]) -> Var {
         let qv = self.rc_value(q);
         let kv = self.rc_value(k);
         let vv = self.rc_value(v);
-        assert_eq!(qv.rank(), 3, "attention needs [BH,T,hd]");
         assert_eq!(kv.shape, qv.shape, "attention K shape");
         assert_eq!(vv.shape, qv.shape, "attention V shape");
-        let (bh, t, hd) = (qv.shape[0], qv.shape[1], qv.shape[2]);
+        let (n, hd) = qv.rows_cols();
+        assert_eq!(lens.iter().sum::<usize>(), n, "attention: sequence lengths vs rows");
+        let seqs = Seq::cut(lens);
         let ctx = self.ctx();
 
-        // Scores in place: attn = Q·Kᵀ (Kᵀ read in place), then scale +
-        // masked softmax rows. Each row's `s − max`, with the masked
-        // entries at −∞, goes through one `exp` pass over the whole tensor
-        // (`exp(−∞)` is +0.0), then its sum in ascending order.
-        let mut attn = Tensor::new(self.alloc(bh * t * t), vec![bh, t, t]);
-        qv.bmm_op_into(Op::N, &kv, Op::T, &mut attn.data);
-        let lim = |r: usize| if causal { r % t + 1 } else { t };
-        for r in 0..bh * t {
-            let (live, masked) = attn.data[r * t..(r + 1) * t].split_at_mut(lim(r));
-            let mut max = f32::NEG_INFINITY;
-            for x in live.iter_mut() {
-                *x *= scale;
-                max = max.max(*x);
+        // Per sequence: scores in place, attn = Q·Kᵀ (Kᵀ read in place),
+        // then scale + masked softmax rows. Each row's `s − max`, with the
+        // masked entries at −∞, goes through one `exp` pass over the block
+        // (`exp(−∞)` is +0.0), then its sum in ascending order; last the
+        // context, attn·V.
+        let scores: usize = seqs.iter().map(|s| s.len * s.len).sum();
+        let mut attn = Tensor::new(self.alloc(scores), vec![scores]);
+        let mut out = Tensor::new(self.alloc(n * hd), qv.shape.clone());
+        let (qd, kd, vd) = (&qv.data[..], &kv.data[..], &vv.data[..]);
+        let work: Vec<_> = seqs
+            .iter()
+            .zip(split_by(&mut attn.data, seqs.iter().map(|s| s.len * s.len)))
+            .zip(split_by(&mut out.data, seqs.iter().map(|s| s.len * hd)))
+            .collect();
+        work.into_par_iter().for_each(|((s, a), o)| {
+            let (l, rows) = (s.len, s.rows(hd));
+            gemm_into(Op::N, &qd[rows.clone()], Op::T, &kd[rows.clone()], a, l, hd, l);
+            let lim = |i: usize| if causal { i + 1 } else { l };
+            for (i, row) in a.chunks_exact_mut(l).enumerate() {
+                let (live, masked) = row.split_at_mut(lim(i));
+                let mut max = f32::NEG_INFINITY;
+                for x in live.iter_mut() {
+                    *x *= scale;
+                    max = max.max(*x);
+                }
+                for x in live.iter_mut() {
+                    *x -= max;
+                }
+                masked.fill(f32::NEG_INFINITY);
             }
-            for x in live.iter_mut() {
-                *x -= max;
+            exp_rows(a);
+            for (i, row) in a.chunks_exact_mut(l).enumerate() {
+                let live = &mut row[..lim(i)];
+                let mut sum = 0.0f32;
+                for x in live.iter() {
+                    sum += *x;
+                }
+                let inv = 1.0 / sum;
+                for x in live {
+                    *x *= inv;
+                }
             }
-            masked.fill(f32::NEG_INFINITY);
-        }
-        exp_rows(&mut attn.data);
-        for r in 0..bh * t {
-            let live = &mut attn.data[r * t..r * t + lim(r)];
-            let mut sum = 0.0f32;
-            for x in live.iter() {
-                sum += *x;
-            }
-            let inv = 1.0 / sum;
-            for x in live {
-                *x *= inv;
-            }
-        }
-        let mut out = self.alloc(bh * t * hd);
-        attn.bmm_into(&vv, &mut out);
+            gemm_into(Op::N, a, Op::N, &vd[rows], o, l, l, hd);
+        });
         // Park the probabilities on the tape as a hidden constant node so
         // the buffer is pooled when the graph drops (backward is skipped
         // for nodes without gradient).
         let attn_node = self.push(attn, vec![], None);
         let attn_rc = self.rc_value(attn_node);
         self.push(
-            Tensor::new(out, vec![bh, t, hd]),
+            out,
             vec![q.0, k.0, v.0],
             Some(Box::new(move |g: &Tensor| {
-                // dV = Aᵀ·G, every transpose below read in place.
-                let mut dv = ctx.take_dirty(bh * t * hd);
-                attn_rc.bmm_op_into(Op::T, g, Op::N, &mut dv);
-                // dS = softmax-backward(G·Vᵀ) against A, in place.
-                let mut ds = ctx.dirty(&[bh, t, t]);
-                g.bmm_op_into(Op::N, &vv, Op::T, &mut ds.data);
-                for r in 0..bh * t {
-                    let a_row = &attn_rc.data[r * t..(r + 1) * t];
-                    let ds_row = &mut ds.data[r * t..(r + 1) * t];
-                    let dot: f32 = a_row.iter().zip(ds_row.iter()).map(|(y, d)| y * d).sum();
-                    for (d, y) in ds_row.iter_mut().zip(a_row) {
-                        *d = y * (*d - dot);
+                let mut dq = ctx.dirty(&qv.shape);
+                let mut dk = ctx.dirty(&qv.shape);
+                let mut dv = ctx.dirty(&qv.shape);
+                let mut ds = ctx.take_dirty(scores);
+                let (qd, kd, vd, ad, gd) = (&qv.data[..], &kv.data[..], &vv.data[..], &attn_rc.data[..], &g.data[..]);
+                let work: Vec<_> = seqs
+                    .iter()
+                    .zip(split_by(&mut dq.data, seqs.iter().map(|s| s.len * hd)))
+                    .zip(split_by(&mut dk.data, seqs.iter().map(|s| s.len * hd)))
+                    .zip(split_by(&mut dv.data, seqs.iter().map(|s| s.len * hd)))
+                    .zip(split_by(&mut ds, seqs.iter().map(|s| s.len * s.len)))
+                    .collect();
+                work.into_par_iter().for_each(|((((s, dq), dk), dv), ds)| {
+                    let (l, rows) = (s.len, s.rows(hd));
+                    let a = &ad[s.at..s.at + l * l];
+                    let gs = &gd[rows.clone()];
+                    // dV = Aᵀ·G, every transpose below read in place.
+                    gemm_into(Op::T, a, Op::N, gs, dv, l, l, hd);
+                    // dS = softmax-backward(G·Vᵀ) against A, in place.
+                    gemm_into(Op::N, gs, Op::T, &vd[rows.clone()], ds, l, hd, l);
+                    for (a_row, ds_row) in a.chunks_exact(l).zip(ds.chunks_exact_mut(l)) {
+                        let dot: f32 = a_row.iter().zip(ds_row.iter()).map(|(y, d)| y * d).sum();
+                        for (d, y) in ds_row.iter_mut().zip(a_row) {
+                            *d = y * (*d - dot);
+                        }
                     }
-                }
-                // dQ = scale · dS·K ; dK = scale · dSᵀ·Q
-                let mut dq = ctx.dirty(&[bh, t, hd]);
-                ds.bmm_into(&kv, &mut dq.data);
-                dq.scale_assign(scale);
-                let mut dk = ctx.dirty(&[bh, t, hd]);
-                ds.bmm_op_into(Op::T, &qv, Op::N, &mut dk.data);
-                dk.scale_assign(scale);
-                ctx.give(ds.data);
-                vec![dq, dk, Tensor::new(dv, vec![bh, t, hd])]
+                    // dQ = scale · dS·K ; dK = scale · dSᵀ·Q
+                    gemm_into(Op::N, ds, Op::N, &kd[rows.clone()], dq, l, l, hd);
+                    gemm_into(Op::T, ds, Op::N, &qd[rows], dk, l, l, hd);
+                    for x in dq.iter_mut().chain(dk.iter_mut()) {
+                        *x *= scale;
+                    }
+                });
+                ctx.give(ds);
+                vec![dq, dk, dv]
             })),
         )
     }
@@ -859,40 +912,32 @@ impl Graph {
         )
     }
 
-    /// Masked mean softmax cross-entropy over logits `[N, C]` with integer
-    /// targets. `mask[i] = 0` removes row `i` from the loss (padding).
-    pub fn cross_entropy_logits(&mut self, logits: Var, targets: &[usize], mask: &[f32]) -> Var {
+    /// Mean softmax cross-entropy over logits `[N, C]` with integer
+    /// targets.
+    pub fn cross_entropy_logits(&mut self, logits: Var, targets: &[usize]) -> Var {
         let lv = self.rc_value(logits);
         let (n, c) = lv.rows_cols();
         assert_eq!(targets.len(), n, "targets length");
-        assert_eq!(mask.len(), n, "mask length");
         let probs = softmax_lastdim_data(&lv);
-        let denom: f32 = mask.iter().sum::<f32>().max(1e-12);
+        let denom = n.max(1) as f32;
         let mut loss = 0.0f64;
-        for i in 0..n {
-            if mask[i] != 0.0 {
-                debug_assert!(targets[i] < c, "target class out of range");
-                let p = probs.data[i * c + targets[i]].max(1e-12);
-                loss -= (p.ln() as f64) * mask[i] as f64;
-            }
+        for (i, &t) in targets.iter().enumerate() {
+            debug_assert!(t < c, "target class out of range");
+            let p = probs.data[i * c + t].max(1e-12);
+            loss -= p.ln() as f64;
         }
         let targets = targets.to_vec();
-        let mask = mask.to_vec();
         let ctx = self.ctx();
         self.push(
             ctx.scalar((loss / denom as f64) as f32),
             vec![logits.0],
             Some(Box::new(move |g: &Tensor| {
                 let go = g.item();
-                let mut dl = ctx.zeros(&probs.shape);
-                for i in 0..n {
-                    if mask[i] == 0.0 {
-                        continue;
-                    }
+                let mut dl = ctx.dirty(&probs.shape);
+                for (i, &t) in targets.iter().enumerate() {
                     for j in 0..c {
-                        let indicator = if j == targets[i] { 1.0 } else { 0.0 };
-                        dl.data[i * c + j] =
-                            go * mask[i] * (probs.data[i * c + j] - indicator) / denom;
+                        let indicator = if j == t { 1.0 } else { 0.0 };
+                        dl.data[i * c + j] = go * (probs.data[i * c + j] - indicator) / denom;
                     }
                 }
                 vec![dl]
@@ -900,37 +945,30 @@ impl Graph {
         )
     }
 
-    /// Masked mean Gaussian negative log-likelihood. The model predicts a
-    /// mean and a log-standard-deviation per row (Design 2 of the paper:
-    /// "output the parameters of a probability distribution, rather than a
-    /// single numerical value"); the loss is
-    /// `0.5·((x−μ)/σ)² + log σ + 0.5·log 2π`.
+    /// Mean Gaussian negative log-likelihood. The model predicts a mean and
+    /// a log-standard-deviation per row (Design 2 of the paper: "output the
+    /// parameters of a probability distribution, rather than a single
+    /// numerical value"); the loss is `0.5·((x−μ)/σ)² + log σ + 0.5·log 2π`.
     ///
     /// `log σ` is soft-clamped to `[-7, 3]` (zero gradient outside): an
     /// unbounded head can drive σ into denormal/overflow territory, which
     /// both destabilizes training and makes the f32 kernels pathologically
     /// slow on denormals.
-    pub fn gaussian_nll(&mut self, mean_v: Var, log_std: Var, target: &[f32], mask: &[f32]) -> Var {
+    pub fn gaussian_nll(&mut self, mean_v: Var, log_std: Var, target: &[f32]) -> Var {
         let mv = self.rc_value(mean_v);
         let sv = self.rc_value(log_std);
         let n = mv.len();
         assert_eq!(sv.len(), n, "log_std length");
         assert_eq!(target.len(), n, "target length");
-        assert_eq!(mask.len(), n, "mask length");
-        let denom: f32 = mask.iter().sum::<f32>().max(1e-12);
+        let denom = n.max(1) as f32;
         const HALF_LN_2PI: f64 = 0.918_938_533_204_672_7;
         let mut loss = 0.0f64;
-        for i in 0..n {
-            if mask[i] != 0.0 {
-                let mu = mv.data[i] as f64;
-                let ls = (sv.data[i] as f64).clamp(-7.0, 3.0);
-                let x = target[i] as f64;
-                let z = (x - mu) * f64::exp(-ls);
-                loss += (0.5 * z * z + ls + HALF_LN_2PI) * mask[i] as f64;
-            }
+        for ((&mu, &ls), &x) in mv.data.iter().zip(&sv.data).zip(target) {
+            let ls = (ls as f64).clamp(-7.0, 3.0);
+            let z = (x as f64 - mu as f64) * f64::exp(-ls);
+            loss += 0.5 * z * z + ls + HALF_LN_2PI;
         }
         let target = target.to_vec();
-        let mask = mask.to_vec();
         let mshape = mv.shape.clone();
         let sshape = sv.shape.clone();
         let ctx = self.ctx();
@@ -939,22 +977,17 @@ impl Graph {
             vec![mean_v.0, log_std.0],
             Some(Box::new(move |g: &Tensor| {
                 let go = g.item();
-                let mut dmu = ctx.zeros(&mshape);
-                let mut dls = ctx.zeros(&sshape);
-                for i in 0..n {
-                    if mask[i] == 0.0 {
-                        continue;
-                    }
-                    let mu = mv.data[i];
-                    let ls_raw = sv.data[i];
+                let mut dmu = ctx.dirty(&mshape);
+                let mut dls = ctx.dirty(&sshape);
+                let rows = mv.data.iter().zip(&sv.data).zip(&target);
+                for ((dm, dl), ((&mu, &ls_raw), &x)) in dmu.data.iter_mut().zip(dls.data.iter_mut()).zip(rows) {
                     let ls = ls_raw.clamp(-7.0, 3.0);
-                    let x = target[i];
                     let inv_var = expf_glibc(-2.0 * ls);
                     // d/dμ [0.5 (x-μ)² e^{-2ls}] = (μ - x) e^{-2ls}
-                    dmu.data[i] = go * mask[i] * (mu - x) * inv_var / denom;
+                    *dm = go * (mu - x) * inv_var / denom;
                     // d/dls = 1 - (x-μ)² e^{-2ls}; zero outside the clamp.
-                    dls.data[i] = if ls_raw == ls {
-                        go * mask[i] * (1.0 - (x - mu) * (x - mu) * inv_var) / denom
+                    *dl = if ls_raw == ls {
+                        go * (1.0 - (x - mu) * (x - mu) * inv_var) / denom
                     } else {
                         0.0
                     };
@@ -1001,23 +1034,23 @@ impl Graph {
         )
     }
 
-    /// Masked mean squared error against constant targets.
-    pub fn mse_masked(&mut self, pred: Var, target: &[f32], mask: &[f32]) -> Var {
+    /// Mean squared error against constant targets.
+    pub fn mse(&mut self, pred: Var, target: &[f32]) -> Var {
         let pv = self.rc_value(pred);
         let n = pv.len();
         assert_eq!(target.len(), n, "target length");
-        assert_eq!(mask.len(), n, "mask length");
-        let denom: f32 = mask.iter().sum::<f32>().max(1e-12);
-        let loss: f64 = (0..n)
-            .filter(|i| mask[*i] != 0.0)
-            .map(|i| {
-                let d = (pv.data[i] - target[i]) as f64;
-                d * d * mask[i] as f64
+        let denom = n.max(1) as f32;
+        let loss: f64 = pv
+            .data
+            .iter()
+            .zip(target)
+            .map(|(&p, &t)| {
+                let d = (p - t) as f64;
+                d * d
             })
             .sum::<f64>()
             / denom as f64;
         let target = target.to_vec();
-        let mask = mask.to_vec();
         let shape = pv.shape.clone();
         let ctx = self.ctx();
         self.push(
@@ -1025,11 +1058,9 @@ impl Graph {
             vec![pred.0],
             Some(Box::new(move |g: &Tensor| {
                 let go = g.item();
-                let mut dp = ctx.zeros(&shape);
-                for i in 0..n {
-                    if mask[i] != 0.0 {
-                        dp.data[i] = go * mask[i] * 2.0 * (pv.data[i] - target[i]) / denom;
-                    }
+                let mut dp = ctx.dirty(&shape);
+                for ((d, &p), &t) in dp.data.iter_mut().zip(&pv.data).zip(&target) {
+                    *d = go * 2.0 * (p - t) / denom;
                 }
                 vec![dp]
             })),
@@ -1041,8 +1072,9 @@ impl Graph {
     // ---------------------------------------------------------------
 
     /// Runs reverse-mode accumulation from `loss` (which must be scalar).
-    /// After this call, [`Graph::grad`] returns `dloss/dnode` for every
-    /// node that influences the loss.
+    /// After this call, [`Graph::grad`] returns `dloss/dleaf` for every
+    /// leaf (input or parameter) that influences the loss; an inner node's
+    /// gradient goes back to the arena as soon as its backward has run.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(
             self.value(loss).len(),
@@ -1069,8 +1101,12 @@ impl Graph {
                         slot @ None => *slot = Some(pg),
                     }
                 }
+                // An inner node's gradient is spent once its parents have
+                // theirs: its buffer serves the rest of the backward pass.
+                self.scratch.give(g.data);
+            } else {
+                self.nodes[i].grad = Some(g);
             }
-            self.nodes[i].grad = Some(g);
         }
     }
 }
@@ -1146,34 +1182,62 @@ fn softmax_lastdim_into(x: &Tensor, out: &mut [f32]) {
     }
 }
 
-fn split_heads_data(x: &Tensor, b: usize, t: usize, h: usize, hd: usize, ctx: &AllocCtx) -> Tensor {
-    // [B,T,H*hd] -> [B*H, T, hd]
-    let mut out = ctx.dirty(&[b * h, t, hd]);
-    for bi in 0..b {
-        for ti in 0..t {
-            for hi in 0..h {
-                let src = (bi * t + ti) * h * hd + hi * hd;
-                let dst = ((bi * h + hi) * t + ti) * hd;
-                out.data[dst..dst + hd].copy_from_slice(&x.data[src..src + hd]);
-            }
-        }
-    }
-    out
+/// One sequence of [`Graph::attention`]: its first row, its length and
+/// where its `len × len` probabilities start in the op's score buffer.
+struct Seq {
+    row: usize,
+    len: usize,
+    at: usize,
 }
 
-fn merge_heads_data(x: &Tensor, b: usize, t: usize, h: usize, hd: usize, ctx: &AllocCtx) -> Tensor {
-    // [B*H, T, hd] -> [B,T,H*hd]
-    let mut out = ctx.dirty(&[b, t, h * hd]);
-    for bi in 0..b {
-        for ti in 0..t {
+impl Seq {
+    /// The non-empty sequences of `lens`, rows one after another.
+    fn cut(lens: &[usize]) -> Vec<Seq> {
+        let (mut row, mut at) = (0, 0);
+        let mut seqs = Vec::with_capacity(lens.len());
+        for &len in lens {
+            if len > 0 {
+                seqs.push(Seq { row, len, at });
+            }
+            row += len;
+            at += len * len;
+        }
+        seqs
+    }
+
+    /// The sequence's elements in a `[N, hd]` buffer.
+    fn rows(&self, hd: usize) -> std::ops::Range<usize> {
+        self.row * hd..(self.row + self.len) * hd
+    }
+}
+
+/// `buf` cut into consecutive chunks of `sizes`.
+fn split_by(mut buf: &mut [f32], sizes: impl Iterator<Item = usize>) -> Vec<&mut [f32]> {
+    sizes
+        .map(|n| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(n);
+            buf = tail;
+            head
+        })
+        .collect()
+}
+
+/// Copies between rows `[R, H·hd]` — streams of `lens` rows, one after
+/// another — and [`Graph::split_heads`]' head-major blocks `[H·R, hd]`:
+/// rows into heads when `to_heads`, heads into rows otherwise.
+fn permute_heads(src: &[f32], dst: &mut [f32], lens: &[usize], h: usize, hd: usize, to_heads: bool) {
+    let mut row0 = 0;
+    for &l in lens {
+        for ti in 0..l {
             for hi in 0..h {
-                let src = ((bi * h + hi) * t + ti) * hd;
-                let dst = (bi * t + ti) * h * hd + hi * hd;
-                out.data[dst..dst + hd].copy_from_slice(&x.data[src..src + hd]);
+                let row = (row0 + ti) * h * hd + hi * hd;
+                let head = (row0 * h + hi * l + ti) * hd;
+                let (from, to) = if to_heads { (row, head) } else { (head, row) };
+                dst[to..to + hd].copy_from_slice(&src[from..from + hd]);
             }
         }
+        row0 += l;
     }
-    out
 }
 
 fn sigmoid_f(x: f32) -> f32 {
@@ -1240,28 +1304,12 @@ mod tests {
     fn cross_entropy_matches_manual() {
         let mut g = Graph::new();
         let logits = g.input(Tensor::new(vec![2.0, 0.0, 0.0, 0.0, 3.0, 0.0], vec![2, 3]));
-        let loss = g.cross_entropy_logits(logits, &[0, 1], &[1.0, 1.0]);
+        let loss = g.cross_entropy_logits(logits, &[0, 1]);
         // Row losses: -ln(softmax) of the target entries.
         let p0 = (2.0f64.exp()) / (2.0f64.exp() + 2.0);
         let p1 = (3.0f64.exp()) / (3.0f64.exp() + 2.0);
         let expect = -(p0.ln() + p1.ln()) / 2.0;
         assert!((g.value(loss).item() as f64 - expect).abs() < 1e-5);
-    }
-
-    #[test]
-    fn cross_entropy_mask_removes_rows() {
-        let mut g = Graph::new();
-        let logits = g.input(Tensor::new(vec![2.0, 0.0, 0.0, 9.0], vec![2, 2]));
-        let masked = g.cross_entropy_logits(logits, &[0, 0], &[1.0, 0.0]);
-        let mut g2 = Graph::new();
-        let logits2 = g2.input(Tensor::new(vec![2.0, 0.0], vec![1, 2]));
-        let unmasked = g2.cross_entropy_logits(logits2, &[0], &[1.0]);
-        assert!((g.value(masked).item() - g2.value(unmasked).item()).abs() < 1e-6);
-        // And the masked row receives zero gradient.
-        g.backward(masked);
-        let dl = g.grad(logits).unwrap();
-        assert_eq!(dl.data[2], 0.0);
-        assert_eq!(dl.data[3], 0.0);
     }
 
     #[test]
@@ -1271,7 +1319,7 @@ mod tests {
             let mut g = Graph::new();
             let m = g.input(Tensor::new(vec![mu], vec![1]));
             let s = g.input(Tensor::new(vec![0.0], vec![1]));
-            let l = g.gaussian_nll(m, s, &[1.5], &[1.0]);
+            let l = g.gaussian_nll(m, s, &[1.5]);
             g.value(l).item()
         };
         assert!(at(1.5) < at(0.0));
@@ -1480,30 +1528,71 @@ mod tests {
     #[test]
     fn split_merge_heads_roundtrip() {
         let mut rng = StdRng::seed_from_u64(5);
-        let x = Tensor::randn(&[2, 3, 8], 1.0, &mut rng);
+        let x = Tensor::randn(&[6, 8], 1.0, &mut rng);
         let mut g = Graph::new();
         let v = g.input(x.clone());
-        let s = g.split_heads(v, 4);
-        assert_eq!(g.value(s).shape, vec![8, 3, 2]);
-        let m = g.merge_heads(s, 4);
-        assert_eq!(g.value(m).shape, vec![2, 3, 8]);
-        for (a, b) in x.data.iter().zip(&g.value(m).data) {
-            assert!((a - b).abs() < 1e-7);
-        }
+        let s = g.split_heads(v, 4, &[2, 1, 3]);
+        assert_eq!(g.value(s).shape, vec![24, 2]);
+        // Stream 1 (row 2) starts after stream 0's four heads of 2 rows;
+        // its head 3 is features 6..8 of that row.
+        assert_eq!(g.value(s).data[2 * 8..2 * 8 + 2], x.data[2 * 8..2 * 8 + 2]);
+        assert_eq!(g.value(s).data[(8 + 3) * 2..(8 + 3) * 2 + 2], x.data[2 * 8 + 6..3 * 8]);
+        let m = g.merge_heads(s, 4, &[2, 1, 3]);
+        assert_eq!(g.value(m).shape, vec![6, 8]);
+        assert_eq!(g.value(m).data, x.data);
     }
 
     #[test]
-    fn slice_rows_forward_and_backward() {
+    fn gather_rows_forward_and_backward() {
         let mut g = Graph::new();
         let p = g.input(Tensor::new((0..12).map(|x| x as f32).collect(), vec![4, 3]));
-        let s = g.slice_rows(p, 1, 2);
-        assert_eq!(g.value(s).data, vec![3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let s = g.gather_rows(p, &[0, 1, 0]);
+        assert_eq!(g.value(s).data, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 1.0, 2.0]);
         let loss = g.mean_all(s);
         g.backward(loss);
         let dp = g.grad(p).unwrap();
-        assert_eq!(dp.data[0..3], [0.0, 0.0, 0.0]);
-        assert!((dp.data[3] - 1.0 / 6.0).abs() < 1e-6);
-        assert_eq!(dp.data[9..12], [0.0, 0.0, 0.0]);
+        // Row 0 was gathered twice, row 1 once, rows 2 and 3 never.
+        assert!((dp.data[0] - 2.0 / 9.0).abs() < 1e-6);
+        assert!((dp.data[3] - 1.0 / 9.0).abs() < 1e-6);
+        assert_eq!(dp.data[6..12], [0.0; 6]);
+    }
+
+    /// Packed sequences are a padded batch without its padding: each
+    /// sequence's attention output and input gradients, bit for bit, are
+    /// those of the same sequence alone.
+    #[test]
+    fn packed_attention_is_each_sequence_alone_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let (lens, hd) = ([2usize, 7, 13], 5);
+        let n: usize = lens.iter().sum();
+        let inputs: Vec<Tensor> = (0..4).map(|_| Tensor::randn(&[n, hd], 0.7, &mut rng)).collect();
+        // Rows `row..row + Σ lens` of q, k, v and a loss weight w; the loss
+        // is Σ o·w, so every gradient is exact whatever the row count.
+        let run = |row: usize, lens: &[usize]| -> Vec<Vec<u32>> {
+            let rows: usize = lens.iter().sum();
+            let mut g = Graph::new();
+            let [q, k, v, w] = [0, 1, 2, 3].map(|i| {
+                let data = inputs[i].data[row * hd..(row + rows) * hd].to_vec();
+                g.input(Tensor::new(data, vec![rows, hd]))
+            });
+            let o = g.attention(q, k, v, 0.4, true, lens);
+            let y = g.mul(o, w);
+            let mean = g.mean_all(y);
+            let loss = g.weighted_sum(&[(mean, (rows * hd) as f32)]);
+            g.backward(loss);
+            let bits = |t: &Tensor| t.data.iter().map(|x| x.to_bits()).collect();
+            let mut parts = vec![bits(g.value(o))];
+            parts.extend([q, k, v].map(|x| bits(g.grad(x).unwrap())));
+            parts
+        };
+        let packed = run(0, &lens);
+        let mut row = 0;
+        for &l in &lens {
+            for (part, alone) in run(row, &[l]).iter().enumerate() {
+                assert_eq!(&packed[part][row * hd..(row + l) * hd], &alone[..], "stream of {l}, part {part}");
+            }
+            row += l;
+        }
     }
 
     #[test]
@@ -1525,7 +1614,7 @@ mod tests {
                 gf.input(k0.clone()),
                 gf.input(v0.clone()),
             );
-            let of = gf.attention(qf, kf, vf, scale, causal);
+            let of = gf.attention(qf, kf, vf, scale, causal, &vec![t; bh]);
             let sq = gf.mul(of, of);
             let lf = gf.mean_all(sq);
             gf.backward(lf);

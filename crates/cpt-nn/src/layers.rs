@@ -108,6 +108,15 @@ impl ParamStore {
         &mut p.value
     }
 
+    /// Parameter `id`'s value, mutable, beside its gradient: the
+    /// optimizer's split borrow. Drops the packed panels, as
+    /// [`ParamStore::value_mut`] does.
+    pub(crate) fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut [f32], &[f32]) {
+        let p = &mut self.params[id.0];
+        p.panels = PanelCache::default();
+        (&mut p.value.data, &p.grad.data)
+    }
+
     /// The `[k, n]` weight `id` as NR-wide column panels for
     /// `crate::tensor::matmul_rows`, packed on the first call and shared by
     /// every later one (and every thread) until [`ParamStore::value_mut`].
@@ -523,24 +532,31 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Applies self-attention to `x` of shape `[B, T, d_model]`.
-    pub fn forward(&self, sess: &mut Session<'_>, x: Var) -> Var {
+    /// Applies self-attention to rows `x` of shape `[R, d_model]`: the
+    /// positions of streams of `lens` rows, one stream after another, each
+    /// attending only within its own stream.
+    pub fn forward(&self, sess: &mut Session<'_>, x: Var, lens: &[usize]) -> Var {
         let shape = sess.graph.value(x).shape.clone();
-        assert_eq!(shape.len(), 3, "attention input must be [B,T,D]");
+        assert_eq!(shape.len(), 2, "attention input must be [R, D]");
         let hd = self.d_model / self.n_heads;
 
         let q = self.wq.forward(sess, x);
         let k = self.wk.forward(sess, x);
         let v = self.wv.forward(sess, x);
-        let qh = sess.graph.split_heads(q, self.n_heads); // [BH,T,hd]
-        let kh = sess.graph.split_heads(k, self.n_heads);
-        let vh = sess.graph.split_heads(v, self.n_heads);
+        let qh = sess.graph.split_heads(q, self.n_heads, lens); // [H·R, hd]
+        let kh = sess.graph.split_heads(k, self.n_heads, lens);
+        let vh = sess.graph.split_heads(v, self.n_heads, lens);
 
-        // Fused score→scale→mask→softmax→context as one tape node.
+        // Fused score→scale→mask→softmax→context as one tape node, one
+        // sequence per head of each stream.
+        let heads: Vec<usize> = lens
+            .iter()
+            .flat_map(|&l| (0..self.n_heads).map(move |_| l))
+            .collect();
         let ctx = sess
             .graph
-            .attention(qh, kh, vh, 1.0 / (hd as f32).sqrt(), self.causal);
-        let merged = sess.graph.merge_heads(ctx, self.n_heads); // [B,T,D]
+            .attention(qh, kh, vh, 1.0 / (hd as f32).sqrt(), self.causal, &heads);
+        let merged = sess.graph.merge_heads(ctx, self.n_heads, lens); // [R, D]
         self.wo.forward(sess, merged)
     }
 }
@@ -1096,10 +1112,12 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to `[B,T,D]`.
-    pub fn forward(&self, sess: &mut Session<'_>, x: Var) -> Var {
+    /// Applies the block to rows `[R, D]`, the positions of streams of
+    /// `lens` rows one after another (see
+    /// [`MultiHeadSelfAttention::forward`]).
+    pub fn forward(&self, sess: &mut Session<'_>, x: Var, lens: &[usize]) -> Var {
         let n1 = self.ln1.forward(sess, x);
-        let a = self.attn.forward(sess, n1);
+        let a = self.attn.forward(sess, n1, lens);
         let x = sess.graph.add(x, a);
         let n2 = self.ln2.forward(sess, x);
         let h = self.fc1.forward(sess, n2);
@@ -1382,21 +1400,21 @@ mod tests {
         let attn = MultiHeadSelfAttention::new(&mut store, "a", 8, 2, true, &mut rng(2));
         // Causality: the output at position 0 must not change when we
         // change the input at position 2.
-        let mut x = Tensor::randn(&[1, 3, 8], 1.0, &mut rng(3));
+        let mut x = Tensor::randn(&[3, 8], 1.0, &mut rng(3));
         let out1 = {
             let mut sess = Session::new(&store);
             let xv = sess.input(x.clone());
-            let y = attn.forward(&mut sess, xv);
+            let y = attn.forward(&mut sess, xv, &[3]);
             sess.graph.value(y).clone()
         };
-        assert_eq!(out1.shape, vec![1, 3, 8]);
+        assert_eq!(out1.shape, vec![3, 8]);
         for d in 16..24 {
             x.data[d] += 5.0; // perturb t=2
         }
         let out2 = {
             let mut sess = Session::new(&store);
             let xv = sess.input(x);
-            let y = attn.forward(&mut sess, xv);
+            let y = attn.forward(&mut sess, xv, &[3]);
             sess.graph.value(y).clone()
         };
         for d in 0..8 {
@@ -1415,9 +1433,9 @@ mod tests {
         let mut store = ParamStore::new();
         let block = TransformerBlock::new(&mut store, "b", 8, 2, 16, &mut rng(4));
         let mut sess = Session::new(&store);
-        let x = sess.input(Tensor::randn(&[2, 5, 8], 1.0, &mut rng(5)));
-        let y = block.forward(&mut sess, x);
-        assert_eq!(sess.graph.value(y).shape, vec![2, 5, 8]);
+        let x = sess.input(Tensor::randn(&[10, 8], 1.0, &mut rng(5)));
+        let y = block.forward(&mut sess, x, &[5, 5]);
+        assert_eq!(sess.graph.value(y).shape, vec![10, 8]);
     }
 
     #[test]
@@ -1451,7 +1469,7 @@ mod tests {
             let x = sess.input(Tensor::new(xs.clone(), vec![16, 1]));
             let pred = lin.forward(&mut sess, x);
             let flat = sess.graph.reshape(pred, &[16]);
-            let loss = sess.graph.mse_masked(flat, &ys, &[1.0; 16]);
+            let loss = sess.graph.mse(flat, &ys);
             sess.backward(loss);
             last = sess.graph.value(loss).item();
             let grads = sess.grads();
@@ -1521,12 +1539,12 @@ mod tests {
         let mut store = ParamStore::new();
         let block = TransformerBlock::new(&mut store, "b", 8, 2, 16, &mut rng(22));
         let t_max = 6;
-        let x = Tensor::randn(&[2, t_max, 8], 0.8, &mut rng(23));
+        let x = Tensor::randn(&[2 * t_max, 8], 0.8, &mut rng(23));
 
         let full = {
             let mut sess = Session::new(&store);
             let xv = sess.input(x.clone());
-            let y = block.forward(&mut sess, xv);
+            let y = block.forward(&mut sess, xv, &[t_max, t_max]);
             sess.graph.value(y).clone()
         };
 
@@ -1983,18 +2001,16 @@ mod tests {
             let mut sess = Session::with_scratch(&store, arena.clone());
             // CPT-GPT's heads: event cross-entropy and a Gaussian NLL,
             // combined by weight.
-            let x = sess.input(Tensor::randn(&[2, t, 4], 1.0, &mut r));
+            let x = sess.input(Tensor::randn(&[2 * t, 4], 1.0, &mut r));
             let h = proj.forward(&mut sess, x);
-            let h = block.forward(&mut sess, h);
+            let h = block.forward(&mut sess, h, &[t, t]);
             let y = head.forward(&mut sess, h);
-            let y = sess.graph.reshape(y, &[2 * t, 7]);
             let logits = sess.graph.slice_cols(y, 0, 5);
             let mean = sess.graph.slice_cols(y, 5, 1);
             let log_std = sess.graph.slice_cols(y, 6, 1);
             let targets: Vec<usize> = (0..2 * t).map(|i| (i + shard) % 5).collect();
-            let mask = vec![1.0; 2 * t];
-            let ce = sess.graph.cross_entropy_logits(logits, &targets, &mask);
-            let nll = sess.graph.gaussian_nll(mean, log_std, &vec![0.5; 2 * t], &mask);
+            let ce = sess.graph.cross_entropy_logits(logits, &targets);
+            let nll = sess.graph.gaussian_nll(mean, log_std, &vec![0.5; 2 * t]);
             // NetShare's LSTM, over a fixed number of steps: the tape's node
             // count is the same every shard, its shapes are not.
             let xs: Vec<Var> = (0..3).map(|_| sess.input(Tensor::randn(&[2, 4], 1.0, &mut r))).collect();
@@ -2018,7 +2034,7 @@ mod tests {
         // input as the differentiated quantity.
         let mut store = ParamStore::new();
         let block = TransformerBlock::new(&mut store, "b", 4, 2, 8, &mut rng(8));
-        let x0 = Tensor::randn(&[1, 3, 4], 0.5, &mut rng(9));
+        let x0 = Tensor::randn(&[3, 4], 0.5, &mut rng(9));
         crate::gradcheck::check_gradients(
             &|g, ins| {
                 // Manual session-like binding: parameters as constants.
@@ -2028,7 +2044,7 @@ mod tests {
                     bound: vec![None; store.params.len()],
                 };
                 let x = sess.input(ins[0].clone());
-                let y = block.forward(&mut sess, x);
+                let y = block.forward(&mut sess, x, &[3]);
                 let sq = sess.graph.mul(y, y);
                 let loss = sess.graph.mean_all(sq);
                 *g = std::mem::take(&mut sess.graph);

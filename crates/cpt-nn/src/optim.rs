@@ -109,27 +109,60 @@ impl Adam {
             "optimizer sized for a different store"
         );
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         for id in ids.iter().copied() {
             let idx = id.index();
-            // Split borrows: clone the grad (small) to free the store.
-            let grad = store.grad(id).clone();
-            let m = &mut self.m[idx];
-            let v = &mut self.v[idx];
-            let value = store.value_mut(id);
-            for i in 0..value.data.len() {
-                let g = grad.data[i];
-                m.data[i] = self.beta1 * m.data[i] + (1.0 - self.beta1) * g;
-                v.data[i] = self.beta2 * v.data[i] + (1.0 - self.beta2) * g * g;
-                let mhat = m.data[i] / bc1;
-                let vhat = v.data[i] / bc2;
-                let mut update = mhat / (vhat.sqrt() + self.eps);
-                if self.weight_decay > 0.0 {
-                    update += self.weight_decay * value.data[i];
-                }
-                value.data[i] -= self.lr * update;
+            let (value, grad) = store.value_and_grad_mut(id);
+            let (m, v) = (&mut self.m[idx].data, &mut self.v[idx].data);
+            if step.weight_decay > 0.0 {
+                step.apply::<true>(value, grad, m, v);
+            } else {
+                step.apply::<false>(value, grad, m, v);
             }
+        }
+    }
+}
+
+/// One Adam step's constants, hoisted out of the element loop.
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    weight_decay: f32,
+    /// Bias corrections `1 − βᵗ`.
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamStep {
+    /// Updates one tensor's values and moments element by element: the
+    /// same operations in the same order for every element, over zipped
+    /// slices with no bounds checks, so the loop vectorizes. `DECAY` is
+    /// `weight_decay > 0`, decided once per tensor.
+    fn apply<const DECAY: bool>(&self, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+        assert!(
+            grad.len() == value.len() && m.len() == value.len() && v.len() == value.len(),
+            "Adam: value, gradient and moments differ in length"
+        );
+        for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let mhat = *m / self.bc1;
+            let vhat = *v / self.bc2;
+            let mut update = mhat / (vhat.sqrt() + self.eps);
+            if DECAY {
+                update += self.weight_decay * *x;
+            }
+            *x -= self.lr * update;
         }
     }
 }
@@ -199,6 +232,7 @@ impl LrSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::ParamId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -294,6 +328,66 @@ mod tests {
         store.zero_grads();
         adam.step_subset(&mut store, &[b]);
         assert_eq!(store.value(b).data[0], 1.0);
+    }
+
+    /// The per-element update as a scalar loop over indices, kept to pin
+    /// the vector loop's bits.
+    fn reference_step(adam: &Adam, t: u64, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let bc1 = 1.0 - adam.beta1.powi(t as i32);
+        let bc2 = 1.0 - adam.beta2.powi(t as i32);
+        for i in 0..value.len() {
+            let g = grad[i];
+            m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * g;
+            v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * g * g;
+            let mhat = m[i] / bc1;
+            let vhat = v[i] / bc2;
+            let mut update = mhat / (vhat.sqrt() + adam.eps);
+            if adam.weight_decay > 0.0 {
+                update += adam.weight_decay * value[i];
+            }
+            value[i] -= adam.lr * update;
+        }
+    }
+
+    #[test]
+    fn vector_step_is_the_scalar_loop_bit_for_bit() {
+        for wd in [0.0, 0.01] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut store = ParamStore::new();
+            // Lengths around a vector width, and one that is none.
+            let ids: Vec<ParamId> = [1usize, 7, 16, 33, 1000]
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| store.add(format!("p{i}"), Tensor::randn(&[n], 1.0, &mut rng)))
+                .collect();
+            let mut adam = Adam::new(&store, 3e-3).weight_decay(wd);
+            let mut reference: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = ids
+                .iter()
+                .map(|&id| {
+                    let n = store.value(id).len();
+                    (store.value(id).data.clone(), vec![0.0; n], vec![0.0; n])
+                })
+                .collect();
+            for t in 1..=5u64 {
+                store.zero_grads();
+                let grads: Vec<(ParamId, Tensor)> = ids
+                    .iter()
+                    .map(|&id| (id, Tensor::randn(&store.value(id).shape, 0.1, &mut rng)))
+                    .collect();
+                store.accumulate_grads(&grads);
+                adam.step(&mut store);
+                for ((x, m, v), (_, g)) in reference.iter_mut().zip(&grads) {
+                    reference_step(&adam, t, x, &g.data, m, v);
+                }
+            }
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (ms, vs) = adam.moments();
+            for (i, (&id, (x, m, v))) in ids.iter().zip(&reference).enumerate() {
+                assert_eq!(bits(&store.value(id).data), bits(x), "value {i}, wd {wd}");
+                assert_eq!(bits(&ms[i].data), bits(m), "m {i}, wd {wd}");
+                assert_eq!(bits(&vs[i].data), bits(v), "v {i}, wd {wd}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::rc::Rc;
 pub(crate) const UNWRITTEN: f32 = if cfg!(debug_assertions) { f32::NAN } else { 0.0 };
 
 /// Upper bound on pooled buffers; beyond this, returned buffers are freed.
-/// A pool holds one tape's working set: 223 buffers per pool thread for the
+/// A pool holds one tape's working set: 165 buffers per pool thread for the
 /// `offline_pipeline` benchmark's shard (two transformer blocks), steady
 /// from the first shard on. The bound only caps what a much larger tape
 /// could retain.
@@ -53,6 +53,7 @@ impl ScratchArena {
     pub fn take_zeroed(&self, len: usize) -> Vec<f32> {
         let mut buf = self.take_fit(len);
         buf.clear();
+        buf.reserve_exact(len);
         buf.resize(len, 0.0);
         buf
     }
@@ -68,23 +69,32 @@ impl ScratchArena {
         if cfg!(debug_assertions) {
             buf.clear();
         }
+        buf.reserve_exact(len.saturating_sub(buf.len()));
         buf.resize(len, UNWRITTEN);
         buf
     }
 
-    /// The smallest pooled buffer that holds `len`, else the largest one
-    /// (to be grown), else a new one.
+    /// A pooled buffer for `len` elements, grown by the caller if smaller:
+    /// the smallest that holds `len` if it is at most twice `len`, else the
+    /// largest smaller one if it is at least half of `len`, else whichever
+    /// of the two exists (the larger first), else a new one.
     ///
-    /// Best fit keeps each buffer near the size its node needs. Taking any
-    /// buffer would grow every pooled one towards the tape's largest node,
-    /// and there is one arena per pool thread.
+    /// Keeping every buffer within a factor of two of the request it serves
+    /// keeps it near the size of one kind of node, tape after tape, even
+    /// when the tapes' shapes vary (a packed shard's row count does). A
+    /// loose best fit lets a small node take a large buffer; the large node
+    /// then grows another, and over many tapes the pool creeps towards
+    /// every buffer at the largest node's size — there is one arena per
+    /// pool thread.
     fn take_fit(&self, len: usize) -> Vec<f32> {
         let mut pool = self.pool.borrow_mut();
         let fit = pool.partition_point(|b| b.capacity() < len);
-        if fit < pool.len() {
-            pool.remove(fit)
-        } else {
-            pool.pop().unwrap_or_default()
+        let above = pool.get(fit).map(|b| b.capacity() <= len.saturating_mul(2));
+        let below = fit.checked_sub(1).map(|i| pool[i].capacity().saturating_mul(2) >= len);
+        match (above, below) {
+            (Some(true), _) | (Some(false), Some(false) | None) => pool.remove(fit),
+            (_, Some(_)) => pool.remove(fit - 1),
+            (None, None) => Vec::new(),
         }
     }
 
@@ -193,6 +203,38 @@ mod tests {
         assert!(arena.take_zeroed(100).capacity() >= 100);
         assert_eq!(arena.take_zeroed(1).capacity(), 4);
         assert_eq!(arena.pooled(), 0);
+    }
+
+    #[test]
+    fn buffers_stay_within_a_factor_of_two_of_their_requests() {
+        let arena = ScratchArena::new();
+        arena.give(Vec::with_capacity(100));
+        // Half a request's size is still grown rather than a buffer four
+        // times too large taken.
+        arena.give(Vec::with_capacity(400));
+        assert_eq!(arena.take_dirty(180).capacity(), 180);
+        // Below half, the larger buffer is taken as it is.
+        arena.give(Vec::with_capacity(60));
+        assert_eq!(arena.take_dirty(150).capacity(), 400);
+    }
+
+    /// Tapes of two kinds of node, four times apart in size, with a row
+    /// count that varies from tape to tape as a packed shard's does: the
+    /// pool stays near the largest tape's own size.
+    #[test]
+    fn a_pool_under_varying_tapes_stays_near_the_largest_tape() {
+        let arena = ScratchArena::new();
+        let mut largest = 0;
+        for tape in 0..200usize {
+            let rows = 64 + (tape * 37) % 193;
+            let sizes: Vec<usize> = (0..12).map(|i| rows * if i % 3 == 0 { 192 } else { 48 }).collect();
+            largest = largest.max(sizes.iter().sum::<usize>());
+            let bufs: Vec<Vec<f32>> = sizes.iter().map(|&n| arena.take_dirty(n)).collect();
+            bufs.into_iter().for_each(|b| arena.give(b));
+        }
+        let pooled: usize = arena.pool.borrow().iter().map(Vec::capacity).sum();
+        assert_eq!(arena.pooled(), 12);
+        assert!(pooled <= largest + largest / 4, "pool {pooled} floats, largest tape {largest}");
     }
 
     #[test]

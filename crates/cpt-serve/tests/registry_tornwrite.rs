@@ -4,51 +4,31 @@
 //! with the damage quarantined, never serve damaged bytes, and never
 //! panic.
 //!
-//! The pristine registry (v1 promoted, then v2 promoted over it, so there
-//! is a live version, a draining predecessor, and a manifest backup) is
-//! built once; each case copies it, applies one deterministic injury, and
-//! runs full recovery.
+//! Each case builds the pristine registry (v1 promoted, then v2 promoted
+//! over it, so there is a live version, a draining predecessor, and a
+//! manifest backup) in its own scratch directory, applies one
+//! deterministic injury, and runs full recovery; the directory goes with
+//! the case.
 
 use cpt_serve::registry::{canary_fingerprint, Registry, VersionState, MANIFEST};
 use cpt_testkit::{fixture_model, Scratch};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
-/// The pristine two-version registry every case starts from: v1 staged,
-/// validated, promoted; then v2 staged, validated, promoted over it. The
-/// last durable commit therefore has v2 live and v1 draining, and
-/// `manifest.prev.json` holds the state one commit earlier.
-fn template_root() -> &'static Path {
-    static ROOT: OnceLock<PathBuf> = OnceLock::new();
-    ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir()
-            .join(format!("cpt-tornwrite-template-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut reg, report) = Registry::open(&dir).expect("template registry opens");
-        assert!(report.is_clean());
-        let model = fixture_model();
-        for note in ["template v1", "template v2"] {
-            let id = reg.stage(&model, note).expect("stage");
-            reg.validate(id).expect("validate");
-            reg.promote(id).expect("promote");
-        }
-        assert_eq!(reg.live(), Some(2));
-        dir
-    })
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create case dir");
-    for entry in std::fs::read_dir(src).expect("read template dir").flatten() {
-        let ty = entry.file_type().expect("entry type");
-        let to = dst.join(entry.file_name());
-        if ty.is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).expect("copy template file");
-        }
+/// Builds the pristine two-version registry every case starts from in
+/// `dir`: v1 staged, validated, promoted; then v2 staged, validated,
+/// promoted over it. The last durable commit therefore has v2 live and v1
+/// draining, and `manifest.prev.json` holds the state one commit earlier.
+fn build_template(dir: &Path) {
+    let (mut reg, report) = Registry::open(dir).expect("template registry opens");
+    assert!(report.is_clean());
+    let model = fixture_model();
+    for note in ["template v1", "template v2"] {
+        let id = reg.stage(&model, note).expect("stage");
+        reg.validate(id).expect("validate");
+        reg.promote(id).expect("promote");
     }
+    assert_eq!(reg.live(), Some(2));
 }
 
 /// Which file the injury lands on.
@@ -104,7 +84,7 @@ proptest! {
         offset_frac in 0.0f64..1.0,
     ) {
         let case = Scratch::new("tornwrite-case");
-        copy_dir(template_root(), case.dir());
+        build_template(case.dir());
         injure(&target.path(case.dir()), truncate, offset_frac);
 
         let (mut reg, report) =
