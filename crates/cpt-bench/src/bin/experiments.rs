@@ -52,7 +52,9 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let Some(name) = args.next() else { return usage() };
+                let Some(name) = args.next() else {
+                    return usage();
+                };
                 match Scale::by_name(&name) {
                     Some(s) => cfg.scale = s,
                     None => {
@@ -62,13 +64,17 @@ fn main() -> ExitCode {
                 }
             }
             "--out" => {
-                let Some(dir) = args.next() else { return usage() };
+                let Some(dir) = args.next() else {
+                    return usage();
+                };
                 cfg.out_dir = dir.into();
             }
             "--resume" => cfg.resume = true,
             "--keep-going" => cfg.keep_going = true,
             "--inject-fail" => {
-                let Some(stage) = args.next() else { return usage() };
+                let Some(stage) = args.next() else {
+                    return usage();
+                };
                 cfg.inject_fail = Some(stage);
             }
             "--help" | "-h" => return usage(),

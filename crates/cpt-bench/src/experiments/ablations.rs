@@ -25,10 +25,11 @@ fn eval_variant(scale: &Scale, v: &Variant) -> Result<FidelityReport, SuiteError
     let train_data = train_trace(scale, DeviceType::Phone, 0);
     let test_data = test_trace(scale, DeviceType::Phone, 0);
     let tokenizer = Tokenizer::fit_with(&train_data, v.scale_kind);
-    let mut cfg = scale
-        .gpt
-        .with_seed(BASE_SEED)
-        .with_loss_weights(v.weights.0, v.weights.1, v.weights.2);
+    let mut cfg =
+        scale
+            .gpt
+            .with_seed(BASE_SEED)
+            .with_loss_weights(v.weights.0, v.weights.1, v.weights.2);
     if v.point_head {
         cfg = cfg.with_point_iat_head();
     }

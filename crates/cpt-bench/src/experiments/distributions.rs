@@ -20,7 +20,11 @@ pub fn run_fig2(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
     let mut rows = Vec::new();
     let real = sojourn_ecdf(&machine, &suite.real_test, TopState::Connected);
     for (x, y) in real.series(200) {
-        rows.push(vec!["real".to_string(), format!("{x:.4}"), format!("{y:.6}")]);
+        rows.push(vec![
+            "real".to_string(),
+            format!("{x:.4}"),
+            format!("{y:.6}"),
+        ]);
     }
     let mut t = Table::new(
         "Figure 2 summary: max y-distance to the real CONNECTED sojourn CDF (phones)",
@@ -37,7 +41,11 @@ pub fn run_fig2(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
         }
         t.row(&[kind.label().into(), pct(real.max_y_distance(&e), 1)]);
     }
-    out.csv("fig2_connected_sojourn_cdf_phone", &["series", "x_seconds", "cdf"], &rows);
+    out.csv(
+        "fig2_connected_sojourn_cdf_phone",
+        &["series", "x_seconds", "cdf"],
+        &rows,
+    );
     out.table("fig2", &t.render());
     Ok(())
 }
@@ -85,23 +93,25 @@ pub fn run_fig5(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
     for device in DeviceType::ALL {
         let suite = cache.get(scale, device)?;
         let mut rows = Vec::new();
-        let emit = |panel: &str, series: &str, points: Vec<(f64, f64)>, rows: &mut Vec<Vec<String>>| {
-            for (x, y) in points {
-                rows.push(vec![
-                    panel.to_string(),
-                    series.to_string(),
-                    format!("{x:.4}"),
-                    format!("{y:.6}"),
-                ]);
-            }
-        };
-        let datasets: Vec<(&str, &cpt_trace::Dataset)> = std::iter::once(("real", &suite.real_test))
-            .chain(
-                GeneratorKind::ALL
-                    .iter()
-                    .map(|k| (k.label(), &suite.synth[k])),
-            )
-            .collect();
+        let emit =
+            |panel: &str, series: &str, points: Vec<(f64, f64)>, rows: &mut Vec<Vec<String>>| {
+                for (x, y) in points {
+                    rows.push(vec![
+                        panel.to_string(),
+                        series.to_string(),
+                        format!("{x:.4}"),
+                        format!("{y:.6}"),
+                    ]);
+                }
+            };
+        let datasets: Vec<(&str, &cpt_trace::Dataset)> =
+            std::iter::once(("real", &suite.real_test))
+                .chain(
+                    GeneratorKind::ALL
+                        .iter()
+                        .map(|k| (k.label(), &suite.synth[k])),
+                )
+                .collect();
         for (name, ds) in datasets {
             // Five views of one fold of the trace.
             let acc = StreamAccumulator::of(&machine, ds);

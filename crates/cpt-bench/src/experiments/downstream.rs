@@ -63,7 +63,10 @@ pub fn run_downstream(
 
     for (label, cfg) in [
         ("fixed 4-worker MCN", McnConfig::fixed(4)),
-        ("autoscaling MCN (target 60% util)", McnConfig::autoscaling(2, 0.6)),
+        (
+            "autoscaling MCN (target 60% util)",
+            McnConfig::autoscaling(2, 0.6),
+        ),
     ] {
         let mut t = Table::new(
             format!("Downstream MCN load — {label} (phones)"),

@@ -48,12 +48,24 @@ pub fn run_fig7(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
 
     let mut rows = Vec::new();
     for (x, f) in raw.normalized() {
-        rows.push(vec!["raw_seconds".to_string(), format!("{x:.3}"), format!("{f:.6}")]);
+        rows.push(vec![
+            "raw_seconds".to_string(),
+            format!("{x:.3}"),
+            format!("{f:.6}"),
+        ]);
     }
     for (x, f) in logh.normalized() {
-        rows.push(vec!["log_scaled".to_string(), format!("{x:.3}"), format!("{f:.6}")]);
+        rows.push(vec![
+            "log_scaled".to_string(),
+            format!("{x:.3}"),
+            format!("{f:.6}"),
+        ]);
     }
-    out.csv("fig7_interarrival_hist", &["series", "bin_center", "fraction"], &rows);
+    out.csv(
+        "fig7_interarrival_hist",
+        &["series", "bin_center", "fraction"],
+        &rows,
+    );
 
     // Print the long-tail evidence: mass concentration in raw space vs
     // spread in log space.

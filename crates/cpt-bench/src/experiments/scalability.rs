@@ -23,7 +23,13 @@ pub fn run_fig6(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
     // A large reference pool to subsample per size (the paper samples from
     // its 380k-UE test set).
     let max_size = scale.fig6_sizes.iter().copied().max().unwrap_or(0);
-    let pool = ground_truth(scale, DeviceType::Phone, 0, 3000, max_size.max(scale.test_ues));
+    let pool = ground_truth(
+        scale,
+        DeviceType::Phone,
+        0,
+        3000,
+        max_size.max(scale.test_ues),
+    );
 
     let mut t = Table::new(
         "Figure 6 summary: fidelity metrics vs synthesized UE population",
@@ -61,10 +67,18 @@ pub fn run_fig6(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result<(
             ("flow_length", r.flow_length_all),
             ("max_breakdown_diff", r.max_breakdown_diff),
         ] {
-            rows.push(vec![n.to_string(), metric.to_string(), format!("{value:.6}")]);
+            rows.push(vec![
+                n.to_string(),
+                metric.to_string(),
+                format!("{value:.6}"),
+            ]);
         }
     }
-    out.csv("fig6_scalability", &["population", "metric", "value"], &rows);
+    out.csv(
+        "fig6_scalability",
+        &["population", "metric", "value"],
+        &rows,
+    );
     out.table("fig6", &t.render());
     Ok(())
 }

@@ -225,7 +225,10 @@ pub fn run_table4(out: &Output, runs: &TransferRuns, hours: usize) {
         format!("{hours}-hour model from scratch"),
         minutes(runs.scratch_multi.0),
     ]);
-    t.row(&["1-hour model from scratch".into(), minutes(runs.first_hour.0)]);
+    t.row(&[
+        "1-hour model from scratch".into(),
+        minutes(runs.first_hour.0),
+    ]);
     t.row(&[
         "1-hour model from finetuning from another hour".into(),
         minutes(runs.per_hour_ft.0),
@@ -301,7 +304,13 @@ pub fn run_table10(scale: &Scale, out: &Output, runs: &TransferRuns) -> Result<(
     ];
     let mut t = Table::new(
         "Table 10: hour-3 fidelity with and without transfer learning",
-        &["metric", "NetShare w/o", "CPT-GPT w/o", "NetShare w/", "CPT-GPT w/"],
+        &[
+            "metric",
+            "NetShare w/o",
+            "CPT-GPT w/o",
+            "NetShare w/",
+            "CPT-GPT w/",
+        ],
     );
     type MetricFn = Box<dyn Fn(&FidelityReport) -> f64>;
     let metric_rows: [(&str, MetricFn); 5] = [

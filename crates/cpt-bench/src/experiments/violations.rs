@@ -24,10 +24,7 @@ pub fn run_table3(scale: &Scale, out: &Output, cache: &mut SuiteCache) -> Result
         pct(v.stream_rate(), 2),
     ]);
     for (violation, frac) in v.top(3) {
-        t.row(&[
-            format!("top violation {violation}"),
-            pct(frac, 2),
-        ]);
+        t.row(&[format!("top violation {violation}"), pct(frac, 2)]);
     }
     out.table("table3", &t.render());
     Ok(())

@@ -4,19 +4,19 @@
 
 use crate::suite::SuiteError;
 use crate::Scale;
-use cpt_gpt::{fine_tune, train, CptGpt, GenerateConfig, Tokenizer, TrainReport};
 use cpt_gpt::transfer::FineTuneConfig;
-use cpt_nn::serialize::push_store;
+use cpt_gpt::{fine_tune, train, CptGpt, GenerateConfig, Tokenizer, TrainReport};
 use cpt_metrics::{
     fidelity_from_accumulators, select_checkpoint, FidelityReport, StreamAccumulator,
     ViolationStats,
 };
 use cpt_netshare::{NetShare, NetShareTrainReport};
+use cpt_nn::serialize::push_store;
 use cpt_smm::{SemiMarkovModel, SmmEnsemble};
 use cpt_statemachine::StateMachine;
+use cpt_synth::{generate_device, SynthConfig};
 use cpt_trace::json::{ToJson, Value};
 use cpt_trace::{Cmb, CmbError, Dataset, DeviceType};
-use cpt_synth::{generate_device, SynthConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -59,7 +59,13 @@ pub const BASE_SEED: u64 = 20240704;
 
 /// Ground-truth ("real") trace for one device type and hour-of-day.
 /// `salt` distinguishes train/test/validation draws.
-pub fn ground_truth(scale: &Scale, device: DeviceType, hour: usize, salt: u64, ues: usize) -> Dataset {
+pub fn ground_truth(
+    scale: &Scale,
+    device: DeviceType,
+    hour: usize,
+    salt: u64,
+    ues: usize,
+) -> Dataset {
     let cfg = SynthConfig::new(0, BASE_SEED ^ (salt.wrapping_mul(0x9E37_79B9)))
         .starting_at(hour as f64)
         .hours(1.0);
@@ -467,8 +473,9 @@ pub fn cptgpt_time_to_converge(
     for (_, params) in &report.snapshots {
         let mut snap = model.clone();
         snap.store = params.clone();
-        let synth = snap
-            .generate(&GenerateConfig::new(scale.snapshot_eval_streams, seed + 99).device(device))?;
+        let synth = snap.generate(
+            &GenerateConfig::new(scale.snapshot_eval_streams, seed + 99).device(device),
+        )?;
         metrics.push(snapshot_metrics(&machine, &real, &synth));
     }
     let (seconds, epoch) = if metrics.is_empty() {
@@ -476,7 +483,12 @@ pub fn cptgpt_time_to_converge(
     } else {
         let chosen = select_checkpoint(&metrics, 0.2);
         let epoch = report.snapshots[chosen].0;
-        let secs: f64 = report.epochs.iter().take(epoch + 1).map(|e| e.seconds).sum();
+        let secs: f64 = report
+            .epochs
+            .iter()
+            .take(epoch + 1)
+            .map(|e| e.seconds)
+            .sum();
         // Restore the selected snapshot as the final model.
         model.store = report.snapshots[chosen].1.clone();
         (secs, epoch)
@@ -523,10 +535,7 @@ pub fn netshare_time_to_converge(
         metrics.push(snapshot_metrics(&machine, &real, &synth));
     }
     let (seconds, epoch) = if metrics.is_empty() {
-        (
-            report.total_seconds,
-            report.epochs.len().saturating_sub(1),
-        )
+        (report.total_seconds, report.epochs.len().saturating_sub(1))
     } else {
         let chosen = select_checkpoint(&metrics, 0.2);
         let epoch = report.snapshots[chosen].0;
@@ -575,7 +584,10 @@ mod tests {
         let a = ground_truth(&scale, DeviceType::Phone, 0, 1, 40);
         let b = ground_truth(&scale, DeviceType::Phone, 0, 1, 40);
         assert_eq!(a, b);
-        assert!(a.streams.iter().all(|s| s.len() >= 2 && s.len() <= scale.max_len));
+        assert!(a
+            .streams
+            .iter()
+            .all(|s| s.len() >= 2 && s.len() <= scale.max_len));
         // Different salts give different traces (train vs test).
         let c = ground_truth(&scale, DeviceType::Phone, 0, 2, 40);
         assert_ne!(a, c);

@@ -33,10 +33,10 @@
 
 #![deny(clippy::unwrap_used)]
 
+use crate::experiments::transfer::TransferRuns;
 use crate::experiments::{
     ablations, distributions, downstream, memorization, scalability, transfer, violations,
 };
-use crate::experiments::transfer::TransferRuns;
 use crate::output::Output;
 use crate::pipeline::{SuiteCache, BASE_SEED};
 use crate::Scale;
@@ -177,7 +177,11 @@ pub struct StageRecord {
     pub error: Option<String>,
 }
 
-cpt_trace::json_struct!(StageRecord { status, duration_secs, error });
+cpt_trace::json_struct!(StageRecord {
+    status,
+    duration_secs,
+    error
+});
 
 /// The on-disk record of a suite run, written atomically after every
 /// stage. `--resume` trusts `completed` entries and re-runs everything
@@ -195,7 +199,12 @@ pub struct RunManifest {
     pub stages: BTreeMap<String, StageRecord>,
 }
 
-cpt_trace::json_struct!(RunManifest { format_version, scale, base_seed, stages });
+cpt_trace::json_struct!(RunManifest {
+    format_version,
+    scale,
+    base_seed,
+    stages
+});
 
 impl RunManifest {
     /// An empty manifest for `scale`.
@@ -594,7 +603,11 @@ mod tests {
 
     #[test]
     fn expand_rejects_unknown_and_dedups() {
-        let cmds = vec!["table3".to_string(), "table3".to_string(), "fig2".to_string()];
+        let cmds = vec![
+            "table3".to_string(),
+            "table3".to_string(),
+            "fig2".to_string(),
+        ];
         let plan = expand_commands(&cmds).expect("valid");
         assert_eq!(plan, vec!["table3".to_string(), "fig2".to_string()]);
 
@@ -688,8 +701,8 @@ mod tests {
     fn config_errors_are_rejected_before_any_stage_runs() {
         let dir = Scratch::new("suite-reject");
         let cfg = SuiteConfig::new(Scale::tiny(), dir.path("results"));
-        let err = run_stages(&cfg, &["definitely-not-a-stage".to_string()])
-            .expect_err("unknown command");
+        let err =
+            run_stages(&cfg, &["definitely-not-a-stage".to_string()]).expect_err("unknown command");
         assert!(matches!(err, SuiteError::Config { .. }));
         assert!(
             !dir.path("results").join("manifest.json").exists(),

@@ -35,7 +35,14 @@ fn injected_failure_exits_8_and_resume_skips_completed_stages() {
     // Run 1: table3 completes, table11 is failed by the injected fault.
     // keep-going makes the run finish both stages.
     let out = run(&[
-        "--scale", "tiny", "--out", &dir, "--keep-going", "--inject-fail", "table11", "table3",
+        "--scale",
+        "tiny",
+        "--out",
+        &dir,
+        "--keep-going",
+        "--inject-fail",
+        "table11",
+        "table3",
         "table11",
     ]);
     assert_eq!(exit_code(&out), 8, "partial success: {}", stderr_of(&out));
@@ -45,8 +52,14 @@ fn injected_failure_exits_8_and_resume_skips_completed_stages() {
     assert_eq!(t3.status, StageStatus::Completed);
     let t11 = &m.stages["table11"];
     assert_eq!(t11.status, StageStatus::Failed);
-    let err = t11.error.as_deref().expect("failed stage records its error");
-    assert!(err.contains("injected"), "error should name the fault: {err}");
+    let err = t11
+        .error
+        .as_deref()
+        .expect("failed stage records its error");
+    assert!(
+        err.contains("injected"),
+        "error should name the fault: {err}"
+    );
 
     let table3_file = out_dir.join("table3.txt");
     let before = std::fs::read(&table3_file).expect("read table3 output");
@@ -64,14 +77,25 @@ fn injected_failure_exits_8_and_resume_skips_completed_stages() {
 
     // Run 2: resume without the fault. table3 must be skipped (not
     // recomputed), table11 must now complete on the cached models.
-    let out = run(&["--scale", "tiny", "--out", &dir, "--resume", "table3", "table11"]);
-    assert_eq!(exit_code(&out), 0, "resume should finish: {}", stderr_of(&out));
+    let out = run(&[
+        "--scale", "tiny", "--out", &dir, "--resume", "table3", "table11",
+    ]);
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "resume should finish: {}",
+        stderr_of(&out)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("[reusing cached phone suite"),
         "table11 should be served from the suite cache: {stdout}"
     );
-    assert!(stderr_of(&out).is_empty(), "no cache warning: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).is_empty(),
+        "no cache warning: {}",
+        stderr_of(&out)
+    );
 
     // What the cache served is what training serves: a fresh run's
     // table11 is byte-identical.
@@ -86,7 +110,10 @@ fn injected_failure_exits_8_and_resume_skips_completed_stages() {
     );
 
     let after = std::fs::read(&table3_file).expect("re-read table3 output");
-    assert_eq!(before, after, "skipped stage output must stay byte-identical");
+    assert_eq!(
+        before, after,
+        "skipped stage output must stay byte-identical"
+    );
 
     let m = read_manifest(&out_dir);
     assert_eq!(
@@ -119,8 +146,8 @@ fn a_failed_stage_is_recorded_once_and_never_retried() {
     let mut cfg = SuiteConfig::new(Scale::tiny(), scratch.path("results"));
     cfg.keep_going = true;
     cfg.inject_fail = Some("table3".to_string());
-    let report = run_stages(&cfg, &["table3".to_string(), "table11".to_string()])
-        .expect("supervisor runs");
+    let report =
+        run_stages(&cfg, &["table3".to_string(), "table11".to_string()]).expect("supervisor runs");
     assert_eq!(report.exit_code(), 8);
     assert_eq!(report.failed, vec!["table3".to_string()]);
     assert_eq!(report.completed, vec!["table11".to_string()]);
@@ -147,7 +174,12 @@ fn corrupt_manifest_is_moved_aside_and_the_run_recovers() {
 
     let dir = out_dir.to_string_lossy().into_owned();
     let out = run(&["--scale", "tiny", "--out", &dir, "--resume", "table3"]);
-    assert_eq!(exit_code(&out), 0, "recovery must not fail the run: {}", stderr_of(&out));
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "recovery must not fail the run: {}",
+        stderr_of(&out)
+    );
 
     assert!(
         out_dir.join("manifest.json.corrupt").exists(),
@@ -165,7 +197,11 @@ fn unknown_command_is_rejected_before_any_stage_runs() {
 
     let out = run(&["--scale", "tiny", "--out", &dir, "table3", "frobnicate"]);
     assert_eq!(exit_code(&out), 2, "usage error: {}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("frobnicate"), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("frobnicate"),
+        "{}",
+        stderr_of(&out)
+    );
     assert!(
         !out_dir.exists(),
         "validation failures must not touch the results directory"

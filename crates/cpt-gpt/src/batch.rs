@@ -41,7 +41,10 @@ pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -
     assert!(!streams.is_empty(), "empty batch");
     let d = tokenizer.token_dim();
     let truncated: Vec<Stream> = streams.iter().map(|s| s.truncated(max_len + 1)).collect();
-    let lens: Vec<usize> = truncated.iter().map(|s| s.len().saturating_sub(1)).collect();
+    let lens: Vec<usize> = truncated
+        .iter()
+        .map(|s| s.len().saturating_sub(1))
+        .collect();
     let rows: usize = lens.iter().sum();
     assert!(rows > 0, "all streams too short to form targets");
 
@@ -52,7 +55,11 @@ pub fn build_batch(tokenizer: &Tokenizer, streams: &[&Stream], max_len: usize) -
 
     for (stream, &l) in truncated.iter().zip(&lens) {
         let toks = tokenizer.encode_stream(stream);
-        debug_assert!(l >= 1, "stream of length {} cannot form targets", stream.len());
+        debug_assert!(
+            l >= 1,
+            "stream of length {} cannot form targets",
+            stream.len()
+        );
         let row = event_targets.len();
         inputs.data[row * d..(row + l) * d].copy_from_slice(&toks[..l * d]);
         for next in toks.chunks_exact(d).skip(1) {
@@ -135,7 +142,10 @@ mod tests {
         }
         // No row is padding: every input row is a token (one event one-hot).
         for r in b.inputs.data.chunks_exact(9) {
-            assert_eq!(r[..tok.num_events()].iter().filter(|x| **x == 1.0).count(), 1);
+            assert_eq!(
+                r[..tok.num_events()].iter().filter(|x| **x == 1.0).count(),
+                1
+            );
         }
     }
 

@@ -102,8 +102,16 @@ impl Default for CptGptConfig {
 
 // The form a model file's metadata carries.
 cpt_trace::json_struct!(CptGptConfig {
-    generation, d_model, n_blocks, n_heads, d_mlp, d_head, max_len, loss_weights,
-    point_iat_head, seed,
+    generation,
+    d_model,
+    n_blocks,
+    n_heads,
+    d_mlp,
+    d_head,
+    max_len,
+    loss_weights,
+    point_iat_head,
+    seed,
 });
 
 /// Divergence-watchdog policy: what the training loop does when a loss or
@@ -256,7 +264,10 @@ impl TrainConfig {
             return Err(bad("microbatch", "must be at least 1"));
         }
         if !self.lr.is_finite() || self.lr <= 0.0 {
-            return Err(bad("lr", format!("must be finite and positive, got {}", self.lr)));
+            return Err(bad(
+                "lr",
+                format!("must be finite and positive, got {}", self.lr),
+            ));
         }
         if !self.clip_norm.is_finite() || self.clip_norm <= 0.0 {
             return Err(bad(
@@ -336,13 +347,55 @@ mod tests {
     fn validate_rejects_bad_fields() {
         use crate::error::TrainError;
         let cases = [
-            ("epochs", TrainConfig { epochs: 0, ..TrainConfig::quick() }),
-            ("batch_size", TrainConfig { batch_size: 0, ..TrainConfig::quick() }),
-            ("microbatch", TrainConfig { microbatch: 0, ..TrainConfig::quick() }),
-            ("lr", TrainConfig { lr: -1.0, ..TrainConfig::quick() }),
-            ("lr", TrainConfig { lr: f32::NAN, ..TrainConfig::quick() }),
-            ("clip_norm", TrainConfig { clip_norm: 0.0, ..TrainConfig::quick() }),
-            ("snapshot_every", TrainConfig { snapshot_every: Some(0), ..TrainConfig::quick() }),
+            (
+                "epochs",
+                TrainConfig {
+                    epochs: 0,
+                    ..TrainConfig::quick()
+                },
+            ),
+            (
+                "batch_size",
+                TrainConfig {
+                    batch_size: 0,
+                    ..TrainConfig::quick()
+                },
+            ),
+            (
+                "microbatch",
+                TrainConfig {
+                    microbatch: 0,
+                    ..TrainConfig::quick()
+                },
+            ),
+            (
+                "lr",
+                TrainConfig {
+                    lr: -1.0,
+                    ..TrainConfig::quick()
+                },
+            ),
+            (
+                "lr",
+                TrainConfig {
+                    lr: f32::NAN,
+                    ..TrainConfig::quick()
+                },
+            ),
+            (
+                "clip_norm",
+                TrainConfig {
+                    clip_norm: 0.0,
+                    ..TrainConfig::quick()
+                },
+            ),
+            (
+                "snapshot_every",
+                TrainConfig {
+                    snapshot_every: Some(0),
+                    ..TrainConfig::quick()
+                },
+            ),
             (
                 "watchdog.lr_backoff",
                 TrainConfig::quick().with_watchdog(WatchdogConfig {

@@ -69,9 +69,7 @@ impl std::fmt::Display for TrainError {
             TrainError::NoTrainableStreams => {
                 write!(f, "no trainable streams (all shorter than 2 events)")
             }
-            TrainError::Diverged {
-                cause, retries, ..
-            } => write!(
+            TrainError::Diverged { cause, retries, .. } => write!(
                 f,
                 "training diverged ({cause}) and did not recover after {retries} rollback(s)"
             ),
@@ -155,7 +153,11 @@ impl std::fmt::Display for CheckpointError {
                 path.display()
             ),
             CheckpointError::Validation { path, detail } => {
-                write!(f, "checkpoint {} failed validation: {detail}", path.display())
+                write!(
+                    f,
+                    "checkpoint {} failed validation: {detail}",
+                    path.display()
+                )
             }
         }
     }
@@ -192,10 +194,9 @@ impl std::fmt::Display for GenerateError {
             GenerateError::InvalidConfig { field, message } => {
                 write!(f, "invalid generation config: {field}: {message}")
             }
-            GenerateError::UntrainedModel => write!(
-                f,
-                "model has no initial-event distribution; train it first"
-            ),
+            GenerateError::UntrainedModel => {
+                write!(f, "model has no initial-event distribution; train it first")
+            }
         }
     }
 }

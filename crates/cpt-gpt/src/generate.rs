@@ -255,7 +255,14 @@ impl CptGpt {
             .clone()
             .map(|ue| {
                 let state = spare.pop().unwrap_or_else(|| self.begin_decode(1));
-                self.open_streams(StreamParams { num_streams: ue + 1, ..params }, ue, state)
+                self.open_streams(
+                    StreamParams {
+                        num_streams: ue + 1,
+                        ..params
+                    },
+                    ue,
+                    state,
+                )
             })
             .collect::<Result<Vec<SessionDecoder>, _>>()?;
         let mut events: Vec<Vec<Event>> = vec![Vec::new(); sessions.len()];
@@ -399,11 +406,16 @@ mod tests {
     #[test]
     fn generates_requested_count_within_max_len() {
         let model = trained_model();
-        let d = model.generate(&GenerateConfig::new(10, 3)).expect("generate");
+        let d = model
+            .generate(&GenerateConfig::new(10, 3))
+            .expect("generate");
         assert_eq!(d.num_streams(), 10);
         for s in &d.streams {
             assert!(!s.is_empty() && s.len() <= 12);
-            assert!(s.events.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
+            assert!(s
+                .events
+                .windows(2)
+                .all(|w| w[0].timestamp <= w[1].timestamp));
             assert_eq!(s.device_type, DeviceType::Phone);
         }
         // UE ids unique.
@@ -427,9 +439,15 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let model = trained_model();
-        let a = model.generate(&GenerateConfig::new(5, 7)).expect("generate");
-        let b = model.generate(&GenerateConfig::new(5, 7)).expect("generate");
-        let c = model.generate(&GenerateConfig::new(5, 8)).expect("generate");
+        let a = model
+            .generate(&GenerateConfig::new(5, 7))
+            .expect("generate");
+        let b = model
+            .generate(&GenerateConfig::new(5, 7))
+            .expect("generate");
+        let c = model
+            .generate(&GenerateConfig::new(5, 8))
+            .expect("generate");
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -439,7 +457,9 @@ mod tests {
         // Trained on strict SRV/REL alternation, generated streams should
         // follow SRV_REQ → S1_CONN_REL most of the time.
         let model = trained_model();
-        let d = model.generate(&GenerateConfig::new(30, 1)).expect("generate");
+        let d = model
+            .generate(&GenerateConfig::new(30, 1))
+            .expect("generate");
         let mut follows = 0usize;
         let mut total = 0usize;
         for s in &d.streams {
@@ -465,7 +485,10 @@ mod tests {
         let d = model
             .generate(&GenerateConfig::new(3, 0).device(DeviceType::Tablet))
             .expect("generate");
-        assert!(d.streams.iter().all(|s| s.device_type == DeviceType::Tablet));
+        assert!(d
+            .streams
+            .iter()
+            .all(|s| s.device_type == DeviceType::Tablet));
     }
 
     #[test]

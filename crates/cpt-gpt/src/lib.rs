@@ -48,6 +48,7 @@ pub mod token;
 pub mod train;
 pub mod transfer;
 
+pub use batch::{build_batch, Batch};
 pub use checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointSpec, RecoveryEvent, TrainCheckpoint,
 };
@@ -64,7 +65,6 @@ pub use source::{
 };
 pub use stream::{BatchDecoder, RoundOutcome, SessionDecoder, SessionEvent, StreamParams};
 pub use token::{ScaleKind, Tokenizer, TokenizerFit};
-pub use batch::{build_batch, Batch};
 // `cpt-ledger` imports the trainer under this name.
 pub use train::train as train_source;
 pub use train::{

@@ -148,7 +148,14 @@ impl CptGpt {
             .collect();
         let ln_f = LayerNorm::new(&mut store, "ln_f", d);
         let n_events = tokenizer.num_events();
-        let head_event = MlpHead::new(&mut store, "head_event", d, config.d_head, n_events, &mut rng);
+        let head_event = MlpHead::new(
+            &mut store,
+            "head_event",
+            d,
+            config.d_head,
+            n_events,
+            &mut rng,
+        );
         let iat_out = if config.point_iat_head { 1 } else { 2 };
         let head_iat = MlpHead::new(&mut store, "head_iat", d, config.d_head, iat_out, &mut rng);
         let head_stop = MlpHead::new(&mut store, "head_stop", d, config.d_head, 2, &mut rng);
@@ -245,7 +252,11 @@ impl CptGpt {
         assert_eq!(tokens.rank(), 2, "expected [rows, token_dim]");
         let (n, dtok) = (tokens.shape[0], tokens.shape[1]);
         assert_eq!(dtok, self.tokenizer.token_dim(), "token dim");
-        assert_eq!(lens.iter().sum::<usize>(), n, "stream lengths vs token rows");
+        assert_eq!(
+            lens.iter().sum::<usize>(),
+            n,
+            "stream lengths vs token rows"
+        );
         if let Some(&t) = lens.iter().max() {
             assert!(
                 t <= self.config.max_len,
@@ -549,7 +560,11 @@ impl CptGpt {
     pub fn quantize_decode_weights(&self) -> QuantDecodeWeights {
         QuantDecodeWeights {
             input_proj: self.input_proj.quantize(&self.store),
-            blocks: self.blocks.iter().map(|b| b.quantize(&self.store)).collect(),
+            blocks: self
+                .blocks
+                .iter()
+                .map(|b| b.quantize(&self.store))
+                .collect(),
             head_event: self.head_event.quantize(&self.store),
             head_iat: self.head_iat.quantize(&self.store),
             head_stop: self.head_stop.quantize(&self.store),
@@ -621,7 +636,11 @@ impl CptGpt {
             bufs.max_batch()
         );
         let d = self.config.d_model;
-        assert_eq!(tokens.len(), n * self.tokenizer.token_dim(), "decode step token size");
+        assert_eq!(
+            tokens.len(),
+            n * self.tokenizer.token_dim(),
+            "decode step token size"
+        );
 
         let nd = n * d;
         w.input_proj
@@ -643,7 +662,13 @@ impl CptGpt {
             // event (`alloc.allocs_per_decoded_event`).
             let mut caches: Vec<&mut AttnKvCache> =
                 streams.iter_mut().map(|s| &mut row(s).caches[j]).collect();
-            W::block_decode_step(block, &self.store, &mut bufs.h[..nd], &mut caches, &mut bufs.scratch);
+            W::block_decode_step(
+                block,
+                &self.store,
+                &mut bufs.h[..nd],
+                &mut caches,
+                &mut bufs.scratch,
+            );
         }
         for s in streams.iter_mut() {
             row(s).pos += 1;
@@ -655,9 +680,30 @@ impl CptGpt {
         let feat = &bufs.feat[..nd];
         let head_h = &mut bufs.head_h[..n * g.d_head];
         let out = &mut bufs.out;
-        head_rows_into(w.head_event, &self.store, feat, n, head_h, &mut out.event_logits.data[..n * g.n_events]);
-        head_rows_into(w.head_stop, &self.store, feat, n, head_h, &mut out.stop_logits.data[..n * 2]);
-        head_rows_into(w.head_iat, &self.store, feat, n, head_h, &mut bufs.iat_raw[..n * g.iat_out]);
+        head_rows_into(
+            w.head_event,
+            &self.store,
+            feat,
+            n,
+            head_h,
+            &mut out.event_logits.data[..n * g.n_events],
+        );
+        head_rows_into(
+            w.head_stop,
+            &self.store,
+            feat,
+            n,
+            head_h,
+            &mut out.stop_logits.data[..n * 2],
+        );
+        head_rows_into(
+            w.head_iat,
+            &self.store,
+            feat,
+            n,
+            head_h,
+            &mut bufs.iat_raw[..n * g.iat_out],
+        );
         if self.config.point_iat_head {
             out.iat_mean[..n].copy_from_slice(&bufs.iat_raw[..n]);
             out.iat_log_std[..n].fill(0.0);
@@ -674,7 +720,11 @@ impl CptGpt {
 /// The one stream of a single-stream [`DecodeState`] (what
 /// [`CptGpt::decode_step_batch`] composes).
 fn single_row<'a>(state: &'a mut &mut DecodeState) -> &'a mut RowState {
-    assert_eq!(state.batch(), 1, "batch decode composes single-stream states");
+    assert_eq!(
+        state.batch(),
+        1,
+        "batch decode composes single-stream states"
+    );
     &mut state.rows[0]
 }
 
@@ -691,7 +741,10 @@ fn check_buildable(
     }
     let c = config;
     if c.d_model == 0 || c.n_heads == 0 || !c.d_model.is_multiple_of(c.n_heads) {
-        return Err(format!("d_model {} does not split into {} heads", c.d_model, c.n_heads));
+        return Err(format!(
+            "d_model {} does not split into {} heads",
+            c.d_model, c.n_heads
+        ));
     }
     // Weights every such model holds at least: the positional table, each
     // block's attention and MLP matrices, and the heads' first layers.
@@ -967,7 +1020,10 @@ mod tests {
         let step = Tensor::randn(&[n, dtok], 0.3, &mut r);
         let mut seq_rows = Vec::new();
         for (i, st) in seq_states.iter_mut().enumerate() {
-            let tokv = Tensor::new(step.data[i * dtok..(i + 1) * dtok].to_vec(), vec![1, 1, dtok]);
+            let tokv = Tensor::new(
+                step.data[i * dtok..(i + 1) * dtok].to_vec(),
+                vec![1, 1, dtok],
+            );
             let o = model.decode_step(st, &tokv);
             seq_rows.push((
                 o.event_logits.data[..e].to_vec(),
@@ -986,8 +1042,16 @@ mod tests {
                     "event logit row {i} col {c}"
                 );
             }
-            assert_eq!(mean.to_bits(), out.iat_mean[i].to_bits(), "iat mean row {i}");
-            assert_eq!(log_std.to_bits(), out.iat_log_std[i].to_bits(), "iat log_std row {i}");
+            assert_eq!(
+                mean.to_bits(),
+                out.iat_mean[i].to_bits(),
+                "iat mean row {i}"
+            );
+            assert_eq!(
+                log_std.to_bits(),
+                out.iat_log_std[i].to_bits(),
+                "iat log_std row {i}"
+            );
             for (c, s) in stop.iter().enumerate() {
                 assert_eq!(
                     s.to_bits(),
@@ -1054,7 +1118,10 @@ mod tests {
         assert_eq!(back.tokenizer, model.tokenizer);
         assert_eq!(back.config, model.config);
         let dist_bits = |m: &CptGpt| -> Vec<(EventType, u64)> {
-            m.initial_event_dist.iter().map(|(e, p)| (*e, p.to_bits())).collect()
+            m.initial_event_dist
+                .iter()
+                .map(|(e, p)| (*e, p.to_bits()))
+                .collect()
         };
         assert_eq!(dist_bits(&back), dist_bits(&model));
         let cfg = crate::generate::GenerateConfig::new(5, 3);
@@ -1112,8 +1179,15 @@ mod tests {
         // A config that cannot be built, or whose zero width would let it
         // ask for any number of blocks, is Corrupt, not a panic or an
         // allocation the file does not back.
-        let no_heads = CptGptConfig { n_heads: 0, ..model.config };
-        let no_width = CptGptConfig { d_model: 0, n_blocks: 1 << 40, ..model.config };
+        let no_heads = CptGptConfig {
+            n_heads: 0,
+            ..model.config
+        };
+        let no_width = CptGptConfig {
+            d_model: 0,
+            n_blocks: 1 << 40,
+            ..model.config
+        };
         for config in [no_heads, no_width] {
             let mut forged = model_cmb(&model);
             if let Value::Obj(fields) = &mut forged.meta {
@@ -1124,7 +1198,10 @@ mod tests {
                 }
             }
             forged.write(&path).expect("write");
-            assert!(matches!(load_model_file(&path), Err(CheckpointError::Corrupt { .. })));
+            assert!(matches!(
+                load_model_file(&path),
+                Err(CheckpointError::Corrupt { .. })
+            ));
         }
 
         // A JSON model from before the `.cmb` format is told to retrain.
@@ -1191,11 +1268,22 @@ mod tests {
             let mut sess = Session::new(&model.store);
             let out = model.forward(&mut sess, batch.inputs.clone(), &batch.lens);
             let bits = |v: Var| -> Vec<u32> {
-                sess.graph.value(v).data.iter().map(|x| x.to_bits()).collect()
+                sess.graph
+                    .value(v)
+                    .data
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
             };
             (
                 batch.lens.clone(),
-                [out.event_logits, out.iat_mean, out.iat_log_std, out.stop_logits].map(bits),
+                [
+                    out.event_logits,
+                    out.iat_mean,
+                    out.iat_log_std,
+                    out.stop_logits,
+                ]
+                .map(bits),
             )
         };
         let all: Vec<&Stream> = d.streams.iter().collect();
@@ -1206,7 +1294,11 @@ mod tests {
         for (stream, &l) in all.iter().zip(&lens) {
             let (_, alone) = heads(&[stream]);
             for ((p, a), w) in packed.iter().zip(&alone).zip(widths) {
-                assert_eq!(&p[row * w..(row + l) * w], &a[..], "stream of {l} positions");
+                assert_eq!(
+                    &p[row * w..(row + l) * w],
+                    &a[..],
+                    "stream of {l} positions"
+                );
             }
             row += l;
         }

@@ -110,7 +110,11 @@ pub struct SessionEvent {
 
 // A decoded event's JSON form (`cptgen ctl -o`).
 cpt_trace::json_struct!(SessionEvent {
-    stream, event_type, iat, timestamp, last_in_stream,
+    stream,
+    event_type,
+    iat,
+    timestamp,
+    last_in_stream,
 });
 
 /// A lazily-advanced decode session over one [`DecodeState`].
@@ -552,9 +556,24 @@ mod tests {
     #[test]
     fn session_is_deterministic_per_seed() {
         let model = trained_model();
-        let a = drain(&model, model.open_session(StreamParams::new(5).streams(2)).expect("open"));
-        let b = drain(&model, model.open_session(StreamParams::new(5).streams(2)).expect("open"));
-        let c = drain(&model, model.open_session(StreamParams::new(6).streams(2)).expect("open"));
+        let a = drain(
+            &model,
+            model
+                .open_session(StreamParams::new(5).streams(2))
+                .expect("open"),
+        );
+        let b = drain(
+            &model,
+            model
+                .open_session(StreamParams::new(5).streams(2))
+                .expect("open"),
+        );
+        let c = drain(
+            &model,
+            model
+                .open_session(StreamParams::new(6).streams(2))
+                .expect("open"),
+        );
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -562,7 +581,10 @@ mod tests {
     #[test]
     fn recycled_state_decodes_byte_identically() {
         let model = trained_model();
-        let fresh = drain(&model, model.open_session(StreamParams::new(9)).expect("open"));
+        let fresh = drain(
+            &model,
+            model.open_session(StreamParams::new(9)).expect("open"),
+        );
         // Dirty a state with a different session, then reuse it.
         let warm = model.open_session(StreamParams::new(1234)).expect("open");
         let state = drain_to_state(&model, warm);
@@ -584,7 +606,10 @@ mod tests {
         let dec = model
             .open_session_reusing(StreamParams::new(3), wrong)
             .expect("open with mismatched state");
-        let via_fresh = drain(&model, model.open_session(StreamParams::new(3)).expect("open"));
+        let via_fresh = drain(
+            &model,
+            model.open_session(StreamParams::new(3)).expect("open"),
+        );
         assert_eq!(via_fresh, drain(&model, dec));
     }
 
@@ -593,9 +618,20 @@ mod tests {
         // Same batch and max_len, different widths or depth: reusing the
         // buffers would trip a slice-length assert inside the first step.
         let model = trained_model();
-        let via_fresh = drain(&model, model.open_session(StreamParams::new(3)).expect("open"));
-        let narrower = CptGptConfig { d_model: 8, d_mlp: 16, d_head: 8, ..model.config };
-        let deeper = CptGptConfig { n_blocks: 2, ..model.config };
+        let via_fresh = drain(
+            &model,
+            model.open_session(StreamParams::new(3)).expect("open"),
+        );
+        let narrower = CptGptConfig {
+            d_model: 8,
+            d_mlp: 16,
+            d_head: 8,
+            ..model.config
+        };
+        let deeper = CptGptConfig {
+            n_blocks: 2,
+            ..model.config
+        };
         for other in [narrower, deeper] {
             let foreign = CptGpt::new(other, model.tokenizer.clone()).begin_decode(1);
             assert_eq!(foreign.max_len(), model.config.max_len);
@@ -614,7 +650,10 @@ mod tests {
         };
         assert!(matches!(
             err,
-            GenerateError::InvalidConfig { field: "num_streams", .. }
+            GenerateError::InvalidConfig {
+                field: "num_streams",
+                ..
+            }
         ));
         assert!(matches!(
             model.open_session(StreamParams::new(0).with_max_stream_len(0)),
@@ -733,8 +772,9 @@ mod tests {
     #[test]
     fn sessions_joining_mid_stream_decode_identically() {
         let model = trained_model();
-        let params: Vec<StreamParams> =
-            (0..4).map(|i| StreamParams::new(70 + i as u64).streams(2)).collect();
+        let params: Vec<StreamParams> = (0..4)
+            .map(|i| StreamParams::new(70 + i as u64).streams(2))
+            .collect();
         let sequential: Vec<Vec<SessionEvent>> = params
             .iter()
             .map(|p| drain(&model, model.open_session(*p).expect("open")))
@@ -773,8 +813,9 @@ mod tests {
     #[test]
     fn panic_in_batch_poisons_only_target_entry() {
         let model = trained_model();
-        let params: Vec<StreamParams> =
-            (0..3).map(|i| StreamParams::new(90 + i as u64).streams(2)).collect();
+        let params: Vec<StreamParams> = (0..3)
+            .map(|i| StreamParams::new(90 + i as u64).streams(2))
+            .collect();
         let sequential: Vec<Vec<SessionEvent>> = params
             .iter()
             .map(|p| drain(&model, model.open_session(*p).expect("open")))

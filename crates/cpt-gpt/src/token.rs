@@ -104,7 +104,12 @@ pub struct Tokenizer {
 }
 
 // The form a model file's metadata carries: the scaling bounds exactly.
-cpt_trace::json_struct!(Tokenizer { generation, scale, log_min, log_max });
+cpt_trace::json_struct!(Tokenizer {
+    generation,
+    scale,
+    log_min,
+    log_max
+});
 
 /// One decoded sample (the inverse of a token).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -479,7 +479,10 @@ mod tests {
             .expect_err("epochs = 0 must be rejected");
         assert!(matches!(
             err,
-            TrainError::InvalidConfig { field: "epochs", .. }
+            TrainError::InvalidConfig {
+                field: "epochs",
+                ..
+            }
         ));
     }
 

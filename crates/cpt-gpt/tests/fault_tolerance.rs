@@ -45,7 +45,10 @@ fn transient_nan_is_recovered_and_model_stays_usable() {
         .generate_with_report(&GenerateConfig::new(8, 5))
         .expect("recovered model generates");
     assert_eq!(synth.num_streams(), 8);
-    assert!(synth.interarrivals().iter().all(|x| x.is_finite() && *x >= 0.0));
+    assert!(synth
+        .interarrivals()
+        .iter()
+        .all(|x| x.is_finite() && *x >= 0.0));
     assert_eq!(counters.non_finite_logits, 0);
 }
 
@@ -88,9 +91,8 @@ fn interrupted_run_resumes_to_bit_identical_result() {
     // Interrupted run: crash (simulated) after epoch 1, then resume.
     let mut partial = fresh_model(&data);
     let faulty_cfg = clean_cfg.with_fault(FaultPlan::interrupt_after(1));
-    let partial_report =
-        train_with_checkpoints(&mut partial, &data, &faulty_cfg, Some(&ckpt))
-            .expect("interrupted run still returns a report");
+    let partial_report = train_with_checkpoints(&mut partial, &data, &faulty_cfg, Some(&ckpt))
+        .expect("interrupted run still returns a report");
     assert!(partial_report.interrupted);
     assert_eq!(partial_report.epochs.len(), 2);
 

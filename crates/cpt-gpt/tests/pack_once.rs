@@ -156,7 +156,11 @@ fn pack_decode_weights_leaves_nothing_for_the_first_step() {
     let mut b = model.begin_decode(1);
     let tokens = vec![0.25; 2 * model.tokenizer.token_dim()];
     model.decode_step_batch(&mut bstate, &mut [&mut a, &mut b], &tokens);
-    assert_eq!(model.store.packed_floats(), packed, "a decode step packed something");
+    assert_eq!(
+        model.store.packed_floats(),
+        packed,
+        "a decode step packed something"
+    );
 }
 
 #[test]

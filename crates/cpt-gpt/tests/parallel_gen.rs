@@ -37,7 +37,9 @@ fn session_oracle(cfg: &GenerateConfig) -> (Dataset, GenCounters) {
         .map(|i| Stream::new(UeId(i as u64), cfg.device_type, Vec::new()))
         .collect();
     while let Some(ev) = session.next_event(&model) {
-        streams[ev.stream].events.push(Event::new(ev.event_type, ev.timestamp));
+        streams[ev.stream]
+            .events
+            .push(Event::new(ev.event_type, ev.timestamp));
     }
     (Dataset::new(streams), *session.counters())
 }
@@ -47,7 +49,10 @@ fn bits(d: &Dataset) -> Vec<(u64, Vec<(EventType, u64)>)> {
     d.streams
         .iter()
         .map(|s| {
-            let events = s.events.iter().map(|e| (e.event_type, e.timestamp.to_bits()));
+            let events = s
+                .events
+                .iter()
+                .map(|e| (e.event_type, e.timestamp.to_bits()));
             (s.ue_id.0, events.collect())
         })
         .collect()

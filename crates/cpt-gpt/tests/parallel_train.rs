@@ -7,7 +7,7 @@
 //! checkpoint written under one thread count must resume bit-identically
 //! under another.
 
-use cpt_gpt::{CheckpointSpec, CptGpt, FaultPlan, TrainConfig, TrainReport, Tokenizer};
+use cpt_gpt::{CheckpointSpec, CptGpt, FaultPlan, Tokenizer, TrainConfig, TrainReport};
 use cpt_testkit::{alternating_dataset, tiny_config, Scratch};
 use cpt_trace::Dataset;
 use proptest::prelude::*;

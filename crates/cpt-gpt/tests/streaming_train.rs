@@ -31,11 +31,15 @@ fn tiny_config() -> CptGptConfig {
 /// and all three device types.
 fn edge_dataset() -> Dataset {
     let mut streams = Vec::new();
-    let devices = [DeviceType::Phone, DeviceType::ConnectedCar, DeviceType::Tablet];
+    let devices = [
+        DeviceType::Phone,
+        DeviceType::ConnectedCar,
+        DeviceType::Tablet,
+    ];
     for i in 0..40usize {
         let len = match i % 5 {
-            0 => 1,  // untrainable: filtered by clamp / source
-            1 => 2,  // minimal trainable stream
+            0 => 1, // untrainable: filtered by clamp / source
+            1 => 2, // minimal trainable stream
             2 => 7,
             3 => 20, // longer than max_len + 1 = 13: truncated
             _ => 13, // exactly at the truncation boundary
@@ -152,7 +156,10 @@ fn streaming_train_weights_are_bit_identical() {
         .with_seed(42);
 
     let tok = Tokenizer::fit_with(&clamped, ScaleKind::Log);
-    assert_eq!(tok, fit_tokenizer_streaming(&reader, max_len, ScaleKind::Log));
+    assert_eq!(
+        tok,
+        fit_tokenizer_streaming(&reader, max_len, ScaleKind::Log)
+    );
 
     let mut in_ram = CptGpt::new(tiny_config(), tok.clone());
     let report_ram = train(&mut in_ram, &clamped, &cfg).expect("in-RAM train");

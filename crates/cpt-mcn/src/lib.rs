@@ -23,4 +23,4 @@ pub mod report;
 pub mod sim;
 
 pub use report::McnReport;
-pub use sim::{AutoscaleConfig, McnConfig, simulate};
+pub use sim::{simulate, AutoscaleConfig, McnConfig};

@@ -109,10 +109,10 @@ pub fn simulate(trace: &Dataset, config: &McnConfig) -> McnReport {
     let mut epoch_start = arrivals[0].0;
 
     let drain = |queue: &mut VecDeque<(f64, EventType)>,
-                     free_at: &mut BinaryHeap<Reverse<u64>>,
-                     now: f64,
-                     epoch_busy: &mut f64,
-                     report: &mut McnReport| {
+                 free_at: &mut BinaryHeap<Reverse<u64>>,
+                 now: f64,
+                 epoch_busy: &mut f64,
+                 report: &mut McnReport| {
         // Start any queued job whose worker frees up not after `now`.
         while let (Some(&Reverse(fb)), false) = (free_at.peek(), queue.is_empty()) {
             let free = from_bits(fb);
@@ -141,7 +141,9 @@ pub fn simulate(trace: &Dataset, config: &McnConfig) -> McnReport {
                     .max(auto.min_workers as f64) as usize;
                 let desired = desired.clamp(auto.min_workers, auto.max_workers);
                 if desired != workers {
-                    report.scale_events.push((epoch_start + auto.epoch_seconds, desired));
+                    report
+                        .scale_events
+                        .push((epoch_start + auto.epoch_seconds, desired));
                     // Grow: add idle workers. Shrink: drop the idlest.
                     while workers < desired {
                         free_at.push(Reverse(to_bits(arrive)));
@@ -159,14 +161,26 @@ pub fn simulate(trace: &Dataset, config: &McnConfig) -> McnReport {
             }
         }
 
-        drain(&mut queue, &mut free_at, arrive, &mut epoch_busy, &mut report);
+        drain(
+            &mut queue,
+            &mut free_at,
+            arrive,
+            &mut epoch_busy,
+            &mut report,
+        );
         if queue.len() >= config.queue_capacity {
             report.dropped += 1;
             continue;
         }
         queue.push_back((arrive, event));
         report.peak_queue = report.peak_queue.max(queue.len());
-        drain(&mut queue, &mut free_at, arrive, &mut epoch_busy, &mut report);
+        drain(
+            &mut queue,
+            &mut free_at,
+            arrive,
+            &mut epoch_busy,
+            &mut report,
+        );
     }
     // Flush the tail.
     drain(
@@ -203,9 +217,7 @@ fn peak_connected(trace: &Dataset) -> usize {
         }
     }
     deltas.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("no NaN")
-            .then(a.1.cmp(&b.1)) // exits before entries at equal times
+        a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1)) // exits before entries at equal times
     });
     let mut cur = 0i64;
     let mut peak = 0i64;

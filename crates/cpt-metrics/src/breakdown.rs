@@ -13,7 +13,12 @@ pub fn breakdown_diffs(real: &Dataset, synth: &Dataset) -> BTreeMap<EventType, f
     let s = synth.event_breakdown();
     EventType::ALL
         .iter()
-        .map(|et| (*et, s.get(et).copied().unwrap_or(0.0) - r.get(et).copied().unwrap_or(0.0)))
+        .map(|et| {
+            (
+                *et,
+                s.get(et).copied().unwrap_or(0.0) - r.get(et).copied().unwrap_or(0.0),
+            )
+        })
         .collect()
 }
 
@@ -46,7 +51,12 @@ mod tests {
     fn diffs_are_signed_and_cover_all_types() {
         use EventType::*;
         let real = dataset(&[ServiceRequest, ServiceRequest, ConnectionRelease, Handover]);
-        let synth = dataset(&[ServiceRequest, ConnectionRelease, ConnectionRelease, Handover]);
+        let synth = dataset(&[
+            ServiceRequest,
+            ConnectionRelease,
+            ConnectionRelease,
+            Handover,
+        ]);
         let d = breakdown_diffs(&real, &synth);
         assert_eq!(d.len(), 6);
         assert!((d[&ServiceRequest] - (0.25 - 0.5)).abs() < 1e-12);

@@ -39,12 +39,7 @@ fn iats_match(gen: &[f64], real: &[f64], eps: f64) -> bool {
 /// Fraction of `n`-grams in `generated` that repeat (within tolerance
 /// `eps`) from `training`. Returns 0 when `generated` contains no
 /// n-grams of length `n`.
-pub fn ngram_repeat_fraction(
-    generated: &Dataset,
-    training: &Dataset,
-    n: usize,
-    eps: f64,
-) -> f64 {
+pub fn ngram_repeat_fraction(generated: &Dataset, training: &Dataset, n: usize, eps: f64) -> f64 {
     assert!(n >= 1, "n must be >= 1");
     assert!((0.0..1.0).contains(&eps), "eps must be in [0, 1)");
     // Index the training n-grams by event-type sequence.
@@ -60,7 +55,10 @@ pub fn ngram_repeat_fraction(
         for (key, gen_iats) in ngrams(s, n) {
             total += 1;
             if let Some(candidates) = index.get(&key) {
-                if candidates.iter().any(|real| iats_match(&gen_iats, real, eps)) {
+                if candidates
+                    .iter()
+                    .any(|real| iats_match(&gen_iats, real, eps))
+                {
                     repeats += 1;
                 }
             }

@@ -44,11 +44,7 @@ pub fn select_checkpoint(metrics: &[Vec<f64>], top_frac: f64) -> usize {
     let keep = ((n as f64 * top_frac).ceil() as usize).clamp(1, n);
     let mut by_sum: Vec<usize> = (0..n).collect();
     by_sum.sort_by_key(|i| rank_sums[*i]);
-    by_sum[..keep]
-        .iter()
-        .copied()
-        .min()
-        .expect("keep >= 1")
+    by_sum[..keep].iter().copied().min().expect("keep >= 1")
 }
 
 #[cfg(test)]

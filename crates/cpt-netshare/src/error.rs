@@ -8,7 +8,6 @@
 
 #![deny(clippy::unwrap_used)]
 
-
 /// Errors raised by [`crate::NetShare`] training and generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetShareError {
@@ -33,7 +32,10 @@ impl std::fmt::Display for NetShareError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetShareError::Untrained => {
-                write!(f, "NetShare model has no fitted normalizer; train it before generation")
+                write!(
+                    f,
+                    "NetShare model has no fitted normalizer; train it before generation"
+                )
             }
             NetShareError::NoTrainableStreams => {
                 write!(f, "no trainable streams (all shorter than 2 events)")

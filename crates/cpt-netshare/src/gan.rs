@@ -3,7 +3,7 @@
 
 use crate::error::NetShareError;
 use crate::norm::{StreamBounds, StreamNormalizer};
-use cpt_nn::{Adam, clip_grad_norm, Linear, Lstm, ParamId, ParamStore, Session, Tensor, Var};
+use cpt_nn::{clip_grad_norm, Adam, Linear, Lstm, ParamId, ParamStore, Session, Tensor, Var};
 use cpt_trace::json::{ToJson, Value};
 use cpt_trace::{Cmb, Dataset, DeviceType, EventType, Generation, Stream, UeId};
 use rand::rngs::StdRng;
@@ -115,8 +115,23 @@ impl NetShareConfig {
 
 // The form a model file's metadata carries.
 cpt_trace::json_struct!(NetShareConfig {
-    generation, hidden, noise_dim, batch_gen, max_len, d_hidden, seed, epochs, batch_size,
-    lr_g, lr_d, gumbel_tau, real_label, g_every, weight_clip, wasserstein, snapshot_every,
+    generation,
+    hidden,
+    noise_dim,
+    batch_gen,
+    max_len,
+    d_hidden,
+    seed,
+    epochs,
+    batch_size,
+    lr_g,
+    lr_d,
+    gumbel_tau,
+    real_label,
+    g_every,
+    weight_clip,
+    wasserstein,
+    snapshot_every,
 });
 
 impl Default for NetShareConfig {
@@ -166,7 +181,13 @@ impl NetShare {
     pub fn new(config: NetShareConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut store = ParamStore::new();
-        let g_lstm = Lstm::new(&mut store, "g.lstm", config.noise_dim, config.hidden, &mut rng);
+        let g_lstm = Lstm::new(
+            &mut store,
+            "g.lstm",
+            config.noise_dim,
+            config.hidden,
+            &mut rng,
+        );
         let g_out = Linear::new(
             &mut store,
             "g.out",
@@ -177,8 +198,21 @@ impl NetShare {
         );
         let g_params = store.ids();
         let before_d = g_params.len();
-        let d_lstm = Lstm::new(&mut store, "d.lstm", config.sample_dim(), config.d_hidden, &mut rng);
-        let d_fc1 = Linear::new(&mut store, "d.fc1", config.d_hidden, config.d_hidden, true, &mut rng);
+        let d_lstm = Lstm::new(
+            &mut store,
+            "d.lstm",
+            config.sample_dim(),
+            config.d_hidden,
+            &mut rng,
+        );
+        let d_fc1 = Linear::new(
+            &mut store,
+            "d.fc1",
+            config.d_hidden,
+            config.d_hidden,
+            true,
+            &mut rng,
+        );
         let d_fc2 = Linear::new(&mut store, "d.fc2", config.d_hidden, 1, true, &mut rng);
         let d_params = store.ids()[before_d..].to_vec();
         NetShare {
@@ -354,8 +388,12 @@ impl NetShare {
             Tensor::new(data, shape.to_vec())
         };
         GumbelNoise {
-            ev: (0..self.config.max_len).map(|_| draw(&[b, e], rng)).collect(),
-            stop: (0..self.config.max_len).map(|_| draw(&[b, 2], rng)).collect(),
+            ev: (0..self.config.max_len)
+                .map(|_| draw(&[b, e], rng))
+                .collect(),
+            stop: (0..self.config.max_len)
+                .map(|_| draw(&[b, 2], rng))
+                .collect(),
         }
     }
 
@@ -388,8 +426,7 @@ impl NetShare {
             let mut g_loss_sum = 0.0f64;
             let mut batches = 0usize;
             for (batch_idx, chunk) in order.chunks(cfg.batch_size).enumerate() {
-                let streams: Vec<&Stream> =
-                    chunk.iter().map(|i| &dataset.streams[*i]).collect();
+                let streams: Vec<&Stream> = chunk.iter().map(|i| &dataset.streams[*i]).collect();
                 let b = streams.len();
                 let real = self.encode_real(&streams);
                 let ones = vec![1.0f32; b];
@@ -400,8 +437,7 @@ impl NetShare {
                     let gumbel = self.sample_gumbel(b, &mut rng);
                     let mut sess = Session::new(&self.store);
                     let fake = self.generator_forward(&mut sess, &noise, Some(&gumbel), b);
-                    let real_vars: Vec<Var> =
-                        real.iter().map(|t| sess.input(t.clone())).collect();
+                    let real_vars: Vec<Var> = real.iter().map(|t| sess.input(t.clone())).collect();
                     let d_real = self.discriminator_forward(&mut sess, &real_vars, b);
                     let d_fake = self.discriminator_forward(&mut sess, &fake, b);
                     let loss = if cfg.wasserstein {
@@ -410,11 +446,10 @@ impl NetShare {
                         let m_fake = sess.graph.mean_all(d_fake);
                         sess.graph.weighted_sum(&[(m_fake, 1.0), (m_real, -1.0)])
                     } else {
-                        let l_real = sess
-                            .graph
-                            .bce_with_logits(d_real, &vec![cfg.real_label; b], &ones);
-                        let l_fake =
-                            sess.graph.bce_with_logits(d_fake, &vec![0.0; b], &ones);
+                        let l_real =
+                            sess.graph
+                                .bce_with_logits(d_real, &vec![cfg.real_label; b], &ones);
+                        let l_fake = sess.graph.bce_with_logits(d_fake, &vec![0.0; b], &ones);
                         sess.graph.weighted_sum(&[(l_real, 0.5), (l_fake, 0.5)])
                     };
                     d_loss_sum += sess.graph.value(loss).item() as f64;
@@ -518,10 +553,12 @@ impl NetShare {
                 for tok in &token_values {
                     let row = &tok.data[bi * d..(bi + 1) * d];
                     let ev_idx = sample_probs(&row[..e], &mut rng);
-                    events.push(
-                        EventType::from_index(ev_idx)
-                            .ok_or(NetShareError::BadEventIndex { index: ev_idx, vocab: e })?,
-                    );
+                    events.push(EventType::from_index(ev_idx).ok_or(
+                        NetShareError::BadEventIndex {
+                            index: ev_idx,
+                            vocab: e,
+                        },
+                    )?);
                     iats.push(bounds.denormalize(row[e]));
                     let stop = sample_probs(&row[e + 1..e + 3], &mut rng) == 1;
                     if stop {
@@ -613,7 +650,10 @@ mod tests {
         assert_eq!(a.num_streams(), 12);
         for s in &a.streams {
             assert!(!s.is_empty() && s.len() <= 16);
-            assert!(s.events.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
+            assert!(s
+                .events
+                .windows(2)
+                .all(|w| w[0].timestamp <= w[1].timestamp));
         }
         assert_eq!(a, m.generate(12, DeviceType::Phone, 5).expect("generate"));
         assert_ne!(a, m.generate(12, DeviceType::Phone, 6).expect("generate"));
@@ -639,7 +679,10 @@ mod tests {
         let mut zero = cmb.meta.clone();
         if let Value::Obj(f) = &mut zero {
             f[0].1 = NetShare {
-                config: NetShareConfig { batch_gen: 0, ..m.config },
+                config: NetShareConfig {
+                    batch_gen: 0,
+                    ..m.config
+                },
                 ..m.clone()
             }
             .cmb_meta();

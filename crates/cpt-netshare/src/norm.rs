@@ -6,8 +6,8 @@
 //! stream metadata; with the metadata generator dropped (§4.2.1), inference
 //! draws a pair from the empirical distribution of training pairs.
 
-use cpt_trace::stats::{log_scale, log_unscale};
 use cpt_trace::json::{FromJson, JsonError, ToJson, Value};
+use cpt_trace::stats::{log_scale, log_unscale};
 use cpt_trace::{Dataset, Stream};
 use rand::Rng;
 
@@ -43,8 +43,8 @@ impl StreamBounds {
 
     /// Normalizes an interarrival (seconds) to `[0, 1]` under these bounds.
     pub fn normalize(&self, iat: f64) -> f32 {
-        (((log_scale(iat.max(0.0)) - self.log_min) / (self.log_max - self.log_min))
-            .clamp(0.0, 1.0)) as f32
+        (((log_scale(iat.max(0.0)) - self.log_min) / (self.log_max - self.log_min)).clamp(0.0, 1.0))
+            as f32
     }
 
     /// Inverse of [`StreamBounds::normalize`].
@@ -103,7 +103,12 @@ impl StreamNormalizer {
 /// The fitted pairs as `[log_min, log_max]` arrays, bit-exact.
 impl ToJson for StreamNormalizer {
     fn to_json(&self) -> Value {
-        Value::Arr(self.bounds.iter().map(|b| (b.log_min, b.log_max).to_json()).collect())
+        Value::Arr(
+            self.bounds
+                .iter()
+                .map(|b| (b.log_min, b.log_max).to_json())
+                .collect(),
+        )
     }
 }
 

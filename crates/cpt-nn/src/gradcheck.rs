@@ -50,7 +50,11 @@ pub fn check_gradients(
     // Analytic gradients.
     let mut g = Graph::new();
     let (vars, loss) = build(&mut g, inputs);
-    assert_eq!(vars.len(), inputs.len(), "build must return one Var per input");
+    assert_eq!(
+        vars.len(),
+        inputs.len(),
+        "build must return one Var per input"
+    );
     g.backward(loss);
     let analytic: Vec<Tensor> = vars
         .iter()
@@ -330,7 +334,9 @@ mod tests {
     fn gradcheck_segmented_attention() {
         let mut r = rng(13);
         let lens = [1usize, 4, 2];
-        let inputs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[7, 3], 0.8, &mut r)).collect();
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::randn(&[7, 3], 0.8, &mut r))
+            .collect();
         let w = Tensor::randn(&[7, 3], 1.0, &mut r);
         for causal in [true, false] {
             check_gradients(

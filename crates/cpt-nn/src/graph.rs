@@ -116,7 +116,9 @@ pub struct Graph {
 
 impl Drop for Graph {
     fn drop(&mut self) {
-        let Some(arena) = self.scratch.0.take() else { return };
+        let Some(arena) = self.scratch.0.take() else {
+            return;
+        };
         // Backward closures hold `Rc` clones of parent values; drop them
         // first so node values become uniquely owned and poolable.
         for node in &mut self.nodes {
@@ -174,7 +176,12 @@ impl Graph {
         self.push_rc(Rc::new(value), parents, backward)
     }
 
-    fn push_rc(&mut self, value: Rc<Tensor>, parents: Vec<usize>, backward: Option<BackwardFn>) -> Var {
+    fn push_rc(
+        &mut self,
+        value: Rc<Tensor>,
+        parents: Vec<usize>,
+        backward: Option<BackwardFn>,
+    ) -> Var {
         self.nodes.push(Node {
             value,
             pooled: true,
@@ -486,10 +493,8 @@ impl Graph {
             out,
             parts.iter().map(|v| v.0).collect(),
             Some(Box::new(move |g: &Tensor| {
-                let mut grads: Vec<Tensor> = widths_bw
-                    .iter()
-                    .map(|w| ctx.dirty(&[rows, *w]))
-                    .collect();
+                let mut grads: Vec<Tensor> =
+                    widths_bw.iter().map(|w| ctx.dirty(&[rows, *w])).collect();
                 for r in 0..rows {
                     let mut off = 0;
                     for (gi, w) in grads.iter_mut().zip(&widths_bw) {
@@ -538,7 +543,11 @@ impl Graph {
     pub fn split_heads(&mut self, a: Var, n_heads: usize, lens: &[usize]) -> Var {
         let av = self.rc_value(a);
         let (r, d) = av.rows_cols();
-        assert_eq!(lens.iter().sum::<usize>(), r, "split_heads: stream lengths vs rows");
+        assert_eq!(
+            lens.iter().sum::<usize>(),
+            r,
+            "split_heads: stream lengths vs rows"
+        );
         assert_eq!(d % n_heads, 0, "d_model not divisible by heads");
         let hd = d / n_heads;
         let in_shape = av.shape.clone();
@@ -700,14 +709,26 @@ impl Graph {
     /// masking skips `j > i`, numerically identical to the `-1e9` additive
     /// mask since those entries underflow to exactly 0 after softmax), and
     /// only the attention probabilities are cached for backward.
-    pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32, causal: bool, lens: &[usize]) -> Var {
+    pub fn attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        scale: f32,
+        causal: bool,
+        lens: &[usize],
+    ) -> Var {
         let qv = self.rc_value(q);
         let kv = self.rc_value(k);
         let vv = self.rc_value(v);
         assert_eq!(kv.shape, qv.shape, "attention K shape");
         assert_eq!(vv.shape, qv.shape, "attention V shape");
         let (n, hd) = qv.rows_cols();
-        assert_eq!(lens.iter().sum::<usize>(), n, "attention: sequence lengths vs rows");
+        assert_eq!(
+            lens.iter().sum::<usize>(),
+            n,
+            "attention: sequence lengths vs rows"
+        );
         let seqs = Seq::cut(lens);
         let ctx = self.ctx();
 
@@ -727,7 +748,16 @@ impl Graph {
             .collect();
         work.into_par_iter().for_each(|((s, a), o)| {
             let (l, rows) = (s.len, s.rows(hd));
-            gemm_into(Op::N, &qd[rows.clone()], Op::T, &kd[rows.clone()], a, l, hd, l);
+            gemm_into(
+                Op::N,
+                &qd[rows.clone()],
+                Op::T,
+                &kd[rows.clone()],
+                a,
+                l,
+                hd,
+                l,
+            );
             let lim = |i: usize| if causal { i + 1 } else { l };
             for (i, row) in a.chunks_exact_mut(l).enumerate() {
                 let (live, masked) = row.split_at_mut(lim(i));
@@ -768,7 +798,13 @@ impl Graph {
                 let mut dk = ctx.dirty(&qv.shape);
                 let mut dv = ctx.dirty(&qv.shape);
                 let mut ds = ctx.take_dirty(scores);
-                let (qd, kd, vd, ad, gd) = (&qv.data[..], &kv.data[..], &vv.data[..], &attn_rc.data[..], &g.data[..]);
+                let (qd, kd, vd, ad, gd) = (
+                    &qv.data[..],
+                    &kv.data[..],
+                    &vv.data[..],
+                    &attn_rc.data[..],
+                    &g.data[..],
+                );
                 let work: Vec<_> = seqs
                     .iter()
                     .zip(split_by(&mut dq.data, seqs.iter().map(|s| s.len * hd)))
@@ -980,7 +1016,9 @@ impl Graph {
                 let mut dmu = ctx.dirty(&mshape);
                 let mut dls = ctx.dirty(&sshape);
                 let rows = mv.data.iter().zip(&sv.data).zip(&target);
-                for ((dm, dl), ((&mu, &ls_raw), &x)) in dmu.data.iter_mut().zip(dls.data.iter_mut()).zip(rows) {
+                for ((dm, dl), ((&mu, &ls_raw), &x)) in
+                    dmu.data.iter_mut().zip(dls.data.iter_mut()).zip(rows)
+                {
                     let ls = ls_raw.clamp(-7.0, 3.0);
                     let inv_var = expf_glibc(-2.0 * ls);
                     // d/dμ [0.5 (x-μ)² e^{-2ls}] = (μ - x) e^{-2ls}
@@ -1121,8 +1159,7 @@ fn broadcast_add(a: &Tensor, b: &Tensor, ctx: &AllocCtx) -> Tensor {
         return ctx.zip(a, b, |x, y| x + y);
     }
     assert!(
-        a.shape.len() >= b.shape.len()
-            && a.shape[a.shape.len() - b.shape.len()..] == b.shape[..],
+        a.shape.len() >= b.shape.len() && a.shape[a.shape.len() - b.shape.len()..] == b.shape[..],
         "broadcast_add: {:?} + {:?}",
         a.shape,
         b.shape
@@ -1225,7 +1262,14 @@ fn split_by(mut buf: &mut [f32], sizes: impl Iterator<Item = usize>) -> Vec<&mut
 /// Copies between rows `[R, H·hd]` — streams of `lens` rows, one after
 /// another — and [`Graph::split_heads`]' head-major blocks `[H·R, hd]`:
 /// rows into heads when `to_heads`, heads into rows otherwise.
-fn permute_heads(src: &[f32], dst: &mut [f32], lens: &[usize], h: usize, hd: usize, to_heads: bool) {
+fn permute_heads(
+    src: &[f32],
+    dst: &mut [f32],
+    lens: &[usize],
+    h: usize,
+    hd: usize,
+    to_heads: bool,
+) {
     let mut row0 = 0;
     for &l in lens {
         for ti in 0..l {
@@ -1360,8 +1404,8 @@ mod tests {
         for (i, &v) in xs.iter().enumerate() {
             let f = 0.5 * v * (1.0 + f32::tanh(C * (v + 0.044715 * v * v * v)));
             let th = f32::tanh(C * (v + 0.044715 * (v * v * v)));
-            let df = 0.5 * (1.0 + th)
-                + 0.5 * v * (1.0 - th * th) * C * (1.0 + 3.0 * 0.044715 * v * v);
+            let df =
+                0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * C * (1.0 + 3.0 * 0.044715 * v * v);
             assert_eq!(g.value(y).data[i].to_bits(), f.to_bits(), "forward at {v}");
             assert_eq!(dx[i].to_bits(), df.to_bits(), "backward at {v}");
         }
@@ -1376,7 +1420,9 @@ mod tests {
         // non-unit upstream gradient. Where libm's `tanh` is not fdlibm's
         // `tanhf`, which the tape runs, the comparison is not made.
         if !crate::tensor::tests::libm_tanh_is_fdlibm() {
-            eprintln!("tape GELU backward against libm not checked: libm's tanh is not fdlibm's tanhf");
+            eprintln!(
+                "tape GELU backward against libm not checked: libm's tanh is not fdlibm's tanhf"
+            );
             return;
         }
         const C: f32 = 0.797_884_6;
@@ -1536,7 +1582,10 @@ mod tests {
         // Stream 1 (row 2) starts after stream 0's four heads of 2 rows;
         // its head 3 is features 6..8 of that row.
         assert_eq!(g.value(s).data[2 * 8..2 * 8 + 2], x.data[2 * 8..2 * 8 + 2]);
-        assert_eq!(g.value(s).data[(8 + 3) * 2..(8 + 3) * 2 + 2], x.data[2 * 8 + 6..3 * 8]);
+        assert_eq!(
+            g.value(s).data[(8 + 3) * 2..(8 + 3) * 2 + 2],
+            x.data[2 * 8 + 6..3 * 8]
+        );
         let m = g.merge_heads(s, 4, &[2, 1, 3]);
         assert_eq!(g.value(m).shape, vec![6, 8]);
         assert_eq!(g.value(m).data, x.data);
@@ -1547,7 +1596,10 @@ mod tests {
         let mut g = Graph::new();
         let p = g.input(Tensor::new((0..12).map(|x| x as f32).collect(), vec![4, 3]));
         let s = g.gather_rows(p, &[0, 1, 0]);
-        assert_eq!(g.value(s).data, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 1.0, 2.0]);
+        assert_eq!(
+            g.value(s).data,
+            vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 1.0, 2.0]
+        );
         let loss = g.mean_all(s);
         g.backward(loss);
         let dp = g.grad(p).unwrap();
@@ -1565,7 +1617,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let (lens, hd) = ([2usize, 7, 13], 5);
         let n: usize = lens.iter().sum();
-        let inputs: Vec<Tensor> = (0..4).map(|_| Tensor::randn(&[n, hd], 0.7, &mut rng)).collect();
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|_| Tensor::randn(&[n, hd], 0.7, &mut rng))
+            .collect();
         // Rows `row..row + Σ lens` of q, k, v and a loss weight w; the loss
         // is Σ o·w, so every gradient is exact whatever the row count.
         let run = |row: usize, lens: &[usize]| -> Vec<Vec<u32>> {
@@ -1589,7 +1643,11 @@ mod tests {
         let mut row = 0;
         for &l in &lens {
             for (part, alone) in run(row, &[l]).iter().enumerate() {
-                assert_eq!(&packed[part][row * hd..(row + l) * hd], &alone[..], "stream of {l}, part {part}");
+                assert_eq!(
+                    &packed[part][row * hd..(row + l) * hd],
+                    &alone[..],
+                    "stream of {l}, part {part}"
+                );
             }
             row += l;
         }

@@ -124,9 +124,21 @@ impl ParamStore {
         let p = &self.params[id.0];
         p.panels.0.get_or_init(|| {
             let v = &p.value;
-            assert_eq!(v.rank(), 2, "{:?} is not a 2-D weight: {:?}", p.name, v.shape);
+            assert_eq!(
+                v.rank(),
+                2,
+                "{:?} is not a 2-D weight: {:?}",
+                p.name,
+                v.shape
+            );
             let (k, n) = (v.shape[0], v.shape[1]);
-            assert_eq!(v.data.len(), k * n, "{:?} data does not match {:?}", p.name, v.shape);
+            assert_eq!(
+                v.data.len(),
+                k * n,
+                "{:?} data does not match {:?}",
+                p.name,
+                v.shape
+            );
             let mut packed = Vec::new();
             crate::tensor::pack_b(&v.data, k, n, &mut packed);
             packed.into_boxed_slice()
@@ -290,7 +302,10 @@ impl Linear {
         rng: &mut impl Rng,
     ) -> Self {
         let std = (2.0 / (in_dim + out_dim) as f32).sqrt();
-        let w = store.add(format!("{name}.w"), Tensor::randn(&[in_dim, out_dim], std, rng));
+        let w = store.add(
+            format!("{name}.w"),
+            Tensor::randn(&[in_dim, out_dim], std, rng),
+        );
         let b = bias.then(|| store.add(format!("{name}.b"), Tensor::zeros(&[out_dim])));
         Linear {
             w,
@@ -409,7 +424,16 @@ impl LayerNorm {
         assert_eq!(x.len(), rows * d, "layernorm input size");
         assert_eq!(out.len(), rows * d, "layernorm output size");
         if rows > 0 && d > 0 {
-            rows_at(LayerNormRows { x, out, gamma, beta, eps: self.eps }, KernelLevel::active());
+            rows_at(
+                LayerNormRows {
+                    x,
+                    out,
+                    gamma,
+                    beta,
+                    eps: self.eps,
+                },
+                KernelLevel::active(),
+            );
         }
     }
 }
@@ -801,7 +825,13 @@ impl MultiHeadSelfAttention {
 
 /// Appends one stream's new K/V rows (`d_model` each, head-major) to its
 /// cache.
-fn scatter_kv_one_session(cache: &mut AttnKvCache, k_row: &[f32], v_row: &[f32], h: usize, hd: usize) {
+fn scatter_kv_one_session(
+    cache: &mut AttnKvCache,
+    k_row: &[f32],
+    v_row: &[f32],
+    h: usize,
+    hd: usize,
+) {
     assert_eq!(cache.h, h, "cache head count mismatch");
     assert_eq!(cache.hd, hd, "cache head width mismatch");
     assert!(cache.len < cache.max_len, "KV cache full");
@@ -836,7 +866,10 @@ unsafe fn load_lanes(p: *const f32) -> Lanes {
 /// The `(head, chunk)` units of a `heads × chunks` grid in order,
 /// [`ATTN_GROUP`] at a time, with the number of real units in the group;
 /// the slots past them repeat the last one.
-fn unit_groups(heads: usize, chunks: usize) -> impl Iterator<Item = ([(usize, usize); ATTN_GROUP], usize)> {
+fn unit_groups(
+    heads: usize,
+    chunks: usize,
+) -> impl Iterator<Item = ([(usize, usize); ATTN_GROUP], usize)> {
     let mut next = (0, 0);
     std::iter::from_fn(move || {
         if next.0 >= heads {
@@ -847,7 +880,11 @@ fn unit_groups(heads: usize, chunks: usize) -> impl Iterator<Item = ([(usize, us
         while live < ATTN_GROUP && next.0 < heads {
             group[live] = next;
             live += 1;
-            next = if next.1 + 1 < chunks { (next.0, next.1 + 1) } else { (next.0 + 1, 0) };
+            next = if next.1 + 1 < chunks {
+                (next.0, next.1 + 1)
+            } else {
+                (next.0 + 1, 0)
+            };
         }
         for g in live..ATTN_GROUP {
             group[g] = group[live - 1];
@@ -910,10 +947,16 @@ fn attend_one_session(q_row: &[f32], cache: &AttnKvCache, scores_buf: &mut [f32]
     let d = h * hd;
     const L: usize = ATTN_LANES;
     const G: usize = ATTN_GROUP;
-    assert!(n >= 1 && n <= max_len, "attention over an empty or overfull cache");
+    assert!(
+        n >= 1 && n <= max_len,
+        "attention over an empty or overfull cache"
+    );
     assert!(q_row.len() == d && ctx.len() == d, "attention row size");
     let blocks = max_len.div_ceil(L);
-    assert!(cache.k.len() >= h * blocks * hd * L && cache.v.len() >= d * max_len + L, "KV cache size");
+    assert!(
+        cache.k.len() >= h * blocks * hd * L && cache.v.len() >= d * max_len + L,
+        "KV cache size"
+    );
     let scale = 1.0 / (hd as f32).sqrt();
 
     // Scores: a unit is a head and a block of `L` of its positions.
@@ -947,7 +990,11 @@ fn attend_one_session(q_row: &[f32], cache: &AttnKvCache, scores_buf: &mut [f32]
                 // over afterwards, or past `h·n`.
                 let (hi, chunk) = group[g];
                 let at = hi * n + chunk * L;
-                let width = if at + L <= scores_buf.len() { L } else { n - chunk * L };
+                let width = if at + L <= scores_buf.len() {
+                    L
+                } else {
+                    n - chunk * L
+                };
                 for (s, a) in scores_buf[at..][..width].iter_mut().zip(&acc[g]) {
                     *s = a * scale;
                 }
@@ -1027,7 +1074,10 @@ fn attend_one_session(q_row: &[f32], cache: &AttnKvCache, scores_buf: &mut [f32]
         for g in 0..G {
             if g < live {
                 let head_end = (off[g] / hd + 1) * hd;
-                for (o, a) in ctx[off[g]..head_end.min(off[g] + L)].iter_mut().zip(&acc[g]) {
+                for (o, a) in ctx[off[g]..head_end.min(off[g] + L)]
+                    .iter_mut()
+                    .zip(&acc[g])
+                {
                     *o = *a;
                 }
             }
@@ -1141,7 +1191,15 @@ impl TransformerBlock {
     ) {
         let a = &self.attn;
         let linears = [&a.wq, &a.wk, &a.wv, &a.wo, &self.fc1, &self.fc2];
-        block_decode_step(store, [&self.ln1, &self.ln2], linears, a.n_heads, h, caches, scratch);
+        block_decode_step(
+            store,
+            [&self.ln1, &self.ln2],
+            linears,
+            a.n_heads,
+            h,
+            caches,
+            scratch,
+        );
     }
 
     /// Snapshots the block's weights as int8 per-channel quantized copies
@@ -1222,7 +1280,15 @@ impl WeightFormat for QuantLinear {
     ) {
         let a = &block.attn;
         let linears = [&a.wq, &a.wk, &a.wv, &a.wo, &block.fc1, &block.fc2];
-        block_decode_step(store, [&block.ln1, &block.ln2], linears, a.n_heads, h, caches, scratch);
+        block_decode_step(
+            store,
+            [&block.ln1, &block.ln2],
+            linears,
+            a.n_heads,
+            h,
+            caches,
+            scratch,
+        );
     }
 }
 
@@ -1273,7 +1339,13 @@ pub struct Lstm {
 
 impl Lstm {
     /// Creates an LSTM with `in_dim` inputs and `hidden` units.
-    pub fn new(store: &mut ParamStore, name: &str, in_dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(
+        store: &mut ParamStore,
+        name: &str,
+        in_dim: usize,
+        hidden: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
         Lstm {
             wx: Linear::new(store, &format!("{name}.wx"), in_dim, 4 * hidden, true, rng),
             wh: Linear::new(store, &format!("{name}.wh"), hidden, 4 * hidden, false, rng),
@@ -1548,7 +1620,8 @@ mod tests {
             sess.graph.value(y).clone()
         };
 
-        let mut caches: Vec<AttnKvCache> = (0..2).map(|_| AttnKvCache::new(1, 2, t_max, 4)).collect();
+        let mut caches: Vec<AttnKvCache> =
+            (0..2).map(|_| AttnKvCache::new(1, 2, t_max, 4)).collect();
         let mut scratch = DecodeScratch::new(2, 8, 16, t_max);
         assert!(caches[0].is_empty());
         for t in 0..t_max {
@@ -1587,10 +1660,12 @@ mod tests {
         let (d, heads, d_mlp, hd, max_len, n) = (8usize, 2usize, 16usize, 4usize, 10usize, 5usize);
         let mut store = ParamStore::new();
         let block = TransformerBlock::new(&mut store, "b", d, heads, d_mlp, &mut rng(40));
-        let mut seq_caches: Vec<AttnKvCache> =
-            (0..n).map(|_| AttnKvCache::new(1, heads, max_len, hd)).collect();
-        let mut multi_caches: Vec<AttnKvCache> =
-            (0..n).map(|_| AttnKvCache::new(1, heads, max_len, hd)).collect();
+        let mut seq_caches: Vec<AttnKvCache> = (0..n)
+            .map(|_| AttnKvCache::new(1, heads, max_len, hd))
+            .collect();
+        let mut multi_caches: Vec<AttnKvCache> = (0..n)
+            .map(|_| AttnKvCache::new(1, heads, max_len, hd))
+            .collect();
         let mut seq_scratch = DecodeScratch::new(1, d, d_mlp, max_len);
         let mut multi_scratch = DecodeScratch::new(n, d, d_mlp, max_len);
         let mut r = rng(41);
@@ -1600,7 +1675,12 @@ mod tests {
             for _ in 0..i {
                 let x = Tensor::randn(&[d], 0.5, &mut r);
                 for cache in [&mut *sc, &mut *mc] {
-                    block.decode_step_multi(&store, &mut x.data.clone(), &mut [cache], &mut seq_scratch);
+                    block.decode_step_multi(
+                        &store,
+                        &mut x.data.clone(),
+                        &mut [cache],
+                        &mut seq_scratch,
+                    );
                 }
             }
         }
@@ -1641,10 +1721,12 @@ mod tests {
         let mut store = ParamStore::new();
         let block = TransformerBlock::new(&mut store, "b", d, heads, d_mlp, &mut rng(50));
         let qblock = block.quantize(&store);
-        let mut f32_caches: Vec<AttnKvCache> =
-            (0..n).map(|_| AttnKvCache::new(1, heads, max_len, hd)).collect();
-        let mut q_caches: Vec<AttnKvCache> =
-            (0..n).map(|_| AttnKvCache::new(1, heads, max_len, hd)).collect();
+        let mut f32_caches: Vec<AttnKvCache> = (0..n)
+            .map(|_| AttnKvCache::new(1, heads, max_len, hd))
+            .collect();
+        let mut q_caches: Vec<AttnKvCache> = (0..n)
+            .map(|_| AttnKvCache::new(1, heads, max_len, hd))
+            .collect();
         let mut scratch = DecodeScratch::new(n, d, d_mlp, max_len);
         let mut r = rng(51);
         for _ in 0..max_len {
@@ -1715,7 +1797,13 @@ mod tests {
 
     /// `LayerNorm::apply_rows_into`'s row-at-a-time loop as it was before
     /// the rows were interleaved: the oracle of [`LayerNormRows`].
-    fn layernorm_one_row_at_a_time(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    fn layernorm_one_row_at_a_time(
+        x: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+    ) {
         let d = gamma.len();
         for (row, out) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
             let mean = row.iter().sum::<f32>() / d as f32;
@@ -1733,7 +1821,15 @@ mod tests {
     /// and payload are not a function of the source, not even of the
     /// oracle's; every other bit is.
     fn nan_blind_bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+        v.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
     }
 
     /// The kernels' test inputs: draws of N(0, 1), with `case` 1 setting
@@ -1768,7 +1864,10 @@ mod tests {
             let d = h * hd;
             let mut cache = AttnKvCache::new(1, h, max_len, hd);
             let junk = kernel_input(2 * max_len * d, 2, &mut r);
-            for (k_row, v_row) in junk[..max_len * d].chunks(d).zip(junk[max_len * d..].chunks(d)) {
+            for (k_row, v_row) in junk[..max_len * d]
+                .chunks(d)
+                .zip(junk[max_len * d..].chunks(d))
+            {
                 scatter_kv_one_session(&mut cache, k_row, v_row, h, hd);
             }
             for case in 0..4 {
@@ -1803,10 +1902,18 @@ mod tests {
                     );
                     let mut got = vec![f32::NAN; d];
                     let caches = [&mut cache];
-                    let attend = AttendSessions { q: &q[row], caches: &caches, scores: &mut scores, ctx: &mut got };
+                    let attend = AttendSessions {
+                        q: &q[row],
+                        caches: &caches,
+                        scores: &mut scores,
+                        ctx: &mut got,
+                    };
                     rows_at(attend, level);
                     let (got, want) = (nan_blind_bits(&got), nan_blind_bits(&want));
-                    assert_eq!(got, want, "{level:?} H={h} hd={hd} case {case} position {j}");
+                    assert_eq!(
+                        got, want,
+                        "{level:?} H={h} hd={hd} case {case} position {j}"
+                    );
                 }
             }
         }
@@ -1825,9 +1932,19 @@ mod tests {
                     let mut want = vec![0.0; rows * d];
                     layernorm_one_row_at_a_time(x, &gamma, &beta, 1e-5, &mut want);
                     let mut got = vec![f32::NAN; rows * d];
-                    let norm = LayerNormRows { x, out: &mut got, gamma: &gamma, beta: &beta, eps: 1e-5 };
+                    let norm = LayerNormRows {
+                        x,
+                        out: &mut got,
+                        gamma: &gamma,
+                        beta: &beta,
+                        eps: 1e-5,
+                    };
                     rows_at(norm, level);
-                    assert_eq!(nan_blind_bits(&got), nan_blind_bits(&want), "{level:?} d={d} case {case} rows {rows}");
+                    assert_eq!(
+                        nan_blind_bits(&got),
+                        nan_blind_bits(&want),
+                        "{level:?} d={d} case {case} rows {rows}"
+                    );
                 }
             }
         }
@@ -1844,8 +1961,10 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore)]
     fn kernel_attention_bit_identical_to_per_head_oracle_at_every_level() {
-        let shapes: Vec<(usize, usize)> =
-            [1, 2, 3, 4, 8].iter().flat_map(|&h| [1, 5, 12, 32].map(|hd| (h, hd))).collect();
+        let shapes: Vec<(usize, usize)> = [1, 2, 3, 4, 8]
+            .iter()
+            .flat_map(|&h| [1, 5, 12, 32].map(|hd| (h, hd)))
+            .collect();
         for level in KernelLevel::available() {
             check_attend_against_oracle(level, &shapes, 37);
         }
@@ -1924,7 +2043,9 @@ mod tests {
         const N_EVENTS: usize = 6;
         let levels = KernelLevel::available();
         let fma_levels = &levels[1..];
-        let Some(&lowest) = fma_levels.first() else { return };
+        let Some(&lowest) = fma_levels.first() else {
+            return;
+        };
         let mut r = rng(41);
         for (k, n) in [(128, 128), (128, 1024), (1024, 128), (128, N_EVENTS)] {
             let mut store = ParamStore::new();
@@ -1936,7 +2057,11 @@ mod tests {
                 for &level in fma_levels {
                     let mut out = vec![f32::NAN; rows * n];
                     lin.apply_rows_kernel(&store, &x.data[..rows * k], rows, &mut out, level);
-                    assert_eq!(bits(&out), bits(&all[..rows * n]), "{level:?} {rows}x{k}x{n}");
+                    assert_eq!(
+                        bits(&out),
+                        bits(&all[..rows * n]),
+                        "{level:?} {rows}x{k}x{n}"
+                    );
                 }
             }
         }
@@ -1949,8 +2074,17 @@ mod tests {
         // serial cached-panel call: no rayon entry point, and no
         // `matmul_into` (which packs per call and forks above a threshold).
         let src = include_str!("layers.rs");
-        let code = src.split("#[cfg(test)]").next().expect("split yields a first piece");
-        for needle in ["rayon::", "par_chunks", "par_iter", "matmul_into(", "pack_b("] {
+        let code = src
+            .split("#[cfg(test)]")
+            .next()
+            .expect("split yields a first piece");
+        for needle in [
+            "rayon::",
+            "par_chunks",
+            "par_iter",
+            "matmul_into(",
+            "pack_b(",
+        ] {
             let allowed = usize::from(needle == "pack_b(");
             assert_eq!(
                 code.matches(needle).count(),
@@ -1979,7 +2113,10 @@ mod tests {
         // A raw write through value_mut is seen by the next apply.
         store.value_mut(lin.w).data[0] += 1.0;
         assert_eq!(store.packed_floats(), 0, "value_mut drops the panels");
-        assert_eq!(bits(&lin.apply(&store, &x).data), bits(&lin.apply(&copy, &x).data));
+        assert_eq!(
+            bits(&lin.apply(&store, &x).data),
+            bits(&lin.apply(&copy, &x).data)
+        );
     }
 
     /// A training loop's arena stays at one tape's working set. Every
@@ -2013,19 +2150,26 @@ mod tests {
             let nll = sess.graph.gaussian_nll(mean, log_std, &vec![0.5; 2 * t]);
             // NetShare's LSTM, over a fixed number of steps: the tape's node
             // count is the same every shard, its shapes are not.
-            let xs: Vec<Var> = (0..3).map(|_| sess.input(Tensor::randn(&[2, 4], 1.0, &mut r))).collect();
+            let xs: Vec<Var> = (0..3)
+                .map(|_| sess.input(Tensor::randn(&[2, 4], 1.0, &mut r)))
+                .collect();
             let hs = lstm.forward_seq(&mut sess, &xs, 2);
             let last = hs[2];
             let sq = sess.graph.mul(last, last);
             let mse = sess.graph.mean_all(sq);
-            let loss = sess.graph.weighted_sum(&[(ce, 1.0), (nll, 0.5), (mse, 0.25)]);
+            let loss = sess
+                .graph
+                .weighted_sum(&[(ce, 1.0), (nll, 0.5), (mse, 0.25)]);
             sess.backward(loss);
             assert!(sess.graph.value(loss).item().is_finite());
             drop(sess);
             pooled.push(arena.pooled());
         }
         assert!(pooled[2] > 0, "the graph pools its buffers");
-        assert_eq!(pooled[49], pooled[2], "the pool grew after shard 3: {pooled:?}");
+        assert_eq!(
+            pooled[49], pooled[2],
+            "the pool grew after shard 3: {pooled:?}"
+        );
     }
 
     #[test]

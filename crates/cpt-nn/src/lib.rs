@@ -44,12 +44,12 @@ pub mod serialize;
 pub mod tensor;
 
 pub use graph::{Graph, Var};
-pub use reduce::{scale_grads, tree_reduce_grads, GradSet};
-pub use scratch::ScratchArena;
 pub use layers::{
-    AttnKvCache, AttnScratch, DecodeScratch, Linear, LayerNorm, Lstm,
-    MultiHeadSelfAttention, ParamId, ParamStore, QuantAttention, QuantBlock, QuantLinear,
-    Session, TransformerBlock, WeightFormat,
+    AttnKvCache, AttnScratch, DecodeScratch, LayerNorm, Linear, Lstm, MultiHeadSelfAttention,
+    ParamId, ParamStore, QuantAttention, QuantBlock, QuantLinear, Session, TransformerBlock,
+    WeightFormat,
 };
 pub use optim::{clip_grad_norm, Adam, LrSchedule};
+pub use reduce::{scale_grads, tree_reduce_grads, GradSet};
+pub use scratch::ScratchArena;
 pub use tensor::{expf_glibc, gelu_rows, kernel_level, matmul_quant_into, QuantizedMatrix, Tensor};

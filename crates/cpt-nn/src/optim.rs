@@ -74,7 +74,11 @@ impl Adam {
     pub fn restore(&mut self, steps: u64, m: Vec<Tensor>, v: Vec<Tensor>) -> Result<(), String> {
         for (name, old, new) in [("m", &self.m, &m), ("v", &self.v, &v)] {
             if old.len() != new.len() {
-                return Err(format!("{} {name} moments for {} parameters", new.len(), old.len()));
+                return Err(format!(
+                    "{} {name} moments for {} parameters",
+                    new.len(),
+                    old.len()
+                ));
             }
             for (i, (a, b)) in old.iter().zip(new).enumerate() {
                 if a.shape != b.shape || b.data.len() != a.data.len() {
@@ -148,12 +152,23 @@ impl AdamStep {
     /// same operations in the same order for every element, over zipped
     /// slices with no bounds checks, so the loop vectorizes. `DECAY` is
     /// `weight_decay > 0`, decided once per tensor.
-    fn apply<const DECAY: bool>(&self, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+    fn apply<const DECAY: bool>(
+        &self,
+        value: &mut [f32],
+        grad: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
         assert!(
             grad.len() == value.len() && m.len() == value.len() && v.len() == value.len(),
             "Adam: value, gradient and moments differ in length"
         );
-        for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
+        for (((x, &g), m), v) in value
+            .iter_mut()
+            .zip(grad)
+            .zip(m.iter_mut())
+            .zip(v.iter_mut())
+        {
             *m = self.beta1 * *m + (1.0 - self.beta1) * g;
             *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
             let mhat = *m / self.bc1;
@@ -221,8 +236,7 @@ impl LrSchedule {
                 } else {
                     let span = (total_steps - warmup_steps).max(1) as f32;
                     let progress = (step - warmup_steps) as f32 / span;
-                    floor
-                        + 0.5 * (peak - floor) * (1.0 + (std::f32::consts::PI * progress).cos())
+                    floor + 0.5 * (peak - floor) * (1.0 + (std::f32::consts::PI * progress).cos())
                 }
             }
         }
@@ -316,10 +330,7 @@ mod tests {
         let b = store.add("d.w", Tensor::new(vec![1.0], vec![1]));
         let mut adam = Adam::new(&store, 0.1);
         // Gradients on both, but step only the "generator" parameter.
-        store.accumulate_grads(&[
-            (a, Tensor::ones(&[1])),
-            (b, Tensor::ones(&[1])),
-        ]);
+        store.accumulate_grads(&[(a, Tensor::ones(&[1])), (b, Tensor::ones(&[1]))]);
         adam.step_subset(&mut store, &[a]);
         assert!(store.value(a).data[0] < 1.0, "a should move");
         assert_eq!(store.value(b).data[0], 1.0, "b must not move");
@@ -332,7 +343,14 @@ mod tests {
 
     /// The per-element update as a scalar loop over indices, kept to pin
     /// the vector loop's bits.
-    fn reference_step(adam: &Adam, t: u64, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+    fn reference_step(
+        adam: &Adam,
+        t: u64,
+        value: &mut [f32],
+        grad: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
         let bc1 = 1.0 - adam.beta1.powi(t as i32);
         let bc2 = 1.0 - adam.beta2.powi(t as i32);
         for i in 0..value.len() {

@@ -97,7 +97,9 @@ mod tests {
     #[test]
     fn reduces_like_fixed_order_sum() {
         // 5 shards (odd count exercises the pass-through tail).
-        let shards: Vec<GradSet> = (0..5).map(|s| shard(&[s as f32, 10.0 + s as f32])).collect();
+        let shards: Vec<GradSet> = (0..5)
+            .map(|s| shard(&[s as f32, 10.0 + s as f32]))
+            .collect();
         let out = tree_reduce_grads(shards);
         assert_eq!(out.len(), 2);
         // ((0+1)+(2+3))+4 = 10 for param 0; ((10+11)+(12+13))+14 = 60 for 1.

@@ -26,7 +26,11 @@ use std::rc::Rc;
 /// What [`ScratchArena::take_dirty`] puts in elements no earlier use of the
 /// buffer wrote: NaN in debug builds (where every element is this), so a
 /// missed write shows in tests, and 0.0 in release builds.
-pub(crate) const UNWRITTEN: f32 = if cfg!(debug_assertions) { f32::NAN } else { 0.0 };
+pub(crate) const UNWRITTEN: f32 = if cfg!(debug_assertions) {
+    f32::NAN
+} else {
+    0.0
+};
 
 /// Upper bound on pooled buffers; beyond this, returned buffers are freed.
 /// A pool holds one tape's working set: 165 buffers per pool thread for the
@@ -90,7 +94,9 @@ impl ScratchArena {
         let mut pool = self.pool.borrow_mut();
         let fit = pool.partition_point(|b| b.capacity() < len);
         let above = pool.get(fit).map(|b| b.capacity() <= len.saturating_mul(2));
-        let below = fit.checked_sub(1).map(|i| pool[i].capacity().saturating_mul(2) >= len);
+        let below = fit
+            .checked_sub(1)
+            .map(|i| pool[i].capacity().saturating_mul(2) >= len);
         match (above, below) {
             (Some(true), _) | (Some(false), Some(false) | None) => pool.remove(fit),
             (_, Some(_)) => pool.remove(fit - 1),
@@ -227,14 +233,19 @@ mod tests {
         let mut largest = 0;
         for tape in 0..200usize {
             let rows = 64 + (tape * 37) % 193;
-            let sizes: Vec<usize> = (0..12).map(|i| rows * if i % 3 == 0 { 192 } else { 48 }).collect();
+            let sizes: Vec<usize> = (0..12)
+                .map(|i| rows * if i % 3 == 0 { 192 } else { 48 })
+                .collect();
             largest = largest.max(sizes.iter().sum::<usize>());
             let bufs: Vec<Vec<f32>> = sizes.iter().map(|&n| arena.take_dirty(n)).collect();
             bufs.into_iter().for_each(|b| arena.give(b));
         }
         let pooled: usize = arena.pool.borrow().iter().map(Vec::capacity).sum();
         assert_eq!(arena.pooled(), 12);
-        assert!(pooled <= largest + largest / 4, "pool {pooled} floats, largest tape {largest}");
+        assert!(
+            pooled <= largest + largest / 4,
+            "pool {pooled} floats, largest tape {largest}"
+        );
     }
 
     #[test]

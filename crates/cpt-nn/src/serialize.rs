@@ -106,7 +106,10 @@ pub fn load_weights_into(
     source: &ParamStore,
 ) -> Result<(), CheckpointError> {
     let named = source.params.iter();
-    load_named(target, named.map(|p| (&*p.name, &*p.value.shape, &*p.value.data)))
+    load_named(
+        target,
+        named.map(|p| (&*p.name, &*p.value.shape, &*p.value.data)),
+    )
 }
 
 /// Copies the tensors of `cmb` named `prefix` + parameter name into
@@ -204,7 +207,12 @@ mod tests {
         let doubled: Vec<Tensor> = store()
             .params
             .iter()
-            .map(|p| Tensor::new(p.value.data.iter().map(|x| 2.0 * x).collect(), p.value.shape.clone()))
+            .map(|p| {
+                Tensor::new(
+                    p.value.data.iter().map(|x| 2.0 * x).collect(),
+                    p.value.shape.clone(),
+                )
+            })
             .collect();
         push_per_param(&mut cmb, "x2/", &store(), &doubled);
         let cmb = Cmb::from_bytes(&cmb.to_bytes()).unwrap();
@@ -251,16 +259,28 @@ mod tests {
     fn store_checksum_is_stable_and_sensitive() {
         let s = store();
         let a = store_checksum(&s);
-        assert_eq!(a, store_checksum(&store()), "checksum must be deterministic");
+        assert_eq!(
+            a,
+            store_checksum(&store()),
+            "checksum must be deterministic"
+        );
         let mut flipped = store();
         let id = flipped.ids()[0];
         let bits = flipped.value(id).data[2].to_bits() ^ 1;
         flipped.value_mut(id).data[2] = f32::from_bits(bits);
-        assert_ne!(a, store_checksum(&flipped), "single-bit flip must change checksum");
+        assert_ne!(
+            a,
+            store_checksum(&flipped),
+            "single-bit flip must change checksum"
+        );
         let mut truncated = store();
         let id = truncated.ids()[0];
         truncated.value_mut(id).data.pop();
-        assert_ne!(a, store_checksum(&truncated), "truncation must change checksum");
+        assert_ne!(
+            a,
+            store_checksum(&truncated),
+            "truncation must change checksum"
+        );
     }
 
     #[test]
@@ -268,7 +288,10 @@ mod tests {
         let mut s = store();
         let id = s.ids()[0];
         s.value_mut(id).data[1] = f32::NAN;
-        assert!(matches!(validate_store(&s), Err(CheckpointError::Invalid(_))));
+        assert!(matches!(
+            validate_store(&s),
+            Err(CheckpointError::Invalid(_))
+        ));
         let mut target = ParamStore::new();
         target.add("layer.w", Tensor::zeros(&[2, 2]));
         target.add("layer.b", Tensor::zeros(&[2]));
@@ -284,7 +307,10 @@ mod tests {
         let id = s.ids()[0];
         // Truncate the data behind the shape's back, as a torn write would.
         s.value_mut(id).data.pop();
-        assert!(matches!(validate_store(&s), Err(CheckpointError::Invalid(_))));
+        assert!(matches!(
+            validate_store(&s),
+            Err(CheckpointError::Invalid(_))
+        ));
     }
 
     #[test]

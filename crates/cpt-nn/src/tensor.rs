@@ -175,11 +175,25 @@ impl Tensor {
     /// Uses the cache-blocked, B-packed kernel; parallelized over row
     /// blocks with rayon when large enough.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul lhs must be 2-D, got {:?}", self.shape);
-        assert_eq!(other.rank(), 2, "matmul rhs must be 2-D, got {:?}", other.shape);
+        assert_eq!(
+            self.rank(),
+            2,
+            "matmul lhs must be 2-D, got {:?}",
+            self.shape
+        );
+        assert_eq!(
+            other.rank(),
+            2,
+            "matmul rhs must be 2-D, got {:?}",
+            other.shape
+        );
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dims: {:?} x {:?}", self.shape, other.shape);
+        assert_eq!(
+            k, k2,
+            "matmul inner dims: {:?} x {:?}",
+            self.shape, other.shape
+        );
         let mut out = vec![0.0f32; m * n];
         matmul_into(&self.data, &other.data, &mut out, m, k, n);
         Tensor {
@@ -229,7 +243,11 @@ impl Tensor {
         assert_eq!(out.len(), b * m * n, "bmm_into output size");
         let level = KernelLevel::active();
         out.par_chunks_mut(m * n)
-            .zip(self.data.par_chunks(m * k).zip(other.data.par_chunks(k * n)))
+            .zip(
+                self.data
+                    .par_chunks(m * k)
+                    .zip(other.data.par_chunks(k * n)),
+            )
             .for_each(|(o, (a, bm))| {
                 let mut packed = take_pack_buf();
                 match tb {
@@ -518,7 +536,10 @@ mod x86 {
         }
         #[inline(always)]
         unsafe fn mul_acc(a: Self, b: Self, acc: Self) -> Self {
-            Ymm2(_mm256_fmadd_ps(a.0, b.0, acc.0), _mm256_fmadd_ps(a.1, b.1, acc.1))
+            Ymm2(
+                _mm256_fmadd_ps(a.0, b.0, acc.0),
+                _mm256_fmadd_ps(a.1, b.1, acc.1),
+            )
         }
         #[inline(always)]
         unsafe fn store(self, p: *mut f32, w: usize) {
@@ -634,7 +655,11 @@ unsafe fn tile<V: PanelRow, const M: usize, const P: usize, const TA: bool>(
 /// # Safety
 /// As [`tile`], with `1 <= live <= M` and `r + live <= g.rows`.
 #[inline(always)]
-unsafe fn band<V: PanelRow, const M: usize, const PMAX: usize, const TA: bool>(g: &Gemm, r: usize, live: usize) {
+unsafe fn band<V: PanelRow, const M: usize, const PMAX: usize, const TA: bool>(
+    g: &Gemm,
+    r: usize,
+    live: usize,
+) {
     let panels = g.n.div_ceil(NR);
     let mut p = 0;
     if PMAX >= 8 {
@@ -769,22 +794,38 @@ fn gemm_rows<const TA: bool>(
     level: KernelLevel,
 ) {
     let size = |x: usize, y: usize| x.checked_mul(y).expect("matmul_rows: size overflows usize");
-    let a_rows = i0.checked_add(rows).expect("matmul_rows: size overflows usize");
+    let a_rows = i0
+        .checked_add(rows)
+        .expect("matmul_rows: size overflows usize");
     if TA {
         assert!(lda >= a_rows, "matmul_rows: lhsᵀ narrower than i0 + rows");
         if k > 0 && rows > 0 {
-            let last = size(k - 1, lda).checked_add(a_rows).expect("matmul_rows: size overflows usize");
-            assert!(a.len() >= last, "matmul_rows: lhsᵀ shorter than (k - 1) * lda + i0 + rows");
+            let last = size(k - 1, lda)
+                .checked_add(a_rows)
+                .expect("matmul_rows: size overflows usize");
+            assert!(
+                a.len() >= last,
+                "matmul_rows: lhsᵀ shorter than (k - 1) * lda + i0 + rows"
+            );
         }
     } else {
-        assert!(a.len() >= size(a_rows, k), "matmul_rows: lhs shorter than (i0 + rows) * k");
+        assert!(
+            a.len() >= size(a_rows, k),
+            "matmul_rows: lhs shorter than (i0 + rows) * k"
+        );
     }
-    assert!(out.len() >= size(rows, n), "matmul_rows: out shorter than rows * n");
+    assert!(
+        out.len() >= size(rows, n),
+        "matmul_rows: out shorter than rows * n"
+    );
     assert!(
         packed.len() >= size(n.div_ceil(NR), size(k, NR)),
         "matmul_rows: fewer panels than ceil(n / NR) * k * NR"
     );
-    assert!(level <= KernelLevel::active(), "matmul_rows: {level:?} is not available on this CPU");
+    assert!(
+        level <= KernelLevel::active(),
+        "matmul_rows: {level:?} is not available on this CPU"
+    );
     if TA && (rows == 0 || k == 0) {
         // No element of A is read: no rows, or every output is the empty
         // sum (and `i0` may lie past an empty `a`).
@@ -850,7 +891,16 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 /// `G·Wᵀ`, `xᵀ·G` and friends, bit-identical to transposing and calling
 /// [`matmul_into`], with the same row split.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_into(ta: Op, a: &[f32], tb: Op, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_into(
+    ta: Op,
+    a: &[f32],
+    tb: Op,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let level = KernelLevel::active();
     let mut packed = take_pack_buf();
     match tb {
@@ -1094,9 +1144,17 @@ fn expm1_fdlibm(u: f32) -> f32 {
     // stays NaN, and its k is garbage that is discarded too). Unlike a
     // saturating `as i32` it vectorizes, and adding 1.5·2²³ turns the
     // integral t into k exactly.
-    let t = (INVLN2 * u + if neg { -0.5 } else { 0.5 }).clamp(-200.0, 200.0).trunc();
+    let t = (INVLN2 * u + if neg { -0.5 } else { 0.5 })
+        .clamp(-200.0, 200.0)
+        .trunc();
     let band = if neg { -1.0 } else { 1.0 };
-    let t = if hu <= 0x3eb1_7218 { 0.0 } else if hu < 0x3f85_1592 { band } else { t };
+    let t = if hu <= 0x3eb1_7218 {
+        0.0
+    } else if hu < 0x3f85_1592 {
+        band
+    } else {
+        t
+    };
     let k = (t + 12_582_912.0).to_bits() as i32 - 0x4b40_0000;
     let hi = u - t * LN2_HI;
     let lo = t * LN2_LO;
@@ -1166,14 +1224,38 @@ fn tanh_fdlibm_call(x: f32) -> f32 {
 /// `i << 47`, so that adding `k << 47` to entry `k mod 32` gives the bits of
 /// 2^(k/32) for any integer `k` whose result is normal.
 const EXP2F_TAB: [u64; 32] = [
-    0x3ff0_0000_0000_0000, 0x3fef_d9b0_d315_8574, 0x3fef_b558_6cf9_890f, 0x3fef_9301_d012_5b51,
-    0x3fef_72b8_3c7d_517b, 0x3fef_5487_3168_b9aa, 0x3fef_387a_6e75_6238, 0x3fef_1e9d_f51f_dee1,
-    0x3fef_06fe_0a31_b715, 0x3fee_f1a7_373a_a9cb, 0x3fee_dea6_4c12_3422, 0x3fee_ce08_6061_892d,
-    0x3fee_bfda_d536_2a27, 0x3fee_b42b_569d_4f82, 0x3fee_ab07_dd48_5429, 0x3fee_a47e_b03a_5585,
-    0x3fee_a09e_667f_3bcd, 0x3fee_9f75_e8ec_5f74, 0x3fee_a114_73eb_0187, 0x3fee_a589_994c_ce13,
-    0x3fee_ace5_422a_a0db, 0x3fee_b737_b0cd_c5e5, 0x3fee_c491_82a3_f090, 0x3fee_d503_b23e_255d,
-    0x3fee_e89f_995a_d3ad, 0x3fee_ff76_f2fb_5e47, 0x3fef_199b_dd85_529c, 0x3fef_3720_dcef_9069,
-    0x3fef_5818_dcfb_a487, 0x3fef_7c97_337b_9b5f, 0x3fef_a4af_a2a4_90da, 0x3fef_d076_5b6e_4540,
+    0x3ff0_0000_0000_0000,
+    0x3fef_d9b0_d315_8574,
+    0x3fef_b558_6cf9_890f,
+    0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b,
+    0x3fef_5487_3168_b9aa,
+    0x3fef_387a_6e75_6238,
+    0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715,
+    0x3fee_f1a7_373a_a9cb,
+    0x3fee_dea6_4c12_3422,
+    0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27,
+    0x3fee_b42b_569d_4f82,
+    0x3fee_ab07_dd48_5429,
+    0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd,
+    0x3fee_9f75_e8ec_5f74,
+    0x3fee_a114_73eb_0187,
+    0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db,
+    0x3fee_b737_b0cd_c5e5,
+    0x3fee_c491_82a3_f090,
+    0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad,
+    0x3fee_ff76_f2fb_5e47,
+    0x3fef_199b_dd85_529c,
+    0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487,
+    0x3fef_7c97_337b_9b5f,
+    0x3fef_a4af_a2a4_90da,
+    0x3fef_d076_5b6e_4540,
 ];
 
 /// glibc's `expf` (`sysdeps/ieee754/flt-32/e_expf.c`, since 2.27) as its
@@ -1272,7 +1354,10 @@ unsafe fn rows_avx512(l: impl RowLoop) {
 
 /// Runs `l` compiled at `level`.
 pub(crate) fn rows_at(l: impl RowLoop, level: KernelLevel) {
-    assert!(level <= KernelLevel::active(), "row kernel: {level:?} is not available on this CPU");
+    assert!(
+        level <= KernelLevel::active(),
+        "row kernel: {level:?} is not available on this CPU"
+    );
     match level {
         KernelLevel::Portable => l.run(),
         #[cfg(target_arch = "x86_64")]
@@ -1389,7 +1474,10 @@ pub(crate) fn exp_rows(xs: &mut [f32]) {
 /// The tape's GELU forward: `th = tanh(gelu_f_arg(x))`, kept for the
 /// backward, and `out = 0.5·x·(1 + th)`, with fdlibm's `tanhf` bits.
 pub(crate) fn gelu_tape_rows(xs: &[f32], th: &mut [f32], out: &mut [f32]) {
-    assert!(th.len() == xs.len() && out.len() == xs.len(), "gelu_tape_rows: length mismatch");
+    assert!(
+        th.len() == xs.len() && out.len() == xs.len(),
+        "gelu_tape_rows: length mismatch"
+    );
     rows_at(GeluTapeRows { xs, th, out }, KernelLevel::active())
 }
 
@@ -1404,7 +1492,15 @@ pub(crate) fn gelu_tape_grad_rows(xs: &[f32], th: &[f32], go: &[f32], dx: &mut [
         th.len() == xs.len() && go.len() == xs.len() && dx.len() == xs.len(),
         "gelu_tape_grad_rows: length mismatch"
     );
-    rows_at(GeluTapeGradRows { xs, th, go, dx: &mut *dx }, KernelLevel::active());
+    rows_at(
+        GeluTapeGradRows {
+            xs,
+            th,
+            go,
+            dx: &mut *dx,
+        },
+        KernelLevel::active(),
+    );
     for ((d, &g), &x) in dx.iter_mut().zip(go).zip(xs) {
         let arg = gelu_df_arg(x);
         if arg.to_bits() != gelu_f_arg(x).to_bits() {
@@ -1493,12 +1589,24 @@ pub(crate) mod tests {
         let mut packed = Vec::new();
         pack_b(&b.data, k, n, &mut packed);
         let mut serial = vec![0.0; m * n];
-        matmul_rows(&a.data, &packed, &mut serial, 0, m, k, n, KernelLevel::active());
+        matmul_rows(
+            &a.data,
+            &packed,
+            &mut serial,
+            0,
+            m,
+            k,
+            n,
+            KernelLevel::active(),
+        );
         // The same product with A, then B, read transposed: the row split
         // then cuts the columns of the stored Aᵀ.
         let (at, bt) = (a.t2(), b.t2());
         for threads in [1usize, 8] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
             let big = pool.install(|| a.matmul(&b));
             assert_eq!(bits(&big.data), bits(&serial), "{threads} threads");
             for (ta, a, tb, b) in [(Op::T, &at, Op::N, &b), (Op::N, &a, Op::T, &bt)] {
@@ -1524,13 +1632,24 @@ pub(crate) mod tests {
         write(&mut out[PAD..]);
         let written = PAD..PAD + len;
         for (i, v) in out.iter().enumerate() {
-            assert!(written.contains(&i) || v.to_bits() == CANARY, "{what}: wrote out[{i}]");
+            assert!(
+                written.contains(&i) || v.to_bits() == CANARY,
+                "{what}: wrote out[{i}]"
+            );
         }
         out[written].to_vec()
     }
 
     /// `matmul_rows` at `level` into a canaried `out`.
-    fn run_rows(level: KernelLevel, a: &[f32], packed: &[f32], i0: usize, rows: usize, k: usize, n: usize) -> Vec<f32> {
+    fn run_rows(
+        level: KernelLevel,
+        a: &[f32],
+        packed: &[f32],
+        i0: usize,
+        rows: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
         canaried(&format!("{level:?} {rows}x{k}x{n}"), rows * n, |out| {
             matmul_rows(a, packed, out, i0, rows, k, n, level)
         })
@@ -1548,9 +1667,11 @@ pub(crate) mod tests {
         k: usize,
         n: usize,
     ) -> Vec<f32> {
-        canaried(&format!("{level:?} {rows}x{k}x{n}, lhsᵀ"), rows * n, |out| {
-            matmul_rows_t(at, lda, packed, out, i0, rows, k, n, level)
-        })
+        canaried(
+            &format!("{level:?} {rows}x{k}x{n}, lhsᵀ"),
+            rows * n,
+            |out| matmul_rows_t(at, lda, packed, out, i0, rows, k, n, level),
+        )
     }
 
     /// `t`'s `[c, r]` transpose, for `t` row-major `[r, c]`.
@@ -1571,7 +1692,13 @@ pub(crate) mod tests {
     /// 1), so the kernels see no alignment beyond `f32`'s. `edge` adds
     /// subnormal entries (finite), then one NaN, +∞ and −∞ to A rows 1..=3
     /// and an ∞ and a NaN to B's first and last column.
-    fn operands(rows_max: usize, k: usize, n: usize, edge: bool, rng: &mut StdRng) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    fn operands(
+        rows_max: usize,
+        k: usize,
+        n: usize,
+        edge: bool,
+        rng: &mut StdRng,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let mut a = Tensor::randn(&[1 + rows_max * k], 1.0, rng).data;
         let mut b = Tensor::randn(&[k, n], 1.0, rng).data;
         if edge {
@@ -1646,7 +1773,13 @@ pub(crate) mod tests {
     /// (`cargo miri test -p cpt-nn tensor::tests::kernel_`).
     #[test]
     fn kernel_portable_zero_ulp_vs_reference_and_in_bounds() {
-        assert_level_reproduces(KernelLevel::Portable, reference_rows(9), 9, &[1, 5], &[1, 15, 16, 17, 33, 130]);
+        assert_level_reproduces(
+            KernelLevel::Portable,
+            reference_rows(9),
+            9,
+            &[1, 5],
+            &[1, 15, 16, 17, 33, 130],
+        );
     }
 
     /// Degenerate shapes form no tile (or a tile with no k-step) and still
@@ -1668,7 +1801,12 @@ pub(crate) mod tests {
     /// (`matmul_rows_t` over a stored, unaligned Aᵀ) and B packed from a
     /// stored Bᵀ (`pack_bt`) give the bits `matmul_rows` gives on the
     /// materialized operands at `level` — non-finite entries included.
-    fn assert_transposed_reads_reproduce(level: KernelLevel, rows_max: usize, ks: &[usize], ns: &[usize]) {
+    fn assert_transposed_reads_reproduce(
+        level: KernelLevel,
+        rows_max: usize,
+        ks: &[usize],
+        ns: &[usize],
+    ) {
         let mut rng = StdRng::seed_from_u64(33);
         for &k in ks {
             for &n in ns {
@@ -1677,7 +1815,11 @@ pub(crate) mod tests {
                     let (a, packed) = (&a[1..], &packed[1..]);
                     let mut packed_t = vec![f32::NAN; 3];
                     pack_bt(&transposed(&b, k, n), k, n, &mut packed_t);
-                    assert_eq!(bits(&packed_t), bits(packed), "{k}x{n}: pack_bt is not pack_b of the transpose");
+                    assert_eq!(
+                        bits(&packed_t),
+                        bits(packed),
+                        "{k}x{n}: pack_bt is not pack_b of the transpose"
+                    );
                     let mut at = vec![0.0];
                     at.extend(transposed(&a[..rows_max * k], rows_max, k));
                     let at = &at[1..];
@@ -1726,8 +1868,19 @@ pub(crate) mod tests {
     #[cfg_attr(miri, ignore)]
     fn kernel_transposed_entry_points_zero_ulp_vs_transpose_then_multiply() {
         let mut rng = StdRng::seed_from_u64(34);
-        let ops = [(Op::N, Op::N), (Op::N, Op::T), (Op::T, Op::N), (Op::T, Op::T)];
-        for (m, k, n) in [(1, 1, 1), (33, 17, 15), (7, 48, 192), (16, 192, 17), (256, 48, 48)] {
+        let ops = [
+            (Op::N, Op::N),
+            (Op::N, Op::T),
+            (Op::T, Op::N),
+            (Op::T, Op::T),
+        ];
+        for (m, k, n) in [
+            (1, 1, 1),
+            (33, 17, 15),
+            (7, 48, 192),
+            (16, 192, 17),
+            (256, 48, 48),
+        ] {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
             let mut want = vec![0.0; m * n];
@@ -1744,11 +1897,23 @@ pub(crate) mod tests {
             let mut want = vec![0.0; 3 * m * n];
             a3.bmm_into(&b3, &mut want);
             for (ta, tb) in ops {
-                let a = if ta == Op::T { a3.transpose_last2() } else { a3.clone() };
-                let b = if tb == Op::T { b3.transpose_last2() } else { b3.clone() };
+                let a = if ta == Op::T {
+                    a3.transpose_last2()
+                } else {
+                    a3.clone()
+                };
+                let b = if tb == Op::T {
+                    b3.transpose_last2()
+                } else {
+                    b3.clone()
+                };
                 let mut got = vec![f32::NAN; 3 * m * n];
                 a.bmm_op_into(ta, &b, tb, &mut got);
-                assert_eq!(bits(&got), bits(&want), "3x{m}x{k}x{n} batched {ta:?}{tb:?}");
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "3x{m}x{k}x{n} batched {ta:?}{tb:?}"
+                );
             }
         }
     }
@@ -1757,21 +1922,49 @@ pub(crate) mod tests {
     #[should_panic(expected = "lhsᵀ shorter")]
     fn kernel_rejects_a_short_transposed_lhs_before_reading_it() {
         let mut out = [0.0; 9];
-        matmul_rows_t(&[1.0; 5], 3, &[1.0; 2 * NR], &mut out, 0, 3, 2, 3, KernelLevel::Portable);
+        matmul_rows_t(
+            &[1.0; 5],
+            3,
+            &[1.0; 2 * NR],
+            &mut out,
+            0,
+            3,
+            2,
+            3,
+            KernelLevel::Portable,
+        );
     }
 
     #[test]
     #[should_panic(expected = "out shorter than rows * n")]
     fn kernel_rejects_a_short_out_before_touching_it() {
         let mut out = [0.0; 5];
-        matmul_rows(&[1.0; 4], &[1.0; 2 * NR], &mut out, 0, 2, 2, 3, KernelLevel::Portable);
+        matmul_rows(
+            &[1.0; 4],
+            &[1.0; 2 * NR],
+            &mut out,
+            0,
+            2,
+            2,
+            3,
+            KernelLevel::Portable,
+        );
     }
 
     #[test]
     #[should_panic(expected = "fewer panels")]
     fn kernel_rejects_short_panels_before_touching_them() {
         let mut out = [0.0; 34];
-        matmul_rows(&[1.0; 4], &[1.0; 3 * NR], &mut out, 0, 2, 2, 17, KernelLevel::Portable);
+        matmul_rows(
+            &[1.0; 4],
+            &[1.0; 3 * NR],
+            &mut out,
+            0,
+            2,
+            2,
+            17,
+            KernelLevel::Portable,
+        );
     }
 
     /// Cross-level bit equality over the full ragged grid. The portable
@@ -1786,7 +1979,13 @@ pub(crate) mod tests {
         let levels = KernelLevel::available();
         for &level in &levels {
             if level == KernelLevel::Portable {
-                assert_level_reproduces(level, reference_rows(GRID_ROWS), GRID_ROWS, &GRID_KS, &GRID_NS);
+                assert_level_reproduces(
+                    level,
+                    reference_rows(GRID_ROWS),
+                    GRID_ROWS,
+                    &GRID_KS,
+                    &GRID_NS,
+                );
             } else {
                 let lowest_fma = levels[1];
                 assert_level_reproduces(
@@ -1880,9 +2079,19 @@ pub(crate) mod tests {
         gelu_rows(&mut ys);
         for (&x, &y) in xs.iter().zip(&ys) {
             let err = (y as f64 - gelu_reference(x as f64)).abs();
-            assert!(err <= 2e-6 * (x.abs() as f64).max(1.0), "gelu({x:e}) = {y:e}, off by {err:e}");
-            assert_eq!(tanh_rational(-x).to_bits(), (-tanh_rational(x)).to_bits(), "tanh odd at {x:e}");
-            assert!((tanh_rational(x) as f64 - f64::tanh(x as f64)).abs() <= 4e-7, "tanh({x:e})");
+            assert!(
+                err <= 2e-6 * (x.abs() as f64).max(1.0),
+                "gelu({x:e}) = {y:e}, off by {err:e}"
+            );
+            assert_eq!(
+                tanh_rational(-x).to_bits(),
+                (-tanh_rational(x)).to_bits(),
+                "tanh odd at {x:e}"
+            );
+            assert!(
+                (tanh_rational(x) as f64 - f64::tanh(x as f64)).abs() <= 4e-7,
+                "tanh({x:e})"
+            );
         }
         assert_eq!(gelu_scalar(0.0).to_bits(), 0.0f32.to_bits());
         assert_eq!(gelu_scalar(-0.0).to_bits(), (-0.0f32).to_bits());
@@ -1901,7 +2110,14 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let mut pool = gelu_sweep();
         pool.extend(Tensor::randn(&[4096], 3.0, &mut rng).data);
-        pool.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, 1e-45, f32::INFINITY, f32::NEG_INFINITY]);
+        pool.extend([
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1e-45,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ]);
         for level in KernelLevel::available() {
             for len in [0, 1, 7, 8, 9, 15, 16, 17, 1023, pool.len()] {
                 // Ragged lengths taken from the end, where the edge values are.
@@ -1911,7 +2127,11 @@ pub(crate) mod tests {
                 let mut wide = src.to_vec();
                 rows_at(GeluRows(&mut wide), level);
                 for ((x, a), b) in src.iter().zip(&portable).zip(&wide) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{level:?} len {len}: gelu({x:e}) = {a:e} vs {b:e}");
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{level:?} len {len}: gelu({x:e}) = {a:e} vs {b:e}"
+                    );
                 }
             }
         }
@@ -1970,7 +2190,9 @@ pub(crate) mod tests {
         }
         bits.extend([0, 1, 2, 0x007f_ffff, 0x0080_0000, 0x7f7f_ffff]);
         bits.extend([0x7f80_0000, 0x7f80_0001, 0x7fc0_0000, 0x7fff_ffff]);
-        bits.iter().flat_map(|&b| [f32::from_bits(b), f32::from_bits(b | 0x8000_0000)]).collect()
+        bits.iter()
+            .flat_map(|&b| [f32::from_bits(b), f32::from_bits(b | 0x8000_0000)])
+            .collect()
     }
 
     /// FNV-1a over libm's `exp` at 4096 points of [−104, 89] and at the two
@@ -2000,14 +2222,23 @@ pub(crate) mod tests {
     /// ±∞ and NaNs; each with both signs.
     fn expf_edge_inputs() -> Vec<f32> {
         let mut bits = Vec::new();
-        let thresholds = [0x42b0_0000u32, 0x42b1_7217, 0x42ce_8ecf, 0x42cf_f1b4, 0x42b2_0000, 0x42d0_0000];
+        let thresholds = [
+            0x42b0_0000u32,
+            0x42b1_7217,
+            0x42ce_8ecf,
+            0x42cf_f1b4,
+            0x42b2_0000,
+            0x42d0_0000,
+        ];
         let wraps = (-150..=128).map(|m| (f64::from(m) * std::f64::consts::LN_2) as f32);
         for b in thresholds.into_iter().chain(wraps.map(f32::to_bits)) {
             bits.extend([b.wrapping_sub(1), b, b.wrapping_add(1)]);
         }
         bits.extend([0, 1, 2, 0x007f_ffff, 0x0080_0000, 0x7f7f_ffff]);
         bits.extend([0x7f80_0000, 0x7f80_0001, 0x7fc0_0000, 0x7fff_ffff]);
-        bits.iter().flat_map(|&b| [f32::from_bits(b), f32::from_bits(b | 0x8000_0000)]).collect()
+        bits.iter()
+            .flat_map(|&b| [f32::from_bits(b), f32::from_bits(b | 0x8000_0000)])
+            .collect()
     }
 
     /// An in-tree port of a libm function, compared with libm bit for bit.
@@ -2083,10 +2314,22 @@ pub(crate) mod tests {
 
         /// Asserts no mismatch where libm is the transcribed function; prints
         /// the count either way.
-        fn check_against_libm(self, sweep: &str, level: KernelLevel, (count, first): (u64, Option<f32>)) {
-            println!("{} at {} against libm, {sweep}: {count} mismatches", self.name(), level.name());
+        fn check_against_libm(
+            self,
+            sweep: &str,
+            level: KernelLevel,
+            (count, first): (u64, Option<f32>),
+        ) {
+            println!(
+                "{} at {} against libm, {sweep}: {count} mismatches",
+                self.name(),
+                level.name()
+            );
             match self.unchecked() {
-                None => assert_eq!(count, 0, "{level:?}, {sweep}: the first mismatch is at {first:?}"),
+                None => assert_eq!(
+                    count, 0,
+                    "{level:?}, {sweep}: the first mismatch is at {first:?}"
+                ),
                 Some(why) => println!("  not checked: {why}"),
             }
         }
@@ -2107,7 +2350,9 @@ pub(crate) mod tests {
                 let chunks: Vec<(u64, Option<f32>)> = (0..1u32 << 16)
                     .into_par_iter()
                     .map(|hi| {
-                        let xs: Vec<f32> = (0..1u32 << 16).map(|lo| f32::from_bits(hi << 16 | lo)).collect();
+                        let xs: Vec<f32> = (0..1u32 << 16)
+                            .map(|lo| f32::from_bits(hi << 16 | lo))
+                            .collect();
                         self.libm_mismatches(&xs, level)
                     })
                     .collect();
@@ -2180,7 +2425,10 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut pool = Tensor::randn(&[256], 30.0, &mut rng).data;
         pool.extend(expf_edge_inputs());
-        let (xs, want): (Vec<f32>, Vec<u32>) = GLIBC_EXPF.iter().map(|&(x, y)| (f32::from_bits(x), y)).unzip();
+        let (xs, want): (Vec<f32>, Vec<u32>) = GLIBC_EXPF
+            .iter()
+            .map(|&(x, y)| (f32::from_bits(x), y))
+            .unzip();
         for level in KernelLevel::available() {
             let got = Port::Exp.rows(&xs, level);
             for ((x, y), want) in xs.iter().zip(&got).zip(&want) {
@@ -2189,7 +2437,10 @@ pub(crate) mod tests {
             for len in [0, 1, 7, 8, 9, 15, 16, 17, 33, pool.len()] {
                 // Ragged lengths taken from the end, where the edge values are.
                 let src = &pool[pool.len() - len..];
-                let (a, b) = (Port::Exp.rows(src, KernelLevel::Portable), Port::Exp.rows(src, level));
+                let (a, b) = (
+                    Port::Exp.rows(src, KernelLevel::Portable),
+                    Port::Exp.rows(src, level),
+                );
                 for ((x, a), b) in src.iter().zip(&a).zip(&b) {
                     assert!(
                         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
@@ -2214,15 +2465,38 @@ pub(crate) mod tests {
             let n = xs.len();
             let [mut tanh, mut th, mut out, mut dx] = [(); 4].map(|_| vec![0.0; n]);
             rows_at(TanhRows { xs, out: &mut tanh }, level);
-            rows_at(GeluTapeRows { xs, th: &mut th, out: &mut out }, level);
-            rows_at(GeluTapeGradRows { xs, th: &th, go, dx: &mut dx }, level);
-            [("tanh", tanh), ("gelu's tanh", th), ("gelu", out), ("gelu backward", dx)]
+            rows_at(
+                GeluTapeRows {
+                    xs,
+                    th: &mut th,
+                    out: &mut out,
+                },
+                level,
+            );
+            rows_at(
+                GeluTapeGradRows {
+                    xs,
+                    th: &th,
+                    go,
+                    dx: &mut dx,
+                },
+                level,
+            );
+            [
+                ("tanh", tanh),
+                ("gelu's tanh", th),
+                ("gelu", out),
+                ("gelu backward", dx),
+            ]
         };
         for level in KernelLevel::available() {
             for len in [0, 1, 7, 8, 9, 15, 16, 17, 1023, pool.len()] {
                 // Ragged lengths taken from the end, where the edge values are.
                 let (xs, go) = (&pool[pool.len() - len..], &ups[ups.len() - len..]);
-                for ((name, a), (_, b)) in run(KernelLevel::Portable, xs, go).into_iter().zip(run(level, xs, go)) {
+                for ((name, a), (_, b)) in run(KernelLevel::Portable, xs, go)
+                    .into_iter()
+                    .zip(run(level, xs, go))
+                {
                     for ((x, a), b) in xs.iter().zip(&a).zip(&b) {
                         assert!(
                             a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
@@ -2305,9 +2579,14 @@ pub(crate) mod tests {
             for i in 0..m {
                 let amass: f32 = a.data[i * k..(i + 1) * k].iter().map(|x| x.abs()).sum();
                 for j in 0..n {
-                    let bound = amass * (b.data.iter().fold(0.0f32, |acc, x| acc.max(x.abs())) / 254.0) + 1e-4;
+                    let bound = amass
+                        * (b.data.iter().fold(0.0f32, |acc, x| acc.max(x.abs())) / 254.0)
+                        + 1e-4;
                     let err = (quant[i * n + j] - reference[i * n + j]).abs();
-                    assert!(err <= bound, "{m}x{k}x{n} [{i},{j}]: err {err} > bound {bound}");
+                    assert!(
+                        err <= bound,
+                        "{m}x{k}x{n} [{i},{j}]: err {err} > bound {bound}"
+                    );
                 }
             }
         }

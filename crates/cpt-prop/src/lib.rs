@@ -242,13 +242,19 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty vec length range");
-            SizeRange { lo: r.start, hi_incl: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi_incl: r.end - 1,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi_incl: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi_incl: *r.end(),
+            }
         }
     }
 
@@ -260,7 +266,10 @@ pub mod collection {
     /// `proptest::collection::vec(elem, len_range)` — the length is drawn
     /// uniformly from `size`, then that many elements from `elem`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -277,7 +286,9 @@ pub mod collection {
 pub mod prelude {
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::{Config as ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// The seed case `case` of the test named `name` draws from: FNV-1a of
@@ -303,7 +314,12 @@ pub fn run_cases(
     for i in 0..cases {
         let seed = case_seed(name, i);
         let mut state = seed;
-        let where_ = || format!("proptest {name}: case {} of {cases} (seed {seed:#018x})", i + 1);
+        let where_ = || {
+            format!(
+                "proptest {name}: case {} of {cases} (seed {seed:#018x})",
+                i + 1
+            )
+        };
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut state))) {
             Ok(Ok(())) | Ok(Err(test_runner::TestCaseError::Reject(_))) => {}
             Ok(Err(e)) => panic!("{} failed: {e}", where_()),
@@ -452,8 +468,13 @@ mod tests {
             })
         });
         let payload = failed.expect_err("the third case fails");
-        let msg = payload.downcast_ref::<String>().expect("a formatted message");
-        assert_eq!(msg, &format!("proptest demo: case 3 of 10 (seed {seed:#018x}) failed: boom"));
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(
+            msg,
+            &format!("proptest demo: case 3 of 10 (seed {seed:#018x}) failed: boom")
+        );
     }
 
     #[test]
@@ -464,7 +485,10 @@ mod tests {
             Ok(())
         });
         let seeds: Vec<u64> = draws.iter().map(|d| d.0).collect();
-        assert_eq!(seeds, (0..3).map(|i| case_seed("demo", i)).collect::<Vec<_>>());
+        assert_eq!(
+            seeds,
+            (0..3).map(|i| case_seed("demo", i)).collect::<Vec<_>>()
+        );
         let again = strategy::Strategy::generate(&(0u64..1000), &mut case_seed("demo", 1));
         assert_eq!(draws[1].1, again, "a case replays from its seed alone");
     }

@@ -833,8 +833,7 @@ impl ServeHandle {
                 // is useless now.
                 dt.parked.remove(&token.0);
             } else {
-                let expires_at =
-                    Instant::now() + Duration::from_secs(core.cfg.detach_ttl_secs);
+                let expires_at = Instant::now() + Duration::from_secs(core.cfg.detach_ttl_secs);
                 dt.parked.insert(
                     token.0,
                     ParkedGroup {
@@ -1145,9 +1144,27 @@ mod tests {
                     ..ok
                 },
             ),
-            ("max_sessions", ServeConfig { max_sessions: 0, ..ok }),
-            ("queue_capacity", ServeConfig { queue_capacity: 0, ..ok }),
-            ("slice_budget", ServeConfig { slice_budget: 0, ..ok }),
+            (
+                "max_sessions",
+                ServeConfig {
+                    max_sessions: 0,
+                    ..ok
+                },
+            ),
+            (
+                "queue_capacity",
+                ServeConfig {
+                    queue_capacity: 0,
+                    ..ok
+                },
+            ),
+            (
+                "slice_budget",
+                ServeConfig {
+                    slice_budget: 0,
+                    ..ok
+                },
+            ),
             (
                 "queue_watermark",
                 ServeConfig {
@@ -1156,8 +1173,20 @@ mod tests {
                     ..ok
                 },
             ),
-            ("detach_ttl_secs", ServeConfig { detach_ttl_secs: 0, ..ok }),
-            ("max_connections", ServeConfig { max_connections: 0, ..ok }),
+            (
+                "detach_ttl_secs",
+                ServeConfig {
+                    detach_ttl_secs: 0,
+                    ..ok
+                },
+            ),
+            (
+                "max_connections",
+                ServeConfig {
+                    max_connections: 0,
+                    ..ok
+                },
+            ),
             ("batch_max", ServeConfig { batch_max: 0, ..ok }),
         ] {
             let got = cfg.validate();
@@ -1176,7 +1205,10 @@ mod tests {
         let back: DetachToken = s.parse().expect("hex parses");
         assert_eq!(back, t);
         assert!(
-            matches!("not-hex".parse::<DetachToken>(), Err(ServeError::UnknownToken)),
+            matches!(
+                "not-hex".parse::<DetachToken>(),
+                Err(ServeError::UnknownToken)
+            ),
             "garbage tokens are typed errors"
         );
     }

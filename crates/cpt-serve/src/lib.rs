@@ -54,7 +54,9 @@ pub use error::ServeError;
 pub use lifecycle::{Director, FineTuneSpec, PublishOutcome};
 pub use loadgen::{request_once, run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::{LatencyHistogram, Metrics, SnapshotGauges, StatsSnapshot};
-pub use registry::{Manifest, RecoveryReport, Registry, RegistryError, VersionRecord, VersionState};
+pub use registry::{
+    Manifest, RecoveryReport, Registry, RegistryError, VersionRecord, VersionState,
+};
 pub use server::{serve, Server, ServerConfig};
 
 /// A validated degree of parallelism for a thread/worker-count flag.
@@ -120,8 +122,8 @@ mod tests {
 
     #[test]
     fn oversubscription_is_clamped_with_provenance() {
-        let p = resolve_parallelism(Some(1_000_000), "--threads")
-            .expect("clamping is not an error");
+        let p =
+            resolve_parallelism(Some(1_000_000), "--threads").expect("clamping is not an error");
         assert_eq!(p.clamped_from, Some(1_000_000));
         assert!(p.threads >= 1);
         assert!(p.threads < 1_000_000);

@@ -237,9 +237,7 @@ impl Director {
             // A trip-wire can beat an operator rollback to the engine;
             // if the engine already serves what we just restored, the two
             // sides agree and the verb succeeded.
-            Err(ServeError::NoPreviousVersion)
-                if self.inner.handle.live_version() == live =>
-            {
+            Err(ServeError::NoPreviousVersion) if self.inner.handle.live_version() == live => {
                 Ok((demoted, live))
             }
             Err(e) => Err(e),

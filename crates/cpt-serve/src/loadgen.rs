@@ -25,9 +25,9 @@ use crate::protocol::wire;
 use crate::protocol::{ErrorKind, Request, Response};
 use cpt_trace::columnar::{fnv1a, fnv1a_continue};
 use rand::splitmix64;
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -194,12 +194,36 @@ pub struct LoadgenReport {
 
 // `cptgen loadgen -o`'s report.
 cpt_trace::json_struct!(LoadgenReport {
-    sessions_opened, sessions_shed, sessions_completed, sessions_failed, sessions_reattached,
-    events_received, events_digest, errors, connect_retries, open_retries, reconnects,
-    elapsed_secs, events_per_sec, events_per_session_p50, events_per_session_p99,
-    events_per_session_mean, events_per_session_max, open_p50_us, open_p99_us, next_p50_us,
-    next_p99_us, server_stats, live_version, versions_published, versions_rolled_back,
-    versions_quarantined, finetunes_completed, finetunes_failed, shards, shard_runnable_max,
+    sessions_opened,
+    sessions_shed,
+    sessions_completed,
+    sessions_failed,
+    sessions_reattached,
+    events_received,
+    events_digest,
+    errors,
+    connect_retries,
+    open_retries,
+    reconnects,
+    elapsed_secs,
+    events_per_sec,
+    events_per_session_p50,
+    events_per_session_p99,
+    events_per_session_mean,
+    events_per_session_max,
+    open_p50_us,
+    open_p99_us,
+    next_p50_us,
+    next_p99_us,
+    server_stats,
+    live_version,
+    versions_published,
+    versions_rolled_back,
+    versions_quarantined,
+    finetunes_completed,
+    finetunes_failed,
+    shards,
+    shard_runnable_max,
     shard_runnable_min,
 });
 
@@ -359,12 +383,7 @@ fn establish(cfg: &LoadgenConfig, tally: &Tally) -> Result<Conn, ServeError> {
 /// After a dropped connection: reconnect, present the detach token, and
 /// adopt the parked sessions. On success `open` holds exactly the
 /// server-side surviving set. `None` means the sessions are lost.
-fn recover(
-    cfg: &LoadgenConfig,
-    tally: &Tally,
-    token: &str,
-    open: &mut Vec<u64>,
-) -> Option<Conn> {
+fn recover(cfg: &LoadgenConfig, tally: &Tally, token: &str, open: &mut Vec<u64>) -> Option<Conn> {
     let mut conn = establish(cfg, tally).ok()?;
     match conn.client.request(&Request::Reattach {
         token: token.to_string(),
@@ -416,10 +435,21 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                 .name(format!("cpt-loadgen-{i}"))
                 .spawn(move || {
                     let mut counts: HashMap<u64, SessionTally> = HashMap::new();
-                    client_thread(&cfg, per_thread, start, open_deadline, &tally, &open_hist,
-                        &next_hist, &mut counts);
+                    client_thread(
+                        &cfg,
+                        per_thread,
+                        start,
+                        open_deadline,
+                        &tally,
+                        &open_hist,
+                        &next_hist,
+                        &mut counts,
+                    );
                     let mut digest: u64 = 0;
-                    let mut per = tally.per_session.lock().expect("per-session tally poisoned");
+                    let mut per = tally
+                        .per_session
+                        .lock()
+                        .expect("per-session tally poisoned");
                     for t in counts.into_values() {
                         per.push(t.events);
                         digest = digest.wrapping_add(t.fnv);
@@ -448,7 +478,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     let elapsed = start.elapsed().as_secs_f64();
     let events = tally.events.load(Ordering::Relaxed);
     let mut per_session = std::mem::take(
-        &mut *tally.per_session.lock().expect("per-session tally poisoned"),
+        &mut *tally
+            .per_session
+            .lock()
+            .expect("per-session tally poisoned"),
     );
     per_session.sort_unstable();
     let nearest_rank = |q: f64| -> u64 {
@@ -470,7 +503,11 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         open_retries: tally.open_retries.load(Ordering::Relaxed),
         reconnects: tally.reconnects.load(Ordering::Relaxed),
         elapsed_secs: elapsed,
-        events_per_sec: if elapsed > 0.0 { events as f64 / elapsed } else { 0.0 },
+        events_per_sec: if elapsed > 0.0 {
+            events as f64 / elapsed
+        } else {
+            0.0
+        },
         events_per_session_p50: nearest_rank(0.50),
         events_per_session_p99: nearest_rank(0.99),
         events_per_session_mean: if per_session.is_empty() {
@@ -627,7 +664,10 @@ fn client_thread(
                     open.push(session);
                     shed_streak = 0;
                 }
-                Ok(Response::Error { kind: ErrorKind::Overloaded, .. }) => {
+                Ok(Response::Error {
+                    kind: ErrorKind::Overloaded,
+                    ..
+                }) => {
                     open_hist.record(t0.elapsed());
                     tally.shed.fetch_add(1, Ordering::Relaxed);
                     tally.open_retries.fetch_add(1, Ordering::Relaxed);
@@ -686,7 +726,9 @@ fn client_thread(
             };
             let t0 = Instant::now();
             match conn.client.request(&req) {
-                Ok(Response::Events { events, finished, .. }) => {
+                Ok(Response::Events {
+                    events, finished, ..
+                }) => {
                     next_hist.record(t0.elapsed());
                     let data = events.iter().filter(|e| e.data().is_some()).count() as u64;
                     let failed = events.iter().any(|e| e.is_failure());
@@ -720,7 +762,10 @@ fn client_thread(
                         i += 1;
                     }
                 }
-                Ok(Response::Error { kind: ErrorKind::Overloaded, .. }) => {
+                Ok(Response::Error {
+                    kind: ErrorKind::Overloaded,
+                    ..
+                }) => {
                     // An overloaded server shedding mid-session is asking
                     // for patience, not reporting a failure: count it as a
                     // shed, distinct from generic errors, and retry the

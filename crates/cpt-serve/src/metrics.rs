@@ -353,10 +353,7 @@ impl Metrics {
 
     /// Builds the engine-wide view of `base` (whose uptime clock is kept)
     /// plus every shard's counters.
-    pub fn merged<'a>(
-        base: &Metrics,
-        others: impl IntoIterator<Item = &'a Metrics>,
-    ) -> Metrics {
+    pub fn merged<'a>(base: &Metrics, others: impl IntoIterator<Item = &'a Metrics>) -> Metrics {
         let out = Metrics {
             started: base.started,
             ..Metrics::new()
@@ -552,18 +549,48 @@ pub struct StatsSnapshot {
 }
 
 // The `stats` verb's JSON form (`cptgen ctl -o`, `loadgen -o`).
-cpt_trace::json_struct!(VersionSessions {
-    version, sessions,
-});
+cpt_trace::json_struct!(VersionSessions { version, sessions });
 cpt_trace::json_struct!(StatsSnapshot {
-    uptime_secs, workers, sessions_open, sessions_opened, sessions_shed, sessions_closed,
-    sessions_failed, sessions_detached, sessions_reattached, sessions_expired,
-    sessions_force_failed, worker_panics, events_generated, events_delivered, events_per_sec,
-    queued_events, free_states, slices, slice_p50_us, slice_p99_us, batched_tokens,
-    sequential_tokens, batch_rounds, batch_p50, batch_p99, batch_peak, live_version,
-    sessions_per_version, versions_published, versions_rolled_back, versions_quarantined,
-    versions_retired, divergence_trips, finetunes_running, finetunes_completed,
-    finetunes_failed, shards, shard_sessions_max, shard_sessions_min, shard_runnable_max,
+    uptime_secs,
+    workers,
+    sessions_open,
+    sessions_opened,
+    sessions_shed,
+    sessions_closed,
+    sessions_failed,
+    sessions_detached,
+    sessions_reattached,
+    sessions_expired,
+    sessions_force_failed,
+    worker_panics,
+    events_generated,
+    events_delivered,
+    events_per_sec,
+    queued_events,
+    free_states,
+    slices,
+    slice_p50_us,
+    slice_p99_us,
+    batched_tokens,
+    sequential_tokens,
+    batch_rounds,
+    batch_p50,
+    batch_p99,
+    batch_peak,
+    live_version,
+    sessions_per_version,
+    versions_published,
+    versions_rolled_back,
+    versions_quarantined,
+    versions_retired,
+    divergence_trips,
+    finetunes_running,
+    finetunes_completed,
+    finetunes_failed,
+    shards,
+    shard_sessions_max,
+    shard_sessions_min,
+    shard_runnable_max,
     shard_runnable_min,
 });
 
@@ -651,8 +678,14 @@ mod tests {
         assert_eq!(
             s.sessions_per_version,
             vec![
-                VersionSessions { version: 5, sessions: 0 },
-                VersionSessions { version: 7, sessions: 1 },
+                VersionSessions {
+                    version: 5,
+                    sessions: 0
+                },
+                VersionSessions {
+                    version: 7,
+                    sessions: 1
+                },
             ]
         );
         assert_eq!(s.versions_published, 1);
@@ -717,7 +750,10 @@ mod tests {
                 workers: 1,
                 live_version: 1,
             };
-            (m.batch_occupancy.quantile(0.99), m.snapshot(gauges, &[], &[]))
+            (
+                m.batch_occupancy.quantile(0.99),
+                m.snapshot(gauges, &[], &[]),
+            )
         };
         // The shape of the committed serve_steady baseline: rounds of up
         // to 29 rows land in the 16..=31 bucket, whose upper edge is 31.
@@ -725,7 +761,10 @@ mod tests {
         assert_eq!(raw_p99, 31, "the histogram itself is unchanged");
         assert_eq!(s.batch_peak, 29);
         assert_eq!(s.batch_p99, 29);
-        assert_eq!(s.batch_p50, 29, "median sample 20 reports its bucket edge 31, clamped");
+        assert_eq!(
+            s.batch_p50, 29,
+            "median sample 20 reports its bucket edge 31, clamped"
+        );
         // A quantile below the peak stays what the histogram says.
         let (_, s) = snapshot_of(&[2, 2, 2, 29]);
         assert_eq!(s.batch_p50, 3);

@@ -204,10 +204,7 @@ pub enum Response {
     /// Acknowledges `shutdown`; the server exits after this.
     Bye,
     /// A request failed.
-    Error {
-        kind: ErrorKind,
-        message: String,
-    },
+    Error { kind: ErrorKind, message: String },
 }
 
 impl ToJson for Response {
@@ -247,7 +244,10 @@ impl ToJson for Response {
             Response::Stats { stats } => tagged("stats", vec![("stats", stats.to_json())]),
             Response::Published { version, previous } => tagged(
                 "published",
-                vec![("version", version.to_json()), ("previous", previous.to_json())],
+                vec![
+                    ("version", version.to_json()),
+                    ("previous", previous.to_json()),
+                ],
             ),
             Response::RolledBack { demoted, live } => tagged(
                 "rolled_back",
@@ -291,7 +291,12 @@ pub struct VersionInfo {
     pub note: String,
 }
 
-cpt_trace::json_struct!(VersionInfo { id, state, sessions, note });
+cpt_trace::json_struct!(VersionInfo {
+    id,
+    state,
+    sessions,
+    note
+});
 
 /// Machine-matchable error categories on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,9 +373,7 @@ impl From<&ServeError> for ErrorKind {
             ServeError::Generate(_) => ErrorKind::InvalidRequest,
             ServeError::Io(_) => ErrorKind::Internal,
             ServeError::Registry(RegistryError::UnknownVersion(_)) => ErrorKind::UnknownVersion,
-            ServeError::Registry(RegistryError::NoPreviousVersion) => {
-                ErrorKind::NoPreviousVersion
-            }
+            ServeError::Registry(RegistryError::NoPreviousVersion) => ErrorKind::NoPreviousVersion,
             ServeError::Registry(_) => ErrorKind::Registry,
             ServeError::UnknownVersion(_) => ErrorKind::UnknownVersion,
             ServeError::NoPreviousVersion => ErrorKind::NoPreviousVersion,
@@ -478,7 +481,10 @@ mod tests {
         let ev = SessionEvent::Failed {
             reason: "worker panic: chaos".to_string(),
         };
-        assert_eq!(ev.to_json().to_compact(), r#"{"reason":"worker panic: chaos"}"#);
+        assert_eq!(
+            ev.to_json().to_compact(),
+            r#"{"reason":"worker panic: chaos"}"#
+        );
         let data = SessionEvent::Data(cpt_gpt::SessionEvent {
             stream: 1,
             event_type: cpt_trace::EventType::Handover,

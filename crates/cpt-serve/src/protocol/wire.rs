@@ -386,12 +386,11 @@ fn decode_event(c: &mut Cursor<'_>) -> Result<SessionEvent, ProtocolError> {
         EVENT_DATA => {
             let stream = c.len()?;
             let type_byte = c.u8()?;
-            let event_type = EventType::from_index(type_byte as usize).ok_or(
-                ProtocolError::BadTag {
+            let event_type =
+                EventType::from_index(type_byte as usize).ok_or(ProtocolError::BadTag {
                     field: "event type",
                     value: type_byte,
-                },
-            )?;
+                })?;
             let iat = c.f64()?;
             let timestamp = c.f64()?;
             let last_in_stream = c.bool("last_in_stream")?;
@@ -463,7 +462,11 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             put_opt(out, version, |o, v| put_u64(o, *v));
         }
         Request::Rollback => out.push(OP_ROLLBACK),
-        Request::Finetune { trace, epochs, seed } => {
+        Request::Finetune {
+            trace,
+            epochs,
+            seed,
+        } => {
             out.push(OP_FINETUNE);
             put_str(out, trace);
             put_opt(out, epochs, |o, v| put_varint(o, *v as u64));
@@ -836,7 +839,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame payload {} exceeds cap {MAX_FRAME_LEN}", payload.len()),
+            format!(
+                "frame payload {} exceeds cap {MAX_FRAME_LEN}",
+                payload.len()
+            ),
         ));
     }
     let mut prefix = [0u8; 10];
@@ -897,9 +903,7 @@ pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<bool, FrameEr
     buf.resize(len as usize, 0);
     match r.read_exact(buf) {
         Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            Err(ProtocolError::Truncated.into())
-        }
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(ProtocolError::Truncated.into()),
         Err(e) => Err(e.into()),
     }
 }
@@ -1001,7 +1005,10 @@ mod tests {
             version: 3,
             previous: Some(2),
         });
-        round_trip_response(Response::RolledBack { demoted: 3, live: 2 });
+        round_trip_response(Response::RolledBack {
+            demoted: 3,
+            live: 2,
+        });
         round_trip_response(Response::FinetuneStarted { job: 1 });
         round_trip_response(Response::Bye);
         round_trip_response(Response::Error {
@@ -1109,7 +1116,10 @@ mod tests {
 
     #[test]
     fn unknown_opcodes_are_typed_errors() {
-        assert_eq!(decode_request(&[0x7E]), Err(ProtocolError::UnknownOpcode(0x7E)));
+        assert_eq!(
+            decode_request(&[0x7E]),
+            Err(ProtocolError::UnknownOpcode(0x7E))
+        );
         assert_eq!(
             decode_response(&[0x02]),
             Err(ProtocolError::UnknownOpcode(0x02))
@@ -1143,7 +1153,10 @@ mod tests {
         assert_eq!(&buf[..], b"abc");
         assert!(read_frame(&mut r, &mut buf).expect("reads empty"));
         assert!(buf.is_empty());
-        assert!(!read_frame(&mut r, &mut buf).expect("clean eof"), "EOF at boundary");
+        assert!(
+            !read_frame(&mut r, &mut buf).expect("clean eof"),
+            "EOF at boundary"
+        );
     }
 
     #[test]

@@ -161,7 +161,10 @@ impl std::fmt::Display for RegistryError {
                 "version {version} is {state:?}; cannot {wanted} from that state"
             ),
             RegistryError::ValidationFailed { version, detail } => {
-                write!(f, "version {version} failed checkpoint validation: {detail}")
+                write!(
+                    f,
+                    "version {version} failed checkpoint validation: {detail}"
+                )
             }
             RegistryError::CanaryFailed { version, detail } => {
                 write!(f, "version {version} failed the canary gate: {detail}")
@@ -303,7 +306,12 @@ impl FromJson for VersionRecord {
     }
 }
 
-cpt_trace::json_struct!(Manifest { format_version, live, previous, versions });
+cpt_trace::json_struct!(Manifest {
+    format_version,
+    live,
+    previous,
+    versions
+});
 
 impl Manifest {
     /// The record for version `id`, if it exists.
@@ -826,9 +834,7 @@ fn load_manifest(root: &Path, report: &mut RecoveryReport) -> Result<Manifest, R
                         Err(prev_detail) => {
                             return Err(RegistryError::CorruptManifest {
                                 path,
-                                detail: format!(
-                                    "{detail}; backup also unreadable: {prev_detail}"
-                                ),
+                                detail: format!("{detail}; backup also unreadable: {prev_detail}"),
                             })
                         }
                     }
@@ -973,10 +979,7 @@ fn verify_and_quarantine(
                         .versions
                         .iter()
                         .filter(|r| {
-                            matches!(
-                                r.state,
-                                VersionState::Draining | VersionState::Retired
-                            )
+                            matches!(r.state, VersionState::Draining | VersionState::Retired)
                         })
                         .map(|r| r.id)
                         .max()
@@ -1010,9 +1013,8 @@ mod tests {
 
             let v1 = reg.stage(&model, "first import").expect("stage v1");
             assert_eq!(v1, 1);
-            let record_state = |reg: &Registry, id: u64| {
-                reg.manifest().record(id).expect("record exists").state
-            };
+            let record_state =
+                |reg: &Registry, id: u64| reg.manifest().record(id).expect("record exists").state;
             assert_eq!(record_state(&reg, v1), VersionState::Candidate);
 
             let loaded = reg.validate(v1).expect("validate v1");
@@ -1049,7 +1051,10 @@ mod tests {
         // Every transition above was a durable manifest commit: a fresh
         // process recovers the exact same state.
         let (mut reg, report) = Registry::open(root.dir()).expect("reopen");
-        assert!(report.is_clean(), "clean shutdown recovers clean: {report:?}");
+        assert!(
+            report.is_clean(),
+            "clean shutdown recovers clean: {report:?}"
+        );
         assert_eq!(reg.live(), Some(1));
         let (live, _) = reg.load_live().expect("live artifact loads");
         assert_eq!(live, 1);
@@ -1084,17 +1089,32 @@ mod tests {
         };
         let (mut reg, _) = Registry::open_with_chaos(root.dir(), chaos).expect("open");
         let v1 = reg.stage(&fixture_model(), "sabotaged").expect("stage");
-        let err = reg.validate(v1).expect_err("damaged artifact must fail the gate");
+        let err = reg
+            .validate(v1)
+            .expect_err("damaged artifact must fail the gate");
         assert!(
             matches!(&err, RegistryError::CorruptArtifact { version, detail, .. }
                 if *version == v1 && detail.contains("checksum mismatch")),
             "expected CorruptArtifact checksum mismatch, got {err:?}"
         );
-        let rec = reg.manifest().record(v1).expect("record kept for post-mortem");
+        let rec = reg
+            .manifest()
+            .record(v1)
+            .expect("record kept for post-mortem");
         assert_eq!(rec.state, VersionState::Quarantined);
-        assert!(rec.file.starts_with("quarantine/"), "artifact moved aside: {}", rec.file);
-        assert!(root.path(&rec.file).exists(), "quarantined artifact preserved");
-        assert!(reg.is_empty(), "a quarantined-only registry counts as empty");
+        assert!(
+            rec.file.starts_with("quarantine/"),
+            "artifact moved aside: {}",
+            rec.file
+        );
+        assert!(
+            root.path(&rec.file).exists(),
+            "quarantined artifact preserved"
+        );
+        assert!(
+            reg.is_empty(),
+            "a quarantined-only registry counts as empty"
+        );
     }
 
     #[test]
@@ -1160,13 +1180,18 @@ mod tests {
         std::fs::write(&path, &bytes).expect("truncate manifest");
 
         let (reg, report) = Registry::open(root.dir()).expect("recover from backup");
-        assert!(report.manifest_from_backup, "fell back to manifest.prev.json");
+        assert!(
+            report.manifest_from_backup,
+            "fell back to manifest.prev.json"
+        );
         // The backup predates the promote commit, so v1 may be validated
         // rather than live — but the registry must be consistent and the
         // damaged manifest preserved for post-mortem.
         assert!(reg.manifest().record(1).is_some());
         assert!(
-            root.path("quarantine").join("manifest.corrupt.json").exists(),
+            root.path("quarantine")
+                .join("manifest.corrupt.json")
+                .exists(),
             "damaged manifest kept for post-mortem"
         );
     }

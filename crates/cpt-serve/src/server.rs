@@ -179,10 +179,7 @@ impl Server {
     /// back on exactly what the last successful promotion published.
     pub fn bind(model: Arc<CptGpt>, cfg: ServerConfig) -> Result<Server, ServeError> {
         let (engine, director) = match &cfg.registry {
-            None => (
-                Engine::start_with_chaos(model, cfg.serve, cfg.chaos)?,
-                None,
-            ),
+            None => (Engine::start_with_chaos(model, cfg.serve, cfg.chaos)?, None),
             Some(root) => {
                 let (mut registry, report) = Registry::open_with_chaos(root, cfg.chaos)?;
                 let (version, live_model) = if registry.is_empty() {
@@ -302,7 +299,11 @@ fn refuse_connection(stream: &TcpStream, cap: usize) -> std::io::Result<()> {
         kind: ErrorKind::Overloaded,
         message: format!("too many connections (cap {cap})"),
     };
-    write_last_response(&mut BufWriter::new(stream), &resp, &BufferPool::for_connection())
+    write_last_response(
+        &mut BufWriter::new(stream),
+        &resp,
+        &BufferPool::for_connection(),
+    )
 }
 
 /// Encodes a response into a pooled frame buffer and writes it as one
@@ -610,8 +611,7 @@ fn dispatch(
                     return (
                         Response::Error {
                             kind: ErrorKind::InvalidRequest,
-                            message: "publish takes exactly one of `path` or `version`"
-                                .to_string(),
+                            message: "publish takes exactly one of `path` or `version`".to_string(),
                         },
                         false,
                     )

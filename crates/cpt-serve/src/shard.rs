@@ -341,15 +341,16 @@ impl ShardShared {
                 .ok_or(ServeError::UnknownSession(id))?;
             let n = slot.queue.len().min(max);
             let events: Vec<SessionEvent> = slot.queue.drain(..n).collect();
-            let wake =
-                slot.run == RunState::Parked && slot.queue.len() < self.cfg.queue_capacity;
+            let wake = slot.run == RunState::Parked && slot.queue.len() < self.cfg.queue_capacity;
             if wake {
                 slot.run = RunState::Queued;
             }
             let finished = slot.run == RunState::Done && slot.queue.is_empty();
             (events, finished, wake)
         };
-        self.gauges.queued.fetch_sub(events.len(), Ordering::Relaxed);
+        self.gauges
+            .queued
+            .fetch_sub(events.len(), Ordering::Relaxed);
         if wake {
             st.run_queue.push_back(id);
         }
@@ -542,10 +543,7 @@ fn next_work_batch(
                     if let Some(decoder) = slot.decoder.take() {
                         slot.run = RunState::Running;
                         version.get_or_insert_with(|| Arc::clone(&slot.version));
-                        let room = shard
-                            .cfg
-                            .queue_capacity
-                            .saturating_sub(slot.queue.len());
+                        let room = shard.cfg.queue_capacity.saturating_sub(slot.queue.len());
                         out.push((id, decoder, room.min(shard.cfg.slice_budget)));
                     }
                 }
@@ -754,11 +752,8 @@ pub(crate) fn worker_loop(shard: &ShardShared) {
                         match oc {
                             RoundOutcome::Event(mut ev) => {
                                 let e = &mut entries[k];
-                                let emitted = e
-                                    .decoder
-                                    .as_ref()
-                                    .map(|d| d.events_emitted())
-                                    .unwrap_or(0);
+                                let emitted =
+                                    e.decoder.as_ref().map(|d| d.events_emitted()).unwrap_or(0);
                                 if chaos.should_poison(e.id, emitted) {
                                     ev.iat = f64::NAN;
                                 }

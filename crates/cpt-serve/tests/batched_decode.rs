@@ -37,7 +37,11 @@ fn run_engine(
     let mut done = vec![false; n];
     let first_wave = if stagger { n.div_ceil(2) } else { n };
     for i in 0..first_wave {
-        ids[i] = Some(handle.open_session(all_params[i]).expect("session admitted"));
+        ids[i] = Some(
+            handle
+                .open_session(all_params[i])
+                .expect("session admitted"),
+        );
     }
     if stagger {
         for i in 0..first_wave {
@@ -52,7 +56,11 @@ fn run_engine(
             }
         }
         for i in first_wave..n {
-            ids[i] = Some(handle.open_session(all_params[i]).expect("session admitted"));
+            ids[i] = Some(
+                handle
+                    .open_session(all_params[i])
+                    .expect("session admitted"),
+            );
         }
     }
     while !done.iter().all(|d| *d) {

@@ -28,8 +28,7 @@ fn run_engine(
         queue_capacity: 8,
         ..ServeConfig::new(workers)
     };
-    let engine =
-        Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = all_params
         .iter()
@@ -65,8 +64,10 @@ fn injected_panic_fails_only_the_targeted_session_at_any_worker_count() {
     let all_params: Vec<StreamParams> = (0..8u64)
         .map(|i| StreamParams::new(1000 + i * 7919).streams(2))
         .collect();
-    let expected: Vec<Vec<SessionEvent>> =
-        all_params.iter().map(|p| served_reference(&fixture_model(), *p)).collect();
+    let expected: Vec<Vec<SessionEvent>> = all_params
+        .iter()
+        .map(|p| served_reference(&fixture_model(), *p))
+        .collect();
     // Sessions are opened in order from one thread, so engine ids are
     // 1..=N deterministically; target the third session after it has
     // emitted 2 events.
@@ -120,8 +121,7 @@ fn single_worker_survives_a_contained_panic() {
         slice_budget: 4,
         ..ServeConfig::new(1)
     };
-    let engine =
-        Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let doomed = handle
         .open_session(StreamParams::new(7))
@@ -131,7 +131,11 @@ fn single_worker_survives_a_contained_panic() {
         .expect("healthy session admitted");
 
     let doomed_stream = drain_session(&handle, doomed, 64);
-    assert_eq!(doomed_stream.len(), 1, "no data events before an at-0 panic");
+    assert_eq!(
+        doomed_stream.len(),
+        1,
+        "no data events before an at-0 panic"
+    );
     assert!(doomed_stream[0].is_failure());
 
     let healthy_stream = drain_session(&handle, healthy, 64);
@@ -224,7 +228,10 @@ fn drain_force_fails_parked_stragglers_at_the_deadline() {
         "expected a drain failure record, got {last:?}"
     );
     assert!(
-        stream.iter().take(stream.len() - 1).all(|e| !e.is_failure()),
+        stream
+            .iter()
+            .take(stream.len() - 1)
+            .all(|e| !e.is_failure()),
         "exactly one terminal failure record"
     );
     engine.shutdown();
@@ -359,16 +366,17 @@ fn expired_detach_tokens_are_reaped() {
     };
     let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
-    let id = handle
-        .open_session(StreamParams::new(3))
-        .expect("admitted");
+    let id = handle.open_session(StreamParams::new(3)).expect("admitted");
     let token = handle.detach_sessions(&[id]).expect("detach");
     assert_eq!(handle.sessions_open(), 1, "parked sessions stay open");
 
     // Past the TTL the reaper reclaims the slot and the token dies.
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.sessions_open() > 0 {
-        assert!(Instant::now() < deadline, "reaper never reclaimed the session");
+        assert!(
+            Instant::now() < deadline,
+            "reaper never reclaimed the session"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
     assert!(matches!(
@@ -398,9 +406,7 @@ fn reaper_with_huge_ttl_does_not_delay_shutdown() {
     };
     let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
-    let id = handle
-        .open_session(StreamParams::new(3))
-        .expect("admitted");
+    let id = handle.open_session(StreamParams::new(3)).expect("admitted");
     let _token = handle.detach_sessions(&[id]).expect("detach");
 
     let begin = Instant::now();

@@ -192,7 +192,14 @@ fn session_cap_sheds_with_typed_error() {
         .collect();
     let got = handle.open_session(StreamParams::new(99));
     assert!(
-        matches!(&got, Err(ServeError::Overloaded { open: 3, cap: 3, .. })),
+        matches!(
+            &got,
+            Err(ServeError::Overloaded {
+                open: 3,
+                cap: 3,
+                ..
+            })
+        ),
         "expected Overloaded with open=3 cap=3, got {got:?}"
     );
     assert_eq!(handle.stats().sessions_shed, 1);
@@ -244,8 +251,7 @@ fn slow_consumer_is_parked_not_buffered() {
 /// Unknown and double-closed session ids are typed errors, not panics.
 #[test]
 fn unknown_sessions_are_typed_errors() {
-    let engine =
-        Engine::start(fixture_model(), ServeConfig::new(1)).expect("engine starts");
+    let engine = Engine::start(fixture_model(), ServeConfig::new(1)).expect("engine starts");
     let handle = engine.handle();
     assert!(matches!(
         handle.next_events(SessionId(42), 1, Duration::ZERO),

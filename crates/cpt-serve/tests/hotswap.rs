@@ -13,12 +13,11 @@
 use cpt_gpt::{CptGpt, StreamParams};
 use cpt_serve::registry::{Registry, RegistryError, VersionState};
 use cpt_serve::{
-    ChaosPlan, Director, Engine, FineTuneSpec, ServeConfig, ServeError, ServeHandle,
-    SessionEvent, SessionId,
+    ChaosPlan, Director, Engine, FineTuneSpec, ServeConfig, ServeError, ServeHandle, SessionEvent,
+    SessionId,
 };
 use cpt_testkit::{
-    alternating_dataset, drain_session, fixture_model, fixture_model_v2, served_reference,
-    Scratch,
+    alternating_dataset, drain_session, fixture_model, fixture_model_v2, served_reference, Scratch,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -46,7 +45,9 @@ fn start_stack(
         let (mut reg, report) = Registry::open(&root).expect("bootstrap registry");
         if reg.is_empty() {
             assert!(report.is_clean());
-            let id = reg.stage(&fixture_model(), "bootstrap import").expect("stage v1");
+            let id = reg
+                .stage(&fixture_model(), "bootstrap import")
+                .expect("stage v1");
             reg.validate(id).expect("validate v1");
             reg.promote(id).expect("promote v1");
         }
@@ -56,8 +57,7 @@ fn start_stack(
     let engine = Engine::start_versioned(Arc::new(model), live, ServeConfig::new(workers), chaos)
         .expect("engine starts");
     let handle = engine.handle();
-    let director =
-        Arc::new(Director::new(reg, engine.handle(), chaos).expect("director starts"));
+    let director = Arc::new(Director::new(reg, engine.handle(), chaos).expect("director starts"));
     (engine, handle, director)
 }
 
@@ -68,8 +68,7 @@ fn start_stack(
 fn publish_under_load_pins_old_sessions_and_switches_new_ones() {
     for workers in [1usize, 2, 8] {
         let scratch = Scratch::new(&format!("swap{workers}"));
-        let (engine, handle, director) =
-            start_stack(&scratch, workers, ChaosPlan::default());
+        let (engine, handle, director) = start_stack(&scratch, workers, ChaosPlan::default());
         assert_eq!(handle.live_version(), 1);
 
         let pinned_params: Vec<StreamParams> = (0..64u64)
@@ -192,17 +191,27 @@ fn corrupt_candidate_is_rejected_typed_while_v1_keeps_serving() {
     let (live, records, _) = director.versions();
     assert_eq!(live, Some(1));
     assert_eq!(
-        records.iter().find(|r| r.id == 2).expect("record kept").state,
+        records
+            .iter()
+            .find(|r| r.id == 2)
+            .expect("record kept")
+            .state,
         VersionState::Quarantined
     );
 
     // In-flight and brand-new sessions still decode v1 exactly.
     for (id, p) in ids.iter().zip(&params) {
-        assert_eq!(drain_session(&handle, *id, 16), served_reference(&fixture_model(), *p));
+        assert_eq!(
+            drain_session(&handle, *id, 16),
+            served_reference(&fixture_model(), *p)
+        );
     }
     let p = StreamParams::new(777).streams(2);
     let fresh = handle.open_session(p).expect("still admitting");
-    assert_eq!(drain_session(&handle, fresh, 16), served_reference(&fixture_model(), p));
+    assert_eq!(
+        drain_session(&handle, fresh, 16),
+        served_reference(&fixture_model(), p)
+    );
     director.shutdown();
     engine.shutdown();
 }
@@ -229,11 +238,17 @@ fn crash_in_promote_commit_window_recovers_to_last_durable_version() {
         .publish_path(&candidate)
         .expect_err("the crashed commit must surface");
     assert!(
-        matches!(err, ServeError::Registry(RegistryError::SimulatedCrash { .. })),
+        matches!(
+            err,
+            ServeError::Registry(RegistryError::SimulatedCrash { .. })
+        ),
         "expected the simulated crash, got {err:?}"
     );
     assert_eq!(handle.live_version(), 1, "the engine must not half-promote");
-    assert_eq!(drain_session(&handle, id, 16), served_reference(&fixture_model(), p));
+    assert_eq!(
+        drain_session(&handle, id, 16),
+        served_reference(&fixture_model(), p)
+    );
     director.shutdown();
     engine.shutdown();
 
@@ -248,18 +263,26 @@ fn crash_in_promote_commit_window_recovers_to_last_durable_version() {
         VersionState::Validated
     );
 
-    let engine = Engine::start_versioned(Arc::new(model), live, ServeConfig::new(2), ChaosPlan::default())
-        .expect("engine restarts");
+    let engine = Engine::start_versioned(
+        Arc::new(model),
+        live,
+        ServeConfig::new(2),
+        ChaosPlan::default(),
+    )
+    .expect("engine restarts");
     let handle = engine.handle();
-    let director = Director::new(reg, engine.handle(), ChaosPlan::default())
-        .expect("director restarts");
+    let director =
+        Director::new(reg, engine.handle(), ChaosPlan::default()).expect("director restarts");
     let outcome = director
         .publish_version(2)
         .expect("the interrupted swap completes after restart");
     assert_eq!(outcome.version, 2);
     assert_eq!(handle.live_version(), 2);
     let fresh = handle.open_session(p).expect("admitted");
-    assert_eq!(drain_session(&handle, fresh, 16), served_reference(&fixture_model_v2(), p));
+    assert_eq!(
+        drain_session(&handle, fresh, 16),
+        served_reference(&fixture_model_v2(), p)
+    );
     director.shutdown();
     engine.shutdown();
 }
@@ -351,7 +374,11 @@ fn panicking_finetune_is_a_failed_job_and_the_retry_is_the_next_job() {
     assert_eq!(director.finetune(spec()).expect("job 1 admitted"), 1);
     director.join_finetune();
     let (live, records, last_err) = director.versions();
-    assert_eq!(live, Some(1), "a failed fine-tune must not touch the live version");
+    assert_eq!(
+        live,
+        Some(1),
+        "a failed fine-tune must not touch the live version"
+    );
     assert_eq!(records.len(), 1, "the failed job staged nothing");
     let err = last_err.expect("the failure is reported");
     assert!(err.contains("panicked") && err.contains("job 1"), "{err}");
@@ -361,7 +388,10 @@ fn panicking_finetune_is_a_failed_job_and_the_retry_is_the_next_job() {
     assert_eq!(stats.finetunes_running, 0);
     let p = StreamParams::new(55).streams(2);
     let id = handle.open_session(p).expect("admitted");
-    assert_eq!(drain_session(&handle, id, 16), served_reference(&fixture_model(), p));
+    assert_eq!(
+        drain_session(&handle, id, 16),
+        served_reference(&fixture_model(), p)
+    );
 
     assert_eq!(director.finetune(spec()).expect("job 2 admitted"), 2);
     director.join_finetune();

@@ -96,7 +96,10 @@ fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
             let b = handle
                 .next_events(*id, 1, Duration::from_secs(10))
                 .expect("prefix delivery");
-            b.events.iter().map(|e| *e.data().expect("data event")).collect()
+            b.events
+                .iter()
+                .map(|e| *e.data().expect("data event"))
+                .collect()
         })
         .collect();
 
@@ -124,8 +127,11 @@ fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
         packed,
         "the first next on the new version packed something"
     );
-    let mut new_got: Vec<DecodedEvent> =
-        first.events.iter().map(|e| *e.data().expect("data event")).collect();
+    let mut new_got: Vec<DecodedEvent> = first
+        .events
+        .iter()
+        .map(|e| *e.data().expect("data event"))
+        .collect();
     if !first.finished {
         new_got.extend(data_events(&drain_session(&handle, new_id, 8)));
     }
@@ -133,7 +139,11 @@ fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
 
     for ((id, params), got) in old_ids.iter().zip(&old_params).zip(&mut old_got) {
         got.extend(data_events(&drain_session(&handle, *id, 8)));
-        assert_eq!(*got, cold_reference(&v1, *params), "v1-pinned session diverged after promote");
+        assert_eq!(
+            *got,
+            cold_reference(&v1, *params),
+            "v1-pinned session diverged after promote"
+        );
     }
     assert_eq!(v1.store.packed_floats(), packed);
     engine.shutdown();

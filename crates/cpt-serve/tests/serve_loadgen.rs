@@ -8,8 +8,7 @@
 use cpt_gpt::{SessionEvent, StreamParams};
 use cpt_serve::protocol::{wire, ErrorKind, Request, Response};
 use cpt_serve::{
-    run_loadgen, ChaosPlan, Engine, LoadgenConfig, ServeConfig, Server, ServerConfig,
-    SessionId,
+    run_loadgen, ChaosPlan, Engine, LoadgenConfig, ServeConfig, Server, ServerConfig, SessionId,
 };
 use cpt_testkit::fixture_model;
 use std::io::{BufReader, BufWriter, Write};
@@ -188,7 +187,13 @@ fn overload_sheds_with_typed_protocol_error() {
     // an unknown opcode in a well-formed frame leaves the connection usable.
     let bad = client.send_payload(&[0x7E]);
     assert!(
-        matches!(bad, Response::Error { kind: ErrorKind::InvalidRequest, .. }),
+        matches!(
+            bad,
+            Response::Error {
+                kind: ErrorKind::InvalidRequest,
+                ..
+            }
+        ),
         "expected invalid_request, got {bad:?}"
     );
     let next = client.request(&Request::Next {
@@ -206,7 +211,13 @@ fn overload_sheds_with_typed_protocol_error() {
         wait_ms: 0,
     });
     assert!(
-        matches!(unknown, Response::Error { kind: ErrorKind::UnknownSession, .. }),
+        matches!(
+            unknown,
+            Response::Error {
+                kind: ErrorKind::UnknownSession,
+                ..
+            }
+        ),
         "expected unknown_session, got {unknown:?}"
     );
 
@@ -303,7 +314,10 @@ fn over_cap_connection_gets_one_overloaded_frame() {
         ..ServeConfig::new(1)
     });
     let mut first = Client::connect(server.addr);
-    assert!(matches!(first.request(&Request::Stats), Response::Stats { .. }));
+    assert!(matches!(
+        first.request(&Request::Stats),
+        Response::Stats { .. }
+    ));
 
     let mut second = Client::connect(server.addr);
     second.write_request(&Request::Stats);
@@ -316,10 +330,16 @@ fn over_cap_connection_gets_one_overloaded_frame() {
         ),
         "expected one overloaded frame, got {refused:?}"
     );
-    assert!(second.read_response().is_none(), "connection closes after the refusal");
+    assert!(
+        second.read_response().is_none(),
+        "connection closes after the refusal"
+    );
 
     // The admitted connection is unaffected.
-    assert!(matches!(first.request(&Request::Stats), Response::Stats { .. }));
+    assert!(matches!(
+        first.request(&Request::Stats),
+        Response::Stats { .. }
+    ));
     server.shutdown();
 }
 
@@ -342,7 +362,10 @@ fn bad_preamble_gets_a_typed_error_then_close() {
         ),
         "expected a bad-preamble error, got {resp:?}"
     );
-    assert!(client.read_response().is_none(), "connection closes after the error");
+    assert!(
+        client.read_response().is_none(),
+        "connection closes after the error"
+    );
     server.shutdown();
 }
 
@@ -398,8 +421,8 @@ fn stop_ends_connections_blocked_on_a_silent_client() {
 #[test]
 fn thousand_concurrent_sessions_bit_identical_across_workers() {
     let run = |workers: usize| -> Vec<Vec<SessionEvent>> {
-        let engine = Engine::start(fixture_model(), ServeConfig::new(workers))
-            .expect("engine starts");
+        let engine =
+            Engine::start(fixture_model(), ServeConfig::new(workers)).expect("engine starts");
         let handle = engine.handle();
         let ids: Vec<SessionId> = (0..1000u64)
             .map(|i| {

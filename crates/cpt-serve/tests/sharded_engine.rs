@@ -40,8 +40,10 @@ fn bit_identical_at_any_shard_and_worker_count() {
             .iter()
             .map(|p| handle.open_session(*p).expect("session admitted"))
             .collect();
-        let got: Vec<Vec<DecodedEvent>> =
-            ids.iter().map(|id| data_events(&drain_session(&handle, *id, 64))).collect();
+        let got: Vec<Vec<DecodedEvent>> = ids
+            .iter()
+            .map(|id| data_events(&drain_session(&handle, *id, 64)))
+            .collect();
         engine.shutdown();
         assert_eq!(
             expected, got,
@@ -58,16 +60,30 @@ fn served_session_is_the_offline_trace_of_the_same_seed() {
     let (seed, n) = (4242u64, 9usize);
     let model = fixture_model();
     let offline = model
-        .generate(&cpt_gpt::GenerateConfig { batch_size: 4, ..cpt_gpt::GenerateConfig::new(n, seed) })
+        .generate(&cpt_gpt::GenerateConfig {
+            batch_size: 4,
+            ..cpt_gpt::GenerateConfig::new(n, seed)
+        })
         .expect("offline generate");
     let offline: Vec<Vec<(EventType, u64)>> = offline
         .streams
         .iter()
-        .map(|s| s.events.iter().map(|e| (e.event_type, e.timestamp.to_bits())).collect())
+        .map(|s| {
+            s.events
+                .iter()
+                .map(|e| (e.event_type, e.timestamp.to_bits()))
+                .collect()
+        })
         .collect();
     for (shards, workers) in [(1usize, 1usize), (4, 4), (8, 1)] {
-        let engine = Engine::start(Arc::clone(&model), ServeConfig { shards, ..ServeConfig::new(workers) })
-            .expect("engine starts");
+        let engine = Engine::start(
+            Arc::clone(&model),
+            ServeConfig {
+                shards,
+                ..ServeConfig::new(workers)
+            },
+        )
+        .expect("engine starts");
         let handle = engine.handle();
         let id = handle
             .open_session(StreamParams::new(seed).streams(n))
@@ -77,7 +93,10 @@ fn served_session_is_the_offline_trace_of_the_same_seed() {
             served[ev.stream].push((ev.event_type, ev.timestamp.to_bits()));
         }
         engine.shutdown();
-        assert_eq!(offline, served, "served trace differs at {shards} shards / {workers} workers");
+        assert_eq!(
+            offline, served,
+            "served trace differs at {shards} shards / {workers} workers"
+        );
     }
 }
 
@@ -465,17 +484,26 @@ fn retire_on(shards: usize, ending: Ending) {
         "v1 retires once its last session is disposed ({ctx})"
     );
     let per = handle.sessions_per_version();
-    assert!(!per.iter().any(|(v, _)| *v == 1), "v1 freed ({ctx}): {per:?}");
+    assert!(
+        !per.iter().any(|(v, _)| *v == 1),
+        "v1 freed ({ctx}): {per:?}"
+    );
 
     // A session on v3, then two promotes: v2 (the rollback target,
     // unpinned) is released and retires at once; v3 is released pinned.
-    handle.open_session(StreamParams::new(77)).expect("open on v3");
+    handle
+        .open_session(StreamParams::new(77))
+        .expect("open on v3");
     handle.install_version(4, fixture_model_v2());
     handle.promote_version(4).expect("promote v4");
     handle.install_version(5, fixture_model());
     handle.promote_version(5).expect("promote v5");
     let want = [LifecycleEvent::Retired(1), LifecycleEvent::Retired(2)];
-    assert_eq!(await_events(&events, 2), want, "unpinned v2 retires ({ctx})");
+    assert_eq!(
+        await_events(&events, 2),
+        want,
+        "unpinned v2 retires ({ctx})"
+    );
     assert!(handle.sessions_per_version().contains(&(3, 1)));
     assert_eq!(handle.stats().versions_retired, 2);
 
@@ -519,7 +547,9 @@ fn trip_wire_releases_the_demoted_version() {
     handle.install_version(2, fixture_model_v2());
     handle.promote_version(2).expect("promote v2");
 
-    let id = handle.open_session(StreamParams::new(5)).expect("open on v2");
+    let id = handle
+        .open_session(StreamParams::new(5))
+        .expect("open on v2");
     assert_eq!(id, SessionId(1));
     let trip = LifecycleEvent::TripWire {
         demoted: 2,

@@ -17,21 +17,21 @@ const DEVICES: [&str; 3] = ["phone", "connected_car", "tablet"];
 
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (0u64..u64::MAX, 1usize..9, 0usize..3, 0usize..40).prop_map(
-            |(seed, streams, dev, cap)| Request::Open {
+        (0u64..u64::MAX, 1usize..9, 0usize..3, 0usize..40).prop_map(|(seed, streams, dev, cap)| {
+            Request::Open {
                 seed,
                 streams,
                 device: DEVICES[dev].to_string(),
                 max_stream_len: if cap == 0 { None } else { Some(cap) },
             }
-        ),
-        (0u64..u64::MAX, 0usize..4096, 0u64..100_000).prop_map(
-            |(session, max, wait_ms)| Request::Next {
+        }),
+        (0u64..u64::MAX, 0usize..4096, 0u64..100_000).prop_map(|(session, max, wait_ms)| {
+            Request::Next {
                 session,
                 max,
                 wait_ms,
             }
-        ),
+        }),
         (0u64..u64::MAX).prop_map(|session| Request::Close { session }),
         Just(Request::Detach),
         (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(a, b)| Request::Reattach {
@@ -64,8 +64,14 @@ fn arb_request() -> impl Strategy<Value = Request> {
 /// codec; `PartialEq` round-trip comparison needs finite floats).
 fn arb_event() -> impl Strategy<Value = SessionEvent> {
     prop_oneof![
-        (0usize..8, 0usize..EventType::ALL.len(), 0.0f64..1e6, 0.0f64..1e9, 0u8..2).prop_map(
-            |(stream, et, iat, timestamp, last)| {
+        (
+            0usize..8,
+            0usize..EventType::ALL.len(),
+            0.0f64..1e6,
+            0.0f64..1e9,
+            0u8..2
+        )
+            .prop_map(|(stream, et, iat, timestamp, last)| {
                 SessionEvent::Data(DecodedEvent {
                     stream,
                     event_type: EventType::from_index(et).expect("index in range"),
@@ -73,8 +79,7 @@ fn arb_event() -> impl Strategy<Value = SessionEvent> {
                     timestamp,
                     last_in_stream: last == 1,
                 })
-            }
-        ),
+            }),
         (0u64..1000).prop_map(|n| SessionEvent::Failed {
             reason: format!("chaos: injected panic advancing session {n}"),
         }),
@@ -143,8 +148,13 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
 }
 
 fn arb_version() -> impl Strategy<Value = VersionInfo> {
-    (1u64..64, 0usize..VersionState::ALL.len(), 0u64..5000, 0u64..1000).prop_map(
-        |(id, state, sessions, note)| VersionInfo {
+    (
+        1u64..64,
+        0usize..VersionState::ALL.len(),
+        0u64..5000,
+        0u64..1000,
+    )
+        .prop_map(|(id, state, sessions, note)| VersionInfo {
             id,
             state: VersionState::ALL[state],
             sessions,
@@ -153,8 +163,7 @@ fn arb_version() -> impl Strategy<Value = VersionInfo> {
             } else {
                 format!("staged from model-{note}.json")
             },
-        },
-    )
+        })
 }
 
 /// Every response.

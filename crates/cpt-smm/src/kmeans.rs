@@ -107,10 +107,18 @@ pub fn z_normalize(points: &mut [Vec<f64>]) {
     let n = points.len() as f64;
     for d in 0..dim {
         let mean: f64 = points.iter().map(|p| p[d]).sum::<f64>() / n;
-        let var: f64 = points.iter().map(|p| (p[d] - mean) * (p[d] - mean)).sum::<f64>() / n;
+        let var: f64 = points
+            .iter()
+            .map(|p| (p[d] - mean) * (p[d] - mean))
+            .sum::<f64>()
+            / n;
         let std = var.sqrt();
         for p in points.iter_mut() {
-            p[d] = if std > 1e-12 { (p[d] - mean) / std } else { 0.0 };
+            p[d] = if std > 1e-12 {
+                (p[d] - mean) / std
+            } else {
+                0.0
+            };
         }
     }
 }
@@ -149,7 +157,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let points: Vec<Vec<f64>> = (0..30).map(|i| vec![(i % 7) as f64, (i % 3) as f64]).collect();
+        let points: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![(i % 7) as f64, (i % 3) as f64])
+            .collect();
         let a = kmeans(&points, 3, 5, 50);
         let b = kmeans(&points, 3, 5, 50);
         assert_eq!(a, b);

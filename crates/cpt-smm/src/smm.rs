@@ -212,7 +212,11 @@ mod tests {
         let data = ground_truth();
         let smm = SemiMarkovModel::fit(StateMachine::lte(), &data, DeviceType::Phone);
         smm.validate().unwrap();
-        assert!(smm.num_cdfs() >= 5, "too few fitted CDFs: {}", smm.num_cdfs());
+        assert!(
+            smm.num_cdfs() >= 5,
+            "too few fitted CDFs: {}",
+            smm.num_cdfs()
+        );
     }
 
     #[test]
@@ -257,7 +261,10 @@ mod tests {
         let synth = smm.generate(100, 1800.0, 3);
         for s in &synth.streams {
             assert!(s.events.iter().all(|e| e.timestamp < 1800.0));
-            assert!(s.events.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
+            assert!(s
+                .events
+                .windows(2)
+                .all(|w| w[0].timestamp <= w[1].timestamp));
         }
     }
 

@@ -226,7 +226,9 @@ mod tests {
             (E::ServiceRequest, S::SrvS),
             (E::Detach, S::DeregS),
         ] {
-            s = m.transition(s, ev).unwrap_or_else(|v| panic!("unexpected violation {v}"));
+            s = m
+                .transition(s, ev)
+                .unwrap_or_else(|v| panic!("unexpected violation {v}"));
             assert_eq!(s.sub(), expect);
         }
     }
@@ -238,7 +240,10 @@ mod tests {
         assert!(!m.is_legal(st(S::S1RelS), E::ConnectionRelease));
         assert!(!m.is_legal(st(S::S1RelS), E::Handover));
         for conn in [S::SrvS, S::HoS, S::TauCS] {
-            assert!(!m.is_legal(st(conn), E::ServiceRequest), "SRV_REQ legal in {conn}");
+            assert!(
+                !m.is_legal(st(conn), E::ServiceRequest),
+                "SRV_REQ legal in {conn}"
+            );
         }
     }
 
@@ -256,7 +261,9 @@ mod tests {
         );
         // TAU after HO lands in TAU_C_S (connected), not IDLE.
         assert_eq!(
-            m.transition(st(S::HoS), E::TrackingAreaUpdate).unwrap().sub(),
+            m.transition(st(S::HoS), E::TrackingAreaUpdate)
+                .unwrap()
+                .sub(),
             S::TauCS
         );
     }

@@ -18,11 +18,7 @@ pub enum TopState {
 
 impl TopState {
     /// All top states.
-    pub const ALL: [TopState; 3] = [
-        TopState::Deregistered,
-        TopState::Connected,
-        TopState::Idle,
-    ];
+    pub const ALL: [TopState; 3] = [TopState::Deregistered, TopState::Connected, TopState::Idle];
 
     /// Dense index for table lookups.
     pub fn index(self) -> usize {

@@ -208,9 +208,15 @@ mod tests {
         let mut samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let emp_median = samples[n / 2];
-        assert!((emp_median - 12.0).abs() / 12.0 < 0.05, "median {emp_median}");
+        assert!(
+            (emp_median - 12.0).abs() / 12.0 < 0.05,
+            "median {emp_median}"
+        );
         let emp_mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((emp_mean - d.mean()).abs() / d.mean() < 0.05, "mean {emp_mean}");
+        assert!(
+            (emp_mean - d.mean()).abs() / d.mean() < 0.05,
+            "mean {emp_mean}"
+        );
     }
 
     #[test]

@@ -24,8 +24,7 @@ const STREAM_CHUNK_UES: usize = 1024;
 fn device_counts(config: &SynthConfig) -> [usize; 3] {
     let mut counts = [0usize; 3];
     for dt in DeviceType::ALL {
-        counts[dt.index()] =
-            (config.num_ues as f64 * dt.population_share()).round() as usize;
+        counts[dt.index()] = (config.num_ues as f64 * dt.population_share()).round() as usize;
     }
     // Rounding may drop/add a UE; give the remainder to phones.
     let assigned: usize = counts.iter().sum();
@@ -388,7 +387,10 @@ mod tests {
         let d = generate(&SynthConfig::new(1000, 9));
         let s = d.summary();
         let phone_share = s.phones as f64 / s.streams as f64;
-        assert!((phone_share - 0.646).abs() < 0.05, "phone share {phone_share}");
+        assert!(
+            (phone_share - 0.646).abs() < 0.05,
+            "phone share {phone_share}"
+        );
         // UE ids are unique.
         let mut ids: Vec<u64> = d.streams.iter().map(|s| s.ue_id.0).collect();
         ids.sort_unstable();

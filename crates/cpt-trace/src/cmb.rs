@@ -467,7 +467,10 @@ mod tests {
             c.push(format!("t{i}"), &[0], &[]);
         }
         let start = std::time::Instant::now();
-        assert_eq!(Cmb::from_bytes(&c.to_bytes()).unwrap().tensors.len(), 200_000);
+        assert_eq!(
+            Cmb::from_bytes(&c.to_bytes()).unwrap().tensors.len(),
+            200_000
+        );
         c.push("t0", &[0], &[]);
         assert!(matches!(
             Cmb::from_bytes(&c.to_bytes()),

@@ -124,7 +124,10 @@ impl std::fmt::Display for CtbError {
             CtbError::Io { path, source } => write!(f, "{}: {source}", path.display()),
             CtbError::BadHeader(msg) => write!(f, "bad ctb header: {msg}"),
             CtbError::Truncated { what, need, have } => {
-                write!(f, "truncated ctb: {what} needs {need} bytes, file has {have}")
+                write!(
+                    f,
+                    "truncated ctb: {what} needs {need} bytes, file has {have}"
+                )
             }
             CtbError::Checksum { what, index } => {
                 write!(f, "ctb checksum mismatch in {what} {index}")
@@ -300,12 +303,13 @@ impl ColumnarWriter {
 
     /// Appends one stream. Streams are stored in push order.
     pub fn push_stream(&mut self, stream: &Stream) -> Result<(), CtbError> {
-        let len = u32::try_from(stream.events.len())
-            .map_err(|_| CtbError::TooLarge("stream length"))?;
+        let len =
+            u32::try_from(stream.events.len()).map_err(|_| CtbError::TooLarge("stream length"))?;
         if self.index.len() as u64 == u64::MAX {
             return Err(CtbError::TooLarge("stream count"));
         }
-        let block = u32::try_from(self.blocks.len()).map_err(|_| CtbError::TooLarge("block count"))?;
+        let block =
+            u32::try_from(self.blocks.len()).map_err(|_| CtbError::TooLarge("block count"))?;
         let mut prev_bits = 0u64;
         for ev in &stream.events {
             if !ev.event_type.exists_in(self.generation) {
@@ -316,7 +320,8 @@ impl ColumnarWriter {
             }
             let bits = ev.timestamp.to_bits();
             self.types.push(ev.event_type.index() as u8);
-            self.deltas.extend_from_slice(&(bits ^ prev_bits).to_le_bytes());
+            self.deltas
+                .extend_from_slice(&(bits ^ prev_bits).to_le_bytes());
             prev_bits = bits;
         }
         self.index.push(StreamEntry {
@@ -370,8 +375,9 @@ impl ColumnarWriter {
         let num_blocks = self.blocks.len() as u64;
         let index_offset = HEADER_LEN as u64 + self.payload_pos;
 
-        let mut index_bytes =
-            Vec::with_capacity(self.index.len() * STREAM_ENTRY_LEN + self.blocks.len() * BLOCK_ENTRY_LEN);
+        let mut index_bytes = Vec::with_capacity(
+            self.index.len() * STREAM_ENTRY_LEN + self.blocks.len() * BLOCK_ENTRY_LEN,
+        );
         for e in &self.index {
             e.encode(&mut index_bytes);
         }
@@ -486,7 +492,9 @@ impl ColumnarReader {
             have: file_len,
         })?;
         if header[0..8] != MAGIC {
-            return Err(CtbError::BadHeader("magic mismatch (not a .ctb file)".into()));
+            return Err(CtbError::BadHeader(
+                "magic mismatch (not a .ctb file)".into(),
+            ));
         }
         let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
         if version != VERSION {
@@ -501,8 +509,9 @@ impl ColumnarReader {
                 index: 0,
             });
         }
-        let generation = generation_from_code(header[12])
-            .ok_or_else(|| CtbError::BadHeader(format!("unknown generation code {}", header[12])))?;
+        let generation = generation_from_code(header[12]).ok_or_else(|| {
+            CtbError::BadHeader(format!("unknown generation code {}", header[12]))
+        })?;
         let num_streams = u64::from_le_bytes(header[16..24].try_into().unwrap());
         let num_events = u64::from_le_bytes(header[24..32].try_into().unwrap());
         let index_offset = u64::from_le_bytes(header[32..40].try_into().unwrap());
@@ -910,7 +919,12 @@ impl<'a> StreamView<'a> {
     pub fn to_stream(&self) -> Result<Stream, CtbError> {
         let mut events = Vec::with_capacity(self.len());
         let mut prev = 0u64;
-        for (k, (&t, c)) in self.types.iter().zip(self.deltas.chunks_exact(8)).enumerate() {
+        for (k, (&t, c)) in self
+            .types
+            .iter()
+            .zip(self.deltas.chunks_exact(8))
+            .enumerate()
+        {
             let event_type = EventType::from_index(t as usize)
                 .filter(|et| et.exists_in(self.generation))
                 .ok_or_else(|| {
@@ -1039,7 +1053,11 @@ mod tests {
             .collect();
         let d = Dataset::new(streams);
         let r = ColumnarReader::from_bytes(write_bytes(&d, "blocks")).unwrap();
-        assert!(r.num_blocks() > 1, "expected multiple blocks, got {}", r.num_blocks());
+        assert!(
+            r.num_blocks() > 1,
+            "expected multiple blocks, got {}",
+            r.num_blocks()
+        );
         r.verify().unwrap();
         assert_eq!(r.to_dataset().unwrap(), d);
     }
@@ -1141,7 +1159,11 @@ mod tests {
         }]);
         let r = ColumnarReader::from_bytes(write_bytes(&d, "nan")).unwrap();
         let back = r.to_dataset().unwrap();
-        let bits: Vec<u64> = back.streams[0].events.iter().map(|e| e.timestamp.to_bits()).collect();
+        let bits: Vec<u64> = back.streams[0]
+            .events
+            .iter()
+            .map(|e| e.timestamp.to_bits())
+            .collect();
         assert_eq!(bits[0], (-0.0f64).to_bits());
         assert_eq!(bits[1], f64::NAN.to_bits());
     }

@@ -148,7 +148,16 @@ impl Dataset {
         }
         counts
             .into_iter()
-            .map(|(k, v)| (k, if total == 0 { 0.0 } else { v as f64 / total as f64 }))
+            .map(|(k, v)| {
+                (
+                    k,
+                    if total == 0 {
+                        0.0
+                    } else {
+                        v as f64 / total as f64
+                    },
+                )
+            })
             .collect()
     }
 

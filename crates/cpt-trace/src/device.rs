@@ -116,9 +116,7 @@ mod tests {
         let total: f64 = DeviceType::ALL.iter().map(|d| d.population_share()).sum();
         assert!((total - 1.0).abs() < 1e-9);
         // Phones dominate, tablets are smallest — as in §4.1.
-        assert!(
-            DeviceType::Phone.population_share() > DeviceType::ConnectedCar.population_share()
-        );
+        assert!(DeviceType::Phone.population_share() > DeviceType::ConnectedCar.population_share());
         assert!(
             DeviceType::ConnectedCar.population_share() > DeviceType::Tablet.population_share()
         );

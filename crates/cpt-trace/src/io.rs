@@ -59,7 +59,10 @@ impl std::fmt::Display for IoError {
                 line,
                 snippet,
                 source,
-            } => write!(f, "parse error at line {line}: {source}; offending line starts: {snippet:?}"),
+            } => write!(
+                f,
+                "parse error at line {line}: {source}; offending line starts: {snippet:?}"
+            ),
             IoError::BadHeader(msg) => write!(f, "bad dataset header: {msg}"),
             IoError::Ctb(e) => e.fmt(f),
         }
@@ -336,10 +339,10 @@ impl<R: BufRead> StreamReader<R> {
                 continue;
             }
             let stream = parse_stream_line(&line).map_err(|source| IoError::Parse {
-                    line: i + 2, // header consumed line 1
-                    snippet: snippet_of(&line),
-                    source,
-                })?;
+                line: i + 2, // header consumed line 1
+                snippet: snippet_of(&line),
+                source,
+            })?;
             self.delivered += 1;
             return Ok(Some(stream));
         }
@@ -605,7 +608,17 @@ mod tests {
         assert_eq!(d.streams[0].ue_id, UeId((1 << 53) + 1));
         assert_eq!(d.streams[1].ue_id, UeId(u64::MAX));
         let ts: Vec<f64> = d.streams[0].events.iter().map(|e| e.timestamp).collect();
-        let expected = [0.0, 1.25e-7, 1e-6, 0.00001, 3.0, 123456789.125, 1e15, 1e16, 1.5e16];
+        let expected = [
+            0.0,
+            1.25e-7,
+            1e-6,
+            0.00001,
+            3.0,
+            123456789.125,
+            1e15,
+            1e16,
+            1.5e16,
+        ];
         assert_eq!(ts, expected);
         let mut back = Vec::new();
         write_dataset_to(&d, &mut back).unwrap();
@@ -659,9 +672,15 @@ mod tests {
             r#"{"note":[1,{"a":null}],"timestamp":2.0,"event_type":"\u0041ttach"}"#,
         );
         let d = read_dataset_from(Cursor::new(ok)).unwrap();
-        assert_eq!(d.streams[1].events, vec![Event::new(EventType::Attach, 2.0)]);
+        assert_eq!(
+            d.streams[1].events,
+            vec![Event::new(EventType::Attach, 2.0)]
+        );
         for (events, why) in [
-            (r#"{"event_type":"Attach"}"#, "events: [0]: missing field \"timestamp\""),
+            (
+                r#"{"event_type":"Attach"}"#,
+                "events: [0]: missing field \"timestamp\"",
+            ),
             (
                 r#"{"event_type":"Attach","timestamp":1.0,"timestamp":2.0}"#,
                 "events: [0]: duplicate field \"timestamp\"",
@@ -670,7 +689,10 @@ mod tests {
                 r#"{"event_type":"Reboot","timestamp":1.0}"#,
                 "events: [0]: event_type: expected one of",
             ),
-            (r#"{"event_type":"Attach","timestamp":null}"#, "events: [0]: timestamp: expected a number"),
+            (
+                r#"{"event_type":"Attach","timestamp":null}"#,
+                "events: [0]: timestamp: expected a number",
+            ),
         ] {
             match read_dataset_from(Cursor::new(one_stream_line(events))) {
                 Err(IoError::Parse { line, source, .. }) => {
@@ -680,10 +702,13 @@ mod tests {
                 other => panic!("expected Parse error at line 3, got {other:?}"),
             }
         }
-        let no_device = "{\"format\":\"cpt-trace\",\"version\":1,\"generation\":\"Lte\",\"num_streams\":1}\n\
+        let no_device =
+            "{\"format\":\"cpt-trace\",\"version\":1,\"generation\":\"Lte\",\"num_streams\":1}\n\
              {\"ue_id\":1,\"events\":[]}\n";
         match read_dataset_from(Cursor::new(no_device.as_bytes())) {
-            Err(IoError::Parse { line: 2, source, .. }) => {
+            Err(IoError::Parse {
+                line: 2, source, ..
+            }) => {
                 assert_eq!(source.to_string(), "missing field \"device_type\"")
             }
             other => panic!("expected Parse error at line 2, got {other:?}"),

@@ -1163,7 +1163,10 @@ mod tests {
             assert!(cursor_sum(bad).is_err(), "{bad:?} should not read");
             assert!(parse(bad).is_err(), "{bad:?} should not parse either");
         }
-        assert!(cursor_sum(r#"[{"k":["1"]}]"#).is_err(), "a string is not a number");
+        assert!(
+            cursor_sum(r#"[{"k":["1"]}]"#).is_err(),
+            "a string is not a number"
+        );
     }
 
     #[test]

@@ -159,7 +159,15 @@ mod linux {
     ///
     /// # Safety
     /// The caller must uphold the contract of the specific syscall.
-    unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
+    unsafe fn syscall6(
+        n: usize,
+        a: usize,
+        b: usize,
+        c: usize,
+        d: usize,
+        e: usize,
+        f: usize,
+    ) -> isize {
         let ret: isize;
         // SAFETY: this is the x86-64 Linux syscall ABI: number in rax,
         // arguments in rdi/rsi/rdx/r10/r8/r9, result in rax, and the kernel
@@ -189,17 +197,7 @@ mod linux {
         let fd = file.as_raw_fd();
         // SAFETY: addr=NULL lets the kernel pick the placement; fd is a
         // valid open descriptor; offset 0 is page-aligned.
-        let ret = unsafe {
-            syscall6(
-                SYS_MMAP,
-                0,
-                len,
-                PROT_READ,
-                MAP_PRIVATE,
-                fd as usize,
-                0,
-            )
-        };
+        let ret = unsafe { syscall6(SYS_MMAP, 0, len, PROT_READ, MAP_PRIVATE, fd as usize, 0) };
         if (-4095..0).contains(&ret) {
             return Err(io::Error::from_raw_os_error(-ret as i32));
         }

@@ -6,7 +6,6 @@
 //! histograms for the appendix's interarrival-time figure. This module
 //! provides those primitives plus the usual moments/quantiles.
 
-
 /// An empirical CDF over `f64` samples.
 ///
 /// Stores the sorted sample; evaluation is O(log n). NaN samples are
@@ -138,8 +137,7 @@ impl Histogram {
         } else if x >= self.hi {
             self.overflow += 1;
         } else {
-            let bin =
-                ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
+            let bin = ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
             let last = self.counts.len() - 1;
             self.counts[bin.min(last)] += 1;
         }

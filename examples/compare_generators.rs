@@ -16,10 +16,8 @@ use cpt::trace::{Dataset, DeviceType};
 fn main() {
     let device = DeviceType::Phone;
     let machine = StateMachine::lte();
-    let train_data =
-        generate_device(&SynthConfig::new(0, 5), device, 500).clamp_lengths(2, 48);
-    let test_data =
-        generate_device(&SynthConfig::new(0, 6), device, 500).clamp_lengths(2, 48);
+    let train_data = generate_device(&SynthConfig::new(0, 5), device, 500).clamp_lengths(2, 48);
+    let test_data = generate_device(&SynthConfig::new(0, 6), device, 500).clamp_lengths(2, 48);
     println!("training on {}", train_data.summary());
 
     let n = 400;
@@ -47,7 +45,8 @@ fn main() {
     ns.train(&train_data).expect("NetShare training failed");
     results.push((
         "NetShare",
-        ns.generate(n, device, 3).expect("NetShare generation failed"),
+        ns.generate(n, device, 3)
+            .expect("NetShare generation failed"),
     ));
 
     // CPT-GPT: the paper's transformer (no domain knowledge).

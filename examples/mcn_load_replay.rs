@@ -74,8 +74,14 @@ fn report_load(name: &str, trace: &Dataset) {
 
     println!("--- MCN load driven by {name} ---");
     println!("  total control events:        {total}");
-    println!("  mean load:                   {:.2} events/s", total as f64 / 3600.0);
-    println!("  peak minute load:            {:.2} events/s", peak_minute as f64 / 60.0);
+    println!(
+        "  mean load:                   {:.2} events/s",
+        total as f64 / 3600.0
+    );
+    println!(
+        "  peak minute load:            {:.2} events/s",
+        peak_minute as f64 / 60.0
+    );
     println!("  peak simultaneous CONNECTED: {peak_connected} UEs");
     for (nf, count) in nf_counts {
         println!("  {nf:<18} {count:>8} invocations");
@@ -85,8 +91,8 @@ fn report_load(name: &str, trace: &Dataset) {
 
 fn main() {
     // Real (simulated-carrier) trace for 500 phones.
-    let real = generate_device(&SynthConfig::new(0, 11), DeviceType::Phone, 500)
-        .clamp_lengths(2, 48);
+    let real =
+        generate_device(&SynthConfig::new(0, 11), DeviceType::Phone, 500).clamp_lengths(2, 48);
 
     // Train CPT-GPT on it and synthesize an equal population.
     let tokenizer = Tokenizer::fit(&real);

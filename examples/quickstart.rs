@@ -19,8 +19,8 @@ use cpt::trace::DeviceType;
 fn main() {
     // 1. A one-hour LTE trace for 400 phone UEs (stand-in for the
     //    operator's collected dataset).
-    let real = generate_device(&SynthConfig::new(0, 42), DeviceType::Phone, 400)
-        .clamp_lengths(2, 48);
+    let real =
+        generate_device(&SynthConfig::new(0, 42), DeviceType::Phone, 400).clamp_lengths(2, 48);
     println!("real trace: {}", real.summary());
 
     // 2. Fit the multimodal tokenizer and train the model (Figure 4,

@@ -59,7 +59,10 @@ fn main() {
     let ft_secs = t0.elapsed().as_secs_f64();
 
     println!("\ntraining cost: base {base_secs:.1}s | scratch {scratch_secs:.1}s | fine-tune {ft_secs:.1}s");
-    println!("fine-tune speedup over scratch: {:.2}x", scratch_secs / ft_secs);
+    println!(
+        "fine-tune speedup over scratch: {:.2}x",
+        scratch_secs / ft_secs
+    );
 
     // Both hour-3 models should fit hour 3; the *unadapted* base should
     // fit it worse (that is the drift).

@@ -10,7 +10,9 @@
 //! flag, and nothing is written. And the format contract: a trace gives the
 //! same results as JSONL and as `.ctb`.
 
-use cpt_testkit::{corrupt_file_bytes, exit_code, malform_jsonl_line, stderr_of, stdout_of, Scratch};
+use cpt_testkit::{
+    corrupt_file_bytes, exit_code, malform_jsonl_line, stderr_of, stdout_of, Scratch,
+};
 use std::path::Path;
 use std::process::Output;
 
@@ -70,7 +72,13 @@ fn invalid_train_config_is_a_config_error() {
     let scratch = Scratch::new("badcfg");
     let trace = write_trace(&scratch, "trace.jsonl");
     let out = run(&[
-        "train", "--input", &trace, "--epochs", "0", "-o", &scratch.arg("model.cmb"),
+        "train",
+        "--input",
+        &trace,
+        "--epochs",
+        "0",
+        "-o",
+        &scratch.arg("model.cmb"),
     ]);
     assert_eq!(exit_code(&out), 4, "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("epochs"));
@@ -82,8 +90,17 @@ fn corrupt_model_file_is_a_typed_failure() {
     let trace = write_trace(&scratch, "trace.jsonl");
     let model = scratch.arg("model.cmb");
     let out = run(&[
-        "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len", "16",
-        "-o", &model,
+        "train",
+        "--input",
+        &trace,
+        "--epochs",
+        "1",
+        "--d-model",
+        "16",
+        "--max-len",
+        "16",
+        "-o",
+        &model,
     ]);
     assert_eq!(exit_code(&out), 0, "train failed: {}", stderr_of(&out));
 
@@ -91,7 +108,13 @@ fn corrupt_model_file_is_a_typed_failure() {
     corrupt_file_bytes(Path::new(&model), 7, (len / 50).max(32)).expect("corrupt model");
 
     let out = run(&[
-        "generate", "--model", &model, "--streams", "5", "-o", &scratch.arg("synth.jsonl"),
+        "generate",
+        "--model",
+        &model,
+        "--streams",
+        "5",
+        "-o",
+        &scratch.arg("synth.jsonl"),
     ]);
     assert_eq!(exit_code(&out), 6, "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("model.cmb"));
@@ -102,7 +125,12 @@ fn resume_without_checkpoint_flag_is_usage_error() {
     let scratch = Scratch::new("resumeusage");
     let trace = write_trace(&scratch, "trace.jsonl");
     let out = run(&[
-        "train", "--input", &trace, "--resume", "-o", &scratch.arg("model.cmb"),
+        "train",
+        "--input",
+        &trace,
+        "--resume",
+        "-o",
+        &scratch.arg("model.cmb"),
     ]);
     assert_eq!(exit_code(&out), 2);
     assert!(stderr_of(&out).contains("--checkpoint"));
@@ -115,8 +143,19 @@ fn train_checkpoint_resume_roundtrip_succeeds() {
     let model = scratch.arg("model.cmb");
     let ckpt = scratch.arg("train.ckpt.cmb");
     let common = [
-        "train", "--input", &trace, "--epochs", "2", "--d-model", "16", "--max-len", "16",
-        "--checkpoint", &ckpt, "-o", &model,
+        "train",
+        "--input",
+        &trace,
+        "--epochs",
+        "2",
+        "--d-model",
+        "16",
+        "--max-len",
+        "16",
+        "--checkpoint",
+        &ckpt,
+        "-o",
+        &model,
     ];
     let out = run(&common);
     assert_eq!(exit_code(&out), 0, "train failed: {}", stderr_of(&out));
@@ -129,8 +168,15 @@ fn train_checkpoint_resume_roundtrip_succeeds() {
 
     // The resumed model must be generation-ready.
     let out = run(&[
-        "generate", "--model", &model, "--streams", "5", "--seed", "3",
-        "-o", &scratch.arg("synth.jsonl"),
+        "generate",
+        "--model",
+        &model,
+        "--streams",
+        "5",
+        "--seed",
+        "3",
+        "-o",
+        &scratch.arg("synth.jsonl"),
     ]);
     assert_eq!(exit_code(&out), 0, "generate failed: {}", stderr_of(&out));
 }
@@ -142,8 +188,19 @@ fn resume_from_corrupt_checkpoint_is_a_checkpoint_error() {
     let model = scratch.arg("model.cmb");
     let ckpt = scratch.arg("train.ckpt.cmb");
     let out = run(&[
-        "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len", "16",
-        "--checkpoint", &ckpt, "-o", &model,
+        "train",
+        "--input",
+        &trace,
+        "--epochs",
+        "1",
+        "--d-model",
+        "16",
+        "--max-len",
+        "16",
+        "--checkpoint",
+        &ckpt,
+        "-o",
+        &model,
     ]);
     assert_eq!(exit_code(&out), 0, "train failed: {}", stderr_of(&out));
 
@@ -152,8 +209,20 @@ fn resume_from_corrupt_checkpoint_is_a_checkpoint_error() {
     std::fs::write(&ckpt, &bytes[..bytes.len() / 2]).expect("truncate checkpoint");
 
     let out = run(&[
-        "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len", "16",
-        "--checkpoint", &ckpt, "--resume", "-o", &model,
+        "train",
+        "--input",
+        &trace,
+        "--epochs",
+        "1",
+        "--d-model",
+        "16",
+        "--max-len",
+        "16",
+        "--checkpoint",
+        &ckpt,
+        "--resume",
+        "-o",
+        &model,
     ]);
     assert_eq!(exit_code(&out), 6, "stderr: {}", stderr_of(&out));
 }
@@ -163,8 +232,15 @@ fn resume_from_corrupt_checkpoint_is_a_checkpoint_error() {
 fn assert_rejected(args: &[&str], needle: &str, must_not_exist: &str) {
     let out = run(args);
     let err = stderr_of(&out);
-    assert_eq!(exit_code(&out), 2, "{args:?} must be a usage error; stderr: {err}");
-    assert!(err.contains(needle), "{args:?}: stderr should name {needle}: {err}");
+    assert_eq!(
+        exit_code(&out),
+        2,
+        "{args:?} must be a usage error; stderr: {err}"
+    );
+    assert!(
+        err.contains(needle),
+        "{args:?}: stderr should name {needle}: {err}"
+    );
     assert!(
         !Path::new(must_not_exist).exists(),
         "{args:?} was rejected but still wrote {must_not_exist}"
@@ -177,20 +253,38 @@ fn unknown_and_misspelled_flags_are_usage_errors_and_write_nothing() {
     let out = scratch.arg("t.ctb");
     // The README's own example of a silent accept: two typos and a stray.
     assert_rejected(
-        &["simulate", "--ues", "20", "--hour", "5", "--seeed", "3", "--bogus", "-o", &out],
+        &[
+            "simulate", "--ues", "20", "--hour", "5", "--seeed", "3", "--bogus", "-o", &out,
+        ],
         "--hour",
         &out,
     );
-    assert_rejected(&["simulate", "--ues", "20", "--seeed", "3", "-o", &out], "--seeed", &out);
+    assert_rejected(
+        &["simulate", "--ues", "20", "--seeed", "3", "-o", &out],
+        "--seeed",
+        &out,
+    );
     // Flags are checked before any file is opened, so the input need not exist.
     let model = scratch.arg("model.cmb");
     assert_rejected(
-        &["train", "--input", "trace.jsonl", "--epoch", "1", "-o", &model],
+        &[
+            "train",
+            "--input",
+            "trace.jsonl",
+            "--epoch",
+            "1",
+            "-o",
+            &model,
+        ],
         "--epoch",
         &model,
     );
     // A bare word where an option is expected.
-    assert_rejected(&["simulate", "--ues", "20", "stray", "-o", &out], "stray", &out);
+    assert_rejected(
+        &["simulate", "--ues", "20", "stray", "-o", &out],
+        "stray",
+        &out,
+    );
 }
 
 #[test]
@@ -198,11 +292,26 @@ fn a_flag_of_another_subcommand_is_a_usage_error() {
     let scratch = Scratch::new("foreignflag");
     let trace = write_trace(&scratch, "trace.ctb");
     let none = scratch.arg("never-written");
-    assert_rejected(&["stats", "--input", &trace, "--shutdown"], "--shutdown", &none);
-    assert_rejected(&["stats", "--input", &trace, "--epochs", "3"], "--epochs", &none);
-    assert_rejected(&["trace", "info", "--input", &trace, "-o", &none], "-o", &none);
+    assert_rejected(
+        &["stats", "--input", &trace, "--shutdown"],
+        "--shutdown",
+        &none,
+    );
+    assert_rejected(
+        &["stats", "--input", &trace, "--epochs", "3"],
+        "--epochs",
+        &none,
+    );
+    assert_rejected(
+        &["trace", "info", "--input", &trace, "-o", &none],
+        "-o",
+        &none,
+    );
     let err = stderr_of(&run(&["stats", "--input", &trace, "--shutdown"]));
-    assert!(err.contains("stats"), "stderr should name the subcommand: {err}");
+    assert!(
+        err.contains("stats"),
+        "stderr should name the subcommand: {err}"
+    );
 }
 
 #[test]
@@ -210,7 +319,9 @@ fn a_repeated_flag_is_a_usage_error() {
     let scratch = Scratch::new("repeatflag");
     let out = scratch.arg("t.jsonl");
     assert_rejected(
-        &["simulate", "--ues", "20", "--seed", "9", "--seed", "10", "-o", &out],
+        &[
+            "simulate", "--ues", "20", "--seed", "9", "--seed", "10", "-o", &out,
+        ],
         "--seed",
         &out,
     );
@@ -221,7 +332,14 @@ fn a_valued_flag_at_the_end_of_the_line_is_a_usage_error() {
     let scratch = Scratch::new("novalue");
     let model = scratch.arg("model.cmb");
     assert_rejected(
-        &["train", "--input", "trace.jsonl", "-o", &model, "--checkpoint"],
+        &[
+            "train",
+            "--input",
+            "trace.jsonl",
+            "-o",
+            &model,
+            "--checkpoint",
+        ],
         "--checkpoint",
         &model,
     );
@@ -240,7 +358,11 @@ fn a_value_that_starts_with_a_dash_reaches_the_value_parser() {
     // A value its own parser rejects is reported as that value.
     let bad = run(&["simulate", "--ues", "-5", "-o", &scratch.arg("u.ctb")]);
     assert_eq!(exit_code(&bad), 2);
-    assert!(stderr_of(&bad).contains("\"-5\""), "stderr: {}", stderr_of(&bad));
+    assert!(
+        stderr_of(&bad).contains("\"-5\""),
+        "stderr: {}",
+        stderr_of(&bad)
+    );
     // A switch never swallows the token after it.
     assert_rejected(
         &["mcn", "--input", &out, "--autoscale", "extra"],
@@ -271,7 +393,12 @@ fn help_lists_exactly_the_flags_the_parser_accepts() {
     flags.sort_unstable();
     flags.dedup();
     assert_eq!(flags.len(), 60, "{flags:?}");
-    for gone in ["--quick", "--check", "--max-regression", "--read-timeout-ms"] {
+    for gone in [
+        "--quick",
+        "--check",
+        "--max-regression",
+        "--read-timeout-ms",
+    ] {
         assert!(!flags.contains(&gone), "{gone} is still accepted");
     }
 }
@@ -292,7 +419,10 @@ fn jsonl_and_ctb_give_the_same_results() {
     let ctb = write_trace(&scratch, "trace.ctb");
 
     // stats: identical apart from the header / interarrival lines.
-    let (sj, sc) = (run(&["stats", "--input", &jsonl]), run(&["stats", "--input", &ctb]));
+    let (sj, sc) = (
+        run(&["stats", "--input", &jsonl]),
+        run(&["stats", "--input", &ctb]),
+    );
     assert_eq!(exit_code(&sj), 0, "stderr: {}", stderr_of(&sj));
     assert_eq!(exit_code(&sc), 0, "stderr: {}", stderr_of(&sc));
     let (sj, sc) = (stdout_of(&sj), stdout_of(&sc));
@@ -313,8 +443,19 @@ fn jsonl_and_ctb_give_the_same_results() {
     let (mj, mc) = (scratch.arg("model-jsonl.cmb"), scratch.arg("model-ctb.cmb"));
     for (trace, model) in [(&jsonl, &mj), (&ctb, &mc)] {
         let out = run(&[
-            "train", "--input", trace, "--epochs", "2", "--d-model", "16", "--max-len", "16",
-            "--microbatch", "4", "-o", model,
+            "train",
+            "--input",
+            trace,
+            "--epochs",
+            "2",
+            "--d-model",
+            "16",
+            "--max-len",
+            "16",
+            "--microbatch",
+            "4",
+            "-o",
+            model,
         ]);
         assert_eq!(exit_code(&out), 0, "train failed: {}", stderr_of(&out));
     }
@@ -326,7 +467,17 @@ fn jsonl_and_ctb_give_the_same_results() {
     // evaluate: identical output for every pairing of formats.
     let (gj, gc) = (scratch.arg("synth.jsonl"), scratch.arg("synth.ctb"));
     for synth in [&gj, &gc] {
-        let out = run(&["generate", "--model", &mj, "--streams", "12", "--seed", "3", "-o", synth]);
+        let out = run(&[
+            "generate",
+            "--model",
+            &mj,
+            "--streams",
+            "12",
+            "--seed",
+            "3",
+            "-o",
+            synth,
+        ]);
         assert_eq!(exit_code(&out), 0, "generate failed: {}", stderr_of(&out));
     }
     // Streamed into either writer, `generate` wrote the same trace.
@@ -338,7 +489,12 @@ fn jsonl_and_ctb_give_the_same_results() {
         std::fs::read(&gc).expect("read generated ctb")
     );
     let reference = run(&["evaluate", "--real", &jsonl, "--synth", &gj]);
-    assert_eq!(exit_code(&reference), 0, "stderr: {}", stderr_of(&reference));
+    assert_eq!(
+        exit_code(&reference),
+        0,
+        "stderr: {}",
+        stderr_of(&reference)
+    );
     assert!(stdout_of(&reference).contains("max breakdown diff"));
     for (real, synth) in [(&ctb, &gj), (&jsonl, &gc), (&ctb, &gc)] {
         let out = run(&["evaluate", "--real", real, "--synth", synth]);

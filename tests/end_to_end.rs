@@ -14,8 +14,7 @@ use cpt_testkit::Scratch;
 const MAX_LEN: usize = 32;
 
 fn real_trace(seed: u64, n: usize) -> Dataset {
-    generate_device(&SynthConfig::new(0, seed), DeviceType::Phone, n)
-        .clamp_lengths(2, MAX_LEN + 1)
+    generate_device(&SynthConfig::new(0, seed), DeviceType::Phone, n).clamp_lengths(2, MAX_LEN + 1)
 }
 
 fn tiny_gpt_config() -> CptGptConfig {

@@ -56,7 +56,10 @@ fn production_source(src: &str) -> String {
     let mut i = 0;
     while i < lines.len() {
         let module = lines.get(i + 1).filter(|l| {
-            let l = l.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            let l = l
+                .trim_start()
+                .trim_start_matches("pub(crate) ")
+                .trim_start_matches("pub ");
             l.starts_with("mod ") && l.ends_with('{')
         });
         if let (true, Some(module)) = (lines[i].trim() == "#[cfg(test)]", module) {
@@ -95,8 +98,13 @@ const MODEL_CRATES: [&str; 2] = ["crates/cpt-nn/src", "crates/cpt-gpt/src"];
 
 /// Names only the kernel file may mention: ISA dispatch, and the GELU
 /// formulas beside their row kernels.
-const KERNEL_ONLY: [&str; 5] =
-    ["std::arch", "target_feature", "is_x86_feature_detected", "gelu_f", "gelu_df"];
+const KERNEL_ONLY: [&str; 5] = [
+    "std::arch",
+    "target_feature",
+    "is_x86_feature_detected",
+    "gelu_f",
+    "gelu_df",
+];
 const KERNELS: &str = "crates/cpt-nn/src/tensor.rs";
 
 #[test]
@@ -120,7 +128,10 @@ fn deleted_decode_paths_do_not_reappear() {
         "the walk no longer reaches the CLI's subcommand modules"
     );
     let kernels = root.join(KERNELS);
-    assert!(files.contains(&kernels), "the kernels moved; update KERNELS");
+    assert!(
+        files.contains(&kernels),
+        "the kernels moved; update KERNELS"
+    );
     let kernel_src = std::fs::read_to_string(&kernels).expect("source file is readable");
     for libm in ["f32::tanh", "f32::exp"] {
         assert!(
@@ -130,7 +141,8 @@ fn deleted_decode_paths_do_not_reappear() {
     }
     let model_crates = MODEL_CRATES.map(|dir| root.join(dir));
     for file in files {
-        let src = production_source(&std::fs::read_to_string(&file).expect("source file is readable"));
+        let src =
+            production_source(&std::fs::read_to_string(&file).expect("source file is readable"));
         if file != kernels {
             for needle in KERNEL_ONLY {
                 assert!(

@@ -30,8 +30,17 @@ fn train_tiny_model(scratch: &Scratch) -> String {
     assert_eq!(exit_code(&out), 0, "simulate failed: {}", stderr_of(&out));
     let model = scratch.arg("model.cmb");
     let out = run(&[
-        "train", "--input", &trace, "--epochs", "1", "--d-model", "16", "--max-len",
-        "16", "-o", &model,
+        "train",
+        "--input",
+        &trace,
+        "--epochs",
+        "1",
+        "--d-model",
+        "16",
+        "--max-len",
+        "16",
+        "-o",
+        &model,
     ]);
     assert_eq!(exit_code(&out), 0, "train failed: {}", stderr_of(&out));
     model
@@ -61,8 +70,15 @@ impl Drop for KillOnDrop {
 fn spawn_server(model: &str) -> (KillOnDrop, String, BufReader<std::process::ChildStdout>) {
     let mut child = Command::new(BIN)
         .args([
-            "serve", "--model", model, "--addr", "127.0.0.1:0", "--workers", "2",
-            "--max-sessions", "64",
+            "serve",
+            "--model",
+            model,
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--max-sessions",
+            "64",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -89,8 +105,18 @@ fn serve_loadgen_shutdown_round_trip() {
 
     let report_path = scratch.arg("report.json");
     let out = run(&[
-        "loadgen", "--addr", &addr, "--sessions", "20", "--concurrent", "8",
-        "--threads", "2", "--shutdown", "-o", &report_path,
+        "loadgen",
+        "--addr",
+        &addr,
+        "--sessions",
+        "20",
+        "--concurrent",
+        "8",
+        "--threads",
+        "2",
+        "--shutdown",
+        "-o",
+        &report_path,
     ]);
     assert_eq!(exit_code(&out), 0, "loadgen failed: {}", stderr_of(&out));
 
@@ -136,9 +162,21 @@ fn chaos_smoke_contains_panic_and_dropped_connection() {
     let model = train_tiny_model(&scratch);
     let mut child = Command::new(BIN)
         .args([
-            "serve", "--model", &model, "--addr", "127.0.0.1:0", "--workers", "2",
-            "--chaos-panic-session", "3", "--chaos-panic-at-event", "1",
-            "--chaos-drop-conn", "1", "--chaos-drop-after", "5",
+            "serve",
+            "--model",
+            &model,
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--chaos-panic-session",
+            "3",
+            "--chaos-panic-at-event",
+            "1",
+            "--chaos-drop-conn",
+            "1",
+            "--chaos-drop-after",
+            "5",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -158,8 +196,18 @@ fn chaos_smoke_contains_panic_and_dropped_connection() {
 
     let report_path = scratch.arg("chaos-report.json");
     let out = run(&[
-        "loadgen", "--addr", &addr, "--sessions", "20", "--concurrent", "8",
-        "--threads", "2", "--shutdown", "-o", &report_path,
+        "loadgen",
+        "--addr",
+        &addr,
+        "--sessions",
+        "20",
+        "--concurrent",
+        "8",
+        "--threads",
+        "2",
+        "--shutdown",
+        "-o",
+        &report_path,
     ]);
     assert_eq!(
         exit_code(&out),
@@ -170,8 +218,16 @@ fn chaos_smoke_contains_panic_and_dropped_connection() {
 
     let text = std::fs::read_to_string(&report_path).expect("report written");
     let report = cpt::trace::json::parse(&text).expect("report parses");
-    assert_eq!(field(&report, "sessions_opened"), 20, "every open must be answered");
-    assert_eq!(field(&report, "errors"), 0, "chaos must not surface as protocol errors");
+    assert_eq!(
+        field(&report, "sessions_opened"),
+        20,
+        "every open must be answered"
+    );
+    assert_eq!(
+        field(&report, "errors"),
+        0,
+        "chaos must not surface as protocol errors"
+    );
     assert_eq!(
         field(&report, "sessions_failed"),
         1,
@@ -208,7 +264,13 @@ fn serve_zero_detach_ttl_is_usage_error() {
 #[test]
 fn generate_zero_threads_is_usage_error() {
     let out = run(&[
-        "generate", "--model", "nope.cmb", "--threads", "0", "-o", "out.jsonl",
+        "generate",
+        "--model",
+        "nope.cmb",
+        "--threads",
+        "0",
+        "-o",
+        "out.jsonl",
     ]);
     assert_eq!(exit_code(&out), 2);
     assert!(stderr_of(&out).contains("--threads"));
