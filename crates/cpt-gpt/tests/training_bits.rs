@@ -18,6 +18,7 @@
 
 use cpt_gpt::{CptGpt, CptGptConfig, GenerateConfig, Tokenizer, TrainConfig};
 use cpt_synth::SynthConfig;
+use cpt_testkit::{platform_fingerprint, Fnv};
 
 /// `(platform fingerprint, model checksum, generated-events digest)`
 /// triples the test asserts.
@@ -29,41 +30,6 @@ const RECORDED: &[(u64, u64, u64)] = &[
         0x18d6_daff_241b_275c,
     ),
 ];
-
-/// FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn eat(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-/// What the bits depend on besides this workspace's code: libm's f32 `ln`
-/// (the cross-entropy, the sampler's normal draws), its f64 `exp` and `ln`
-/// (losses, the sampler, the simulator), `sin_cos` and `cos` (weight init,
-/// the sampler, the simulator), and whether the GEMM kernel rounds each
-/// multiply-add once (FMA) or twice (`portable`). Not libm's f32 `exp`:
-/// the model runs its own.
-fn platform_fingerprint() -> u64 {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for i in 0..4096 {
-        let x = -12.0 + 24.0 * i as f32 / 4096.0;
-        let (s, c) = x.sin_cos();
-        for v in [x.abs().ln(), s, c] {
-            h.eat(u64::from(v.to_bits()));
-        }
-        let y = f64::from(x) * 1.37;
-        for v in [y.exp(), y.abs().ln(), y.cos()] {
-            h.eat(v.to_bits());
-        }
-    }
-    h.eat(u64::from(cpt_nn::kernel_level() == "portable"));
-    h.0
-}
 
 #[test]
 fn tiny_training_run_reproduces_the_recorded_weights() {
@@ -93,7 +59,7 @@ fn tiny_training_run_reproduces_the_recorded_weights() {
     let streams = model
         .generate(&GenerateConfig::new(16, 9))
         .expect("generation failed");
-    let mut events = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut events = Fnv::new();
     for stream in &streams.streams {
         events.eat(stream.events.len() as u64);
         for e in &stream.events {

@@ -14,6 +14,8 @@
 //!   a child process.
 //! - [`corrupt_file_bytes`], [`truncate_file`], [`malform_jsonl_line`]:
 //!   seeded, deterministic damage to artifacts.
+//! - [`Fnv`] and [`platform_fingerprint`]: what the bit pins hash, and
+//!   the platform they were recorded on.
 //!
 //! # Where the kit can be used
 //!
@@ -26,9 +28,11 @@
 //! [`Scratch`], and keep their model fixtures in one in-crate test module.
 //! The compiler enforces the rule: a type of the other copy does not unify.
 
+mod bits;
 mod faults;
 mod scratch;
 
+pub use bits::{platform_fingerprint, Fnv};
 pub use faults::{corrupt_file_bytes, malform_jsonl_line, truncate_file};
 pub use scratch::Scratch;
 
