@@ -10,9 +10,11 @@
 //! probabilities never need their own gradients and numerical stability is
 //! handled in one place.
 
+use crate::layers::LayerNormRows;
 use crate::scratch::{ScratchArena, UNWRITTEN};
 use crate::tensor::{
-    exp_rows, expf_glibc, gelu_tape_grad_rows, gelu_tape_rows, gemm_into, tanh_rows, Op, Tensor,
+    exp_rows, expf_glibc, gelu_tape_grad_rows, gelu_tape_rows, gemm_into, rows_at, tanh_rows,
+    KernelLevel, Op, Tensor,
 };
 use rayon::prelude::*;
 use std::rc::Rc;
@@ -670,25 +672,17 @@ impl Graph {
     pub fn softmax_lastdim(&mut self, a: Var) -> Var {
         let av = self.rc_value(a);
         let ctx = self.ctx();
-        let mut out = Tensor::new(self.alloc(av.len()), av.shape.clone());
-        softmax_lastdim_into(&av, &mut out.data);
+        let cols = av.rows_cols().1;
+        let mut out = ctx.clone_tensor(&av);
+        softmax_rows(&mut out.data, cols, 1.0, false);
         let out = Rc::new(out);
         let outv = Rc::clone(&out);
         self.push_rc(
             out,
             vec![a.0],
             Some(Box::new(move |g: &Tensor| {
-                // dx_i = y_i (g_i - Σ_j g_j y_j) per row.
-                let (rows, cols) = outv.rows_cols();
-                let mut dx = ctx.dirty(&outv.shape);
-                for r in 0..rows {
-                    let y = &outv.data[r * cols..(r + 1) * cols];
-                    let go = &g.data[r * cols..(r + 1) * cols];
-                    let dot: f32 = y.iter().zip(go).map(|(yi, gi)| yi * gi).sum();
-                    for c in 0..cols {
-                        dx.data[r * cols + c] = y[c] * (go[c] - dot);
-                    }
-                }
+                let mut dx = ctx.clone_tensor(g);
+                softmax_grad_rows(&outv.data, &mut dx.data, cols);
                 vec![dx]
             })),
         )
@@ -733,9 +727,7 @@ impl Graph {
         let ctx = self.ctx();
 
         // Per sequence: scores in place, attn = Q·Kᵀ (Kᵀ read in place),
-        // then scale + masked softmax rows. Each row's `s − max`, with the
-        // masked entries at −∞, goes through one `exp` pass over the block
-        // (`exp(−∞)` is +0.0), then its sum in ascending order; last the
+        // then the scaled, causally masked softmax of its rows; last the
         // context, attn·V.
         let scores: usize = seqs.iter().map(|s| s.len * s.len).sum();
         let mut attn = Tensor::new(self.alloc(scores), vec![scores]);
@@ -758,31 +750,7 @@ impl Graph {
                 hd,
                 l,
             );
-            let lim = |i: usize| if causal { i + 1 } else { l };
-            for (i, row) in a.chunks_exact_mut(l).enumerate() {
-                let (live, masked) = row.split_at_mut(lim(i));
-                let mut max = f32::NEG_INFINITY;
-                for x in live.iter_mut() {
-                    *x *= scale;
-                    max = max.max(*x);
-                }
-                for x in live.iter_mut() {
-                    *x -= max;
-                }
-                masked.fill(f32::NEG_INFINITY);
-            }
-            exp_rows(a);
-            for (i, row) in a.chunks_exact_mut(l).enumerate() {
-                let live = &mut row[..lim(i)];
-                let mut sum = 0.0f32;
-                for x in live.iter() {
-                    sum += *x;
-                }
-                let inv = 1.0 / sum;
-                for x in live {
-                    *x *= inv;
-                }
-            }
+            softmax_rows(a, l, scale, causal);
             gemm_into(Op::N, a, Op::N, &vd[rows], o, l, l, hd);
         });
         // Park the probabilities on the tape as a hidden constant node so
@@ -820,12 +788,7 @@ impl Graph {
                     gemm_into(Op::T, a, Op::N, gs, dv, l, l, hd);
                     // dS = softmax-backward(G·Vᵀ) against A, in place.
                     gemm_into(Op::N, gs, Op::T, &vd[rows.clone()], ds, l, hd, l);
-                    for (a_row, ds_row) in a.chunks_exact(l).zip(ds.chunks_exact_mut(l)) {
-                        let dot: f32 = a_row.iter().zip(ds_row.iter()).map(|(y, d)| y * d).sum();
-                        for (d, y) in ds_row.iter_mut().zip(a_row) {
-                            *d = y * (*d - dot);
-                        }
-                    }
+                    softmax_grad_rows(a, ds, l);
                     // dQ = scale · dS·K ; dK = scale · dSᵀ·Q
                     gemm_into(Op::N, ds, Op::N, &kd[rows.clone()], dq, l, l, hd);
                     gemm_into(Op::T, ds, Op::N, &qd[rows], dk, l, l, hd);
@@ -852,21 +815,22 @@ impl Graph {
         assert_eq!(gv.shape, vec![d], "gamma shape");
         assert_eq!(bv.shape, vec![d], "beta shape");
         let ctx = self.ctx();
-        // Forward: cache normalized activations and 1/std per row.
+        // Forward: the decode step's row loop, which also caches the
+        // normalized activations and 1/std per row for the backward.
         let mut out = Tensor::new(self.alloc(av.len()), av.shape.clone());
         let mut xhat = Tensor::new(self.alloc(av.len()), av.shape.clone());
         let mut inv_std = vec![0.0f32; rows];
-        for r in 0..rows {
-            let x = &av.data[r * d..(r + 1) * d];
-            let mean = x.iter().sum::<f32>() / d as f32;
-            let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            inv_std[r] = istd;
-            for c in 0..d {
-                let h = (x[c] - mean) * istd;
-                xhat.data[r * d + c] = h;
-                out.data[r * d + c] = h * gv.data[c] + bv.data[c];
-            }
+        if rows > 0 && d > 0 {
+            let norm = LayerNormRows::<true> {
+                x: &av.data,
+                out: &mut out.data,
+                xhat: &mut xhat.data,
+                inv_std: &mut inv_std,
+                gamma: &gv.data,
+                beta: &bv.data,
+                eps,
+            };
+            rows_at(norm, KernelLevel::active());
         }
         let gvc = Rc::clone(&gv);
         // Hidden node: pools xhat's buffer when the graph drops.
@@ -1191,30 +1155,53 @@ fn reduce_to_shape(g: &Tensor, shape: &[usize], ctx: &AllocCtx) -> Tensor {
 }
 
 fn softmax_lastdim_data(x: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(&x.shape);
-    softmax_lastdim_into(x, &mut out.data);
+    let mut out = x.clone();
+    softmax_rows(&mut out.data, x.rows_cols().1, 1.0, false);
     out
 }
 
-fn softmax_lastdim_into(x: &Tensor, out: &mut [f32]) {
-    let (rows, cols) = x.rows_cols();
-    for r in 0..rows {
-        let row = &x.data[r * cols..(r + 1) * cols];
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        for (o, v) in out[r * cols..(r + 1) * cols].iter_mut().zip(row) {
-            *o = v - max;
+/// The tape's softmax, in place over the `cols`-wide rows of `rows`: each
+/// row scaled by `scale`, less its maximum, through one `exp` pass over
+/// all rows, then times 1/Σ, summed in ascending order from 0.0. With
+/// `causal`, row `i` keeps its first `i + 1` entries and the rest become
+/// +0.0 (they enter the `exp` pass as −∞), exactly the result of a `−1e9`
+/// additive mask. Scaling by 1.0 is exact.
+fn softmax_rows(rows: &mut [f32], cols: usize, scale: f32, causal: bool) {
+    let live = |i: usize| if causal { i + 1 } else { cols };
+    for (i, row) in rows.chunks_exact_mut(cols).enumerate() {
+        let (live, masked) = row.split_at_mut(live(i));
+        let mut max = f32::NEG_INFINITY;
+        for x in live.iter_mut() {
+            *x *= scale;
+            max = max.max(*x);
         }
+        for x in live.iter_mut() {
+            *x -= max;
+        }
+        masked.fill(f32::NEG_INFINITY);
     }
-    exp_rows(&mut out[..rows * cols]);
-    for r in 0..rows {
-        let orow = &mut out[r * cols..(r + 1) * cols];
+    exp_rows(rows);
+    for (i, row) in rows.chunks_exact_mut(cols).enumerate() {
+        let live = &mut row[..live(i)];
         let mut sum = 0.0f32;
-        for o in orow.iter() {
-            sum += o;
+        for x in live.iter() {
+            sum += *x;
         }
         let inv = 1.0 / sum;
-        for o in orow.iter_mut() {
-            *o *= inv;
+        for x in live {
+            *x *= inv;
+        }
+    }
+}
+
+/// The softmax backward, in place over the `cols`-wide rows of `d`: each
+/// row's incoming gradient becomes `y ⊙ (d − Σ y·d)` against its
+/// probabilities `y`, a row of `y`.
+fn softmax_grad_rows(y: &[f32], d: &mut [f32], cols: usize) {
+    for (y, d) in y.chunks_exact(cols).zip(d.chunks_exact_mut(cols)) {
+        let dot: f32 = y.iter().zip(d.iter()).map(|(y, d)| y * d).sum();
+        for (d, y) in d.iter_mut().zip(y) {
+            *d = y * (*d - dot);
         }
     }
 }

@@ -425,9 +425,11 @@ impl LayerNorm {
         assert_eq!(out.len(), rows * d, "layernorm output size");
         if rows > 0 && d > 0 {
             rows_at(
-                LayerNormRows {
+                LayerNormRows::<false> {
                     x,
                     out,
+                    xhat: &mut [],
+                    inv_std: &mut [],
                     gamma,
                     beta,
                     eps: self.eps,
@@ -441,28 +443,37 @@ impl LayerNorm {
 /// Rows [`LayerNormRows`] sums side by side.
 const LN_ROWS: usize = 8;
 
-/// [`LayerNorm::apply_rows_into`]'s loop. A row's mean and variance are
-/// the sequential sums `Σ x` and `Σ (x − mean)²` in ascending feature
-/// order from −0.0, the order of `Sum for f32`; alone, each is a chain of
-/// dependent adds that waits on the add latency. The loop runs the chains
-/// of `LN_ROWS` rows side by side, each in its own order, so every bit is
-/// that of the row-at-a-time loop. Fewer than `LN_ROWS` remaining rows run
-/// as a group of the next power of two, whose slots past the last row
-/// repeat it and store nothing: one row alone is the row-at-a-time loop.
+/// The layernorm forward of [`LayerNorm::apply_rows_into`] and of the
+/// tape's [`Graph::layernorm`](crate::graph::Graph::layernorm). A row's
+/// mean and variance are the sequential sums `Σ x` and `Σ (x − mean)²` in
+/// ascending feature order from −0.0, the order of `Sum for f32`; alone,
+/// each is a chain of dependent adds that waits on the add latency. The
+/// loop runs the chains of `LN_ROWS` rows side by side, each in its own
+/// order, so every bit is that of the row-at-a-time loop. Fewer than
+/// `LN_ROWS` remaining rows run as a group of the next power of two, whose
+/// slots past the last row repeat it and store nothing: one row alone is
+/// the row-at-a-time loop. A row's output is `((x − mean)·istd)·γ + β`.
+///
+/// With `TAPE`, the loop also stores each row's `(x − mean)·istd` in
+/// `xhat` and its `istd` in `inv_std`, what the tape's backward reads.
+/// Without, those two are empty and never touched: `TAPE` is a constant,
+/// so the decode step's instantiation is the loop without the stores.
 ///
 /// The chains' loads are volatile, one float each: left to itself the
 /// vectorizer fetches the rows' features with one `vgatherqps` at
 /// AVX-512, which is slower here than single loads. The output pass is
 /// elementwise and vector.
-struct LayerNormRows<'a> {
-    x: &'a [f32],
-    out: &'a mut [f32],
-    gamma: &'a [f32],
-    beta: &'a [f32],
-    eps: f32,
+pub(crate) struct LayerNormRows<'a, const TAPE: bool> {
+    pub(crate) x: &'a [f32],
+    pub(crate) out: &'a mut [f32],
+    pub(crate) xhat: &'a mut [f32],
+    pub(crate) inv_std: &'a mut [f32],
+    pub(crate) gamma: &'a [f32],
+    pub(crate) beta: &'a [f32],
+    pub(crate) eps: f32,
 }
 
-impl RowLoop for LayerNormRows<'_> {
+impl<const TAPE: bool> RowLoop for LayerNormRows<'_, TAPE> {
     #[inline(always)]
     fn run(mut self) {
         let rows = self.x.len() / self.gamma.len();
@@ -478,7 +489,7 @@ impl RowLoop for LayerNormRows<'_> {
     }
 }
 
-impl LayerNormRows<'_> {
+impl<const TAPE: bool> LayerNormRows<'_, TAPE> {
     /// Normalizes rows `r0..` in one group of `R`; returns how many rows
     /// it stored.
     #[inline(always)]
@@ -510,10 +521,21 @@ impl LayerNormRows<'_> {
         }
         let live = R.min(rows - r0);
         for i in 0..live {
+            let r = r0 + i;
             let istd = 1.0 / (sq[i] / d as f32 + self.eps).sqrt();
-            let out = &mut self.out[(r0 + i) * d..][..d];
+            let out = &mut self.out[r * d..][..d];
+            let xhat: &mut [f32] = if TAPE {
+                self.inv_std[r] = istd;
+                &mut self.xhat[r * d..][..d]
+            } else {
+                &mut []
+            };
             for (c, o) in out.iter_mut().enumerate() {
-                *o = (xs[i][c] - mean[i]) * istd * self.gamma[c] + self.beta[c];
+                let h = (xs[i][c] - mean[i]) * istd;
+                if TAPE {
+                    xhat[c] = h;
+                }
+                *o = h * self.gamma[c] + self.beta[c];
             }
         }
         live
@@ -1795,22 +1817,30 @@ mod tests {
         }
     }
 
-    /// `LayerNorm::apply_rows_into`'s row-at-a-time loop as it was before
-    /// the rows were interleaved: the oracle of [`LayerNormRows`].
+    /// The row-at-a-time layernorm forward of `LayerNorm::apply_rows_into`
+    /// and the tape's `Graph::layernorm` as it was before the rows were
+    /// interleaved: the oracle of [`LayerNormRows`]. Fills `out`, `xhat`
+    /// and `inv_std`.
     fn layernorm_one_row_at_a_time(
         x: &[f32],
         gamma: &[f32],
         beta: &[f32],
         eps: f32,
         out: &mut [f32],
+        xhat: &mut [f32],
+        inv_std: &mut [f32],
     ) {
         let d = gamma.len();
-        for (row, out) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        let rows = x.chunks_exact(d).zip(out.chunks_exact_mut(d));
+        for ((row, out), (xhat, inv_std)) in rows.zip(xhat.chunks_exact_mut(d).zip(inv_std)) {
             let mean = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
             let istd = 1.0 / (var + eps).sqrt();
+            *inv_std = istd;
             for c in 0..d {
-                out[c] = (row[c] - mean) * istd * gamma[c] + beta[c];
+                let h = (row[c] - mean) * istd;
+                xhat[c] = h;
+                out[c] = h * gamma[c] + beta[c];
             }
         }
     }
@@ -1920,7 +1950,8 @@ mod tests {
     }
 
     /// [`LayerNormRows`] at `level` against the row-at-a-time oracle, bit
-    /// for bit, for every row count `1..=max_rows`.
+    /// for bit, for every row count `1..=max_rows`: the decode step's
+    /// instantiation its `out`, the tape's its `out`, `xhat` and `inv_std`.
     fn check_layernorm_against_oracle(level: KernelLevel, widths: &[usize], max_rows: usize) {
         let mut r = rng(71);
         for &d in widths {
@@ -1929,21 +1960,48 @@ mod tests {
                 let x = kernel_input(max_rows * d, case, &mut r);
                 for rows in 1..=max_rows {
                     let x = &x[..rows * d];
-                    let mut want = vec![0.0; rows * d];
-                    layernorm_one_row_at_a_time(x, &gamma, &beta, 1e-5, &mut want);
+                    let (mut out, mut xhat, mut inv_std) =
+                        (vec![0.0; rows * d], vec![0.0; rows * d], vec![0.0; rows]);
+                    layernorm_one_row_at_a_time(
+                        x,
+                        &gamma,
+                        &beta,
+                        1e-5,
+                        &mut out,
+                        &mut xhat,
+                        &mut inv_std,
+                    );
+                    let what = format!("{level:?} d={d} case {case} rows {rows}");
                     let mut got = vec![f32::NAN; rows * d];
-                    let norm = LayerNormRows {
+                    let norm = LayerNormRows::<false> {
                         x,
                         out: &mut got,
+                        xhat: &mut [],
+                        inv_std: &mut [],
                         gamma: &gamma,
                         beta: &beta,
                         eps: 1e-5,
                     };
                     rows_at(norm, level);
+                    assert_eq!(nan_blind_bits(&got), nan_blind_bits(&out), "{what}");
+                    let (mut got, mut got_xhat, mut got_inv_std) =
+                        (vec![f32::NAN; rows * d], vec![f32::NAN; rows * d], vec![f32::NAN; rows]);
+                    let norm = LayerNormRows::<true> {
+                        x,
+                        out: &mut got,
+                        xhat: &mut got_xhat,
+                        inv_std: &mut got_inv_std,
+                        gamma: &gamma,
+                        beta: &beta,
+                        eps: 1e-5,
+                    };
+                    rows_at(norm, level);
+                    assert_eq!(nan_blind_bits(&got), nan_blind_bits(&out), "tape {what}");
+                    assert_eq!(nan_blind_bits(&got_xhat), nan_blind_bits(&xhat), "xhat {what}");
                     assert_eq!(
-                        nan_blind_bits(&got),
-                        nan_blind_bits(&want),
-                        "{level:?} d={d} case {case} rows {rows}"
+                        nan_blind_bits(&got_inv_std),
+                        nan_blind_bits(&inv_std),
+                        "inv_std {what}"
                     );
                 }
             }
@@ -1970,16 +2028,18 @@ mod tests {
         }
     }
 
+    /// Small enough for Miri: row counts 1..=17 reach every group shape
+    /// (1, 2, 4 and 8 rows) and every ragged tail.
     #[test]
     fn kernel_layernorm_bit_identical_to_row_at_a_time_at_portable() {
-        check_layernorm_against_oracle(KernelLevel::Portable, &[1, 5], 10);
+        check_layernorm_against_oracle(KernelLevel::Portable, &[1, 16, 48], 17);
     }
 
     #[test]
     #[cfg_attr(miri, ignore)]
     fn kernel_layernorm_bit_identical_to_row_at_a_time_at_every_level() {
         for level in KernelLevel::available() {
-            check_layernorm_against_oracle(level, &[1, 3, 48, 128], 20);
+            check_layernorm_against_oracle(level, &[1, 3, 16, 48, 128], 20);
         }
     }
 
