@@ -41,18 +41,13 @@ pub struct NetShareConfig {
     /// tokens are trivially separable and the discriminator wins
     /// immediately — the practical GAN fragility the paper's L5 is about.
     pub gumbel_tau: f32,
-    /// Label-smoothing target for real samples in the discriminator loss
-    /// (BCE objective only).
-    pub real_label: f32,
     /// Generator updates happen once every `g_every` batches; the critic
     /// updates every batch (WGAN trains the critic more often).
     pub g_every: usize,
-    /// Weight-clipping bound for the WGAN critic.
+    /// Weight-clipping bound for the WGAN critic. NetShare itself uses
+    /// Wasserstein-GP; weight clipping is the first-order-autodiff-friendly
+    /// variant (DESIGN.md).
     pub weight_clip: f32,
-    /// Use the Wasserstein objective (weight-clipped critic) instead of
-    /// BCE. NetShare itself uses Wasserstein-GP; weight clipping is the
-    /// first-order-autodiff-friendly variant (DESIGN.md).
-    pub wasserstein: bool,
     /// If `Some(n)`, snapshot parameters every `n` epochs.
     pub snapshot_every: Option<usize>,
 }
@@ -73,10 +68,8 @@ impl NetShareConfig {
             lr_g: 1e-3,
             lr_d: 5e-4,
             gumbel_tau: 0.7,
-            real_label: 0.9,
             g_every: 2,
             weight_clip: 0.05,
-            wasserstein: true,
             snapshot_every: None,
         }
     }
@@ -127,10 +120,8 @@ cpt_trace::json_struct!(NetShareConfig {
     lr_g,
     lr_d,
     gumbel_tau,
-    real_label,
     g_every,
     weight_clip,
-    wasserstein,
     snapshot_every,
 });
 
@@ -429,7 +420,6 @@ impl NetShare {
                 let streams: Vec<&Stream> = chunk.iter().map(|i| &dataset.streams[*i]).collect();
                 let b = streams.len();
                 let real = self.encode_real(&streams);
-                let ones = vec![1.0f32; b];
 
                 // --- Discriminator / critic step (every batch) ---
                 {
@@ -440,18 +430,7 @@ impl NetShare {
                     let real_vars: Vec<Var> = real.iter().map(|t| sess.input(t.clone())).collect();
                     let d_real = self.discriminator_forward(&mut sess, &real_vars, b);
                     let d_fake = self.discriminator_forward(&mut sess, &fake, b);
-                    let loss = if cfg.wasserstein {
-                        // Critic maximizes E[D(real)] - E[D(fake)].
-                        let m_real = sess.graph.mean_all(d_real);
-                        let m_fake = sess.graph.mean_all(d_fake);
-                        sess.graph.weighted_sum(&[(m_fake, 1.0), (m_real, -1.0)])
-                    } else {
-                        let l_real =
-                            sess.graph
-                                .bce_with_logits(d_real, &vec![cfg.real_label; b], &ones);
-                        let l_fake = sess.graph.bce_with_logits(d_fake, &vec![0.0; b], &ones);
-                        sess.graph.weighted_sum(&[(l_real, 0.5), (l_fake, 0.5)])
-                    };
+                    let loss = critic_loss(&mut sess, d_real, d_fake);
                     d_loss_sum += sess.graph.value(loss).item() as f64;
                     sess.backward(loss);
                     let grads = sess.grads();
@@ -459,9 +438,7 @@ impl NetShare {
                     clip_grad_norm(&mut self.store, 5.0);
                     adam_d.step_subset(&mut self.store, &self.d_params);
                     self.store.zero_grads();
-                    if cfg.wasserstein {
-                        self.clip_critic_weights(cfg.weight_clip);
-                    }
+                    self.clip_critic_weights(cfg.weight_clip);
                 }
 
                 // --- Generator step (once every g_every batches) ---
@@ -471,13 +448,9 @@ impl NetShare {
                     let mut sess = Session::new(&self.store);
                     let fake = self.generator_forward(&mut sess, &noise, Some(&gumbel), b);
                     let d_fake = self.discriminator_forward(&mut sess, &fake, b);
-                    let loss = if cfg.wasserstein {
-                        // Generator maximizes E[D(fake)].
-                        let m_fake = sess.graph.mean_all(d_fake);
-                        sess.graph.scale(m_fake, -1.0)
-                    } else {
-                        sess.graph.bce_with_logits(d_fake, &vec![1.0; b], &ones)
-                    };
+                    // Generator maximizes E[D(fake)].
+                    let m_fake = sess.graph.mean_all(d_fake);
+                    let loss = sess.graph.scale(m_fake, -1.0);
                     g_loss_sum += sess.graph.value(loss).item() as f64;
                     sess.backward(loss);
                     let grads = sess.grads();
@@ -577,6 +550,14 @@ impl NetShare {
         }
         Ok(Dataset::with_generation(self.config.generation, streams))
     }
+}
+
+/// The Wasserstein critic's loss, `E[D(fake)] − E[D(real)]`: the critic
+/// maximizes `E[D(real)] − E[D(fake)]`.
+fn critic_loss(sess: &mut Session<'_>, d_real: Var, d_fake: Var) -> Var {
+    let m_real = sess.graph.mean_all(d_real);
+    let m_fake = sess.graph.mean_all(d_fake);
+    sess.graph.weighted_sum(&[(m_fake, 1.0), (m_real, -1.0)])
 }
 
 fn sample_probs(probs: &[f32], rng: &mut impl Rng) -> usize {
@@ -706,10 +687,7 @@ mod tests {
         let real_vars: Vec<Var> = real.iter().map(|t| sess.input(t.clone())).collect();
         let d_real = model.discriminator_forward(&mut sess, &real_vars, 4);
         let d_fake = model.discriminator_forward(&mut sess, &fake, 4);
-        let ones = vec![1.0f32; 4];
-        let l_real = sess.graph.bce_with_logits(d_real, &[1.0; 4], &ones);
-        let l_fake = sess.graph.bce_with_logits(d_fake, &[0.0; 4], &ones);
-        let loss = sess.graph.weighted_sum(&[(l_real, 0.5), (l_fake, 0.5)]);
+        let loss = critic_loss(&mut sess, d_real, d_fake);
         sess.backward(loss);
         let grads = sess.grads();
         let mut store = model.store.clone();

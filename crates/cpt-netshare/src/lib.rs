@@ -24,8 +24,7 @@
 //!   (NetShare itself uses Wasserstein-GP; the gradient penalty needs
 //!   second-order autodiff — see DESIGN.md). Categorical fields are
 //!   sampled with Gumbel-softmax during training so fake tokens are
-//!   near-one-hot like real ones; a plain BCE objective remains available
-//!   via [`NetShareConfig::wasserstein`].
+//!   near-one-hot like real ones.
 //!
 //! The point of this crate is to be a *faithful baseline*, including its
 //! published weaknesses: it has no notion of the 3GPP state machine, so

@@ -89,11 +89,6 @@ impl StreamNormalizer {
         self.bounds.is_empty()
     }
 
-    /// Bounds of training stream `i` (for encoding real batches).
-    pub fn bounds_of(&self, stream: &Stream) -> StreamBounds {
-        StreamBounds::of(stream)
-    }
-
     /// Samples a (min, max) pair for a generated stream.
     pub fn sample(&self, rng: &mut impl Rng) -> StreamBounds {
         self.bounds[rng.gen_range(0..self.bounds.len())]

@@ -999,43 +999,6 @@ impl Graph {
         )
     }
 
-    /// Masked mean binary cross-entropy on logits (numerically stable
-    /// log-sum-exp form). Used by the GAN discriminator/generator losses.
-    pub fn bce_with_logits(&mut self, logits: Var, targets: &[f32], mask: &[f32]) -> Var {
-        let lv = self.rc_value(logits);
-        let n = lv.len();
-        assert_eq!(targets.len(), n, "targets length");
-        assert_eq!(mask.len(), n, "mask length");
-        let denom: f32 = mask.iter().sum::<f32>().max(1e-12);
-        let mut loss = 0.0f64;
-        for i in 0..n {
-            if mask[i] != 0.0 {
-                let z = lv.data[i] as f64;
-                let y = targets[i] as f64;
-                loss += (z.max(0.0) - z * y + f64::exp(-z.abs()).ln_1p()) * mask[i] as f64;
-            }
-        }
-        let targets = targets.to_vec();
-        let mask = mask.to_vec();
-        let shape = lv.shape.clone();
-        let ctx = self.ctx();
-        self.push(
-            ctx.scalar((loss / denom as f64) as f32),
-            vec![logits.0],
-            Some(Box::new(move |g: &Tensor| {
-                let go = g.item();
-                let mut dl = ctx.zeros(&shape);
-                for i in 0..n {
-                    if mask[i] == 0.0 {
-                        continue;
-                    }
-                    dl.data[i] = go * mask[i] * (sigmoid_f(lv.data[i]) - targets[i]) / denom;
-                }
-                vec![dl]
-            })),
-        )
-    }
-
     /// Mean squared error against constant targets.
     pub fn mse(&mut self, pred: Var, target: &[f32]) -> Var {
         let pv = self.rc_value(pred);
@@ -1357,15 +1320,6 @@ mod tests {
         assert!(at(1.5) < at(3.0));
         // Analytic value at μ=x, σ=1: 0.5·ln(2π).
         assert!((at(1.5) - 0.918_938_5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn bce_matches_manual() {
-        let mut g = Graph::new();
-        let z = g.input(Tensor::new(vec![0.0, 2.0], vec![2]));
-        let l = g.bce_with_logits(z, &[1.0, 0.0], &[1.0, 1.0]);
-        let expect = ((2.0f64).ln() + (1.0 + (2.0f64).exp()).ln()) / 2.0;
-        assert!((g.value(l).item() as f64 - expect).abs() < 1e-5);
     }
 
     #[test]
