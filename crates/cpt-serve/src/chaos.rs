@@ -98,15 +98,6 @@ impl ChaosPlan {
         }
     }
 
-    /// A plan that drops connection `conn` after `after` requests.
-    pub fn drop_connection_after(conn: u64, after: u64) -> Self {
-        ChaosPlan {
-            drop_connection: Some(conn),
-            drop_after_requests: after,
-            ..ChaosPlan::default()
-        }
-    }
-
     /// Should the worker advancing `session` panic before decoding the
     /// event at index `events_emitted`?
     pub fn should_panic(&self, session: u64, events_emitted: u64) -> bool {

@@ -285,11 +285,6 @@ impl Director {
         }
     }
 
-    /// True while a fine-tune job is running.
-    pub fn finetune_running(&self) -> bool {
-        self.inner.finetune_busy.load(Ordering::SeqCst)
-    }
-
     /// Registry snapshot for the `versions` verb: the live id, every
     /// manifest record, and the last fine-tune failure (if any).
     pub fn versions(&self) -> (Option<u64>, Vec<VersionRecord>, Option<String>) {

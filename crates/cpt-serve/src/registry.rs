@@ -504,15 +504,6 @@ impl Registry {
             .any(|r| r.state != VersionState::Quarantined)
     }
 
-    /// Absolute path of a version's artifact.
-    pub fn artifact_path(&self, id: u64) -> Result<PathBuf, RegistryError> {
-        let rec = self
-            .manifest
-            .record(id)
-            .ok_or(RegistryError::UnknownVersion(id))?;
-        Ok(self.root.join(&rec.file))
-    }
-
     /// Stages `model` as a new immutable candidate version: writes the
     /// checksummed artifact atomically, records its byte checksum, and
     /// commits a `Candidate` record. Returns the new version id.
