@@ -1960,22 +1960,25 @@ mod tests {
                 let x = kernel_input(max_rows * d, case, &mut r);
                 for rows in 1..=max_rows {
                     let x = &x[..rows * d];
-                    let (mut out, mut xhat, mut inv_std) =
-                        (vec![0.0; rows * d], vec![0.0; rows * d], vec![0.0; rows]);
-                    layernorm_one_row_at_a_time(
+                    let buffers = |v: f32| (vec![v; rows * d], vec![v; rows * d], vec![v; rows]);
+                    let mut want = buffers(0.0);
+                    let (out, xhat, inv_std) = (&mut want.0, &mut want.1, &mut want.2);
+                    layernorm_one_row_at_a_time(x, &gamma, &beta, 1e-5, out, xhat, inv_std);
+                    let mut tape = buffers(f32::NAN);
+                    let norm = LayerNormRows::<true> {
                         x,
-                        &gamma,
-                        &beta,
-                        1e-5,
-                        &mut out,
-                        &mut xhat,
-                        &mut inv_std,
-                    );
-                    let what = format!("{level:?} d={d} case {case} rows {rows}");
-                    let mut got = vec![f32::NAN; rows * d];
+                        out: &mut tape.0,
+                        xhat: &mut tape.1,
+                        inv_std: &mut tape.2,
+                        gamma: &gamma,
+                        beta: &beta,
+                        eps: 1e-5,
+                    };
+                    rows_at(norm, level);
+                    let mut decode = vec![f32::NAN; rows * d];
                     let norm = LayerNormRows::<false> {
                         x,
-                        out: &mut got,
+                        out: &mut decode,
                         xhat: &mut [],
                         inv_std: &mut [],
                         gamma: &gamma,
@@ -1983,26 +1986,18 @@ mod tests {
                         eps: 1e-5,
                     };
                     rows_at(norm, level);
-                    assert_eq!(nan_blind_bits(&got), nan_blind_bits(&out), "{what}");
-                    let (mut got, mut got_xhat, mut got_inv_std) =
-                        (vec![f32::NAN; rows * d], vec![f32::NAN; rows * d], vec![f32::NAN; rows]);
-                    let norm = LayerNormRows::<true> {
-                        x,
-                        out: &mut got,
-                        xhat: &mut got_xhat,
-                        inv_std: &mut got_inv_std,
-                        gamma: &gamma,
-                        beta: &beta,
-                        eps: 1e-5,
-                    };
-                    rows_at(norm, level);
-                    assert_eq!(nan_blind_bits(&got), nan_blind_bits(&out), "tape {what}");
-                    assert_eq!(nan_blind_bits(&got_xhat), nan_blind_bits(&xhat), "xhat {what}");
-                    assert_eq!(
-                        nan_blind_bits(&got_inv_std),
-                        nan_blind_bits(&inv_std),
-                        "inv_std {what}"
-                    );
+                    for (got, want, what) in [
+                        (&decode, &want.0, "out"),
+                        (&tape.0, &want.0, "tape out"),
+                        (&tape.1, &want.1, "xhat"),
+                        (&tape.2, &want.2, "inv_std"),
+                    ] {
+                        assert_eq!(
+                            nan_blind_bits(got),
+                            nan_blind_bits(want),
+                            "{what}: {level:?} d={d} case {case} rows {rows}"
+                        );
+                    }
                 }
             }
         }
