@@ -1130,9 +1130,9 @@ fn softmax_lastdim_data(x: &Tensor) -> Tensor {
 /// +0.0 (they enter the `exp` pass as −∞), exactly the result of a `−1e9`
 /// additive mask. Scaling by 1.0 is exact.
 fn softmax_rows(rows: &mut [f32], cols: usize, scale: f32, causal: bool) {
-    let live = |i: usize| if causal { i + 1 } else { cols };
+    let lim = |i: usize| if causal { i + 1 } else { cols };
     for (i, row) in rows.chunks_exact_mut(cols).enumerate() {
-        let (live, masked) = row.split_at_mut(live(i));
+        let (live, masked) = row.split_at_mut(lim(i));
         let mut max = f32::NEG_INFINITY;
         for x in live.iter_mut() {
             *x *= scale;
@@ -1145,7 +1145,7 @@ fn softmax_rows(rows: &mut [f32], cols: usize, scale: f32, causal: bool) {
     }
     exp_rows(rows);
     for (i, row) in rows.chunks_exact_mut(cols).enumerate() {
-        let live = &mut row[..live(i)];
+        let live = &mut row[..lim(i)];
         let mut sum = 0.0f32;
         for x in live.iter() {
             sum += *x;
@@ -1158,8 +1158,8 @@ fn softmax_rows(rows: &mut [f32], cols: usize, scale: f32, causal: bool) {
 }
 
 /// The softmax backward, in place over the `cols`-wide rows of `d`: each
-/// row's incoming gradient becomes `y ⊙ (d − Σ y·d)` against its
-/// probabilities `y`, a row of `y`.
+/// row's incoming gradient becomes `y ⊙ (d − Σ y·d)`, with `y` the same
+/// row of the forward's probabilities.
 fn softmax_grad_rows(y: &[f32], d: &mut [f32], cols: usize) {
     for (y, d) in y.chunks_exact(cols).zip(d.chunks_exact_mut(cols)) {
         let dot: f32 = y.iter().zip(d.iter()).map(|(y, d)| y * d).sum();
