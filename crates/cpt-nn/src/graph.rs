@@ -249,21 +249,6 @@ impl Graph {
         )
     }
 
-    /// `a - b` (equal shapes).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let av = self.rc_value(a);
-        let bv = self.rc_value(b);
-        let ctx = self.ctx();
-        let out = ctx.zip(&av, &bv, |x, y| x - y);
-        self.push(
-            out,
-            vec![a.0, b.0],
-            Some(Box::new(move |g: &Tensor| {
-                vec![ctx.clone_tensor(g), ctx.map(g, |x| -x)]
-            })),
-        )
-    }
-
     /// Elementwise `a * b` (equal shapes).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let av = self.rc_value(a);

@@ -241,29 +241,6 @@ impl<'s> Session<'s> {
         self.graph.backward(loss);
     }
 
-    /// Inverted dropout: zeroes each activation with probability `p` and
-    /// scales survivors by `1/(1-p)` so the expected activation is
-    /// unchanged. Apply only during training (inference paths simply skip
-    /// the call). A no-op when `p <= 0`.
-    pub fn dropout(&mut self, x: Var, p: f32, rng: &mut impl Rng) -> Var {
-        if p <= 0.0 {
-            return x;
-        }
-        assert!(p < 1.0, "dropout probability must be < 1");
-        let shape = self.graph.value(x).shape.clone();
-        let keep = 1.0 - p;
-        let scale = 1.0 / keep;
-        let n: usize = shape.iter().product();
-        let mask = Tensor::new(
-            (0..n)
-                .map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 })
-                .collect(),
-            shape,
-        );
-        let m = self.input(mask);
-        self.graph.mul(x, m)
-    }
-
     /// Collects the gradients of every bound parameter (after
     /// [`Session::backward`]). Feed the result to
     /// [`ParamStore::accumulate_grads`].
@@ -1572,35 +1549,6 @@ mod tests {
             store.zero_grads();
         }
         assert!(last < 1e-3, "did not converge: loss {last}");
-    }
-
-    #[test]
-    fn dropout_zeroes_and_rescales() {
-        let store = ParamStore::new();
-        let mut sess = Session::new(&store);
-        let x = sess.input(Tensor::ones(&[64, 64]));
-        let y = sess.dropout(x, 0.5, &mut rng(30));
-        let v = sess.graph.value(y).clone();
-        let zeros = v.data.iter().filter(|e| **e == 0.0).count();
-        let survivors: Vec<f32> = v.data.iter().copied().filter(|e| *e != 0.0).collect();
-        // ~50% dropped, survivors scaled by 1/keep = 2.
-        let frac = zeros as f64 / v.len() as f64;
-        assert!((frac - 0.5).abs() < 0.06, "drop fraction {frac}");
-        assert!(survivors.iter().all(|e| (*e - 2.0).abs() < 1e-6));
-        // Expectation preserved: mean stays near 1.
-        let mean = v.sum() / v.len() as f32;
-        assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
-        // Backward flows only through survivors.
-        let loss = sess.graph.mean_all(y);
-        sess.backward(loss);
-        let g = sess.graph.grad(x).unwrap();
-        let zero_grads = g.data.iter().filter(|e| **e == 0.0).count();
-        assert_eq!(zero_grads, zeros);
-        // p = 0 is the identity.
-        let mut sess2 = Session::new(&store);
-        let x2 = sess2.input(Tensor::ones(&[4]));
-        let y2 = sess2.dropout(x2, 0.0, &mut rng(31));
-        assert_eq!(x2, y2);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! - [`optim`] — Adam with decoupled weight decay, global-norm gradient
 //!   clipping and warmup/constant schedules;
 //! - losses as fused graph ops — softmax cross-entropy, Gaussian negative
-//!   log-likelihood (the interarrival head of Design 2), binary
-//!   cross-entropy (GAN), MSE;
+//!   log-likelihood (the interarrival head of Design 2), MSE;
 //! - [`serialize`] — checkpoint save/load;
 //! - [`gradcheck`] — finite-difference gradient verification used heavily
 //!   by this crate's own tests.

@@ -1766,6 +1766,28 @@ pub(crate) mod tests {
         }
     }
 
+    /// The kernels run at the highest level the CPU's flags list: a CPU
+    /// with `avx512f` must not fall back to a lower level. Named apart
+    /// from the `kernel_` tests, whose filter Miri runs: Miri opens no
+    /// files.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn active_level_is_the_highest_the_cpu_flags_list() {
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
+        let flags: Vec<&str> = cpuinfo
+            .lines()
+            .find_map(|l| Some(l.strip_prefix("flags")?.split_once(':')?.1))
+            .expect("/proc/cpuinfo has a flags line")
+            .split_whitespace()
+            .collect();
+        let has = |flag: &str| flags.contains(&flag);
+        if has("avx512f") {
+            assert_eq!(kernel_level(), "avx512f");
+        } else if has("avx2") && has("fma") {
+            assert_eq!(kernel_level(), "avx2+fma");
+        }
+    }
+
     /// The portable level is 0 ULP equal to `matmul_reference` at every
     /// tile shape (rows 1..=9 reach 4×1 full and with three live rows, 2×2
     /// and 1×4; 130 columns leave a 1-panel and a ragged tile), through the

@@ -498,8 +498,9 @@ mod tests {
         );
     }
 
-    /// The keys CI's smoke steps read from `loadgen -o` (and the stats
-    /// response `ctl -o` writes) exist under these names.
+    /// The keys `tests/serve_cli.rs` and CI's swap smoke read from
+    /// `loadgen -o` (and the stats response `ctl -o` writes) exist under
+    /// these names.
     #[test]
     fn report_keys_ci_reads_are_present() {
         let stats = StatsSnapshot::default();

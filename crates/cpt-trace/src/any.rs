@@ -212,10 +212,16 @@ mod tests {
             .expect("ctb reports a summary");
         assert_eq!((summary.streams, summary.events), (3, 3));
         // The generic writer produces the formats' own bytes.
-        let mut batch = Vec::new();
-        crate::io::write_dataset_to(&d, &mut batch).unwrap();
-        assert_eq!(std::fs::read(&jsonl).unwrap(), batch);
-        assert_eq!(crate::columnar::read_ctb(&ctb).unwrap(), d);
+        let (own_jsonl, own_ctb) = (dir.join("own.jsonl"), dir.join("own.ctb"));
+        let mut w = StreamWriter::create(&own_jsonl, d.generation, d.streams.len()).unwrap();
+        for s in &d.streams {
+            w.push(s).unwrap();
+        }
+        w.finish().unwrap();
+        crate::columnar::write_ctb(&d, &own_ctb).unwrap();
+        for (generic, own) in [(&jsonl, &own_jsonl), (&ctb, &own_ctb)] {
+            assert_eq!(std::fs::read(generic).unwrap(), std::fs::read(own).unwrap());
+        }
         for path in [&jsonl, &ctb] {
             assert_eq!(collect(path), (d.generation, 3, d.streams.clone()));
             assert_eq!(AnyTrace::open(path).unwrap().into_dataset().unwrap(), d);

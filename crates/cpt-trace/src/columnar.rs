@@ -836,12 +836,6 @@ impl ColumnarReader {
     }
 }
 
-/// Reads a whole `.ctb` file into a [`Dataset`] (checksum-verified,
-/// parallel decode).
-pub fn read_ctb(path: impl AsRef<Path>) -> Result<Dataset, CtbError> {
-    ColumnarReader::open(path)?.to_dataset()
-}
-
 /// A zero-copy view of one stream: two sub-slices borrowed straight from
 /// the file mapping (event-type bytes and timestamp XOR-deltas).
 #[derive(Debug, Clone, Copy)]

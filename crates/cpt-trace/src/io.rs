@@ -19,8 +19,7 @@ use crate::atomic::AtomicFile;
 use crate::columnar::CtbError;
 use crate::json::{self, JsonError, ToJson, Value};
 use crate::{Dataset, DeviceType, Event, EventType, Generation, Stream, UeId};
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 const FORMAT: &str = "cpt-trace";
@@ -90,18 +89,6 @@ impl From<CtbError> for IoError {
     fn from(e: CtbError) -> Self {
         IoError::Ctb(e)
     }
-}
-
-/// Writes a dataset to `path` in JSON-lines format: a [`StreamWriter`] fed
-/// every stream, so the write is crash-safe (see [`crate::atomic`]) — a
-/// writer dying mid-trace can never leave a header promising more streams
-/// than the file holds.
-pub fn write_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), IoError> {
-    let mut w = StreamWriter::create(path, dataset.generation, dataset.streams.len())?;
-    for stream in &dataset.streams {
-        w.push(stream)?;
-    }
-    w.finish()
 }
 
 /// Writes the header line every dataset file starts with.
@@ -225,30 +212,6 @@ fn once<T>(slot: &mut Option<T>, key: &str, value: Result<T, JsonError>) -> Resu
 /// The required field `key`'s value.
 fn required<T>(slot: Option<T>, key: &str) -> Result<T, JsonError> {
     slot.ok_or_else(|| JsonError::new(format!("missing field {key:?}")))
-}
-
-/// Writes a dataset to any writer (header line + one line per stream).
-pub fn write_dataset_to(dataset: &Dataset, w: &mut impl Write) -> Result<(), IoError> {
-    write_header(w, dataset.generation, dataset.streams.len())?;
-    let mut line = String::new();
-    for stream in &dataset.streams {
-        line.clear();
-        write_stream_line(&mut line, stream);
-        w.write_all(line.as_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a dataset from `path`.
-pub fn read_dataset(path: impl AsRef<Path>) -> Result<Dataset, IoError> {
-    read_dataset_from(BufReader::new(File::open(path)?))
-}
-
-/// Reads a dataset from any buffered reader: a [`StreamReader`] drained
-/// into memory.
-pub fn read_dataset_from(r: impl BufRead) -> Result<Dataset, IoError> {
-    StreamReader::new(r)?.into_dataset()
 }
 
 /// Truncates `line` to a short prefix fit for an error message.
@@ -409,8 +372,9 @@ impl StreamWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceType, Event, EventType, UeId};
+    use crate::{write_trace, AnyTrace, DeviceType, Event, EventType, UeId};
     use std::io::Cursor;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn toy() -> Dataset {
         Dataset::new(vec![
@@ -426,13 +390,33 @@ mod tests {
         ])
     }
 
+    /// The bytes a [`StreamWriter`] writes for `d`, through a temp file of
+    /// this call's own.
+    fn jsonl_bytes(d: &Dataset) -> Vec<u8> {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("cpt-io-bytes-{}-{call}.jsonl", std::process::id()));
+        write_trace(d, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// Reads JSONL content whole through a [`StreamReader`].
+    fn read(bytes: impl AsRef<[u8]>) -> Result<Dataset, IoError> {
+        StreamReader::new(Cursor::new(bytes))?.into_dataset()
+    }
+
+    /// Reads a JSONL file whole.
+    fn read_file(path: &Path) -> Result<Dataset, IoError> {
+        AnyTrace::open(path)?.into_dataset()
+    }
+
     #[test]
     fn roundtrip_in_memory() {
         let d = toy();
-        let mut buf = Vec::new();
-        write_dataset_to(&d, &mut buf).unwrap();
-        let back = read_dataset_from(Cursor::new(buf)).unwrap();
-        assert_eq!(d, back);
+        assert_eq!(read(jsonl_bytes(&d)).unwrap(), d);
     }
 
     #[test]
@@ -441,46 +425,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cpt-trace-io-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("toy.jsonl");
-        write_dataset(&d, &path).unwrap();
-        let back = read_dataset(&path).unwrap();
+        write_trace(&d, &path).unwrap();
+        let back = read_file(&path).unwrap();
         assert_eq!(d, back);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rejects_empty_file() {
-        assert!(matches!(
-            read_dataset_from(Cursor::new(Vec::<u8>::new())),
-            Err(IoError::BadHeader(_))
-        ));
+        assert!(matches!(read(""), Err(IoError::BadHeader(_))));
     }
 
     #[test]
     fn rejects_wrong_format() {
         let bad = r#"{"format":"pcap","version":1,"generation":"Lte","num_streams":0}"#;
-        assert!(matches!(
-            read_dataset_from(Cursor::new(bad.as_bytes().to_vec())),
-            Err(IoError::BadHeader(_))
-        ));
+        assert!(matches!(read(bad), Err(IoError::BadHeader(_))));
     }
 
     #[test]
     fn rejects_stream_count_mismatch() {
-        let mut buf = Vec::new();
-        write_dataset_to(&toy(), &mut buf).unwrap();
         // Drop the last line (one stream) while the header still says 2.
-        let text = String::from_utf8(buf).unwrap();
-        let truncated: String = text.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(matches!(
-            read_dataset_from(Cursor::new(truncated.into_bytes())),
-            Err(IoError::BadHeader(_))
-        ));
+        let truncated: String = toy_text().lines().take(2).collect::<Vec<_>>().join("\n");
+        assert!(matches!(read(truncated), Err(IoError::BadHeader(_))));
     }
 
     fn toy_text() -> String {
-        let mut buf = Vec::new();
-        write_dataset_to(&toy(), &mut buf).unwrap();
-        String::from_utf8(buf).unwrap()
+        String::from_utf8(jsonl_bytes(&toy())).unwrap()
     }
 
     #[test]
@@ -498,7 +468,7 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join("\n");
-        match read_dataset_from(Cursor::new(corrupted.into_bytes())) {
+        match read(corrupted) {
             Err(IoError::Parse { line, snippet, .. }) => {
                 assert_eq!(line, 2);
                 assert!(!snippet.is_empty());
@@ -511,7 +481,7 @@ mod tests {
     #[test]
     fn malformed_header_reports_line_one() {
         let bad = "{\"format\": <oops\n";
-        match read_dataset_from(Cursor::new(bad.as_bytes().to_vec())) {
+        match read(bad) {
             Err(IoError::Parse { line, .. }) => assert_eq!(line, 1),
             other => panic!("expected Parse error at line 1, got {other:?}"),
         }
@@ -523,8 +493,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.jsonl");
         std::fs::write(&path, b"stale content").unwrap();
-        write_dataset(&toy(), &path).unwrap();
-        assert_eq!(read_dataset(&path).unwrap(), toy());
+        write_trace(&toy(), &path).unwrap();
+        assert_eq!(read_file(&path).unwrap(), toy());
         assert!(
             !dir.join("out.jsonl.tmp").exists(),
             "temp file must be renamed away"
@@ -537,14 +507,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cpt-trace-crashw-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.jsonl");
-        write_dataset(&toy(), &path).unwrap();
+        write_trace(&toy(), &path).unwrap();
         // Wedge the temp path with a directory so the next write fails
         // before it can touch the destination.
         std::fs::create_dir(dir.join("out.jsonl.tmp")).unwrap();
         let bigger = Dataset::new(vec![toy().streams[0].clone(); 5]);
-        assert!(matches!(write_dataset(&bigger, &path), Err(IoError::Io(_))));
+        assert!(matches!(write_trace(&bigger, &path), Err(IoError::Io(_))));
         // The previously committed file is intact.
-        assert_eq!(read_dataset(&path).unwrap(), toy());
+        assert_eq!(read_file(&path).unwrap(), toy());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -563,7 +533,7 @@ mod tests {
         let text = toy_text();
         let cut_short = text.as_bytes()[..text.trim_end().len() - 10].to_vec();
         for input in [[bytes, vec![0xff, 0xfe, b'\n']].concat(), cut_short] {
-            match read_dataset_from(Cursor::new(input)) {
+            match read(input) {
                 Err(IoError::Parse { line, .. }) => assert_eq!(line, 3),
                 other => panic!("expected Parse error at line 3, got {other:?}"),
             }
@@ -571,11 +541,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_writer_output_is_byte_identical_to_batch_write() {
+    fn stream_writer_output_reads_back_stream_by_stream() {
         let d = toy();
-        let mut batch = Vec::new();
-        write_dataset_to(&d, &mut batch).unwrap();
-
         let mut path = std::env::temp_dir();
         path.push(format!("cpt-io-streamwriter-{}.jsonl", std::process::id()));
         let mut w = StreamWriter::create(&path, d.generation, d.streams.len()).unwrap();
@@ -584,7 +551,6 @@ mod tests {
         }
         w.finish().unwrap();
         let streamed = std::fs::read(&path).unwrap();
-        assert_eq!(batch, streamed);
 
         let mut r = StreamReader::new(Cursor::new(streamed)).unwrap();
         assert_eq!(r.generation(), d.generation);
@@ -604,7 +570,7 @@ mod tests {
     #[test]
     fn golden_file_reads_and_writes_back_byte_identically() {
         let golden = include_str!("../tests/data/golden.jsonl");
-        let d = read_dataset_from(Cursor::new(golden.as_bytes())).unwrap();
+        let d = read(golden).unwrap();
         assert_eq!(d.streams[0].ue_id, UeId((1 << 53) + 1));
         assert_eq!(d.streams[1].ue_id, UeId(u64::MAX));
         let ts: Vec<f64> = d.streams[0].events.iter().map(|e| e.timestamp).collect();
@@ -620,9 +586,7 @@ mod tests {
             1.5e16,
         ];
         assert_eq!(ts, expected);
-        let mut back = Vec::new();
-        write_dataset_to(&d, &mut back).unwrap();
-        assert_eq!(String::from_utf8(back).unwrap(), golden);
+        assert_eq!(String::from_utf8(jsonl_bytes(&d)).unwrap(), golden);
     }
 
     fn one_stream_line(events: &str) -> Vec<u8> {
@@ -639,7 +603,7 @@ mod tests {
         let bad = one_stream_line(
             r#"{"event_type":"Attach","timestamp":5.0},{"event_type":"Detach","timestamp":4.5}"#,
         );
-        match read_dataset_from(Cursor::new(bad)) {
+        match read(bad) {
             Err(IoError::Parse { line, source, .. }) => {
                 assert_eq!(line, 3);
                 assert!(source.to_string().contains("events: [1]: "), "{source}");
@@ -649,14 +613,13 @@ mod tests {
         let equal = one_stream_line(
             r#"{"event_type":"Attach","timestamp":5.0},{"event_type":"Detach","timestamp":5.0}"#,
         );
-        let read = read_dataset_from(Cursor::new(equal));
-        assert!(read.is_ok(), "ties are in order");
+        assert!(read(equal).is_ok(), "ties are in order");
     }
 
     #[test]
     fn a_negative_timestamp_is_a_parse_error_on_its_line() {
         let bad = one_stream_line(r#"{"event_type":"Attach","timestamp":-1e-9}"#);
-        match read_dataset_from(Cursor::new(bad)) {
+        match read(bad) {
             Err(IoError::Parse { line, source, .. }) => {
                 assert_eq!(line, 3);
                 assert!(source.to_string().contains("negative"), "{source}");
@@ -671,7 +634,7 @@ mod tests {
         let ok = one_stream_line(
             r#"{"note":[1,{"a":null}],"timestamp":2.0,"event_type":"\u0041ttach"}"#,
         );
-        let d = read_dataset_from(Cursor::new(ok)).unwrap();
+        let d = read(ok).unwrap();
         assert_eq!(
             d.streams[1].events,
             vec![Event::new(EventType::Attach, 2.0)]
@@ -694,7 +657,7 @@ mod tests {
                 "events: [0]: timestamp: expected a number",
             ),
         ] {
-            match read_dataset_from(Cursor::new(one_stream_line(events))) {
+            match read(one_stream_line(events)) {
                 Err(IoError::Parse { line, source, .. }) => {
                     assert_eq!(line, 3);
                     assert!(source.to_string().starts_with(why), "{source}");
@@ -705,7 +668,7 @@ mod tests {
         let no_device =
             "{\"format\":\"cpt-trace\",\"version\":1,\"generation\":\"Lte\",\"num_streams\":1}\n\
              {\"ue_id\":1,\"events\":[]}\n";
-        match read_dataset_from(Cursor::new(no_device.as_bytes())) {
+        match read(no_device) {
             Err(IoError::Parse {
                 line: 2, source, ..
             }) => {

@@ -14,9 +14,9 @@
 //!    covered by the header, index, or per-block checksum, so this holds
 //!    for *arbitrary* corruption positions, not just curated ones.
 
-use cpt_trace::columnar::{read_ctb, write_ctb, ColumnarReader, ColumnarWriter};
-use cpt_trace::io::{write_dataset, StreamReader, StreamWriter};
-use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
+use cpt_trace::columnar::{write_ctb, ColumnarReader, ColumnarWriter};
+use cpt_trace::io::{StreamReader, StreamWriter};
+use cpt_trace::{write_trace, Dataset, DeviceType, Event, EventType, Stream, UeId};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::fs::File;
@@ -88,7 +88,9 @@ proptest! {
         prop_assert_eq!(summary.streams as usize, data.num_streams());
         prop_assert_eq!(summary.events as usize, data.num_events());
 
-        let back = read_ctb(&path).expect("read ctb");
+        let back = ColumnarReader::open(&path)
+            .and_then(|r| r.to_dataset())
+            .expect("read ctb");
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(back.generation, data.generation);
@@ -116,7 +118,7 @@ proptest! {
         let ctb = tmp_path("jsonl-mid", "ctb");
         let jsonl_out = tmp_path("jsonl-out", "jsonl");
 
-        write_dataset(&data, &jsonl_in).expect("write jsonl");
+        write_trace(&data, &jsonl_in).expect("write jsonl");
 
         // JSONL -> ctb, stream by stream — the `cptgen trace convert` path.
         let mut sr = StreamReader::new(BufReader::new(

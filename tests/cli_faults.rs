@@ -8,7 +8,9 @@
 //! The flag contract (README): an unknown flag, another subcommand's flag,
 //! a repeated flag or a valued flag with no value is exit 2 naming the
 //! flag, and nothing is written. And the format contract: a trace gives the
-//! same results as JSONL and as `.ctb`.
+//! same results as JSONL and as `.ctb`, `trace convert` turns either into
+//! the other byte for byte, and `train` writes the same model at one
+//! thread or eight.
 
 use cpt_testkit::{
     corrupt_file_bytes, exit_code, malform_jsonl_line, stderr_of, stdout_of, Scratch,
@@ -418,6 +420,24 @@ fn jsonl_and_ctb_give_the_same_results() {
     let jsonl = write_trace(&scratch, "trace.jsonl");
     let ctb = write_trace(&scratch, "trace.ctb");
 
+    // trace convert: each way, the other format's bytes exactly (both
+    // traces are simulated with one seed), and the `.ctb` verifies.
+    let (to_ctb, to_jsonl) = (scratch.arg("converted.ctb"), scratch.arg("converted.jsonl"));
+    for (input, output, twin) in [(&jsonl, &to_ctb, &ctb), (&ctb, &to_jsonl, &jsonl)] {
+        let out = run(&["trace", "convert", "--input", input, "-o", output]);
+        assert_eq!(exit_code(&out), 0, "convert failed: {}", stderr_of(&out));
+        assert_eq!(
+            std::fs::read(output).expect("read converted"),
+            std::fs::read(twin).expect("read simulated"),
+            "{input} converted is not {twin}"
+        );
+    }
+    let out = run(&["trace", "verify", "--input", &ctb]);
+    assert_eq!(exit_code(&out), 0, "verify failed: {}", stderr_of(&out));
+    assert!(stdout_of(&out).starts_with("ok: "), "{}", stdout_of(&out));
+    let out = run(&["trace", "info", "--input", &ctb]);
+    assert_eq!(exit_code(&out), 0, "info failed: {}", stderr_of(&out));
+
     // stats: identical apart from the header / interarrival lines.
     let (sj, sc) = (
         run(&["stats", "--input", &jsonl]),
@@ -439,9 +459,11 @@ fn jsonl_and_ctb_give_the_same_results() {
     assert!(stdout_of(&lj).starts_with("MCN load report:"));
     assert_eq!(stdout_of(&lj), stdout_of(&lc));
 
-    // train: byte-identical model files from either format.
+    // train: byte-identical model files from either format, and at one
+    // thread, two or eight.
     let (mj, mc) = (scratch.arg("model-jsonl.cmb"), scratch.arg("model-ctb.cmb"));
-    for (trace, model) in [(&jsonl, &mj), (&ctb, &mc)] {
+    let m8 = scratch.arg("model-jsonl-8t.cmb");
+    for (trace, model, threads) in [(&jsonl, &mj, "1"), (&jsonl, &m8, "8"), (&ctb, &mc, "2")] {
         let out = run(&[
             "train",
             "--input",
@@ -454,6 +476,8 @@ fn jsonl_and_ctb_give_the_same_results() {
             "16",
             "--microbatch",
             "4",
+            "--threads",
+            threads,
             "-o",
             model,
         ]);
@@ -461,7 +485,13 @@ fn jsonl_and_ctb_give_the_same_results() {
     }
     let model_bytes = std::fs::read(&mj).expect("read model");
     assert!(!model_bytes.is_empty());
-    assert_eq!(model_bytes, std::fs::read(&mc).expect("read model"));
+    for other in [&m8, &mc] {
+        assert_eq!(
+            model_bytes,
+            std::fs::read(other).expect("read model"),
+            "{other}"
+        );
+    }
 
     // generate: the same streams whichever format they are written in, and
     // evaluate: identical output for every pairing of formats.

@@ -158,8 +158,10 @@ fn generated_streams_roundtrip_through_io() {
     // Dataset IO roundtrip across crates.
     let dir = Scratch::new("e2e");
     let path = dir.path("synth.jsonl");
-    cpt::trace::io::write_dataset(&synth, &path).unwrap();
-    let back = cpt::trace::io::read_dataset(&path).unwrap();
+    cpt::trace::write_trace(&synth, &path).unwrap();
+    let back = cpt::trace::AnyTrace::open(&path)
+        .and_then(|t| t.into_dataset())
+        .unwrap();
     assert_eq!(synth, back);
 
     // Model file roundtrip: same weights → same generation.

@@ -26,8 +26,9 @@
 //!
 //! And the trace data plane stays single: one epoch plan
 //! (`ShardSource::epoch_steps`), one train entry per behaviour, and no
-//! caller of the JSONL-only `read_dataset` outside `cpt-trace` — a trace is
-//! opened through `AnyTrace`, so `.ctb` works wherever JSONL does.
+//! whole-file reader of one format: `read_dataset`, the JSONL-only one, is
+//! deleted and must not come back in the walked crates — a trace is opened
+//! through `AnyTrace`, so `.ctb` works wherever JSONL does.
 
 use std::path::{Path, PathBuf};
 

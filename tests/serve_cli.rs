@@ -65,9 +65,12 @@ impl Drop for KillOnDrop {
     }
 }
 
-/// Starts `cptgen serve` on an OS-assigned port and parses the readiness
-/// line for the actual address.
-fn spawn_server(model: &str) -> (KillOnDrop, String, BufReader<std::process::ChildStdout>) {
+/// Starts `cptgen serve` with `extra` flags on an OS-assigned port and
+/// parses the readiness line for the actual address.
+fn spawn_server(
+    model: &str,
+    extra: &[&str],
+) -> (KillOnDrop, String, BufReader<std::process::ChildStdout>) {
     let mut child = Command::new(BIN)
         .args([
             "serve",
@@ -80,6 +83,7 @@ fn spawn_server(model: &str) -> (KillOnDrop, String, BufReader<std::process::Chi
             "--max-sessions",
             "64",
         ])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -97,42 +101,54 @@ fn spawn_server(model: &str) -> (KillOnDrop, String, BufReader<std::process::Chi
     (KillOnDrop(Some(child)), addr, reader)
 }
 
+/// The same seeds against a one-shard and a four-shard server: every
+/// session completes, the server stops cleanly on `--shutdown`, and the
+/// two event digests are equal. The digest cannot tell whether `--shards`
+/// reached the engine, so the report's `shards` is checked too.
 #[test]
 fn serve_loadgen_shutdown_round_trip() {
     let scratch = Scratch::new("roundtrip");
     let model = train_tiny_model(&scratch);
-    let (server, addr, _stdout) = spawn_server(&model);
+    let mut digests = Vec::new();
+    for shards in [1, 4] {
+        let flag = shards.to_string();
+        let (server, addr, _stdout) = spawn_server(&model, &["--shards", &flag]);
 
-    let report_path = scratch.arg("report.json");
-    let out = run(&[
-        "loadgen",
-        "--addr",
-        &addr,
-        "--sessions",
-        "20",
-        "--concurrent",
-        "8",
-        "--threads",
-        "2",
-        "--shutdown",
-        "-o",
-        &report_path,
-    ]);
-    assert_eq!(exit_code(&out), 0, "loadgen failed: {}", stderr_of(&out));
+        let report_path = scratch.arg(&format!("report-{shards}.json"));
+        let out = run(&[
+            "loadgen",
+            "--addr",
+            &addr,
+            "--sessions",
+            "20",
+            "--concurrent",
+            "8",
+            "--threads",
+            "2",
+            "--shutdown",
+            "-o",
+            &report_path,
+        ]);
+        assert_eq!(exit_code(&out), 0, "loadgen failed: {}", stderr_of(&out));
 
-    // The report file is valid JSON with the promised fields.
-    let text = std::fs::read_to_string(&report_path).expect("report written");
-    let report = cpt::trace::json::parse(&text).expect("report parses");
-    assert_eq!(field(&report, "sessions_opened"), 20);
-    assert_eq!(field(&report, "sessions_completed"), 20);
-    assert_eq!(field(&report, "errors"), 0);
-    assert!(field(&report, "events_received") > 0);
-    let stats = report.get("server_stats").expect("server stats embedded");
-    assert!(field(stats, "slices") > 0);
+        // The report file is valid JSON with the promised fields.
+        let text = std::fs::read_to_string(&report_path).expect("report written");
+        let report = cpt::trace::json::parse(&text).expect("report parses");
+        assert_eq!(field(&report, "sessions_opened"), 20);
+        assert_eq!(field(&report, "sessions_completed"), 20);
+        assert_eq!(field(&report, "errors"), 0);
+        assert!(field(&report, "events_received") > 0);
+        assert_eq!(field(&report, "shards"), shards);
+        let stats = report.get("server_stats").expect("server stats embedded");
+        assert!(field(stats, "slices") > 0 && field(stats, "batch_peak") >= 1);
+        let digest = report.get("events_digest").and_then(|d| d.as_str());
+        digests.push(digest.expect("report lacks events_digest").to_string());
 
-    // --shutdown must have stopped the server cleanly (exit 0).
-    let status = server.wait();
-    assert_eq!(status.code(), Some(0), "server did not exit cleanly");
+        // --shutdown must have stopped the server cleanly (exit 0).
+        let status = server.wait();
+        assert_eq!(status.code(), Some(0), "server did not exit cleanly");
+    }
+    assert_eq!(digests[0], digests[1], "shard count changed the events");
 }
 
 #[test]
@@ -160,15 +176,9 @@ fn serve_zero_max_sessions_is_usage_error() {
 fn chaos_smoke_contains_panic_and_dropped_connection() {
     let scratch = Scratch::new("chaos");
     let model = train_tiny_model(&scratch);
-    let mut child = Command::new(BIN)
-        .args([
-            "serve",
-            "--model",
-            &model,
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
+    let (server, addr, _stdout) = spawn_server(
+        &model,
+        &[
             "--chaos-panic-session",
             "3",
             "--chaos-panic-at-event",
@@ -177,22 +187,8 @@ fn chaos_smoke_contains_panic_and_dropped_connection() {
             "1",
             "--chaos-drop-after",
             "5",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn cptgen serve with chaos");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read server stdout");
-        assert_ne!(n, 0, "server exited before printing its address");
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    let server = KillOnDrop(Some(child));
+        ],
+    );
 
     let report_path = scratch.arg("chaos-report.json");
     let out = run(&[
