@@ -13,6 +13,7 @@
 use crate::layers::ParamStore;
 use crate::tensor::Tensor;
 use cpt_trace::cmb::Cmb;
+use cpt_trace::columnar::{fnv1a, fnv1a_continue};
 use std::collections::HashMap;
 
 /// Errors arising from checkpoint IO.
@@ -45,15 +46,8 @@ impl std::error::Error for CheckpointError {}
 /// bit-flipped weight changes the checksum even when every value stays
 /// finite.
 pub fn store_checksum(store: &ParamStore) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = fnv1a(&[]);
+    let mut eat = |bytes: &[u8]| h = fnv1a_continue(h, bytes);
     for id in store.ids() {
         eat(store.name(id).as_bytes());
         let t = store.value(id);

@@ -1532,6 +1532,7 @@ fn transpose_block(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use cpt_trace::columnar::{fnv1a, fnv1a_continue};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2175,14 +2176,10 @@ pub(crate) mod tests {
     /// FNV-1a over libm's `tanh` at 4096 points of [−12, 12]: which `tanhf`
     /// the platform links.
     fn libm_tanh_probe() -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..4096 {
+        (0..4096).fold(fnv1a(&[]), |h, i| {
             let x = -12.0 + 24.0 * i as f32 / 4096.0;
-            for b in f32::tanh(x).to_bits().to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-        h
+            fnv1a_continue(h, &f32::tanh(x).to_bits().to_le_bytes())
+        })
     }
 
     /// The probe of fdlibm's `tanhf`, which glibc ran up to at least 2.36
@@ -2221,16 +2218,14 @@ pub(crate) mod tests {
     /// inputs of (−88, 88) that glibc's `expf` code rounds otherwise when it
     /// is compiled without FMA: which `expf` the platform links.
     fn libm_expf_probe() -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let grid = (0..4096).map(|i| -104.0 + 193.0 * i as f32 / 4096.0);
-        for x in grid.chain([0x4202_422f, 0xc27c_65d9].map(f32::from_bits)) {
-            // Opaque, so that the compiler cannot fold the call with its
-            // own `exp`.
-            for b in f32::exp(std::hint::black_box(x)).to_bits().to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-        h
+        grid.chain([0x4202_422f, 0xc27c_65d9].map(f32::from_bits))
+            .fold(fnv1a(&[]), |h, x| {
+                // Opaque, so that the compiler cannot fold the call with
+                // its own `exp`.
+                let y = f32::exp(std::hint::black_box(x));
+                fnv1a_continue(h, &y.to_bits().to_le_bytes())
+            })
     }
 
     /// The probe of glibc 2.36's `expf` on a CPU with FMA (x86-64 Linux),

@@ -80,7 +80,7 @@
 
 use crate::chaos::ChaosPlan;
 use crate::error::ServeError;
-use crate::metrics::{Metrics, SnapshotGauges, StatsSnapshot};
+use crate::metrics::{Counter, Metrics, SnapshotGauges, StatsSnapshot};
 use crate::shard::{worker_loop, Gauges, ShardShared, ShardUplink};
 use crate::steer::{Steering, MAX_SHARDS};
 use cpt_gpt::{CptGpt, StreamParams};
@@ -378,7 +378,7 @@ impl Drop for Version {
             return;
         }
         if let Some(core) = self.engine.upgrade() {
-            core.metrics.inc_version_retired();
+            core.metrics.add(Counter::VersionsRetired, 1);
             core.emit_lifecycle([LifecycleEvent::Retired(self.id)]);
         }
     }
@@ -489,7 +489,7 @@ impl EngineCore {
     /// version, or `None` when there is no target.
     fn roll_back_locked(&self, lc: &mut LifecycleState) -> Option<Arc<Version>> {
         let prev = lc.previous.take()?;
-        self.metrics.inc_version_rolled_back();
+        self.metrics.add(Counter::VersionsRolledBack, 1);
         Some(self.set_live_locked(lc, prev))
     }
 
@@ -520,7 +520,7 @@ impl EngineCore {
             .into_iter()
             .filter(|&id| self.shard_for(id).is_ok_and(|s| s.reap_detached(id)))
             .count() as u64;
-        self.metrics.add_expired(reclaimed);
+        self.metrics.add(Counter::SessionsExpired, reclaimed);
         reclaimed
     }
 
@@ -739,7 +739,7 @@ impl ServeHandle {
         let queued = core.gauges.queued.load(Ordering::Relaxed);
         if open >= core.cfg.max_sessions || queued >= core.cfg.queue_watermark {
             core.gauges.open.fetch_sub(1, Ordering::Relaxed);
-            core.metrics.inc_shed();
+            core.metrics.add(Counter::SessionsShed, 1);
             return Err(ServeError::Overloaded {
                 open,
                 cap: core.cfg.max_sessions,
@@ -844,7 +844,7 @@ impl ServeHandle {
             }
         }
         core.reaper.notify_all();
-        core.metrics.add_detached(n as u64);
+        core.metrics.add(Counter::SessionsDetached, n as u64);
         n
     }
 
@@ -897,7 +897,8 @@ impl ServeHandle {
                 ids.push(SessionId(id));
             }
         }
-        core.metrics.add_reattached(ids.len() as u64);
+        core.metrics
+            .add(Counter::SessionsReattached, ids.len() as u64);
         Ok(ids)
     }
 
@@ -1030,7 +1031,7 @@ impl ServeHandle {
         let old = core.set_live_locked(&mut lc, next);
         let demoted = old.id;
         let displaced = lc.previous.replace(old);
-        core.metrics.inc_version_published();
+        core.metrics.add(Counter::VersionsPublished, 1);
         drop(lc);
         if let Some(d) = displaced {
             d.release();
@@ -1065,25 +1066,19 @@ impl ServeHandle {
         *g = Some(Box::new(hook));
     }
 
-    /// Counts a candidate quarantined by the registry validation gate.
-    pub fn note_version_quarantined(&self) {
-        self.core.metrics.inc_version_quarantined();
-    }
-
-    /// Counts a fine-tune job entering its background task.
-    pub fn note_finetune_started(&self) {
-        self.core.metrics.finetune_started();
-    }
-
-    /// Counts a fine-tune job that published successfully.
-    pub fn note_finetune_completed(&self) {
-        self.core.metrics.finetune_completed();
-    }
-
-    /// Counts a fine-tune job that failed (divergence, panic, bad trace,
-    /// or a rejected publish), leaving the serving model untouched.
-    pub fn note_finetune_failed(&self) {
-        self.core.metrics.finetune_failed();
+    /// Counts one lifecycle event the engine does not see itself: a
+    /// candidate quarantined by the registry validation gate, or a
+    /// fine-tune job starting, publishing or failing. A job's end also
+    /// takes it off the `finetunes_running` gauge.
+    pub(crate) fn count(&self, counter: Counter) {
+        let metrics = &self.core.metrics;
+        if matches!(
+            counter,
+            Counter::FinetunesCompleted | Counter::FinetunesFailed
+        ) {
+            metrics.add(Counter::FinetunesRunning, 1u64.wrapping_neg());
+        }
+        metrics.add(counter, 1);
     }
 }
 

@@ -53,7 +53,7 @@ pub use engine::{
 pub use error::ServeError;
 pub use lifecycle::{Director, FineTuneSpec, PublishOutcome};
 pub use loadgen::{request_once, run_loadgen, LoadgenConfig, LoadgenReport};
-pub use metrics::{LatencyHistogram, Metrics, SnapshotGauges, StatsSnapshot};
+pub use metrics::{LatencyHistogram, StatsSnapshot};
 pub use registry::{
     Manifest, RecoveryReport, Registry, RegistryError, VersionRecord, VersionState,
 };

@@ -35,6 +35,7 @@
 use crate::chaos::ChaosPlan;
 use crate::engine::{LifecycleEvent, ServeHandle};
 use crate::error::ServeError;
+use crate::metrics::Counter;
 use crate::registry::{Registry, RegistryError, VersionRecord};
 use cpt_gpt::transfer::{fine_tune, FineTuneConfig};
 use cpt_gpt::{panic_message, with_training_set, TrainConfig};
@@ -123,7 +124,7 @@ impl Inner {
                 ) {
                     // The registry already quarantined it durably; this
                     // only surfaces the count in /stats.
-                    self.handle.note_version_quarantined();
+                    self.handle.count(Counter::VersionsQuarantined);
                 }
                 return Err(e.into());
             }
@@ -255,7 +256,7 @@ impl Director {
             let _ = h.join();
         }
         let job = self.inner.finetune_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inner.handle.note_finetune_started();
+        self.inner.handle.count(Counter::FinetunesRunning);
         let inner = Arc::clone(&self.inner);
         let spawned = std::thread::Builder::new()
             .name(format!("cpt-serve-finetune-{job}"))
@@ -263,11 +264,11 @@ impl Director {
                 match run_finetune(&inner, job, &spec) {
                     Ok(_) => {
                         *inner.lock_last_error() = None;
-                        inner.handle.note_finetune_completed();
+                        inner.handle.count(Counter::FinetunesCompleted);
                     }
                     Err(msg) => {
                         *inner.lock_last_error() = Some(msg);
-                        inner.handle.note_finetune_failed();
+                        inner.handle.count(Counter::FinetunesFailed);
                     }
                 }
                 inner.finetune_busy.store(false, Ordering::SeqCst);
@@ -278,7 +279,7 @@ impl Director {
                 Ok(job)
             }
             Err(e) => {
-                self.inner.handle.note_finetune_failed();
+                self.inner.handle.count(Counter::FinetunesFailed);
                 self.inner.finetune_busy.store(false, Ordering::SeqCst);
                 Err(ServeError::Io(e))
             }

@@ -173,23 +173,6 @@ pub struct LoadgenReport {
     pub next_p99_us: u64,
     /// The server's final stats snapshot, if it could be fetched.
     pub server_stats: Option<StatsSnapshot>,
-    /// Model-lifecycle counters copied out of [`Self::server_stats`] so a
-    /// CI gate can assert on them without digging into the nested
-    /// snapshot (all zero when the snapshot could not be fetched or the
-    /// server runs without a registry).
-    pub live_version: u64,
-    pub versions_published: u64,
-    pub versions_rolled_back: u64,
-    pub versions_quarantined: u64,
-    pub finetunes_completed: u64,
-    pub finetunes_failed: u64,
-    /// Shard layout copied out of [`Self::server_stats`] (zero when the
-    /// snapshot could not be fetched): shard count and the max/min
-    /// runnable-session occupancy across shards, so imbalance is visible
-    /// without digging into the nested snapshot.
-    pub shards: u64,
-    pub shard_runnable_max: u64,
-    pub shard_runnable_min: u64,
 }
 
 // `cptgen loadgen -o`'s report.
@@ -216,15 +199,6 @@ cpt_trace::json_struct!(LoadgenReport {
     next_p50_us,
     next_p99_us,
     server_stats,
-    live_version,
-    versions_published,
-    versions_rolled_back,
-    versions_quarantined,
-    finetunes_completed,
-    finetunes_failed,
-    shards,
-    shard_runnable_max,
-    shard_runnable_min,
 });
 
 /// One connection to the server. It reuses one outbound and one inbound
@@ -520,36 +494,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         open_p99_us: open_hist.quantile_us(0.99),
         next_p50_us: next_hist.quantile_us(0.50),
         next_p99_us: next_hist.quantile_us(0.99),
-        live_version: server_stats.as_ref().map(|s| s.live_version).unwrap_or(0),
-        versions_published: server_stats
-            .as_ref()
-            .map(|s| s.versions_published)
-            .unwrap_or(0),
-        versions_rolled_back: server_stats
-            .as_ref()
-            .map(|s| s.versions_rolled_back)
-            .unwrap_or(0),
-        versions_quarantined: server_stats
-            .as_ref()
-            .map(|s| s.versions_quarantined)
-            .unwrap_or(0),
-        finetunes_completed: server_stats
-            .as_ref()
-            .map(|s| s.finetunes_completed)
-            .unwrap_or(0),
-        finetunes_failed: server_stats
-            .as_ref()
-            .map(|s| s.finetunes_failed)
-            .unwrap_or(0),
-        shards: server_stats.as_ref().map(|s| s.shards).unwrap_or(0),
-        shard_runnable_max: server_stats
-            .as_ref()
-            .map(|s| s.shard_runnable_max)
-            .unwrap_or(0),
-        shard_runnable_min: server_stats
-            .as_ref()
-            .map(|s| s.shard_runnable_min)
-            .unwrap_or(0),
         server_stats,
     })
 }

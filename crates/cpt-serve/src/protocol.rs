@@ -517,12 +517,6 @@ mod tests {
             "events_digest",
             "errors",
             "reconnects",
-            "shards",
-            "live_version",
-            "versions_published",
-            "versions_quarantined",
-            "finetunes_completed",
-            "finetunes_failed",
         ] {
             assert!(report.get(key).is_some(), "loadgen report lacks {key:?}");
         }
@@ -540,6 +534,12 @@ mod tests {
                 "batch_peak",
                 "slices",
                 "sessions_open",
+                "shards",
+                "live_version",
+                "versions_published",
+                "versions_quarantined",
+                "finetunes_completed",
+                "finetunes_failed",
             ] {
                 assert!(embedded.get(key).is_some(), "stats lack {key:?}");
             }

@@ -27,9 +27,10 @@
 //! pooled output buffer ([`crate::pool`]) with no intermediate values —
 //! steady-state deliver is allocation-free end to end. The two cold
 //! responses (`stats`, `versions`) have fixed layouts like the rest:
-//! `stats` is encoded by destructuring [`StatsSnapshot`] without `..` and
-//! decoded into a full struct literal, so a field added to the struct does
-//! not compile until it is on the wire.
+//! `stats` is every [`StatsSnapshot`] field in declaration order, each
+//! through its type's `WireField` layout. The struct and its codec come
+//! from one field list in [`crate::metrics`], so a field added there is on
+//! the wire with nothing else to edit.
 //!
 //! Decoding is total: any byte sequence — truncated, bit-flipped, forged —
 //! decodes to a typed [`ProtocolError`], never a panic. Every field read
@@ -203,7 +204,7 @@ fn put_seq<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, 
 }
 
 /// Bounds-checked sequential reader over one payload.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -320,6 +321,66 @@ impl<'a> Cursor<'a> {
             return Err(ProtocolError::Trailing { extra });
         }
         Ok(())
+    }
+}
+
+/// A type with one fixed wire layout. [`StatsSnapshot`] is one, written
+/// field by field in its declaration order (the field list in
+/// [`crate::metrics`]); these impls are the layouts its fields use.
+pub(crate) trait WireField: Sized {
+    /// Appends the value.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value back.
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError>;
+}
+
+impl WireField for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+        c.u64()
+    }
+}
+
+impl WireField for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_f64(out, *self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+        c.f64()
+    }
+}
+
+/// A count: a varint, capped like every length.
+impl WireField for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self as u64);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+        c.len()
+    }
+}
+
+impl<T: WireField> WireField for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self, |o, x| x.put(o));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+        c.seq(T::get)
+    }
+}
+
+impl WireField for VersionSessions {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.version);
+        put_u64(out, self.sessions);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+        Ok(VersionSessions {
+            version: c.u64()?,
+            sessions: c.u64()?,
+        })
     }
 }
 
@@ -565,7 +626,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) -> Result<(), Protoco
         }
         Response::Stats { stats } => {
             out.push(RESP_STATS);
-            encode_stats(stats, out);
+            stats.put(out);
         }
         Response::Published { version, previous } => {
             out.push(RESP_PUBLISHED);
@@ -612,164 +673,6 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) -> Result<(), Protoco
     Ok(())
 }
 
-/// Every `StatsSnapshot` field in declaration order. Destructured without
-/// `..`: a field added to the struct does not compile until it is here
-/// and in [`decode_stats`].
-fn encode_stats(s: &StatsSnapshot, out: &mut Vec<u8>) {
-    let StatsSnapshot {
-        uptime_secs,
-        workers,
-        sessions_open,
-        sessions_opened,
-        sessions_shed,
-        sessions_closed,
-        sessions_failed,
-        sessions_detached,
-        sessions_reattached,
-        sessions_expired,
-        sessions_force_failed,
-        worker_panics,
-        events_generated,
-        events_delivered,
-        events_per_sec,
-        queued_events,
-        free_states,
-        slices,
-        slice_p50_us,
-        slice_p99_us,
-        batched_tokens,
-        sequential_tokens,
-        batch_rounds,
-        batch_p50,
-        batch_p99,
-        batch_peak,
-        live_version,
-        sessions_per_version,
-        versions_published,
-        versions_rolled_back,
-        versions_quarantined,
-        versions_retired,
-        divergence_trips,
-        finetunes_running,
-        finetunes_completed,
-        finetunes_failed,
-        shards,
-        shard_sessions_max,
-        shard_sessions_min,
-        shard_runnable_max,
-        shard_runnable_min,
-    } = s;
-    put_f64(out, *uptime_secs);
-    put_varint(out, *workers as u64);
-    for v in [
-        sessions_open,
-        sessions_opened,
-        sessions_shed,
-        sessions_closed,
-        sessions_failed,
-        sessions_detached,
-        sessions_reattached,
-        sessions_expired,
-        sessions_force_failed,
-        worker_panics,
-        events_generated,
-        events_delivered,
-    ] {
-        put_u64(out, *v);
-    }
-    put_f64(out, *events_per_sec);
-    for v in [
-        queued_events,
-        free_states,
-        slices,
-        slice_p50_us,
-        slice_p99_us,
-        batched_tokens,
-        sequential_tokens,
-        batch_rounds,
-        batch_p50,
-        batch_p99,
-        batch_peak,
-        live_version,
-    ] {
-        put_u64(out, *v);
-    }
-    put_seq(out, sessions_per_version, |o, v| {
-        put_u64(o, v.version);
-        put_u64(o, v.sessions);
-    });
-    for v in [
-        versions_published,
-        versions_rolled_back,
-        versions_quarantined,
-        versions_retired,
-        divergence_trips,
-        finetunes_running,
-        finetunes_completed,
-        finetunes_failed,
-        shards,
-        shard_sessions_max,
-        shard_sessions_min,
-        shard_runnable_max,
-        shard_runnable_min,
-    ] {
-        put_u64(out, *v);
-    }
-}
-
-/// The inverse of [`encode_stats`]: struct-literal fields are evaluated in
-/// the order written, which is declaration order.
-fn decode_stats(c: &mut Cursor<'_>) -> Result<StatsSnapshot, ProtocolError> {
-    Ok(StatsSnapshot {
-        uptime_secs: c.f64()?,
-        workers: c.len()?,
-        sessions_open: c.u64()?,
-        sessions_opened: c.u64()?,
-        sessions_shed: c.u64()?,
-        sessions_closed: c.u64()?,
-        sessions_failed: c.u64()?,
-        sessions_detached: c.u64()?,
-        sessions_reattached: c.u64()?,
-        sessions_expired: c.u64()?,
-        sessions_force_failed: c.u64()?,
-        worker_panics: c.u64()?,
-        events_generated: c.u64()?,
-        events_delivered: c.u64()?,
-        events_per_sec: c.f64()?,
-        queued_events: c.u64()?,
-        free_states: c.u64()?,
-        slices: c.u64()?,
-        slice_p50_us: c.u64()?,
-        slice_p99_us: c.u64()?,
-        batched_tokens: c.u64()?,
-        sequential_tokens: c.u64()?,
-        batch_rounds: c.u64()?,
-        batch_p50: c.u64()?,
-        batch_p99: c.u64()?,
-        batch_peak: c.u64()?,
-        live_version: c.u64()?,
-        sessions_per_version: c.seq(|c| {
-            Ok(VersionSessions {
-                version: c.u64()?,
-                sessions: c.u64()?,
-            })
-        })?,
-        versions_published: c.u64()?,
-        versions_rolled_back: c.u64()?,
-        versions_quarantined: c.u64()?,
-        versions_retired: c.u64()?,
-        divergence_trips: c.u64()?,
-        finetunes_running: c.u64()?,
-        finetunes_completed: c.u64()?,
-        finetunes_failed: c.u64()?,
-        shards: c.u64()?,
-        shard_sessions_max: c.u64()?,
-        shard_sessions_min: c.u64()?,
-        shard_runnable_max: c.u64()?,
-        shard_runnable_min: c.u64()?,
-    })
-}
-
 /// Decodes one response payload, which must be consumed exactly.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
     let mut c = Cursor::new(payload);
@@ -795,7 +698,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             force_failed: c.u64()?,
         },
         RESP_STATS => Response::Stats {
-            stats: Box::new(decode_stats(&mut c)?),
+            stats: Box::new(StatsSnapshot::get(&mut c)?),
         },
         RESP_PUBLISHED => Response::Published {
             version: c.u64()?,
@@ -1019,21 +922,90 @@ mod tests {
 
     #[test]
     fn cold_responses_round_trip() {
-        let metrics = crate::metrics::Metrics::new();
-        metrics.inc_opened();
-        let mut stats = metrics.snapshot(
-            crate::metrics::SnapshotGauges {
-                workers: 3,
-                live_version: 2,
-                ..Default::default()
-            },
-            &[(2, 1)],
-            &[(1, 0), (4, 2)],
+        // 41 fields that all differ, so a layout that moves, drops or
+        // swaps a field changes the pinned bytes below.
+        let stats = Response::Stats {
+            stats: Box::new(StatsSnapshot {
+                uptime_secs: 1.5,
+                workers: 300,
+                sessions_open: 3,
+                sessions_opened: 4,
+                sessions_shed: 5,
+                sessions_closed: 6,
+                sessions_failed: 7,
+                sessions_detached: 8,
+                sessions_reattached: 9,
+                sessions_expired: 10,
+                sessions_force_failed: 11,
+                worker_panics: 12,
+                events_generated: 13,
+                events_delivered: 14,
+                events_per_sec: 2.25,
+                queued_events: 15,
+                free_states: 16,
+                slices: 17,
+                slice_p50_us: 18,
+                slice_p99_us: 19,
+                batched_tokens: 20,
+                sequential_tokens: 21,
+                batch_rounds: 22,
+                batch_p50: 23,
+                batch_p99: 24,
+                batch_peak: 0x0102_0304_0506_0708,
+                live_version: 25,
+                sessions_per_version: vec![
+                    VersionSessions {
+                        version: 26,
+                        sessions: 27,
+                    },
+                    VersionSessions {
+                        version: 28,
+                        sessions: 29,
+                    },
+                ],
+                versions_published: 30,
+                versions_rolled_back: 31,
+                versions_quarantined: 32,
+                versions_retired: 33,
+                divergence_trips: 34,
+                finetunes_running: 35,
+                finetunes_completed: 36,
+                finetunes_failed: 37,
+                shards: 38,
+                shard_sessions_max: 39,
+                shard_sessions_min: 40,
+                shard_runnable_max: 41,
+                shard_runnable_min: 42,
+            }),
+        };
+        let mut payload = Vec::new();
+        encode_response(&stats, &mut payload).expect("encodes");
+        // Pinned at WIRE_VERSION 0x02: the layout is the field list's
+        // declaration order.
+        assert_eq!(payload.len(), 348);
+        assert_eq!(cpt_trace::columnar::fnv1a(&payload), 0x3647_e162_368a_31db);
+        // The JSON `ctl -o` writes (pretty there, compact here): same keys,
+        // same order.
+        assert_eq!(
+            cpt_trace::json::ToJson::to_json(&stats).to_compact(),
+            concat!(
+                r#"{"type":"stats","stats":{"uptime_secs":1.5,"workers":300,"sessions_open":3,"#,
+                r#""sessions_opened":4,"sessions_shed":5,"sessions_closed":6,"sessions_failed":7,"#,
+                r#""sessions_detached":8,"sessions_reattached":9,"sessions_expired":10,"#,
+                r#""sessions_force_failed":11,"worker_panics":12,"events_generated":13,"#,
+                r#""events_delivered":14,"events_per_sec":2.25,"queued_events":15,"#,
+                r#""free_states":16,"slices":17,"slice_p50_us":18,"slice_p99_us":19,"#,
+                r#""batched_tokens":20,"sequential_tokens":21,"batch_rounds":22,"batch_p50":23,"#,
+                r#""batch_p99":24,"batch_peak":72623859790382856,"live_version":25,"#,
+                r#""sessions_per_version":[{"version":26,"sessions":27},"#,
+                r#"{"version":28,"sessions":29}],"versions_published":30,"#,
+                r#""versions_rolled_back":31,"versions_quarantined":32,"versions_retired":33,"#,
+                r#""divergence_trips":34,"finetunes_running":35,"finetunes_completed":36,"#,
+                r#""finetunes_failed":37,"shards":38,"shard_sessions_max":39,"#,
+                r#""shard_sessions_min":40,"shard_runnable_max":41,"shard_runnable_min":42}}"#,
+            )
         );
-        stats.uptime_secs = 1.5;
-        round_trip_response(Response::Stats {
-            stats: Box::new(stats),
-        });
+        round_trip_response(stats);
         round_trip_response(Response::Versions {
             live: Some(2),
             versions: vec![

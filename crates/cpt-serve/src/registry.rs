@@ -46,7 +46,7 @@
 
 use crate::chaos::ChaosPlan;
 use cpt_gpt::{CheckpointError, CptGpt, StreamParams};
-use cpt_trace::columnar::fnv1a;
+use cpt_trace::columnar::{fnv1a, fnv1a_continue};
 use cpt_trace::json::{self, FromJson, JsonError, ToJson, Value};
 use rand::splitmix64;
 use std::path::{Path, PathBuf};
@@ -368,13 +368,8 @@ fn io_err(path: &Path, source: std::io::Error) -> RegistryError {
 /// on-disk weights drifted.
 pub fn canary_fingerprint(model: &CptGpt) -> Result<u64, String> {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = fnv1a(&[]);
+        let mut eat = |x: u64| h = fnv1a_continue(h, &x.to_le_bytes());
         for &seed in &CANARY_SEEDS {
             let params = StreamParams::new(seed)
                 .streams(2)

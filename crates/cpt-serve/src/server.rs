@@ -40,7 +40,7 @@ use crate::chaos::ChaosPlan;
 use crate::engine::{DetachToken, Engine, ServeConfig, ServeHandle, SessionId};
 use crate::error::ServeError;
 use crate::lifecycle::{Director, FineTuneSpec};
-use crate::metrics::StatsSnapshot;
+use crate::metrics::{Counter, StatsSnapshot};
 use crate::pool::BufferPool;
 use crate::protocol::wire;
 use crate::protocol::{ErrorKind, Request, Response, VersionInfo};
@@ -193,7 +193,7 @@ impl Server {
                 };
                 let engine = Engine::start_versioned(live_model, version, cfg.serve, cfg.chaos)?;
                 for _ in &report.quarantined {
-                    engine.handle().note_version_quarantined();
+                    engine.handle().count(Counter::VersionsQuarantined);
                 }
                 let director = Director::new(registry, engine.handle(), cfg.chaos)?;
                 (engine, Some(Arc::new(director)))

@@ -30,7 +30,7 @@
 use crate::chaos::ChaosPlan;
 use crate::engine::{DecodedEvent, EventBatch, ServeConfig, SessionEvent, Version};
 use crate::error::ServeError;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::steer::Steering;
 use cpt_gpt::{
     panic_message, BatchDecoder, DecodeState, RoundOutcome, SessionDecoder, StreamParams,
@@ -258,7 +258,7 @@ impl ShardShared {
         slot.run = RunState::Done;
         slot.failed = true;
         self.gauges.queued.fetch_add(1, Ordering::Relaxed);
-        self.metrics.inc_failed();
+        self.metrics.add(Counter::SessionsFailed, 1);
         true
     }
 
@@ -294,7 +294,7 @@ impl ShardShared {
         );
         st.open_count += 1;
         st.run_queue.push_back(id);
-        self.metrics.inc_opened();
+        self.metrics.add(Counter::SessionsOpened, 1);
         drop(st);
         self.work.notify_one();
         Ok(id)
@@ -358,7 +358,8 @@ impl ShardShared {
         if wake {
             self.work.notify_one();
         }
-        self.metrics.add_delivered(events.len() as u64);
+        self.metrics
+            .add(Counter::EventsDelivered, events.len() as u64);
         Ok(EventBatch { events, finished })
     }
 
@@ -374,7 +375,7 @@ impl ShardShared {
             return Err(ServeError::UnknownSession(id));
         }
         self.dispose_locked(&mut st, id);
-        self.metrics.inc_closed();
+        self.metrics.add(Counter::SessionsClosed, 1);
         Ok(())
     }
 
@@ -474,7 +475,7 @@ impl ShardShared {
         let mut force_failed = 0u64;
         for id in stragglers {
             if self.fail_locked(&mut st, id, "drain deadline exceeded".to_string()) {
-                self.metrics.inc_force_failed();
+                self.metrics.add(Counter::SessionsForceFailed, 1);
                 force_failed += 1;
             }
         }
@@ -770,7 +771,7 @@ pub(crate) fn worker_loop(shard: &ShardShared) {
                                         ev.iat, ev.timestamp
                                     ));
                                     e.tripped = true;
-                                    shard.metrics.inc_divergence_trip();
+                                    shard.metrics.add(Counter::DivergenceTrips, 1);
                                 } else {
                                     e.buf.push(ev);
                                     produced += 1;
@@ -780,7 +781,7 @@ pub(crate) fn worker_loop(shard: &ShardShared) {
                             RoundOutcome::Panicked(reason) => {
                                 entries[k].decoder = None;
                                 entries[k].panic = Some(reason);
-                                shard.metrics.inc_worker_panic();
+                                shard.metrics.add(Counter::WorkerPanics, 1);
                             }
                         }
                     }
@@ -788,7 +789,7 @@ pub(crate) fn worker_loop(shard: &ShardShared) {
                 }
                 Err(payload) => {
                     let reason = format!("worker panic: {}", panic_message(payload.as_ref()));
-                    shard.metrics.inc_worker_panic();
+                    shard.metrics.add(Counter::WorkerPanics, 1);
                     for &k in &live {
                         entries[k].decoder = None;
                         entries[k].panic = Some(reason.clone());

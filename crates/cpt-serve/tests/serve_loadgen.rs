@@ -302,7 +302,11 @@ fn loadgen_digest_stable_across_shard_counts() {
         one.events_digest, four.events_digest,
         "event streams must be bit-identical at any shard count"
     );
-    assert_eq!(four.shards, 4, "report carries the server shard count");
+    assert_eq!(
+        four.server_stats.map(|s| s.shards),
+        Some(4),
+        "report carries the server shard count"
+    );
 }
 
 /// A connection past `max_connections` reads exactly one typed

@@ -2,21 +2,20 @@
 //! got with [`Fnv`] and asserts it only on the platform it was recorded
 //! on, named by [`platform_fingerprint`].
 
+use cpt_trace::columnar::{fnv1a, fnv1a_continue};
+
 /// FNV-1a over little-endian words.
 pub struct Fnv(pub u64);
 
 impl Fnv {
     /// FNV-1a's 64-bit offset basis: the hash of nothing.
     pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(fnv1a(&[]))
     }
 
     /// Hashes in the eight bytes of `word`.
     pub fn eat(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
+        self.0 = fnv1a_continue(self.0, &word.to_le_bytes());
     }
 }
 

@@ -49,10 +49,10 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         report.events_per_session_max
     );
     println!("  events digest: {}", report.events_digest);
-    if report.shards > 1 {
+    if let Some(s) = report.server_stats.as_ref().filter(|s| s.shards > 1) {
         println!(
             "  server shards: {} (runnable max {} / min {} at close)",
-            report.shards, report.shard_runnable_max, report.shard_runnable_min
+            s.shards, s.shard_runnable_max, s.shard_runnable_min
         );
     }
     if report.connect_retries > 0 || report.open_retries > 0 || report.reconnects > 0 {

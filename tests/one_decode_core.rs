@@ -22,13 +22,16 @@
 //! And it keeps ISA dispatch in one place: CPU-feature detection, feature-
 //! gated functions and intrinsics live in `cpt-nn`'s `tensor.rs`, behind its
 //! one `KernelLevel`, and the single-accumulator-chain tail kernel
-//! (`micro1_*`) stays deleted.
+//! (`micro1_*`) stays deleted. The one other `std::arch` item allowed is
+//! `std::arch::asm` in `cpt-trace`'s `mmap.rs`, which issues the
+//! `mmap`/`munmap` syscalls; every other needle applies to that file too.
 //!
 //! And the trace data plane stays single: one epoch plan
 //! (`ShardSource::epoch_steps`), one train entry per behaviour, and no
 //! whole-file reader of one format: `read_dataset`, the JSONL-only one, is
-//! deleted and must not come back in the walked crates — a trace is opened
-//! through `AnyTrace`, so `.ctb` works wherever JSONL does.
+//! deleted and must not come back in the walked crates (`cpt-trace`, where
+//! it lived, among them) — a trace is opened through `AnyTrace`, so `.ctb`
+//! works wherever JSONL does.
 
 use std::path::{Path, PathBuf};
 
@@ -108,6 +111,11 @@ const KERNEL_ONLY: [&str; 5] = [
 ];
 const KERNELS: &str = "crates/cpt-nn/src/tensor.rs";
 
+/// The file whose `std::arch::asm` issues the `mmap` syscalls: the one
+/// `std::arch` item allowed outside [`KERNELS`].
+const SYSCALLS: &str = "crates/cpt-trace/src/mmap.rs";
+const SYSCALL_ASM: &str = "std::arch::asm";
+
 #[test]
 fn deleted_decode_paths_do_not_reappear() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -118,6 +126,7 @@ fn deleted_decode_paths_do_not_reappear() {
         "crates/cpt-serve/src",
         "crates/cpt-metrics/src",
         "crates/cpt-bench/src",
+        "crates/cpt-trace/src",
         "src/bin",
     ] {
         rust_files(&root.join(dir), &mut files);
@@ -133,6 +142,13 @@ fn deleted_decode_paths_do_not_reappear() {
         files.contains(&kernels),
         "the kernels moved; update KERNELS"
     );
+    let syscalls = root.join(SYSCALLS);
+    let syscalls_src =
+        std::fs::read_to_string(&syscalls).expect("the mmap file moved; update SYSCALLS");
+    assert!(
+        files.contains(&syscalls) && production_source(&syscalls_src).contains(SYSCALL_ASM),
+        "the mmap syscalls moved; update SYSCALLS"
+    );
     let kernel_src = std::fs::read_to_string(&kernels).expect("source file is readable");
     for libm in ["f32::tanh", "f32::exp"] {
         assert!(
@@ -145,6 +161,11 @@ fn deleted_decode_paths_do_not_reappear() {
         let src =
             production_source(&std::fs::read_to_string(&file).expect("source file is readable"));
         if file != kernels {
+            let src = if file == syscalls {
+                src.replace(SYSCALL_ASM, "")
+            } else {
+                src.clone()
+            };
             for needle in KERNEL_ONLY {
                 assert!(
                     !src.contains(needle),

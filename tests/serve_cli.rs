@@ -138,8 +138,8 @@ fn serve_loadgen_shutdown_round_trip() {
         assert_eq!(field(&report, "sessions_completed"), 20);
         assert_eq!(field(&report, "errors"), 0);
         assert!(field(&report, "events_received") > 0);
-        assert_eq!(field(&report, "shards"), shards);
         let stats = report.get("server_stats").expect("server stats embedded");
+        assert_eq!(field(stats, "shards"), shards);
         assert!(field(stats, "slices") > 0 && field(stats, "batch_peak") >= 1);
         let digest = report.get("events_digest").and_then(|d| d.as_str());
         digests.push(digest.expect("report lacks events_digest").to_string());
