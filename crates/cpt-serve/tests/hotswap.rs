@@ -402,6 +402,7 @@ fn panicking_finetune_is_a_failed_job_and_the_retry_is_the_next_job() {
     let stats = handle.stats();
     assert_eq!(stats.finetunes_failed, 1);
     assert_eq!(stats.finetunes_completed, 1);
+    assert_eq!(stats.finetunes_running, 0);
     director.shutdown();
     engine.shutdown();
 }

@@ -160,12 +160,12 @@ fn deleted_decode_paths_do_not_reappear() {
     for file in files {
         let src =
             production_source(&std::fs::read_to_string(&file).expect("source file is readable"));
+        let src = if file == syscalls {
+            src.replace(SYSCALL_ASM, "")
+        } else {
+            src
+        };
         if file != kernels {
-            let src = if file == syscalls {
-                src.replace(SYSCALL_ASM, "")
-            } else {
-                src.clone()
-            };
             for needle in KERNEL_ONLY {
                 assert!(
                     !src.contains(needle),
