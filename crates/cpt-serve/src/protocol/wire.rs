@@ -829,95 +829,167 @@ pub fn check_preamble(got: [u8; 2]) -> Result<(), ProtocolError> {
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
+    /// Encodes `req`, checks its payload against the pinned length and
+    /// `fnv1a`, and decodes it back.
+    fn pin_request(req: Request, len: usize, fnv: u64) {
         let mut buf = Vec::new();
         encode_request(&req, &mut buf);
-        let back = decode_request(&buf).expect("decodes");
-        assert_eq!(back, req);
+        let got = (buf.len(), cpt_trace::columnar::fnv1a(&buf));
+        assert_eq!(got, (len, fnv), "{req:?}: got ({}, {:#x})", got.0, got.1);
+        assert_eq!(decode_request(&buf), Ok(req));
     }
 
-    fn round_trip_response(resp: Response) {
+    /// [`pin_request`] for a response.
+    fn pin_response(resp: &Response, len: usize, fnv: u64) {
         let mut buf = Vec::new();
-        encode_response(&resp, &mut buf).expect("encodes");
-        let back = decode_response(&buf).expect("decodes");
-        assert_eq!(back, resp);
+        encode_response(resp, &mut buf).expect("encodes");
+        let got = (buf.len(), cpt_trace::columnar::fnv1a(&buf));
+        assert_eq!(got, (len, fnv), "{resp:?}: got ({}, {:#x})", got.0, got.1);
+        assert_eq!(decode_response(&buf).as_ref(), Ok(resp));
     }
+
+    fn compact_json(resp: &Response) -> String {
+        cpt_trace::json::ToJson::to_json(resp).to_compact()
+    }
+
+    // Every frame is pinned at WIRE_VERSION 0x02 with fields that differ
+    // within the frame, so a layout that moves, drops or swaps a field
+    // changes its bytes, which a symmetric round trip alone would not see.
 
     #[test]
     fn fixed_layout_verbs_round_trip() {
-        round_trip_request(Request::Open {
-            seed: u64::MAX,
-            streams: 3,
-            device: "connected_car".to_string(),
-            max_stream_len: Some(128),
-        });
-        round_trip_request(Request::Next {
-            session: 0x0123_4567_89AB_CDEF,
-            max: 64,
-            wait_ms: 100,
-        });
-        round_trip_request(Request::Close { session: 1 });
-        round_trip_request(Request::Detach);
-        round_trip_request(Request::Reattach {
-            token: "00ff00ff00ff00ff00ff00ff00ff00ff".to_string(),
-        });
-        round_trip_request(Request::Drain { timeout_ms: 5000 });
-        round_trip_request(Request::Stats);
-        round_trip_request(Request::Publish {
-            path: Some("m.cmb".to_string()),
-            version: None,
-        });
-        round_trip_request(Request::Rollback);
-        round_trip_request(Request::Finetune {
-            trace: "t.jsonl".to_string(),
-            epochs: None,
-            seed: Some(9),
-        });
-        round_trip_request(Request::Versions);
-        round_trip_request(Request::Shutdown);
+        pin_request(
+            Request::Open {
+                seed: u64::MAX,
+                streams: 3,
+                device: "connected_car".to_string(),
+                max_stream_len: Some(128),
+            },
+            27,
+            0xe0db_e42d_f99e_20c2,
+        );
+        pin_request(
+            Request::Next {
+                session: 0x0123_4567_89AB_CDEF,
+                max: 64,
+                wait_ms: 100,
+            },
+            11,
+            0x7975_dce8_8992_ec51,
+        );
+        pin_request(Request::Close { session: 11 }, 9, 0x524a_48d7_05b6_26b9);
+        pin_request(Request::Detach, 1, 0xaf63_b94c_8601_b113);
+        pin_request(
+            Request::Reattach {
+                token: "00ff00ff00ff00ff00ff00ff00ff00ff".to_string(),
+            },
+            34,
+            0x6edc_7a06_3578_0160,
+        );
+        pin_request(
+            Request::Drain { timeout_ms: 5000 },
+            3,
+            0xc992_0d18_6399_e5ac,
+        );
+        pin_request(Request::Stats, 1, 0xaf63_ba4c_8601_b2c6);
+        pin_request(
+            Request::Publish {
+                path: None,
+                version: Some(4),
+            },
+            11,
+            0x3efb_6b1b_4c92_fe58,
+        );
+        pin_request(Request::Rollback, 1, 0xaf63_c44c_8601_c3c4);
+        pin_request(
+            Request::Finetune {
+                trace: "t.jsonl".to_string(),
+                epochs: Some(2),
+                seed: Some(9),
+            },
+            20,
+            0xe369_84be_6c42_ad01,
+        );
+        pin_request(Request::Versions, 1, 0xaf63_c64c_8601_c72a);
+        pin_request(Request::Shutdown, 1, 0xaf63_c14c_8601_beab);
 
-        round_trip_response(Response::Opened { session: 5 });
-        round_trip_response(Response::Events {
-            session: 5,
-            events: vec![
-                SessionEvent::Data(cpt_gpt::SessionEvent {
-                    stream: 2,
-                    event_type: EventType::Handover,
-                    iat: 0.125,
-                    timestamp: 1.0e-300, // subnormal-adjacent: exercises full exponent range
-                    last_in_stream: false,
-                }),
-                SessionEvent::Failed {
-                    reason: "worker panic: chaos".to_string(),
-                },
-            ],
-            finished: true,
-        });
-        round_trip_response(Response::Closed { session: 5 });
-        round_trip_response(Response::Detached {
-            token: "deadbeef".to_string(),
-        });
-        round_trip_response(Response::Reattached {
-            sessions: vec![3, 4, 9],
-        });
-        round_trip_response(Response::Drained {
-            completed: 10,
-            force_failed: 1,
-        });
-        round_trip_response(Response::Published {
+        pin_response(&Response::Opened { session: 5 }, 9, 0xaad4_868b_bca2_5ec9);
+        pin_response(
+            &Response::Events {
+                session: 6,
+                events: vec![
+                    SessionEvent::Data(cpt_gpt::SessionEvent {
+                        stream: 2,
+                        event_type: EventType::Handover,
+                        iat: 0.125,
+                        timestamp: 1.0e-300, // subnormal-adjacent: exercises full exponent range
+                        last_in_stream: false,
+                    }),
+                    SessionEvent::Failed {
+                        reason: "worker panic: chaos".to_string(),
+                    },
+                ],
+                finished: true,
+            },
+            52,
+            0x7ef8_2cb2_6d86_8f0f,
+        );
+        pin_response(&Response::Closed { session: 7 }, 9, 0x8b89_db7d_2774_07b5);
+        pin_response(
+            &Response::Detached {
+                token: "deadbeef".to_string(),
+            },
+            10,
+            0xbb04_84cb_5156_b031,
+        );
+        pin_response(
+            &Response::Reattached {
+                sessions: vec![3, 4, 9],
+            },
+            26,
+            0xbb40_680a_4b5f_9d97,
+        );
+        pin_response(
+            &Response::Drained {
+                completed: 10,
+                force_failed: 1,
+            },
+            17,
+            0x22fe_778b_e6f4_8892,
+        );
+        let published = Response::Published {
             version: 3,
             previous: Some(2),
-        });
-        round_trip_response(Response::RolledBack {
-            demoted: 3,
-            live: 2,
-        });
-        round_trip_response(Response::FinetuneStarted { job: 1 });
-        round_trip_response(Response::Bye);
-        round_trip_response(Response::Error {
-            kind: ErrorKind::Overloaded,
-            message: "shed".to_string(),
-        });
+        };
+        pin_response(&published, 18, 0x6048_1295_4d51_416d);
+        assert_eq!(
+            compact_json(&published),
+            r#"{"type":"published","version":3,"previous":2}"#
+        );
+        let rolled_back = Response::RolledBack {
+            demoted: 8,
+            live: 12,
+        };
+        pin_response(&rolled_back, 17, 0xe5ae_7ed5_4d6d_96c0);
+        assert_eq!(
+            compact_json(&rolled_back),
+            r#"{"type":"rolled_back","demoted":8,"live":12}"#
+        );
+        let started = Response::FinetuneStarted { job: 13 };
+        pin_response(&started, 9, 0xca9a_6b36_b1f2_0c50);
+        assert_eq!(
+            compact_json(&started),
+            r#"{"type":"finetune_started","job":13}"#
+        );
+        pin_response(&Response::Bye, 1, 0xaf64_414c_8602_982b);
+        pin_response(
+            &Response::Error {
+                kind: ErrorKind::Busy,
+                message: "shed".to_string(),
+            },
+            7,
+            0xf133_aa51_0212_e05c,
+        );
     }
 
     #[test]
@@ -978,16 +1050,12 @@ mod tests {
                 shard_runnable_min: 42,
             }),
         };
-        let mut payload = Vec::new();
-        encode_response(&stats, &mut payload).expect("encodes");
-        // Pinned at WIRE_VERSION 0x02: the layout is the field list's
-        // declaration order.
-        assert_eq!(payload.len(), 348);
-        assert_eq!(cpt_trace::columnar::fnv1a(&payload), 0x3647_e162_368a_31db);
+        // The layout is the field list's declaration order.
+        pin_response(&stats, 348, 0x3647_e162_368a_31db);
         // The JSON `ctl -o` writes (pretty there, compact here): same keys,
         // same order.
         assert_eq!(
-            cpt_trace::json::ToJson::to_json(&stats).to_compact(),
+            compact_json(&stats),
             concat!(
                 r#"{"type":"stats","stats":{"uptime_secs":1.5,"workers":300,"sessions_open":3,"#,
                 r#""sessions_opened":4,"sessions_shed":5,"sessions_closed":6,"sessions_failed":7,"#,
@@ -1005,25 +1073,28 @@ mod tests {
                 r#""shard_sessions_min":40,"shard_runnable_max":41,"shard_runnable_min":42}}"#,
             )
         );
-        round_trip_response(stats);
-        round_trip_response(Response::Versions {
-            live: Some(2),
-            versions: vec![
-                VersionInfo {
-                    id: 1,
-                    state: VersionState::Retired,
-                    sessions: 0,
-                    note: "bootstrap import".to_string(),
-                },
-                VersionInfo {
-                    id: 2,
-                    state: VersionState::Live,
-                    sessions: 7,
-                    note: String::new(),
-                },
-            ],
-            last_finetune_error: Some("diverged".to_string()),
-        });
+        pin_response(
+            &Response::Versions {
+                live: Some(2),
+                versions: vec![
+                    VersionInfo {
+                        id: 1,
+                        state: VersionState::Retired,
+                        sessions: 0,
+                        note: "bootstrap import".to_string(),
+                    },
+                    VersionInfo {
+                        id: 2,
+                        state: VersionState::Live,
+                        sessions: 7,
+                        note: String::new(),
+                    },
+                ],
+                last_finetune_error: Some("diverged".to_string()),
+            },
+            73,
+            0x5a84_4fa1_a3e7_fb81,
+        );
     }
 
     #[test]
@@ -1108,10 +1179,35 @@ mod tests {
         for (i, state) in VersionState::ALL.into_iter().enumerate() {
             assert_eq!(state as usize, i, "{state:?} out of declaration order");
         }
-        assert!(matches!(
-            decode_response(&[RESP_ERROR, ErrorKind::ALL.len() as u8, 0]),
-            Err(ProtocolError::BadTag { .. })
-        ));
+        // Each out-of-range byte is named by the field it came from.
+        let zero = [0u8; 8];
+        let cases: [(Vec<u8>, &str, u8); 9] = [
+            ([&[0x8D, 12][..], &[0]].concat(), "error kind", 12),
+            (
+                [&[0x8B, 0, 1][..], &zero, &[9]].concat(),
+                "version state",
+                9,
+            ),
+            ([&[0x82][..], &zero, &[2]].concat(), "finished", 2),
+            ([&[0x82][..], &zero, &[1, 1, 7]].concat(), "event tag", 7),
+            (vec![0x8B, 2], "live presence", 2),
+            ([&[0x88][..], &zero, &[6]].concat(), "previous presence", 6),
+            (
+                [&[0x01][..], &zero, &[0, 0, 3]].concat(),
+                "max_stream_len presence",
+                3,
+            ),
+            (vec![0x08, 5], "path presence", 5),
+            (vec![0x0A, 0, 4], "epochs presence", 4),
+        ];
+        for (payload, field, value) in cases {
+            let got = if payload[0] & 0x80 == 0 {
+                decode_request(&payload).map(|_| ())
+            } else {
+                decode_response(&payload).map(|_| ())
+            };
+            assert_eq!(got, Err(ProtocolError::BadTag { field, value }));
+        }
     }
 
     #[test]
