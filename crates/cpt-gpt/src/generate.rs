@@ -12,7 +12,7 @@
 //! procedure lives in [`crate::stream`]; [`CptGpt::generate_into`] drives
 //! it ([`CptGpt::generate`] collects what it hands over): UE `i` is stream
 //! `i` of the session `(model, seed)`, drawing from an RNG derived from
-//! `(seed, i)` alone (see [`crate::mix`]), so the output is bit-identical
+//! `(seed, i)` alone (see `crate::mix`), so the output is bit-identical
 //! at any thread count and any `batch_size`, and equal to what a served
 //! session with the same seed emits.
 //!

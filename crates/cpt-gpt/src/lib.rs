@@ -28,7 +28,7 @@
 //! Training reads a [`ShardSource`] ([`source`]): an in-RAM
 //! [`cpt_trace::Dataset`] or an out-of-core [`ColumnarSource`] over a
 //! `.ctb` file, through one epoch plan and one set of entry points
-//! ([`train`], [`train_with_checkpoints`], [`resume_training`],
+//! ([`train()`], [`train_with_checkpoints`], [`resume_training`],
 //! [`fine_tune`]), with bit-identical weights; [`with_training_set`]
 //! decides which of the two a trace file becomes.
 

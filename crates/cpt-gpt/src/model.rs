@@ -347,7 +347,7 @@ struct RowState {
 }
 
 /// Incremental decoding state for `batch` streams advanced together: each
-/// stream's [`RowState`] plus one set of step buffers. Everything is sized
+/// stream's `RowState` plus one set of step buffers. Everything is sized
 /// once in [`CptGpt::begin_decode`] and overwritten in place each step.
 pub struct DecodeState {
     rows: Vec<RowState>,

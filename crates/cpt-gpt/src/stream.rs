@@ -10,7 +10,7 @@
 //!
 //! A session decodes [`StreamParams::num_streams`] consecutive UE streams.
 //! Stream `i` of a session draws from an RNG derived from
-//! `(session seed, i)` alone (see [`crate::mix`]), so a session's entire event
+//! `(session seed, i)` alone (see `crate::mix`), so a session's entire event
 //! sequence is a pure function of `(model, params)` — independent of how
 //! many scheduler workers interleave it with other sessions, and
 //! independent of whether its [`DecodeState`] was freshly allocated or
@@ -370,7 +370,7 @@ pub enum RoundOutcome {
 ///    inside, each session attending over its own cache at its own
 ///    position.
 /// 3. **Sample** (per session, panic-contained): draw from each staged
-///    session's own RNG via [`sample_row`] on its row, then commit.
+///    session's own RNG via `sample_row` on its row, then commit.
 ///
 /// Per-row GEMM accumulation is independent of batch composition and all
 /// per-session state (RNG, KV cache, clock) is touched in the same order

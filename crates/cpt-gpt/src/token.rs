@@ -219,8 +219,10 @@ impl Tokenizer {
         out
     }
 
-    /// Decodes a token back into a sample (argmax for categorical slots).
-    pub fn decode_token(&self, token: &[f32]) -> Sample {
+    /// Decodes a token back into a sample (argmax for categorical slots):
+    /// the tests' inverse of [`Tokenizer::encode_sample`].
+    #[cfg(test)]
+    fn decode_token(&self, token: &[f32]) -> Sample {
         assert_eq!(token.len(), self.token_dim(), "token width");
         let e = self.num_events();
         let (event_idx, _) = token[..e]

@@ -2,7 +2,7 @@
 //!
 //! [`StreamAccumulator::observe`] folds every per-stream quantity the
 //! fidelity metrics need in **one replay per stream** — it is the crate's
-//! only caller of [`cpt_statemachine::replay`]. Everything else is a view
+//! only caller of [`cpt_statemachine::replay()`]. Everything else is a view
 //! of an accumulator: [`violation_stats`](crate::violation_stats),
 //! [`sojourn_ecdf`](crate::sojourn::sojourn_ecdf) and
 //! [`FidelityReport::compute`] fold a resident

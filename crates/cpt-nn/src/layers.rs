@@ -594,7 +594,7 @@ impl MultiHeadSelfAttention {
 ///
 /// The layout is the attention kernel's (see `attend_one_session`): keys
 /// are stored so that one feature of one head is contiguous across a
-/// block of [`ATTN_LANES`] positions, values so that one position is one
+/// block of `ATTN_LANES` positions, values so that one position is one
 /// contiguous row. The values end in `ATTN_LANES` floats of padding, so
 /// the kernel can read a full group of lanes from any feature it starts
 /// at.

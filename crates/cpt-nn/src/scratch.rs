@@ -64,7 +64,7 @@ impl ScratchArena {
 
     /// Takes a buffer of exactly `len` elements for an op that overwrites
     /// every one of them. It keeps whatever the pooled buffer held (it is
-    /// truncated, or grown at the tail with [`UNWRITTEN`]), so nothing the
+    /// truncated, or grown at the tail with `UNWRITTEN`), so nothing the
     /// op is about to write is zero-filled first. Debug builds fill all of
     /// it with NaN instead: an element the op misses poisons its results
     /// rather than leaking an earlier tape's values into them.

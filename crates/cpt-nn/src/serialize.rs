@@ -63,17 +63,10 @@ pub fn store_checksum(store: &ParamStore) -> u64 {
     h
 }
 
-/// Validates every tensor of `store`: the data length must equal the shape
-/// product and every value must be finite. A store that fails this check
+/// The check every loaded tensor passes: the data length must equal the
+/// shape product and every value must be finite. A tensor that fails it
 /// came from a corrupt/truncated file or a diverged run and must not be
 /// loaded — NaN weights propagate through every forward pass silently.
-pub fn validate_store(store: &ParamStore) -> Result<(), CheckpointError> {
-    for p in &store.params {
-        validate_tensor(&p.name, &p.value.shape, &p.value.data)?;
-    }
-    Ok(())
-}
-
 fn validate_tensor(name: &str, shape: &[usize], data: &[f32]) -> Result<(), CheckpointError> {
     let expected: usize = shape.iter().product();
     if data.len() != expected {
@@ -192,6 +185,14 @@ mod tests {
         s.add("layer.w", Tensor::new(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]));
         s.add("layer.b", Tensor::new(vec![0.5, -0.5], vec![2]));
         s
+    }
+
+    /// Every tensor of `store` through the load path's check.
+    fn validate_store(store: &ParamStore) -> Result<(), CheckpointError> {
+        for p in &store.params {
+            validate_tensor(&p.name, &p.value.shape, &p.value.data)?;
+        }
+        Ok(())
     }
 
     #[test]

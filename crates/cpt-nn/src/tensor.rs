@@ -963,7 +963,7 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 
 /// A `[k, n]` weight matrix quantized to int8 per output column and packed
 /// into NR-wide panels (layout `packed[p * k * NR + kk * NR + j]`, matching
-/// [`pack_b`]). Build once with [`QuantizedMatrix::quantize`], then apply
+/// `pack_b`). Build once with [`QuantizedMatrix::quantize`], then apply
 /// with [`matmul_quant_into`].
 #[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
@@ -1263,7 +1263,7 @@ const EXP2F_TAB: [u64; 32] = [
 /// to glibc 2.36's `expf` there on every f32 input, NaN in giving NaN out
 /// (`expf_glibc_matches_libm_exhaustively`). In f64, `x·32/ln2 = k + r`
 /// with `k` the nearest integer (adding and subtracting 1.5·2⁵² rounds it),
-/// `2^(k/32)` from [`EXP2F_TAB`] and `2^(r/32)` from a cubic. The `mul_add`s
+/// `2^(k/32)` from `EXP2F_TAB` and `2^(r/32)` from a cubic. The `mul_add`s
 /// are the contractions GCC made of the C source's `z = InvLn2N·x`, `z +
 /// SHIFT`, `z − kd` and the cubic.
 ///
@@ -1455,7 +1455,7 @@ impl RowLoop for GeluTapeGradRows<'_> {
 /// path (block MLP and output heads). Elementwise, and bit-identical
 /// between the portable, the AVX2 and the AVX-512 compilation for every
 /// non-NaN input, so a row's result does not depend on the batch around it
-/// or on the machine. Training uses the tape's GELU ([`gelu_tape_rows`]).
+/// or on the machine. Training uses the tape's GELU (`gelu_tape_rows`).
 pub fn gelu_rows(xs: &mut [f32]) {
     rows_at(GeluRows(xs), KernelLevel::active())
 }

@@ -1,6 +1,6 @@
 //! The sharded continuous-batching serving engine.
 //!
-//! The engine is N shared-nothing shards (see [`crate::shard`]), each a
+//! The engine is N shared-nothing shards (see `crate::shard`), each a
 //! complete scheduler: its own sessions, run queue, decode workers, KV
 //! free-list, and latency counters. An `open` is steered to a shard by a
 //! stable hash of its seed and open ordinal, and the shard index is
@@ -50,7 +50,7 @@
 //! within the TTL resumes exactly where delivery stopped — byte-identical
 //! to an undisturbed run. A reaper thread reclaims expired tokens.
 //!
-//! **Versions under sharding**: a model version is one [`Version`] shared
+//! **Versions under sharding**: a model version is one `Version` shared
 //! as `Arc<Version>`. A session pins the version it opened on by holding
 //! that `Arc` in its slot; the engine's lifecycle lock holds the live,
 //! rollback-target and staged versions, and every shard keeps a replica

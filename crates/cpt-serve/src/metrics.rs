@@ -7,7 +7,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::protocol::wire::{Cursor, ProtocolError, WireField};
+use crate::protocol::wire::wire_struct;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -99,7 +99,7 @@ impl LatencyHistogram {
 /// field's docs, name and type, and `[Variant]` before a name marks a
 /// counter that [`Metrics`] keeps in one atomic slot and sums across
 /// shards. From the list come the struct, its JSON form (`cptgen ctl -o`,
-/// `loadgen -o`), its `stats` wire body ([`WireField`], every field in
+/// `loadgen -o`), its `stats` wire body (`wire_struct!`, every field in
 /// declaration order), and [`Counter`], so a new stat is one entry here
 /// plus the call that sets it.
 macro_rules! stats_snapshot {
@@ -116,16 +116,7 @@ macro_rules! stats_snapshot {
 
         cpt_trace::json_struct!(StatsSnapshot { $($name),* });
 
-        impl WireField for StatsSnapshot {
-            fn put(&self, out: &mut Vec<u8>) {
-                $(self.$name.put(out);)*
-            }
-
-            fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
-                // Struct-literal fields are evaluated in the order written.
-                Ok(StatsSnapshot { $($name: WireField::get(c)?,)* })
-            }
-        }
+        wire_struct!(StatsSnapshot { $($name),* });
 
         /// The summed counters, one per `[Variant]` entry of the list.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,6 +246,7 @@ pub struct VersionSessions {
 }
 
 cpt_trace::json_struct!(VersionSessions { version, sessions });
+wire_struct!(VersionSessions { version, sessions });
 
 /// Adds each of `src`'s values into the matching slot of `dst`.
 fn add_all(dst: &[AtomicU64], src: &[AtomicU64]) {

@@ -15,8 +15,8 @@
 //! loadgen client (shared across driver threads, where a single
 //! uncontended mutex is noise next to the syscall each frame already
 //! pays). Two bounds keep a burst from turning into a permanent memory
-//! tax: at most [`BufferPool::max_pooled`] buffers are retained, and a
-//! buffer that grew beyond [`BufferPool::max_buf_capacity`] is dropped
+//! tax: at most `BufferPool::max_pooled` buffers are retained, and a
+//! buffer that grew beyond `BufferPool::max_buf_capacity` is dropped
 //! rather than pooled.
 
 #![deny(clippy::unwrap_used)]

@@ -9,44 +9,29 @@
 //! no text mode; `cptgen ctl` is the human window (its `-o` writes a
 //! [`Response`] as JSON).
 //!
-//! Body layouts, fields in order (`u64` = 8 bytes LE, `var` = LEB128
-//! varint, `str` = `var` length + UTF-8, `f64` = IEEE bits LE, `opt<T>` =
-//! presence byte 0/1 then `T`, `[T]` = `var` count then each `T`, `tag` =
-//! one byte indexing the type's `ALL` table):
+//! Each frame is declared once, as an entry of one of the two lists below
+//! (requests, then responses): its docs, opcode byte, variant, JSON
+//! `"type"` name and fields in wire order. From the lists come [`Request`]
+//! and [`Response`], their codec ([`wire::encode_request`] and its
+//! siblings) and their tagged JSON. A payload is the opcode byte, then
+//! each field through its type's layout:
 //!
 //! ```text
-//! op    request    body
-//! 0x01  open       seed u64, streams var, device str, max_stream_len opt<var>
-//! 0x02  next       session u64, max var, wait_ms var
-//! 0x03  close      session u64
-//! 0x04  detach     —
-//! 0x05  reattach   token str
-//! 0x06  drain      timeout_ms var
-//! 0x07  stats      —
-//! 0x08  publish    path opt<str>, version opt<u64>
-//! 0x09  rollback   —
-//! 0x0A  finetune   trace str, epochs opt<var>, seed opt<u64>
-//! 0x0B  versions   —
-//! 0x0C  shutdown   —
-//!
-//! op    response          body
-//! 0x81  opened            session u64
-//! 0x82  events            session u64, finished u8, [event]
-//! 0x83  closed            session u64
-//! 0x84  detached          token str
-//! 0x85  reattached        [u64]
-//! 0x86  drained           completed u64, force_failed u64
-//! 0x87  stats             every StatsSnapshot field in declaration order
-//! 0x88  published         version u64, previous opt<u64>
-//! 0x89  rolled_back       demoted u64, live u64
-//! 0x8A  finetune_started  job u64
-//! 0x8B  versions          live opt<u64>, [id u64, state tag, sessions u64,
-//!                         note str], last_finetune_error opt<str>
-//! 0x8C  bye               —
-//! 0x8D  error             kind tag, message str
-//!
-//! event := 0x00 stream var, type u8, iat f64, timestamp f64, last u8
-//!        | 0x01 reason str      (terminal failure record, see SessionEvent)
+//! u64             8 bytes LE
+//! f64             its IEEE-754 bits, 8 bytes LE (NaN payloads survive)
+//! usize           LEB128 varint, at most MAX_FRAME_LEN (counts, sizes)
+//! [Varint] u64    LEB128 varint, uncapped (wait_ms, timeout_ms)
+//! bool            one byte, 0 or 1
+//! String          varint byte length, then UTF-8
+//! Option<T>       presence byte 0/1, then T when present
+//! Vec<T>          varint count, then each T
+//! ErrorKind,      one byte indexing the type's ALL table
+//!   VersionState
+//! VersionInfo,    its fields in declaration order
+//!   StatsSnapshot
+//! SessionEvent    0x00 stream varint, type u8, iat f64, timestamp f64,
+//!                      last_in_stream bool
+//!               | 0x01 reason String   (terminal failure record)
 //! ```
 //!
 //! Lifecycle verbs (`publish`, `rollback`, `finetune`, `versions`) need a
@@ -62,12 +47,92 @@ use crate::error::ServeError;
 use crate::metrics::StatsSnapshot;
 use crate::registry::{RegistryError, VersionState};
 use cpt_trace::json::{ToJson, Value};
+use wire::{field, wire_struct, Cursor, Field, ProtocolError, Varint, WireField};
 
-/// A client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+/// Declares one direction's frames from one list: each entry is the
+/// frame's docs, opcode byte, variant, JSON `"type"` name and fields in
+/// wire order (docs, name, type). `[Varint]` before a name sends that
+/// `u64` through [`wire`]'s `Varint` layout instead of its type's. From
+/// the list come the enum, its `WireField` layout (the opcode byte, then
+/// each field; an unknown opcode is [`ProtocolError::UnknownOpcode`]) and
+/// its JSON form (`"type"`, then each field), so a new verb is one entry
+/// here plus the code that serves it.
+macro_rules! frames {
+    (
+        $(#[doc = $enum_doc:literal])*
+        pub enum $enum:ident;
+        $(
+            $(#[doc = $doc:literal])*
+            $op:literal $variant:ident $json:literal $({
+                $(
+                    $(#[doc = $field_doc:literal])*
+                    $([$layout:ident])? $name:ident: $ty:ty,
+                )*
+            })?,
+        )*
+    ) => {
+        $(#[doc = $enum_doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $enum {
+            $(
+                $(#[doc = $doc])*
+                $variant $({ $($(#[doc = $field_doc])* $name: $ty,)* })?,
+            )*
+        }
+
+        impl WireField for $enum {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(variant!($enum $variant $({ $($name),* })?) => {
+                        out.push($op);
+                        $($(
+                            $(let $name = &$layout(*$name);)?
+                            $name.put(out);
+                        )*)?
+                    })*
+                }
+            }
+
+            fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
+                // Struct-literal fields are evaluated in the order written.
+                Ok(match c.u8()? {
+                    $($op => variant!($enum $variant $({ $(
+                        $name: WireField::get(c, field!($name))$(.map(|$layout(v)| v))??,
+                    )* })?),)*
+                    op => return Err(ProtocolError::UnknownOpcode(op)),
+                })
+            }
+        }
+
+        impl ToJson for $enum {
+            fn to_json(&self) -> Value {
+                match self {
+                    $(variant!($enum $variant $({ $($name),* })?) => Value::obj([
+                        ("type", Value::str($json)),
+                        $($((stringify!($name), $name.to_json()),)*)?
+                    ]),)*
+                }
+            }
+        }
+    };
+}
+
+/// A unit variant's path, or a struct variant's pattern or literal.
+macro_rules! variant {
+    ($enum:ident $variant:ident) => {
+        $enum::$variant
+    };
+    ($enum:ident $variant:ident { $($body:tt)* }) => {
+        $enum::$variant { $($body)* }
+    };
+}
+
+frames! {
+    /// A client request.
+    pub enum Request;
+
     /// Open a generation session.
-    Open {
+    0x01 Open "open" {
         /// Session seed; with the model, fully determines the output.
         seed: u64,
         /// UE streams to decode before the session finishes.
@@ -78,14 +143,14 @@ pub enum Request {
         max_stream_len: Option<usize>,
     },
     /// Fetch up to `max` events, waiting up to `wait_ms` for the first.
-    Next {
+    0x02 Next "next" {
         /// Session id from `opened`.
         session: u64,
         max: usize,
-        wait_ms: u64,
+        [Varint] wait_ms: u64,
     },
     /// Close a session (undelivered events are dropped).
-    Close {
+    0x03 Close "close" {
         /// Session id from `opened`.
         session: u64,
     },
@@ -93,37 +158,39 @@ pub enum Request {
     /// capability token now; if the connection later dies for any reason,
     /// its open sessions park under the token (TTL-bounded) instead of
     /// being closed.
-    Detach,
+    0x04 Detach "detach",
     /// Present a detach token on a new connection, adopting the parked
     /// sessions. Delivery resumes exactly where it stopped.
-    Reattach {
+    0x05 Reattach "reattach" {
         /// The 32-hex-digit token from `detached`.
         token: String,
     },
     /// Stop admission, wait up to `timeout_ms` for live sessions to finish
     /// decoding, force-fail the stragglers. Admission stays suspended
     /// afterwards (new opens get a `draining` error).
-    Drain { timeout_ms: u64 },
+    0x06 Drain "drain" {
+        [Varint] timeout_ms: u64,
+    },
     /// Fetch a server stats snapshot.
-    Stats,
+    0x07 Stats "stats",
     /// Publish a model version through the gated path (stage if `path` is
     /// given, validate — checksum, checkpoint load, deterministic canary —
     /// then promote). Exactly one of `path`/`version` must be set:
     /// `path` stages a model file as a new candidate first, `version`
     /// re-validates and promotes an already-staged candidate.
-    Publish {
+    0x08 Publish "publish" {
         /// Model artifact to stage as a new candidate.
         path: Option<String>,
         /// An existing candidate version to validate and promote.
         version: Option<u64>,
     },
     /// Demote the live version and re-promote the previous one.
-    Rollback,
+    0x09 Rollback "rollback",
     /// Fine-tune the live model on a trace file in a supervised background
     /// task, then publish the result through the gated path. The response
     /// arrives immediately; watch `stats` (`finetunes_running`) or
     /// `versions` for completion.
-    Finetune {
+    0x0A Finetune "finetune" {
         /// Trace file (JSONL or `.ctb`) to fine-tune on.
         trace: String,
         /// Fine-tune epochs (defaults to a fraction of the base schedule).
@@ -132,39 +199,44 @@ pub enum Request {
         seed: Option<u64>,
     },
     /// List registry versions and their lifecycle states.
-    Versions,
+    0x0B Versions "versions",
     /// Ask the server to stop accepting work and exit.
-    Shutdown,
+    0x0C Shutdown "shutdown",
 }
 
-/// A server response. The socket carries [`wire`] frames; the JSON form
-/// ([`ToJson`], tagged by a `"type"` field) is what `cptgen ctl -o` writes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
+frames! {
+    /// A server response. The socket carries [`wire`] frames; the JSON form
+    /// ([`ToJson`], tagged by a `"type"` field) is what `cptgen ctl -o` writes.
+    pub enum Response;
+
     /// Session admitted.
-    Opened {
+    0x81 Opened "opened" {
         /// The id to use in `next`/`close`.
         session: u64,
     },
     /// Events for a session, in decode order. A session that died to a
     /// contained fault ends with one failure record.
-    Events {
+    0x82 Events "events" {
         session: u64,
-        events: Vec<SessionEvent>,
         /// True once decode is complete and the queue is drained.
         finished: bool,
+        events: Vec<SessionEvent>,
     },
     /// Session closed.
-    Closed { session: u64 },
+    0x83 Closed "closed" {
+        session: u64,
+    },
     /// Detach armed; keep the token to reattach after a disconnect.
-    Detached {
+    0x84 Detached "detached" {
         /// Capability token, 32 lowercase hex digits.
         token: String,
     },
     /// Reattach succeeded; these session ids are yours again.
-    Reattached { sessions: Vec<u64> },
+    0x85 Reattached "reattached" {
+        sessions: Vec<u64>,
+    },
     /// Drain finished (or hit its deadline).
-    Drained {
+    0x86 Drained "drained" {
         /// Sessions that finished decoding within the deadline.
         completed: u64,
         /// Stragglers force-failed at the deadline.
@@ -172,28 +244,30 @@ pub enum Response {
     },
     /// Stats snapshot (boxed: it is by far the largest response body and
     /// would otherwise dominate the size of every `Response` value).
-    Stats { stats: Box<StatsSnapshot> },
+    0x87 Stats "stats" {
+        stats: Box<StatsSnapshot>,
+    },
     /// A version passed the gate and is live.
-    Published {
+    0x88 Published "published" {
         /// The version new sessions now open on.
         version: u64,
         /// The demoted version (now draining), if any.
         previous: Option<u64>,
     },
     /// Rollback succeeded.
-    RolledBack {
+    0x89 RolledBack "rolled_back" {
         /// The demoted version.
         demoted: u64,
         /// The version live again.
         live: u64,
     },
     /// The fine-tune job was admitted and runs in the background.
-    FinetuneStarted {
+    0x8A FinetuneStarted "finetune_started" {
         /// Job ordinal (1-based) for log correlation.
         job: u64,
     },
     /// Registry listing.
-    Versions {
+    0x8B Versions "versions" {
         /// The live version id, if any.
         live: Option<u64>,
         /// Every version the manifest knows, in id order.
@@ -202,79 +276,12 @@ pub enum Response {
         last_finetune_error: Option<String>,
     },
     /// Acknowledges `shutdown`; the server exits after this.
-    Bye,
+    0x8C Bye "bye",
     /// A request failed.
-    Error { kind: ErrorKind, message: String },
-}
-
-impl ToJson for Response {
-    fn to_json(&self) -> Value {
-        let tagged = |kind: &str, fields: Vec<(&str, Value)>| {
-            Value::obj(std::iter::once(("type", Value::str(kind))).chain(fields))
-        };
-        match self {
-            Response::Opened { session } => tagged("opened", vec![("session", session.to_json())]),
-            Response::Events {
-                session,
-                events,
-                finished,
-            } => tagged(
-                "events",
-                vec![
-                    ("session", session.to_json()),
-                    ("events", events.to_json()),
-                    ("finished", finished.to_json()),
-                ],
-            ),
-            Response::Closed { session } => tagged("closed", vec![("session", session.to_json())]),
-            Response::Detached { token } => tagged("detached", vec![("token", token.to_json())]),
-            Response::Reattached { sessions } => {
-                tagged("reattached", vec![("sessions", sessions.to_json())])
-            }
-            Response::Drained {
-                completed,
-                force_failed,
-            } => tagged(
-                "drained",
-                vec![
-                    ("completed", completed.to_json()),
-                    ("force_failed", force_failed.to_json()),
-                ],
-            ),
-            Response::Stats { stats } => tagged("stats", vec![("stats", stats.to_json())]),
-            Response::Published { version, previous } => tagged(
-                "published",
-                vec![
-                    ("version", version.to_json()),
-                    ("previous", previous.to_json()),
-                ],
-            ),
-            Response::RolledBack { demoted, live } => tagged(
-                "rolled_back",
-                vec![("demoted", demoted.to_json()), ("live", live.to_json())],
-            ),
-            Response::FinetuneStarted { job } => {
-                tagged("finetune_started", vec![("job", job.to_json())])
-            }
-            Response::Versions {
-                live,
-                versions,
-                last_finetune_error,
-            } => tagged(
-                "versions",
-                vec![
-                    ("live", live.to_json()),
-                    ("versions", versions.to_json()),
-                    ("last_finetune_error", last_finetune_error.to_json()),
-                ],
-            ),
-            Response::Bye => tagged("bye", vec![]),
-            Response::Error { kind, message } => tagged(
-                "error",
-                vec![("kind", kind.to_json()), ("message", message.to_json())],
-            ),
-        }
-    }
+    0x8D Error "error" {
+        kind: ErrorKind,
+        message: String,
+    },
 }
 
 /// One registry version in a `versions` response.
@@ -292,6 +299,12 @@ pub struct VersionInfo {
 }
 
 cpt_trace::json_struct!(VersionInfo {
+    id,
+    state,
+    sessions,
+    note
+});
+wire_struct!(VersionInfo {
     id,
     state,
     sessions,

@@ -12,25 +12,15 @@
 //!
 //! A wrong magic or version byte is answered with one typed
 //! `InvalidRequest` error frame naming [`ProtocolError::BadPreamble`], and
-//! the connection closes. The opcode and body-layout table is in
-//! [`crate::protocol`]'s module doc.
-//!
-//! Bodies are fixed-layout little-endian: `u64` fields are 8 bytes LE,
-//! counts/sizes are varints, strings are varint-length-prefixed UTF-8,
-//! `Option<T>` is a presence byte (0/1) followed by `T` when present, enum
-//! fields are one byte indexing the type's `ALL` table, and `f64` travels
-//! as its IEEE-754 bit pattern (`to_bits`/`from_bits`), so timestamps
-//! survive the wire bit-exactly.
+//! the connection closes. Each frame's opcode and body come from its entry
+//! in [`crate::protocol`]'s two frame lists, which also give every field's
+//! layout; this module holds those layouts, the framing and the four entry
+//! points ([`encode_request`] and its siblings).
 //!
 //! The hot frame is `events` (opcode 0x82): each event is a one-byte tag
 //! (data/failure) and a fixed 19-byte data layout, encoded straight into a
 //! pooled output buffer ([`crate::pool`]) with no intermediate values —
-//! steady-state deliver is allocation-free end to end. The two cold
-//! responses (`stats`, `versions`) have fixed layouts like the rest:
-//! `stats` is every [`StatsSnapshot`] field in declaration order, each
-//! through its type's `WireField` layout. The struct and its codec come
-//! from one field list in [`crate::metrics`], so a field added there is on
-//! the wire with nothing else to edit.
+//! steady-state deliver is allocation-free end to end.
 //!
 //! Decoding is total: any byte sequence — truncated, bit-flipped, forged —
 //! decodes to a typed [`ProtocolError`], never a panic. Every field read
@@ -40,8 +30,7 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::engine::SessionEvent;
-use crate::metrics::{StatsSnapshot, VersionSessions};
-use crate::protocol::{ErrorKind, Request, Response, VersionInfo};
+use crate::protocol::{ErrorKind, Request, Response};
 use crate::registry::VersionState;
 use cpt_trace::EventType;
 use std::io::{self, Read, Write};
@@ -172,35 +161,9 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt<T>(out: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put(out, x);
-        }
-    }
-}
-
-/// A varint count, then each item.
-fn put_seq<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_varint(out, items.len() as u64);
-    for x in items {
-        put(out, x);
-    }
 }
 
 /// Bounds-checked sequential reader over one payload.
@@ -224,7 +187,7 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, ProtocolError> {
         Ok(self.take(1)?[0])
     }
 
@@ -280,18 +243,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn opt<T>(
-        &mut self,
-        field: &'static str,
-        read: impl FnOnce(&mut Self) -> Result<T, ProtocolError>,
-    ) -> Result<Option<T>, ProtocolError> {
-        if self.bool(field)? {
-            Ok(Some(read(self)?))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// A varint count, then that many items. Every item is at least one
     /// byte on the wire, so a forged count cannot reserve more than the
     /// payload holds.
@@ -324,30 +275,93 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A type with one fixed wire layout. [`StatsSnapshot`] is one, written
-/// field by field in its declaration order (the field list in
-/// [`crate::metrics`]); these impls are the layouts its fields use.
+// ---------------------------------------------------------------------------
+// Field layouts
+// ---------------------------------------------------------------------------
+
+/// A type with one fixed wire layout. A frame of [`crate::protocol`]'s
+/// lists, and a struct declared with `wire_struct!`, is its fields in
+/// order, each through its type's layout below.
 pub(crate) trait WireField: Sized {
     /// Appends the value.
     fn put(&self, out: &mut Vec<u8>);
-    /// Reads one value back.
-    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError>;
+    /// Reads one value back; `field` names it in a [`ProtocolError::BadTag`].
+    fn get(c: &mut Cursor<'_>, field: Field) -> Result<Self, ProtocolError>;
 }
 
+/// The names a declared field's decode errors carry: its own for a bad
+/// `bool`, its presence byte's for an `Option`.
+#[derive(Clone, Copy)]
+pub(crate) struct Field {
+    pub(crate) name: &'static str,
+    pub(crate) presence: &'static str,
+}
+
+/// The [`Field`] of the field `$name`.
+macro_rules! field {
+    ($name:ident) => {
+        $crate::protocol::wire::Field {
+            name: stringify!($name),
+            presence: concat!(stringify!($name), " presence"),
+        }
+    };
+}
+pub(crate) use field;
+
+/// `WireField` for a struct: the listed fields in that order.
+macro_rules! wire_struct {
+    ($ty:ident { $($name:ident),* $(,)? }) => {
+        impl $crate::protocol::wire::WireField for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::protocol::wire::WireField::put(&self.$name, out);)*
+            }
+
+            fn get(
+                c: &mut $crate::protocol::wire::Cursor<'_>,
+                _: $crate::protocol::wire::Field,
+            ) -> Result<Self, $crate::protocol::wire::ProtocolError> {
+                // Struct-literal fields are evaluated in the order written.
+                Ok($ty {
+                    $($name: $crate::protocol::wire::WireField::get(
+                        c,
+                        $crate::protocol::wire::field!($name),
+                    )?,)*
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+/// 8 bytes LE.
 impl WireField for u64 {
     fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self);
+        out.extend_from_slice(&self.to_le_bytes());
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+    fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
         c.u64()
     }
 }
 
+/// A `u64` as a varint, uncapped: the layout a frame list marks
+/// `[Varint]` (`wait_ms`, `timeout_ms`).
+pub(crate) struct Varint(pub(crate) u64);
+
+impl WireField for Varint {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.0);
+    }
+    fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
+        c.varint().map(Varint)
+    }
+}
+
+/// Its IEEE-754 bits, 8 bytes LE, so NaN payloads survive.
 impl WireField for f64 {
     fn put(&self, out: &mut Vec<u8>) {
-        put_f64(out, *self);
+        self.to_bits().put(out);
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+    fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
         c.f64()
     }
 }
@@ -357,63 +371,95 @@ impl WireField for usize {
     fn put(&self, out: &mut Vec<u8>) {
         put_varint(out, *self as u64);
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+    fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
         c.len()
     }
 }
 
+/// One byte, 0 or 1.
+impl WireField for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(c: &mut Cursor<'_>, field: Field) -> Result<Self, ProtocolError> {
+        c.bool(field.name)
+    }
+}
+
+/// A varint byte length, then UTF-8.
+impl WireField for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
+        c.string()
+    }
+}
+
+/// A presence byte (0/1), then the value when present.
+impl<T: WireField> WireField for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(x) = self {
+            x.put(out);
+        }
+    }
+    fn get(c: &mut Cursor<'_>, field: Field) -> Result<Self, ProtocolError> {
+        if c.bool(field.presence)? {
+            Ok(Some(T::get(c, field)?))
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// A varint count, then each item.
 impl<T: WireField> WireField for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
-        put_seq(out, self, |o, x| x.put(o));
+        put_varint(out, self.len() as u64);
+        for x in self {
+            x.put(out);
+        }
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
-        c.seq(T::get)
+    fn get(c: &mut Cursor<'_>, field: Field) -> Result<Self, ProtocolError> {
+        c.seq(|c| T::get(c, field))
     }
 }
 
-impl WireField for VersionSessions {
+impl<T: WireField> WireField for Box<T> {
     fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.version);
-        put_u64(out, self.sessions);
+        (**self).put(out);
     }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
-        Ok(VersionSessions {
-            version: c.u64()?,
-            sessions: c.u64()?,
-        })
+    fn get(c: &mut Cursor<'_>, field: Field) -> Result<Self, ProtocolError> {
+        T::get(c, field).map(Box::new)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Opcodes
-// ---------------------------------------------------------------------------
+/// One byte indexing the type's `ALL` table; `$field` names it in a
+/// [`ProtocolError::BadTag`].
+macro_rules! wire_tag {
+    ($($ty:ident $field:literal),*) => {$(
+        impl WireField for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(*self as u8);
+            }
+            fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
+                c.tag($field, &$ty::ALL)
+            }
+        }
+    )*};
+}
 
-const OP_OPEN: u8 = 0x01;
-const OP_NEXT: u8 = 0x02;
-const OP_CLOSE: u8 = 0x03;
-const OP_DETACH: u8 = 0x04;
-const OP_REATTACH: u8 = 0x05;
-const OP_DRAIN: u8 = 0x06;
-const OP_STATS: u8 = 0x07;
-const OP_PUBLISH: u8 = 0x08;
-const OP_ROLLBACK: u8 = 0x09;
-const OP_FINETUNE: u8 = 0x0A;
-const OP_VERSIONS: u8 = 0x0B;
-const OP_SHUTDOWN: u8 = 0x0C;
+wire_tag!(ErrorKind "error kind", VersionState "version state");
 
-const RESP_OPENED: u8 = 0x81;
-const RESP_EVENTS: u8 = 0x82;
-const RESP_CLOSED: u8 = 0x83;
-const RESP_DETACHED: u8 = 0x84;
-const RESP_REATTACHED: u8 = 0x85;
-const RESP_DRAINED: u8 = 0x86;
-const RESP_STATS: u8 = 0x87;
-const RESP_PUBLISHED: u8 = 0x88;
-const RESP_ROLLED_BACK: u8 = 0x89;
-const RESP_FINETUNE_STARTED: u8 = 0x8A;
-const RESP_VERSIONS: u8 = 0x8B;
-const RESP_BYE: u8 = 0x8C;
-const RESP_ERROR: u8 = 0x8D;
+impl WireField for SessionEvent {
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_event(self, out);
+    }
+    fn get(c: &mut Cursor<'_>, _: Field) -> Result<Self, ProtocolError> {
+        decode_event(c)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Events (the hot payload)
@@ -431,8 +477,8 @@ pub fn encode_event(ev: &SessionEvent, out: &mut Vec<u8>) {
             out.push(EVENT_DATA);
             put_varint(out, d.stream as u64);
             out.push(d.event_type.index() as u8);
-            put_f64(out, d.iat);
-            put_f64(out, d.timestamp);
+            d.iat.put(out);
+            d.timestamp.put(out);
             out.push(u8::from(d.last_in_stream));
         }
         SessionEvent::Failed { reason } => {
@@ -474,262 +520,38 @@ fn decode_event(c: &mut Cursor<'_>) -> Result<SessionEvent, ProtocolError> {
 }
 
 // ---------------------------------------------------------------------------
-// Requests
+// Frames
 // ---------------------------------------------------------------------------
 
 /// Appends a request payload (opcode + body; no length prefix — framing is
 /// [`write_frame`]'s job).
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    match req {
-        Request::Open {
-            seed,
-            streams,
-            device,
-            max_stream_len,
-        } => {
-            out.push(OP_OPEN);
-            put_u64(out, *seed);
-            put_varint(out, *streams as u64);
-            put_str(out, device);
-            put_opt(out, max_stream_len, |o, v| put_varint(o, *v as u64));
-        }
-        Request::Next {
-            session,
-            max,
-            wait_ms,
-        } => {
-            out.push(OP_NEXT);
-            put_u64(out, *session);
-            put_varint(out, *max as u64);
-            put_varint(out, *wait_ms);
-        }
-        Request::Close { session } => {
-            out.push(OP_CLOSE);
-            put_u64(out, *session);
-        }
-        Request::Detach => out.push(OP_DETACH),
-        Request::Reattach { token } => {
-            out.push(OP_REATTACH);
-            put_str(out, token);
-        }
-        Request::Drain { timeout_ms } => {
-            out.push(OP_DRAIN);
-            put_varint(out, *timeout_ms);
-        }
-        Request::Stats => out.push(OP_STATS),
-        Request::Publish { path, version } => {
-            out.push(OP_PUBLISH);
-            put_opt(out, path, |o, s| put_str(o, s));
-            put_opt(out, version, |o, v| put_u64(o, *v));
-        }
-        Request::Rollback => out.push(OP_ROLLBACK),
-        Request::Finetune {
-            trace,
-            epochs,
-            seed,
-        } => {
-            out.push(OP_FINETUNE);
-            put_str(out, trace);
-            put_opt(out, epochs, |o, v| put_varint(o, *v as u64));
-            put_opt(out, seed, |o, v| put_u64(o, *v));
-        }
-        Request::Versions => out.push(OP_VERSIONS),
-        Request::Shutdown => out.push(OP_SHUTDOWN),
-    }
+    req.put(out);
 }
 
 /// Decodes one request payload, which must be consumed exactly.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut c = Cursor::new(payload);
-    let req = match c.u8()? {
-        OP_OPEN => Request::Open {
-            seed: c.u64()?,
-            streams: c.len()?,
-            device: c.string()?,
-            max_stream_len: c.opt("max_stream_len presence", |c| c.len())?,
-        },
-        OP_NEXT => Request::Next {
-            session: c.u64()?,
-            max: c.len()?,
-            wait_ms: c.varint()?,
-        },
-        OP_CLOSE => Request::Close { session: c.u64()? },
-        OP_DETACH => Request::Detach,
-        OP_REATTACH => Request::Reattach { token: c.string()? },
-        OP_DRAIN => Request::Drain {
-            timeout_ms: c.varint()?,
-        },
-        OP_STATS => Request::Stats,
-        OP_PUBLISH => Request::Publish {
-            path: c.opt("path presence", |c| c.string())?,
-            version: c.opt("version presence", |c| c.u64())?,
-        },
-        OP_ROLLBACK => Request::Rollback,
-        OP_FINETUNE => Request::Finetune {
-            trace: c.string()?,
-            epochs: c.opt("epochs presence", |c| c.len())?,
-            seed: c.opt("seed presence", |c| c.u64())?,
-        },
-        OP_VERSIONS => Request::Versions,
-        OP_SHUTDOWN => Request::Shutdown,
-        op => return Err(ProtocolError::UnknownOpcode(op)),
-    };
-    c.finish()?;
-    Ok(req)
+    decode_exactly(payload)
 }
-
-// ---------------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------------
 
 /// Appends a response payload. Every response has a fixed layout, so this
 /// cannot fail today; the `Result` keeps the signature its callers (the
 /// ledger among them) match on.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
-    match resp {
-        Response::Opened { session } => {
-            out.push(RESP_OPENED);
-            put_u64(out, *session);
-        }
-        Response::Events {
-            session,
-            events,
-            finished,
-        } => {
-            out.push(RESP_EVENTS);
-            put_u64(out, *session);
-            out.push(u8::from(*finished));
-            put_varint(out, events.len() as u64);
-            for ev in events {
-                encode_event(ev, out);
-            }
-        }
-        Response::Closed { session } => {
-            out.push(RESP_CLOSED);
-            put_u64(out, *session);
-        }
-        Response::Detached { token } => {
-            out.push(RESP_DETACHED);
-            put_str(out, token);
-        }
-        Response::Reattached { sessions } => {
-            out.push(RESP_REATTACHED);
-            put_seq(out, sessions, |o, s| put_u64(o, *s));
-        }
-        Response::Drained {
-            completed,
-            force_failed,
-        } => {
-            out.push(RESP_DRAINED);
-            put_u64(out, *completed);
-            put_u64(out, *force_failed);
-        }
-        Response::Stats { stats } => {
-            out.push(RESP_STATS);
-            stats.put(out);
-        }
-        Response::Published { version, previous } => {
-            out.push(RESP_PUBLISHED);
-            put_u64(out, *version);
-            put_opt(out, previous, |o, v| put_u64(o, *v));
-        }
-        Response::RolledBack { demoted, live } => {
-            out.push(RESP_ROLLED_BACK);
-            put_u64(out, *demoted);
-            put_u64(out, *live);
-        }
-        Response::FinetuneStarted { job } => {
-            out.push(RESP_FINETUNE_STARTED);
-            put_u64(out, *job);
-        }
-        Response::Versions {
-            live,
-            versions,
-            last_finetune_error,
-        } => {
-            out.push(RESP_VERSIONS);
-            put_opt(out, live, |o, v| put_u64(o, *v));
-            put_seq(out, versions, |o, v| {
-                let VersionInfo {
-                    id,
-                    state,
-                    sessions,
-                    note,
-                } = v;
-                put_u64(o, *id);
-                o.push(*state as u8);
-                put_u64(o, *sessions);
-                put_str(o, note);
-            });
-            put_opt(out, last_finetune_error, |o, s| put_str(o, s));
-        }
-        Response::Bye => out.push(RESP_BYE),
-        Response::Error { kind, message } => {
-            out.push(RESP_ERROR);
-            out.push(*kind as u8);
-            put_str(out, message);
-        }
-    }
+    resp.put(out);
     Ok(())
 }
 
 /// Decodes one response payload, which must be consumed exactly.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
+    decode_exactly(payload)
+}
+
+fn decode_exactly<T: WireField>(payload: &[u8]) -> Result<T, ProtocolError> {
     let mut c = Cursor::new(payload);
-    let resp = match c.u8()? {
-        RESP_OPENED => Response::Opened { session: c.u64()? },
-        RESP_EVENTS => {
-            let session = c.u64()?;
-            let finished = c.bool("finished")?;
-            let events = c.seq(decode_event)?;
-            Response::Events {
-                session,
-                events,
-                finished,
-            }
-        }
-        RESP_CLOSED => Response::Closed { session: c.u64()? },
-        RESP_DETACHED => Response::Detached { token: c.string()? },
-        RESP_REATTACHED => Response::Reattached {
-            sessions: c.seq(|c| c.u64())?,
-        },
-        RESP_DRAINED => Response::Drained {
-            completed: c.u64()?,
-            force_failed: c.u64()?,
-        },
-        RESP_STATS => Response::Stats {
-            stats: Box::new(StatsSnapshot::get(&mut c)?),
-        },
-        RESP_PUBLISHED => Response::Published {
-            version: c.u64()?,
-            previous: c.opt("previous presence", |c| c.u64())?,
-        },
-        RESP_ROLLED_BACK => Response::RolledBack {
-            demoted: c.u64()?,
-            live: c.u64()?,
-        },
-        RESP_FINETUNE_STARTED => Response::FinetuneStarted { job: c.u64()? },
-        RESP_VERSIONS => Response::Versions {
-            live: c.opt("live presence", |c| c.u64())?,
-            versions: c.seq(|c| {
-                Ok(VersionInfo {
-                    id: c.u64()?,
-                    state: c.tag("version state", &VersionState::ALL)?,
-                    sessions: c.u64()?,
-                    note: c.string()?,
-                })
-            })?,
-            last_finetune_error: c.opt("last_finetune_error presence", |c| c.string())?,
-        },
-        RESP_BYE => Response::Bye,
-        RESP_ERROR => Response::Error {
-            kind: c.tag("error kind", &ErrorKind::ALL)?,
-            message: c.string()?,
-        },
-        op => return Err(ProtocolError::UnknownOpcode(op)),
-    };
+    let frame = T::get(&mut c, field!(payload))?;
     c.finish()?;
-    Ok(resp)
+    Ok(frame)
 }
 
 // ---------------------------------------------------------------------------
@@ -828,6 +650,8 @@ pub fn check_preamble(got: [u8; 2]) -> Result<(), ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{StatsSnapshot, VersionSessions};
+    use crate::protocol::VersionInfo;
 
     /// Encodes `req`, checks its payload against the pinned length and
     /// `fnv1a`, and decodes it back.
@@ -1149,7 +973,7 @@ mod tests {
     #[test]
     fn oversize_lengths_are_rejected_before_allocation() {
         // A reattached response claiming u64::MAX sessions.
-        let mut buf = vec![RESP_REATTACHED];
+        let mut buf = vec![0x85]; // reattached
         put_varint(&mut buf, u64::MAX);
         assert!(matches!(
             decode_response(&buf),

@@ -142,8 +142,10 @@ impl StateMachine {
         self.transition(state, event).is_ok()
     }
 
-    /// Events legal in `state`, in canonical order.
-    pub fn legal_events(&self, state: UeState) -> Vec<EventType> {
+    /// Events legal in `state`, in canonical order (the tests' view of
+    /// [`StateMachine::transition`]).
+    #[cfg(test)]
+    fn legal_events(&self, state: UeState) -> Vec<EventType> {
         self.generation
             .event_types()
             .iter()

@@ -63,7 +63,7 @@ pub fn generate(config: &SynthConfig) -> Dataset {
 
 /// Simulates the mixed-device population UE by UE and hands each stream to
 /// `sink` in order, stopping at its first error. Peak memory is one
-/// [`STREAM_CHUNK_UES`]-sized chunk of simulated streams, so paper-scale
+/// `STREAM_CHUNK_UES`-sized chunk of simulated streams, so paper-scale
 /// traces can be written straight to disk.
 ///
 /// Returns `(streams, events)` emitted.

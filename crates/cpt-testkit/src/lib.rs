@@ -6,7 +6,7 @@
 //! - [`tiny_config`] and [`fixture_model`]: the 16-wide model trained on
 //!   that trace for two epochs, built once per process, and
 //!   [`fixture_model_v2`], trained one epoch more.
-//! - [`reference`]: the sequential decode every batched path must equal;
+//! - [`reference()`]: the sequential decode every batched path must equal;
 //!   [`drain_session`] and [`data_events`]: what an engine delivers for one
 //!   session.
 //! - [`Scratch`]: a temp dir removed on drop.
@@ -130,7 +130,7 @@ pub fn reference(model: &CptGpt, params: StreamParams) -> Vec<DecodedEvent> {
     out
 }
 
-/// [`reference`] as an engine delivers it: every event a data event.
+/// [`reference()`] as an engine delivers it: every event a data event.
 pub fn served_reference(model: &CptGpt, params: StreamParams) -> Vec<SessionEvent> {
     reference(model, params)
         .into_iter()

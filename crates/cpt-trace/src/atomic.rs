@@ -75,7 +75,7 @@ impl Drop for AtomicFile {
     }
 }
 
-/// Writes `bytes` to `path` through an [`AtomicFile`]: a reader sees the
+/// Writes `bytes` to `path` through an `AtomicFile`: a reader sees the
 /// old file or all of `bytes`, never a torn mix.
 pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let mut file = AtomicFile::create(path.as_ref())?;

@@ -23,7 +23,7 @@
 //! The integrity scheme is `.ctb`'s: an FNV-1a/64 checksum over the header
 //! and one over the body, checked before any field is trusted, and the
 //! file is published through the crate's fsync-rename commit
-//! ([`crate::atomic`]). A truncated, bit-flipped or foreign file is a
+//! (`crate::atomic`). A truncated, bit-flipped or foreign file is a
 //! typed [`CmbError`], never a panic and never an oversized allocation.
 
 use crate::atomic::AtomicFile;

@@ -39,7 +39,7 @@
 //!
 //! Durability follows the registry's torn-write discipline: the writer
 //! builds `<name>.tmp`, back-patches the header, then commits it through
-//! the crate's one fsync-rename-fsync guard ([`crate::atomic`]) — a crash
+//! the crate's one fsync-rename-fsync guard (`crate::atomic`) — a crash
 //! can never publish a `.ctb` whose header promises more than the file
 //! holds. Every region is covered by an FNV-1a/64 checksum
 //! (header, index, each block), and [`ColumnarReader::open`] cross-checks

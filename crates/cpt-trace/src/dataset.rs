@@ -44,19 +44,6 @@ impl Dataset {
         self.streams.iter().map(Stream::len).sum()
     }
 
-    /// Streams belonging to one device type.
-    pub fn filter_device(&self, device: DeviceType) -> Dataset {
-        Dataset {
-            generation: self.generation,
-            streams: self
-                .streams
-                .iter()
-                .filter(|s| s.device_type == device)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Cuts the trace into one-hour windows (§5.1: "the 24-hour-long traces
     /// are divided into 24 traces of one hour in length each"). Empty
     /// per-hour streams are dropped.
@@ -303,13 +290,6 @@ mod tests {
         assert_eq!(s.phones, 2);
         assert_eq!(s.tablets, 1);
         assert_eq!(s.connected_cars, 0);
-    }
-
-    #[test]
-    fn filter_device_keeps_only_that_device() {
-        let d = toy().filter_device(DeviceType::Phone);
-        assert_eq!(d.num_streams(), 2);
-        assert!(d.streams.iter().all(|s| s.device_type == DeviceType::Phone));
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl<R: BufRead> StreamReader<R> {
 /// Incremental crash-safe writer: the mirror of [`StreamReader`]. Streams
 /// go to a sibling `.tmp` file one at a time; [`StreamWriter::finish`]
 /// enforces the promised count and commits atomically (see
-/// [`crate::atomic`]). Dropping an unfinished writer removes the temp file,
+/// `crate::atomic`). Dropping an unfinished writer removes the temp file,
 /// so a crashed conversion can never publish a torn trace.
 pub struct StreamWriter {
     file: AtomicFile,

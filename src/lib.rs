@@ -10,7 +10,7 @@
 //! - [`smm`] — Semi-Markov-model baselines
 //! - [`metrics`] — fidelity metrics
 //! - [`mcn`] — downstream MCN load simulator (the §2.2 use case)
-//! - [`bench`] — experiment harness (the paper's tables and figures)
+//! - [`bench`](mod@bench) — experiment harness (the paper's tables and figures)
 //! - [`serve`] — streaming multi-UE generation service (continuous
 //!   batching, backpressure, load generator)
 //!
