@@ -35,7 +35,9 @@ pub use memorization::ngram_repeat_fraction;
 pub use report::Table;
 pub use selection::select_checkpoint;
 pub use sojourn::sojourn_distance;
-pub use streaming::{accumulate_reader, fidelity_from_accumulators, StreamAccumulator};
+pub use streaming::{
+    accumulate_reader, accumulate_trace, fidelity_from_accumulators, StreamAccumulator,
+};
 pub use violations::{violation_stats, ViolationStats};
 
 use cpt_statemachine::StateMachine;

@@ -2,24 +2,40 @@
 //!
 //! [`StreamAccumulator::observe`] folds every per-stream quantity the
 //! fidelity metrics need in **one replay per stream** — it is the crate's
-//! only caller of [`cpt_statemachine::replay()`]. Everything else is a view
-//! of an accumulator: [`violation_stats`](crate::violation_stats),
+//! only caller of [`cpt_statemachine::replay_into`]. Everything else is a
+//! view of an accumulator: [`violation_stats`](crate::violation_stats),
 //! [`sojourn_ecdf`](crate::sojourn::sojourn_ecdf) and
-//! [`FidelityReport::compute`] fold a resident
-//! [`Dataset`] with [`StreamAccumulator::of`]; `cptgen evaluate` / `stats`
-//! and [`accumulate_reader`] fold a trace stream by stream without ever
+//! [`FidelityReport::compute`] fold a resident [`Dataset`] with
+//! [`StreamAccumulator::of`]; [`accumulate_trace`] (`cptgen evaluate`) and
+//! [`accumulate_reader`] fold a trace stream by stream without ever
 //! materializing it. Peak memory is O(streams) — the per-UE flow lengths
 //! and mean sojourns that the ECDF distances are defined over — never
 //! O(events). The pooled interarrival ECDF is deliberately *not*
 //! accumulated: it is O(events) by definition and not part of
 //! [`FidelityReport`].
+//!
+//! `observe` allocates nothing per stream: the replay fills a scratch
+//! outcome the accumulator keeps, and the mean sojourns are summed without
+//! collecting the durations. That is what lets [`accumulate_reader`] run on
+//! every core. It hands each pool item one [`BlockGroup`] (four
+//! consecutive `.ctb` blocks): the item verifies the group's checksums,
+//! then folds its streams into a group accumulator, each stream decoded
+//! into one `Stream` and replayed into one scratch outcome per pool thread. [`StreamAccumulator::merge`] appends the groups in
+//! block order. No bit depends on the schedule or the thread count:
+//! - the counts are integer sums;
+//! - a stream never spans blocks, so the per-stream vectors are appended
+//!   in file order;
+//! - the violation kinds are integer counts, which
+//!   [`StreamAccumulator::violations`] sorts.
 
 use crate::violations::ViolationStats;
 use crate::FidelityReport;
-use cpt_statemachine::{replay, StateMachine, TopState, Violation};
-use cpt_trace::columnar::{ColumnarReader, CtbError};
+use cpt_statemachine::{replay_into, ReplayOutcome, StateMachine, TopState, Violation};
+use cpt_trace::columnar::{BlockGroup, ColumnarReader, CtbError};
+use cpt_trace::io::IoError;
 use cpt_trace::stats::Ecdf;
-use cpt_trace::{Dataset, EventType, Stream};
+use cpt_trace::{AnyTrace, Dataset, DeviceType, EventType, Stream, UeId};
+use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
 /// Everything [`FidelityReport`] needs about one dataset, accumulated one
@@ -42,12 +58,26 @@ pub struct StreamAccumulator {
     streams_checked: usize,
     violating_streams: usize,
     kinds: HashMap<Violation, usize>,
+    // The replay's scratch, reused by every `observe`; not part of the
+    // fold's state.
+    scratch: ReplayOutcome,
 }
 
 impl StreamAccumulator {
     /// An empty accumulator.
     pub fn new() -> Self {
         StreamAccumulator::default()
+    }
+
+    /// An empty accumulator with room for `streams` streams' vectors.
+    fn with_capacity(streams: usize) -> Self {
+        StreamAccumulator {
+            flows: Vec::with_capacity(streams),
+            sojourn_connected: Vec::with_capacity(streams),
+            sojourn_idle: Vec::with_capacity(streams),
+            sojourn_deregistered: Vec::with_capacity(streams),
+            ..StreamAccumulator::default()
+        }
     }
 
     /// Every stream of a resident dataset, folded in dataset order.
@@ -82,7 +112,8 @@ impl StreamAccumulator {
         self.total_events += stream.len();
         self.flows.push(counts);
 
-        let outcome = replay(machine, stream);
+        replay_into(machine, stream, &mut self.scratch);
+        let outcome = &self.scratch;
         if let Some(m) = outcome.mean_sojourn_in(TopState::Connected) {
             self.sojourn_connected.push(m);
         }
@@ -99,9 +130,32 @@ impl StreamAccumulator {
                 self.violating_streams += 1;
             }
             self.violating_events += outcome.violations.len();
-            for v in outcome.violations {
-                *self.kinds.entry(v).or_insert(0) += 1;
+            for v in &outcome.violations {
+                *self.kinds.entry(*v).or_insert(0) += 1;
             }
+        }
+    }
+
+    /// Appends `other`'s streams after the ones observed here: the result
+    /// equals, bit for bit, having observed `other`'s streams here, in
+    /// their order, after these.
+    pub fn merge(&mut self, other: &StreamAccumulator) {
+        for (total, n) in self.type_counts.iter_mut().zip(other.type_counts) {
+            *total += n;
+        }
+        self.total_events += other.total_events;
+        self.flows.extend_from_slice(&other.flows);
+        self.sojourn_connected
+            .extend_from_slice(&other.sojourn_connected);
+        self.sojourn_idle.extend_from_slice(&other.sojourn_idle);
+        self.sojourn_deregistered
+            .extend_from_slice(&other.sojourn_deregistered);
+        self.events_checked += other.events_checked;
+        self.violating_events += other.violating_events;
+        self.streams_checked += other.streams_checked;
+        self.violating_streams += other.violating_streams;
+        for (v, n) in &other.kinds {
+            *self.kinds.entry(*v).or_insert(0) += n;
         }
     }
 
@@ -169,20 +223,91 @@ impl StreamAccumulator {
     }
 }
 
-/// Accumulates every stream of a `.ctb` trace, verifying block checksums
-/// up front so stream materialization cannot fail mid-pass. Only one
-/// stream is resident at a time.
+/// Accumulates every stream of a `.ctb` trace, a [`BlockGroup`] per pool
+/// item: each item verifies its blocks' checksums before it decodes a
+/// stream of them, so a damaged file is the lowest failing block's
+/// [`CtbError`], as from [`ColumnarReader::verify`]. One stream per pool
+/// thread is resident. The result is the serial fold's, bit for bit, on
+/// any number of threads (see the module doc); a one-group file is folded
+/// inline.
 pub fn accumulate_reader(
     machine: &StateMachine,
     reader: &ColumnarReader,
 ) -> Result<StreamAccumulator, CtbError> {
-    reader.verify()?;
-    let mut acc = StreamAccumulator::new();
-    for view in reader.streams() {
-        let stream = view.to_stream().expect("ctb verified before accumulation");
-        acc.observe(machine, &stream);
+    // Each group's vectors are allocated here, on the calling thread, at
+    // their final size, so a pool thread's malloc arena keeps none of the
+    // fold's memory after the call (DESIGN §17, "One fidelity fold", has
+    // the peak RSS that cost when the groups grew their vectors there).
+    let groups: Vec<(BlockGroup, StreamAccumulator)> = reader
+        .block_groups()
+        .into_iter()
+        .map(|g| {
+            let acc = StreamAccumulator::with_capacity(g.streams.len());
+            (g, acc)
+        })
+        .collect();
+    let mut groups = groups
+        .into_par_iter()
+        .map_init(
+            || {
+                let stream = Stream::new(UeId(0), DeviceType::Phone, Vec::new());
+                (stream, ReplayOutcome::default())
+            },
+            |(stream, scratch), (group, acc)| {
+                fold_group(machine, reader, group, acc, stream, scratch)
+            },
+        )
+        .collect::<Result<Vec<_>, CtbError>>()?;
+    if groups.len() <= 1 {
+        return Ok(groups.pop().unwrap_or_default());
+    }
+    let mut acc = StreamAccumulator::with_capacity(reader.num_streams());
+    for group in groups {
+        acc.merge(&group);
     }
     Ok(acc)
+}
+
+/// One pool item of [`accumulate_reader`]: verifies `group`'s blocks, then
+/// folds their streams into `acc`, decoding each into the thread's
+/// `stream`. The thread's replay `scratch` serves every group it folds and
+/// goes back to the thread afterwards, so a pool thread grows one scratch
+/// per call, not one per group, and a folded group holds none.
+fn fold_group(
+    machine: &StateMachine,
+    reader: &ColumnarReader,
+    group: BlockGroup,
+    mut acc: StreamAccumulator,
+    stream: &mut Stream,
+    scratch: &mut ReplayOutcome,
+) -> Result<StreamAccumulator, CtbError> {
+    reader.verify_blocks(group.blocks)?;
+    acc.scratch = std::mem::take(scratch);
+    for i in group.streams {
+        reader.stream(i).expect("in range").decode_into(stream)?;
+        acc.observe(machine, stream);
+    }
+    *scratch = std::mem::take(&mut acc.scratch);
+    Ok(acc)
+}
+
+/// Accumulates a trace of either format: a `.ctb` file through
+/// [`accumulate_reader`], a JSONL file stream by stream as it is parsed.
+pub fn accumulate_trace(
+    machine: &StateMachine,
+    trace: AnyTrace,
+) -> Result<StreamAccumulator, IoError> {
+    match trace {
+        AnyTrace::Ctb(reader) => Ok(accumulate_reader(machine, &reader)?),
+        jsonl => {
+            let mut acc = StreamAccumulator::new();
+            jsonl.for_each_stream(|stream| {
+                acc.observe(machine, stream);
+                Ok(())
+            })?;
+            Ok(acc)
+        }
+    }
 }
 
 /// Assembles the full [`FidelityReport`] of `synth` against `real`.
@@ -219,7 +344,6 @@ mod tests {
     use super::*;
     use crate::{flowlen::flow_length_ecdf, FlowLenKind};
     use cpt_synth::SynthConfig;
-    use cpt_trace::columnar::write_ctb;
 
     #[test]
     fn accumulator_matches_batch_metrics() {
@@ -239,22 +363,6 @@ mod tests {
                 "{kind:?}"
             );
         }
-    }
-
-    #[test]
-    fn ctb_accumulation_matches_in_ram() {
-        let d = cpt_synth::generate(&SynthConfig::new(30, 9).hours(0.25));
-        let m = StateMachine::lte();
-        let mut path = std::env::temp_dir();
-        path.push(format!("cpt-metrics-streaming-{}.ctb", std::process::id()));
-        write_ctb(&d, &path).expect("write ctb");
-        let reader = ColumnarReader::open(&path).expect("open ctb");
-        let from_ctb = accumulate_reader(&m, &reader).expect("accumulate ctb");
-        let in_ram = StreamAccumulator::of(&m, &d);
-        assert_eq!(from_ctb.violations(), in_ram.violations());
-        assert_eq!(from_ctb.breakdown(), in_ram.breakdown());
-        assert_eq!(from_ctb.streams_observed(), in_ram.streams_observed());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub mod state;
 
 pub use dot::to_dot;
 pub use machine::{StateMachine, Transition, Violation};
-pub use replay::{replay, ReplayOutcome, SojournRecord};
+pub use replay::{replay, replay_into, ReplayOutcome, SojournRecord};
 pub use state::{SubState, TopState, UeState};

@@ -46,24 +46,26 @@ impl ReplayOutcome {
     }
 
     /// Completed sojourn durations in a given top state.
+    #[cfg(test)]
     pub fn sojourns_in(&self, state: TopState) -> Vec<f64> {
-        self.sojourns
-            .iter()
-            .filter(|s| s.state == state)
-            .map(|s| s.duration)
-            .collect()
+        self.durations_in(state).collect()
     }
 
     /// Mean of the completed sojourn durations in `state`, if any — the
     /// per-UE quantity whose distribution Fig. 2 / Fig. 5 plot ("the
-    /// average sojourn time in the CONNECTED state of each UE").
+    /// average sojourn time in the CONNECTED state of each UE"). The
+    /// durations are summed in stream order, without collecting them.
     pub fn mean_sojourn_in(&self, state: TopState) -> Option<f64> {
-        let xs = self.sojourns_in(state);
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<f64>() / xs.len() as f64)
-        }
+        let mut n = 0usize;
+        let sum = self.durations_in(state).inspect(|_| n += 1).sum::<f64>();
+        (n > 0).then(|| sum / n as f64)
+    }
+
+    fn durations_in(&self, state: TopState) -> impl Iterator<Item = f64> + '_ {
+        self.sojourns
+            .iter()
+            .filter(move |s| s.state == state)
+            .map(|s| s.duration)
     }
 }
 
@@ -71,6 +73,18 @@ impl ReplayOutcome {
 /// per-top-state sojourn times.
 pub fn replay(machine: &StateMachine, stream: &Stream) -> ReplayOutcome {
     let mut outcome = ReplayOutcome::default();
+    replay_into(machine, stream, &mut outcome);
+    outcome
+}
+
+/// [`replay`] into a caller-owned outcome, which is cleared first: a fold
+/// that keeps one outcome allocates nothing per stream once its vectors
+/// have grown to the longest stream's needs.
+pub fn replay_into(machine: &StateMachine, stream: &Stream, outcome: &mut ReplayOutcome) {
+    outcome.bootstrapped = false;
+    outcome.events_checked = 0;
+    outcome.violations.clear();
+    outcome.sojourns.clear();
 
     // --- Bootstrap: find the first event that determines the state. ---
     let mut iter = stream.events.iter();
@@ -84,7 +98,7 @@ pub fn replay(machine: &StateMachine, stream: &Stream) -> ReplayOutcome {
         }
     }
     let Some(mut state) = state else {
-        return outcome; // No bootstrap event: nothing to check.
+        return; // No bootstrap event: nothing to check.
     };
     outcome.bootstrapped = true;
 
@@ -108,7 +122,6 @@ pub fn replay(machine: &StateMachine, stream: &Stream) -> ReplayOutcome {
             }
         }
     }
-    outcome
 }
 
 #[cfg(test)]
@@ -231,6 +244,23 @@ mod tests {
         let out = replay(&m, &s);
         assert!(out.violations.is_empty());
         assert_eq!(out.sojourns_in(TopState::Connected), vec![20.0]);
+    }
+
+    #[test]
+    fn a_reused_outcome_equals_a_fresh_one() {
+        let m = StateMachine::lte();
+        let busy = stream(&[
+            (E::ServiceRequest, 0.0),
+            (E::ServiceRequest, 1.0),
+            (E::ConnectionRelease, 2.0),
+            (E::ServiceRequest, 9.0),
+        ]);
+        let unbooted = stream(&[(E::ConnectionRelease, 0.0)]);
+        let mut out = ReplayOutcome::default();
+        for s in [&busy, &unbooted, &busy] {
+            replay_into(&m, s, &mut out);
+            assert_eq!(out, replay(&m, s));
+        }
     }
 
     #[test]

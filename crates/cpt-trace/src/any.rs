@@ -11,7 +11,7 @@
 
 use crate::columnar::{ColumnarReader, ColumnarWriter, CtbSummary};
 use crate::io::{IoError, StreamReader, StreamWriter};
-use crate::{Dataset, Generation, Stream};
+use crate::{Dataset, DeviceType, Generation, Stream, UeId};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
@@ -73,7 +73,8 @@ impl AnyTrace {
 
     /// Hands every stream to `f` in file order, one resident at a time. A
     /// `.ctb` file has every block checksum verified before the first
-    /// stream is decoded; a JSONL file is parsed strictly, line by line.
+    /// stream is decoded, and every stream decoded into one reused
+    /// `Stream`; a JSONL file is parsed strictly, line by line.
     pub fn for_each_stream(
         self,
         mut f: impl FnMut(&Stream) -> Result<(), IoError>,
@@ -86,8 +87,10 @@ impl AnyTrace {
             }
             AnyTrace::Ctb(r) => {
                 r.verify()?;
+                let mut stream = Stream::new(UeId(0), DeviceType::Phone, Vec::new());
                 for view in r.streams() {
-                    f(&view.to_stream()?)?;
+                    view.decode_into(&mut stream)?;
+                    f(&stream)?;
                 }
             }
         }
@@ -159,7 +162,7 @@ pub fn write_trace(
 mod tests {
     use super::*;
     use crate::columnar::CtbError;
-    use crate::{DeviceType, Event, EventType, UeId};
+    use crate::{Event, EventType};
 
     fn toy() -> Dataset {
         Dataset::new(vec![

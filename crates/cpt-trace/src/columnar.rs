@@ -52,6 +52,7 @@ use crate::mmap::Mmap;
 use crate::{Dataset, DeviceType, Event, EventType, Generation, Stream, UeId};
 use rayon::prelude::*;
 use std::io::{self, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes at offset 0 of every `.ctb` file.
@@ -69,9 +70,36 @@ pub const BLOCK_ENTRY_LEN: usize = 32;
 /// longer than the target gets one oversized block to itself).
 pub const BLOCK_TARGET_EVENTS: usize = 64 * 1024;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Blocks [`ColumnarReader::verify`] hashes together, one per lane of
+/// [`fnv1a_x4`]: the unit of work of one pool item (a [`BlockGroup`]).
+pub const GROUP_BLOCKS: usize = 4;
+
 /// FNV-1a/64 (same constants as the model registry's artifact checksums).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// Four independent FNV-1a/64 chains, interleaved byte by byte: lane `k`
+/// of the result is `fnv1a(lanes[k])`, whatever the lengths. One chain
+/// waits out a multiply's latency per byte; four in flight overlap it
+/// (DESIGN §17, "Zero-copy reading", has the rates).
+pub fn fnv1a_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|l| &l[..common]);
+    let mut h = [FNV_OFFSET; 4];
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ x0 as u64).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ x1 as u64).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ x2 as u64).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ x3 as u64).wrapping_mul(FNV_PRIME);
+    }
+    for (h, lane) in h.iter_mut().zip(lanes) {
+        *h = fnv1a_continue(*h, &lane[common..]);
+    }
+    h
 }
 
 #[inline]
@@ -422,7 +450,7 @@ impl ColumnarWriter {
 pub fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -451,6 +479,18 @@ pub struct StreamMeta {
     pub len: usize,
 }
 
+/// At most [`GROUP_BLOCKS`] consecutive blocks and the streams they hold:
+/// what one pool item of [`ColumnarReader::verify`] checks, and what one
+/// item of a block-parallel fold reads. A stream never spans blocks, so
+/// the groups' stream ranges tile the file in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockGroup {
+    /// The group's block numbers.
+    pub blocks: Range<usize>,
+    /// The numbers of the streams those blocks hold, in file order.
+    pub streams: Range<usize>,
+}
+
 /// Zero-copy `.ctb` reader over a memory-mapped file.
 ///
 /// [`ColumnarReader::open`] validates the header, both checksummed indexes,
@@ -458,7 +498,8 @@ pub struct StreamMeta {
 /// (offsets contiguous, ranges in bounds) before returning, so every
 /// subsequent [`StreamView`] is a pure bounds-safe slice of the mapping.
 /// Block *payload* checksums are verified by [`ColumnarReader::verify`] and
-/// by [`ColumnarReader::to_dataset`]'s parallel decode.
+/// by [`ColumnarReader::to_dataset`]'s parallel decode, a [`BlockGroup`] at
+/// a time.
 #[derive(Debug)]
 pub struct ColumnarReader {
     map: Mmap,
@@ -766,22 +807,63 @@ impl ColumnarReader {
         (0..self.num_streams).map(move |i| self.stream(i).expect("in range"))
     }
 
-    /// Verifies the payload checksum of block `b` and that every event-type
-    /// byte in it is valid for the file's generation.
-    pub fn verify_block(&self, b: usize) -> Result<(), CtbError> {
-        if b >= self.num_blocks {
-            return Err(CtbError::Corrupt(format!("block {b} out of range")));
-        }
-        let e = self.block_entry(b);
-        let start = e.byte_offset as usize;
-        let payload = &self.map.bytes()[start..start + e.payload_len() as usize];
-        if fnv1a(payload) != e.checksum {
-            return Err(CtbError::Checksum {
-                what: "block",
-                index: b as u64,
+    /// The file's blocks in groups of [`GROUP_BLOCKS`], in file order; the
+    /// last group holds what is left.
+    pub fn block_groups(&self) -> Vec<BlockGroup> {
+        let mut groups = Vec::with_capacity(self.num_blocks.div_ceil(GROUP_BLOCKS));
+        let mut first_stream = 0;
+        for first in (0..self.num_blocks).step_by(GROUP_BLOCKS) {
+            let blocks = first..(first + GROUP_BLOCKS).min(self.num_blocks);
+            let n: usize = blocks
+                .clone()
+                .map(|b| self.block_entry(b).n_streams as usize)
+                .sum();
+            groups.push(BlockGroup {
+                blocks,
+                streams: first_stream..first_stream + n,
             });
+            first_stream += n;
         }
-        let types = &payload[..e.n_events as usize];
+        groups
+    }
+
+    /// Verifies the payload checksums of `blocks`, four at a time through
+    /// [`fnv1a_x4`], and that every event-type byte in them is valid for
+    /// the file's generation. The error is the lowest failing block's.
+    pub fn verify_blocks(&self, blocks: Range<usize>) -> Result<(), CtbError> {
+        if blocks.end > self.num_blocks {
+            return Err(CtbError::Corrupt(format!(
+                "block {} out of range",
+                blocks.end - 1
+            )));
+        }
+        let mut first = blocks.start;
+        while first < blocks.end {
+            let n = (blocks.end - first).min(GROUP_BLOCKS);
+            let mut lanes: [&[u8]; GROUP_BLOCKS] = [&[]; GROUP_BLOCKS];
+            for (k, lane) in lanes.iter_mut().take(n).enumerate() {
+                let e = self.block_entry(first + k);
+                let start = e.byte_offset as usize;
+                *lane = &self.map.bytes()[start..start + e.payload_len() as usize];
+            }
+            let sums = fnv1a_x4(lanes);
+            for (k, (payload, sum)) in lanes.iter().zip(sums).take(n).enumerate() {
+                let b = first + k;
+                let e = self.block_entry(b);
+                if sum != e.checksum {
+                    return Err(CtbError::Checksum {
+                        what: "block",
+                        index: b as u64,
+                    });
+                }
+                self.check_type_bytes(b, &payload[..e.n_events as usize])?;
+            }
+            first += n;
+        }
+        Ok(())
+    }
+
+    fn check_type_bytes(&self, b: usize, types: &[u8]) -> Result<(), CtbError> {
         for (k, &t) in types.iter().enumerate() {
             let valid = EventType::from_index(t as usize)
                 .map(|et| et.exists_in(self.generation))
@@ -795,38 +877,26 @@ impl ColumnarReader {
         Ok(())
     }
 
-    /// Verifies every block checksum (rayon-parallel). Structural index
-    /// validation already ran at open time.
+    /// Verifies every block, a [`BlockGroup`] per pool item. Structural
+    /// index validation already ran at open time. The error is the lowest
+    /// failing block's, whatever the schedule.
     pub fn verify(&self) -> Result<(), CtbError> {
-        let mut failures: Vec<(usize, CtbError)> = (0..self.num_blocks)
+        self.block_groups()
             .into_par_iter()
-            .filter_map(|b| self.verify_block(b).err().map(|e| (b, e)))
-            .collect();
-        failures.sort_by_key(|(b, _)| *b);
-        match failures.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+            .map(|g| self.verify_blocks(g.blocks))
+            .collect::<Result<Vec<()>, CtbError>>()?;
+        Ok(())
     }
 
     /// Decodes the whole file into an in-memory [`Dataset`], verifying each
-    /// block's checksum, with rayon-parallel per-block decode.
+    /// block's checksum, a [`BlockGroup`] per pool item.
     pub fn to_dataset(&self) -> Result<Dataset, CtbError> {
-        // Streams are stored grouped by block in index order, so each
-        // block's streams form one contiguous index range.
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(self.num_blocks);
-        let mut start = 0usize;
-        for b in 0..self.num_blocks {
-            let n = self.block_entry(b).n_streams as usize;
-            ranges.push((start, start + n));
-            start += n;
-        }
-        let chunks: Result<Vec<Vec<Stream>>, CtbError> = ranges
+        let chunks: Result<Vec<Vec<Stream>>, CtbError> = self
+            .block_groups()
             .into_par_iter()
-            .enumerate()
-            .map(|(b, (lo, hi))| {
-                self.verify_block(b)?;
-                (lo..hi)
+            .map(|g| {
+                self.verify_blocks(g.blocks)?;
+                g.streams
                     .map(|i| self.stream(i).expect("in range").to_stream())
                     .collect()
             })
@@ -911,7 +981,36 @@ impl<'a> StreamView<'a> {
 
     /// Materializes the stream, validating every event-type byte.
     pub fn to_stream(&self) -> Result<Stream, CtbError> {
-        let mut events = Vec::with_capacity(self.len());
+        let mut stream = Stream {
+            ue_id: self.ue_id,
+            device_type: self.device_type,
+            events: Vec::with_capacity(self.len()),
+        };
+        self.decode_into(&mut stream)?;
+        Ok(stream)
+    }
+
+    /// Decodes the stream into `out`, replacing what it held and reusing
+    /// its event buffer: a scan that keeps one `Stream` allocates nothing
+    /// per stream once the buffer has grown to the longest one. Every
+    /// event-type byte is validated; after an error `out` holds the events
+    /// before the bad byte.
+    pub fn decode_into(&self, out: &mut Stream) -> Result<(), CtbError> {
+        out.ue_id = self.ue_id;
+        out.device_type = self.device_type;
+        // Decoded into a local vector, whose length stays in a register
+        // across the pushes.
+        let mut events = std::mem::take(&mut out.events);
+        events.clear();
+        events.reserve(self.len());
+        let decoded = self.decode_events(&mut events);
+        out.events = events;
+        decoded
+    }
+
+    /// The one decoder: appends the stream's events to `events`.
+    #[inline(always)]
+    fn decode_events(&self, events: &mut Vec<Event>) -> Result<(), CtbError> {
         let mut prev = 0u64;
         for (k, (&t, c)) in self
             .types
@@ -934,11 +1033,7 @@ impl<'a> StreamView<'a> {
                 timestamp: f64::from_bits(bits),
             });
         }
-        Ok(Stream {
-            ue_id: self.ue_id,
-            device_type: self.device_type,
-            events,
-        })
+        Ok(())
     }
 }
 
@@ -1020,6 +1115,13 @@ mod tests {
         assert_eq!(p.to_stream().unwrap(), d.streams[0].truncated(2));
         assert!(r.stream(1).unwrap().is_empty());
         assert!(r.stream(3).is_none());
+        // One reused stream decodes every view, the long one after the
+        // empty one included.
+        let mut reused = Stream::new(UeId(0), DeviceType::Phone, Vec::new());
+        for i in [0, 1, 2, 0] {
+            r.stream(i).unwrap().decode_into(&mut reused).unwrap();
+            assert_eq!(reused, d.streams[i]);
+        }
         assert_eq!(r.stream_meta(2).unwrap().len, 1);
         assert_eq!(r.device_stream_counts(), [1, 1, 1]);
     }
@@ -1139,6 +1241,67 @@ mod tests {
             ColumnarReader::from_bytes(bumped).unwrap_err(),
             CtbError::BadHeader(_)
         ));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fnv1a_x4_is_four_fnv1a_chains(
+            a in proptest::collection::vec(0u8..=255, 0..80),
+            b in proptest::collection::vec(0u8..=255, 0..80),
+            c in proptest::collection::vec(0u8..=255, 0..80),
+            d in proptest::collection::vec(0u8..=255, 0..80),
+        ) {
+            let lanes: [&[u8]; 4] = [&a, &b, &c, &d];
+            proptest::prop_assert_eq!(fnv1a_x4(lanes), lanes.map(fnv1a));
+        }
+    }
+
+    #[test]
+    fn fnv1a_x4_lanes_may_be_empty() {
+        let long = [7u8; 19];
+        for empty in 0..4 {
+            let mut lanes: [&[u8]; 4] = [&long, &long[..3], &long[..18], &long[..1]];
+            lanes[empty] = &[];
+            assert_eq!(fnv1a_x4(lanes), lanes.map(fnv1a), "lane {empty} empty");
+        }
+        assert_eq!(fnv1a_x4([&[]; 4]), [fnv1a(&[]); 4]);
+    }
+
+    /// A file of `n` blocks, block `b` one stream of unequal length, so
+    /// the four lanes of a group end at different bytes.
+    fn blocks_file(n: usize) -> Vec<u8> {
+        let streams = (0..n)
+            .map(|b| {
+                let events = (0..BLOCK_TARGET_EVENTS + 13 * b)
+                    .map(|k| Event::new(EventType::ALL[k % 6], k as f64 * 0.5))
+                    .collect();
+                Stream::new(UeId(b as u64), DeviceType::Phone, events)
+            })
+            .collect();
+        write_bytes(&Dataset::new(streams), &format!("blocks-{n}"))
+    }
+
+    #[test]
+    fn verify_names_the_damaged_block_at_every_group_position() {
+        for n in 1..=9 {
+            let bytes = blocks_file(n);
+            let r = ColumnarReader::from_bytes(bytes.clone()).unwrap();
+            assert_eq!(r.num_blocks(), n);
+            r.verify().unwrap();
+            let groups = r.block_groups();
+            assert_eq!(groups.len(), n.div_ceil(GROUP_BLOCKS));
+            assert_eq!(groups.last().unwrap().streams.end, n);
+            for b in 0..n {
+                let e = r.block_entry(b);
+                let mut bad = bytes.clone();
+                bad[(e.byte_offset + e.payload_len() / 2) as usize] ^= 0x10;
+                let err = ColumnarReader::from_bytes(bad).unwrap().verify();
+                assert!(
+                    matches!(err, Err(CtbError::Checksum { what: "block", index }) if index == b as u64),
+                    "{n} blocks, damage in block {b}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,29 +2,19 @@
 
 use crate::args::{Args, Spec};
 use crate::CliError;
-use cpt::metrics::{fidelity_from_accumulators, StreamAccumulator};
+use cpt::metrics::{accumulate_trace, fidelity_from_accumulators};
 use cpt::statemachine::StateMachine;
 use cpt::trace::AnyTrace;
 
 pub const FLAGS: Spec = "--real TRACE --synth TRACE";
-
-/// Folds a trace into an accumulator, one stream at a time.
-fn accumulate(machine: &StateMachine, trace: AnyTrace) -> Result<StreamAccumulator, CliError> {
-    let mut acc = StreamAccumulator::new();
-    trace.for_each_stream(|stream| {
-        acc.observe(machine, stream);
-        Ok(())
-    })?;
-    Ok(acc)
-}
 
 pub fn run(args: &Args) -> Result<(), CliError> {
     let real = AnyTrace::open(args.require("real")?)?;
     let synth = AnyTrace::open(args.require("synth")?)?;
     // Violations are judged by the synthesized trace's own generation.
     let machine = StateMachine::for_generation(synth.generation());
-    let real = accumulate(&machine, real)?;
-    let synth = accumulate(&machine, synth)?;
+    let real = accumulate_trace(&machine, real)?;
+    let synth = accumulate_trace(&machine, synth)?;
     let r = fidelity_from_accumulators(&real, &synth);
     let (event_pct, stream_pct) = (
         r.event_violation_rate * 100.0,

@@ -2,7 +2,7 @@
 
 use crate::args::{Args, Spec};
 use crate::CliError;
-use cpt::metrics::{FlowLenKind, StreamAccumulator};
+use cpt::metrics::{accumulate_reader, FlowLenKind, StreamAccumulator};
 use cpt::statemachine::StateMachine;
 use cpt::trace::stats::Ecdf;
 use cpt::trace::{AnyTrace, DatasetSummary};
@@ -13,10 +13,12 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let trace = AnyTrace::open(args.require("input")?)?;
     let machine = StateMachine::for_generation(trace.generation());
     // The two format-specific lines. A .ctb's header line comes off its
-    // index before any stream is decoded; a JSONL file's is counted during
-    // the fold, which also pools its interarrivals — O(events) memory by
-    // definition, so that line is deliberately skipped out of core.
-    let out_of_core = match &trace {
+    // index before any stream is decoded, and its fold is
+    // `accumulate_reader`'s; a JSONL file's is counted during the fold,
+    // which also pools its interarrivals — O(events) memory by definition,
+    // so that line is deliberately skipped out of core.
+    let mut interarrivals = Vec::new();
+    let acc = match trace {
         AnyTrace::Ctb(reader) => {
             let [phones, cars, tablets] = reader.device_stream_counts();
             println!(
@@ -31,24 +33,21 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 reader.file_len(),
                 reader.mapping()
             );
-            true
+            accumulate_reader(&machine, &reader)?
         }
-        AnyTrace::Jsonl(_) => false,
+        jsonl => {
+            let mut acc = StreamAccumulator::new();
+            let mut summary = DatasetSummary::default();
+            jsonl.for_each_stream(|stream| {
+                acc.observe(&machine, stream);
+                summary.observe(stream);
+                interarrivals.extend(stream.interarrivals().into_iter().skip(1));
+                Ok(())
+            })?;
+            println!("{summary}");
+            acc
+        }
     };
-    let mut acc = StreamAccumulator::new();
-    let mut summary = DatasetSummary::default();
-    let mut interarrivals = Vec::new();
-    trace.for_each_stream(|stream| {
-        acc.observe(&machine, stream);
-        if !out_of_core {
-            summary.observe(stream);
-            interarrivals.extend(stream.interarrivals().into_iter().skip(1));
-        }
-        Ok(())
-    })?;
-    if !out_of_core {
-        println!("{summary}");
-    }
     let v = acc.violations();
     println!(
         "semantic violations: {:.4}% of {} events, {:.2}% of {} streams",
