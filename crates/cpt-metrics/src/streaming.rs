@@ -20,8 +20,9 @@
 //! every core. It hands each pool item one [`BlockGroup`] (four
 //! consecutive `.ctb` blocks): the item verifies the group's checksums,
 //! then folds its streams into a group accumulator, each stream decoded
-//! into one `Stream` and replayed into one scratch outcome per pool thread. [`StreamAccumulator::merge`] appends the groups in
-//! block order. No bit depends on the schedule or the thread count:
+//! into one `Stream` and replayed into one scratch outcome per pool
+//! thread. [`StreamAccumulator::merge`] appends the groups in block order.
+//! No bit depends on the schedule or the thread count:
 //! - the counts are integer sums;
 //! - a stream never spans blocks, so the per-stream vectors are appended
 //!   in file order;
@@ -344,6 +345,7 @@ mod tests {
     use super::*;
     use crate::{flowlen::flow_length_ecdf, FlowLenKind};
     use cpt_synth::SynthConfig;
+    use cpt_trace::Event;
 
     #[test]
     fn accumulator_matches_batch_metrics() {
@@ -362,6 +364,43 @@ mod tests {
                 flow_length_ecdf(&d, kind).values(),
                 "{kind:?}"
             );
+        }
+    }
+
+    /// The views sort what they read, so only the vectors themselves show
+    /// whether the block-parallel fold keeps the streams in file order.
+    #[test]
+    fn the_block_parallel_fold_keeps_file_order() {
+        // Stream i's length and spacing are its own, so its flow counts
+        // and mean sojourns name its place; about six blocks, two groups.
+        let streams = (0..5000u64)
+            .map(|i| {
+                let events = (0..1 + i % 151)
+                    .map(|k| {
+                        let t = [EventType::ServiceRequest, EventType::ConnectionRelease];
+                        Event::new(t[k as usize % 2], (k * (1 + i % 7)) as f64)
+                    })
+                    .collect();
+                Stream::new(UeId(i), DeviceType::Phone, events)
+            })
+            .collect();
+        let d = Dataset::new(streams);
+        let scratch = cpt_testkit::Scratch::new("fold-order");
+        let path = scratch.path("trace.ctb");
+        cpt_trace::columnar::write_ctb(&d, &path).expect("write ctb");
+        let reader = ColumnarReader::open(&path).expect("open ctb");
+        assert!(reader.block_groups().len() > 1, "{}", reader.num_blocks());
+        let m = StateMachine::lte();
+        let serial = StreamAccumulator::of(&m, &d);
+        let parallel = accumulate_reader(&m, &reader).expect("fold");
+        assert_eq!(parallel.flows, serial.flows);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (p, s) in [
+            (&parallel.sojourn_connected, &serial.sojourn_connected),
+            (&parallel.sojourn_idle, &serial.sojourn_idle),
+            (&parallel.sojourn_deregistered, &serial.sojourn_deregistered),
+        ] {
+            assert_eq!(bits(p), bits(s));
         }
     }
 
