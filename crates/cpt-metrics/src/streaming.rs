@@ -237,8 +237,8 @@ pub fn accumulate_reader(
 ) -> Result<StreamAccumulator, CtbError> {
     // Each group's vectors are allocated here, on the calling thread, at
     // their final size, so a pool thread's malloc arena keeps none of the
-    // fold's memory after the call (DESIGN §17, "One fidelity fold", has
-    // the peak RSS that cost when the groups grew their vectors there).
+    // per-stream vectors after the call (DESIGN §17, "One fidelity fold",
+    // has the peak RSS that cost when the groups grew them there).
     let groups: Vec<(BlockGroup, StreamAccumulator)> = reader
         .block_groups()
         .into_iter()
