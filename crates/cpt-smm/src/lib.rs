@@ -22,11 +22,9 @@
 //! emit semantic violations (which is why Table 5 omits them).
 
 pub mod clustered;
-pub mod empirical;
 pub mod kmeans;
 pub mod smm;
 
 pub use clustered::SmmEnsemble;
-pub use empirical::EmpiricalDist;
 pub use kmeans::kmeans;
 pub use smm::SemiMarkovModel;

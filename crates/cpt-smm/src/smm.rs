@@ -1,8 +1,8 @@
 //! A single semi-Markov model on the two-level 3GPP state machine
 //! (SMM-1 when used alone; the building block of [`crate::SmmEnsemble`]).
 
-use crate::empirical::EmpiricalDist;
 use cpt_statemachine::{StateMachine, SubState, UeState};
+use cpt_trace::stats::Ecdf;
 use cpt_trace::{Dataset, DeviceType, Event, EventType, Stream, UeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,6 +11,11 @@ use std::collections::HashMap;
 /// A fitted semi-Markov model: per-state transition probabilities over
 /// legal events plus one empirical sojourn CDF per (state, event)
 /// transition, as in §3.3 of the paper.
+///
+/// The SMM paper found that parametric families (Poisson, Pareto, Weibull,
+/// TCPlib) cannot fit cellular sojourn times, so each CDF is the fitted
+/// sample itself, drawn from by inverse CDF with linear interpolation
+/// between order statistics ([`Ecdf::quantile`] of a uniform draw).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SemiMarkovModel {
     machine: StateMachine,
@@ -21,10 +26,10 @@ pub struct SemiMarkovModel {
     /// unobserved).
     transition_weights: Vec<Vec<f64>>,
     /// Sojourn CDFs keyed by (state index, event index).
-    sojourns: HashMap<(usize, usize), EmpiricalDist>,
+    sojourns: HashMap<(usize, usize), Ecdf>,
     /// Empirical offset of each stream's first event within the window,
     /// so generated traffic starts mid-hour like real traffic.
-    initial_offset: EmpiricalDist,
+    initial_offset: Ecdf,
 }
 
 impl SemiMarkovModel {
@@ -69,7 +74,7 @@ impl SemiMarkovModel {
 
         let sojourns = sojourn_samples
             .into_iter()
-            .map(|(k, v)| (k, EmpiricalDist::fit(v)))
+            .map(|(k, v)| (k, Ecdf::new(v)))
             .collect();
         if offsets.is_empty() {
             offsets.push(0.0);
@@ -80,7 +85,7 @@ impl SemiMarkovModel {
             initial,
             transition_weights: weights,
             sojourns,
-            initial_offset: EmpiricalDist::fit(offsets),
+            initial_offset: Ecdf::new(offsets),
         }
     }
 
@@ -111,7 +116,7 @@ impl SemiMarkovModel {
             return Stream::new(ue_id, self.device, events);
         };
         let mut state = UeState(SubState::ALL[start_idx]);
-        let mut t = self.initial_offset.sample(rng).min(duration * 0.95);
+        let mut t = self.initial_offset.quantile(rng.gen()).min(duration * 0.95);
         // Emit the bootstrap event itself: pick among events that
         // bootstrap into `state` — by construction of the machine each
         // bootstrap state has a canonical event.
@@ -129,7 +134,7 @@ impl SemiMarkovModel {
             let hold = self
                 .sojourns
                 .get(&key)
-                .map(|d| d.sample(rng))
+                .map(|d| d.quantile(rng.gen()))
                 .unwrap_or(0.0);
             t += hold;
             if t >= duration {
