@@ -44,30 +44,6 @@ impl Dataset {
         self.streams.iter().map(Stream::len).sum()
     }
 
-    /// Cuts the trace into one-hour windows (§5.1: "the 24-hour-long traces
-    /// are divided into 24 traces of one hour in length each"). Empty
-    /// per-hour streams are dropped.
-    pub fn hourly_windows(&self, hours: usize) -> Vec<Dataset> {
-        (0..hours)
-            .map(|h| self.window(h as f64 * 3600.0, (h as f64 + 1.0) * 3600.0))
-            .collect()
-    }
-
-    /// Sub-dataset containing, for each stream, the events inside
-    /// `[start, end)` seconds, re-based to the window start. Streams that
-    /// become empty are dropped.
-    pub fn window(&self, start: f64, end: f64) -> Dataset {
-        Dataset {
-            generation: self.generation,
-            streams: self
-                .streams
-                .iter()
-                .map(|s| s.window(start, end))
-                .filter(|s| !s.is_empty())
-                .collect(),
-        }
-    }
-
     /// Truncates every stream to at most `max_len` events and drops streams
     /// shorter than `min_len` (the paper trains with max length 500 and
     /// excludes length-1 streams, §4.5/§5.1).
@@ -290,19 +266,6 @@ mod tests {
         assert_eq!(s.phones, 2);
         assert_eq!(s.tablets, 1);
         assert_eq!(s.connected_cars, 0);
-    }
-
-    #[test]
-    fn hourly_windows_rebased_and_nonempty() {
-        let d = toy();
-        let hours = d.hourly_windows(2);
-        assert_eq!(hours.len(), 2);
-        // Hour 0 contains events at t < 3600 from streams 1, 2, 3.
-        assert_eq!(hours[0].num_streams(), 3);
-        assert_eq!(hours[0].num_events(), 5);
-        // Hour 1 contains only stream 1's event at 3700 → rebased to 100.
-        assert_eq!(hours[1].num_streams(), 1);
-        assert!((hours[1].streams[0].events[0].timestamp - 100.0).abs() < 1e-9);
     }
 
     #[test]

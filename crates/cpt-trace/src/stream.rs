@@ -131,23 +131,6 @@ impl Stream {
         }
     }
 
-    /// Returns the sub-stream whose timestamps fall in `[start, end)`,
-    /// re-based so the window start is time 0. Used to cut day-long traces
-    /// into hourly traces (§5.1).
-    pub fn window(&self, start: f64, end: f64) -> Stream {
-        let events = self
-            .events
-            .iter()
-            .filter(|e| e.timestamp >= start && e.timestamp < end)
-            .map(|e| Event::new(e.event_type, e.timestamp - start))
-            .collect();
-        Stream {
-            ue_id: self.ue_id,
-            device_type: self.device_type,
-            events,
-        }
-    }
-
     /// Rebuilds a stream from interarrival times and event types, the
     /// inverse of [`Stream::interarrivals`]. Inputs must have equal length;
     /// the first interarrival is treated as an offset from time 0.
@@ -210,19 +193,6 @@ mod tests {
         assert!(st.is_empty());
         assert_eq!(st.duration(), 0.0);
         assert!(st.interarrivals().is_empty());
-    }
-
-    #[test]
-    fn window_rebases_time() {
-        let st = s(&[
-            (EventType::ServiceRequest, 5.0),
-            (EventType::ConnectionRelease, 3605.0),
-            (EventType::ServiceRequest, 7300.0),
-        ]);
-        let w = st.window(3600.0, 7200.0);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.events[0].event_type, EventType::ConnectionRelease);
-        assert!((w.events[0].timestamp - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -70,21 +70,6 @@ proptest! {
         }
     }
 
-    /// Hourly windowing partitions events: window sizes sum to the
-    /// original event count and re-based timestamps stay in range.
-    #[test]
-    fn hourly_windows_partition_events(seed in 0u64..25) {
-        let d = generate(&SynthConfig::new(30, seed).hours(3.0));
-        let windows = d.hourly_windows(3);
-        let total: usize = windows.iter().map(Dataset::num_events).sum();
-        prop_assert_eq!(total, d.num_events());
-        for w in &windows {
-            for s in &w.streams {
-                prop_assert!(s.events.iter().all(|e| (0.0..3600.0).contains(&e.timestamp)));
-            }
-        }
-    }
-
     /// Violation metrics are invariant under stream order.
     #[test]
     fn violation_stats_order_invariant(streams in proptest::collection::vec(arb_stream(), 1..10)) {
