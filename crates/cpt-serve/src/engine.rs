@@ -15,8 +15,9 @@
 //! `next_events` drains below capacity, so a slow reader costs nothing but
 //! its own queue memory. Globally: admission control sheds `open_session`
 //! with [`ServeError::Overloaded`] once the session cap or the total
-//! queued-events watermark is hit — the cap is enforced by an atomic
-//! reservation, so it stays strict without a global lock.
+//! queued-events watermark ([`QUEUE_WATERMARK`]) is hit — the cap is
+//! enforced by an atomic reservation, so it stays strict without a global
+//! lock.
 //!
 //! **Crash-only**: each worker's decode slice runs under `catch_unwind`. A
 //! panic fails *only the session being advanced* — its consumer receives
@@ -152,6 +153,13 @@ impl From<DecodedEvent> for SessionEvent {
     }
 }
 
+/// Global admission watermark on the events queued across all sessions:
+/// an `open` is shed once this many are undelivered. The default
+/// 4096-session cap times the default 256-event queue is 2²⁰ itself, and
+/// the cap sheds first, so the watermark only comes into play once
+/// `--max-sessions` (or `--queue-capacity`) is raised.
+pub const QUEUE_WATERMARK: usize = 1 << 20;
+
 /// Serving-engine configuration (plus the front-end knobs the TCP server
 /// reads from the same validated struct: connection cap, detach TTL).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,8 +179,6 @@ pub struct ServeConfig {
     /// Maximum events a worker decodes for one session per scheduling
     /// slice before re-enqueueing it (fairness knob).
     pub slice_budget: usize,
-    /// Global admission watermark on total queued events across sessions.
-    pub queue_watermark: usize,
     /// How long a detach token keeps parked sessions alive before the
     /// reaper reclaims them (seconds).
     pub detach_ttl_secs: u64,
@@ -197,7 +203,6 @@ impl ServeConfig {
             max_sessions: 4096,
             queue_capacity: 256,
             slice_budget: 64,
-            queue_watermark: 1 << 20,
             detach_ttl_secs: 60,
             max_connections: 256,
             batch_max: 64,
@@ -234,12 +239,12 @@ impl ServeConfig {
         if self.slice_budget == 0 {
             return Err(bad("slice_budget", "must be at least 1"));
         }
-        if self.queue_watermark < self.queue_capacity {
+        if self.queue_capacity > QUEUE_WATERMARK {
             return Err(bad(
-                "queue_watermark",
+                "queue_capacity",
                 format!(
-                    "must be at least queue_capacity ({}), got {}",
-                    self.queue_capacity, self.queue_watermark
+                    "must be at most the queued-events watermark ({QUEUE_WATERMARK}), got {}",
+                    self.queue_capacity
                 ),
             ));
         }
@@ -737,14 +742,14 @@ impl ServeHandle {
         }
         let open = core.gauges.open.fetch_add(1, Ordering::Relaxed);
         let queued = core.gauges.queued.load(Ordering::Relaxed);
-        if open >= core.cfg.max_sessions || queued >= core.cfg.queue_watermark {
+        if open >= core.cfg.max_sessions || queued >= QUEUE_WATERMARK {
             core.gauges.open.fetch_sub(1, Ordering::Relaxed);
             core.metrics.add(Counter::SessionsShed, 1);
             return Err(ServeError::Overloaded {
                 open,
                 cap: core.cfg.max_sessions,
                 queued,
-                watermark: core.cfg.queue_watermark,
+                watermark: QUEUE_WATERMARK,
             });
         }
         let ordinal = core.open_ordinal.fetch_add(1, Ordering::Relaxed);
@@ -1161,10 +1166,9 @@ mod tests {
                 },
             ),
             (
-                "queue_watermark",
+                "queue_capacity",
                 ServeConfig {
-                    queue_watermark: 1,
-                    queue_capacity: 64,
+                    queue_capacity: QUEUE_WATERMARK + 1,
                     ..ok
                 },
             ),

@@ -22,7 +22,8 @@ pub enum ServeError {
         cap: usize,
         /// Events currently queued across all sessions.
         queued: usize,
-        /// Configured queued-events watermark.
+        /// The queued-events watermark
+        /// ([`QUEUE_WATERMARK`](crate::engine::QUEUE_WATERMARK)).
         watermark: usize,
     },
     /// The session id is unknown (never opened, or already closed).

@@ -15,9 +15,12 @@
 //! - [`server`]: a TCP front end (`cptgen serve`) speaking the
 //!   length-prefixed binary frames of [`protocol::wire`], built on std
 //!   threads only.
-//! - [`loadgen`]: a load-generator client (`cptgen loadgen`) that opens
-//!   sessions at a target rate and reports achieved throughput and
-//!   latency percentiles.
+//! - [`client`]: the one client of that wire protocol, a connection
+//!   that sends requests and reads responses; `cptgen ctl` sends its
+//!   lifecycle verbs through it.
+//! - [`loadgen`]: a load-generator (`cptgen loadgen`) built on that client,
+//!   which opens sessions at a target rate and reports achieved throughput
+//!   and latency percentiles.
 //!
 //! Determinism contract: a session's event stream is a pure function of
 //! `(model, seed, params)` — bit-identical at any worker count and across
@@ -33,6 +36,7 @@
 #![deny(clippy::unwrap_used)]
 
 pub mod chaos;
+pub mod client;
 pub mod engine;
 pub mod error;
 pub mod lifecycle;
@@ -46,96 +50,16 @@ mod shard;
 pub mod steer;
 
 pub use chaos::ChaosPlan;
+pub use client::Client;
 pub use engine::{
     DetachToken, DrainReport, Engine, EventBatch, LifecycleEvent, ServeConfig, ServeHandle,
     SessionEvent, SessionId,
 };
 pub use error::ServeError;
 pub use lifecycle::{Director, FineTuneSpec, PublishOutcome};
-pub use loadgen::{request_once, run_loadgen, LoadgenConfig, LoadgenReport};
+pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::{LatencyHistogram, StatsSnapshot};
 pub use registry::{
     Manifest, RecoveryReport, Registry, RegistryError, VersionRecord, VersionState,
 };
 pub use server::{serve, Server, ServerConfig};
-
-/// A validated degree of parallelism for a thread/worker-count flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    /// The thread count to actually use.
-    pub threads: usize,
-    /// Set when the request exceeded the machine and was clamped down;
-    /// holds the originally requested count.
-    pub clamped_from: Option<usize>,
-}
-
-/// Validates a user-supplied thread/worker/session-count flag against the
-/// machine.
-///
-/// - `None` → all available cores.
-/// - `Some(0)` → [`ServeError::InvalidConfig`]: zero threads can never
-///   make progress, so it is a usage error, not something to round up.
-/// - `Some(n)` with `n` above the available cores → clamped to the core
-///   count (recorded in [`Parallelism::clamped_from`] so the CLI can warn)
-///   rather than silently oversubscribing the host. Determinism does not
-///   depend on the worker count, so clamping never changes output.
-pub fn resolve_parallelism(
-    requested: Option<usize>,
-    flag: &str,
-) -> Result<Parallelism, ServeError> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    match requested {
-        None => Ok(Parallelism {
-            threads: cores,
-            clamped_from: None,
-        }),
-        Some(0) => Err(ServeError::InvalidConfig {
-            field: flag.to_string(),
-            message: "must be at least 1".to_string(),
-        }),
-        Some(n) if n > cores => Ok(Parallelism {
-            threads: cores,
-            clamped_from: Some(n),
-        }),
-        Some(n) => Ok(Parallelism {
-            threads: n,
-            clamped_from: None,
-        }),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_threads_is_a_typed_error() {
-        match resolve_parallelism(Some(0), "--workers") {
-            Err(ServeError::InvalidConfig { field, .. }) => {
-                assert_eq!(field, "--workers");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversubscription_is_clamped_with_provenance() {
-        let p =
-            resolve_parallelism(Some(1_000_000), "--threads").expect("clamping is not an error");
-        assert_eq!(p.clamped_from, Some(1_000_000));
-        assert!(p.threads >= 1);
-        assert!(p.threads < 1_000_000);
-    }
-
-    #[test]
-    fn in_range_and_default_pass_through() {
-        let p = resolve_parallelism(Some(1), "--threads").expect("1 is valid");
-        assert_eq!(p.threads, 1);
-        assert_eq!(p.clamped_from, None);
-        let d = resolve_parallelism(None, "--threads").expect("default is valid");
-        assert!(d.threads >= 1);
-        assert_eq!(d.clamped_from, None);
-    }
-}

@@ -16,9 +16,13 @@
 //! verb), resuming its parked sessions where delivery stopped; only if
 //! that fails are the sessions counted lost. Every retry, shed,
 //! reconnect, and reattach is counted in the report.
+//!
+//! Every connection is a [`Client`]; the retry, backoff and
+//! detach/reattach policy here is built on it.
 
 #![deny(clippy::unwrap_used)]
 
+use crate::client::Client;
 use crate::error::ServeError;
 use crate::metrics::{LatencyHistogram, StatsSnapshot};
 use crate::protocol::wire;
@@ -26,8 +30,6 @@ use crate::protocol::{ErrorKind, Request, Response};
 use cpt_trace::columnar::{fnv1a, fnv1a_continue};
 use rand::splitmix64;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -58,20 +60,17 @@ pub struct LoadgenConfig {
     pub drain_timeout: Duration,
     /// Send a `shutdown` verb to the server once done.
     pub shutdown: bool,
-    /// Extra connect attempts on `ECONNREFUSED` before giving up.
-    pub connect_retries: u32,
-    /// Base backoff between retries (ms); grows exponentially with a
-    /// deterministic jitter, capped at ~2 s.
-    pub retry_backoff_ms: u64,
-    /// Arm detach-on-disconnect and reattach after a dropped connection
-    /// instead of abandoning the sessions.
-    pub reattach: bool,
 }
+
+/// Extra connect attempts on `ECONNREFUSED` before giving up.
+const CONNECT_RETRIES: u32 = 5;
+/// Base backoff between retries (ms); grows exponentially with a
+/// deterministic jitter, capped at 2 s for connects and 0.5 s for sheds.
+const RETRY_BACKOFF_MS: u64 = 50;
 
 impl LoadgenConfig {
     /// Defaults: 100 sessions, 32 concurrent, unpaced, 1 stream each,
-    /// 2 threads, 60 s drain, no server shutdown, 5 connect retries with
-    /// 50 ms base backoff, reattach on.
+    /// 2 threads, 60 s drain, no server shutdown.
     pub fn new(addr: impl Into<String>) -> Self {
         LoadgenConfig {
             addr: addr.into(),
@@ -84,9 +83,6 @@ impl LoadgenConfig {
             seed_base: 1,
             drain_timeout: Duration::from_secs(60),
             shutdown: false,
-            connect_retries: 5,
-            retry_backoff_ms: 50,
-            reattach: true,
         }
     }
 
@@ -201,63 +197,6 @@ cpt_trace::json_struct!(LoadgenReport {
     server_stats,
 });
 
-/// One connection to the server. It reuses one outbound and one inbound
-/// frame buffer, so steady-state requests allocate nothing but the decoded
-/// response.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    frame: Vec<u8>,
-    payload: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Result<Client, ServeError> {
-        let stream = TcpStream::connect(addr)?;
-        // Requests are single small writes; Nagle only delays them.
-        let _ = stream.set_nodelay(true);
-        let write_half = stream.try_clone()?;
-        let mut client = Client {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-            frame: Vec::new(),
-            payload: Vec::new(),
-        };
-        // Buffered with the first request frame: one packet.
-        wire::write_preamble(&mut client.writer)?;
-        Ok(client)
-    }
-
-    fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
-        self.frame.clear();
-        wire::encode_request(req, &mut self.frame);
-        wire::write_frame(&mut self.writer, &self.frame)?;
-        self.writer.flush()?;
-        let got = wire::read_frame(&mut self.reader, &mut self.payload).map_err(frame_to_io)?;
-        if !got {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        Ok(wire::decode_response(&self.payload).map_err(std::io::Error::other)?)
-    }
-}
-
-/// One request/response round-trip over a fresh connection: how
-/// `cptgen ctl` sends a lifecycle verb (rare enough that connection reuse
-/// buys nothing).
-pub fn request_once(addr: &str, req: &Request) -> Result<Response, ServeError> {
-    Client::connect(addr)?.request(req)
-}
-
-fn frame_to_io(e: wire::FrameError) -> std::io::Error {
-    match e {
-        wire::FrameError::Io(io) => io,
-        wire::FrameError::Protocol(p) => std::io::Error::other(p),
-    }
-}
-
 /// Counters shared across client threads.
 #[derive(Default)]
 struct Tally {
@@ -319,11 +258,11 @@ fn connect_with_retry(cfg: &LoadgenConfig, tally: &Tally) -> Result<Client, Serv
             Ok(c) => return Ok(c),
             Err(ServeError::Io(e))
                 if e.kind() == std::io::ErrorKind::ConnectionRefused
-                    && attempt < cfg.connect_retries =>
+                    && attempt < CONNECT_RETRIES =>
             {
                 tally.connect_retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(backoff_with_jitter(
-                    cfg.retry_backoff_ms,
+                    RETRY_BACKOFF_MS,
                     attempt,
                     cfg.seed_base,
                     2_000,
@@ -342,15 +281,13 @@ struct Conn {
     token: Option<String>,
 }
 
-/// Connects (with retry) and, when configured, arms detach-on-disconnect.
+/// Connects (with retry) and arms detach-on-disconnect.
 fn establish(cfg: &LoadgenConfig, tally: &Tally) -> Result<Conn, ServeError> {
     let mut client = connect_with_retry(cfg, tally)?;
-    let mut token = None;
-    if cfg.reattach {
-        if let Ok(Response::Detached { token: t }) = client.request(&Request::Detach) {
-            token = Some(t);
-        }
-    }
+    let token = match client.request(&Request::Detach) {
+        Ok(Response::Detached { token }) => Some(token),
+        _ => None,
+    };
     Ok(Conn { client, token })
 }
 
@@ -519,8 +456,8 @@ fn claim_attempt(
     }
 }
 
-/// Handles a dead connection mid-run: reattach when armed, otherwise the
-/// thread's open sessions are lost (counted as errors). Returns the new
+/// Handles a dead connection mid-run: reattach when detach was armed,
+/// otherwise the thread's open sessions are lost (counted as errors). Returns the new
 /// connection, or `None` when the thread should give up.
 fn handle_disconnect(
     cfg: &LoadgenConfig,
@@ -620,7 +557,7 @@ fn client_thread(
                     // sessions progress (and free server slots).
                     pending = Some(idx);
                     std::thread::sleep(backoff_with_jitter(
-                        cfg.retry_backoff_ms,
+                        RETRY_BACKOFF_MS,
                         shed_streak,
                         cfg.seed_base ^ idx,
                         500,

@@ -6,12 +6,14 @@
 //! at 1 and 8 workers (the acceptance criteria, at test scale).
 
 use cpt_gpt::{SessionEvent, StreamParams};
+use cpt_serve::client::READ_TIMEOUT;
 use cpt_serve::protocol::{wire, ErrorKind, Request, Response};
 use cpt_serve::{
-    run_loadgen, ChaosPlan, Engine, LoadgenConfig, ServeConfig, Server, ServerConfig, SessionId,
+    run_loadgen, ChaosPlan, Client, Engine, LoadgenConfig, ServeConfig, Server, ServerConfig,
+    SessionId,
 };
 use cpt_testkit::fixture_model;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -52,74 +54,51 @@ impl TestServer {
     }
 }
 
-/// A minimal frame test client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+/// A connection for what [`Client`] cannot send: raw payloads and a
+/// forged preamble. Reads are bounded like the client's, so a server that
+/// never answers fails the test instead of hanging it.
+fn raw_connect(addr: std::net::SocketAddr, preamble: [u8; 2]) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connects");
+    stream.set_nodelay(true).expect("set nodelay");
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .expect("set read timeout");
+    (&stream).write_all(&preamble).expect("write preamble");
+    stream
 }
 
-impl Client {
-    /// Connects and sends `preamble` (the real one unless a test forges it).
-    fn connect_with(addr: std::net::SocketAddr, preamble: [u8; 2]) -> Client {
-        let stream = TcpStream::connect(addr).expect("client connects");
-        // A server that never answers must fail the test, not hang it.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("set read timeout");
-        let write_half = stream.try_clone().expect("clone stream");
-        let mut client = Client {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-        };
-        client.writer.write_all(&preamble).expect("write preamble");
-        client
-    }
+/// Sends one raw payload as a frame.
+fn write_raw(stream: &TcpStream, payload: &[u8]) {
+    wire::write_frame(&mut &*stream, payload).expect("write frame");
+}
 
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        Client::connect_with(addr, [wire::MAGIC, wire::WIRE_VERSION])
+/// The next response frame on a raw connection, or `None` once the server
+/// has closed it.
+fn read_raw(stream: &TcpStream) -> Option<Response> {
+    let mut payload = Vec::new();
+    match wire::read_frame(&mut &*stream, &mut payload) {
+        Ok(true) => Some(wire::decode_response(&payload).expect("response decodes")),
+        Ok(false) => None,
+        Err(e) => panic!("reading a response frame: {e}"),
     }
+}
 
-    /// Sends one raw payload as a frame, without waiting for an answer.
-    fn write_payload(&mut self, payload: &[u8]) {
-        wire::write_frame(&mut self.writer, payload).expect("write frame");
-        self.writer.flush().expect("flush");
-    }
-
-    /// Sends one raw payload as a frame and reads the response frame.
-    fn send_payload(&mut self, payload: &[u8]) -> Response {
-        self.write_payload(payload);
-        self.read_response().expect("a response frame")
-    }
-
-    fn write_request(&mut self, req: &Request) {
-        let mut payload = Vec::new();
-        wire::encode_request(req, &mut payload);
-        self.write_payload(&payload);
-    }
-
-    /// The next response frame, or `None` once the server has closed.
-    fn read_response(&mut self) -> Option<Response> {
-        let mut payload = Vec::new();
-        match wire::read_frame(&mut self.reader, &mut payload) {
-            Ok(true) => Some(wire::decode_response(&payload).expect("response decodes")),
-            Ok(false) => None,
-            Err(e) => panic!("reading a response frame: {e}"),
-        }
-    }
-
-    fn request(&mut self, req: &Request) -> Response {
-        self.write_request(req);
-        self.read_response().expect("a response frame")
-    }
-
-    fn open(&mut self, seed: u64) -> Response {
-        self.request(&Request::Open {
+/// Opens a one-stream phone session at `seed`.
+fn open(client: &mut Client, seed: u64) -> Response {
+    request(
+        client,
+        &Request::Open {
             seed,
             streams: 1,
             device: "phone".to_string(),
             max_stream_len: None,
-        })
-    }
+        },
+    )
+}
+
+/// One round trip that must get an answer.
+fn request(client: &mut Client, req: &Request) -> Response {
+    client.request(req).expect("a response frame")
 }
 
 /// Asserts the response is `opened` and extracts the session id.
@@ -143,10 +122,12 @@ fn overload_sheds_with_typed_protocol_error() {
         max_sessions: 4,
         ..ServeConfig::new(2)
     });
-    let mut client = Client::connect(server.addr);
+    let mut client = Client::connect(server.addr).expect("client connects");
 
-    let ids: Vec<u64> = (0..4).map(|seed| opened_id(client.open(seed))).collect();
-    let shed = client.open(99);
+    let ids: Vec<u64> = (0..4)
+        .map(|seed| opened_id(open(&mut client, seed)))
+        .collect();
+    let shed = open(&mut client, 99);
     assert!(
         matches!(
             &shed,
@@ -157,20 +138,20 @@ fn overload_sheds_with_typed_protocol_error() {
     );
 
     // A clean close makes room for a new session.
-    let closed = client.request(&Request::Close { session: ids[0] });
+    let closed = request(&mut client, &Request::Close { session: ids[0] });
     assert!(
         matches!(&closed, Response::Closed { session } if *session == ids[0]),
         "expected closed {}, got {closed:?}",
         ids[0]
     );
-    let reopened = client.open(100);
+    let reopened = open(&mut client, 100);
     assert!(
         matches!(reopened, Response::Opened { .. }),
         "expected opened after close, got {reopened:?}"
     );
 
     // Stats over the wire reflect all of the above.
-    let resp = client.request(&Request::Stats);
+    let resp = request(&mut client, &Request::Stats);
     assert!(
         matches!(&resp, Response::Stats { .. }),
         "expected stats, got {resp:?}"
@@ -185,31 +166,42 @@ fn overload_sheds_with_typed_protocol_error() {
 
     // Malformed and unknown-session requests are typed errors, not drops:
     // an unknown opcode in a well-formed frame leaves the connection usable.
-    let bad = client.send_payload(&[0x7E]);
+    let raw = raw_connect(server.addr, [wire::MAGIC, wire::WIRE_VERSION]);
+    write_raw(&raw, &[0x7E]);
+    let bad = read_raw(&raw);
     assert!(
         matches!(
             bad,
-            Response::Error {
+            Some(Response::Error {
                 kind: ErrorKind::InvalidRequest,
                 ..
-            }
+            })
         ),
         "expected invalid_request, got {bad:?}"
     );
-    let next = client.request(&Request::Next {
-        session: ids[1],
-        max: 1,
-        wait_ms: 1_000,
-    });
+    let mut payload = Vec::new();
+    wire::encode_request(
+        &Request::Next {
+            session: ids[1],
+            max: 1,
+            wait_ms: 1_000,
+        },
+        &mut payload,
+    );
+    write_raw(&raw, &payload);
+    let next = read_raw(&raw);
     assert!(
-        matches!(&next, Response::Events { session, .. } if *session == ids[1]),
+        matches!(&next, Some(Response::Events { session, .. }) if *session == ids[1]),
         "expected events after the bad frame, got {next:?}"
     );
-    let unknown = client.request(&Request::Next {
-        session: 424242,
-        max: 1,
-        wait_ms: 0,
-    });
+    let unknown = request(
+        &mut client,
+        &Request::Next {
+            session: 424242,
+            max: 1,
+            wait_ms: 0,
+        },
+    );
     assert!(
         matches!(
             unknown,
@@ -229,9 +221,9 @@ fn overload_sheds_with_typed_protocol_error() {
 fn disconnect_reclaims_abandoned_sessions() {
     let server = start_server(ServeConfig::new(2));
     {
-        let mut client = Client::connect(server.addr);
+        let mut client = Client::connect(server.addr).expect("client connects");
         for seed in 0..3 {
-            opened_id(client.open(seed));
+            opened_id(open(&mut client, seed));
         }
         assert_eq!(server.handle.stats().sessions_open, 3);
     } // client dropped: connection closes without close_session calls
@@ -317,15 +309,15 @@ fn over_cap_connection_gets_one_overloaded_frame() {
         max_connections: 1,
         ..ServeConfig::new(1)
     });
-    let mut first = Client::connect(server.addr);
+    let mut first = Client::connect(server.addr).expect("client connects");
     assert!(matches!(
-        first.request(&Request::Stats),
+        request(&mut first, &Request::Stats),
         Response::Stats { .. }
     ));
 
-    let mut second = Client::connect(server.addr);
-    second.write_request(&Request::Stats);
-    let refused = second.read_response();
+    let mut second = Client::connect(server.addr).expect("client connects");
+    second.send(&Request::Stats).expect("send stats");
+    let refused = second.recv().expect("a frame or a clean close");
     assert!(
         matches!(
             &refused,
@@ -335,13 +327,13 @@ fn over_cap_connection_gets_one_overloaded_frame() {
         "expected one overloaded frame, got {refused:?}"
     );
     assert!(
-        second.read_response().is_none(),
+        second.recv().expect("a clean close").is_none(),
         "connection closes after the refusal"
     );
 
     // The admitted connection is unaffected.
     assert!(matches!(
-        first.request(&Request::Stats),
+        request(&mut first, &Request::Stats),
         Response::Stats { .. }
     ));
     server.shutdown();
@@ -354,10 +346,12 @@ fn over_cap_connection_gets_one_overloaded_frame() {
 #[test]
 fn bad_preamble_gets_a_typed_error_then_close() {
     let server = start_server(ServeConfig::new(1));
-    let mut client = Client::connect_with(server.addr, [wire::MAGIC, 0x01]);
-    client.write_request(&Request::Stats);
-    client.write_payload(&[0u8; 64 * 1024]);
-    let resp = client.read_response();
+    let raw = raw_connect(server.addr, [wire::MAGIC, 0x01]);
+    let mut payload = Vec::new();
+    wire::encode_request(&Request::Stats, &mut payload);
+    write_raw(&raw, &payload);
+    write_raw(&raw, &[0u8; 64 * 1024]);
+    let resp = read_raw(&raw);
     assert!(
         matches!(
             &resp,
@@ -367,7 +361,7 @@ fn bad_preamble_gets_a_typed_error_then_close() {
         "expected a bad-preamble error, got {resp:?}"
     );
     assert!(
-        client.read_response().is_none(),
+        read_raw(&raw).is_none(),
         "connection closes after the error"
     );
     server.shutdown();
@@ -377,8 +371,8 @@ fn bad_preamble_gets_a_typed_error_then_close() {
 #[test]
 fn shutdown_verb_stops_the_server() {
     let server = start_server(ServeConfig::new(1));
-    let mut client = Client::connect(server.addr);
-    let bye = client.request(&Request::Shutdown);
+    let mut client = Client::connect(server.addr).expect("client connects");
+    let bye = request(&mut client, &Request::Shutdown);
     assert!(matches!(bye, Response::Bye), "expected bye, got {bye:?}");
     // run() returns once the stop flag is seen; join must not hang.
     server.thread.join().expect("server exits after shutdown");
@@ -391,19 +385,20 @@ fn shutdown_verb_stops_the_server() {
 fn stop_ends_connections_blocked_on_a_silent_client() {
     let server = start_server(ServeConfig::new(1));
     // An idle connection, past its preamble.
-    let _idle = Client::connect(server.addr);
+    let mut idle = Client::connect(server.addr).expect("client connects");
+    assert!(matches!(
+        request(&mut idle, &Request::Stats),
+        Response::Stats { .. }
+    ));
     // A connection that pipelines far more `stats` requests than the
     // socket buffers hold answers for, and reads none of them.
-    let mut flood = Client::connect(server.addr);
-    let mut payload = Vec::new();
-    wire::encode_request(&Request::Stats, &mut payload);
+    let mut flood = Client::connect(server.addr).expect("client connects");
     let writer = std::thread::spawn(move || {
         for _ in 0..200_000 {
-            if wire::write_frame(&mut flood.writer, &payload).is_err() {
+            if flood.send(&Request::Stats).is_err() {
                 break;
             }
         }
-        let _ = flood.writer.flush();
         flood
     });
     std::thread::sleep(Duration::from_millis(500));

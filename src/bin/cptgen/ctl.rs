@@ -6,7 +6,7 @@
 use crate::args::{Args, Spec};
 use crate::{write_json_report, CliError};
 use cpt::serve::protocol::{Request, Response};
-use cpt::serve::request_once;
+use cpt::serve::Client;
 use std::time::{Duration, Instant};
 
 pub const FLAGS: Spec = "--addr HOST:PORT --publish MODEL.cmb | --publish-version N | --rollback \
@@ -22,9 +22,12 @@ const ACTIONS: [&str; 6] = [
     "stats",
 ];
 
-/// One request/response round-trip over a fresh connection.
+/// One request/response round trip over a fresh connection: lifecycle
+/// verbs are rare enough that connection reuse buys nothing.
 fn send(addr: &str, req: &Request) -> Result<Response, CliError> {
-    request_once(addr, req).map_err(|e| CliError::serve(format!("{addr}: {e}")))
+    Client::connect(addr)
+        .and_then(|mut client| client.request(req))
+        .map_err(|e| CliError::serve(format!("{addr}: {e}")))
 }
 
 pub fn run(args: &Args) -> Result<(), CliError> {

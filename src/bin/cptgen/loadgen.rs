@@ -6,7 +6,7 @@ use cpt::serve::{run_loadgen, LoadgenConfig};
 
 pub const FLAGS: Spec = "--addr HOST:PORT [--sessions N] [--concurrent N] [--rate R] \
     [--streams N] [--threads N] [--duration-secs S] [--seed S] [--shutdown] \
-    [--connect-retries N] [--retry-backoff-ms MS] [--no-reattach] [-o REPORT.json]";
+    [-o REPORT.json]";
 
 pub fn run(args: &Args) -> Result<(), CliError> {
     let mut cfg = LoadgenConfig::new(args.require("addr")?);
@@ -16,9 +16,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     cfg.streams = args.or("streams", cfg.streams)?;
     cfg.seed_base = args.or("seed", cfg.seed_base)?;
     cfg.shutdown = args.has("shutdown");
-    cfg.connect_retries = args.or("connect-retries", cfg.connect_retries)?;
-    cfg.retry_backoff_ms = args.or("retry-backoff-ms", cfg.retry_backoff_ms)?;
-    cfg.reattach = !args.has("no-reattach");
     cfg.threads = resolve_threads(Some(args.or("threads", cfg.threads)?), "--threads")?;
     if let Some(secs) = args.opt::<f64>("duration-secs")? {
         if !secs.is_finite() || secs <= 0.0 {

@@ -32,7 +32,7 @@ mod train;
 
 use args::{Args, Spec};
 use cpt::gpt::{CheckpointError, CptGpt, GenerateError, TrainError};
-use cpt::serve::{resolve_parallelism, ServeError};
+use cpt::serve::ServeError;
 use cpt::trace::columnar::{CtbError, CtbSummary};
 use cpt::trace::io::IoError;
 use std::process::ExitCode;
@@ -141,18 +141,24 @@ fn load_model(path: &str) -> Result<CptGpt, CliError> {
     })
 }
 
-/// Resolves a thread-count flag (`None` = every core): zero is a usage
-/// error, and a request above the core count is clamped with this one
-/// warning — output never depends on the thread count, so only speed moves.
+/// Resolves a thread/worker-count flag against the machine (`None` =
+/// every core). Zero is a usage error: zero threads never make progress,
+/// so it is not rounded up. A request above the core count is clamped
+/// with this one warning rather than oversubscribing the host; output
+/// never depends on the thread count, so only speed moves.
 fn resolve_threads(requested: Option<usize>, flag: &str) -> Result<usize, CliError> {
-    let par = resolve_parallelism(requested, flag)?;
-    if let Some(from) = par.clamped_from {
-        eprintln!(
-            "warning: {flag} {from} exceeds available cores; using {}",
-            par.threads
-        );
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    match requested {
+        None => Ok(cores),
+        Some(0) => Err(CliError::usage(format!("{flag} must be at least 1"))),
+        Some(n) if n > cores => {
+            eprintln!("warning: {flag} {n} exceeds available cores; using {cores}");
+            Ok(cores)
+        }
+        Some(n) => Ok(n),
     }
-    Ok(par.threads)
 }
 
 /// The rayon pool `--threads` pins, or `None` (the global all-cores pool)
@@ -291,5 +297,37 @@ fn main() -> ExitCode {
             eprintln!("error: {}", e.message);
             ExitCode::from(e.code)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_threads_is_a_typed_error() {
+        match resolve_threads(Some(0), "--workers") {
+            Err(e) => {
+                assert_eq!(e.code, EXIT_USAGE);
+                assert!(e.message.contains("--workers"), "{}", e.message);
+            }
+            Ok(n) => panic!("expected a usage error, got {n} threads"),
+        }
+    }
+
+    #[test]
+    fn oversubscription_is_clamped_to_the_core_count() {
+        let threads = resolve_threads(Some(1_000_000), "--threads")
+            .unwrap_or_else(|e| panic!("clamping is not an error: {}", e.message));
+        assert!(threads >= 1);
+        assert!(threads < 1_000_000);
+    }
+
+    #[test]
+    fn in_range_and_default_pass_through() {
+        let one = resolve_threads(Some(1), "--threads");
+        assert!(matches!(one, Ok(1)));
+        let all = resolve_threads(None, "--threads");
+        assert!(matches!(all, Ok(n) if n >= 1));
     }
 }

@@ -383,9 +383,9 @@ fn bench_is_not_a_command() {
 #[test]
 fn help_lists_exactly_the_flags_the_parser_accepts() {
     // `--help` prints the usage lines the parser tables are built from, so
-    // counting names there counts what is settable: 60 since `bench`, the
-    // loadgen codec switch, the JSON-line corruption knob and the serve
-    // read timeout went.
+    // counting names there counts what is settable: 57 since `bench`, the
+    // loadgen codec switch, the JSON-line corruption knob, the serve read
+    // timeout and loadgen's retry, backoff and reattach knobs went.
     let help = stderr_of(&run(&["--help"]));
     let commands = help.split("\n\n").nth(1).expect("command block");
     let mut flags: Vec<&str> = commands
@@ -394,12 +394,15 @@ fn help_lists_exactly_the_flags_the_parser_accepts() {
         .collect();
     flags.sort_unstable();
     flags.dedup();
-    assert_eq!(flags.len(), 60, "{flags:?}");
+    assert_eq!(flags.len(), 57, "{flags:?}");
     for gone in [
         "--quick",
         "--check",
         "--max-regression",
         "--read-timeout-ms",
+        "--connect-retries",
+        "--retry-backoff-ms",
+        "--no-reattach",
     ] {
         assert!(!flags.contains(&gone), "{gone} is still accepted");
     }

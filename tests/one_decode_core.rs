@@ -32,6 +32,12 @@
 //! deleted and must not come back in the walked crates (`cpt-trace`, where
 //! it lived, among them) — a trace is opened through `AnyTrace`, so `.ctb`
 //! works wherever JSONL does.
+//!
+//! And the wire has one client: only `cpt_serve::client::Client` writes
+//! the preamble a client opens a connection with, so `loadgen`, `ctl` and
+//! anything after them connect through it rather than through a copy.
+//! (The benchmark ledger, which is not walked, keeps a connection of its
+//! own.)
 
 use std::path::{Path, PathBuf};
 
@@ -111,6 +117,11 @@ const KERNEL_ONLY: [&str; 5] = [
 ];
 const KERNELS: &str = "crates/cpt-nn/src/tensor.rs";
 
+/// Names only the client file may mention: writing the preamble is
+/// opening a client connection.
+const CLIENT_ONLY: [&str; 1] = ["write_preamble("];
+const CLIENT: &str = "crates/cpt-serve/src/client.rs";
+
 /// The file whose `std::arch::asm` issues the `mmap` syscalls: the one
 /// `std::arch` item allowed outside [`KERNELS`].
 const SYSCALLS: &str = "crates/cpt-trace/src/mmap.rs";
@@ -142,6 +153,12 @@ fn deleted_decode_paths_do_not_reappear() {
         files.contains(&kernels),
         "the kernels moved; update KERNELS"
     );
+    let client = root.join(CLIENT);
+    let client_src = std::fs::read_to_string(&client).expect("the client moved; update CLIENT");
+    assert!(
+        files.contains(&client) && production_source(&client_src).contains(CLIENT_ONLY[0]),
+        "the client no longer writes the preamble; update CLIENT"
+    );
     let syscalls = root.join(SYSCALLS);
     let syscalls_src =
         std::fs::read_to_string(&syscalls).expect("the mmap file moved; update SYSCALLS");
@@ -170,6 +187,16 @@ fn deleted_decode_paths_do_not_reappear() {
                 assert!(
                     !src.contains(needle),
                     "{} mentions {needle:?}, which belongs to the kernel file alone",
+                    file.strip_prefix(root).unwrap_or(&file).display()
+                );
+            }
+        }
+        if file != client {
+            for needle in CLIENT_ONLY {
+                assert!(
+                    !src.contains(needle),
+                    "{} mentions {needle:?}: a second wire client (connect through \
+                     `cpt_serve::client::Client`)",
                     file.strip_prefix(root).unwrap_or(&file).display()
                 );
             }
