@@ -82,24 +82,32 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
 
-/// Four independent FNV-1a/64 chains, interleaved byte by byte: lane `k`
-/// of the result is `fnv1a(lanes[k])`, whatever the lengths. One chain
-/// waits out a multiply's latency per byte; four in flight overlap it
-/// (DESIGN §17, "Zero-copy reading", has the rates).
+/// Four independent FNV-1a/64 chains from [`FNV_OFFSET`]: lane `k` of the
+/// result is `fnv1a(lanes[k])`, whatever the lengths.
 pub fn fnv1a_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    fnv1a_x4_continue([FNV_OFFSET; 4], lanes)
+}
+
+/// Continues four independent FNV-1a/64 chains, interleaved byte by byte:
+/// lane `k` of the result is `fnv1a_continue(hashes[k], lanes[k])`,
+/// whatever the lengths. One chain waits out a multiply's latency per
+/// byte; four in flight overlap it (DESIGN §17, "Zero-copy reading", has
+/// the rates). The lanes run together over their common length, then each
+/// finishes alone.
+pub fn fnv1a_x4_continue(mut hashes: [u64; 4], lanes: [&[u8]; 4]) -> [u64; 4] {
     let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
     let [a, b, c, d] = lanes.map(|l| &l[..common]);
-    let mut h = [FNV_OFFSET; 4];
+    let h = &mut hashes;
     for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
         h[0] = (h[0] ^ x0 as u64).wrapping_mul(FNV_PRIME);
         h[1] = (h[1] ^ x1 as u64).wrapping_mul(FNV_PRIME);
         h[2] = (h[2] ^ x2 as u64).wrapping_mul(FNV_PRIME);
         h[3] = (h[3] ^ x3 as u64).wrapping_mul(FNV_PRIME);
     }
-    for (h, lane) in h.iter_mut().zip(lanes) {
+    for (h, lane) in hashes.iter_mut().zip(lanes) {
         *h = fnv1a_continue(*h, &lane[common..]);
     }
-    h
+    hashes
 }
 
 #[inline]
@@ -280,12 +288,12 @@ impl BlockEntry {
 
 /// Streaming `.ctb` writer: push streams one at a time, then [`finish`].
 ///
-/// Nothing but the current column block and the (compact) indexes is held in
-/// memory, so paper-scale traces can be written without materializing a
-/// [`Dataset`]. The output appears at the destination path only after
-/// `finish` completes its fsync-then-rename commit; a writer dropped before
-/// `finish` removes its temporary file and leaves any pre-existing
-/// destination untouched.
+/// Nothing but a ring of [`GROUP_BLOCKS`] column blocks and the (compact)
+/// indexes is held in memory, so paper-scale traces can be written without
+/// materializing a [`Dataset`]. The output appears at the destination path
+/// only after `finish` completes its fsync-then-rename commit; a writer
+/// dropped before `finish` removes its temporary file and leaves any
+/// pre-existing destination untouched.
 ///
 /// [`finish`]: ColumnarWriter::finish
 pub struct ColumnarWriter {
@@ -293,12 +301,39 @@ pub struct ColumnarWriter {
     generation: Generation,
     /// Bytes of block payload written so far (excludes the header).
     payload_pos: u64,
-    types: Vec<u8>,
-    deltas: Vec<u8>,
-    block_streams: u32,
+    /// At most [`GROUP_BLOCKS`] blocks: `ring[..cut]` are cut and not yet
+    /// written, `ring[cut]` fills. When all are cut, and at `finish`, they
+    /// are hashed together through [`fnv1a_x4_continue`] and written in
+    /// order. A slot is added when a stream first lands in it, so a
+    /// one-block file holds one block's buffers.
+    ring: Vec<RingBlock>,
+    cut: usize,
     blocks: Vec<BlockEntry>,
     index: Vec<StreamEntry>,
     events_total: u64,
+}
+
+/// One column block of the writer's ring, in the making.
+struct RingBlock {
+    types: Vec<u8>,
+    deltas: Vec<u8>,
+    streams: u32,
+}
+
+impl RingBlock {
+    fn reserved() -> RingBlock {
+        RingBlock {
+            types: Vec::with_capacity(BLOCK_TARGET_EVENTS),
+            deltas: Vec::with_capacity(BLOCK_TARGET_EVENTS * 8),
+            streams: 0,
+        }
+    }
+
+    /// The zero bytes between the two columns.
+    fn pad(&self) -> &'static [u8] {
+        let n = self.types.len() as u64;
+        &[0u8; 8][..(align8(n) - n) as usize]
+    }
 }
 
 impl ColumnarWriter {
@@ -315,9 +350,8 @@ impl ColumnarWriter {
             file,
             generation,
             payload_pos: 0,
-            types: Vec::with_capacity(BLOCK_TARGET_EVENTS),
-            deltas: Vec::with_capacity(BLOCK_TARGET_EVENTS * 8),
-            block_streams: 0,
+            ring: vec![RingBlock::reserved()],
+            cut: 0,
             blocks: Vec::new(),
             index: Vec::new(),
             events_total: 0,
@@ -329,29 +363,41 @@ impl ColumnarWriter {
         self.generation
     }
 
-    /// Appends one stream. Streams are stored in push order.
+    /// Appends one stream. Streams are stored in push order. A stream
+    /// that is refused leaves the writer as it was.
     pub fn push_stream(&mut self, stream: &Stream) -> Result<(), CtbError> {
         let len =
             u32::try_from(stream.events.len()).map_err(|_| CtbError::TooLarge("stream length"))?;
         if self.index.len() as u64 == u64::MAX {
             return Err(CtbError::TooLarge("stream count"));
         }
-        let block =
-            u32::try_from(self.blocks.len()).map_err(|_| CtbError::TooLarge("block count"))?;
+        // Cut blocks not yet written count: the index names the block the
+        // stream will be read from.
+        let block = u32::try_from(self.blocks.len() + self.cut)
+            .map_err(|_| CtbError::TooLarge("block count"))?;
+        if self.cut == self.ring.len() {
+            self.ring.push(RingBlock::reserved());
+        }
+        let fill = &mut self.ring[self.cut];
+        let start = fill.types.len();
         let mut prev_bits = 0u64;
         for ev in &stream.events {
             if !ev.event_type.exists_in(self.generation) {
+                fill.types.truncate(start);
+                fill.deltas.truncate(8 * start);
                 return Err(CtbError::InvalidStream(format!(
                     "{}: event type {} does not exist in generation {}",
                     stream.ue_id, ev.event_type, self.generation
                 )));
             }
             let bits = ev.timestamp.to_bits();
-            self.types.push(ev.event_type.index() as u8);
-            self.deltas
+            fill.types.push(ev.event_type.index() as u8);
+            fill.deltas
                 .extend_from_slice(&(bits ^ prev_bits).to_le_bytes());
             prev_bits = bits;
         }
+        fill.streams += 1;
+        let full = fill.types.len() >= BLOCK_TARGET_EVENTS;
         self.index.push(StreamEntry {
             ue_id: stream.ue_id.0,
             event_offset: self.events_total,
@@ -360,44 +406,66 @@ impl ColumnarWriter {
             device: stream.device_type.index() as u8,
         });
         self.events_total += len as u64;
-        self.block_streams += 1;
-        if self.types.len() >= BLOCK_TARGET_EVENTS {
-            self.flush_block()?;
+        if full {
+            self.cut += 1;
+            if self.cut == GROUP_BLOCKS {
+                self.write_cut()?;
+            }
         }
         Ok(())
     }
 
-    fn flush_block(&mut self) -> Result<(), CtbError> {
-        let n_events = self.types.len() as u64;
-        let pad = (align8(n_events) - n_events) as usize;
-        let mut checksum = fnv1a(&self.types);
-        checksum = fnv1a_continue(checksum, &[0u8; 8][..pad]);
-        checksum = fnv1a_continue(checksum, &self.deltas);
-        let w = self.file.writer();
-        w.write_all(&self.types)
-            .and_then(|_| w.write_all(&[0u8; 8][..pad]))
-            .and_then(|_| w.write_all(&self.deltas))
-            .map_err(|e| io_err(self.file.tmp_path(), e))?;
-        let first_event = self.events_total - n_events;
-        self.blocks.push(BlockEntry {
-            byte_offset: HEADER_LEN as u64 + self.payload_pos,
-            first_event,
-            n_events: n_events as u32,
-            n_streams: self.block_streams,
-            checksum,
-        });
-        self.payload_pos += align8(n_events) + 8 * n_events;
-        self.types.clear();
-        self.deltas.clear();
-        self.block_streams = 0;
+    /// Hashes the cut blocks four lanes at once, writes them in order and
+    /// empties their slots. Lanes past the cut blocks repeat the first: a
+    /// lane costs nothing beside the others, and an empty one would end
+    /// the shared loop at its first byte.
+    fn write_cut(&mut self) -> Result<(), CtbError> {
+        let cut = &mut self.ring[..self.cut];
+        let sums = {
+            let lanes: [&RingBlock; GROUP_BLOCKS] =
+                std::array::from_fn(|k| cut.get(k).unwrap_or(&cut[0]));
+            let mut h = [FNV_OFFSET; GROUP_BLOCKS];
+            h = fnv1a_x4_continue(h, lanes.map(|b| &b.types[..]));
+            h = fnv1a_x4_continue(h, lanes.map(RingBlock::pad));
+            fnv1a_x4_continue(h, lanes.map(|b| &b.deltas[..]))
+        };
+        let mut first_event = self
+            .blocks
+            .last()
+            .map_or(0, |b| b.first_event + b.n_events as u64);
+        for (block, checksum) in cut.iter_mut().zip(sums) {
+            let w = self.file.writer();
+            w.write_all(&block.types)
+                .and_then(|_| w.write_all(block.pad()))
+                .and_then(|_| w.write_all(&block.deltas))
+                .map_err(|e| io_err(self.file.tmp_path(), e))?;
+            let n_events = block.types.len() as u64;
+            self.blocks.push(BlockEntry {
+                byte_offset: HEADER_LEN as u64 + self.payload_pos,
+                first_event,
+                n_events: n_events as u32,
+                n_streams: block.streams,
+                checksum,
+            });
+            self.payload_pos += align8(n_events) + 8 * n_events;
+            first_event += n_events;
+            block.types.clear();
+            block.deltas.clear();
+            block.streams = 0;
+        }
+        self.cut = 0;
         Ok(())
     }
 
-    /// Flushes the final block, writes the indexes, back-patches the header,
-    /// and commits the file into place (fsync, rename, directory fsync).
+    /// Writes the blocks still in the ring, then the indexes, back-patches
+    /// the header, and commits the file into place (fsync, rename,
+    /// directory fsync).
     pub fn finish(mut self) -> Result<CtbSummary, CtbError> {
-        if !self.types.is_empty() || self.block_streams > 0 {
-            self.flush_block()?;
+        if self.ring.get(self.cut).is_some_and(|b| b.streams > 0) {
+            self.cut += 1;
+        }
+        if self.cut > 0 {
+            self.write_cut()?;
         }
         let num_streams = self.index.len() as u64;
         let num_blocks = self.blocks.len() as u64;
