@@ -1249,13 +1249,22 @@ mod tests {
         let d = toy();
         let dir = tmpdir("crash");
         let path = dir.join("t.ctb");
-        {
-            let mut w = ColumnarWriter::create(&path, d.generation).unwrap();
-            w.push_stream(&d.streams[0]).unwrap();
-            // Dropped without finish(): simulated crash.
+        // Dropped without finish(), a simulated crash, holding 0 to 3 cut
+        // blocks that were never written and one filling block.
+        for cut in 0..GROUP_BLOCKS {
+            {
+                let mut w = ColumnarWriter::create(&path, d.generation).unwrap();
+                w.push_stream(&d.streams[0]).unwrap();
+                for b in 0..cut {
+                    w.push_stream(&long_stream(b as u64, BLOCK_TARGET_EVENTS))
+                        .unwrap();
+                }
+                w.push_stream(&d.streams[2]).unwrap();
+                assert_eq!((w.cut, w.blocks.len()), (cut, 0));
+            }
+            assert!(!path.exists());
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         }
-        assert!(!path.exists());
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1324,6 +1333,22 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #[test]
+        fn fnv1a_x4_continue_is_four_fnv1a_continuations(
+            h in proptest::collection::vec(0u64..=u64::MAX, 4),
+            a in proptest::collection::vec(0u8..=255, 0..80),
+            b in proptest::collection::vec(0u8..=255, 0..80),
+            c in proptest::collection::vec(0u8..=255, 0..80),
+            d in proptest::collection::vec(0u8..=255, 0..80),
+        ) {
+            let h: [u64; 4] = h.try_into().unwrap();
+            let lanes: [&[u8]; 4] = [&a, &b, &c, &d];
+            let want: [u64; 4] = std::array::from_fn(|k| fnv1a_continue(h[k], lanes[k]));
+            proptest::prop_assert_eq!(fnv1a_x4_continue(h, lanes), want);
+        }
+    }
+
     #[test]
     fn fnv1a_x4_lanes_may_be_empty() {
         let long = [7u8; 19];
@@ -1335,18 +1360,62 @@ mod tests {
         assert_eq!(fnv1a_x4([&[]; 4]), [fnv1a(&[]); 4]);
     }
 
+    /// A stream of `len` events of every type, half a second apart.
+    fn long_stream(ue: u64, len: usize) -> Stream {
+        let events = (0..len)
+            .map(|k| Event::new(EventType::ALL[k % 6], k as f64 * 0.5))
+            .collect();
+        Stream::new(UeId(ue), DeviceType::Phone, events)
+    }
+
     /// A file of `n` blocks, block `b` one stream of unequal length, so
     /// the four lanes of a group end at different bytes.
     fn blocks_file(n: usize) -> Vec<u8> {
         let streams = (0..n)
-            .map(|b| {
-                let events = (0..BLOCK_TARGET_EVENTS + 13 * b)
-                    .map(|k| Event::new(EventType::ALL[k % 6], k as f64 * 0.5))
-                    .collect();
-                Stream::new(UeId(b as u64), DeviceType::Phone, events)
-            })
+            .map(|b| long_stream(b as u64, BLOCK_TARGET_EVENTS + 13 * b))
             .collect();
         write_bytes(&Dataset::new(streams), &format!("blocks-{n}"))
+    }
+
+    /// `n` blocks of four streams each (one empty, three of unequal
+    /// length, the third cutting the block), the last block only its
+    /// first two when `partial`; and the block each stream lands in.
+    fn grouped_streams(n: usize, partial: bool) -> (Dataset, Vec<u32>) {
+        let third = BLOCK_TARGET_EVENTS / 3;
+        let (mut streams, mut blocks) = (Vec::new(), Vec::new());
+        for b in 0..n {
+            let lens = [0, third + 7 * b, third, third + 5];
+            let take = if partial && b == n - 1 { 2 } else { 4 };
+            for &len in &lens[..take] {
+                streams.push(long_stream(streams.len() as u64, len));
+                blocks.push(b as u32);
+            }
+        }
+        (Dataset::new(streams), blocks)
+    }
+
+    #[test]
+    fn every_group_remainder_writes_true_checksums_and_stream_blocks() {
+        for n in 1..=9 {
+            for partial in [false, true] {
+                let (d, want) = grouped_streams(n, partial);
+                let bytes = write_bytes(&d, &format!("groups-{n}-{partial}"));
+                let r = ColumnarReader::from_bytes(bytes.clone()).unwrap();
+                assert_eq!(r.num_blocks(), n, "{n} blocks, partial {partial}");
+                r.verify().unwrap();
+                for b in 0..n {
+                    let e = r.block_entry(b);
+                    let start = e.byte_offset as usize;
+                    let payload = &bytes[start..start + e.payload_len() as usize];
+                    assert_eq!(e.checksum, fnv1a(payload), "{n} blocks, block {b}");
+                }
+                let got: Vec<u32> = (0..r.num_streams())
+                    .map(|i| r.stream_entry(i).block)
+                    .collect();
+                assert_eq!(got, want, "{n} blocks, partial {partial}");
+                assert_eq!(r.to_dataset().unwrap(), d);
+            }
+        }
     }
 
     #[test]
