@@ -74,6 +74,16 @@ impl Client {
         ))
     }
 
+    /// Ends the connection: closes the sending half, then reads and drops
+    /// whatever the server still sends until it closes its half too (each
+    /// read bounded by [`READ_TIMEOUT`]). The server closes its half only
+    /// after it has finished with the connection, so when this returns the
+    /// sessions of a detach-armed connection are parked.
+    pub fn close(mut self) {
+        let _ = self.reader.get_ref().shutdown(std::net::Shutdown::Write);
+        let _ = std::io::copy(&mut self.reader, &mut std::io::sink());
+    }
+
     /// One round trip: [`send`](Client::send), then [`recv`](Client::recv),
     /// where a closed connection is an error.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {

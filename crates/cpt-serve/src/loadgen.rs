@@ -456,16 +456,20 @@ fn claim_attempt(
     }
 }
 
-/// Handles a dead connection mid-run: reattach when detach was armed,
-/// otherwise the thread's open sessions are lost (counted as errors). Returns the new
-/// connection, or `None` when the thread should give up.
+/// Handles a failed connection mid-run: close it, then reattach when
+/// detach was armed; otherwise the thread's open sessions are lost
+/// (counted as errors). The connection may still be open on the server (a
+/// read timed out, a response did not decode), and until it ends there the
+/// token holds no session: a reattach then would resume none. Returns the
+/// new connection, or `None` when the thread should give up.
 fn handle_disconnect(
     cfg: &LoadgenConfig,
     tally: &Tally,
-    conn: &Conn,
+    conn: Conn,
     open: &mut Vec<u64>,
 ) -> Option<Conn> {
-    if let Some(token) = conn.token.clone() {
+    conn.client.close();
+    if let Some(token) = conn.token {
         if let Some(fresh) = recover(cfg, tally, &token, open) {
             return Some(fresh);
         }
@@ -570,7 +574,7 @@ fn client_thread(
                 }
                 Err(_) => {
                     pending = Some(idx);
-                    match handle_disconnect(cfg, tally, &conn, &mut open) {
+                    match handle_disconnect(cfg, tally, conn, &mut open) {
                         Some(fresh) => conn = fresh,
                         None => return,
                     }
@@ -661,7 +665,7 @@ fn client_thread(
                 Err(_) => {
                     // `recover` rebuilds `open` from the server's parked
                     // set, so restart the round-robin from the front.
-                    match handle_disconnect(cfg, tally, &conn, &mut open) {
+                    match handle_disconnect(cfg, tally, conn, &mut open) {
                         Some(fresh) => {
                             conn = fresh;
                             i = 0;
@@ -677,6 +681,63 @@ fn client_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChaosPlan, ServeConfig, Server, ServerConfig};
+
+    #[test]
+    fn sessions_come_back_when_the_failed_connection_is_still_open() {
+        let server = Server::bind(
+            cpt_testkit::fixture_model(),
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                serve: ServeConfig::new(2),
+                chaos: ChaosPlan::default(),
+                registry: None,
+            },
+        )
+        .expect("server binds");
+        let addr = server.local_addr().expect("bound address");
+        let stop = server.stopper();
+        let thread = std::thread::spawn(move || server.run().expect("server run"));
+
+        let cfg = LoadgenConfig::new(addr.to_string());
+        let tally = Tally::default();
+        let mut a = establish(&cfg, &tally).expect("connects");
+        assert!(a.token.is_some(), "detach is armed");
+        let mut open = Vec::new();
+        for seed in 0..4 {
+            let req = Request::Open {
+                seed,
+                streams: 1,
+                device: "phone".to_string(),
+                max_stream_len: None,
+            };
+            match a.client.request(&req) {
+                Ok(Response::Opened { session }) => open.push(session),
+                other => panic!("open: {other:?}"),
+            }
+        }
+        let mut want = open.clone();
+        want.sort_unstable();
+
+        // Connection A has not failed on the server's side: a read that
+        // timed out looks like this.
+        let mut fresh = handle_disconnect(&cfg, &tally, a, &mut open).expect("sessions resume");
+        open.sort_unstable();
+        assert_eq!(open, want);
+        assert_eq!(tally.reattached.load(Ordering::Relaxed), 4);
+        assert_eq!(tally.reconnects.load(Ordering::Relaxed), 1);
+        assert_eq!(tally.errors.load(Ordering::Relaxed), 0);
+        for &session in &want {
+            match fresh.client.request(&Request::Close { session }) {
+                Ok(Response::Closed { .. }) => {}
+                other => panic!("close {session}: {other:?}"),
+            }
+        }
+
+        drop(fresh);
+        stop();
+        thread.join().expect("server thread joins");
+    }
 
     #[test]
     fn session_shares_sum_to_concurrent_and_none_is_empty() {
