@@ -1389,7 +1389,9 @@ impl Lstm {
     }
 
     /// Runs the LSTM over a sequence of `[B, in]` inputs, returning the
-    /// hidden state after each step.
+    /// hidden state after each step. Only the tests unroll a sequence;
+    /// the models step the cell themselves.
+    #[cfg(test)]
     pub fn forward_seq(&self, sess: &mut Session<'_>, xs: &[Var], b: usize) -> Vec<Var> {
         let (mut h, mut c) = self.zero_state(sess, b);
         let mut out = Vec::with_capacity(xs.len());
