@@ -82,8 +82,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
 
-/// Four independent FNV-1a/64 chains from [`FNV_OFFSET`]: lane `k` of the
-/// result is `fnv1a(lanes[k])`, whatever the lengths.
+/// Four independent FNV-1a/64 chains from the offset basis: lane `k` of
+/// the result is `fnv1a(lanes[k])`, whatever the lengths.
 pub fn fnv1a_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
     fnv1a_x4_continue([FNV_OFFSET; 4], lanes)
 }
