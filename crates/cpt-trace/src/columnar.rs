@@ -1245,6 +1245,25 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_stream_leaves_the_writer_as_it_was() {
+        let ok = |ue| long_stream(ue, 5);
+        let d = Dataset::with_generation(Generation::Nr, vec![ok(1), ok(3)]);
+        let dir = tmpdir("refused");
+        let path = dir.join("t.ctb");
+        let mut w = ColumnarWriter::create(&path, Generation::Nr).unwrap();
+        w.push_stream(&d.streams[0]).unwrap();
+        // Its sixth event is a TAU, which NR does not have.
+        let err = w.push_stream(&long_stream(2, 9)).unwrap_err();
+        assert!(matches!(err, CtbError::InvalidStream(_)), "{err}");
+        w.push_stream(&d.streams[1]).unwrap();
+        w.finish().unwrap();
+        let r = ColumnarReader::open(&path).unwrap();
+        r.verify().unwrap();
+        assert_eq!(r.to_dataset().unwrap(), d);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn crash_before_finish_publishes_nothing() {
         let d = toy();
         let dir = tmpdir("crash");
