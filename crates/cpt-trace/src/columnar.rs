@@ -89,25 +89,24 @@ pub fn fnv1a_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
 }
 
 /// Continues four independent FNV-1a/64 chains, interleaved byte by byte:
-/// lane `k` of the result is `fnv1a_continue(hashes[k], lanes[k])`,
+/// lane `k` of the result is `fnv1a_continue(h[k], lanes[k])`,
 /// whatever the lengths. One chain waits out a multiply's latency per
 /// byte; four in flight overlap it (DESIGN §17, "Zero-copy reading", has
 /// the rates). The lanes run together over their common length, then each
 /// finishes alone.
-pub fn fnv1a_x4_continue(mut hashes: [u64; 4], lanes: [&[u8]; 4]) -> [u64; 4] {
+pub fn fnv1a_x4_continue(mut h: [u64; 4], lanes: [&[u8]; 4]) -> [u64; 4] {
     let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
     let [a, b, c, d] = lanes.map(|l| &l[..common]);
-    let h = &mut hashes;
     for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
         h[0] = (h[0] ^ x0 as u64).wrapping_mul(FNV_PRIME);
         h[1] = (h[1] ^ x1 as u64).wrapping_mul(FNV_PRIME);
         h[2] = (h[2] ^ x2 as u64).wrapping_mul(FNV_PRIME);
         h[3] = (h[3] ^ x3 as u64).wrapping_mul(FNV_PRIME);
     }
-    for (h, lane) in hashes.iter_mut().zip(lanes) {
+    for (h, lane) in h.iter_mut().zip(lanes) {
         *h = fnv1a_continue(*h, &lane[common..]);
     }
-    hashes
+    h
 }
 
 #[inline]
