@@ -11,6 +11,7 @@ use cpt_metrics::{
     ViolationStats,
 };
 use cpt_netshare::{NetShare, NetShareTrainReport};
+use cpt_nn::layers::ParamStore;
 use cpt_nn::serialize::push_store;
 use cpt_smm::{SemiMarkovModel, SmmEnsemble};
 use cpt_statemachine::StateMachine;
@@ -433,10 +434,47 @@ pub struct ConvergedTime {
     pub epoch: usize,
 }
 
-/// One snapshot's output scored against the validation trace, which the
-/// caller folded once, outside its snapshot loop.
-fn snapshot_metrics(machine: &StateMachine, real: &StreamAccumulator, synth: &Dataset) -> Vec<f64> {
-    fidelity_from_accumulators(real, &StreamAccumulator::of(machine, synth)).metric_vector()
+/// The tail both checkpoint-time measurements share: scores what each
+/// snapshot generates against the validation trace (folded once), picks
+/// one with [`select_checkpoint`], sums the seconds of training up to its
+/// epoch and restores its store into `model`. Without snapshots the whole
+/// run counts and `model` keeps its final weights.
+fn converge_on_snapshot<M: Clone>(
+    model: &mut M,
+    store: fn(&mut M) -> &mut ParamStore,
+    snapshots: &[(usize, ParamStore)],
+    epoch_seconds: &[f64],
+    total_seconds: f64,
+    validation: &Dataset,
+    generate: impl Fn(&M, DeviceType) -> Result<Dataset, SuiteError>,
+) -> Result<ConvergedTime, SuiteError> {
+    let machine = StateMachine::lte();
+    let device = validation
+        .streams
+        .first()
+        .map(|s| s.device_type)
+        .unwrap_or(DeviceType::Phone);
+    let real = StreamAccumulator::of(&machine, validation);
+    let mut metrics = Vec::new();
+    for (_, params) in snapshots {
+        let mut snap = model.clone();
+        *store(&mut snap) = params.clone();
+        let synth = StreamAccumulator::of(&machine, &generate(&snap, device)?);
+        metrics.push(fidelity_from_accumulators(&real, &synth).metric_vector());
+    }
+    if metrics.is_empty() {
+        return Ok(ConvergedTime {
+            seconds: total_seconds,
+            epoch: epoch_seconds.len().saturating_sub(1),
+        });
+    }
+    let chosen = select_checkpoint(&metrics, 0.2);
+    let epoch = snapshots[chosen].0;
+    *store(model) = snapshots[chosen].1.clone();
+    Ok(ConvergedTime {
+        seconds: epoch_seconds.iter().take(epoch + 1).sum(),
+        epoch,
+    })
 }
 
 /// CPT-GPT variant of the checkpoint-time measurement.
@@ -447,7 +485,6 @@ pub fn cptgpt_time_to_converge(
     base: Option<&CptGpt>,
     seed: u64,
 ) -> Result<(CptGpt, ConvergedTime), SuiteError> {
-    let machine = StateMachine::lte();
     let mut cfg = scale.gpt_train.with_seed(seed);
     cfg.snapshot_every = Some(scale.snapshot_every);
     let (mut model, report) = match base {
@@ -462,38 +499,20 @@ pub fn cptgpt_time_to_converge(
             fine_tune(b, data, &cfg, &ft)?
         }
     };
-    // Score every snapshot.
-    let device = validation
-        .streams
-        .first()
-        .map(|s| s.device_type)
-        .unwrap_or(DeviceType::Phone);
-    let real = StreamAccumulator::of(&machine, validation);
-    let mut metrics = Vec::new();
-    for (_, params) in &report.snapshots {
-        let mut snap = model.clone();
-        snap.store = params.clone();
-        let synth = snap.generate(
-            &GenerateConfig::new(scale.snapshot_eval_streams, seed + 99).device(device),
-        )?;
-        metrics.push(snapshot_metrics(&machine, &real, &synth));
-    }
-    let (seconds, epoch) = if metrics.is_empty() {
-        (report.total_seconds, report.epochs.len().saturating_sub(1))
-    } else {
-        let chosen = select_checkpoint(&metrics, 0.2);
-        let epoch = report.snapshots[chosen].0;
-        let secs: f64 = report
-            .epochs
-            .iter()
-            .take(epoch + 1)
-            .map(|e| e.seconds)
-            .sum();
-        // Restore the selected snapshot as the final model.
-        model.store = report.snapshots[chosen].1.clone();
-        (secs, epoch)
-    };
-    Ok((model, ConvergedTime { seconds, epoch }))
+    let epoch_seconds: Vec<f64> = report.epochs.iter().map(|e| e.seconds).collect();
+    let time = converge_on_snapshot(
+        &mut model,
+        |m| &mut m.store,
+        &report.snapshots,
+        &epoch_seconds,
+        report.total_seconds,
+        validation,
+        |snap, device| {
+            let cfg = GenerateConfig::new(scale.snapshot_eval_streams, seed + 99).device(device);
+            Ok(snap.generate(&cfg)?)
+        },
+    )?;
+    Ok((model, time))
 }
 
 /// NetShare variant of the checkpoint-time measurement.
@@ -504,7 +523,6 @@ pub fn netshare_time_to_converge(
     base: Option<&NetShare>,
     seed: u64,
 ) -> Result<(NetShare, ConvergedTime), SuiteError> {
-    let machine = StateMachine::lte();
     let mut ns_cfg = scale.ns.with_seed(seed);
     ns_cfg.snapshot_every = Some(scale.snapshot_every);
     let (mut model, report) = match base {
@@ -521,34 +539,17 @@ pub fn netshare_time_to_converge(
             (m, r)
         }
     };
-    let device = validation
-        .streams
-        .first()
-        .map(|s| s.device_type)
-        .unwrap_or(DeviceType::Phone);
-    let real = StreamAccumulator::of(&machine, validation);
-    let mut metrics = Vec::new();
-    for (_, params) in &report.snapshots {
-        let mut snap = model.clone();
-        snap.store = params.clone();
-        let synth = snap.generate(scale.snapshot_eval_streams, device, seed + 99)?;
-        metrics.push(snapshot_metrics(&machine, &real, &synth));
-    }
-    let (seconds, epoch) = if metrics.is_empty() {
-        (report.total_seconds, report.epochs.len().saturating_sub(1))
-    } else {
-        let chosen = select_checkpoint(&metrics, 0.2);
-        let epoch = report.snapshots[chosen].0;
-        let secs: f64 = report
-            .epochs
-            .iter()
-            .take(epoch + 1)
-            .map(|(_, _, _, s)| s)
-            .sum();
-        model.store = report.snapshots[chosen].1.clone();
-        (secs, epoch)
-    };
-    Ok((model, ConvergedTime { seconds, epoch }))
+    let epoch_seconds: Vec<f64> = report.epochs.iter().map(|e| e.3).collect();
+    let time = converge_on_snapshot(
+        &mut model,
+        |m| &mut m.store,
+        &report.snapshots,
+        &epoch_seconds,
+        report.total_seconds,
+        validation,
+        |snap, device| Ok(snap.generate(scale.snapshot_eval_streams, device, seed + 99)?),
+    )?;
+    Ok((model, time))
 }
 
 /// Concatenates hourly traces into one multi-hour dataset (stream ids are

@@ -7,8 +7,8 @@
 //! encoded in the low bits of the session id (see [`crate::steer`]), so
 //! every later verb routes with a mask — the hot path never takes a lock
 //! shared between shards. What remains engine-wide is cold: the model
-//! lifecycle (install/promote/rollback/retire), the detach-token map and
-//! its reaper, drain, and a pair of relaxed-atomic admission gauges.
+//! lifecycle (promote/rollback/retire), the parked-session map and its
+//! reaper, drain, and a pair of relaxed-atomic admission gauges.
 //!
 //! **Backpressure** is two-level. Per session: a bounded event queue; a
 //! session whose consumer lags is *parked* (not re-enqueued) until
@@ -49,14 +49,17 @@
 //! disconnect. Parked sessions keep decoding until their bounded queue
 //! fills (the normal backpressure path), and a client presenting the token
 //! within the TTL resumes exactly where delivery stopped — byte-identical
-//! to an undisturbed run. A reaper thread reclaims expired tokens.
+//! to an undisturbed run. Minting a token registers nothing: the engine
+//! holds a token only while sessions are parked under it, and a reaper
+//! thread reclaims expired ones.
 //!
 //! **Versions under sharding**: a model version is one `Version` shared
 //! as `Arc<Version>`. A session pins the version it opened on by holding
-//! that `Arc` in its slot; the engine's lifecycle lock holds the live,
-//! rollback-target and staged versions, and every shard keeps a replica
-//! of the live `Arc` (what new sessions pin), written under the lifecycle
-//! lock. When the engine demotes a version and lets go of it, the version
+//! that `Arc` in its slot; the engine's lifecycle lock holds the live
+//! version and the rollback target, and every shard keeps a replica of
+//! the live `Arc` (what new sessions pin), written under the lifecycle
+//! lock. One call, [`ServeHandle::promote_version`], makes a version
+//! live. When the engine demotes a version and lets go of it, the version
 //! is *released*: whoever drops its last reference (the last pinned
 //! session's close or reap, or the worker publishing that session's
 //! final slice) frees its weights and reports [`LifecycleEvent::Retired`].
@@ -345,7 +348,7 @@ pub enum LifecycleEvent {
 /// Observer callback for engine-initiated lifecycle transitions.
 type LifecycleHook = Box<dyn Fn(LifecycleEvent) + Send + Sync>;
 
-/// One installed model version, shared as `Arc<Version>`: a session's pin
+/// One model version the engine serves, shared as `Arc<Version>`: a session's pin
 /// is the reference its slot holds.
 pub(crate) struct Version {
     pub(crate) id: u64,
@@ -376,8 +379,7 @@ impl Version {
 
 impl Drop for Version {
     /// The last reference to a released version reports its retirement.
-    /// Staged versions that are uninstalled, and every version dropped
-    /// with the engine, go silently.
+    /// Every version dropped with the engine goes silently.
     fn drop(&mut self) {
         if !*self.released.get_mut() {
             return;
@@ -395,20 +397,10 @@ struct LifecycleState {
     live: Arc<Version>,
     /// The rollback target.
     previous: Option<Arc<Version>>,
-    /// Installed, not yet promoted.
-    staged: HashMap<u64, Arc<Version>>,
 }
 
-impl LifecycleState {
-    /// Every version the engine holds: live, rollback target, staged.
-    fn installed(&self) -> impl Iterator<Item = &Arc<Version>> {
-        std::iter::once(&self.live)
-            .chain(&self.previous)
-            .chain(self.staged.values())
-    }
-}
-
-/// Detached session groups keyed by capability token.
+/// Parked session groups keyed by capability token. A minted token is
+/// absent until sessions park under it.
 struct DetachState {
     parked: HashMap<u128, ParkedGroup>,
     /// The engine is stopping; the reaper exits. Under the lock the
@@ -498,25 +490,6 @@ impl EngineCore {
         Some(self.set_live_locked(lc, prev))
     }
 
-    /// Mints a fresh, unregistered capability token. Uniqueness against
-    /// live tokens is checked under the detach lock; unguessability comes
-    /// from 128 bits of splitmix64-mixed wall-clock + nonce.
-    fn mint_locked(&self, dt: &DetachState) -> DetachToken {
-        loop {
-            let nonce = self.token_nonce.fetch_add(1, Ordering::Relaxed);
-            let now = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0);
-            let hi = splitmix64(now ^ nonce.rotate_left(17));
-            let lo = splitmix64(hi ^ nonce.wrapping_mul(GOLDEN_GAMMA));
-            let token = ((hi as u128) << 64) | lo as u128;
-            if token != 0 && !dt.parked.contains_key(&token) {
-                return DetachToken(token);
-            }
-        }
-    }
-
     /// Reclaims one parked group's sessions (TTL expiry), returning how
     /// many were reclaimed.
     fn reap_group(&self, group: ParkedGroup) -> u64 {
@@ -529,15 +502,17 @@ impl EngineCore {
         reclaimed
     }
 
-    /// Installed versions and their pinned-session counts (summed across
-    /// shards), sorted by id. A released version is listed while any
-    /// session still pins it.
+    /// The live version, the rollback target and their pinned-session
+    /// counts (summed across shards), sorted by id. A released version is
+    /// listed while any session still pins it.
     fn sessions_per_version(&self) -> Vec<(u64, u64)> {
-        let mut per: BTreeMap<u64, u64> = self
-            .lock_lifecycle()
-            .installed()
-            .map(|v| (v.id, 0))
-            .collect();
+        let mut per: BTreeMap<u64, u64> = {
+            let lc = self.lock_lifecycle();
+            std::iter::once(&lc.live)
+                .chain(&lc.previous)
+                .map(|v| (v.id, 0))
+                .collect()
+        };
         for s in &self.shards {
             s.count_pins(&mut per);
         }
@@ -579,24 +554,15 @@ pub struct Engine {
 impl Engine {
     /// Validates `cfg`, spawns the worker pool, and returns the running
     /// engine.
+    /// The model is live as version 1.
     pub fn start(model: Arc<CptGpt>, cfg: ServeConfig) -> Result<Engine, ServeError> {
-        Engine::start_with_chaos(model, cfg, ChaosPlan::default())
+        Engine::start_versioned(model, 1, cfg, ChaosPlan::default())
     }
 
-    /// [`Engine::start`] with a chaos plan wired into the decode loop.
-    /// The model is installed as version 1.
-    pub fn start_with_chaos(
-        model: Arc<CptGpt>,
-        cfg: ServeConfig,
-        chaos: ChaosPlan,
-    ) -> Result<Engine, ServeError> {
-        Engine::start_versioned(model, 1, cfg, chaos)
-    }
-
-    /// [`Engine::start_with_chaos`] with an explicit id for the initial
-    /// model version — the registry front end passes the live version id
-    /// recovered from disk so engine and manifest agree from the first
-    /// session.
+    /// [`Engine::start`] with an explicit id for the initial model version
+    /// and a chaos plan wired into the decode loop — the registry front
+    /// end passes the live version id recovered from disk so engine and
+    /// manifest agree from the first session.
     pub fn start_versioned(
         model: Arc<CptGpt>,
         version: u64,
@@ -642,7 +608,6 @@ impl Engine {
                 lifecycle: Mutex::new(LifecycleState {
                     live,
                     previous: None,
-                    staged: HashMap::new(),
                 }),
                 detach: Mutex::new(DetachState {
                     parked: HashMap::new(),
@@ -788,34 +753,33 @@ impl ServeHandle {
         self.core.shard_for(id.0)?.close_session(id.0)
     }
 
-    /// Mints a fresh detach capability and registers it (with an empty
-    /// session group) so the TTL clock starts now. The TCP front end calls
-    /// this when a client *arms* detach-on-disconnect, so the token exists
-    /// on the client side before any disconnect can happen.
+    /// Mints a fresh detach capability. It registers nothing: the engine
+    /// holds the token only once [`ServeHandle::park_sessions`] parks
+    /// sessions under it, and the TTL runs from then. The TCP front end
+    /// calls this when a client *arms* detach-on-disconnect, so the token
+    /// exists on the client side before any disconnect can happen.
+    ///
+    /// Unguessability comes from 128 bits of splitmix64-mixed wall clock
+    /// and nonce; uniqueness from the nonce alone, since splitmix64 is a
+    /// bijection and `lo` mixes `hi` with a distinct odd multiple of the
+    /// nonce, so two nonces with equal `hi` still differ in `lo`.
     pub fn mint_detach_token(&self) -> DetachToken {
-        let core = &self.core;
-        let token = {
-            let mut dt = core.lock_detach();
-            let token = core.mint_locked(&dt);
-            let expires_at = Instant::now() + Duration::from_secs(core.cfg.detach_ttl_secs);
-            dt.parked.insert(
-                token.0,
-                ParkedGroup {
-                    sessions: Vec::new(),
-                    expires_at,
-                },
-            );
-            token
-        };
-        core.reaper.notify_all();
-        token
+        let nonce = self.core.token_nonce.fetch_add(1, Ordering::Relaxed);
+        let now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0);
+        let hi = splitmix64(now ^ nonce.rotate_left(17));
+        let lo = splitmix64(hi ^ nonce.wrapping_mul(GOLDEN_GAMMA));
+        DetachToken(((hi as u128) << 64) | lo as u128)
     }
 
-    /// Parks `ids` under `token` (refreshing its TTL), detaching them from
-    /// delivery until [`ServeHandle::reattach`] presents the token again.
-    /// Parked sessions keep decoding until their bounded queue fills.
-    /// Unknown or already-detached ids are skipped (the disconnect path
-    /// races with closes); returns how many sessions were parked.
+    /// Parks `ids` under `token`, detaching them from delivery until
+    /// [`ServeHandle::reattach`] presents the token again; the token's TTL
+    /// starts now. Parked sessions keep decoding until their bounded queue
+    /// fills. Unknown or already-detached ids are skipped (the disconnect
+    /// path races with closes), and when none is left the token stays
+    /// unregistered; returns how many sessions were parked.
     pub fn park_sessions(
         &self,
         token: DetachToken,
@@ -831,51 +795,27 @@ impl ServeHandle {
             }
         }
         let n = parked.len();
-        {
-            let mut dt = core.lock_detach();
-            if parked.is_empty() {
-                // Nothing survived to park; the armed placeholder (if any)
-                // is useless now.
-                dt.parked.remove(&token.0);
-            } else {
-                let expires_at = Instant::now() + Duration::from_secs(core.cfg.detach_ttl_secs);
-                dt.parked.insert(
-                    token.0,
-                    ParkedGroup {
-                        sessions: parked,
-                        expires_at,
-                    },
-                );
-            }
+        if n == 0 {
+            return 0;
         }
+        let expires_at = Instant::now() + Duration::from_secs(core.cfg.detach_ttl_secs);
+        core.lock_detach().parked.insert(
+            token.0,
+            ParkedGroup {
+                sessions: parked,
+                expires_at,
+            },
+        );
         core.reaper.notify_all();
         core.metrics.add(Counter::SessionsDetached, n as u64);
         n
     }
 
-    /// Convenience for library users: mint a token and park `ids` under it
-    /// in one call. Fails with [`ServeError::UnknownSession`] (parking
-    /// nothing) if any id is not an open, attached session.
-    pub fn detach_sessions(&self, ids: &[SessionId]) -> Result<DetachToken, ServeError> {
-        for id in ids {
-            let attached = self
-                .core
-                .shard_for(id.0)
-                .map(|s| s.is_attached_open(id.0))
-                .unwrap_or(false);
-            if !attached {
-                return Err(ServeError::UnknownSession(id.0));
-            }
-        }
-        let token = self.mint_detach_token();
-        self.park_sessions(token, ids.iter().copied());
-        Ok(token)
-    }
-
     /// Redeems a detach token: the parked sessions re-attach (delivery
     /// resumes exactly where it stopped) and the token dies. Fails with
-    /// [`ServeError::UnknownToken`] when the token was never minted,
-    /// already redeemed, or expired.
+    /// [`ServeError::UnknownToken`] when the token was never minted, has
+    /// no session parked under it yet (it stays usable), was already
+    /// redeemed, or expired.
     pub fn reattach(&self, token: DetachToken) -> Result<Vec<SessionId>, ServeError> {
         let core = &self.core;
         let group = {
@@ -989,50 +929,33 @@ impl ServeHandle {
         self.core.lock_lifecycle().live.id
     }
 
-    /// Installed versions and their pinned-session counts (summed across
+    /// The live version, the rollback target, and any released version a
+    /// session still pins, with their pinned-session counts (summed across
     /// shards), sorted by id.
     pub fn sessions_per_version(&self) -> Vec<(u64, u64)> {
         self.core.sessions_per_version()
     }
 
-    /// Installs `model` under version `id` without promoting it: sessions
-    /// cannot open on it until [`ServeHandle::promote_version`]. Idempotent
-    /// when the id is already installed. The version's decode weights are
-    /// packed here, outside every engine lock.
-    pub fn install_version(&self, id: u64, model: Arc<CptGpt>) {
+    /// Makes `model` live as version `id`: new sessions open on it from
+    /// the moment this returns, while sessions pinned to the old live
+    /// version keep draining on it. The old version becomes the rollback
+    /// target, releasing any earlier one (freed once its last pinned
+    /// session ends). When `id` is the rollback target, that target's own
+    /// version goes live again, so the sessions still pinned to it and the
+    /// new ones share one version. The decode weights are packed here,
+    /// outside every engine lock. Returns the demoted version, or `None`
+    /// if `id` was already live.
+    pub fn promote_version(&self, id: u64, model: Arc<CptGpt>) -> Option<u64> {
         model.pack_decode_weights();
-        let mut lc = self.core.lock_lifecycle();
-        if !lc.installed().any(|v| v.id == id) {
-            let version = Version::new(id, model, Arc::downgrade(&self.core));
-            lc.staged.insert(id, version);
-        }
-    }
-
-    /// Removes an installed-but-never-promoted version (the cleanup path
-    /// when a registry promotion fails after the engine install). Refuses
-    /// — returning `false` — when the version is live or the rollback
-    /// target; a staged version has no pinned sessions.
-    pub fn uninstall_version(&self, id: u64) -> bool {
-        self.core.lock_lifecycle().staged.remove(&id).is_some()
-    }
-
-    /// Promotes installed version `id`: new sessions open on it from the
-    /// moment this returns, while sessions pinned to the old live version
-    /// keep draining on it. The old version becomes the rollback target,
-    /// releasing any earlier one (freed once its last pinned session
-    /// ends). Returns the demoted version, or `Ok(None)` if `id` was
-    /// already live.
-    pub fn promote_version(&self, id: u64) -> Result<Option<u64>, ServeError> {
         let core = &self.core;
         let mut lc = core.lock_lifecycle();
         if lc.live.id == id {
-            return Ok(None);
+            return None;
         }
         let next = lc
-            .staged
-            .remove(&id)
-            .or_else(|| lc.previous.take_if(|p| p.id == id))
-            .ok_or(ServeError::UnknownVersion(id))?;
+            .previous
+            .take_if(|p| p.id == id)
+            .unwrap_or_else(|| Version::new(id, model, Arc::downgrade(core)));
         let old = core.set_live_locked(&mut lc, next);
         let demoted = old.id;
         let displaced = lc.previous.replace(old);
@@ -1041,7 +964,7 @@ impl ServeHandle {
         if let Some(d) = displaced {
             d.release();
         }
-        Ok(Some(demoted))
+        Some(demoted)
     }
 
     /// Demotes the live version and re-promotes the previous one (the
@@ -1088,8 +1011,8 @@ impl ServeHandle {
 }
 
 /// The token reaper: sleeps until the next TTL expiry — with no token
-/// parked, until a token is minted or refreshed — and reclaims expired
-/// parked sessions, until the engine stops.
+/// parked, until sessions park — and reclaims expired parked sessions,
+/// until the engine stops.
 fn reaper_loop(core: &EngineCore) {
     let mut dt = core.lock_detach();
     while !dt.stopping {

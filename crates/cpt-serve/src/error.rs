@@ -40,8 +40,9 @@ pub enum ServeError {
     /// The engine is draining: existing sessions may finish and their
     /// events may still be fetched, but no new session is admitted.
     Draining,
-    /// The detach capability token is unknown, already redeemed, or its
-    /// TTL expired (the parked sessions were reclaimed).
+    /// The detach capability token is unknown, has no session parked
+    /// under it yet, was already redeemed, or its TTL expired (the parked
+    /// sessions were reclaimed).
     UnknownToken,
     /// The model layer rejected the session (bad params, untrained model).
     Generate(GenerateError),
@@ -49,8 +50,6 @@ pub enum ServeError {
     Io(std::io::Error),
     /// A model-registry operation failed (see [`crate::registry`]).
     Registry(crate::registry::RegistryError),
-    /// The model version id is not installed in the engine.
-    UnknownVersion(u64),
     /// Rollback requested but no previous version is retained.
     NoPreviousVersion,
     /// A lifecycle verb (`publish`/`rollback`/`finetune`) reached a server
@@ -93,9 +92,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Generate(e) => write!(f, "{e}"),
             ServeError::Io(e) => write!(f, "network error: {e}"),
             ServeError::Registry(e) => write!(f, "{e}"),
-            ServeError::UnknownVersion(id) => {
-                write!(f, "model version {id} is not installed")
-            }
             ServeError::NoPreviousVersion => {
                 write!(f, "no previous model version retained to roll back to")
             }

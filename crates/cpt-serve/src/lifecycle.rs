@@ -1,19 +1,20 @@
 //! The lifecycle director: the single owner of the model [`Registry`] at
 //! serve time.
 //!
-//! The engine knows nothing about disk — it serves whatever versions are
-//! installed in it. The registry knows nothing about sessions — it is a
+//! The engine knows nothing about disk — it serves whatever version was
+//! last made live in it. The registry knows nothing about sessions — it is a
 //! durable state machine over artifacts. The [`Director`] is the bridge:
 //! every `publish`/`rollback`/`finetune` verb flows through it, and it
 //! keeps the two sides convergent:
 //!
 //! - **publish** stages (or looks up) a candidate, runs the validation
 //!   gate (file checksum + checkpoint-load validation + deterministic
-//!   canary), installs the model in the engine, commits the durable
-//!   promotion, and only then flips the engine's live version. A crash
-//!   (or chaos-simulated crash) between the durable commit steps leaves
-//!   the old version serving and the candidate either staged or
-//!   quarantined — never a half-promoted hybrid.
+//!   canary), commits the durable promotion, and only then makes the
+//!   model live in the engine with one call. The engine holds nothing of
+//!   a candidate before that call, so a crash (or chaos-simulated crash)
+//!   between the durable commit steps leaves the old version serving and
+//!   the candidate either staged or quarantined — never a half-promoted
+//!   hybrid.
 //! - **engine → registry feedback** (version retirement when the last
 //!   pinned session drains, trip-wire demotions) arrives on the engine's
 //!   lifecycle hook, which may fire *under engine locks*. The director
@@ -108,7 +109,7 @@ impl Inner {
     }
 
     /// The gated promotion path shared by `publish` and `finetune`:
-    /// validate → install in engine → durable promote → engine promote.
+    /// validate → durable promote → engine promote.
     /// The registry lock is held across the whole sequence so publishes
     /// serialize; the engine's lifecycle hook never takes this lock
     /// in-line (see module docs), so this cannot deadlock.
@@ -129,33 +130,22 @@ impl Inner {
                 return Err(e.into());
             }
         };
-        self.handle.install_version(id, Arc::new(model));
         if let Some(delay) = self.chaos.publish_delay() {
             // Chaos: widen the window between validation and promotion so
             // concurrent session traffic can land inside it.
             std::thread::sleep(delay);
         }
-        match reg.promote(id) {
-            Ok(previous) => {
-                // Durable state has switched; now flip the engine. New
-                // sessions open on `id` from here on; pinned sessions
-                // keep draining on the displaced version.
-                self.handle.promote_version(id)?;
-                Ok(PublishOutcome {
-                    version: id,
-                    previous,
-                })
-            }
-            Err(e) => {
-                // The durable promotion did not happen (torn-commit chaos,
-                // IO failure): the old version must keep serving, so the
-                // staged in-engine copy is dropped. `uninstall_version`
-                // refuses if anything pinned it, which cannot happen for a
-                // never-promoted version.
-                self.handle.uninstall_version(id);
-                Err(e.into())
-            }
-        }
+        // A failed durable promotion (torn-commit chaos, IO failure) leaves
+        // the engine as it was: the old version keeps serving.
+        let previous = reg.promote(id)?;
+        // Durable state has switched; now flip the engine. New sessions
+        // open on `id` from here on; pinned sessions keep draining on the
+        // displaced version.
+        self.handle.promote_version(id, Arc::new(model));
+        Ok(PublishOutcome {
+            version: id,
+            previous,
+        })
     }
 }
 

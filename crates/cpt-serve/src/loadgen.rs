@@ -460,8 +460,8 @@ fn claim_attempt(
 /// detach was armed; otherwise the thread's open sessions are lost
 /// (counted as errors). The connection may still be open on the server (a
 /// read timed out, a response did not decode), and until it ends there the
-/// token holds no session: a reattach then would resume none. Returns the
-/// new connection, or `None` when the thread should give up.
+/// token names no parked session: a reattach then would be refused.
+/// Returns the new connection, or `None` when the thread should give up.
 fn handle_disconnect(
     cfg: &LoadgenConfig,
     tally: &Tally,

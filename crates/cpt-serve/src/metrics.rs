@@ -236,10 +236,10 @@ stats_snapshot! {
     shard_runnable_min: u64,
 }
 
-/// Pinned-session count for one installed model version.
+/// Pinned-session count for one model version the engine holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VersionSessions {
-    /// The installed version id.
+    /// The version id.
     pub version: u64,
     /// Open sessions pinned to it.
     pub sessions: u64,

@@ -165,8 +165,9 @@ frames! {
     /// its open sessions park under the token (TTL-bounded) instead of
     /// being closed.
     0x04 Detach "detach",
-    /// Present a detach token on a new connection, adopting the parked
-    /// sessions. Delivery resumes exactly where it stopped.
+    /// Present a detach token on a new connection, adopting the sessions
+    /// parked under it when its connection ended. Delivery resumes exactly
+    /// where it stopped.
     0x05 Reattach "reattach" {
         /// The 32-hex-digit token from `detached`.
         token: String,
@@ -297,8 +298,8 @@ pub struct VersionInfo {
     pub id: u64,
     /// Lifecycle state.
     pub state: VersionState,
-    /// Open sessions pinned to it in the engine (0 for versions not
-    /// installed).
+    /// Open sessions pinned to it in the engine (0 for versions the
+    /// engine does not hold).
     pub sessions: u64,
     /// Provenance note recorded at stage/quarantine time.
     pub note: String,
@@ -330,7 +331,8 @@ pub enum ErrorKind {
     ShuttingDown,
     /// The server is draining; existing sessions proceed, new opens fail.
     Draining,
-    /// The detach token is unknown, already redeemed, or expired.
+    /// The detach token is unknown, names no parked session yet (its
+    /// connection is still open), was already redeemed, or expired.
     UnknownToken,
     /// A model-lifecycle operation failed in the registry (corrupt
     /// artifact, failed validation gate, crash-window fault).
@@ -394,7 +396,6 @@ impl From<&ServeError> for ErrorKind {
             ServeError::Registry(RegistryError::UnknownVersion(_)) => ErrorKind::UnknownVersion,
             ServeError::Registry(RegistryError::NoPreviousVersion) => ErrorKind::NoPreviousVersion,
             ServeError::Registry(_) => ErrorKind::Registry,
-            ServeError::UnknownVersion(_) => ErrorKind::UnknownVersion,
             ServeError::NoPreviousVersion => ErrorKind::NoPreviousVersion,
             ServeError::NoRegistry => ErrorKind::NoRegistry,
             ServeError::FineTuneBusy => ErrorKind::Busy,
@@ -426,10 +427,6 @@ mod tests {
         assert_eq!(
             ErrorKind::from(&ServeError::NoPreviousVersion),
             ErrorKind::NoPreviousVersion
-        );
-        assert_eq!(
-            ErrorKind::from(&ServeError::UnknownVersion(4)),
-            ErrorKind::UnknownVersion
         );
         assert_eq!(
             ErrorKind::from(&ServeError::Registry(RegistryError::UnknownVersion(4))),

@@ -179,7 +179,10 @@ impl Server {
     /// back on exactly what the last successful promotion published.
     pub fn bind(model: Arc<CptGpt>, cfg: ServerConfig) -> Result<Server, ServeError> {
         let (engine, director) = match &cfg.registry {
-            None => (Engine::start_with_chaos(model, cfg.serve, cfg.chaos)?, None),
+            None => (
+                Engine::start_versioned(model, 1, cfg.serve, cfg.chaos)?,
+                None,
+            ),
             Some(root) => {
                 let (mut registry, report) = Registry::open_with_chaos(root, cfg.chaos)?;
                 let (version, live_model) = if registry.is_empty() {

@@ -379,15 +379,6 @@ impl ShardShared {
         Ok(())
     }
 
-    /// True when `id` is an open, attached session on this shard.
-    pub(crate) fn is_attached_open(&self, id: u64) -> bool {
-        self.lock_state()
-            .sessions
-            .get(&id)
-            .map(|s| !s.closed && !s.detached)
-            .unwrap_or(false)
-    }
-
     /// Marks a session detached (parked under a token). Returns false
     /// for unknown/closed/already-detached ids.
     pub(crate) fn mark_detached(&self, id: u64) -> bool {
@@ -671,7 +662,7 @@ pub(crate) fn worker_loop(shard: &ShardShared) {
     let chaos = shard.chaos;
     // One BatchDecoder per model version this worker has recently served:
     // during a hot-swap drain old and new versions decode side by side.
-    // Keyed by identity, not id (a released version's id can be installed
+    // Keyed by identity, not id (a released version's id can be promoted
     // again while sessions still pin the old one) and held weakly, so the
     // cache never pins a version; an entry goes with its version — steady
     // state is a single entry.

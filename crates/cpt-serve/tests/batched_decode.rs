@@ -29,7 +29,7 @@ fn run_engine(
     all_params: &[StreamParams],
     stagger: bool,
 ) -> (Vec<Vec<SessionEvent>>, StatsSnapshot) {
-    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_versioned(fixture_model(), 1, cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let n = all_params.len();
     let mut ids: Vec<Option<SessionId>> = vec![None; n];

@@ -28,7 +28,7 @@ fn run_engine(
         queue_capacity: 8,
         ..ServeConfig::new(workers)
     };
-    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_versioned(fixture_model(), 1, cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let ids: Vec<SessionId> = all_params
         .iter()
@@ -121,7 +121,7 @@ fn single_worker_survives_a_contained_panic() {
         slice_budget: 4,
         ..ServeConfig::new(1)
     };
-    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_versioned(fixture_model(), 1, cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let doomed = handle
         .open_session(StreamParams::new(7))
@@ -324,7 +324,8 @@ fn reattached_sessions_resume_byte_identically() {
         .next_events(id, 3, Duration::from_secs(10))
         .expect("partial delivery");
     assert!(!before.finished, "fixture session must outlive the prefix");
-    let token = handle.detach_sessions(&[id]).expect("detach");
+    let token = handle.mint_detach_token();
+    assert_eq!(handle.park_sessions(token, [id]), 1);
 
     // While parked the session is unreachable to ordinary consumers...
     assert!(matches!(
@@ -367,7 +368,8 @@ fn expired_detach_tokens_are_reaped() {
     let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let id = handle.open_session(StreamParams::new(3)).expect("admitted");
-    let token = handle.detach_sessions(&[id]).expect("detach");
+    let token = handle.mint_detach_token();
+    assert_eq!(handle.park_sessions(token, [id]), 1);
     assert_eq!(handle.sessions_open(), 1, "parked sessions stay open");
 
     // Past the TTL the reaper reclaims the slot and the token dies.
@@ -407,7 +409,7 @@ fn reaper_with_huge_ttl_does_not_delay_shutdown() {
     let engine = Engine::start(fixture_model(), cfg).expect("starts");
     let handle = engine.handle();
     let id = handle.open_session(StreamParams::new(3)).expect("admitted");
-    let _token = handle.detach_sessions(&[id]).expect("detach");
+    assert_eq!(handle.park_sessions(handle.mint_detach_token(), [id]), 1);
 
     let begin = Instant::now();
     engine.shutdown();
@@ -427,9 +429,29 @@ fn bogus_tokens_are_typed_errors() {
         handle.reattach(cpt_serve::DetachToken(0xDEAD_BEEF)),
         Err(ServeError::UnknownToken)
     ));
+    engine.shutdown();
+}
+
+/// A token is armed before its connection ends and registered only when
+/// that connection parks its sessions: presented while the session is
+/// still attached it is unknown, and it stays usable, so once the session
+/// parks the same token brings it back.
+#[test]
+fn an_armed_token_is_unknown_until_its_sessions_park() {
+    let engine = Engine::start(fixture_model(), ServeConfig::new(1)).expect("starts");
+    let handle = engine.handle();
+    let params = StreamParams::new(21).streams(2);
+    let id = handle.open_session(params).expect("admitted");
+    let token = handle.mint_detach_token();
     assert!(matches!(
-        handle.detach_sessions(&[SessionId(999)]),
-        Err(ServeError::UnknownSession(999))
+        handle.reattach(token),
+        Err(ServeError::UnknownToken)
     ));
+    assert_eq!(handle.park_sessions(token, [id]), 1);
+    assert_eq!(handle.reattach(token).expect("token redeems"), [id]);
+    assert_eq!(
+        drain_session(&handle, id, 16),
+        served_reference(&fixture_model(), params)
+    );
     engine.shutdown();
 }

@@ -246,6 +246,11 @@ fn crash_in_promote_commit_window_recovers_to_last_durable_version() {
     );
     assert_eq!(handle.live_version(), 1, "the engine must not half-promote");
     assert_eq!(
+        handle.sessions_per_version(),
+        [(1, 1)],
+        "the engine holds nothing of the candidate"
+    );
+    assert_eq!(
         drain_session(&handle, id, 16),
         served_reference(&fixture_model(), p)
     );

@@ -1,4 +1,4 @@
-//! The engine packs a version's decode weights when it installs the
+//! The engine packs a version's decode weights when it promotes the
 //! version, never on the request path, and each version keeps its own
 //! panels: during a hot-swap two versions with different weights are live
 //! at once, sessions pinned to the old one keep producing the old one's
@@ -68,7 +68,7 @@ fn cold_reference(model: &CptGpt, params: StreamParams) -> Vec<DecodedEvent> {
 }
 
 #[test]
-fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
+fn promote_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
     let v1 = Arc::new(model(false));
     let v2 = Arc::new(model(true));
     assert_eq!(v1.store.packed_floats(), 0, "training packs nothing");
@@ -104,13 +104,12 @@ fn install_packs_each_version_once_and_pinned_sessions_keep_their_bits() {
         .collect();
 
     assert_eq!(v2.store.packed_floats(), 0);
-    handle.install_version(2, Arc::clone(&v2));
+    assert_eq!(handle.promote_version(2, Arc::clone(&v2)), Some(1));
     assert_eq!(
         v2.store.packed_floats(),
         packed,
-        "install packs every decode weight of the new version"
+        "promote packs every decode weight of the new version"
     );
-    assert_eq!(handle.promote_version(2).expect("promote"), Some(1));
 
     let new_params = StreamParams::new(777).streams(2);
     assert_ne!(

@@ -216,7 +216,8 @@ fn detach_reattach_spans_shards() {
             .expect("partial drain");
         prefixes.push(b.events.iter().map(|e| *e.data().expect("data")).collect());
     }
-    let token = handle.detach_sessions(&ids).expect("detach all");
+    let token = handle.mint_detach_token();
+    assert_eq!(handle.park_sessions(token, ids.iter().copied()), ids.len());
     let mut back = handle.reattach(token).expect("reattach");
     back.sort();
     let mut want = ids.clone();
@@ -307,8 +308,7 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
             .expect("partial drain");
     }
 
-    handle.install_version(2, fixture_model_v2());
-    assert_eq!(handle.promote_version(2).expect("promote"), Some(1));
+    assert_eq!(handle.promote_version(2, fixture_model_v2()), Some(1));
     assert_eq!(handle.live_version(), 2);
     let per: Vec<(u64, u64)> = handle.sessions_per_version();
     assert_eq!(
@@ -364,10 +364,8 @@ fn promote_and_rollback_with_sessions_pinned_across_shards() {
 
     // Promoting twice displaces the older rollback target, which retires
     // once unpinned: after promote(3) then promote(4), v1 is gone.
-    handle.install_version(3, fixture_model_v2());
-    assert_eq!(handle.promote_version(3).expect("promote v3"), Some(1));
-    handle.install_version(4, fixture_model());
-    assert_eq!(handle.promote_version(4).expect("promote v4"), Some(3));
+    assert_eq!(handle.promote_version(3, fixture_model_v2()), Some(1));
+    assert_eq!(handle.promote_version(4, fixture_model()), Some(3));
     let per = handle.sessions_per_version();
     assert!(
         !per.iter().any(|(v, _)| *v == 1),
@@ -404,11 +402,10 @@ fn await_events(events: &Mutex<Vec<LifecycleEvent>>, n: usize) -> Vec<LifecycleE
 /// One version lifecycle through the public API: v1 is pinned by one
 /// session, becomes the rollback target on promote(2), is released by
 /// promote(3), and must retire exactly when `ending` disposes that
-/// session — never earlier, never twice. Along the way: a staged version
-/// removed by `uninstall_version`, the live version and the rollback
-/// target never retire, a released version nothing pins retires at once,
-/// and dropping the engine retires nothing, even a released version that
-/// is still pinned.
+/// session — never earlier, never twice. Along the way: the live version
+/// and the rollback target never retire, a released version nothing pins
+/// retires at once, and dropping the engine retires nothing, even a
+/// released version that is still pinned.
 fn retire_on(shards: usize, ending: Ending) {
     let chaos = match ending {
         // Every slice is held for a second before it publishes, so a
@@ -426,7 +423,7 @@ fn retire_on(shards: usize, ending: Ending) {
         detach_ttl_secs: 1,
         ..ServeConfig::new(shards)
     };
-    let engine = Engine::start_with_chaos(fixture_model(), cfg, chaos).expect("engine starts");
+    let engine = Engine::start_versioned(fixture_model(), 1, cfg, chaos).expect("engine starts");
     let handle = engine.handle();
     let events: Arc<Mutex<Vec<LifecycleEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
@@ -448,12 +445,8 @@ fn retire_on(shards: usize, ending: Ending) {
             .expect("first event");
     }
 
-    handle.install_version(2, fixture_model_v2());
-    handle.install_version(9, fixture_model_v2());
-    assert_eq!(handle.promote_version(2).expect("promote v2"), Some(1));
-    handle.install_version(3, fixture_model());
-    assert_eq!(handle.promote_version(3).expect("promote v3"), Some(2));
-    assert!(handle.uninstall_version(9), "staged v9 uninstalls");
+    assert_eq!(handle.promote_version(2, fixture_model_v2()), Some(1));
+    assert_eq!(handle.promote_version(3, fixture_model()), Some(2));
     assert!(
         handle.sessions_per_version().contains(&(1, 1)),
         "released v1 stays listed while pinned ({ctx})"
@@ -475,7 +468,8 @@ fn retire_on(shards: usize, ending: Ending) {
             );
         }
         Ending::Reaped => {
-            handle.detach_sessions(&[pinned]).expect("detach");
+            let token = handle.mint_detach_token();
+            assert_eq!(handle.park_sessions(token, [pinned]), 1);
         }
     }
     assert_eq!(
@@ -494,10 +488,8 @@ fn retire_on(shards: usize, ending: Ending) {
     handle
         .open_session(StreamParams::new(77))
         .expect("open on v3");
-    handle.install_version(4, fixture_model_v2());
-    handle.promote_version(4).expect("promote v4");
-    handle.install_version(5, fixture_model());
-    handle.promote_version(5).expect("promote v5");
+    handle.promote_version(4, fixture_model_v2());
+    handle.promote_version(5, fixture_model());
     let want = [LifecycleEvent::Retired(1), LifecycleEvent::Retired(2)];
     assert_eq!(
         await_events(&events, 2),
@@ -539,13 +531,12 @@ fn trip_wire_releases_the_demoted_version() {
         ..ChaosPlan::default()
     };
     let engine =
-        Engine::start_with_chaos(fixture_model(), ServeConfig::new(1), chaos).expect("starts");
+        Engine::start_versioned(fixture_model(), 1, ServeConfig::new(1), chaos).expect("starts");
     let handle = engine.handle();
     let events: Arc<Mutex<Vec<LifecycleEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
     handle.set_lifecycle_hook(move |ev| sink.lock().expect("events lock").push(ev));
-    handle.install_version(2, fixture_model_v2());
-    handle.promote_version(2).expect("promote v2");
+    handle.promote_version(2, fixture_model_v2());
 
     let id = handle
         .open_session(StreamParams::new(5))

@@ -109,6 +109,14 @@ pub fn fnv1a_x4_continue(mut h: [u64; 4], lanes: [&[u8]; 4]) -> [u64; 4] {
     h
 }
 
+/// The [`GROUP_BLOCKS`] lanes of a group of `n` (1 to 4) blocks: block
+/// `k` in lane `k`, and lanes past `n` repeat block 0. An empty lane would
+/// end [`fnv1a_x4_continue`]'s shared loop at once, and a short group
+/// would then hash at one chain's rate.
+fn group_lanes<T>(n: usize, block: impl Fn(usize) -> T) -> [T; GROUP_BLOCKS] {
+    std::array::from_fn(|k| block(if k < n { k } else { 0 }))
+}
+
 #[inline]
 fn align8(n: u64) -> u64 {
     (n + 7) & !7
@@ -421,8 +429,7 @@ impl ColumnarWriter {
     fn write_cut(&mut self) -> Result<(), CtbError> {
         let cut = &mut self.ring[..self.cut];
         let sums = {
-            let lanes: [&RingBlock; GROUP_BLOCKS] =
-                std::array::from_fn(|k| cut.get(k).unwrap_or(&cut[0]));
+            let lanes: [&RingBlock; GROUP_BLOCKS] = group_lanes(cut.len(), |k| &cut[k]);
             let mut h = [FNV_OFFSET; GROUP_BLOCKS];
             h = fnv1a_x4_continue(h, lanes.map(|b| &b.types[..]));
             h = fnv1a_x4_continue(h, lanes.map(RingBlock::pad));
@@ -907,12 +914,11 @@ impl ColumnarReader {
         let mut first = blocks.start;
         while first < blocks.end {
             let n = (blocks.end - first).min(GROUP_BLOCKS);
-            let mut lanes: [&[u8]; GROUP_BLOCKS] = [&[]; GROUP_BLOCKS];
-            for (k, lane) in lanes.iter_mut().take(n).enumerate() {
+            let lanes: [&[u8]; GROUP_BLOCKS] = group_lanes(n, |k| {
                 let e = self.block_entry(first + k);
                 let start = e.byte_offset as usize;
-                *lane = &self.map.bytes()[start..start + e.payload_len() as usize];
-            }
+                &self.map.bytes()[start..start + e.payload_len() as usize]
+            });
             let sums = fnv1a_x4(lanes);
             for (k, (payload, sum)) in lanes.iter().zip(sums).take(n).enumerate() {
                 let b = first + k;
