@@ -2,7 +2,7 @@
 //! under the stage supervisor (see `cpt_bench::suite`).
 //!
 //! ```text
-//! experiments [options] <command> [command...]
+//! experiments --out DIR [options] <command> [command...]
 //!
 //! commands:
 //!   table3 table4 table5 table6 table7 table8 table9 table10 table11
@@ -11,8 +11,8 @@
 //!   all          every table/figure plus both extra ablations
 //!
 //! options:
+//!   --out DIR                 results directory (required)
 //!   --scale quick|full|tiny   run sizes (default quick)
-//!   --out DIR                 results directory (default results/)
 //!   --resume                  skip stages manifest.json records completed
 //!   --keep-going              run later stages after a failure (exit 8)
 //!   --inject-fail STAGE       fail STAGE instead of running it (drills)
@@ -20,13 +20,15 @@
 //! exit codes:
 //!   0  every requested stage completed
 //!   1  no stage completed (or a supervisor-level IO failure)
-//!   2  usage error — rejected before any stage runs
+//!   2  usage error (a missing --out among them) — rejected before any
+//!      stage runs or any directory is created
 //!   8  partial success: some stages completed, some failed
 //! ```
 //!
 //! Results are printed and mirrored into the output directory; the run is
 //! recorded stage-by-stage in `<out>/manifest.json` and summarized in
-//! `<out>/run_report.txt`. Trained models are cached under `<out>/cache/`
+//! `<out>/run_report.txt`. There is no default directory, so a run never
+//! writes over the committed `results/` unless it names it. Trained models are cached under `<out>/cache/`
 //! and reused by `--resume`. A failed stage is not retried: running it
 //! again is another invocation, usually with `--resume`.
 
@@ -36,7 +38,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: experiments [--scale quick|full|tiny] [--out DIR] [--resume] [--keep-going]\n\
+        "usage: experiments --out DIR [--scale quick|full|tiny] [--resume] [--keep-going]\n\
          \u{20}                  [--inject-fail STAGE] <command...>\n\
          commands: table3 table4 table5 table6 table7 table8 table9 table10 table11\n\
          \u{20}         fig2 fig5 fig6 fig7 downstream ablation-logscale ablation-batchgen all\n\
@@ -47,7 +49,8 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let mut cfg = SuiteConfig::new(Scale::quick(), "results");
+    let mut cfg = SuiteConfig::new(Scale::quick(), "");
+    let mut out_dir = None;
     let mut commands: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -67,7 +70,7 @@ fn main() -> ExitCode {
                 let Some(dir) = args.next() else {
                     return usage();
                 };
-                cfg.out_dir = dir.into();
+                out_dir = Some(dir);
             }
             "--resume" => cfg.resume = true,
             "--keep-going" => cfg.keep_going = true,
@@ -88,6 +91,11 @@ fn main() -> ExitCode {
     if commands.is_empty() {
         return usage();
     }
+    let Some(out_dir) = out_dir else {
+        eprintln!("missing --out DIR: name the results directory");
+        return usage();
+    };
+    cfg.out_dir = out_dir.into();
     match suite::run_stages(&cfg, &commands) {
         Ok(report) => ExitCode::from(report.exit_code()),
         Err(SuiteError::Config { what }) => {

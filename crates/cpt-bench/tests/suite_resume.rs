@@ -210,10 +210,20 @@ fn unknown_command_is_rejected_before_any_stage_runs() {
 
 #[test]
 fn bad_flags_are_usage_errors() {
-    let out = run(&["--scale", "galactic", "table3"]);
+    // Each run names an output directory, so the flag under test is what
+    // is rejected, not the missing `--out`.
+    let scratch = Scratch::new("badflags");
+    let out_dir = scratch.path("results");
+    let dir = out_dir.to_string_lossy().into_owned();
+    let out = run(&["--out", &dir, "--scale", "galactic", "table3"]);
     assert_eq!(exit_code(&out), 2);
-    let out = run(&["--inject-fail", "nosuchstage", "table3"]);
+    let out = run(&["--out", &dir, "--inject-fail", "nosuchstage", "table3"]);
     assert_eq!(exit_code(&out), 2, "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("nosuchstage"),
+        "{}",
+        stderr_of(&out)
+    );
     // The suite has no retry knobs, and a fault names a stage, not a
     // count of failing attempts.
     for args in [
@@ -222,9 +232,13 @@ fn bad_flags_are_usage_errors() {
         &["--stage-budget-secs", "5", "table3"],
         &["--inject-fail", "table3:1", "table3"],
     ] {
-        let out = run(args);
+        let out = run(&[&["--out", dir.as_str()][..], args].concat());
         assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr_of(&out));
     }
-    let out = run(&[]);
+    let out = run(&["--out", &dir]);
     assert_eq!(exit_code(&out), 2, "no commands is a usage error");
+    assert!(
+        !out_dir.exists(),
+        "usage errors must not create the directory"
+    );
 }

@@ -59,10 +59,6 @@ pub struct ChaosPlan {
     /// it is written but before validation, so the validation gate must
     /// catch it. The byte position comes from `seed`.
     pub corrupt_candidate: Option<u64>,
-    /// Fine-tune fault: panic fine-tune job N (1-based job id) inside its
-    /// supervised task, proving the serving model is untouched and the
-    /// failure is typed.
-    pub panic_finetune: Option<u64>,
     /// Widens the publish window: sleep this long between validation and
     /// promotion, so a concurrent drain/close race has room to land.
     /// 0 = off.
@@ -83,7 +79,6 @@ impl ChaosPlan {
             && self.drop_connection.is_none()
             && self.crash_manifest_commit.is_none()
             && self.corrupt_candidate.is_none()
-            && self.panic_finetune.is_none()
             && self.publish_delay_ms == 0
             && self.poison_session.is_none()
     }
@@ -127,12 +122,6 @@ impl ChaosPlan {
     /// corrupted on disk before validation?
     pub fn corrupts_candidate(&self, stage_idx: u64) -> bool {
         self.corrupt_candidate == Some(stage_idx)
-    }
-
-    /// Should fine-tune job `job` (1-based) panic inside its supervised
-    /// task?
-    pub fn panics_finetune(&self, job: u64) -> bool {
-        self.panic_finetune == Some(job)
     }
 
     /// The deliberate publish-window delay between validation and
@@ -183,7 +172,6 @@ mod tests {
         let p = ChaosPlan {
             crash_manifest_commit: Some(3),
             corrupt_candidate: Some(2),
-            panic_finetune: Some(1),
             publish_delay_ms: 5,
             poison_session: Some(7),
             poison_at_event: 4,
@@ -192,7 +180,6 @@ mod tests {
         assert!(!p.is_noop());
         assert!(!p.crash_at_commit(2) && p.crash_at_commit(3) && !p.crash_at_commit(4));
         assert!(!p.corrupts_candidate(1) && p.corrupts_candidate(2));
-        assert!(p.panics_finetune(1) && !p.panics_finetune(2));
         assert_eq!(p.publish_delay(), Some(Duration::from_millis(5)));
         assert!(!p.should_poison(7, 3), "below the event threshold");
         assert!(p.should_poison(7, 4) && p.should_poison(7, 9));

@@ -776,10 +776,13 @@ impl ServeHandle {
 
     /// Parks `ids` under `token`, detaching them from delivery until
     /// [`ServeHandle::reattach`] presents the token again; the token's TTL
-    /// starts now. Parked sessions keep decoding until their bounded queue
-    /// fills. Unknown or already-detached ids are skipped (the disconnect
-    /// path races with closes), and when none is left the token stays
-    /// unregistered; returns how many sessions were parked.
+    /// starts at its first park. A later park under the same token joins
+    /// that group and keeps its `expires_at`, so one reattach returns
+    /// every session parked under the token and the token never outlives
+    /// its first TTL. Parked sessions keep decoding until their bounded
+    /// queue fills. Unknown or already-detached ids are skipped (the
+    /// disconnect path races with closes), and when none is left the token
+    /// stays as it was; returns how many sessions were parked.
     pub fn park_sessions(
         &self,
         token: DetachToken,
@@ -799,13 +802,15 @@ impl ServeHandle {
             return 0;
         }
         let expires_at = Instant::now() + Duration::from_secs(core.cfg.detach_ttl_secs);
-        core.lock_detach().parked.insert(
-            token.0,
-            ParkedGroup {
-                sessions: parked,
+        core.lock_detach()
+            .parked
+            .entry(token.0)
+            .or_insert_with(|| ParkedGroup {
+                sessions: Vec::new(),
                 expires_at,
-            },
-        );
+            })
+            .sessions
+            .extend(parked);
         core.reaper.notify_all();
         core.metrics.add(Counter::SessionsDetached, n as u64);
         n
@@ -995,18 +1000,9 @@ impl ServeHandle {
     }
 
     /// Counts one lifecycle event the engine does not see itself: a
-    /// candidate quarantined by the registry validation gate, or a
-    /// fine-tune job starting, publishing or failing. A job's end also
-    /// takes it off the `finetunes_running` gauge.
+    /// candidate quarantined by the registry validation gate.
     pub(crate) fn count(&self, counter: Counter) {
-        let metrics = &self.core.metrics;
-        if matches!(
-            counter,
-            Counter::FinetunesCompleted | Counter::FinetunesFailed
-        ) {
-            metrics.add(Counter::FinetunesRunning, 1u64.wrapping_neg());
-        }
-        metrics.add(counter, 1);
+        self.core.metrics.add(counter, 1);
     }
 }
 

@@ -52,12 +52,9 @@ pub enum ServeError {
     Registry(crate::registry::RegistryError),
     /// Rollback requested but no previous version is retained.
     NoPreviousVersion,
-    /// A lifecycle verb (`publish`/`rollback`/`finetune`) reached a server
+    /// A lifecycle verb (`publish`/`rollback`/`versions`) reached a server
     /// started without `--registry`.
     NoRegistry,
-    /// A fine-tune job is already running; one supervised background task
-    /// at a time keeps the trainer's CPU use bounded.
-    FineTuneBusy,
 }
 
 impl std::fmt::Display for ServeError {
@@ -100,9 +97,6 @@ impl std::fmt::Display for ServeError {
                     f,
                     "model-lifecycle verbs need a registry; start the server with --registry"
                 )
-            }
-            ServeError::FineTuneBusy => {
-                write!(f, "a fine-tune job is already running")
             }
         }
     }

@@ -56,7 +56,7 @@ pub use engine::{
     SessionEvent, SessionId,
 };
 pub use error::ServeError;
-pub use lifecycle::{Director, FineTuneSpec, PublishOutcome};
+pub use lifecycle::{Director, PublishOutcome};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::{LatencyHistogram, StatsSnapshot};
 pub use registry::{

@@ -4,8 +4,8 @@
 //! The engine knows nothing about disk — it serves whatever version was
 //! last made live in it. The registry knows nothing about sessions — it is a
 //! durable state machine over artifacts. The [`Director`] is the bridge:
-//! every `publish`/`rollback`/`finetune` verb flows through it, and it
-//! keeps the two sides convergent:
+//! every `publish`/`rollback` verb flows through it, and it keeps the two
+//! sides convergent:
 //!
 //! - **publish** stages (or looks up) a candidate, runs the validation
 //!   gate (file checksum + checkpoint-load validation + deterministic
@@ -14,7 +14,9 @@
 //!   a candidate before that call, so a crash (or chaos-simulated crash)
 //!   between the durable commit steps leaves the old version serving and
 //!   the candidate either staged or quarantined — never a half-promoted
-//!   hybrid.
+//!   hybrid. Publish is the one way a candidate enters a serving
+//!   registry: a fine-tuned model is the output of an offline `cptgen
+//!   train --from BASE.cmb` run, published like any other model file.
 //! - **engine → registry feedback** (version retirement when the last
 //!   pinned session drains, trip-wire demotions) arrives on the engine's
 //!   lifecycle hook, which may fire *under engine locks*. The director
@@ -23,13 +25,6 @@
 //!   thread applies the durable transition. This breaks the AB-BA cycle
 //!   between the registry mutex (held across publish) and the engine
 //!   state lock (held while hooks fire).
-//! - **finetune** runs the deterministic trainer in a supervised
-//!   background thread: a panic is contained with `catch_unwind`, and
-//!   divergence is recovered by the trainer's own watchdog, the one
-//!   recovery layer. A job that still fails is a failed job; the retry is
-//!   another `finetune` request. The result — success or typed failure —
-//!   never disturbs the serving model except through the same gated
-//!   publish path.
 
 #![deny(clippy::unwrap_used)]
 
@@ -38,11 +33,7 @@ use crate::engine::{LifecycleEvent, ServeHandle};
 use crate::error::ServeError;
 use crate::metrics::Counter;
 use crate::registry::{Registry, RegistryError, VersionRecord};
-use cpt_gpt::transfer::{fine_tune, FineTuneConfig};
-use cpt_gpt::{panic_message, with_training_set, TrainConfig};
-use cpt_trace::AnyTrace;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -55,39 +46,17 @@ pub struct PublishOutcome {
     pub previous: Option<u64>,
 }
 
-/// A supervised online fine-tune request.
-#[derive(Debug, Clone)]
-pub struct FineTuneSpec {
-    /// Path to the adaptation trace (JSON-lines dataset).
-    pub trace: String,
-    /// Base epochs before the fine-tune fraction is applied
-    /// (default 4; always at least 1 after scaling).
-    pub epochs: Option<usize>,
-    /// Training seed (default 0).
-    pub seed: Option<u64>,
-}
-
 /// Messages for the lifecycle-persistence thread.
 enum DirectorMsg {
     Event(LifecycleEvent),
     Stop,
 }
 
-/// Shared state between the director, the persistence thread, and the
-/// fine-tune thread.
+/// Shared state between the director and the persistence thread.
 struct Inner {
     registry: Mutex<Registry>,
     handle: ServeHandle,
     chaos: ChaosPlan,
-    /// One supervised fine-tune at a time; `swap(true)` is the admission.
-    finetune_busy: AtomicBool,
-    /// Monotonic job ids returned by [`Director::finetune`] (1-based),
-    /// also the chaos coordinate for [`ChaosPlan::panics_finetune`].
-    finetune_seq: AtomicU64,
-    /// The last fine-tune failure, for `versions` reporting; cleared by
-    /// the next success.
-    last_finetune_error: Mutex<Option<String>>,
-    finetune_join: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Inner {
@@ -101,15 +70,8 @@ impl Inner {
         }
     }
 
-    fn lock_last_error(&self) -> MutexGuard<'_, Option<String>> {
-        match self.last_finetune_error.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The gated promotion path shared by `publish` and `finetune`:
-    /// validate → durable promote → engine promote.
+    /// The gated promotion path of both publish verbs: validate →
+    /// durable promote → engine promote.
     /// The registry lock is held across the whole sequence so publishes
     /// serialize; the engine's lifecycle hook never takes this lock
     /// in-line (see module docs), so this cannot deadlock.
@@ -150,7 +112,7 @@ impl Inner {
 }
 
 /// The model-lifecycle front end: owns the registry, mediates every
-/// publish/rollback/finetune, and persists engine-originated transitions
+/// publish and rollback, and persists engine-originated transitions
 /// (retirement, trip-wire demotions) from a dedicated thread.
 pub struct Director {
     inner: Arc<Inner>,
@@ -172,10 +134,6 @@ impl Director {
             registry: Mutex::new(registry),
             handle,
             chaos,
-            finetune_busy: AtomicBool::new(false),
-            finetune_seq: AtomicU64::new(0),
-            last_finetune_error: Mutex::new(None),
-            finetune_join: Mutex::new(None),
         });
         let (tx, rx) = mpsc::channel();
         let thread_inner = Arc::clone(&inner);
@@ -235,79 +193,18 @@ impl Director {
         }
     }
 
-    /// Starts a supervised background fine-tune; returns the job id
-    /// immediately. Only one job runs at a time ([`ServeError::FineTuneBusy`]).
-    pub fn finetune(&self, spec: FineTuneSpec) -> Result<u64, ServeError> {
-        if self.inner.finetune_busy.swap(true, Ordering::SeqCst) {
-            return Err(ServeError::FineTuneBusy);
-        }
-        // Reap the previous job's thread so handles never accumulate.
-        if let Some(h) = self.take_finetune_join() {
-            let _ = h.join();
-        }
-        let job = self.inner.finetune_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inner.handle.count(Counter::FinetunesRunning);
-        let inner = Arc::clone(&self.inner);
-        let spawned = std::thread::Builder::new()
-            .name(format!("cpt-serve-finetune-{job}"))
-            .spawn(move || {
-                match run_finetune(&inner, job, &spec) {
-                    Ok(_) => {
-                        *inner.lock_last_error() = None;
-                        inner.handle.count(Counter::FinetunesCompleted);
-                    }
-                    Err(msg) => {
-                        *inner.lock_last_error() = Some(msg);
-                        inner.handle.count(Counter::FinetunesFailed);
-                    }
-                }
-                inner.finetune_busy.store(false, Ordering::SeqCst);
-            });
-        match spawned {
-            Ok(h) => {
-                *lock_join(&self.inner.finetune_join) = Some(h);
-                Ok(job)
-            }
-            Err(e) => {
-                self.inner.handle.count(Counter::FinetunesFailed);
-                self.inner.finetune_busy.store(false, Ordering::SeqCst);
-                Err(ServeError::Io(e))
-            }
-        }
-    }
-
-    /// Registry snapshot for the `versions` verb: the live id, every
-    /// manifest record, and the last fine-tune failure (if any).
-    pub fn versions(&self) -> (Option<u64>, Vec<VersionRecord>, Option<String>) {
+    /// Registry snapshot for the `versions` verb: the live id and every
+    /// manifest record.
+    pub fn versions(&self) -> (Option<u64>, Vec<VersionRecord>) {
         let reg = self.inner.lock_registry();
-        let live = reg.live();
-        let records = reg.manifest().versions.clone();
-        drop(reg);
-        let last_err = self.inner.lock_last_error().clone();
-        (live, records, last_err)
+        (reg.live(), reg.manifest().versions.clone())
     }
 
-    /// Blocks until an in-flight fine-tune (if any) finishes. Test/CLI
-    /// helper; the serve path polls stats instead.
-    pub fn join_finetune(&self) {
-        if let Some(h) = self.take_finetune_join() {
-            let _ = h.join();
-        }
-    }
-
-    fn take_finetune_join(&self) -> Option<JoinHandle<()>> {
-        lock_join(&self.inner.finetune_join).take()
-    }
-
-    /// Orderly stop: join any in-flight fine-tune (it publishes through
-    /// the normal gate), then drain and stop the persistence thread. The
-    /// engine hook stays installed but its sends go nowhere once the
-    /// receiver is gone — a late event after shutdown is dropped, and the
-    /// next `Registry::open` reconciles states from the manifest.
+    /// Orderly stop: drain and stop the persistence thread. The engine
+    /// hook stays installed but its sends go nowhere once the receiver is
+    /// gone — a late event after shutdown is dropped, and the next
+    /// `Registry::open` reconciles states from the manifest.
     pub fn shutdown(&self) {
-        if let Some(h) = self.take_finetune_join() {
-            let _ = h.join();
-        }
         let _ = self.tx.send(DirectorMsg::Stop);
         let join = match self.events_join.lock() {
             Ok(mut g) => g.take(),
@@ -316,13 +213,6 @@ impl Director {
         if let Some(h) = join {
             let _ = h.join();
         }
-    }
-}
-
-fn lock_join(m: &Mutex<Option<JoinHandle<()>>>) -> MutexGuard<'_, Option<JoinHandle<()>>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -349,52 +239,4 @@ fn event_loop(inner: &Inner, rx: &mpsc::Receiver<DirectorMsg>) {
             }
         }
     }
-}
-
-/// The supervised fine-tune body: one contained trainer run, then the
-/// gated publish. Returns a human-readable failure reason (already typed
-/// at the wire as `finetunes_failed` + the `versions` verb's
-/// `last_finetune_error`).
-fn run_finetune(inner: &Inner, job: u64, spec: &FineTuneSpec) -> Result<PublishOutcome, String> {
-    let unreadable = |e| format!("cannot read fine-tune trace {}: {e}", spec.trace);
-    let trace = AnyTrace::open(&spec.trace).map_err(unreadable)?;
-    // Fine-tune from exactly what is serving: the live artifact, loaded
-    // fresh through its checksum gate.
-    let (base_version, base) = inner
-        .lock_registry()
-        .load_live()
-        .map_err(|e| format!("cannot load live version: {e}"))?;
-    with_training_set(trace, &spec.trace, base.config.max_len, |set| {
-        let cfg = TrainConfig {
-            epochs: spec.epochs.unwrap_or(4).max(1),
-            seed: spec.seed.unwrap_or(0),
-            ..TrainConfig::quick()
-        };
-        let chaos = inner.chaos;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if chaos.panics_finetune(job) {
-                panic!("chaos: scheduled fine-tune panic (job {job})");
-            }
-            fine_tune(&base, set.source, &cfg, &FineTuneConfig::default())
-        }));
-        let model = match outcome {
-            Ok(Ok((model, _report))) => model,
-            Ok(Err(e)) => return Err(format!("fine-tune failed: {e}")),
-            Err(payload) => {
-                return Err(format!("fine-tune panicked: {}", panic_message(&*payload)))
-            }
-        };
-        let mut reg = inner.lock_registry();
-        let note = format!(
-            "finetune of v{base_version} on {} (seed {})",
-            spec.trace, cfg.seed
-        );
-        let id = reg
-            .stage(&model, &note)
-            .map_err(|e| format!("cannot stage fine-tuned model: {e}"))?;
-        inner
-            .publish_locked(&mut reg, id)
-            .map_err(|e| format!("fine-tuned candidate rejected: {e}"))
-    })
-    .map_err(unreadable)?
 }

@@ -216,14 +216,6 @@ stats_snapshot! {
     [VersionsRetired] versions_retired: u64,
     /// Serve-time divergence trip-wire firings since start.
     [DivergenceTrips] divergence_trips: u64,
-    /// Fine-tune jobs currently running (0 or 1; a gauge that a job's end
-    /// takes back down).
-    [FinetunesRunning] finetunes_running: u64,
-    /// Fine-tune jobs that published successfully since start.
-    [FinetunesCompleted] finetunes_completed: u64,
-    /// Fine-tune jobs that failed (divergence, panic, bad trace or a
-    /// rejected publish) since start, leaving the serving model untouched.
-    [FinetunesFailed] finetunes_failed: u64,
     /// Engine shards.
     shards: u64,
     /// Open sessions on the most-loaded shard (shard-imbalance stat).
@@ -442,8 +434,6 @@ mod tests {
         m.add(Counter::VersionsQuarantined, 1);
         m.add(Counter::VersionsRetired, 1);
         m.add(Counter::DivergenceTrips, 1);
-        m.add(Counter::FinetunesCompleted, 1);
-        m.add(Counter::FinetunesFailed, 1);
         let s = m.snapshot(
             SnapshotGauges {
                 sessions_open: 1,
@@ -499,9 +489,6 @@ mod tests {
         assert_eq!(s.versions_quarantined, 1);
         assert_eq!(s.versions_retired, 1);
         assert_eq!(s.divergence_trips, 1);
-        assert_eq!(s.finetunes_running, 0);
-        assert_eq!(s.finetunes_completed, 1);
-        assert_eq!(s.finetunes_failed, 1);
         assert_eq!(s.shards, 2);
         assert_eq!(s.shard_sessions_max, 9);
         assert_eq!(s.shard_sessions_min, 3);

@@ -1,7 +1,7 @@
 //! The verbs `cptgen serve` speaks, as typed values.
 //!
 //! The socket carries exactly one codec: the length-prefixed binary frames
-//! of [`wire`]. A client sends the two-byte preamble `0xCB 0x02` (magic,
+//! of [`wire`]. A client sends the two-byte preamble `0xCB 0x03` (magic,
 //! wire version) once after connect, then one request frame per response
 //! frame. Errors are structured: a machine-matchable [`ErrorKind`] plus a
 //! human message, mirroring the library's [`ServeError`] taxonomy so
@@ -34,9 +34,11 @@
 //!               | 0x01 reason String   (terminal failure record)
 //! ```
 //!
-//! Lifecycle verbs (`publish`, `rollback`, `finetune`, `versions`) need a
-//! server started with `cptgen serve --registry DIR`; without one they
-//! answer `NoRegistry`.
+//! Lifecycle verbs (`publish`, `rollback`, `versions`) need a server
+//! started with `cptgen serve --registry DIR`; without one they answer
+//! `NoRegistry`. Publish is the one way a model enters the registry; a
+//! fine-tuned candidate is trained offline (`cptgen train --from`) and
+//! published like any other model file.
 
 #![deny(clippy::unwrap_used)]
 
@@ -193,18 +195,6 @@ frames! {
     },
     /// Demote the live version and re-promote the previous one.
     0x09 Rollback "rollback",
-    /// Fine-tune the live model on a trace file in a supervised background
-    /// task, then publish the result through the gated path. The response
-    /// arrives immediately; watch `stats` (`finetunes_running`) or
-    /// `versions` for completion.
-    0x0A Finetune "finetune" {
-        /// Trace file (JSONL or `.ctb`) to fine-tune on.
-        trace: String,
-        /// Fine-tune epochs (defaults to a fraction of the base schedule).
-        epochs: Option<usize>,
-        /// RNG seed for the fine-tune (default 0).
-        seed: Option<u64>,
-    },
     /// List registry versions and their lifecycle states.
     0x0B Versions "versions",
     /// Ask the server to stop accepting work and exit.
@@ -268,19 +258,12 @@ frames! {
         /// The version live again.
         live: u64,
     },
-    /// The fine-tune job was admitted and runs in the background.
-    0x8A FinetuneStarted "finetune_started" {
-        /// Job ordinal (1-based) for log correlation.
-        job: u64,
-    },
     /// Registry listing.
     0x8B Versions "versions" {
         /// The live version id, if any.
         live: Option<u64>,
         /// Every version the manifest knows, in id order.
         versions: Vec<VersionInfo>,
-        /// The last fine-tune failure, if any (cleared by a success).
-        last_finetune_error: Option<String>,
     },
     /// Acknowledges `shutdown`; the server exits after this.
     0x8C Bye "bye",
@@ -343,8 +326,6 @@ pub enum ErrorKind {
     NoPreviousVersion,
     /// Lifecycle verbs need a server started with `--registry`.
     NoRegistry,
-    /// A fine-tune job is already running; retry after it finishes.
-    Busy,
     /// An internal serving failure.
     Internal,
 }
@@ -360,13 +341,12 @@ cpt_trace::json_unit_enum!(ErrorKind {
     UnknownVersion => "unknown_version",
     NoPreviousVersion => "no_previous_version",
     NoRegistry => "no_registry",
-    Busy => "busy",
     Internal => "internal",
 });
 
 impl ErrorKind {
     /// Every kind in declaration order; a kind's wire byte is its index.
-    pub const ALL: [ErrorKind; 12] = [
+    pub const ALL: [ErrorKind; 11] = [
         ErrorKind::Overloaded,
         ErrorKind::UnknownSession,
         ErrorKind::InvalidRequest,
@@ -377,7 +357,6 @@ impl ErrorKind {
         ErrorKind::UnknownVersion,
         ErrorKind::NoPreviousVersion,
         ErrorKind::NoRegistry,
-        ErrorKind::Busy,
         ErrorKind::Internal,
     ];
 }
@@ -398,7 +377,6 @@ impl From<&ServeError> for ErrorKind {
             ServeError::Registry(_) => ErrorKind::Registry,
             ServeError::NoPreviousVersion => ErrorKind::NoPreviousVersion,
             ServeError::NoRegistry => ErrorKind::NoRegistry,
-            ServeError::FineTuneBusy => ErrorKind::Busy,
         }
     }
 }
@@ -423,7 +401,6 @@ mod tests {
             ErrorKind::from(&ServeError::NoRegistry),
             ErrorKind::NoRegistry
         );
-        assert_eq!(ErrorKind::from(&ServeError::FineTuneBusy), ErrorKind::Busy);
         assert_eq!(
             ErrorKind::from(&ServeError::NoPreviousVersion),
             ErrorKind::NoPreviousVersion
@@ -484,11 +461,10 @@ mod tests {
                 sessions: 7,
                 note: "imported".to_string(),
             }],
-            last_finetune_error: None,
         };
         assert_eq!(
             resp.to_json().to_compact(),
-            r#"{"type":"versions","live":2,"versions":[{"id":2,"state":"live","sessions":7,"note":"imported"}],"last_finetune_error":null}"#
+            r#"{"type":"versions","live":2,"versions":[{"id":2,"state":"live","sessions":7,"note":"imported"}]}"#
         );
     }
 
@@ -554,8 +530,6 @@ mod tests {
                 "live_version",
                 "versions_published",
                 "versions_quarantined",
-                "finetunes_completed",
-                "finetunes_failed",
             ] {
                 assert!(embedded.get(key).is_some(), "stats lack {key:?}");
             }

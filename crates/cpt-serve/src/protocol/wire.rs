@@ -3,7 +3,7 @@
 //! A client opens with a two-byte preamble, then exchanges frames:
 //!
 //! ```text
-//! client → server:  0xCB 0x02            # magic, wire version
+//! client → server:  0xCB 0x03            # magic, wire version
 //! frame    := length payload
 //! length   := LEB128 varint (payload bytes; ≤ MAX_FRAME_LEN)
 //! payload  := opcode body
@@ -39,8 +39,11 @@ use std::io::{self, Read, Write};
 pub const MAGIC: u8 = 0xCB;
 
 /// Wire-format version carried in the preamble's second byte. 0x02 gave
-/// `stats` and `versions` fixed layouts; every other body is as in 0x01.
-pub const WIRE_VERSION: u8 = 0x02;
+/// `stats` and `versions` fixed layouts; 0x03 dropped the fine-tune
+/// request (0x0A) and its response (0x8A), the `versions` frame's last
+/// fine-tune error, three fine-tune `stats` counters and the `busy` error
+/// kind. Every other body is as in 0x01.
+pub const WIRE_VERSION: u8 = 0x03;
 
 /// Hard cap on a frame payload; larger lengths are rejected before any
 /// allocation, so a corrupt or hostile length prefix cannot OOM the
@@ -680,7 +683,7 @@ mod tests {
         cpt_trace::json::ToJson::to_json(resp).to_compact()
     }
 
-    // Every frame is pinned at WIRE_VERSION 0x02 with fields that differ
+    // Every frame is pinned at WIRE_VERSION 0x03 with fields that differ
     // within the frame, so a layout that moves, drops or swaps a field
     // changes its bytes, which a symmetric round trip alone would not see.
 
@@ -729,15 +732,6 @@ mod tests {
             0x3efb_6b1b_4c92_fe58,
         );
         pin_request(Request::Rollback, 1, 0xaf63_c44c_8601_c3c4);
-        pin_request(
-            Request::Finetune {
-                trace: "t.jsonl".to_string(),
-                epochs: Some(2),
-                seed: Some(9),
-            },
-            20,
-            0xe369_84be_6c42_ad01,
-        );
         pin_request(Request::Versions, 1, 0xaf63_c64c_8601_c72a);
         pin_request(Request::Shutdown, 1, 0xaf63_c14c_8601_beab);
 
@@ -803,16 +797,10 @@ mod tests {
             compact_json(&rolled_back),
             r#"{"type":"rolled_back","demoted":8,"live":12}"#
         );
-        let started = Response::FinetuneStarted { job: 13 };
-        pin_response(&started, 9, 0xca9a_6b36_b1f2_0c50);
-        assert_eq!(
-            compact_json(&started),
-            r#"{"type":"finetune_started","job":13}"#
-        );
         pin_response(&Response::Bye, 1, 0xaf64_414c_8602_982b);
         pin_response(
             &Response::Error {
-                kind: ErrorKind::Busy,
+                kind: ErrorKind::Internal,
                 message: "shed".to_string(),
             },
             7,
@@ -822,7 +810,7 @@ mod tests {
 
     #[test]
     fn cold_responses_round_trip() {
-        // 41 fields that all differ, so a layout that moves, drops or
+        // 38 fields that all differ, so a layout that moves, drops or
         // swaps a field changes the pinned bytes below.
         let stats = Response::Stats {
             stats: Box::new(StatsSnapshot {
@@ -868,18 +856,15 @@ mod tests {
                 versions_quarantined: 32,
                 versions_retired: 33,
                 divergence_trips: 34,
-                finetunes_running: 35,
-                finetunes_completed: 36,
-                finetunes_failed: 37,
-                shards: 38,
-                shard_sessions_max: 39,
-                shard_sessions_min: 40,
-                shard_runnable_max: 41,
-                shard_runnable_min: 42,
+                shards: 35,
+                shard_sessions_max: 36,
+                shard_sessions_min: 37,
+                shard_runnable_max: 38,
+                shard_runnable_min: 39,
             }),
         };
         // The layout is the field list's declaration order.
-        pin_response(&stats, 348, 0x3647_e162_368a_31db);
+        pin_response(&stats, 324, 0x02fb_a7b2_9062_5130);
         // The JSON `ctl -o` writes (pretty there, compact here): same keys,
         // same order.
         assert_eq!(
@@ -896,9 +881,8 @@ mod tests {
                 r#""sessions_per_version":[{"version":26,"sessions":27},"#,
                 r#"{"version":28,"sessions":29}],"versions_published":30,"#,
                 r#""versions_rolled_back":31,"versions_quarantined":32,"versions_retired":33,"#,
-                r#""divergence_trips":34,"finetunes_running":35,"finetunes_completed":36,"#,
-                r#""finetunes_failed":37,"shards":38,"shard_sessions_max":39,"#,
-                r#""shard_sessions_min":40,"shard_runnable_max":41,"shard_runnable_min":42}}"#,
+                r#""divergence_trips":34,"shards":35,"shard_sessions_max":36,"#,
+                r#""shard_sessions_min":37,"shard_runnable_max":38,"shard_runnable_min":39}}"#,
             )
         );
         pin_response(
@@ -918,10 +902,9 @@ mod tests {
                         note: String::new(),
                     },
                 ],
-                last_finetune_error: Some("diverged".to_string()),
             },
-            73,
-            0x5a84_4fa1_a3e7_fb81,
+            63,
+            0x7ddd_9bb1_31d5_0b0c,
         );
     }
 
@@ -995,6 +978,15 @@ mod tests {
             decode_response(&[0x02]),
             Err(ProtocolError::UnknownOpcode(0x02))
         );
+        // The retired fine-tune frames' opcodes are unassigned.
+        assert_eq!(
+            decode_request(&[0x0A]),
+            Err(ProtocolError::UnknownOpcode(0x0A))
+        );
+        assert_eq!(
+            decode_response(&[0x8A]),
+            Err(ProtocolError::UnknownOpcode(0x8A))
+        );
         assert_eq!(decode_request(&[]), Err(ProtocolError::Truncated));
     }
 
@@ -1010,7 +1002,7 @@ mod tests {
         // Each out-of-range byte is named by the field it came from.
         let zero = [0u8; 8];
         let cases: [(Vec<u8>, &str, u8); 9] = [
-            ([&[0x8D, 12][..], &[0]].concat(), "error kind", 12),
+            ([&[0x8D, 11][..], &[0]].concat(), "error kind", 11),
             (
                 [&[0x8B, 0, 1][..], &zero, &[9]].concat(),
                 "version state",
@@ -1026,7 +1018,7 @@ mod tests {
                 3,
             ),
             (vec![0x08, 5], "path presence", 5),
-            (vec![0x0A, 0, 4], "epochs presence", 4),
+            (vec![0x08, 0, 4], "version presence", 4),
         ];
         for (payload, field, value) in cases {
             let got = if payload[0] & 0x80 == 0 {
@@ -1079,7 +1071,12 @@ mod tests {
     #[test]
     fn preamble_version_gate() {
         assert!(check_preamble([MAGIC, WIRE_VERSION]).is_ok());
-        for got in [[MAGIC, 0x01], [b'{', b'"'], [0, WIRE_VERSION]] {
+        for got in [
+            [MAGIC, 0x01],
+            [MAGIC, 0x02],
+            [b'{', b'"'],
+            [0, WIRE_VERSION],
+        ] {
             assert_eq!(check_preamble(got), Err(ProtocolError::BadPreamble { got }));
         }
     }

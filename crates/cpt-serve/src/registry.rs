@@ -260,7 +260,7 @@ pub struct VersionRecord {
     pub state: VersionState,
     /// Canary fingerprint recorded when validation passed (0 until then).
     pub canary: u64,
-    /// Provenance note ("imported at startup", "finetune of v3 on …").
+    /// Provenance note ("bootstrap import", "published from ft.cmb").
     pub note: String,
 }
 

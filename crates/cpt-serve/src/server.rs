@@ -39,7 +39,7 @@
 use crate::chaos::ChaosPlan;
 use crate::engine::{DetachToken, Engine, ServeConfig, ServeHandle, SessionId};
 use crate::error::ServeError;
-use crate::lifecycle::{Director, FineTuneSpec};
+use crate::lifecycle::Director;
 use crate::metrics::{Counter, StatsSnapshot};
 use crate::pool::BufferPool;
 use crate::protocol::wire;
@@ -63,12 +63,13 @@ pub struct ServerConfig {
     /// Deterministic fault injection; `ChaosPlan::default()` is a no-op.
     pub chaos: ChaosPlan,
     /// Model-registry root directory. `Some` enables the lifecycle verbs
-    /// (`publish`/`rollback`/`finetune`/`versions`): the bootstrap model
-    /// is imported as the first version if the registry is empty, and the
-    /// registry's live version is served otherwise (the `--model` flag is
-    /// then only the bootstrap source). `None` keeps the pre-registry
-    /// behaviour: serve the given model, lifecycle verbs answer
-    /// `no_registry`.
+    /// (`publish`/`rollback`/`versions`): the bootstrap model is imported
+    /// as the first version if the registry is empty, and the registry's
+    /// live version is served otherwise (the `--model` flag is then only
+    /// the bootstrap source). The live artifact sits at
+    /// `DIR/versions/vNNNN/model.cmb`, the base a `cptgen train --from`
+    /// fine-tune reads. `None` serves the given model, and the lifecycle
+    /// verbs answer `no_registry`.
     pub registry: Option<std::path::PathBuf>,
 }
 
@@ -282,9 +283,9 @@ impl Server {
                 });
         }
         self.conns.wait_empty();
-        // Join any in-flight fine-tune and flush lifecycle persistence
-        // before stopping the engine, so a publish racing shutdown lands
-        // durably (or fails typed) rather than being torn off mid-flight.
+        // Flush lifecycle persistence before stopping the engine, so a
+        // retirement or trip-wire demotion the engine already raised lands
+        // durably rather than being torn off mid-flight.
         if let Some(d) = &self.director {
             d.shutdown();
         }
@@ -640,28 +641,11 @@ fn dispatch(
                 Err(e) => (Response::from_error(&e), false),
             }
         }
-        Request::Finetune {
-            trace,
-            epochs,
-            seed,
-        } => {
-            let Some(d) = director else {
-                return (Response::from_error(&ServeError::NoRegistry), false);
-            };
-            match d.finetune(FineTuneSpec {
-                trace,
-                epochs,
-                seed,
-            }) {
-                Ok(job) => (Response::FinetuneStarted { job }, false),
-                Err(e) => (Response::from_error(&e), false),
-            }
-        }
         Request::Versions => {
             let Some(d) = director else {
                 return (Response::from_error(&ServeError::NoRegistry), false);
             };
-            let (live, records, last_finetune_error) = d.versions();
+            let (live, records) = d.versions();
             let per_version = handle.sessions_per_version();
             let versions = records
                 .into_iter()
@@ -679,14 +663,7 @@ fn dispatch(
                     }
                 })
                 .collect();
-            (
-                Response::Versions {
-                    live,
-                    versions,
-                    last_finetune_error,
-                },
-                false,
-            )
+            (Response::Versions { live, versions }, false)
         }
         Request::Shutdown => (Response::Bye, true),
     }

@@ -455,3 +455,36 @@ fn an_armed_token_is_unknown_until_its_sessions_park() {
     );
     engine.shutdown();
 }
+
+/// Two parks under one token make one group: a single reattach returns
+/// the sessions of both, and each then drains to its reference and
+/// closes, freeing its slot. Had the second park replaced the first
+/// group, the first session would stay parked under no token.
+#[test]
+fn a_second_park_under_a_token_joins_its_group() {
+    let engine = Engine::start(fixture_model(), ServeConfig::new(1)).expect("starts");
+    let handle = engine.handle();
+    let params = [
+        StreamParams::new(31),
+        StreamParams::new(32).streams(2),
+        StreamParams::new(33),
+    ];
+    let ids: Vec<SessionId> = params
+        .iter()
+        .map(|p| handle.open_session(*p).expect("admitted"))
+        .collect();
+    let token = handle.mint_detach_token();
+    assert_eq!(handle.park_sessions(token, [ids[0]]), 1);
+    assert_eq!(handle.park_sessions(token, [ids[1], ids[2]]), 2);
+    let mut back = handle.reattach(token).expect("token redeems");
+    back.sort();
+    assert_eq!(back, ids, "one reattach returns both parks");
+    for (id, p) in ids.iter().zip(params) {
+        assert_eq!(
+            drain_session(&handle, *id, 16),
+            served_reference(&fixture_model(), p)
+        );
+    }
+    assert_eq!(handle.sessions_open(), 0, "every slot is free again");
+    engine.shutdown();
+}

@@ -13,12 +13,9 @@
 use cpt_gpt::{CptGpt, StreamParams};
 use cpt_serve::registry::{Registry, RegistryError, VersionState};
 use cpt_serve::{
-    ChaosPlan, Director, Engine, FineTuneSpec, ServeConfig, ServeError, ServeHandle, SessionEvent,
-    SessionId,
+    ChaosPlan, Director, Engine, ServeConfig, ServeError, ServeHandle, SessionEvent, SessionId,
 };
-use cpt_testkit::{
-    alternating_dataset, drain_session, fixture_model, fixture_model_v2, served_reference, Scratch,
-};
+use cpt_testkit::{drain_session, fixture_model, fixture_model_v2, served_reference, Scratch};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -131,7 +128,7 @@ fn publish_under_load_pins_old_sessions_and_switches_new_ones() {
         assert_eq!(outcome.version, 3);
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let (_, records, _) = director.versions();
+            let (_, records) = director.versions();
             let v1_state = records
                 .iter()
                 .find(|r| r.id == 1)
@@ -188,7 +185,7 @@ fn corrupt_candidate_is_rejected_typed_while_v1_keeps_serving() {
     );
     assert_eq!(handle.live_version(), 1, "v1 must keep serving");
     assert_eq!(handle.stats().versions_quarantined, 1);
-    let (live, records, _) = director.versions();
+    let (live, records) = director.versions();
     assert_eq!(live, Some(1));
     assert_eq!(
         records
@@ -351,63 +348,6 @@ fn worker_panic_mid_publish_fails_only_the_targeted_session() {
     let stats = handle.stats();
     assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.sessions_failed, 1);
-    director.shutdown();
-    engine.shutdown();
-}
-
-/// A fine-tune job that panics is a failed job: the failure is typed in
-/// `versions` and `stats`, it stages nothing, v1 never stops serving, and
-/// nothing re-runs it behind the operator's back. The retry is the next
-/// job, which publishes.
-#[test]
-fn panicking_finetune_is_a_failed_job_and_the_retry_is_the_next_job() {
-    let scratch = Scratch::new("finetune");
-    let chaos = ChaosPlan {
-        panic_finetune: Some(1),
-        ..ChaosPlan::default()
-    };
-    let (engine, handle, director) = start_stack(&scratch, 2, chaos);
-    let trace = scratch.path("adapt.ctb");
-    cpt_trace::columnar::write_ctb(&alternating_dataset(12), &trace)
-        .expect("write the fine-tune trace");
-    let spec = || FineTuneSpec {
-        trace: trace.to_string_lossy().into_owned(),
-        epochs: Some(1),
-        seed: None,
-    };
-
-    assert_eq!(director.finetune(spec()).expect("job 1 admitted"), 1);
-    director.join_finetune();
-    let (live, records, last_err) = director.versions();
-    assert_eq!(
-        live,
-        Some(1),
-        "a failed fine-tune must not touch the live version"
-    );
-    assert_eq!(records.len(), 1, "the failed job staged nothing");
-    let err = last_err.expect("the failure is reported");
-    assert!(err.contains("panicked") && err.contains("job 1"), "{err}");
-    let stats = handle.stats();
-    assert_eq!(stats.finetunes_failed, 1);
-    assert_eq!(stats.finetunes_completed, 0);
-    assert_eq!(stats.finetunes_running, 0);
-    let p = StreamParams::new(55).streams(2);
-    let id = handle.open_session(p).expect("admitted");
-    assert_eq!(
-        drain_session(&handle, id, 16),
-        served_reference(&fixture_model(), p)
-    );
-
-    assert_eq!(director.finetune(spec()).expect("job 2 admitted"), 2);
-    director.join_finetune();
-    let (live, _, last_err) = director.versions();
-    assert_eq!(live, Some(2), "the next job publishes");
-    assert!(last_err.is_none(), "a success clears the last failure");
-    assert_eq!(handle.live_version(), 2);
-    let stats = handle.stats();
-    assert_eq!(stats.finetunes_failed, 1);
-    assert_eq!(stats.finetunes_completed, 1);
-    assert_eq!(stats.finetunes_running, 0);
     director.shutdown();
     engine.shutdown();
 }

@@ -48,13 +48,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             version: if staged == 0 { None } else { Some(v) },
         }),
         Just(Request::Rollback),
-        (0u64..u64::MAX, 0usize..20, 0u8..2).prop_map(|(seed, epochs, has_seed)| {
-            Request::Finetune {
-                trace: format!("trace-{}.jsonl", seed % 1000),
-                epochs: if epochs == 0 { None } else { Some(epochs) },
-                seed: if has_seed == 1 { Some(seed) } else { None },
-            }
-        }),
         Just(Request::Versions),
         Just(Request::Shutdown),
     ]
@@ -90,14 +83,14 @@ fn arb_event() -> impl Strategy<Value = SessionEvent> {
 /// that swapped two fields of one type would fail the round trip.
 fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
     (
-        proptest::collection::vec(0u64..u64::MAX, 37),
+        proptest::collection::vec(0u64..u64::MAX, 34),
         (0.0f64..1e9, 0.0f64..1e9),
         1usize..4096,
         proptest::collection::vec((1u64..64, 0u64..5000), 0..4),
     )
         .prop_map(|(u, (uptime_secs, events_per_sec), workers, per_version)| {
             let mut u = u.into_iter();
-            let mut next = || u.next().expect("37 u64 fields drawn");
+            let mut next = || u.next().expect("34 u64 fields drawn");
             StatsSnapshot {
                 uptime_secs,
                 workers,
@@ -135,9 +128,6 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
                 versions_quarantined: next(),
                 versions_retired: next(),
                 divergence_trips: next(),
-                finetunes_running: next(),
-                finetunes_completed: next(),
-                finetunes_failed: next(),
                 shards: next(),
                 shard_sessions_max: next(),
                 shard_sessions_min: next(),
@@ -195,7 +185,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
             previous: if prev == 0 { None } else { Some(prev) },
         }),
         (1u64..64, 1u64..64).prop_map(|(demoted, live)| Response::RolledBack { demoted, live }),
-        (1u64..1000).prop_map(|job| Response::FinetuneStarted { job }),
         Just(Response::Bye),
         (0usize..ErrorKind::ALL.len(), 0u64..1000).prop_map(|(k, n)| Response::Error {
             kind: ErrorKind::ALL[k],
@@ -204,20 +193,12 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_stats().prop_map(|stats| Response::Stats {
             stats: Box::new(stats),
         }),
-        (
-            0u64..64,
-            proptest::collection::vec(arb_version(), 0..6),
-            0u64..100
-        )
-            .prop_map(|(live, versions, err)| Response::Versions {
+        (0u64..64, proptest::collection::vec(arb_version(), 0..6)).prop_map(|(live, versions)| {
+            Response::Versions {
                 live: if live == 0 { None } else { Some(live) },
                 versions,
-                last_finetune_error: if err == 0 {
-                    None
-                } else {
-                    Some(format!("fine-tune attempt {err} diverged"))
-                },
-            }),
+            }
+        }),
     ]
 }
 

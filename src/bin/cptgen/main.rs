@@ -225,7 +225,8 @@ either is handled one stream at a time (.ctb mmap'd, bounded RSS) and train is
 bit-identical on both. train, generate and serve give the same bytes at any
 --threads / --workers / --shards / --batch-max. serve's --chaos-* flags inject
 deterministic faults, all off by default; --registry DIR enables ctl's
-publish / rollback / finetune verbs. Options are checked per command: an
+publish / rollback / versions verbs. train --from BASE.cmb fine-tunes a model
+offline; ctl --publish serves the result. Options are checked per command: an
 unknown, repeated or value-less option is exit 2. Throughput is measured by
 crates/cpt-ledger (see its README).
 

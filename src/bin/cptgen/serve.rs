@@ -10,8 +10,7 @@ pub const FLAGS: Spec = "--model MODEL.cmb [--addr HOST:PORT] [--workers N] [--s
     [--chaos-seed S] [--chaos-panic-session ID] [--chaos-panic-at-event N] \
     [--chaos-delay-every N] [--chaos-delay-ms MS] [--chaos-drop-conn IDX] \
     [--chaos-drop-after N] [--chaos-crash-commit N] [--chaos-corrupt-candidate N] \
-    [--chaos-panic-finetune N] [--chaos-publish-delay-ms MS] [--chaos-poison-session ID] \
-    [--chaos-poison-at N]";
+    [--chaos-publish-delay-ms MS] [--chaos-poison-session ID] [--chaos-poison-at N]";
 
 pub fn run(args: &Args) -> Result<(), CliError> {
     let model_path = args.require("model")?;
@@ -38,7 +37,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         drop_after_requests: args.or("chaos-drop-after", 0)?,
         crash_manifest_commit: args.opt("chaos-crash-commit")?,
         corrupt_candidate: args.opt("chaos-corrupt-candidate")?,
-        panic_finetune: args.opt("chaos-panic-finetune")?,
         publish_delay_ms: args.or("chaos-publish-delay-ms", 0)?,
         poison_session: args.opt("chaos-poison-session")?,
         poison_at_event: args.or("chaos-poison-at", 0)?,
@@ -95,16 +93,13 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     if has_registry {
         println!(
             "  model lifecycle: live v{}; {} published / {} rolled back / \
-             {} quarantined / {} retired; {} divergence trips; \
-             finetunes {} completed / {} failed",
+             {} quarantined / {} retired; {} divergence trips",
             stats.live_version,
             stats.versions_published,
             stats.versions_rolled_back,
             stats.versions_quarantined,
             stats.versions_retired,
-            stats.divergence_trips,
-            stats.finetunes_completed,
-            stats.finetunes_failed
+            stats.divergence_trips
         );
     }
     Ok(())

@@ -10,10 +10,14 @@
 //! flag, and nothing is written. And the format contract: a trace gives the
 //! same results as JSONL and as `.ctb`, `trace convert` turns either into
 //! the other byte for byte, and `train` writes the same model at one
-//! thread or eight.
+//! thread or eight. `train --from` is the library's `fine_tune`, bit for
+//! bit.
 
+use cpt::gpt::transfer::{fine_tune, FineTuneConfig};
+use cpt::gpt::TrainConfig;
 use cpt_testkit::{
-    corrupt_file_bytes, exit_code, malform_jsonl_line, stderr_of, stdout_of, Scratch,
+    alternating_dataset, corrupt_file_bytes, exit_code, fixture_model, malform_jsonl_line,
+    stderr_of, stdout_of, Scratch,
 };
 use std::path::Path;
 use std::process::Output;
@@ -229,6 +233,79 @@ fn resume_from_corrupt_checkpoint_is_a_checkpoint_error() {
     assert_eq!(exit_code(&out), 6, "stderr: {}", stderr_of(&out));
 }
 
+/// `train --from BASE.cmb` fine-tunes the base as the library does: with
+/// `--epochs 4 --seed 0 --lr 3e-3` (a base schedule `fine_tune` scales to
+/// one epoch at a third of the rate) it writes the very file that saving
+/// the in-process `fine_tune` of the same base on the same trace writes,
+/// weights, tokenizer and initial-event distribution alike. The CLI reads
+/// the trace out of core from `.ctb`; the library call trains on it in RAM.
+#[test]
+fn train_from_a_base_is_the_library_fine_tune() {
+    let scratch = Scratch::new("trainfrom");
+    let base = fixture_model();
+    let base_path = scratch.path("base.cmb");
+    cpt::gpt::save_model_file(&base, &base_path).expect("write the base");
+    let data = alternating_dataset(12);
+    let trace = scratch.path("t.ctb");
+    cpt::trace::columnar::write_ctb(&data, &trace).expect("write the trace");
+    let (cli, lib) = (scratch.path("cli.cmb"), scratch.path("lib.cmb"));
+    let out = run(&[
+        "train",
+        "--input",
+        &trace.to_string_lossy(),
+        "--from",
+        &base_path.to_string_lossy(),
+        "--epochs",
+        "4",
+        "--seed",
+        "0",
+        "--lr",
+        "3e-3",
+        "-o",
+        &cli.to_string_lossy(),
+    ]);
+    assert_eq!(exit_code(&out), 0, "train --from: {}", stderr_of(&out));
+
+    let cfg = TrainConfig {
+        epochs: 4,
+        seed: 0,
+        ..TrainConfig::quick()
+    };
+    let (tuned, _) =
+        fine_tune(&base, &data, &cfg, &FineTuneConfig::default()).expect("fine_tune succeeds");
+    cpt::gpt::save_model_file(&tuned, &lib).expect("write the library's model");
+    let loaded = cpt::gpt::load_model_file(&cli).expect("the CLI's model loads");
+    assert_eq!(loaded.checksum(), tuned.checksum(), "weights differ");
+    assert!(
+        std::fs::read(&cli).expect("read") == std::fs::read(&lib).expect("read"),
+        "the two model files differ"
+    );
+    assert_ne!(
+        tuned.checksum(),
+        base.checksum(),
+        "fine-tuning moved nothing"
+    );
+}
+
+/// A fine-tune takes its shape from the base and writes no checkpoint, so
+/// the flags that set either are usage errors beside `--from`.
+#[test]
+fn train_from_rejects_shape_and_checkpoint_flags() {
+    let scratch = Scratch::new("fromflags");
+    let out = scratch.arg("ft.cmb");
+    for (flag, value) in [
+        ("--max-len", Some("16")),
+        ("--d-model", Some("16")),
+        ("--checkpoint", Some("ckpt.cmb")),
+        ("--resume", None),
+    ] {
+        let mut args = vec!["train", "--input", "t.ctb", "--from", "base.cmb", flag];
+        args.extend(value);
+        args.extend(["-o", out.as_str()]);
+        assert_rejected(&args, flag, &out);
+    }
+}
+
 /// Runs `args`, which must be rejected as bad usage: exit 2, `needle` (the
 /// offending flag) named on stderr, and `must_not_exist` never created.
 fn assert_rejected(args: &[&str], needle: &str, must_not_exist: &str) {
@@ -383,9 +460,10 @@ fn bench_is_not_a_command() {
 #[test]
 fn help_lists_exactly_the_flags_the_parser_accepts() {
     // `--help` prints the usage lines the parser tables are built from, so
-    // counting names there counts what is settable: 57 since `bench`, the
+    // counting names there counts what is settable: 55 since `bench`, the
     // loadgen codec switch, the JSON-line corruption knob, the serve read
-    // timeout and loadgen's retry, backoff and reattach knobs went.
+    // timeout, loadgen's retry, backoff and reattach knobs and the
+    // serve-side fine-tune's flags went, and `train --from` came.
     let help = stderr_of(&run(&["--help"]));
     let commands = help.split("\n\n").nth(1).expect("command block");
     let mut flags: Vec<&str> = commands
@@ -394,7 +472,7 @@ fn help_lists_exactly_the_flags_the_parser_accepts() {
         .collect();
     flags.sort_unstable();
     flags.dedup();
-    assert_eq!(flags.len(), 57, "{flags:?}");
+    assert_eq!(flags.len(), 55, "{flags:?}");
     for gone in [
         "--quick",
         "--check",
@@ -403,6 +481,9 @@ fn help_lists_exactly_the_flags_the_parser_accepts() {
         "--connect-retries",
         "--retry-backoff-ms",
         "--no-reattach",
+        "--finetune",
+        "--wait-secs",
+        "--chaos-panic-finetune",
     ] {
         assert!(!flags.contains(&gone), "{gone} is still accepted");
     }

@@ -38,6 +38,12 @@
 //! anything after them connect through it rather than through a copy.
 //! (The benchmark ledger, which is not walked, keeps a connection of its
 //! own.)
+//!
+//! And the server trains nothing: fine-tuning is an offline `cptgen train
+//! --from BASE.cmb` run whose output `cptgen ctl --publish` serves, so the
+//! serve-side trainer's names stay out of `cpt-serve` and the CLI. (The
+//! benchmark suite's Table 9 row names the same offline step "finetune",
+//! so this ban is scoped to those two trees.)
 
 use std::path::{Path, PathBuf};
 
@@ -122,6 +128,11 @@ const KERNELS: &str = "crates/cpt-nn/src/tensor.rs";
 const CLIENT_ONLY: [&str; 1] = ["write_preamble("];
 const CLIENT: &str = "crates/cpt-serve/src/client.rs";
 
+/// Names of the deleted serve-side trainer (its wire verb, job type and
+/// counters), banned from [`NO_TRAINER`].
+const TRAINER: [&str; 2] = ["finetune", "Finetune"];
+const NO_TRAINER: [&str; 2] = ["crates/cpt-serve/src", "src/bin"];
+
 /// The file whose `std::arch::asm` issues the `mmap` syscalls: the one
 /// `std::arch` item allowed outside [`KERNELS`].
 const SYSCALLS: &str = "crates/cpt-trace/src/mmap.rs";
@@ -147,6 +158,11 @@ fn deleted_decode_paths_do_not_reappear() {
     assert!(
         files.iter().any(|f| f.starts_with(&cli)),
         "the walk no longer reaches the CLI's subcommand modules"
+    );
+    let no_trainer = NO_TRAINER.map(|dir| root.join(dir));
+    assert!(
+        files.iter().any(|f| f.starts_with(&no_trainer[0])),
+        "the walk no longer reaches the serving crate"
     );
     let kernels = root.join(KERNELS);
     assert!(
@@ -214,6 +230,16 @@ fn deleted_decode_paths_do_not_reappear() {
                     !src.contains(needle),
                     "{} calls {needle:?}: libm's f32 exp outside the tests (use `expf_glibc`, or \
                      `f64::exp(..)` for an f64)",
+                    file.strip_prefix(root).unwrap_or(&file).display()
+                );
+            }
+        }
+        if no_trainer.iter().any(|dir| file.starts_with(dir)) {
+            for needle in TRAINER {
+                assert!(
+                    !src.contains(needle),
+                    "{} mentions {needle:?}: the server trains nothing (fine-tune with \
+                     `cptgen train --from`, then publish)",
                     file.strip_prefix(root).unwrap_or(&file).display()
                 );
             }
