@@ -28,9 +28,10 @@
 //! Results are printed and mirrored into the output directory; the run is
 //! recorded stage-by-stage in `<out>/manifest.json` and summarized in
 //! `<out>/run_report.txt`. There is no default directory, so a run never
-//! writes over the committed `results/` unless it names it. Trained models are cached under `<out>/cache/`
-//! and reused by `--resume`. A failed stage is not retried: running it
-//! again is another invocation, usually with `--resume`.
+//! writes over the committed `results/` unless it names it. Trained
+//! models are cached under `<out>/cache/` and reused by `--resume`. A
+//! failed stage is not retried: running it again is another invocation,
+//! usually with `--resume`.
 
 use cpt_bench::suite::{self, SuiteConfig, SuiteError};
 use cpt_bench::Scale;
